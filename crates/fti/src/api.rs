@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use mpisim::ctx::ReduceOp;
 use mpisim::{Comm, MpiError, Payload, RankCtx, TimeCategory};
 
 use crate::config::{CheckpointLevel, FtiConfig};
@@ -155,7 +154,7 @@ impl Fti {
         comm: &Comm,
         value: u64,
     ) -> Result<u64, MpiError> {
-        Ok(ctx.allreduce_f64(comm, ReduceOp::Min, &[value as f64])?[0] as u64)
+        Ok(ctx.allreduce_min_f64(comm, value as f64)? as u64)
     }
 
     /// The configuration this instance was created with.

@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mpisim::ctx::ReduceOp;
 use mpisim::{Comm, MpiError, Payload, RankCtx};
 
 use crate::config::FtiConfig;
@@ -102,7 +101,7 @@ pub fn redistribute_after_shrink(
             .unwrap_or(0)
     };
     let allreduce_min = |ctx: &mut RankCtx, v: u64| -> Result<u64, MpiError> {
-        Ok(ctx.allreduce_f64(comm, ReduceOp::Min, &[v as f64])?[0] as u64)
+        Ok(ctx.allreduce_min_f64(comm, v as f64)? as u64)
     };
     let mut agreed = allreduce_min(ctx, my_best(store, u64::MAX))?;
     while agreed > 0 {
@@ -172,8 +171,7 @@ pub fn redistribute_after_shrink(
                     ObjectLayout::Block { unit_bytes, .. } => unit_bytes,
                     ObjectLayout::Replicated => 0,
                 };
-                let unit_bytes =
-                    ctx.allreduce_f64(comm, ReduceOp::Max, &[my_unit as f64])?[0] as usize;
+                let unit_bytes = ctx.allreduce_max_f64(comm, my_unit as f64)? as usize;
                 let (my_new_start, my_new_count) = block_range(total_units, new_n, me_idx);
                 let mut assembled = vec![0u8; my_new_count as usize * unit_bytes];
 

@@ -3,10 +3,12 @@
 //! Every communicator owns a [`CollSlot`]. A collective operation is executed as a
 //! *rendezvous round*: each member deposits its contribution (an arbitrary `Send`
 //! value) together with its current virtual time; the last member to arrive runs a
-//! *finish* closure that combines all contributions into one output per member and
+//! *finish* closure that combines all contributions into **one shared output** and
 //! computes the common completion time (`max` of the entry times plus the modelled
-//! collective cost); every member then picks up its output and advances its clock to
-//! the completion time.
+//! collective cost); every member then picks up a reference to that output and
+//! advances its clock to the completion time. The output is produced once, whatever
+//! the group size: a member that needs only its own part of it (a scatter chunk, a
+//! prefix sum) projects it out after the round, outside the slot lock.
 //!
 //! Rounds are strictly ordered: a member cannot deposit into round *n+1* until every
 //! member has collected its output from round *n*. Waiting is implemented as a polling
@@ -14,6 +16,8 @@
 //! peers have failed observe the failure (ULFM semantics) instead of hanging.
 
 use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -22,8 +26,11 @@ use crate::error::MpiError;
 use crate::sched::WaitToken;
 use crate::time::SimTime;
 
-/// Type-erased contribution/output values exchanged through a rendezvous.
+/// Type-erased contribution values deposited into a rendezvous.
 pub type AnyBox = Box<dyn Any + Send>;
+
+/// The type-erased output of a rendezvous round, shared by all its members.
+pub type AnyArc = Arc<dyn Any + Send + Sync>;
 
 /// How a member blocked inside [`CollSlot::run_with_wait`] waits for round progress —
 /// the point where the scheduler backend plugs into the rendezvous engine.
@@ -43,28 +50,20 @@ pub enum SlotWait<'a> {
         /// Snapshots the slot's wait channel (called with the slot lock held, before
         /// the condition check the park guards).
         prepare: &'a dyn Fn() -> WaitToken,
-        /// Suspends the calling task (called with the slot lock released).
-        park: &'a dyn Fn(WaitToken),
+        /// Suspends the calling task (called with the slot lock released). The flag
+        /// says whether this wait already suspended before — a wake that did not end
+        /// it — and the result whether the task was actually suspended.
+        park: &'a dyn Fn(WaitToken, bool) -> bool,
         /// Wakes every task parked on this slot.
         wake: &'a dyn Fn(),
     },
-}
-
-impl SlotWait<'_> {
-    /// Signals cooperative waiters that the slot's state advanced (no-op for the
-    /// condvar strategy, whose notification happens inside the slot).
-    fn notify(&self) {
-        if let SlotWait::Park { wake, .. } = self {
-            wake();
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Members are depositing contributions for the current round.
     Collecting,
-    /// Outputs are ready; members are picking them up.
+    /// The output is ready; members are picking it up.
     Delivering,
 }
 
@@ -75,7 +74,10 @@ struct RoundState {
     collected: usize,
     /// Per-member (entry time, declared cost, contribution).
     contributions: Vec<Option<(SimTime, SimTime, AnyBox)>>,
-    outputs: Vec<Option<AnyBox>>,
+    /// The delivering round's output.
+    output: Option<AnyArc>,
+    /// Members that have not yet picked up the delivering round's output.
+    owed: Vec<bool>,
     finish_time: SimTime,
 }
 
@@ -87,22 +89,20 @@ impl RoundState {
             deposited: 0,
             collected: 0,
             contributions: (0..nmembers).map(|_| None).collect(),
-            outputs: (0..nmembers).map(|_| None).collect(),
+            output: None,
+            owed: vec![false; nmembers],
             finish_time: SimTime::ZERO,
         }
     }
 
+    /// Opens the next round. The finisher took every contribution and every member
+    /// collected, so the per-member vectors are already clear.
     fn reset_for_next_round(&mut self) {
         self.phase = Phase::Collecting;
         self.round += 1;
         self.deposited = 0;
         self.collected = 0;
-        for c in &mut self.contributions {
-            *c = None;
-        }
-        for o in &mut self.outputs {
-            *o = None;
-        }
+        self.output = None;
         self.finish_time = SimTime::ZERO;
     }
 }
@@ -112,6 +112,10 @@ pub struct CollSlot {
     nmembers: usize,
     state: Mutex<RoundState>,
     cv: Condvar,
+    /// Threads blocked on `cv` (thread backend only). Counted under the state lock, so
+    /// progress notifications — issued under that lock — are skipped exactly when
+    /// nobody sleeps: on the fiber backends the condition variable is never touched.
+    cv_waiters: AtomicUsize,
 }
 
 impl std::fmt::Debug for CollSlot {
@@ -144,6 +148,7 @@ impl CollSlot {
             nmembers,
             state: Mutex::new(RoundState::fresh(nmembers)),
             cv: Condvar::new(),
+            cv_waiters: AtomicUsize::new(0),
         }
     }
 
@@ -161,27 +166,25 @@ impl CollSlot {
     ///   broadcast root versus its receivers).
     /// * `contribution` — this member's type-erased input.
     /// * `finish` — run exactly once per round, by the last member to deposit; receives
-    ///   all contributions ordered by member index and must return exactly one output
-    ///   per member.
+    ///   all contributions ordered by member index and returns the round's one output.
     /// * `abort_check` — polled while waiting; returning `Some(err)` makes this member
     ///   abandon the round with `Err(err)` (used for failure notification).
     ///
-    /// Returns the common completion time and this member's output.
+    /// Returns the common completion time and the round's shared output.
     ///
     /// # Errors
     ///
-    /// Returns whatever error `abort_check` produced, or [`MpiError::Internal`] if the
-    /// finish closure returned the wrong number of outputs or a duplicate member index
-    /// was used.
+    /// Returns whatever error `abort_check` produced, or [`MpiError::Internal`] if a
+    /// member index was out of range or used twice in one round.
     pub fn run(
         &self,
         member: usize,
         now: SimTime,
         cost: SimTime,
         contribution: AnyBox,
-        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> Vec<AnyBox>,
+        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
         abort_check: impl FnMut() -> Option<MpiError>,
-    ) -> Result<(SimTime, AnyBox), MpiError> {
+    ) -> Result<(SimTime, AnyArc), MpiError> {
         self.run_with_wait(
             member,
             now,
@@ -191,6 +194,41 @@ impl CollSlot {
             abort_check,
             SlotWait::Condvar,
         )
+    }
+
+    /// Blocks the calling member until the slot may have progressed (or, on the thread
+    /// backend, the fallback timeout elapsed) and returns the re-acquired state lock.
+    fn wait_for_progress<'a>(
+        &'a self,
+        mut st: parking_lot::MutexGuard<'a, RoundState>,
+        wait: SlotWait<'_>,
+        token: Option<WaitToken>,
+        suspended_before: &mut bool,
+    ) -> parking_lot::MutexGuard<'a, RoundState> {
+        match wait {
+            SlotWait::Condvar => {
+                self.cv_waiters.fetch_add(1, Ordering::SeqCst);
+                self.cv.wait_for(&mut st, POLL_INTERVAL);
+                self.cv_waiters.fetch_sub(1, Ordering::SeqCst);
+                st
+            }
+            SlotWait::Park { park, .. } => {
+                drop(st);
+                *suspended_before |= park(
+                    token.expect("fiber waits prepare a token"),
+                    *suspended_before,
+                );
+                self.state.lock()
+            }
+        }
+    }
+
+    /// Announces slot progress to blocked members (called with the state lock held).
+    fn notify_progress(&self, wait: SlotWait<'_>) {
+        match wait {
+            SlotWait::Condvar => self.wake_all(),
+            SlotWait::Park { wake, .. } => wake(),
+        }
     }
 
     /// Like [`CollSlot::run`], but with an explicit waiting strategy — the scheduler
@@ -207,47 +245,39 @@ impl CollSlot {
         now: SimTime,
         cost: SimTime,
         contribution: AnyBox,
-        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> Vec<AnyBox>,
+        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
         mut abort_check: impl FnMut() -> Option<MpiError>,
         wait: SlotWait<'_>,
-    ) -> Result<(SimTime, AnyBox), MpiError> {
-        let declared_cost = cost;
+    ) -> Result<(SimTime, AnyArc), MpiError> {
         if member >= self.nmembers {
             return Err(MpiError::Internal(format!(
                 "collective member index {member} out of range ({})",
                 self.nmembers
             )));
         }
+        let prepare = || match wait {
+            SlotWait::Park { prepare, .. } => Some(prepare()),
+            SlotWait::Condvar => None,
+        };
 
         let mut st = self.state.lock();
 
         // Wait for the previous round to fully drain before joining a new one. The
         // token is prepared before the condition and abort checks: slot-progress
-        // wakes happen under the slot lock we hold, and cluster-wide transition
-        // wakes (which change what `abort_check` returns) invalidate the token, so
-        // the park below can never sleep through either.
+        // wakes happen under the slot lock we hold, and the transition wakes that
+        // change what `abort_check` returns signal the slot's channel or invalidate
+        // every token, so the park below can never sleep through either.
+        let mut suspended_before = false;
         loop {
-            let token = match wait {
-                SlotWait::Park { prepare, .. } => Some(prepare()),
-                SlotWait::Condvar => None,
-            };
-            if !(st.phase == Phase::Delivering && st.outputs[member].is_none()) {
+            let token = prepare();
+            // Still delivering a round this member has already collected from?
+            if st.phase != Phase::Delivering || st.owed[member] {
                 break;
             }
             if let Some(err) = abort_check() {
                 return Err(err);
             }
-            st = match wait {
-                SlotWait::Condvar => {
-                    self.cv.wait_for(&mut st, POLL_INTERVAL);
-                    st
-                }
-                SlotWait::Park { park, .. } => {
-                    drop(st);
-                    park(token.expect("token prepared above"));
-                    self.state.lock()
-                }
-            };
+            st = self.wait_for_progress(st, wait, token, &mut suspended_before);
         }
 
         if st.contributions[member].is_some() {
@@ -257,49 +287,34 @@ impl CollSlot {
         }
 
         // Deposit.
-        st.contributions[member] = Some((now, declared_cost, contribution));
+        st.contributions[member] = Some((now, cost, contribution));
         st.deposited += 1;
         let my_round = st.round;
 
         if st.deposited == self.nmembers {
             // Last to arrive: combine and publish.
-            let raw: Vec<(SimTime, SimTime, AnyBox)> = st
+            let mut max_entry = SimTime::ZERO;
+            let mut max_cost = SimTime::ZERO;
+            let contribs: Vec<(SimTime, AnyBox)> = st
                 .contributions
                 .iter_mut()
-                .map(|c| c.take().expect("all contributions present"))
+                .map(|c| {
+                    let (entry, cost, value) = c.take().expect("all contributions present");
+                    max_entry = max_entry.max(entry);
+                    max_cost = max_cost.max(cost);
+                    (entry, value)
+                })
                 .collect();
-            let max_entry = raw
-                .iter()
-                .map(|(t, _, _)| *t)
-                .fold(SimTime::ZERO, SimTime::max);
-            let max_cost = raw
-                .iter()
-                .map(|(_, c, _)| *c)
-                .fold(SimTime::ZERO, SimTime::max);
-            let contribs: Vec<(SimTime, AnyBox)> =
-                raw.into_iter().map(|(t, _, v)| (t, v)).collect();
-            let outputs = finish(contribs);
-            if outputs.len() != self.nmembers {
-                return Err(MpiError::Internal(format!(
-                    "collective finish produced {} outputs for {} members",
-                    outputs.len(),
-                    self.nmembers
-                )));
-            }
-            for (slot, out) in st.outputs.iter_mut().zip(outputs) {
-                *slot = Some(out);
-            }
+            st.output = Some(finish(contribs));
+            st.owed.fill(true);
             st.finish_time = max_entry + max_cost;
             st.phase = Phase::Delivering;
-            self.cv.notify_all();
-            wait.notify();
+            self.notify_progress(wait);
         } else {
             // Wait for the round to complete (token-before-check, as above).
+            let mut suspended_before = false;
             loop {
-                let token = match wait {
-                    SlotWait::Park { prepare, .. } => Some(prepare()),
-                    SlotWait::Condvar => None,
-                };
+                let token = prepare();
                 if st.phase == Phase::Delivering && st.round == my_round {
                     break;
                 }
@@ -311,40 +326,33 @@ impl CollSlot {
                     }
                     return Err(err);
                 }
-                st = match wait {
-                    SlotWait::Condvar => {
-                        self.cv.wait_for(&mut st, POLL_INTERVAL);
-                        st
-                    }
-                    SlotWait::Park { park, .. } => {
-                        drop(st);
-                        park(token.expect("token prepared above"));
-                        self.state.lock()
-                    }
-                };
+                st = self.wait_for_progress(st, wait, token, &mut suspended_before);
             }
         }
 
         // Collect the output.
-        let out = st.outputs[member]
-            .take()
-            .ok_or_else(|| MpiError::Internal("collective output missing".into()))?;
+        let out = match &st.output {
+            Some(out) if st.owed[member] => Arc::clone(out),
+            _ => return Err(MpiError::Internal("collective output missing".into())),
+        };
+        st.owed[member] = false;
         let finish_time = st.finish_time;
         st.collected += 1;
         if st.collected == self.nmembers {
             st.reset_for_next_round();
-            self.cv.notify_all();
-            wait.notify();
+            self.notify_progress(wait);
         }
         Ok((finish_time, out))
     }
 
-    /// Wakes every member blocked inside [`CollSlot::run`] without changing any
+    /// Wakes every thread blocked inside [`CollSlot::run`] without changing any
     /// state. Called when a cluster-wide condition (failure, revoke, abort) changes,
     /// so waiting members run their `abort_check` promptly instead of discovering the
     /// condition on their next poll timeout.
     pub fn wake_all(&self) {
-        self.cv.notify_all();
+        if self.cv_waiters.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Forcibly resets the slot to an empty collecting state.
@@ -356,14 +364,13 @@ impl CollSlot {
     pub fn reset(&self) {
         let mut st = self.state.lock();
         *st = RoundState::fresh(self.nmembers);
-        self.cv.notify_all();
+        self.wake_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     /// Runs `f(member)` on `n` threads and returns their results.
     fn run_members<R: Send + 'static>(
@@ -380,6 +387,15 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
+    /// A finish closure summing `u64` contributions into the round's shared output.
+    fn sum_u64(contribs: Vec<(SimTime, AnyBox)>) -> AnyArc {
+        let total: u64 = contribs
+            .iter()
+            .map(|(_, v)| *v.downcast_ref::<u64>().unwrap())
+            .sum();
+        Arc::new(total)
+    }
+
     #[test]
     fn single_member_round_completes_immediately() {
         let slot = CollSlot::new(1);
@@ -391,8 +407,7 @@ mod tests {
                 Box::new(41u64),
                 |mut contribs| {
                     let (_, v) = contribs.pop().unwrap();
-                    let v = *v.downcast::<u64>().unwrap();
-                    vec![Box::new(v + 1) as AnyBox]
+                    Arc::new(*v.downcast::<u64>().unwrap() + 1)
                 },
                 || None,
             )
@@ -402,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn sum_across_threads() {
+    fn sum_across_threads_is_produced_once_and_shared() {
         let slot = Arc::new(CollSlot::new(4));
         let results = run_members(4, move |i| {
             let slot = Arc::clone(&slot);
@@ -412,22 +427,20 @@ mod tests {
                     SimTime::from_secs(i as f64),
                     SimTime::from_secs(1.0),
                     Box::new(i as u64),
-                    |contribs| {
-                        let total: u64 = contribs
-                            .iter()
-                            .map(|(_, v)| *v.downcast_ref::<u64>().unwrap())
-                            .sum();
-                        (0..4).map(|_| Box::new(total) as AnyBox).collect()
-                    },
+                    sum_u64,
                     || None,
                 )
                 .unwrap();
-            (t.as_secs(), *out.downcast::<u64>().unwrap())
+            (t.as_secs(), out.downcast::<u64>().unwrap())
         });
-        for (t, sum) in results {
+        for (t, sum) in &results {
             // max entry time is 3.0, cost 1.0.
-            assert_eq!(t, 4.0);
-            assert_eq!(sum, 6);
+            assert_eq!(*t, 4.0);
+            assert_eq!(**sum, 6);
+            assert!(
+                Arc::ptr_eq(sum, &results[0].1),
+                "every member must hold the one output the finisher produced"
+            );
         }
     }
 
@@ -444,13 +457,7 @@ mod tests {
                         SimTime::from_secs(round as f64),
                         SimTime::ZERO,
                         Box::new(round * 10 + i as u64),
-                        |contribs| {
-                            let total: u64 = contribs
-                                .iter()
-                                .map(|(_, v)| *v.downcast_ref::<u64>().unwrap())
-                                .sum();
-                            (0..3).map(|_| Box::new(total) as AnyBox).collect()
-                        },
+                        sum_u64,
                         || None,
                     )
                     .unwrap();
@@ -475,7 +482,7 @@ mod tests {
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Box::new(()),
-                |_| vec![Box::new(()) as AnyBox, Box::new(()) as AnyBox],
+                |_| Arc::new(()),
                 move || {
                     polls += 1;
                     if polls > 3 {
@@ -496,22 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn wrong_output_count_is_an_internal_error() {
-        let slot = CollSlot::new(1);
-        let err = slot
-            .run(
-                0,
-                SimTime::ZERO,
-                SimTime::ZERO,
-                Box::new(()),
-                |_| vec![],
-                || None,
-            )
-            .unwrap_err();
-        assert!(matches!(err, MpiError::Internal(_)));
-    }
-
-    #[test]
     fn out_of_range_member_is_rejected() {
         let slot = CollSlot::new(2);
         let err = slot
@@ -520,7 +511,7 @@ mod tests {
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Box::new(()),
-                |_| vec![],
+                |_| Arc::new(()),
                 || None,
             )
             .unwrap_err();
@@ -538,7 +529,7 @@ mod tests {
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Box::new(1u8),
-                |_| vec![Box::new(0u8) as AnyBox, Box::new(0u8) as AnyBox],
+                |_| Arc::new(0u8),
                 move || {
                     polls += 1;
                     (polls > 2).then_some(MpiError::Revoked)

@@ -20,6 +20,11 @@ pub struct CommShared {
     pub id: u64,
     /// The group: global ranks ordered by communicator rank.
     pub members: Vec<usize>,
+    /// Global rank → communicator rank, for groups that are not the identity mapping
+    /// (`members[i] == i`, the world communicator): `(global, index)` pairs sorted by
+    /// global rank. Keeps [`CommShared::rank_of`] — called once per received message —
+    /// from scanning the membership.
+    index_of: Option<Vec<(usize, usize)>>,
     /// Rendezvous slot for collective operations over the full membership.
     pub slot: CollSlot,
     /// ULFM revocation flag: once set, all operations on this communicator fail with
@@ -77,9 +82,17 @@ impl CommShared {
             "a communicator needs at least one member"
         );
         let n = members.len();
+        let identity = members.iter().enumerate().all(|(i, &m)| i == m);
+        let index_of = (!identity).then(|| {
+            let mut pairs: Vec<(usize, usize)> =
+                members.iter().enumerate().map(|(i, &m)| (m, i)).collect();
+            pairs.sort_unstable();
+            pairs
+        });
         Arc::new(CommShared {
             id,
             members,
+            index_of,
             slot: CollSlot::new(n),
             revoked: AtomicBool::new(false),
             survivor_rounds: Mutex::new(SurvivorRounds::default()),
@@ -106,7 +119,13 @@ impl CommShared {
 
     /// The communicator-local rank of `global_rank`, if it is a member.
     pub fn rank_of(&self, global_rank: usize) -> Option<usize> {
-        self.members.iter().position(|&m| m == global_rank)
+        match &self.index_of {
+            None => (global_rank < self.members.len()).then_some(global_rank),
+            Some(pairs) => pairs
+                .binary_search_by_key(&global_rank, |&(global, _)| global)
+                .ok()
+                .map(|at| pairs[at].1),
+        }
     }
 }
 

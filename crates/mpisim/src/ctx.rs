@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::collective::{AnyBox, SlotWait};
+use crate::collective::{AnyArc, AnyBox, CollSlot, SlotWait};
 use crate::comm::{Comm, CommShared};
 use crate::datatype;
 use crate::error::MpiError;
@@ -53,15 +53,79 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
+    fn combine(self, a: f64, b: f64) -> f64 {
+        match self {
+            ReduceOp::Sum => a + b,
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Min => a.min(b),
+            ReduceOp::Prod => a * b,
+        }
+    }
+
     fn apply(self, acc: &mut [f64], x: &[f64]) {
         for (a, b) in acc.iter_mut().zip(x) {
-            match self {
-                ReduceOp::Sum => *a += *b,
-                ReduceOp::Max => *a = a.max(*b),
-                ReduceOp::Min => *a = a.min(*b),
-                ReduceOp::Prod => *a *= *b,
-            }
+            *a = self.combine(*a, *b);
         }
+    }
+
+    /// Folds the members' vectors element-wise, in communicator-rank order.
+    fn fold(self, vals: Vec<Vec<f64>>) -> Vec<f64> {
+        let mut vals = vals.into_iter();
+        let mut acc = vals.next().expect("a collective has at least one member");
+        for v in vals {
+            self.apply(&mut acc, &v);
+        }
+        acc
+    }
+}
+
+/// The result of an all-gather of typed slices: every member's contribution in
+/// communicator-rank order, stored once — contiguously — and shared by all members.
+#[derive(Debug, Clone)]
+pub struct Gathered<T> {
+    parts: Arc<GatheredParts<T>>,
+}
+
+#[derive(Debug)]
+struct GatheredParts<T> {
+    flat: Vec<T>,
+    /// `ends[i]` is the end offset of member `i`'s chunk in `flat`.
+    ends: Vec<usize>,
+}
+
+impl<T> Gathered<T> {
+    /// All contributions concatenated in communicator-rank order.
+    pub fn flat(&self) -> &[T] {
+        &self.parts.flat
+    }
+
+    /// Number of members that contributed.
+    pub fn len(&self) -> usize {
+        self.parts.ends.len()
+    }
+
+    /// Whether no member contributed (never the case for a completed all-gather).
+    pub fn is_empty(&self) -> bool {
+        self.parts.ends.is_empty()
+    }
+
+    /// The contribution of the member with communicator rank `member`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `member` is out of range.
+    pub fn chunk(&self, member: usize) -> &[T] {
+        let start = if member == 0 {
+            0
+        } else {
+            self.parts.ends[member - 1]
+        };
+        &self.parts.flat[start..self.parts.ends[member]]
+    }
+
+    /// The contributions in communicator-rank order.
+    pub fn chunks(&self) -> impl Iterator<Item = &[T]> {
+        (0..self.len()).map(|member| self.chunk(member))
     }
 }
 
@@ -146,15 +210,56 @@ impl RankCtx {
     /// corresponding state change broadcasts a wakeup anyway). The caller re-checks
     /// its condition in a loop around this, re-reading the token each pass; parks
     /// whose token a wake has invalidated return immediately, so no wakeup can be
-    /// lost.
-    pub(crate) fn park_or_sleep(&self, token: WaitToken, fallback: std::time::Duration) {
+    /// lost. `suspended_before` and the result are those of [`Yielder::park`]: the
+    /// caller ORs the result into the flag it passes on its next pass.
+    pub(crate) fn park_or_sleep(
+        &self,
+        token: WaitToken,
+        fallback: std::time::Duration,
+        suspended_before: bool,
+    ) -> bool {
         match &self.yielder {
-            Some(y) => y.park(token, self.now),
-            // match-lint: allow(no-wall-clock) -- threads backend's documented host-time
-            // fallback: the 5ms nap only paces a poll loop re-checked against virtual
-            // state, so host timing never reaches any simulation result.
-            None => std::thread::sleep(fallback),
+            Some(y) => y.park(token, self.now, suspended_before),
+            None => {
+                // match-lint: allow(no-wall-clock) -- threads backend's documented
+                // host-time fallback: the nap only paces a poll loop re-checked against
+                // virtual state, so host timing never reaches any simulation result.
+                std::thread::sleep(fallback);
+                false
+            }
         }
+    }
+
+    /// Executes one rendezvous round on `slot` as member `member`, blocking the way
+    /// this rank's backend blocks: on the slot's condition variable (threads) or
+    /// parked on the slot's wait channel (fibers).
+    fn run_round(
+        &self,
+        slot: &CollSlot,
+        member: usize,
+        cost: SimTime,
+        contribution: AnyBox,
+        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
+        abort_check: impl FnMut() -> Option<MpiError>,
+    ) -> Result<(SimTime, AnyArc), MpiError> {
+        let Some(y) = &self.yielder else {
+            return slot.run(member, self.now, cost, contribution, finish, abort_check);
+        };
+        let key = WaitKey::object(slot);
+        let entry_time = self.now;
+        slot.run_with_wait(
+            member,
+            entry_time,
+            cost,
+            contribution,
+            finish,
+            abort_check,
+            SlotWait::Park {
+                prepare: &|| y.wait_token(key),
+                park: &|token, suspended_before| y.park(token, entry_time, suspended_before),
+                wake: &|| y.wake(key),
+            },
+        )
     }
 
     /// Signals the wait channel `key` (no-op on the thread backend, whose waiters use
@@ -230,9 +335,21 @@ impl RankCtx {
         self.state.failed_ranks()
     }
 
+    /// Number of currently failed processes (retired ranks not counted).
+    pub fn failed_count(&self) -> usize {
+        self.state.failed_count()
+    }
+
     /// Whether any process in the job is currently failed.
     pub fn any_failed(&self) -> bool {
         self.state.failed_count() > 0
+    }
+
+    /// How many liveness queries of the whole job left the lock-free fast path so far
+    /// (host-side instrumentation, see
+    /// [`ClusterState::slow_liveness_queries`]): 0 while nobody is failed or retired.
+    pub fn slow_liveness_queries(&self) -> u64 {
+        self.state.slow_liveness_queries()
     }
 
     /// Total number of failure events seen by the job so far (does not reset on
@@ -361,13 +478,13 @@ impl RankCtx {
     /// must propagate when it is among the victims, and [`MpiError::ProcFailed`]
     /// otherwise.
     pub fn kill_ranks(&mut self, ranks: &[usize]) -> MpiError {
-        let mut lowest: Option<usize> = None;
-        for &r in ranks {
-            if r < self.state.nprocs {
-                self.state.mark_failed_at(r, self.now);
-                lowest = Some(lowest.map_or(r, |l| l.min(r)));
-            }
-        }
+        let victims: Vec<usize> = ranks
+            .iter()
+            .copied()
+            .filter(|&r| r < self.state.nprocs)
+            .collect();
+        self.state.mark_failed_burst(&victims, self.now);
+        let lowest = victims.iter().copied().min();
         if ranks.contains(&self.rank) {
             self.stats.times_failed += 1;
             MpiError::SelfFailed
@@ -411,6 +528,7 @@ impl RankCtx {
     /// the rank parks on the failure-event channel and every failure publication
     /// wakes it.
     pub fn wait_for_failure_events(&self, events: u64) {
+        let mut suspended_before = false;
         loop {
             // Token before the condition: a publication racing the check invalidates
             // the park below instead of being lost.
@@ -418,7 +536,11 @@ impl RankCtx {
             if self.state.failure_events() >= events || self.state.failed_count() > 0 {
                 return;
             }
-            self.park_or_sleep(token, std::time::Duration::from_micros(100));
+            suspended_before |= self.park_or_sleep(
+                token,
+                std::time::Duration::from_micros(100),
+                suspended_before,
+            );
         }
     }
 
@@ -604,31 +726,45 @@ impl RankCtx {
             Some(comm.global_rank_of(src as usize))
         };
         let tag_sel = if tag == ANY_TAG { None } else { Some(tag) };
-        let mailbox = &self.state.mailboxes[self.rank];
-        let mut matched: Option<Message> = None;
+        let mut watching = false;
+        let matched = self.await_match(comm, src_global, tag_sel, &mut watching);
+        if watching {
+            self.state.unwatch_source(self.rank, src_global);
+        }
+        let msg = matched?;
+        let link = self.state.topology.link_between(self.rank, msg.src);
+        let transfer = self.state.machine.p2p_cost_link(msg.len(), link);
+        let arrival = (msg.sent_at + transfer).max(self.now);
+        self.advance_to(arrival);
+        self.stats.recvs += 1;
+        self.stats.bytes_received += msg.len() as u64;
+        let src_comm_rank = comm
+            .shared()
+            .rank_of(msg.src)
+            .ok_or_else(|| MpiError::Internal("message from non-member".into()))?;
+        Ok((src_comm_rank, msg.tag, msg.payload))
+    }
+
+    /// Blocks until a message matching the selector is queued or the receive's
+    /// deterministic abort rule fires. Sets `watching` once the receive has registered
+    /// itself with the cluster as waiting on its source; the caller deregisters it.
+    fn await_match(
+        &mut self,
+        comm: &Comm,
+        src_global: Option<usize>,
+        tag_sel: Option<i32>,
+        watching: &mut bool,
+    ) -> Result<Message, MpiError> {
+        let me = self.rank;
+        let mut suspended_before = false;
         loop {
-            // A matched message is always delivered: a receive never aborts while a
-            // matching message is queued, so delivery does not race failure marking.
-            if let Some(msg) = matched.take() {
-                let link = self.state.topology.link_between(self.rank, msg.src);
-                let transfer = self.state.machine.p2p_cost_link(msg.len(), link);
-                let arrival = (msg.sent_at + transfer).max(self.now);
-                self.advance_to(arrival);
-                self.stats.recvs += 1;
-                self.stats.bytes_received += msg.len() as u64;
-                let src_comm_rank = comm
-                    .shared()
-                    .rank_of(msg.src)
-                    .ok_or_else(|| MpiError::Internal("message from non-member".into()))?;
-                return Ok((src_comm_rank, msg.tag, msg.payload));
-            }
             // Token before *both* conditions the park guards — the health check and
             // the mailbox probe: a failure publication or a send racing either one
             // invalidates the park below instead of being lost (parallel backend).
             let token = self
                 .yielder
                 .as_ref()
-                .map(|y| y.wait_token(WaitKey::mailbox(self.rank)));
+                .map(|y| y.wait_token(WaitKey::mailbox(me)));
             if let Some(err) = self.state.health_error(comm.shared()) {
                 match err {
                     // Abort and revocation interrupt a blocked receive unconditionally.
@@ -637,42 +773,50 @@ impl RankCtx {
                     // source(s) can send nothing more — a source's sends happen-before
                     // it parks or dies, so the final sweep below observes every
                     // message it ever produced, and the deliver-vs-abort decision is
-                    // independent of host scheduling. The exit clock is advanced to
-                    // the failure instant, making the detection point deterministic.
+                    // independent of host scheduling. A matched message is always
+                    // delivered; otherwise the exit clock is advanced to the failure
+                    // instant, making the detection point deterministic.
                     _ => {
                         if self.sources_quiesced(comm, src_global) {
-                            if let Some(msg) = mailbox.try_match(comm.id(), src_global, tag_sel) {
-                                matched = Some(msg);
-                                continue;
-                            }
-                            self.advance_to_failure();
-                            return Err(err);
+                            let swept =
+                                self.state.mailboxes[me].try_match(comm.id(), src_global, tag_sel);
+                            return match swept {
+                                Some(msg) => Ok(msg),
+                                None => {
+                                    self.advance_to_failure();
+                                    Err(err)
+                                }
+                            };
                         }
                     }
                 }
             }
-            matched = match &self.yielder {
-                // Thread backend: the search and the wait happen under one mailbox
-                // lock so a concurrent push can never be missed.
-                None => {
+            let mailbox = &self.state.mailboxes[me];
+            let matched = match (&self.yielder, *watching) {
+                // Thread backend, registered: the search and the wait happen under
+                // one mailbox lock so a concurrent push can never be missed.
+                (None, true) => {
                     mailbox.match_or_wait(comm.id(), src_global, tag_sel, self.state.poll_interval)
                 }
-                // Fiber backends: a failed match parks this rank's fiber on its
-                // mailbox channel; the next matching (or any) send to this rank — or
-                // any cluster-wide failure transition — wakes it. On `coop` the
-                // check-then-park is atomic (one OS thread); on `par` the token read
-                // above detects a racing send and turns the park into a no-op.
-                Some(y) => match mailbox.try_match(comm.id(), src_global, tag_sel) {
-                    Some(msg) => Some(msg),
-                    None => {
-                        y.park(
-                            token.expect("token read above when a yielder is set"),
-                            self.now,
-                        );
-                        None
-                    }
-                },
+                _ => mailbox.try_match(comm.id(), src_global, tag_sel),
             };
+            if let Some(msg) = matched {
+                return Ok(msg);
+            }
+            if !*watching {
+                // About to block. Tell the cluster whom this receive waits for, so
+                // that the source's parking wakes it — and only it — and take the
+                // pass again: the registration must precede the quiescence check.
+                self.state.watch_source(me, src_global, comm.size());
+                *watching = true;
+            } else if let (Some(y), Some(token)) = (&self.yielder, token) {
+                // Fiber backends: park on the mailbox channel; a send to this rank,
+                // the parking of its source or any cluster-wide failure transition
+                // wakes it. On `coop` the check-then-park is atomic (one OS thread);
+                // on `par` the token read above detects a racing wake and turns the
+                // park into a no-op.
+                suspended_before |= y.park(token, self.now, suspended_before);
+            }
         }
     }
 
@@ -717,82 +861,53 @@ impl RankCtx {
 
     // ----- collectives ---------------------------------------------------------------
 
-    fn collective_typed<T: Send + 'static>(
+    /// Executes one collective round on `comm`: every member contributes a `T`, the
+    /// last one to arrive runs `finish` over all contributions (in communicator-rank
+    /// order) and every member receives a reference to its one output.
+    fn collective<T: Send + 'static, O: Send + Sync + 'static>(
         &mut self,
         comm: &Comm,
         kind: CollectiveKind,
         bytes_per_member: usize,
         contribution: T,
-        finish: impl FnOnce(Vec<T>) -> Vec<T>,
-    ) -> Result<T, MpiError> {
+        finish: impl FnOnce(Vec<T>) -> O,
+    ) -> Result<Arc<O>, MpiError> {
         self.check_health(comm)?;
-        let nmembers = comm.size();
         let cost = self
             .state
             .machine
-            .collective_cost(kind, nmembers, bytes_per_member)
+            .collective_cost(kind, comm.size(), bytes_per_member)
             * (1.0 + self.compute_interference);
-        let state = Arc::clone(&self.state);
-        let shared: Arc<CommShared> = Arc::clone(comm.shared());
+        let state = &*self.state;
+        let shared = comm.shared();
         // While blocked in the rendezvous, a process failure aborts the round only
         // once it can no longer complete — some member is dead or parked at the
         // recovery rendezvous. A round whose members all deposit therefore always
         // completes, independent of how the host interleaves the failure marking, and
         // an aborted member's clock is advanced to the failure instant below.
-        let abort_check = move || {
-            let err = state.health_error(&shared)?;
-            match err {
-                MpiError::Aborted { .. } | MpiError::Revoked => Some(err),
-                _ => shared
-                    .members
-                    .iter()
-                    .any(|&m| !state.can_still_act(m))
-                    .then_some(err),
-            }
+        let abort_check = || {
+            let err = state.health_error(shared)?;
+            let doomed = match err {
+                MpiError::Aborted { .. } | MpiError::Revoked => true,
+                // The blamed rank is dead; as a member it dooms the round by itself.
+                MpiError::ProcFailed { rank } if shared.rank_of(rank).is_some() => true,
+                _ => shared.members.iter().any(|&m| !state.can_still_act(m)),
+            };
+            doomed.then_some(err)
         };
-        let yielder = self.yielder.clone();
-        let slot_key = WaitKey::object(&comm.shared().slot);
-        let entry_time = self.now;
-        let prepare = || match &yielder {
-            Some(y) => y.wait_token(slot_key),
-            None => WaitToken::immediate(slot_key),
-        };
-        let park = |token: WaitToken| {
-            if let Some(y) = &yielder {
-                y.park(token, entry_time);
-            }
-        };
-        let wake = || {
-            if let Some(y) = &yielder {
-                y.wake(slot_key);
-            }
-        };
-        let wait = if yielder.is_some() {
-            SlotWait::Park {
-                prepare: &prepare,
-                park: &park,
-                wake: &wake,
-            }
-        } else {
-            SlotWait::Condvar
-        };
-        let round = comm.shared().slot.run_with_wait(
+        let round = self.run_round(
+            &shared.slot,
             comm.rank(),
-            self.now,
             cost,
             Box::new(contribution),
-            move |contribs| {
+            |contribs| {
                 let values: Vec<T> = contribs
                     .into_iter()
                     .map(|(_, b)| *b.downcast::<T>().expect("homogeneous collective type"))
                     .collect();
-                finish(values)
-                    .into_iter()
-                    .map(|v| Box::new(v) as AnyBox)
-                    .collect()
+                Arc::new(finish(values))
             },
             abort_check,
-            wait,
         );
         let (finish_time, out) = match round {
             Ok(v) => v,
@@ -805,18 +920,24 @@ impl RankCtx {
         };
         self.advance_to(finish_time);
         self.stats.collectives += 1;
-        out.downcast::<T>()
-            .map(|b| *b)
+        out.downcast::<O>()
             .map_err(|_| MpiError::Internal("collective output type mismatch".into()))
+    }
+
+    fn check_root(comm: &Comm, root: usize) -> Result<(), MpiError> {
+        if root >= comm.size() {
+            return Err(MpiError::InvalidRank {
+                rank: root as i32,
+                comm_size: comm.size(),
+            });
+        }
+        Ok(())
     }
 
     /// Synchronizes all members of `comm`.
     pub fn barrier(&mut self, comm: &Comm) -> Result<(), MpiError> {
-        let n = comm.size();
-        self.collective_typed(comm, CollectiveKind::Barrier, 0, (), |v| {
-            debug_assert_eq!(v.len(), n);
-            v
-        })
+        self.collective(comm, CollectiveKind::Barrier, 0, (), |_| ())?;
+        Ok(())
     }
 
     /// Broadcasts bytes from `root` to every member. Only the root's `data` is used.
@@ -843,18 +964,16 @@ impl RankCtx {
         root: usize,
         data: Payload,
     ) -> Result<Payload, MpiError> {
-        if root >= comm.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root as i32,
-                comm_size: comm.size(),
-            });
-        }
-        let n = comm.size();
+        Self::check_root(comm, root)?;
         let bytes = data.len();
-        self.collective_typed(comm, CollectiveKind::Broadcast, bytes, data, move |vals| {
-            let root_val = vals[root].clone();
-            (0..n).map(|_| root_val.clone()).collect()
-        })
+        let root_data = self.collective(
+            comm,
+            CollectiveKind::Broadcast,
+            bytes,
+            data,
+            move |mut vals| vals.swap_remove(root),
+        )?;
+        Ok(Payload::clone(&root_data))
     }
 
     /// Broadcasts `f64` values from `root` (see [`RankCtx::bcast_bytes`]).
@@ -877,83 +996,66 @@ impl RankCtx {
         op: ReduceOp,
         data: &[f64],
     ) -> Result<Option<Vec<f64>>, MpiError> {
-        if root >= comm.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root as i32,
-                comm_size: comm.size(),
-            });
-        }
-        let n = comm.size();
-        let bytes = data.len() * 8;
-        let contribution = data.to_vec();
-        let reduced = self.collective_typed(
+        Self::check_root(comm, root)?;
+        let reduced = self.collective(
             comm,
             CollectiveKind::Reduce,
-            bytes,
-            contribution,
-            move |vals| {
-                let mut acc = vals[0].clone();
-                for v in &vals[1..] {
-                    op.apply(&mut acc, v);
-                }
-                (0..n)
-                    .map(|i| if i == root { acc.clone() } else { Vec::new() })
-                    .collect()
-            },
+            data.len() * 8,
+            data.to_vec(),
+            move |vals| op.fold(vals),
         )?;
-        Ok(if comm.rank() == root {
-            Some(reduced)
-        } else {
-            None
-        })
+        Ok((comm.rank() == root).then(|| reduced.to_vec()))
     }
 
-    /// Element-wise all-reduce: every member receives the combined vector.
+    /// Element-wise all-reduce: every member receives the combined vector — the one
+    /// vector the round produced, shared, not a copy per member.
     pub fn allreduce_f64(
         &mut self,
         comm: &Comm,
         op: ReduceOp,
         data: &[f64],
-    ) -> Result<Vec<f64>, MpiError> {
-        let n = comm.size();
-        let bytes = data.len() * 8;
-        self.collective_typed(
+    ) -> Result<Arc<Vec<f64>>, MpiError> {
+        self.collective(
             comm,
             CollectiveKind::Allreduce,
-            bytes,
+            data.len() * 8,
             data.to_vec(),
-            move |vals| {
-                let mut acc = vals[0].clone();
-                for v in &vals[1..] {
-                    op.apply(&mut acc, v);
-                }
-                (0..n).map(|_| acc.clone()).collect()
-            },
+            move |vals| op.fold(vals),
         )
+    }
+
+    /// All-reduce of one `f64` per member (combined in communicator-rank order, like
+    /// the element-wise form).
+    fn allreduce_scalar(&mut self, comm: &Comm, op: ReduceOp, value: f64) -> Result<f64, MpiError> {
+        let combined = self.collective(comm, CollectiveKind::Allreduce, 8, value, move |vals| {
+            vals.into_iter()
+                .reduce(|acc, v| op.combine(acc, v))
+                .expect("a collective has at least one member")
+        })?;
+        Ok(*combined)
     }
 
     /// Scalar all-reduce sum.
     pub fn allreduce_sum_f64(&mut self, comm: &Comm, value: f64) -> Result<f64, MpiError> {
-        Ok(self.allreduce_f64(comm, ReduceOp::Sum, &[value])?[0])
+        self.allreduce_scalar(comm, ReduceOp::Sum, value)
     }
 
     /// Scalar all-reduce maximum.
     pub fn allreduce_max_f64(&mut self, comm: &Comm, value: f64) -> Result<f64, MpiError> {
-        Ok(self.allreduce_f64(comm, ReduceOp::Max, &[value])?[0])
+        self.allreduce_scalar(comm, ReduceOp::Max, value)
     }
 
     /// Scalar all-reduce minimum.
     pub fn allreduce_min_f64(&mut self, comm: &Comm, value: f64) -> Result<f64, MpiError> {
-        Ok(self.allreduce_f64(comm, ReduceOp::Min, &[value])?[0])
+        self.allreduce_scalar(comm, ReduceOp::Min, value)
     }
 
     /// Scalar all-reduce sum over unsigned integers (exact).
     pub fn allreduce_sum_u64(&mut self, comm: &Comm, value: u64) -> Result<u64, MpiError> {
-        let n = comm.size();
-        self.collective_typed(comm, CollectiveKind::Allreduce, 8, value, move |vals| {
-            let total: u64 = vals.iter().sum();
-            (0..n).map(|_| total).collect()
-        })
+        let total = self.collective(comm, CollectiveKind::Allreduce, 8, value, |vals| {
+            vals.iter().sum::<u64>()
+        })?;
+        Ok(*total)
     }
 
     /// Gathers each member's bytes at `root`. Only the root receives `Some(values)`,
@@ -964,86 +1066,62 @@ impl RankCtx {
         root: usize,
         data: Vec<u8>,
     ) -> Result<Option<Vec<Vec<u8>>>, MpiError> {
-        if root >= comm.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root as i32,
-                comm_size: comm.size(),
-            });
-        }
-        let n = comm.size();
+        Self::check_root(comm, root)?;
         let bytes = data.len();
-        let gathered = self.collective_typed(
-            comm,
-            CollectiveKind::Gather,
-            bytes,
-            vec![data],
-            move |vals| {
-                let all: Vec<Vec<u8>> = vals
-                    .into_iter()
-                    .map(|mut v| v.pop().unwrap_or_default())
-                    .collect();
-                (0..n)
-                    .map(|i| if i == root { all.clone() } else { Vec::new() })
-                    .collect()
-            },
-        )?;
-        Ok(if comm.rank() == root {
-            Some(gathered)
-        } else {
-            None
-        })
+        let all = self.collective(comm, CollectiveKind::Gather, bytes, data, |vals| vals)?;
+        Ok((comm.rank() == root).then(|| Vec::clone(&all)))
     }
 
-    /// All-gathers each member's bytes; every member receives all contributions ordered
-    /// by communicator rank.
-    pub fn allgather_bytes(
-        &mut self,
-        comm: &Comm,
-        data: Vec<u8>,
-    ) -> Result<Vec<Vec<u8>>, MpiError> {
-        let gathered = self.allgather_payload(comm, data.into())?;
-        Ok(gathered.iter().map(Payload::to_vec).collect())
-    }
-
-    /// All-gathers shared-buffer [`Payload`]s: every member receives reference-counted
-    /// views of all contributions instead of `n²` owned copies (the zero-copy variant
-    /// of [`RankCtx::allgather_bytes`]).
+    /// All-gathers shared-buffer [`Payload`]s: every member receives the one list of
+    /// reference-counted views of all contributions, ordered by communicator rank.
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`RankCtx::allgather_bytes`].
+    /// Same error conditions as [`RankCtx::barrier`].
     pub fn allgather_payload(
         &mut self,
         comm: &Comm,
         data: Payload,
-    ) -> Result<Vec<Payload>, MpiError> {
-        let n = comm.size();
+    ) -> Result<Arc<Vec<Payload>>, MpiError> {
         let bytes = data.len();
-        self.collective_typed(
+        self.collective(comm, CollectiveKind::Allgather, bytes, data, |vals| vals)
+    }
+
+    /// All-gathers typed slices into one contiguous, shared [`Gathered`] result.
+    fn allgather_slices<T: Copy + Send + Sync + 'static>(
+        &mut self,
+        comm: &Comm,
+        data: &[T],
+    ) -> Result<Gathered<T>, MpiError> {
+        let parts = self.collective(
             comm,
             CollectiveKind::Allgather,
-            bytes,
-            vec![data],
-            move |vals| {
-                let all: Vec<Payload> = vals
-                    .into_iter()
-                    .map(|mut v| v.pop().unwrap_or_default())
+            std::mem::size_of_val(data),
+            data.to_vec(),
+            |vals| {
+                let mut flat = Vec::with_capacity(vals.iter().map(Vec::len).sum());
+                let ends = vals
+                    .iter()
+                    .map(|chunk| {
+                        flat.extend_from_slice(chunk);
+                        flat.len()
+                    })
                     .collect();
-                (0..n).map(|_| all.clone()).collect()
+                GatheredParts { flat, ends }
             },
-        )
+        )?;
+        Ok(Gathered { parts })
     }
 
-    /// All-gathers `f64` slices (see [`RankCtx::allgather_bytes`]).
-    pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Result<Vec<Vec<f64>>, MpiError> {
-        let gathered = self.allgather_bytes(comm, datatype::pack_f64(data))?;
-        Ok(gathered.iter().map(|b| datatype::unpack_f64(b)).collect())
+    /// All-gathers `f64` slices: every member receives all contributions, ordered by
+    /// communicator rank.
+    pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Result<Gathered<f64>, MpiError> {
+        self.allgather_slices(comm, data)
     }
 
-    /// All-gathers `u64` slices.
-    pub fn allgather_u64(&mut self, comm: &Comm, data: &[u64]) -> Result<Vec<Vec<u64>>, MpiError> {
-        let gathered = self.allgather_bytes(comm, datatype::pack_u64(data))?;
-        Ok(gathered.iter().map(|b| datatype::unpack_u64(b)).collect())
+    /// All-gathers `u64` slices (see [`RankCtx::allgather_f64`]).
+    pub fn allgather_u64(&mut self, comm: &Comm, data: &[u64]) -> Result<Gathered<u64>, MpiError> {
+        self.allgather_slices(comm, data)
     }
 
     /// Scatters per-member byte vectors from `root`; member `i` receives `data[i]`.
@@ -1054,12 +1132,7 @@ impl RankCtx {
         root: usize,
         data: Vec<Vec<u8>>,
     ) -> Result<Vec<u8>, MpiError> {
-        if root >= comm.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root as i32,
-                comm_size: comm.size(),
-            });
-        }
+        Self::check_root(comm, root)?;
         let n = comm.size();
         if comm.rank() == root && data.len() != n {
             return Err(MpiError::InvalidArgument(format!(
@@ -1068,13 +1141,14 @@ impl RankCtx {
             )));
         }
         let bytes = data.iter().map(Vec::len).max().unwrap_or(0);
-        self.collective_typed(comm, CollectiveKind::Scatter, bytes, data, move |vals| {
-            let root_chunks = vals[root].clone();
-            (0..n)
-                .map(|i| vec![root_chunks.get(i).cloned().unwrap_or_default()])
-                .collect()
-        })
-        .map(|mut v| v.pop().unwrap_or_default())
+        let root_chunks = self.collective(
+            comm,
+            CollectiveKind::Scatter,
+            bytes,
+            data,
+            move |mut vals| vals.swap_remove(root),
+        )?;
+        Ok(root_chunks.get(comm.rank()).cloned().unwrap_or_default())
     }
 
     /// Personalized all-to-all exchange: member `i` sends `data[j]` to member `j` and
@@ -1092,30 +1166,24 @@ impl RankCtx {
             )));
         }
         let bytes = data.iter().map(Vec::len).max().unwrap_or(0);
-        self.collective_typed(comm, CollectiveKind::Alltoall, bytes, data, move |vals| {
-            (0..n)
-                .map(|dest| {
-                    (0..n)
-                        .map(|src| vals[src][dest].clone())
-                        .collect::<Vec<Vec<u8>>>()
-                })
-                .collect()
-        })
+        let all = self.collective(comm, CollectiveKind::Alltoall, bytes, data, |vals| vals)?;
+        let me = comm.rank();
+        Ok(all.iter().map(|from_src| from_src[me].clone()).collect())
     }
 
     /// Inclusive prefix sum: member `i` receives the sum of the values of members
     /// `0..=i`.
     pub fn scan_sum_f64(&mut self, comm: &Comm, value: f64) -> Result<f64, MpiError> {
-        let n = comm.size();
-        self.collective_typed(comm, CollectiveKind::Scan, 8, value, move |vals| {
+        let prefix = self.collective(comm, CollectiveKind::Scan, 8, value, |vals| {
             let mut acc = 0.0;
-            let mut out = Vec::with_capacity(n);
-            for v in vals {
-                acc += v;
-                out.push(acc);
-            }
-            out
-        })
+            vals.into_iter()
+                .map(|v| {
+                    acc += v;
+                    acc
+                })
+                .collect::<Vec<f64>>()
+        })?;
+        Ok(prefix[comm.rank()])
     }
 
     // ----- communicator management ---------------------------------------------------
@@ -1134,7 +1202,7 @@ impl RankCtx {
         let packed: Vec<u64> = vec![color as u64, key as u64, self.rank as u64];
         let all = self.allgather_u64(comm, &packed)?;
         let mut group: Vec<(i64, usize, usize)> = all
-            .iter()
+            .chunks()
             .enumerate()
             .filter(|(_, v)| v[0] as i64 == color)
             .map(|(idx, v)| (v[1] as i64, idx, v[2] as usize))
@@ -1152,37 +1220,31 @@ impl RankCtx {
         parent: &Comm,
         members: Vec<usize>,
     ) -> Result<Comm, MpiError> {
-        let n = parent.size();
         let state = Arc::clone(&self.state);
-        // Contribution: the desired membership. Output: the shared communicator object.
-        type Payload = (Vec<usize>, Option<Arc<CommShared>>);
-        let contribution: Payload = (members, None);
-        let (_, shared) = self.collective_typed(
+        // Contribution: the desired membership. Output: per parent member, the shared
+        // communicator object it asked for.
+        let created = self.collective(
             parent,
             CollectiveKind::Allgather,
-            contribution.0.len() * 8 + 16,
-            contribution,
-            move |vals: Vec<Payload>| {
+            members.len() * 8 + 16,
+            members,
+            move |vals: Vec<Vec<usize>>| {
                 use std::collections::HashMap;
                 let mut cache: HashMap<Vec<usize>, Arc<CommShared>> = HashMap::new();
-                let mut out: Vec<Payload> = Vec::with_capacity(n);
-                for (m, _) in vals {
-                    let arc = cache
-                        .entry(m.clone())
-                        .or_insert_with(|| {
-                            let id = state.next_comm_id();
-                            let c = CommShared::new(id, m.clone());
-                            state.register_comm(&c);
-                            c
-                        })
-                        .clone();
-                    out.push((m, Some(arc)));
-                }
-                out
+                vals.into_iter()
+                    .map(|m| {
+                        if let Some(comm) = cache.get(&m) {
+                            return Arc::clone(comm);
+                        }
+                        let comm = CommShared::new(state.next_comm_id(), m.clone());
+                        state.register_comm(&comm);
+                        cache.insert(m, Arc::clone(&comm));
+                        comm
+                    })
+                    .collect::<Vec<Arc<CommShared>>>()
             },
         )?;
-        let shared =
-            shared.ok_or_else(|| MpiError::Internal("communicator creation lost".into()))?;
+        let shared = Arc::clone(&created[parent.rank()]);
         let my_index = shared.rank_of(self.rank).ok_or_else(|| {
             MpiError::InvalidArgument("calling rank not in new communicator".into())
         })?;
@@ -1231,47 +1293,19 @@ impl RankCtx {
         // until repair, which is what lets peers blocked in receives and collectives
         // decide deterministically that their operation can no longer complete.
         self.state.set_parked(self.rank);
-        let state = Arc::clone(&self.state);
-        let nprocs = self.state.nprocs;
-        let yielder = self.yielder.clone();
-        let slot_key = WaitKey::object(&self.state.recovery_slot);
-        let entry_time = self.now;
-        let prepare = || match &yielder {
-            Some(y) => y.wait_token(slot_key),
-            None => WaitToken::immediate(slot_key),
-        };
-        let park = |token: WaitToken| {
-            if let Some(y) = &yielder {
-                y.park(token, entry_time);
-            }
-        };
-        let wake = || {
-            if let Some(y) = &yielder {
-                y.wake(slot_key);
-            }
-        };
-        let wait = if yielder.is_some() {
-            SlotWait::Park {
-                prepare: &prepare,
-                park: &park,
-                wake: &wake,
-            }
-        } else {
-            SlotWait::Condvar
-        };
-        let (finish_time, _out) = self.state.recovery_slot.run_with_wait(
+        let state = &*self.state;
+        let (finish_time, _) = self.run_round(
+            &state.recovery_slot,
             self.rank,
-            self.now,
             extra_cost,
             Box::new(()),
-            move |_contribs| {
+            |_contribs| {
                 let crashed_nodes = state.take_pending_node_failures();
                 state.repair_all();
                 repair_hook(&crashed_nodes);
-                (0..nprocs).map(|_| Box::new(()) as AnyBox).collect()
+                Arc::new(())
             },
             || None,
-            wait,
         )?;
         self.advance_to(finish_time);
         self.stats.recoveries += 1;

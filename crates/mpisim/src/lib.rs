@@ -77,8 +77,8 @@ pub use machine::{LinkDomain, MachineModel};
 pub use msg::Payload;
 pub use runtime::{Cluster, ClusterConfig, RankOutcome, RunOutcome};
 pub use sched::{
-    set_default_par_workers, RankScheduler, SchedBackend, BACKEND_ENV_VAR, COOP_SUPPORTED,
-    HORIZON_ENV_VAR, WORKERS_ENV_VAR,
+    set_default_par_workers, RankScheduler, SchedBackend, SchedStats, BACKEND_ENV_VAR,
+    COOP_SUPPORTED, HORIZON_ENV_VAR, WORKERS_ENV_VAR,
 };
 pub use stats::{RankStats, TimeBreakdown};
 pub use time::SimTime;

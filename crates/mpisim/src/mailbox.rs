@@ -3,8 +3,9 @@
 //! Each rank owns one [`Mailbox`]. Senders push messages into the destination rank's
 //! mailbox; the receiver scans its mailbox for the first message matching the
 //! `(communicator, source, tag)` selector. Blocking receives are implemented by the
-//! caller as a poll loop (`try_match` + `wait`), so that failure conditions can be
-//! checked between polls — this is how the simulator delivers ULFM-style failure
+//! caller as a loop around [`Mailbox::match_or_wait`] (thread backend) or
+//! [`Mailbox::try_match`] plus a fiber park, so that failure conditions can be
+//! checked between attempts — this is how the simulator delivers ULFM-style failure
 //! notifications to ranks blocked in communication.
 //!
 //! Matching from the middle of the queue used to shift every later message down
@@ -31,6 +32,11 @@ struct Slots {
     queue: VecDeque<Option<Message>>,
     /// Number of live (non-tombstone) messages.
     live: usize,
+    /// Threads asleep in [`Mailbox::match_or_wait`] (thread backend only). The
+    /// condition variable is notified only while this is nonzero, so on the fiber
+    /// backends — whose receivers park on wait channels instead — a push costs no
+    /// wake-up system call.
+    sleepers: usize,
 }
 
 /// A thread-safe queue of messages addressed to one rank.
@@ -51,7 +57,13 @@ impl Mailbox {
         let mut s = self.slots.lock();
         s.queue.push_back(Some(msg));
         s.live += 1;
-        self.cv.notify_all();
+        self.notify(&s);
+    }
+
+    fn notify(&self, s: &Slots) {
+        if s.sleepers > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Removes and returns the first message matching the selector, preserving the
@@ -79,7 +91,9 @@ impl Mailbox {
         if let Some(msg) = Self::take_match(&mut s, comm_id, src, tag) {
             return Some(msg);
         }
+        s.sleepers += 1;
         self.cv.wait_for(&mut s, timeout);
+        s.sleepers -= 1;
         Self::take_match(&mut s, comm_id, src, tag)
     }
 
@@ -106,15 +120,6 @@ impl Mailbox {
         msg
     }
 
-    /// Blocks for at most `timeout` waiting for a new message to arrive. Returns
-    /// immediately if the mailbox is non-empty; spurious wake-ups are allowed.
-    pub fn wait(&self, timeout: Duration) {
-        let mut s = self.slots.lock();
-        if s.live == 0 {
-            self.cv.wait_for(&mut s, timeout);
-        }
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.slots.lock().live
@@ -125,12 +130,12 @@ impl Mailbox {
         self.len() == 0
     }
 
-    /// Wakes every thread blocked in [`Mailbox::wait`] without delivering anything.
-    /// Called when a cluster-wide condition (failure, revoke, abort) changes, so
-    /// blocked receivers re-check their health promptly instead of discovering the
-    /// condition on their next poll timeout.
+    /// Wakes the thread blocked in [`Mailbox::match_or_wait`], if any, without
+    /// delivering anything. Called when a condition its receive's abort predicate
+    /// reads (a failure, the parking of its source, a revoke, an abort) changes, so it
+    /// re-checks its health promptly instead of on its next poll timeout.
     pub fn wake_all(&self) {
-        self.cv.notify_all();
+        self.notify(&self.slots.lock());
     }
 
     /// Discards every queued message (used when a communicator is repaired after a
@@ -139,7 +144,7 @@ impl Mailbox {
         let mut s = self.slots.lock();
         s.queue.clear();
         s.live = 0;
-        self.cv.notify_all();
+        self.notify(&s);
     }
 }
 
@@ -264,13 +269,6 @@ mod tests {
         mb.push(msg(2, 2, 0));
         mb.clear();
         assert!(mb.is_empty());
-    }
-
-    #[test]
-    fn wait_returns_after_timeout() {
-        let mb = Mailbox::new();
-        // Must not block forever on an empty mailbox.
-        mb.wait(Duration::from_millis(1));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
 use crate::machine::MachineModel;
-use crate::sched::{CoopScheduler, ParScheduler, RankScheduler, SchedBackend, ThreadScheduler};
+use crate::sched::{
+    CoopScheduler, ParScheduler, RankScheduler, SchedBackend, SchedStats, ThreadScheduler,
+};
 use crate::state::ClusterState;
 use crate::stats::{RankStats, TimeBreakdown};
 use crate::time::SimTime;
@@ -139,12 +141,20 @@ pub struct RankOutcome<R> {
 #[derive(Debug)]
 pub struct RunOutcome<R> {
     ranks: Vec<RankOutcome<R>>,
+    sched: SchedStats,
 }
 
 impl<R> RunOutcome<R> {
     /// Per-rank outcomes ordered by rank.
     pub fn ranks(&self) -> &[RankOutcome<R>] {
         &self.ranks
+    }
+
+    /// The scheduler's host-side counters for this job (all zero on the thread
+    /// backend). They describe how the host executed the job, not what it simulated:
+    /// nothing derived from them may enter a report, a cache key or a persisted file.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.sched
     }
 
     /// The per-rank results ordered by rank.
@@ -255,12 +265,12 @@ impl Cluster {
     {
         let topology = self.config.topology();
         let state = ClusterState::new(self.config.nprocs, topology, self.config.machine.clone());
-        let ranks = match self.config.backend {
+        let (ranks, sched) = match self.config.backend {
             SchedBackend::Threads => ThreadScheduler.run_job(&self.config, state, &body),
             SchedBackend::Coop => CoopScheduler.run_job(&self.config, state, &body),
             SchedBackend::Par => ParScheduler.run_job(&self.config, state, &body),
         };
-        RunOutcome { ranks }
+        RunOutcome { ranks, sched }
     }
 }
 

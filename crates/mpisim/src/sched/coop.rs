@@ -16,9 +16,13 @@
 //! * a send wakes the destination's mailbox channel,
 //! * a completed (or newly drained) collective round wakes the slot's channel,
 //! * survivor-rendezvous progress wakes the rendezvous channel,
-//! * failure publication, recovery parking, revocation and abort wake **all** parked
-//!   tasks (via the [`JobWaker`] hook on the cluster state), so every blocked
-//!   operation re-evaluates its deterministic abort predicate.
+//! * a rank parking at the recovery rendezvous wakes the mailbox channels of the
+//!   receivers waiting for it and the slot channels of its communicators,
+//! * failure publication, the first global-disruption declaration of an epoch,
+//!   revocation and abort wake **all** parked tasks but those already at the recovery
+//!   rendezvous (via the [`JobWaker`] hook on the cluster state), so every blocked
+//!   operation re-evaluates its deterministic abort predicate. These happen O(1) times
+//!   per recovery, which keeps one recovery at N ranks at O(N) fiber resumes.
 //!
 //! Because everything runs on one thread, the check-then-park sequence is atomic by
 //! construction: no condition can change between a task observing "not ready" and its
@@ -41,7 +45,7 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
-use super::{JobWaker, RankScheduler, WaitKey};
+use super::{JobWaker, RankScheduler, SchedStats, WaitKey};
 
 /// Status of one cooperatively scheduled rank task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,13 +66,34 @@ enum Status {
 struct Queues {
     /// Min-heap of runnable ranks ordered by `(virtual clock bits, rank)`.
     runnable: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    /// Parked ranks per wait channel.
+    /// Parked ranks per wait channel. Entries outlive their waiters (a woken
+    /// channel keeps its allocation for the next park) until an epoch end forgets
+    /// the idle ones.
     waiting: HashMap<usize, Vec<usize>>,
     status: Vec<Status>,
     /// Last observed virtual clock per rank (IEEE-754 bits of seconds; non-negative
     /// floats order identically to their bit patterns).
     clock: Vec<u64>,
     finished: usize,
+    stats: SchedStats,
+}
+
+impl Queues {
+    /// Makes the ranks parked on the channels `select` picks runnable.
+    fn wake<'a, I>(&'a mut self, select: impl FnOnce(&'a mut HashMap<usize, Vec<usize>>) -> I)
+    where
+        I: Iterator<Item = &'a mut Vec<usize>>,
+    {
+        for ranks in select(&mut self.waiting) {
+            self.stats.wakes += ranks.len() as u64;
+            for rank in ranks.drain(..) {
+                debug_assert!(matches!(self.status[rank], Status::Parked(_)));
+                self.status[rank] = Status::Runnable;
+                self.runnable
+                    .push(std::cmp::Reverse((self.clock[rank], rank)));
+            }
+        }
+    }
 }
 
 /// Shared state of one cooperative job: the queues plus the raw context slots used
@@ -81,8 +106,8 @@ pub(crate) struct CoopShared {
 
 // SAFETY: the UnsafeCell context slots are only ever read or written by the single OS
 // thread that runs the job (scheduler loop and all of its fibers); the handle stored
-// in ClusterState is only used for `wake_all_parked`, which touches the mutex-guarded
-// queues, never the context slots.
+// in ClusterState is only used through the `JobWaker` methods, which touch the
+// mutex-guarded queues, never the context slots.
 unsafe impl Send for CoopShared {}
 // SAFETY: same single-thread discipline as the Send impl above — shared references
 // only ever dereference the context slots from the job's one OS thread.
@@ -101,6 +126,7 @@ impl CoopShared {
                 status: vec![Status::Runnable; nprocs],
                 clock: vec![0; nprocs],
                 finished: 0,
+                stats: SchedStats::default(),
             }),
             ctxs: (0..nprocs + 1)
                 .map(|_| std::cell::UnsafeCell::new(0))
@@ -118,13 +144,15 @@ impl CoopShared {
 
     /// Parks the calling rank's fiber on `key` and switches to the scheduler. Returns
     /// when the rank is next resumed.
-    fn park(&self, rank: usize, key: WaitKey, now: SimTime) {
+    fn park(&self, rank: usize, key: WaitKey, now: SimTime, suspended_before: bool) {
         {
             let mut q = self.inner.lock();
             debug_assert_eq!(q.status[rank], Status::Running);
             q.status[rank] = Status::Parked(key);
             q.clock[rank] = now.as_secs().to_bits();
             q.waiting.entry(key.0).or_default().push(rank);
+            q.stats.parks += 1;
+            q.stats.spurious_wakes += u64::from(suspended_before);
         }
         // SAFETY: single-thread switch discipline (see CoopShared's Sync rationale);
         // the scheduler context was saved when this fiber was resumed.
@@ -144,15 +172,9 @@ impl CoopShared {
 
     /// Makes every rank parked on `key` runnable.
     fn wake(&self, key: WaitKey) {
-        let mut q = self.inner.lock();
-        if let Some(ranks) = q.waiting.remove(&key.0) {
-            for rank in ranks {
-                debug_assert_eq!(q.status[rank], Status::Parked(key));
-                q.status[rank] = Status::Runnable;
-                let clock = q.clock[rank];
-                q.runnable.push(std::cmp::Reverse((clock, rank)));
-            }
-        }
+        self.inner
+            .lock()
+            .wake(|waiting| waiting.get_mut(&key.0).into_iter());
     }
 
     /// Marks the calling rank done and leaves its fiber for good.
@@ -182,16 +204,24 @@ impl CoopShared {
 }
 
 impl JobWaker for CoopShared {
-    fn wake_all_parked(&self) {
-        let mut q = self.inner.lock();
-        let waiting = std::mem::take(&mut q.waiting);
-        for ranks in waiting.into_values() {
-            for rank in ranks {
-                q.status[rank] = Status::Runnable;
-                let clock = q.clock[rank];
-                q.runnable.push(std::cmp::Reverse((clock, rank)));
-            }
-        }
+    fn wake_key(&self, key: WaitKey) {
+        self.wake(key);
+    }
+
+    fn wake_all_except(&self, spared: WaitKey) {
+        self.inner.lock().wake(|waiting| {
+            waiting
+                .iter_mut()
+                .filter(move |(key, _)| **key != spared.0)
+                .map(|(_, ranks)| ranks)
+        });
+    }
+
+    fn forget_idle_channels(&self) {
+        self.inner
+            .lock()
+            .waiting
+            .retain(|_, ranks| !ranks.is_empty());
     }
 }
 
@@ -212,10 +242,12 @@ impl std::fmt::Debug for CoopYielder {
 }
 
 impl CoopYielder {
-    /// Parks the calling rank on `key`; returns when a wakeup resumes it. `now` is
-    /// the rank's virtual clock, which orders it in the run queue on wakeup.
-    pub(crate) fn park(&self, key: WaitKey, now: SimTime) {
-        self.shared.park(self.rank, key, now);
+    /// Parks the calling rank on `key`; returns (`true`: it was suspended) when a
+    /// wakeup resumes it. `now` is the rank's virtual clock, which orders it in the
+    /// run queue on wakeup.
+    pub(crate) fn park(&self, key: WaitKey, now: SimTime, suspended_before: bool) -> bool {
+        self.shared.park(self.rank, key, now, suspended_before);
+        true
     }
 
     /// Wakes every rank parked on `key`.
@@ -236,7 +268,7 @@ impl RankScheduler for CoopScheduler {
         config: &ClusterConfig,
         state: Arc<ClusterState>,
         body: &F,
-    ) -> Vec<RankOutcome<R>>
+    ) -> (Vec<RankOutcome<R>>, SchedStats)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
@@ -320,7 +352,7 @@ fn run_fibers<R, F>(
     config: &ClusterConfig,
     state: Arc<ClusterState>,
     body: &F,
-) -> Vec<RankOutcome<R>>
+) -> (Vec<RankOutcome<R>>, SchedStats)
 where
     R: Send,
     F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
@@ -373,6 +405,7 @@ where
             match q.runnable.pop() {
                 Some(std::cmp::Reverse((_, rank))) => {
                     q.status[rank] = Status::Running;
+                    q.stats.resumes += 1;
                     Some(rank)
                 }
                 None => None,
@@ -405,7 +438,6 @@ where
                     })
                     .collect();
                 drop(q);
-                state.clear_job_waker();
                 panic!(
                     "cooperative scheduler deadlock: no runnable rank and {} unfinished \
                      task(s) parked [{}] — a cooperative rank program must only block \
@@ -417,7 +449,6 @@ where
         }
     }
 
-    state.clear_job_waker();
     if let Some(p) = panics.iter_mut().find_map(Option::take) {
         // Mirror the thread backend's join-propagation. Unfinished fibers are
         // abandoned: their stacks are unmapped without unwinding, which can leak
@@ -426,8 +457,10 @@ where
         std::panic::resume_unwind(p);
     }
     drop(fibers);
-    outcomes
+    let outcomes = outcomes
         .into_iter()
         .map(|o| o.expect("missing rank outcome"))
-        .collect()
+        .collect();
+    let stats = shared.inner.lock().stats;
+    (outcomes, stats)
 }

@@ -13,8 +13,12 @@
 //!
 //! * [`ThreadScheduler`] (**`threads`**) — one OS thread per rank, true host
 //!   parallelism, blocking implemented with condition variables plus explicit
-//!   failure-transition wakeups. Best for small-to-medium jobs (≤ ~1k ranks) on
-//!   multi-core hosts, where ranks genuinely compute concurrently.
+//!   failure-transition wakeups. The portable reference implementation, and still
+//!   the default backend — not the fast one: on the 2-core host of
+//!   `benchmark/baseline.json` the 64-rank HPCCG cell costs 41 ms on it
+//!   (`mpisim.cell_ms.threads`) against 4.9 ms on `coop`, and the gap widens with
+//!   the rank count until the host runs out of threads around 2k ranks.
+//!   `benchmark/README.md` says how these rows are measured.
 //! * [`CoopScheduler`] (**`coop`**) — all ranks of a job multiplexed as stackful
 //!   fibers over **one** OS thread, driven by a virtual-time run queue: the scheduler
 //!   always resumes the runnable rank with the lowest virtual clock, and a blocked
@@ -29,6 +33,10 @@
 //!   min-heap of pinned fibers, with token-validated park/wake channels at every
 //!   communication edge and published per-worker virtual-time watermarks. Best for
 //!   paper-scale jobs (≥ ~2k ranks) on multi-core hosts.
+//!
+//! The fiber backends count what they do — [`SchedStats`] on every
+//! [`RunOutcome`](crate::RunOutcome) — so that the host cost of a job can be asserted
+//! on counts (one recovery at N ranks resumes O(N) fibers), not on wall-clock.
 //!
 //! The backend is selected per job through
 //! [`ClusterConfig::backend`](crate::ClusterConfig) (defaulting to the
@@ -178,8 +186,27 @@ impl std::fmt::Display for SchedBackend {
     }
 }
 
+/// Host-side scheduler counters of one job: how often rank fibers were switched into,
+/// suspended and made runnable again. Filled by the fiber backends (`coop`, `par`) and
+/// all zero on `threads`, whose blocking is done by the host kernel. The counts
+/// describe host work only — they are no part of the simulated result and are exact
+/// run to run only on `coop`, whose schedule is deterministic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Switches into a rank fiber (its first start included).
+    pub resumes: u64,
+    /// Suspensions of a rank fiber on a wait channel.
+    pub parks: u64,
+    /// Suspended ranks made runnable again by a wake.
+    pub wakes: u64,
+    /// Wakes after which the woken rank found its wait still unsatisfied and
+    /// suspended again: work a more precise wake would have avoided.
+    pub spurious_wakes: u64,
+}
+
 /// A scheduler backend: executes one simulated job over a shared
-/// [`ClusterState`] and returns every rank's outcome, ordered by rank.
+/// [`ClusterState`] and returns every rank's outcome, ordered by rank, with the
+/// scheduler's own counters.
 ///
 /// # Contract
 ///
@@ -205,7 +232,7 @@ pub trait RankScheduler {
         config: &ClusterConfig,
         state: Arc<ClusterState>,
         body: &F,
-    ) -> Vec<RankOutcome<R>>
+    ) -> (Vec<RankOutcome<R>>, SchedStats)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync;
@@ -223,7 +250,7 @@ impl RankScheduler for ThreadScheduler {
         config: &ClusterConfig,
         state: Arc<ClusterState>,
         body: &F,
-    ) -> Vec<RankOutcome<R>>
+    ) -> (Vec<RankOutcome<R>>, SchedStats)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
@@ -272,10 +299,11 @@ impl RankScheduler for ThreadScheduler {
         if let Some(error) = spawn_error {
             panic!("failed to spawn rank thread for a {nprocs}-rank job: {error}");
         }
-        outcomes
+        let outcomes = outcomes
             .into_iter()
             .map(|o| o.expect("missing rank outcome"))
-            .collect()
+            .collect();
+        (outcomes, SchedStats::default())
     }
 }
 
@@ -305,14 +333,23 @@ impl WaitKey {
     }
 }
 
-/// Hook through which [`ClusterState`](crate::state::ClusterState) reaches the
-/// cooperative scheduler of the job it belongs to: cluster-wide condition changes
-/// (failure publication, recovery parking, revocation, abort) must wake every parked
-/// task so it re-evaluates its abort/quiescence predicates — the cooperative analogue
-/// of the thread backend's condvar broadcast.
+/// Hook through which [`ClusterState`](crate::state::ClusterState) reaches the fiber
+/// scheduler of the job it belongs to, to wake the tasks whose abort or quiescence
+/// predicate a state transition changed — the fiber analogue of the thread backend's
+/// condvar notifications.
 pub(crate) trait JobWaker: Send + Sync {
-    /// Makes every parked task runnable again.
-    fn wake_all_parked(&self);
+    /// Makes the tasks parked on `key` runnable again (a per-rank transition: the
+    /// parking of a rank concerns only the operations that wait on that rank).
+    fn wake_key(&self, key: WaitKey);
+    /// Makes every parked task runnable again, except those parked on `spared` (a
+    /// cluster-wide transition: failure publication, global-disruption declaration,
+    /// revocation, abort; `spared` is the recovery rendezvous, whose waiters wait for
+    /// slot progress only).
+    fn wake_all_except(&self, spared: WaitKey);
+    /// Drops the bookkeeping of wait channels nobody is parked on. Called when a
+    /// disruption epoch ends: object channels are keyed by address, and the
+    /// communicators an epoch replaces would otherwise leave their entries behind.
+    fn forget_idle_channels(&self);
 }
 
 /// A snapshot of a wait channel's state, read **before** the caller checks its wait
@@ -365,13 +402,15 @@ impl Yielder {
         }
     }
 
-    /// Parks the calling rank on the token's channel; returns when a wakeup resumes
-    /// it, or immediately if the token no longer validates. `now` is the rank's
-    /// virtual clock, which orders it in the run queue on wakeup.
-    pub(crate) fn park(&self, token: WaitToken, now: SimTime) {
+    /// Parks the calling rank on the token's channel; returns `true` when a wakeup
+    /// resumed it, or `false` immediately if the token no longer validates. `now` is
+    /// the rank's virtual clock, which orders it in the run queue on wakeup;
+    /// `suspended_before` says that the caller's wait loop was already suspended and
+    /// woken without its condition having become true (counted as a spurious wake).
+    pub(crate) fn park(&self, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
         match self {
-            Yielder::Coop(y) => y.park(token.key, now),
-            Yielder::Par(y) => y.park(token, now),
+            Yielder::Coop(y) => y.park(token.key, now, suspended_before),
+            Yielder::Par(y) => y.park(token, now, suspended_before),
         }
     }
 

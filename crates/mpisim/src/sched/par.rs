@@ -42,7 +42,10 @@
 //! re-validates both under the channel registry's shard lock and returns *without
 //! suspending* if either moved. Wakes bump the sequence (or, for cluster-wide
 //! transitions, the epoch) before draining waiters, so the raced wake always either
-//! finds the parked rank or invalidates its token.
+//! finds the parked rank or invalidates its token. A channel's sequence starts at a
+//! value no other channel incarnation ever had, so the registry may forget an idle
+//! channel at any time: a token issued before the forgetting cannot validate against
+//! the channel's next incarnation.
 //!
 //! # Virtual-time watermarks
 //!
@@ -80,7 +83,7 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
-use super::{JobWaker, RankScheduler, WaitKey, WaitToken};
+use super::{JobWaker, RankScheduler, SchedStats, WaitKey, WaitToken};
 
 /// Shard count of the wait-channel registry (power of two; keys are spread with a
 /// 64-bit mix so address-derived keys don't collide into one shard).
@@ -92,7 +95,6 @@ const IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// One wait channel: its eventcount sequence plus the parked ranks (with the clock
 /// bits that order them in their owner's heap on wakeup).
-#[derive(Default)]
 struct WaitChannel {
     seq: u64,
     waiting: Vec<(usize, u64)>,
@@ -107,6 +109,10 @@ struct WorkerQ {
     idle: bool,
     /// True once the worker's loop has returned.
     exited: bool,
+    /// Owned ranks popped off the heap and switched into.
+    resumes: u64,
+    /// Owned ranks pushed onto the heap by a wake.
+    wakes: u64,
 }
 
 /// Per-worker shared state.
@@ -122,6 +128,11 @@ struct Worker {
     owned_done: AtomicUsize,
     /// How many ranks the worker owns.
     owned: usize,
+    /// Suspensions of owned ranks, and how many of them followed a wake that had not
+    /// satisfied the rank's wait. Written by the worker's own thread only (fibers are
+    /// pinned), hence relaxed.
+    parks: AtomicU64,
+    spurious_wakes: AtomicU64,
 }
 
 /// Shared state of one parallel job.
@@ -132,9 +143,12 @@ pub(crate) struct ParShared {
     /// The wait-channel registry, sharded to keep cross-block wakeups from
     /// serialising on one lock.
     shards: Vec<Mutex<HashMap<usize, WaitChannel>>>,
-    /// Cluster-wide wake epoch: bumped by `wake_all_parked` *before* draining the
+    /// Cluster-wide wake epoch: bumped by `wake_all_except` *before* draining the
     /// shards, so a token issued before the bump can never park after it.
     epoch: AtomicU64,
+    /// Source of initial channel sequence numbers, spaced so that no two channel
+    /// incarnations ever share a sequence value (see the module docs).
+    next_seq_base: AtomicU64,
     /// Set on rank panic or deadlock diagnosis: workers drain out instead of
     /// scheduling further.
     abandon: AtomicBool,
@@ -172,11 +186,15 @@ impl ParShared {
                         heap,
                         idle: false,
                         exited: false,
+                        resumes: 0,
+                        wakes: 0,
                     }),
                     cv: Condvar::new(),
                     watermark: AtomicU64::new(0),
                     owned_done: AtomicUsize::new(0),
                     owned,
+                    parks: AtomicU64::new(0),
+                    spurious_wakes: AtomicU64::new(0),
                 }
             })
             .collect();
@@ -188,6 +206,7 @@ impl ParShared {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             epoch: AtomicU64::new(0),
+            next_seq_base: AtomicU64::new(0),
             abandon: AtomicBool::new(false),
             finished: AtomicUsize::new(0),
             ctxs: (0..nworkers + nprocs)
@@ -218,25 +237,54 @@ impl ParShared {
         &self.shards[(h as usize) & (REGISTRY_SHARDS - 1)]
     }
 
+    /// A fresh channel. Its sequence starts 2^32 above the previous incarnation's
+    /// start: no channel is woken that often between two epoch ends.
+    fn new_channel(&self) -> WaitChannel {
+        WaitChannel {
+            seq: self.next_seq_base.fetch_add(1 << 32, Ordering::Relaxed),
+            waiting: Vec::new(),
+        }
+    }
+
     /// Snapshots `key`'s eventcount; must precede the caller's condition check.
     fn wait_token(&self, key: WaitKey) -> WaitToken {
         let epoch = self.epoch.load(Ordering::SeqCst);
-        let seq = self.shard_of(key).lock().entry(key.0).or_default().seq;
+        let seq = self
+            .shard_of(key)
+            .lock()
+            .entry(key.0)
+            .or_insert_with(|| self.new_channel())
+            .seq;
         WaitToken { key, epoch, seq }
     }
 
     /// Parks the calling rank's fiber on the token's channel and switches to its
-    /// worker's scheduler — unless the token no longer validates, in which case a
-    /// wake raced the caller's condition check and this returns immediately.
-    fn park(&self, rank: usize, token: WaitToken, now: SimTime) {
+    /// worker's scheduler (returns `true` once resumed) — unless the token no longer
+    /// validates, in which case a wake raced the caller's condition check and this
+    /// returns `false` immediately.
+    fn park(&self, rank: usize, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
         {
             let mut shard = self.shard_of(token.key).lock();
-            let chan = shard.entry(token.key.0).or_default();
+            let chan = shard
+                .entry(token.key.0)
+                .or_insert_with(|| self.new_channel());
             if chan.seq != token.seq || self.epoch.load(Ordering::SeqCst) != token.epoch {
-                return;
+                return false;
             }
             chan.waiting.push((rank, now.as_secs().to_bits()));
         }
+        let worker = &self.workers[self.owner(rank)];
+        worker.parks.fetch_add(1, Ordering::Relaxed);
+        worker
+            .spurious_wakes
+            .fetch_add(u64::from(suspended_before), Ordering::Relaxed);
+        self.switch_to_scheduler(rank);
+        true
+    }
+
+    /// Suspends the calling rank's fiber: switches to its owning worker's scheduler
+    /// loop and returns when that loop next resumes the rank.
+    fn switch_to_scheduler(&self, rank: usize) {
         // SAFETY: pinned-fiber switch discipline (see ParShared's Sync rationale);
         // the owning worker's scheduler context was saved when it resumed this fiber.
         #[cfg(all(
@@ -258,9 +306,10 @@ impl ParShared {
         let woken = {
             let mut shard = self.shard_of(key).lock();
             match shard.get_mut(&key.0) {
-                // No entry means no token was ever issued for the key, so no rank can
-                // be mid-park on it: a later token is read before its condition
-                // check, which will observe the state change this wake announces.
+                // No entry means no token of the channel's current incarnation was
+                // issued, so no rank can be mid-park on it: a later token is read
+                // before its condition check, which will observe the state change
+                // this wake announces, and an earlier one cannot validate anymore.
                 None => return,
                 Some(chan) => {
                     chan.seq += 1;
@@ -281,6 +330,7 @@ impl ParShared {
         let notify = {
             let mut q = worker.q.lock();
             q.heap.push(std::cmp::Reverse((clock, rank)));
+            q.wakes += 1;
             q.idle
         };
         if notify {
@@ -343,7 +393,7 @@ impl ParShared {
 
     /// Abandons the job (so peers exit and the panic can propagate through the join)
     /// and panics with a per-rank diagnosis of what everyone is parked on.
-    fn diagnose_deadlock(&self, state: &ClusterState) -> ! {
+    fn diagnose_deadlock(&self) -> ! {
         self.abandon_job();
         let mut stuck: Vec<(usize, WaitKey)> = Vec::new();
         for shard in &self.shards {
@@ -359,7 +409,6 @@ impl ParShared {
             .iter()
             .map(|(rank, key)| format!("rank {rank} on {key:?}"))
             .collect();
-        state.clear_job_waker();
         panic!(
             "parallel scheduler deadlock: no runnable rank on any of {} worker(s) and {} \
              unfinished task(s) parked [{}] — a rank program must only block through \
@@ -377,20 +426,32 @@ fn owner_of(rank: usize, nprocs: usize, nworkers: usize) -> usize {
 }
 
 impl JobWaker for ParShared {
-    fn wake_all_parked(&self) {
+    fn wake_key(&self, key: WaitKey) {
+        self.wake(key);
+    }
+
+    fn wake_all_except(&self, spared: WaitKey) {
         // Epoch first: a token read before this line can no longer park after it,
-        // closing the race with ranks mid-way between condition check and park.
+        // closing the race with ranks mid-way between condition check and park. That
+        // also turns away a rank about to park on the spared channel, which merely
+        // re-checks its condition.
         self.epoch.fetch_add(1, Ordering::SeqCst);
         let mut woken: Vec<(usize, u64)> = Vec::new();
         for shard in &self.shards {
             let mut shard = shard.lock();
-            for chan in shard.values_mut() {
+            for (_, chan) in shard.iter_mut().filter(|(key, _)| **key != spared.0) {
                 chan.seq += 1;
                 woken.append(&mut chan.waiting);
             }
         }
         for (rank, clock) in woken {
             self.make_runnable(rank, clock);
+        }
+    }
+
+    fn forget_idle_channels(&self) {
+        for shard in &self.shards {
+            shard.lock().retain(|_, chan| !chan.waiting.is_empty());
         }
     }
 }
@@ -417,10 +478,11 @@ impl ParYielder {
         self.shared.wait_token(key)
     }
 
-    /// Parks the calling rank on the token's channel (or returns immediately if the
-    /// token no longer validates). `now` orders the rank in its owner's heap.
-    pub(crate) fn park(&self, token: WaitToken, now: SimTime) {
-        self.shared.park(self.rank, token, now);
+    /// Parks the calling rank on the token's channel (or returns `false`
+    /// immediately if the token no longer validates). `now` orders the rank in its
+    /// owner's heap.
+    pub(crate) fn park(&self, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
+        self.shared.park(self.rank, token, now, suspended_before)
     }
 
     /// Wakes every rank parked on `key`.
@@ -441,7 +503,7 @@ impl RankScheduler for ParScheduler {
         config: &ClusterConfig,
         state: Arc<ClusterState>,
         body: &F,
-    ) -> Vec<RankOutcome<R>>
+    ) -> (Vec<RankOutcome<R>>, SchedStats)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
@@ -551,7 +613,7 @@ fn run_workers<R, F>(
     config: &ClusterConfig,
     state: Arc<ClusterState>,
     body: &F,
-) -> Vec<RankOutcome<R>>
+) -> (Vec<RankOutcome<R>>, SchedStats)
 where
     R: Send,
     F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
@@ -603,10 +665,9 @@ where
         let mut handles = Vec::with_capacity(nworkers);
         for w in 0..nworkers {
             let shared = Arc::clone(&shared);
-            let state = Arc::clone(&state);
             let builder = std::thread::Builder::new().name(format!("par-worker-{w}"));
             let handle = builder
-                .spawn_scoped(scope, move || worker_loop(&shared, &state, w, horizon))
+                .spawn_scoped(scope, move || worker_loop(&shared, w, horizon))
                 .expect("failed to spawn par worker thread");
             handles.push(handle);
         }
@@ -620,7 +681,6 @@ where
         }
     });
 
-    state.clear_job_waker();
     if let Some(p) = panics.iter_mut().find_map(Option::take) {
         // Mirror the thread backend's join-propagation. Unfinished fibers are
         // abandoned: their stacks are unmapped without unwinding, which can leak
@@ -633,10 +693,19 @@ where
         std::panic::resume_unwind(p);
     }
     drop(fibers);
-    outcomes
+    let outcomes = outcomes
         .into_iter()
         .map(|o| o.expect("missing rank outcome"))
-        .collect()
+        .collect();
+    let mut stats = SchedStats::default();
+    for worker in &shared.workers {
+        let q = worker.q.lock();
+        stats.resumes += q.resumes;
+        stats.wakes += q.wakes;
+        stats.parks += worker.parks.load(Ordering::Relaxed);
+        stats.spurious_wakes += worker.spurious_wakes.load(Ordering::Relaxed);
+    }
+    (outcomes, stats)
 }
 
 /// One worker's scheduler loop: pop the lowest-clock owned rank, publish its clock as
@@ -647,7 +716,7 @@ where
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-fn worker_loop(shared: &ParShared, state: &ClusterState, me: usize, horizon: Option<f64>) {
+fn worker_loop(shared: &ParShared, me: usize, horizon: Option<f64>) {
     use super::fiber::switch_context;
 
     let worker = &shared.workers[me];
@@ -658,7 +727,9 @@ fn worker_loop(shared: &ParShared, state: &ClusterState, me: usize, horizon: Opt
         }
         let next = {
             let mut q = worker.q.lock();
-            q.heap.pop()
+            let next = q.heap.pop();
+            q.resumes += u64::from(next.is_some());
+            next
         };
         match next {
             Some(std::cmp::Reverse((clock, rank))) => {
@@ -685,7 +756,7 @@ fn worker_loop(shared: &ParShared, state: &ClusterState, me: usize, horizon: Opt
                     continue;
                 }
                 if shared.census_is_deadlocked(me) {
-                    shared.diagnose_deadlock(state);
+                    shared.diagnose_deadlock();
                 }
                 let mut q = worker.q.lock();
                 if q.heap.is_empty() && !shared.abandon.load(Ordering::SeqCst) {
@@ -758,20 +829,32 @@ mod tests {
         let key = WaitKey::mailbox(0);
         let token = shared.wait_token(key);
         shared.wake(key); // bumps the seq: the token must no longer validate
-        let stale = {
-            let mut shard = shared.shard_of(key).lock();
-            let chan = shard.entry(key.0).or_default();
-            chan.seq != token.seq
-        };
-        assert!(stale, "a wake between token and park must invalidate it");
+        assert!(
+            !shared.park(0, token, SimTime::ZERO, false),
+            "a wake between token and park must invalidate it"
+        );
     }
 
     #[test]
-    fn wake_all_parked_invalidates_every_token() {
+    fn forgotten_channels_cannot_validate_old_tokens() {
+        // An epoch end forgets idle channels. A token of the forgotten incarnation
+        // must not validate against the next one — otherwise the wake that found no
+        // entry (and did nothing) would be lost.
+        let shared = ParShared::new(2, 2);
+        let key = WaitKey::mailbox(0);
+        let token = shared.wait_token(key);
+        shared.forget_idle_channels();
+        assert!(shared.shard_of(key).lock().is_empty());
+        shared.wake(key);
+        assert!(!shared.park(0, token, SimTime::ZERO, false));
+    }
+
+    #[test]
+    fn wake_all_invalidates_every_token() {
         let shared = ParShared::new(2, 2);
         let a = shared.wait_token(WaitKey::FAILURE_EVENTS);
         let b = shared.wait_token(WaitKey::mailbox(1));
-        shared.wake_all_parked();
+        shared.wake_all_except(WaitKey::mailbox(0));
         let epoch = shared.epoch.load(Ordering::SeqCst);
         assert_ne!(epoch, a.epoch);
         assert_ne!(epoch, b.epoch);

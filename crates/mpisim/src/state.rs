@@ -5,8 +5,8 @@
 //! the world communicator, the registry of derived communicators (so they can be reset
 //! during repair) and the global rendezvous used by recovery.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -16,6 +16,7 @@ use crate::comm::CommShared;
 use crate::error::MpiError;
 use crate::machine::MachineModel;
 use crate::mailbox::Mailbox;
+use crate::sched::{JobWaker, WaitKey};
 use crate::time::SimTime;
 use crate::topology::Topology;
 
@@ -32,6 +33,35 @@ pub enum ProcState {
     Retired,
 }
 
+impl ProcState {
+    fn from_bits(bits: u8) -> ProcState {
+        match bits {
+            0 => ProcState::Alive,
+            1 => ProcState::Failed,
+            _ => ProcState::Retired,
+        }
+    }
+}
+
+/// Bits of [`ClusterState::failures`] holding the failure-event total; the bits above
+/// hold the number of currently failed ranks.
+const EVENT_BITS: u32 = 40;
+const EVENT_MASK: u64 = (1 << EVENT_BITS) - 1;
+
+/// "No rank" sentinel of [`ClusterState::first_failed`].
+const NO_RANK: usize = usize::MAX;
+/// "Not aborted" sentinel of [`ClusterState::abort`] (abort codes are `i32`).
+const NO_ABORT: i64 = i64::MIN;
+
+/// The ranks that are not alive, each list ascending. Every liveness *transition*
+/// happens under this lock, which serialises failure publication; liveness *queries*
+/// read the per-rank atomics and the counters and only come here for the lists.
+#[derive(Default)]
+struct Casualties {
+    failed: Vec<usize>,
+    retired: Vec<usize>,
+}
+
 /// Cluster-wide shared state for one simulated job.
 pub struct ClusterState {
     /// The machine model advancing virtual time.
@@ -42,17 +72,27 @@ pub struct ClusterState {
     pub nprocs: usize,
     /// Per-rank incoming message queues, indexed by global rank.
     pub mailboxes: Vec<Mailbox>,
-    /// Per-rank liveness, indexed by global rank.
-    liveness: Vec<Mutex<ProcState>>,
-    /// Number of currently failed processes (fast path for health checks). Retired
-    /// ranks are *not* counted: once a shrinking recovery removes them from the job
-    /// they no longer disturb the survivors' health checks.
-    nfailed: AtomicUsize,
+    /// Per-rank liveness ([`ProcState`] as `u8`), indexed by global rank. Written only
+    /// under the `casualties` lock; read lock-free.
+    liveness: Vec<AtomicU8>,
+    /// The failed and retired ranks as lists (see [`Casualties`]).
+    casualties: Mutex<Casualties>,
+    /// The number of currently failed processes (above [`EVENT_BITS`]; the fast path
+    /// for health checks) and the monotonically increasing total of failure events
+    /// (below) in one word, so that a failure burst publishes both with a single atomic
+    /// add: no observer can see the one moved and the other not. (The injector's
+    /// detection barrier is released by either, and which of its branches a released
+    /// rank takes must not depend on catching the publication half-way.) Retired ranks
+    /// are *not* counted as failed: once a shrinking recovery removes them from the
+    /// job they no longer disturb the survivors' health checks.
+    failures: AtomicU64,
     /// Number of ranks permanently retired by shrinking recoveries.
     nretired: AtomicUsize,
-    /// Monotonically increasing count of failure events (used by tests and detectors).
-    failure_events: AtomicU64,
-    /// Per-rank value of `failure_events` at the instant the rank was last marked
+    /// How many liveness queries left the lock-free fast path and took the
+    /// `casualties` lock. Host-side instrumentation: while nobody is failed or retired
+    /// it must stay 0, which is what keeps per-iteration health checks O(1).
+    slow_liveness_queries: AtomicU64,
+    /// Per-rank value of the failure-event total at the instant the rank was last marked
     /// failed (0 while never killed). Failure events fire in a globally serialized
     /// order (the injector's detection barrier admits event *i+1* only after event
     /// *i* has fired), so this is a deterministic observable — unlike a live read of
@@ -67,18 +107,23 @@ pub struct ClusterState {
     /// function of the machine model, the failure event and the blocked operation, not
     /// of host thread scheduling.
     fail_time_bits: AtomicU64,
+    /// The first rank marked failed in the current disruption epoch ([`NO_RANK`] when
+    /// none): what a globally disrupted job blames in [`MpiError::ProcFailed`].
+    first_failed: AtomicUsize,
     /// Ranks that have aborted their current attempt and are waiting at the recovery
     /// rendezvous. A parked rank sends nothing more until the job is repaired, which
     /// lets blocked receivers decide deterministically that no matching message can
     /// arrive anymore.
     parked: Vec<AtomicBool>,
+    /// Number of set `parked` flags.
+    nparked: AtomicUsize,
     /// Set when a global-restart recovery is in progress: every MPI operation on every
     /// communicator reports a process failure until the job is repaired. Recovery
     /// drivers set this so that ranks blocked in communicators that do not contain the
     /// failed process are also rolled back (global, backward, non-shrinking recovery).
     global_disruption: AtomicBool,
-    /// Abort code if `MPI_Abort` was called.
-    abort: Mutex<Option<i32>>,
+    /// Abort code if `MPI_Abort` was called, [`NO_ABORT`] otherwise.
+    abort: AtomicI64,
     /// The world communicator shared object.
     pub world: Arc<CommShared>,
     /// Source of unique communicator identifiers.
@@ -91,11 +136,16 @@ pub struct ClusterState {
     pending_node_failures: Mutex<Vec<usize>>,
     /// Rendezvous over *all* ranks used by global-restart recovery and job completion.
     pub recovery_slot: CollSlot,
-    /// Wake-up hook into the cooperative scheduler of the job this state belongs to
-    /// (`None` on the thread backend). Cluster-wide condition changes must wake every
-    /// cooperatively parked task, exactly like the condvar broadcasts wake blocked
-    /// threads.
-    job_waker: Mutex<Option<Arc<dyn crate::sched::JobWaker>>>,
+    /// Per source rank: the receivers currently blocked on a message from exactly that
+    /// source. When the source parks, these — and nobody else's mailbox — are woken.
+    source_watchers: Vec<Mutex<Vec<usize>>>,
+    /// Receivers currently blocked on `ANY_SOURCE`, each with the number of ranks that
+    /// must have quiesced before its abort predicate can possibly hold (its
+    /// communicator's size minus itself).
+    any_source_watchers: Mutex<Vec<(usize, usize)>>,
+    /// Wake-up hook into the fiber scheduler of the job this state belongs to (unset
+    /// on the thread backend, whose blocked ranks sleep on condition variables).
+    job_waker: OnceLock<Arc<dyn JobWaker>>,
     /// How long blocked operations sleep between failure checks (host time).
     pub poll_interval: Duration,
     /// A small shared blackboard for tests and out-of-band coordination.
@@ -106,8 +156,8 @@ impl std::fmt::Debug for ClusterState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterState")
             .field("nprocs", &self.nprocs)
-            .field("nfailed", &self.nfailed.load(Ordering::SeqCst))
-            .field("aborted", &self.abort.lock().is_some())
+            .field("nfailed", &self.failed_count())
+            .field("aborted", &self.abort_code().is_some())
             .finish()
     }
 }
@@ -117,6 +167,10 @@ impl ClusterState {
     pub fn new(nprocs: usize, topology: Topology, machine: MachineModel) -> Arc<Self> {
         assert!(nprocs > 0, "a job needs at least one process");
         assert_eq!(topology.nranks(), nprocs, "topology size must match nprocs");
+        assert!(
+            (nprocs as u64) < 1 << (64 - EVENT_BITS),
+            "the failed-rank count must fit above the event total"
+        );
         let world = CommShared::new(0, (0..nprocs).collect());
 
         Arc::new(ClusterState {
@@ -124,24 +178,30 @@ impl ClusterState {
             topology,
             nprocs,
             mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
-            liveness: (0..nprocs).map(|_| Mutex::new(ProcState::Alive)).collect(),
-            nfailed: AtomicUsize::new(0),
+            liveness: (0..nprocs)
+                .map(|_| AtomicU8::new(ProcState::Alive as u8))
+                .collect(),
+            casualties: Mutex::new(Casualties::default()),
+            failures: AtomicU64::new(0),
             nretired: AtomicUsize::new(0),
-            failure_events: AtomicU64::new(0),
+            slow_liveness_queries: AtomicU64::new(0),
             death_events: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
             fail_time_bits: AtomicU64::new(u64::MAX),
+            first_failed: AtomicUsize::new(NO_RANK),
             parked: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
+            nparked: AtomicUsize::new(0),
             global_disruption: AtomicBool::new(false),
-            abort: Mutex::new(None),
+            abort: AtomicI64::new(NO_ABORT),
             world: Arc::clone(&world),
             next_comm_id: AtomicU64::new(1),
             comms: Mutex::new(vec![Arc::downgrade(&world)]),
             pending_node_failures: Mutex::new(Vec::new()),
             recovery_slot: CollSlot::new(nprocs),
-            job_waker: Mutex::new(None),
-            // A fallback only: failure/revoke/abort transitions wake blocked
-            // operations explicitly (`wake_all_waiters`), so receivers no longer need
-            // a fast heartbeat to notice them.
+            source_watchers: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
+            any_source_watchers: Mutex::new(Vec::new()),
+            job_waker: OnceLock::new(),
+            // A fallback only: every transition that can change a blocked operation's
+            // abort predicate wakes it explicitly, so receivers need no fast heartbeat.
             poll_interval: Duration::from_millis(5),
             blackboard: Mutex::new(std::collections::HashMap::new()),
         })
@@ -159,9 +219,13 @@ impl ClusterState {
         comms.push(Arc::downgrade(comm));
     }
 
+    fn proc_state(&self, rank: usize) -> ProcState {
+        ProcState::from_bits(self.liveness[rank].load(Ordering::SeqCst))
+    }
+
     /// Whether `rank` is currently alive.
     pub fn is_alive(&self, rank: usize) -> bool {
-        *self.liveness[rank].lock() == ProcState::Alive
+        self.proc_state(rank) == ProcState::Alive
     }
 
     /// Marks `rank` failed with an unspecified (immediately visible) failure time.
@@ -174,26 +238,50 @@ impl ClusterState {
     /// epoch is retained (see [`ClusterState::fail_time`]). Returns true if the rank
     /// was alive before the call.
     pub fn mark_failed_at(&self, rank: usize, at: SimTime) -> bool {
-        let changed = {
-            let mut st = self.liveness[rank].lock();
-            if *st == ProcState::Alive {
-                *st = ProcState::Failed;
-                // Record the failure instant *before* publishing the liveness change,
-                // so any rank that observes the failure also sees its timestamp.
+        self.mark_failed_burst(&[rank], at) == 1
+    }
+
+    /// Marks every rank of `ranks` that is still alive failed at virtual time `at`, as
+    /// **one** publication: the liveness flags of the whole burst are set before the
+    /// counters move, and blocked operations are woken once for the burst, not once
+    /// per victim. An observer that sees the failure count or the event counter move
+    /// therefore sees every victim of the burst. Returns how many ranks were alive
+    /// before the call.
+    pub fn mark_failed_burst(&self, ranks: &[usize], at: SimTime) -> usize {
+        let newly = {
+            let mut casualties = self.casualties.lock();
+            let events_before = self.failure_events();
+            let mut newly = 0usize;
+            for &rank in ranks {
+                if !self.is_alive(rank) {
+                    continue;
+                }
+                newly += 1;
+                // Record the failure instant and the blamed rank *before* publishing
+                // the liveness change, so any rank that observes the failure also
+                // sees its timestamp.
                 self.fail_time_bits
                     .fetch_min(at.as_secs().to_bits(), Ordering::SeqCst);
-                self.nfailed.fetch_add(1, Ordering::SeqCst);
-                let count = self.failure_events.fetch_add(1, Ordering::SeqCst) + 1;
-                self.death_events[rank].store(count, Ordering::SeqCst);
-                true
-            } else {
-                false
+                let _ = self.first_failed.compare_exchange(
+                    NO_RANK,
+                    rank,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                );
+                self.death_events[rank].store(events_before + newly as u64, Ordering::SeqCst);
+                self.liveness[rank].store(ProcState::Failed as u8, Ordering::SeqCst);
+                let at_pos = casualties.failed.partition_point(|&r| r < rank);
+                casualties.failed.insert(at_pos, rank);
             }
+            let newly64 = newly as u64;
+            self.failures
+                .fetch_add(newly64 << EVENT_BITS | newly64, Ordering::SeqCst);
+            newly
         };
-        if changed {
+        if newly > 0 {
             self.wake_all_waiters();
         }
-        changed
+        newly
     }
 
     /// The virtual time of the earliest failure of the current disruption epoch, or
@@ -204,11 +292,33 @@ impl ClusterState {
     }
 
     /// Marks `rank` as parked: its current attempt has aborted and it is waiting at
-    /// the recovery rendezvous, so it will send nothing more until repair. Wakes all
-    /// blocked operations so receivers re-evaluate their quiescence condition.
+    /// the recovery rendezvous, so it will send nothing more until repair. Wakes the
+    /// blocked operations whose abort predicate reads this rank's state — receivers
+    /// waiting for a message from it and collectives it is a member of — and nothing
+    /// else: in particular not the ranks already at the recovery rendezvous, which
+    /// wait for slot progress only.
     pub fn set_parked(&self, rank: usize) {
-        self.parked[rank].store(true, Ordering::SeqCst);
-        self.wake_all_waiters();
+        if self.parked[rank].swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let nparked = self.nparked.fetch_add(1, Ordering::SeqCst) + 1;
+        for &receiver in self.source_watchers[rank].lock().iter() {
+            self.wake_mailbox(receiver);
+        }
+        // An upper bound on the ranks that can no longer act (a rank both dead and
+        // parked counts twice): an `ANY_SOURCE` receiver is woken only once every
+        // other member of its communicator can possibly have quiesced.
+        let quiesced = nparked + self.failed_count() + self.retired_count();
+        for &(receiver, needed) in self.any_source_watchers.lock().iter() {
+            if quiesced >= needed {
+                self.wake_mailbox(receiver);
+            }
+        }
+        for comm in self.comms.lock().iter().filter_map(Weak::upgrade) {
+            if comm.rank_of(rank).is_some() {
+                self.wake_slot(&comm.slot);
+            }
+        }
     }
 
     /// Whether `rank` is parked at the recovery rendezvous.
@@ -222,6 +332,38 @@ impl ClusterState {
         self.is_alive(rank) && !self.is_parked(rank)
     }
 
+    /// Registers `receiver` as blocked on a message from `source` (`None`: from any
+    /// member of a communicator of `nmembers` ranks), so that the source's parking
+    /// wakes it. Must precede the quiescence check of the blocked receive: a park
+    /// racing the check then either finds the registration or is seen by the check.
+    pub(crate) fn watch_source(&self, receiver: usize, source: Option<usize>, nmembers: usize) {
+        match source {
+            Some(s) => self.source_watchers[s].lock().push(receiver),
+            None => self
+                .any_source_watchers
+                .lock()
+                .push((receiver, nmembers.saturating_sub(1))),
+        }
+    }
+
+    /// Removes the registration made by [`ClusterState::watch_source`].
+    pub(crate) fn unwatch_source(&self, receiver: usize, source: Option<usize>) {
+        match source {
+            Some(s) => {
+                let mut watchers = self.source_watchers[s].lock();
+                if let Some(pos) = watchers.iter().position(|&r| r == receiver) {
+                    watchers.swap_remove(pos);
+                }
+            }
+            None => {
+                let mut watchers = self.any_source_watchers.lock();
+                if let Some(pos) = watchers.iter().position(|&(r, _)| r == receiver) {
+                    watchers.swap_remove(pos);
+                }
+            }
+        }
+    }
+
     /// Records that `node` physically crashed in this epoch (its local checkpoint
     /// storage is gone). Drained by [`ClusterState::take_pending_node_failures`].
     pub fn note_node_failure(&self, node: usize) {
@@ -233,39 +375,53 @@ impl ClusterState {
         std::mem::take(&mut *self.pending_node_failures.lock())
     }
 
-    /// Wakes every thread blocked in a receive or a collective so it re-checks the
-    /// cluster health immediately. Called on every cluster-wide condition change
-    /// (failure, global-disruption declaration, abort); this event-driven notification
-    /// is what allows the blocked-operation poll interval to be long (a pure fallback)
-    /// instead of a 200 µs busy heartbeat per blocked rank. On the cooperative
-    /// backend the same call wakes every parked fiber instead.
-    pub fn wake_all_waiters(&self) {
-        for mb in &self.mailboxes {
-            mb.wake_all();
+    /// Wakes the receive `rank` may be blocked in.
+    fn wake_mailbox(&self, rank: usize) {
+        match self.job_waker.get() {
+            Some(waker) => waker.wake_key(WaitKey::mailbox(rank)),
+            None => self.mailboxes[rank].wake_all(),
         }
-        let comms = self.comms.lock();
-        for weak in comms.iter() {
-            if let Some(comm) = weak.upgrade() {
-                comm.slot.wake_all();
+    }
+
+    /// Wakes the members blocked in a round of `slot`.
+    fn wake_slot(&self, slot: &CollSlot) {
+        match self.job_waker.get() {
+            Some(waker) => waker.wake_key(WaitKey::object(slot)),
+            None => slot.wake_all(),
+        }
+    }
+
+    /// Wakes every rank blocked in a receive, a collective, a survivor rendezvous or
+    /// the detection barrier so it re-checks the cluster health immediately. Called on
+    /// the cluster-wide condition changes that can alter *any* blocked operation's
+    /// abort predicate — a failure burst, the first global-disruption declaration of
+    /// an epoch, a revocation, an abort — each of which happens O(1) times per
+    /// recovery; the per-rank transition ([`ClusterState::set_parked`]) is targeted
+    /// instead. Ranks waiting at the recovery rendezvous are spared: they wait for
+    /// slot progress only. On the fiber backends this resumes parked fibers and
+    /// touches no condition variable; on the thread backend it is the condvar
+    /// broadcast that lets the blocked-operation poll interval be a long fallback.
+    pub fn wake_all_waiters(&self) {
+        match self.job_waker.get() {
+            Some(waker) => waker.wake_all_except(WaitKey::object(&self.recovery_slot)),
+            None => {
+                for mb in &self.mailboxes {
+                    mb.wake_all();
+                }
+                for comm in self.comms.lock().iter().filter_map(Weak::upgrade) {
+                    comm.slot.wake_all();
+                }
             }
         }
-        drop(comms);
-        self.recovery_slot.wake_all();
-        let waker = self.job_waker.lock().clone();
-        if let Some(waker) = waker {
-            waker.wake_all_parked();
-        }
     }
 
-    /// Installs the cooperative scheduler's wake-up hook for the duration of a job
-    /// (see [`ClusterState::wake_all_waiters`]).
-    pub(crate) fn set_job_waker(&self, waker: Arc<dyn crate::sched::JobWaker>) {
-        *self.job_waker.lock() = Some(waker);
-    }
-
-    /// Removes the cooperative wake-up hook at the end of a job.
-    pub(crate) fn clear_job_waker(&self) {
-        *self.job_waker.lock() = None;
+    /// Installs the fiber scheduler's wake-up hook for the job this state was created
+    /// for (see [`ClusterState::wake_all_waiters`]).
+    pub(crate) fn set_job_waker(&self, waker: Arc<dyn JobWaker>) {
+        assert!(
+            self.job_waker.set(waker).is_ok(),
+            "a cluster state runs exactly one job"
+        );
     }
 
     /// Marks every *failed* rank alive again (non-shrinking recovery replaces failed
@@ -273,42 +429,54 @@ impl ClusterState {
     /// the job for good, and a later non-shrinking repair of the survivors must not
     /// resurrect them.
     pub fn revive_all(&self) {
-        for (rank, l) in self.liveness.iter().enumerate() {
-            let mut st = l.lock();
-            if *st == ProcState::Failed {
-                *st = ProcState::Alive;
-                self.death_events[rank].store(0, Ordering::SeqCst);
-            }
+        let mut casualties = self.casualties.lock();
+        for rank in casualties.failed.drain(..) {
+            self.death_events[rank].store(0, Ordering::SeqCst);
+            self.liveness[rank].store(ProcState::Alive as u8, Ordering::SeqCst);
         }
-        self.nfailed.store(0, Ordering::SeqCst);
+        self.failures.fetch_and(EVENT_MASK, Ordering::SeqCst);
     }
 
     /// Permanently retires every currently failed rank (shrinking recovery: the dead
     /// processes are not replaced). Returns the retired ranks in ascending order.
     pub fn retire_failed_ranks(&self) -> Vec<usize> {
-        let mut retired = Vec::new();
-        for (rank, l) in self.liveness.iter().enumerate() {
-            let mut st = l.lock();
-            if *st == ProcState::Failed {
-                *st = ProcState::Retired;
-                retired.push(rank);
-            }
+        let mut casualties = self.casualties.lock();
+        let retired = std::mem::take(&mut casualties.failed);
+        for &rank in &retired {
+            self.liveness[rank].store(ProcState::Retired as u8, Ordering::SeqCst);
         }
-        self.nfailed.fetch_sub(retired.len(), Ordering::SeqCst);
+        casualties.retired.extend_from_slice(&retired);
+        casualties.retired.sort_unstable();
+        self.failures
+            .fetch_sub((retired.len() as u64) << EVENT_BITS, Ordering::SeqCst);
         self.nretired.fetch_add(retired.len(), Ordering::SeqCst);
         retired
     }
 
     /// Whether `rank` was permanently retired by a shrinking recovery.
     pub fn is_retired(&self, rank: usize) -> bool {
-        *self.liveness[rank].lock() == ProcState::Retired
+        self.proc_state(rank) == ProcState::Retired
+    }
+
+    /// The casualty lists, for a query that found a nonzero counter.
+    fn casualties_slow(&self) -> parking_lot::MutexGuard<'_, Casualties> {
+        self.slow_liveness_queries.fetch_add(1, Ordering::Relaxed);
+        self.casualties.lock()
+    }
+
+    /// How many liveness queries had to take the casualty-list lock so far. Stays 0
+    /// while nobody is failed or retired: the per-iteration health checks of a
+    /// healthy job are lock-free and independent of the rank count.
+    pub fn slow_liveness_queries(&self) -> u64 {
+        self.slow_liveness_queries.load(Ordering::Relaxed)
     }
 
     /// The ranks permanently retired by shrinking recoveries, ascending.
     pub fn retired_ranks(&self) -> Vec<usize> {
-        (0..self.nprocs)
-            .filter(|&r| *self.liveness[r].lock() == ProcState::Retired)
-            .collect()
+        if self.retired_count() == 0 {
+            return Vec::new();
+        }
+        self.casualties_slow().retired.clone()
     }
 
     /// Number of ranks permanently retired by shrinking recoveries.
@@ -318,12 +486,12 @@ impl ClusterState {
 
     /// Number of currently failed processes (excluding retired ranks).
     pub fn failed_count(&self) -> usize {
-        self.nfailed.load(Ordering::SeqCst)
+        (self.failures.load(Ordering::SeqCst) >> EVENT_BITS) as usize
     }
 
     /// Total number of failure events injected so far.
     pub fn failure_events(&self) -> u64 {
-        self.failure_events.load(Ordering::SeqCst)
+        self.failures.load(Ordering::SeqCst) & EVENT_MASK
     }
 
     /// The value of the failure-event counter at the instant `rank` was last marked
@@ -337,11 +505,12 @@ impl ClusterState {
     }
 
     /// Global ranks failed in the current epoch (not including permanently retired
-    /// ranks of earlier shrink recoveries).
+    /// ranks of earlier shrink recoveries), ascending.
     pub fn failed_ranks(&self) -> Vec<usize> {
-        (0..self.nprocs)
-            .filter(|&r| *self.liveness[r].lock() == ProcState::Failed)
-            .collect()
+        if self.failed_count() == 0 {
+            return Vec::new();
+        }
+        self.casualties_slow().failed.clone()
     }
 
     /// Global ranks currently alive.
@@ -349,11 +518,26 @@ impl ClusterState {
         (0..self.nprocs).filter(|&r| self.is_alive(r)).collect()
     }
 
+    /// The dead (failed or retired) member of `comm` with the lowest communicator
+    /// rank, if any.
+    fn first_dead_member(&self, comm: &CommShared) -> Option<usize> {
+        let casualties = self.casualties_slow();
+        casualties
+            .failed
+            .iter()
+            .chain(&casualties.retired)
+            .filter_map(|&rank| comm.rank_of(rank))
+            .min()
+            .map(|index| comm.members[index])
+    }
+
     /// Declares that a global-restart recovery is in progress (see
-    /// [`ClusterState::health_error`]).
+    /// [`ClusterState::health_error`]). Only the first declaration of an epoch changes
+    /// anything, so only it wakes the blocked operations.
     pub fn declare_global_disruption(&self) {
-        self.global_disruption.store(true, Ordering::SeqCst);
-        self.wake_all_waiters();
+        if !self.global_disruption.swap(true, Ordering::SeqCst) {
+            self.wake_all_waiters();
+        }
     }
 
     /// Whether a global-restart recovery is in progress.
@@ -361,20 +545,23 @@ impl ClusterState {
         self.global_disruption.load(Ordering::SeqCst)
     }
 
-    /// Records an `MPI_Abort`.
+    /// Records an `MPI_Abort` (the first abort code wins).
     pub fn set_abort(&self, code: i32) {
-        {
-            let mut a = self.abort.lock();
-            if a.is_none() {
-                *a = Some(code);
-            }
-        }
+        let _ = self.abort.compare_exchange(
+            NO_ABORT,
+            i64::from(code),
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
         self.wake_all_waiters();
     }
 
     /// The abort code, if the job was aborted.
     pub fn abort_code(&self) -> Option<i32> {
-        *self.abort.lock()
+        match self.abort.load(Ordering::SeqCst) {
+            NO_ABORT => None,
+            code => Some(code as i32),
+        }
     }
 
     /// The health error (if any) that an operation on `comm` should report.
@@ -385,9 +572,10 @@ impl ClusterState {
     /// communicators made only of survivors (e.g. the result of a shrink) keep working.
     /// Additionally, while a *global-restart* recovery is in progress (see
     /// [`ClusterState::declare_global_disruption`]) every operation on every
-    /// communicator reports the failure, which is how the Reinit and global
-    /// ULFM/Restart designs roll back ranks that were not communicating with the failed
-    /// process.
+    /// communicator reports the failure — blaming the first rank that failed in the
+    /// epoch — which is how the Reinit and global ULFM/Restart designs roll back ranks
+    /// that were not communicating with the failed process. A healthy job answers from
+    /// three atomic loads, whatever its size.
     pub fn health_error(&self, comm: &CommShared) -> Option<MpiError> {
         if let Some(code) = self.abort_code() {
             return Some(MpiError::Aborted { code });
@@ -395,16 +583,20 @@ impl ClusterState {
         if comm.is_revoked() {
             return Some(MpiError::Revoked);
         }
-        if self.failed_count() > 0 {
-            if self.is_globally_disrupted() {
-                let rank = self.failed_ranks().into_iter().next().unwrap_or(0);
-                return Some(MpiError::ProcFailed { rank });
-            }
-            if let Some(&rank) = comm.members.iter().find(|&&r| !self.is_alive(r)) {
-                return Some(MpiError::ProcFailed { rank });
-            }
+        if self.failed_count() == 0 {
+            return None;
         }
-        None
+        let rank = if self.is_globally_disrupted() {
+            // Unset only when a repair completed between the two loads above and this
+            // one: the job is healthy again, nobody is to blame.
+            match self.first_failed.load(Ordering::SeqCst) {
+                NO_RANK => return None,
+                rank => rank,
+            }
+        } else {
+            self.first_dead_member(comm)?
+        };
+        Some(MpiError::ProcFailed { rank })
     }
 
     /// Like [`ClusterState::health_error`], but failure notification follows the
@@ -422,6 +614,21 @@ impl ClusterState {
         }
     }
 
+    /// Ends the disruption epoch: no failure outstanding, nobody to blame, every
+    /// in-flight message dropped, and the fiber scheduler's idle wait channels (those
+    /// of communicators the epoch may have dropped) forgotten.
+    fn end_epoch(&self) {
+        self.global_disruption.store(false, Ordering::SeqCst);
+        self.fail_time_bits.store(u64::MAX, Ordering::SeqCst);
+        self.first_failed.store(NO_RANK, Ordering::SeqCst);
+        for mb in &self.mailboxes {
+            mb.clear();
+        }
+        if let Some(waker) = self.job_waker.get() {
+            waker.forget_idle_channels();
+        }
+    }
+
     /// Completes a *shrinking* repair: ends the disruption epoch without reviving
     /// anyone (the failed ranks were just retired by
     /// [`ClusterState::retire_failed_ranks`]), drops every in-flight message and
@@ -429,16 +636,16 @@ impl ClusterState {
     /// Called exactly once per shrink recovery by the last survivor to reach the
     /// shrink rendezvous, while every survivor is inside it.
     pub fn complete_shrink_repair(&self) {
-        self.global_disruption.store(false, Ordering::SeqCst);
-        self.fail_time_bits.store(u64::MAX, Ordering::SeqCst);
+        let mut still_parked = 0;
         for (rank, p) in self.parked.iter().enumerate() {
             if self.is_alive(rank) {
                 p.store(false, Ordering::SeqCst);
+            } else if p.load(Ordering::SeqCst) {
+                still_parked += 1;
             }
         }
-        for mb in &self.mailboxes {
-            mb.clear();
-        }
+        self.nparked.store(still_parked, Ordering::SeqCst);
+        self.end_epoch();
     }
 
     /// Repairs the job after a failure: revives all processes, drops every in-flight
@@ -447,14 +654,11 @@ impl ClusterState {
     /// reach the recovery rendezvous.
     pub fn repair_all(&self) {
         self.revive_all();
-        self.global_disruption.store(false, Ordering::SeqCst);
-        self.fail_time_bits.store(u64::MAX, Ordering::SeqCst);
         for p in &self.parked {
             p.store(false, Ordering::SeqCst);
         }
-        for mb in &self.mailboxes {
-            mb.clear();
-        }
+        self.nparked.store(0, Ordering::SeqCst);
+        self.end_epoch();
         let mut comms = self.comms.lock();
         comms.retain(|w| w.strong_count() > 0);
         for weak in comms.iter() {
@@ -545,6 +749,144 @@ mod tests {
         assert!(s.mailboxes[1].is_empty());
         assert!(!s.world.is_revoked());
         assert_eq!(s.failed_count(), 0);
+    }
+
+    /// Records what the cluster state asks of the fiber scheduler.
+    #[derive(Default)]
+    struct RecordingWaker {
+        keys: Mutex<Vec<WaitKey>>,
+        broadcasts: Mutex<Vec<WaitKey>>,
+    }
+
+    impl JobWaker for RecordingWaker {
+        fn wake_key(&self, key: WaitKey) {
+            self.keys.lock().push(key);
+        }
+        fn wake_all_except(&self, spared: WaitKey) {
+            self.broadcasts.lock().push(spared);
+        }
+        fn forget_idle_channels(&self) {}
+    }
+
+    fn state_with_waker(n: usize) -> (Arc<ClusterState>, Arc<RecordingWaker>) {
+        let s = state(n);
+        let waker = Arc::new(RecordingWaker::default());
+        s.set_job_waker(Arc::clone(&waker) as Arc<dyn JobWaker>);
+        (s, waker)
+    }
+
+    #[test]
+    fn parking_wakes_only_the_operations_waiting_on_the_parked_rank() {
+        let (s, waker) = state_with_waker(8);
+        s.mark_failed(7);
+        waker.broadcasts.lock().clear();
+        // Rank 0 waits for a message from rank 3, rank 1 for one from rank 4, rank 2
+        // for one from anybody.
+        s.watch_source(0, Some(3), 8);
+        s.watch_source(1, Some(4), 8);
+        s.watch_source(2, None, 8);
+        s.set_parked(3);
+        assert!(
+            waker.broadcasts.lock().is_empty(),
+            "parking must never wake everybody"
+        );
+        assert_eq!(
+            *waker.keys.lock(),
+            vec![WaitKey::mailbox(0), WaitKey::object(&s.world.slot)],
+            "only rank 3's watcher and the collectives of its communicators"
+        );
+        // Parking twice changes nothing and wakes nobody.
+        waker.keys.lock().clear();
+        s.set_parked(3);
+        assert!(waker.keys.lock().is_empty());
+        // The ANY_SOURCE receiver is woken once every other rank may have quiesced:
+        // 6 parked + 1 failed covers the 7 ranks other than itself.
+        for rank in [4, 5, 6, 0] {
+            s.set_parked(rank);
+        }
+        assert!(!waker.keys.lock().contains(&WaitKey::mailbox(2)));
+        s.set_parked(1);
+        assert!(waker.keys.lock().contains(&WaitKey::mailbox(2)));
+        // A deregistered receiver is no longer woken.
+        s.unwatch_source(2, None);
+        waker.keys.lock().clear();
+        s.set_parked(2);
+        assert!(!waker.keys.lock().contains(&WaitKey::mailbox(2)));
+    }
+
+    #[test]
+    fn cluster_wide_transitions_wake_everybody_once_and_spare_the_recovery_rendezvous() {
+        let (s, waker) = state_with_waker(8);
+        let spared = WaitKey::object(&s.recovery_slot);
+        // A three-victim burst is one publication and one broadcast.
+        assert_eq!(s.mark_failed_burst(&[2, 5, 6], SimTime::from_secs(1.0)), 3);
+        assert_eq!(*waker.broadcasts.lock(), vec![spared]);
+        assert_eq!(s.failed_ranks(), vec![2, 5, 6]);
+        assert_eq!(s.failure_events(), 3);
+        assert_eq!(
+            [2, 5, 6].map(|r| s.failure_events_at_death(r)),
+            [1, 2, 3],
+            "victims of one burst keep their serialized event numbers"
+        );
+        // Only the first declaration of an epoch changes what blocked operations see.
+        s.declare_global_disruption();
+        s.declare_global_disruption();
+        s.declare_global_disruption();
+        assert_eq!(*waker.broadcasts.lock(), vec![spared, spared]);
+        // Repair ends the epoch; the next declaration is an edge again.
+        s.repair_all();
+        s.mark_failed(1);
+        s.declare_global_disruption();
+        assert_eq!(waker.broadcasts.lock().len(), 4);
+    }
+
+    #[test]
+    fn global_disruption_blames_the_first_rank_that_failed() {
+        let s = state(8);
+        s.mark_failed(5);
+        s.mark_failed(2);
+        // Without a declaration the communicator's lowest dead member is reported…
+        assert_eq!(
+            s.health_error(&s.world),
+            Some(MpiError::ProcFailed { rank: 2 })
+        );
+        // …under global disruption the epoch's first failure, on every communicator.
+        s.declare_global_disruption();
+        let unrelated = CommShared::new(9, vec![0, 1]);
+        for comm in [&s.world, &unrelated] {
+            assert_eq!(s.health_error(comm), Some(MpiError::ProcFailed { rank: 5 }));
+        }
+        s.repair_all();
+        assert_eq!(s.health_error(&unrelated), None);
+        s.mark_failed(3);
+        s.declare_global_disruption();
+        assert_eq!(
+            s.health_error(&unrelated),
+            Some(MpiError::ProcFailed { rank: 3 })
+        );
+    }
+
+    #[test]
+    fn a_healthy_job_answers_liveness_queries_without_the_casualty_lock() {
+        let s = state(64);
+        for _ in 0..100 {
+            assert!(s.failed_ranks().is_empty());
+            assert!(s.retired_ranks().is_empty());
+            assert!(s.health_error(&s.world).is_none());
+            assert!(s.is_alive(17) && !s.is_retired(17));
+        }
+        assert_eq!(s.slow_liveness_queries(), 0);
+        s.mark_failed(9);
+        assert_eq!(s.failed_ranks(), vec![9]);
+        assert!(s.health_error(&s.world).is_some());
+        assert_eq!(s.slow_liveness_queries(), 2);
+        assert_eq!(s.retire_failed_ranks(), vec![9]);
+        assert_eq!(s.retired_ranks(), vec![9]);
+        assert_eq!((s.failed_count(), s.retired_count()), (0, 1));
+        // Retired ranks do not disturb the survivors' health checks.
+        let before = s.slow_liveness_queries();
+        assert!(s.health_error(&s.world).is_none());
+        assert_eq!(s.slow_liveness_queries(), before);
     }
 
     #[test]

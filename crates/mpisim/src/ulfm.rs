@@ -166,6 +166,7 @@ pub fn shrink_recovery(
     };
 
     let mut repair_hook = Some(repair_hook);
+    let mut suspended_before = false;
     loop {
         let token = ctx.wait_token(key);
         {
@@ -198,7 +199,9 @@ pub fn shrink_recovery(
                         None => Err(MpiError::SelfFailed),
                     };
                 }
-            } else if rounds.seq == my_seq {
+            } else if rounds.seq == my_seq
+                && all_survivors_may_have_arrived(&cluster, &shared, &rounds)
+            {
                 let alive_members = alive_members_of(&cluster, &shared);
                 if alive_members.is_empty() {
                     // Everyone died: no finisher can ever complete this round.
@@ -245,7 +248,7 @@ pub fn shrink_recovery(
                 }
             }
         }
-        ctx.park_or_sleep(token, POLL);
+        suspended_before |= ctx.park_or_sleep(token, POLL, suspended_before);
     }
 }
 
@@ -297,6 +300,7 @@ fn survivor_rendezvous(
     // Deposit phase: wait until the previous round has fully drained, then join the
     // current round. The token is read before each condition check so a progress
     // signal racing the check invalidates the park (parallel backend).
+    let mut suspended_before = false;
     let my_seq = loop {
         let token = ctx.wait_token(key);
         {
@@ -307,9 +311,10 @@ fn survivor_rendezvous(
                 break seq;
             }
         }
-        ctx.park_or_sleep(token, POLL);
+        suspended_before |= ctx.park_or_sleep(token, POLL, suspended_before);
     };
 
+    let mut suspended_before = false;
     loop {
         let token = ctx.wait_token(key);
         {
@@ -334,7 +339,9 @@ fn survivor_rendezvous(
                     ctx.stats_mut().collectives += 1;
                     return Ok(res);
                 }
-            } else if rounds.seq == my_seq {
+            } else if rounds.seq == my_seq
+                && all_survivors_may_have_arrived(&cluster, &shared, &rounds)
+            {
                 let alive_members = alive_members_of(&cluster, &shared);
                 let arrived_alive: Vec<(usize, SimTime, u64)> = rounds
                     .arrivals
@@ -373,8 +380,19 @@ fn survivor_rendezvous(
                 }
             }
         }
-        ctx.park_or_sleep(token, POLL);
+        suspended_before |= ctx.park_or_sleep(token, POLL, suspended_before);
     }
+}
+
+/// A constant-time necessary condition for "every alive member of `comm` has arrived":
+/// the arrivals plus every dead rank of the job cover the membership. All but the last
+/// arrivers of a round fail it and skip the per-member liveness scans.
+fn all_survivors_may_have_arrived(
+    cluster: &crate::state::ClusterState,
+    comm: &CommShared,
+    rounds: &crate::comm::SurvivorRounds,
+) -> bool {
+    rounds.arrivals.len() + cluster.failed_count() + cluster.retired_count() >= comm.members.len()
 }
 
 fn alive_members_of(cluster: &crate::state::ClusterState, comm: &CommShared) -> Vec<usize> {

@@ -156,13 +156,12 @@ impl ProxyApp for MiniVite {
             let current = iteration + 1;
             injector.maybe_fail(ctx, current)?;
 
-            // 1. Share the community assignment of every vertex.
+            // 1. Share the community assignment of every vertex. The ranks own
+            // consecutive vertex blocks in rank order, so the gathered chunks laid end
+            // to end are the global assignment.
             let gathered = ctx.allgather_u64(&world, &communities)?;
-            let mut global_communities: Vec<u64> = vec![0; total];
-            for (owner, chunk) in gathered.iter().enumerate() {
-                let start = partition.start(owner);
-                global_communities[start..start + chunk.len()].copy_from_slice(chunk);
-            }
+            let global_communities = gathered.flat();
+            debug_assert_eq!(global_communities.len(), total);
 
             // 2. Per-community degree sums (the Louvain "sigma_tot"), globally reduced.
             let mut local_sigma = vec![0.0f64; total];

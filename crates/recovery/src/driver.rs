@@ -300,7 +300,7 @@ impl FtDriver {
     /// failed processes and erases the checkpoint storage of crashed nodes.
     fn recover(&self, ctx: &mut RankCtx) -> Result<(), MpiError> {
         ctx.declare_global_restart();
-        let nfailed = ctx.failed_ranks().len().max(1);
+        let nfailed = ctx.failed_count().max(1);
         let cost = ctx.machine().failure_detection_cost()
             + self
                 .config
@@ -330,7 +330,7 @@ impl FtDriver {
     fn recover_shrink(&self, ctx: &mut RankCtx) -> Result<bool, MpiError> {
         ctx.declare_global_restart();
         let world = ctx.world();
-        let nfailed = ctx.failed_ranks().len().max(1);
+        let nfailed = ctx.failed_count().max(1);
         let cost = ctx.machine().failure_detection_cost()
             + self
                 .config

@@ -800,6 +800,32 @@ mod tests {
     }
 
     #[test]
+    fn a_healthy_iteration_top_costs_no_per_rank_lock_or_scan() {
+        // Every rank consults the injector every iteration. With an event pending but
+        // not yet due and nobody failed or retired, that consultation — and the
+        // liveness queries drivers make beside it — must be answered from the
+        // cluster's counters: the casualty lists (the only per-rank state a query can
+        // reach) are never locked, whatever the job's size.
+        for nprocs in [8, 64] {
+            let cluster = Cluster::new(ClusterConfig::with_ranks(nprocs));
+            let outcome = cluster.run(|ctx| {
+                let injector =
+                    FaultInjector::new(&FaultPlan::kill_rank_at(3, 1000).into(), ctx.topology())?;
+                for iteration in 1..=20 {
+                    injector.maybe_fail(ctx, iteration)?;
+                    assert!(ctx.failed_ranks().is_empty() && ctx.retired_ranks().is_empty());
+                    let world = ctx.world();
+                    ctx.allreduce_sum_f64(&world, 1.0)?;
+                }
+                Ok(ctx.slow_liveness_queries())
+            });
+            for rank in 0..nprocs {
+                assert_eq!(*outcome.value_of(rank), 0, "{nprocs} ranks, rank {rank}");
+            }
+        }
+    }
+
+    #[test]
     fn checkpoint_alignment_snaps_iterations() {
         let t = topo(8, 4);
         let model = ArrivalModel::exponential(3, 40.0, 200).aligned_to_checkpoint(10);

@@ -79,13 +79,26 @@ fn run_trace_on_workers(
     trace: FailureTrace,
     fti: FtiConfig,
 ) -> (Vec<RankObservation>, TimeBreakdown) {
+    run_trace_at(NPROCS, NNODES, backend, workers, strategy, trace, fti)
+}
+
+fn run_trace_at(
+    nprocs: usize,
+    nnodes: usize,
+    backend: SchedBackend,
+    workers: usize,
+    strategy: RecoveryStrategy,
+    trace: FailureTrace,
+    fti: FtiConfig,
+) -> (Vec<RankObservation>, TimeBreakdown) {
     let store = CheckpointStore::shared();
     let config = FtConfig::new(strategy, fti).with_fault(trace);
     let cluster = Cluster::new(
-        ClusterConfig::with_ranks(NPROCS)
-            .nodes(NNODES)
+        ClusterConfig::with_ranks(nprocs)
+            .nodes(nnodes)
             .backend(backend)
-            .workers(workers),
+            .workers(workers)
+            .stack_size(256 * 1024),
     );
     let outcome = cluster.run(move |ctx| {
         let driver = FtDriver::new(config.clone(), Arc::clone(&store));
@@ -344,6 +357,46 @@ fn simultaneous_kills_under_shrink_are_bit_identical_across_backends() {
     }
 }
 
+/// The wide leg of the matrix: at 256 ranks a recovery is a few hundred parkings and
+/// two cluster-wide broadcasts racing each other across `par`'s workers and across
+/// 256 host threads — the regime the targeted failure-transition wakes were built
+/// for. One with-failure cell per design, bit-identical on every backend.
+#[test]
+fn wide_cells_with_a_failure_are_bit_identical_across_backends() {
+    const WIDE: usize = 256;
+    let trace = FailureTrace::schedule(vec![FailureSpec::kill_process(WIDE / 3, 7)]);
+    for strategy in RecoveryStrategy::ALL {
+        let run = |backend, workers| {
+            run_trace_at(
+                WIDE,
+                32,
+                backend,
+                workers,
+                strategy,
+                trace.clone(),
+                resilient_config(),
+            )
+        };
+        let (a, ba) = run(SchedBackend::Threads, 0);
+        assert!(
+            a.iter().any(|o| o.recoveries == 1),
+            "{strategy} must recover"
+        );
+        for (backend, workers) in [
+            (SchedBackend::Coop, 0),
+            (SchedBackend::Par, 2),
+            (SchedBackend::Par, 3),
+        ] {
+            let (b, bb) = run(backend, workers);
+            assert_eq!(a, b, "{strategy} diverged on {backend}[w={workers}]");
+            assert_eq!(
+                ba, bb,
+                "{strategy} breakdowns diverged on {backend}[w={workers}]"
+            );
+        }
+    }
+}
+
 /// A rank program that blocks with no simulated event left to produce — here a
 /// receive cycle nobody ever feeds — must be *diagnosed* by the `par` backend with a
 /// panic naming the parked ranks, not hang the suite.
@@ -409,15 +462,15 @@ fn experiment_run_reports_are_equal_across_backends() {
     assert!(threads.failure_injected && threads.restarts >= 1);
 }
 
-/// CI slow-lane smoke (run with `--ignored`): a 4096-rank cooperative job — with a
-/// failure, a global-restart recovery and FTI checkpoint/restore — completes in a
-/// single process on one OS thread. Thread-per-rank at this scale needs 4096 host
-/// threads and is two orders of magnitude slower on the *trivial* scale kernel
-/// alone (measured 18.3 s vs 0.17 s on the 1-core container, sys-time dominated);
-/// with the driver's full blocking traffic it is infeasible, which is the ceiling
-/// the cooperative backend removes.
+/// A 4096-rank cooperative job — with a failure, a global-restart recovery and FTI
+/// checkpoint/restore — completes in a single process on one OS thread, in well under
+/// a second (21 s while every parking rank woke every other one; it was a slow-lane
+/// `--ignored` test then). Thread-per-rank at this scale needs 4096 host threads and
+/// is two orders of magnitude slower on the *trivial* scale kernel alone (measured
+/// 18.3 s vs 0.17 s on the 1-core container, sys-time dominated); with the driver's
+/// full blocking traffic it is infeasible, which is the ceiling the cooperative
+/// backend removes.
 #[test]
-#[ignore = "slow lane: 4096-rank cooperative job"]
 fn coop_runs_4096_ranks_with_failure_recovery_in_one_process() {
     const BIG: usize = 4096;
     let store = CheckpointStore::shared();

@@ -11,9 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use match_core::cache::ResultCache;
+use match_core::fti::RestoreSource;
 use match_core::persist::{self, DiskCache, DiskLookup};
 use match_core::proxies::{InputSize, ProxyKind};
-use match_core::fti::RestoreSource;
 use match_core::recovery::{
     AttemptEntry, AttemptSummary, CoveragePath, RecoveryStrategy, Restore, RunReport,
 };
