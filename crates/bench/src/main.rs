@@ -23,13 +23,15 @@
 //! of `all`.
 //!
 //! `--backend` selects the scheduler backend simulated jobs run on (equivalent to
-//! `MATCH_BACKEND`): `threads` is one OS thread per rank, `coop` multiplexes all
-//! ranks of a job as fibers over one OS thread, `par` shards those fibers across a
-//! small pool of worker threads (`--workers N`, equivalent to `MATCH_WORKERS`).
-//! Figure output is bit-identical across all three and any worker count; `coop`
-//! and `par` are the ones that scale to thousands of ranks. `--racks N`
-//! regroups the experiment topology's nodes into `N` racks (equivalent to
-//! `MATCH_RACKS`; must divide the paper-layout node count). The `scale` target
+//! `MATCH_BACKEND`; default `par`): `par` runs the ranks of a job as fibers sharded
+//! across a small pool of worker threads (`--workers N`, equivalent to
+//! `MATCH_WORKERS`; default `max(1, MATCH_CORES / jobs)`, and a job with one worker
+//! runs inline on the engine thread that picked it up), `coop` multiplexes all
+//! ranks of a job as fibers over one OS thread, `threads` is one OS thread per rank
+//! (the slow reference). Figure output is bit-identical across all three and any
+//! worker count; `coop` and `par` are the ones that scale to thousands of ranks.
+//! `--racks N` regroups the experiment topology's nodes into `N` racks (equivalent
+//! to `MATCH_RACKS`; must divide the paper-layout node count). The `scale` target
 //! sweeps rank counts per backend (and worker counts for `par`) and records
 //! wall-clock and RSS (see [`match_bench::scale`]); like `micro` it is not part
 //! of `all`.

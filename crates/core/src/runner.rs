@@ -278,6 +278,14 @@ pub struct TraceRunOutcome {
     pub values: Vec<Option<f64>>,
 }
 
+/// The cluster [`run_trace`] runs on: [`experiment_cluster`] pinned to one scheduler
+/// worker. The synthetic rank body does no host work between communication points, so
+/// a second `par` worker could only trade fiber switches for cross-thread wakes; on
+/// one worker the job runs inline on the calling thread.
+fn trace_cluster(nprocs: usize) -> ClusterConfig {
+    experiment_cluster(nprocs).workers(1)
+}
+
 /// Runs one explicit failure trace, uncached, under a synthetic iterative workload
 /// (an all-reduce accumulation checkpointed through FTI, the same shape as the
 /// recovery crate's driver tests): cheap enough for search loops, deterministic, and
@@ -291,7 +299,7 @@ pub struct TraceRunOutcome {
 pub fn run_trace(spec: &TraceRunSpec) -> Result<TraceRunOutcome, SuiteError> {
     let iterations = spec.iterations.max(1);
     let ft_config = FtConfig::new(spec.strategy, spec.fti.clone()).with_fault(spec.trace.clone());
-    let cluster = Cluster::new(experiment_cluster(spec.nprocs));
+    let cluster = Cluster::new(trace_cluster(spec.nprocs));
     let store = CheckpointStore::shared();
     let outcome = cluster.run(move |ctx| {
         let driver = FtDriver::new(ft_config.clone(), Arc::clone(&store));
@@ -349,6 +357,24 @@ mod tests {
         Experiment::new(ProxyKind::Hpccg, InputSize::Small, 4, strategy)
             .with_options(&SuiteOptions::smoke())
             .with_failure(inject)
+    }
+
+    #[test]
+    fn trace_runs_execute_inline_on_the_callers_thread() {
+        let config = trace_cluster(8);
+        // Only the fiber default promises this: `threads` spawns a thread per rank,
+        // and so does every backend on a target without the fiber runtime.
+        if config.backend == mpisim::SchedBackend::Threads || !mpisim::COOP_SUPPORTED {
+            return;
+        }
+        let caller = std::thread::current().id();
+        let outcome = Cluster::new(config).run(move |ctx| {
+            let world = ctx.world();
+            ctx.allreduce_sum_f64(&world, 1.0)?;
+            Ok(std::thread::current().id() == caller)
+        });
+        assert!(outcome.all_ok(), "{:?}", outcome.errors());
+        assert!(outcome.results().iter().all(|r| **r == Ok(true)));
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl Fti {
         let mut flat = Vec::with_capacity(objects.iter().map(|(_, o)| o.byte_len()).sum());
         for (_, o) in objects {
             let start = flat.len();
-            flat.append(&mut o.to_bytes());
+            o.append_bytes(&mut flat);
             object_lens.push(flat.len() - start);
         }
         let payload = Payload::from(flat);
@@ -447,10 +447,39 @@ impl Fti {
 mod tests {
     use super::*;
     use crate::config::CheckpointLevel;
+    use crate::store::BlobKind;
     use mpisim::{Cluster, ClusterConfig};
 
     fn store() -> Arc<CheckpointStore> {
         CheckpointStore::shared()
+    }
+
+    #[test]
+    fn checkpoint_payload_is_the_concatenated_to_bytes_of_its_objects() {
+        let store = store();
+        let s = Arc::clone(&store);
+        let outcome = Cluster::new(ClusterConfig::with_ranks(2)).run(move |ctx| {
+            let mut fti = Fti::init(FtiConfig::default(), Arc::clone(&s), ctx)?;
+            let field = vec![ctx.rank() as f64 + 0.5; 37];
+            let index = vec![u64::MAX, 3, ctx.rank() as u64];
+            let step = 9u64;
+            fti.protect(0, "field", &field);
+            fti.protect(1, "index", &index);
+            fti.protect(2, "step", &step);
+            let objects: [(u32, &dyn Protectable); 3] = [(0, &field), (1, &index), (2, &step)];
+            fti.checkpoint(ctx, 10, &objects)?;
+            fti.finalize(ctx)?;
+            let parts: Vec<Vec<u8>> = objects.iter().map(|(_, o)| o.to_bytes()).collect();
+            Ok(parts)
+        });
+        assert!(outcome.all_ok(), "{:?}", outcome.errors());
+        for rank in 0..2 {
+            let parts = outcome.value_of(rank);
+            let set = store.get(rank).expect("checkpoint set");
+            assert_eq!(set.blobs[&BlobKind::Primary].data, parts.concat());
+            let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
+            assert_eq!(set.meta.object_lens, lens);
+        }
     }
 
     #[test]

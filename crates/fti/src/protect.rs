@@ -19,6 +19,12 @@ pub trait Protectable {
     fn byte_len(&self) -> usize {
         self.to_bytes().len()
     }
+    /// Appends the serialized representation — exactly the bytes of
+    /// [`Protectable::to_bytes`] — to `out`. The buffer types override it to write
+    /// straight into `out`, without the intermediate vector.
+    fn append_bytes(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bytes());
+    }
 }
 
 impl Protectable for Vec<f64> {
@@ -30,6 +36,9 @@ impl Protectable for Vec<f64> {
     }
     fn byte_len(&self) -> usize {
         self.len() * 8
+    }
+    fn append_bytes(&self, out: &mut Vec<u8>) {
+        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
     }
 }
 
@@ -43,6 +52,9 @@ impl Protectable for Vec<u64> {
     fn byte_len(&self) -> usize {
         self.len() * 8
     }
+    fn append_bytes(&self, out: &mut Vec<u8>) {
+        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+    }
 }
 
 impl Protectable for Vec<i64> {
@@ -55,6 +67,9 @@ impl Protectable for Vec<i64> {
     fn byte_len(&self) -> usize {
         self.len() * 8
     }
+    fn append_bytes(&self, out: &mut Vec<u8>) {
+        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+    }
 }
 
 impl Protectable for Vec<u8> {
@@ -66,6 +81,9 @@ impl Protectable for Vec<u8> {
     }
     fn byte_len(&self) -> usize {
         self.len()
+    }
+    fn append_bytes(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
     }
 }
 
@@ -179,6 +197,25 @@ mod tests {
         b2.restore_from(&b.to_bytes());
         assert_eq!(b2, b);
         assert_eq!(b.byte_len(), 3);
+    }
+
+    #[test]
+    fn append_bytes_writes_exactly_the_bytes_of_to_bytes() {
+        let objects: [&dyn Protectable; 6] = [
+            &vec![1.5f64, -0.0, f64::NAN],
+            &vec![7u64, u64::MAX],
+            &vec![-9i64, i64::MIN],
+            &vec![1u8, 2, 3],
+            &2.5f64,
+            &11u64,
+        ];
+        for o in objects {
+            let mut out = vec![0xAA];
+            o.append_bytes(&mut out);
+            assert_eq!(out[0], 0xAA, "append must not touch what is already there");
+            assert_eq!(out[1..], o.to_bytes());
+            assert_eq!(out.len() - 1, o.byte_len());
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "MATCH_BACKEND",
-        default: "threads",
-        doc: "rank scheduler backend: threads, coop or par",
+        default: "par",
+        doc: "rank scheduler backend: par, coop or threads",
     },
     Knob {
         name: "MATCH_CACHE",

@@ -4,8 +4,9 @@
 //! role that a real cluster plus an MPI runtime (Open MPI with the ULFM and Reinit
 //! fault-tolerance extensions) plays in the original MATCH paper.
 //!
-//! The central idea is **virtual time, real data**: every MPI rank runs as an operating
-//! system thread executing the *real* distributed algorithm on real buffers, but the
+//! The central idea is **virtual time, real data**: every MPI rank runs as a fiber
+//! (or, on the reference backend, an operating system thread — see [`sched`])
+//! executing the *real* distributed algorithm on real buffers, but the
 //! time reported for an experiment is not wall-clock time. Instead each rank carries a
 //! virtual clock ([`SimTime`]) that is advanced by an explicit, calibrated machine model
 //! ([`MachineModel`]): point-to-point messages pay an α–β (latency + bytes/bandwidth)

@@ -1,5 +1,6 @@
-//! The cluster runtime: executes jobs on a scheduler backend (thread-per-rank or
-//! cooperative fibers) and collects the results.
+//! The cluster runtime: executes jobs on a scheduler backend (cooperative fibers on
+//! one or several worker threads — the default — or thread-per-rank) and collects
+//! the results.
 
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
@@ -32,14 +33,15 @@ pub struct ClusterConfig {
     /// 512-rank jobs.
     pub stack_size: usize,
     /// The scheduler backend rank programs run on. Defaults to the `MATCH_BACKEND`
-    /// environment variable, then to [`SchedBackend::Threads`]. Results are
+    /// environment variable, then to [`SchedBackend::Par`]. Results are
     /// bit-identical across backends by the [`RankScheduler`] contract — only
     /// host-side scaling differs — which is why the experiment cache key does *not*
     /// include it.
     pub backend: SchedBackend,
     /// Worker-thread count of the `par` backend; 0 (the default) resolves through
     /// `MATCH_WORKERS`, then the suite engine's published core budget, then the
-    /// host's available parallelism. Ignored by the other backends. Like the backend
+    /// host's available parallelism. A job resolved to one worker runs the `coop`
+    /// loop on the calling thread. Ignored by the other backends. Like the backend
     /// itself, the count has no observable effect on results.
     pub workers: usize,
 }
@@ -216,8 +218,10 @@ impl<R> RunOutcome<R> {
 /// A simulated cluster ready to run jobs.
 ///
 /// Each call to [`Cluster::run`] executes one job on the configured scheduler
-/// backend — one OS thread per rank ([`SchedBackend::Threads`]) or all ranks as
-/// cooperative fibers in one OS thread ([`SchedBackend::Coop`]) — hands each rank a
+/// backend — all ranks as cooperative fibers, in the calling thread
+/// ([`SchedBackend::Coop`], or [`SchedBackend::Par`] resolved to one worker) or
+/// sharded over worker threads ([`SchedBackend::Par`], the default), or one OS thread
+/// per rank ([`SchedBackend::Threads`]) — hands each rank a
 /// fresh [`RankCtx`] over a fresh shared state, runs the provided closure and
 /// collects every rank's result, virtual time, breakdown and statistics.
 #[derive(Debug, Clone)]
@@ -254,10 +258,10 @@ impl Cluster {
     ///
     /// The closure receives the rank's [`RankCtx`] and returns either a result value or
     /// an [`MpiError`]. Errors do not abort the other ranks; they are reported in the
-    /// [`RunOutcome`]. On the cooperative backend the closure must block only through
-    /// simulated operations (receives, collectives, rendezvous, the injector's
-    /// detection barrier) — a raw host-time spin loop would never yield the job's
-    /// single OS thread.
+    /// [`RunOutcome`]. On the fiber backends — the default included — the closure must
+    /// block only through simulated operations (receives, collectives, rendezvous,
+    /// the injector's detection barrier): a raw host-time spin loop would never yield
+    /// the OS thread its peers share.
     pub fn run<R, F>(&self, body: F) -> RunOutcome<R>
     where
         R: Send,
@@ -497,6 +501,11 @@ mod tests {
 
     // ----- cooperative backend -------------------------------------------------------
 
+    /// The reference the fiber backends are compared against.
+    fn threads_cluster(nprocs: usize) -> Cluster {
+        Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Threads))
+    }
+
     fn coop_cluster(nprocs: usize) -> Cluster {
         Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Coop))
     }
@@ -519,7 +528,7 @@ mod tests {
             ctx.barrier(&world)?;
             Ok((sum, ctx.now()))
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let threads = threads_cluster(8).run(program);
         let coop = coop_cluster(8).run(program);
         assert!(threads.all_ok() && coop.all_ok(), "{:?}", coop.errors());
         for rank in 0..8 {
@@ -546,7 +555,7 @@ mod tests {
                 other => Err(MpiError::Internal(format!("unexpected: {other:?}"))),
             }
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(4)).run(program);
+        let threads = threads_cluster(4).run(program);
         let coop = coop_cluster(4).run(program);
         for rank in [0usize, 1, 2] {
             assert_eq!(
@@ -648,7 +657,7 @@ mod tests {
             }
             Ok(())
         };
-        let a = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let a = threads_cluster(8).run(program);
         let b = coop_cluster(8).run(program);
         assert_eq!(a.max_time(), b.max_time());
     }
@@ -661,6 +670,32 @@ mod tests {
                 .backend(SchedBackend::Par)
                 .workers(workers),
         )
+    }
+
+    #[test]
+    fn par_with_one_worker_runs_inline_on_the_callers_thread() {
+        // par(1) is coop: no worker thread exists, every rank body executes on the OS
+        // thread that called `run`. With two workers the bodies run on the workers.
+        // (Without fiber support `par` degrades to threads and neither holds.)
+        if !crate::sched::COOP_SUPPORTED {
+            return;
+        }
+        let ranks_on_caller = |workers: usize| {
+            let caller = std::thread::current().id();
+            let outcome = par_cluster(8, workers).run(move |ctx| {
+                let world = ctx.world();
+                ctx.allreduce_sum_f64(&world, 1.0)?;
+                Ok(std::thread::current().id() == caller)
+            });
+            assert!(outcome.all_ok(), "{:?}", outcome.errors());
+            (0..8).filter(|&r| *outcome.value_of(r)).count()
+        };
+        assert_eq!(ranks_on_caller(1), 8, "one worker must not spawn a thread");
+        assert_eq!(
+            ranks_on_caller(2),
+            0,
+            "two workers run ranks off the caller"
+        );
     }
 
     #[test]
@@ -681,7 +716,7 @@ mod tests {
             ctx.barrier(&world)?;
             Ok((sum, ctx.now()))
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let threads = threads_cluster(8).run(program);
         // Worker counts beyond nprocs are clamped; 1 degenerates to coop's schedule.
         for workers in [1usize, 2, 3, 8, 16] {
             let par = par_cluster(8, workers).run(program);
@@ -711,7 +746,7 @@ mod tests {
                 other => Err(MpiError::Internal(format!("unexpected: {other:?}"))),
             }
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(4)).run(program);
+        let threads = threads_cluster(4).run(program);
         for workers in [2usize, 4] {
             let par = par_cluster(4, workers).run(program);
             for rank in [0usize, 1, 2] {
@@ -795,7 +830,7 @@ mod tests {
             }
             Ok(())
         };
-        let a = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let a = threads_cluster(8).run(program);
         let b = par_cluster(8, 4).run(program);
         assert_eq!(a.max_time(), b.max_time());
     }

@@ -348,7 +348,7 @@ where
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-fn run_fibers<R, F>(
+pub(super) fn run_fibers<R, F>(
     config: &ClusterConfig,
     state: Arc<ClusterState>,
     body: &F,

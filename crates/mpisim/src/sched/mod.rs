@@ -13,8 +13,9 @@
 //!
 //! * [`ThreadScheduler`] (**`threads`**) — one OS thread per rank, true host
 //!   parallelism, blocking implemented with condition variables plus explicit
-//!   failure-transition wakeups. The portable reference implementation, and still
-//!   the default backend — not the fast one: on the 2-core host of
+//!   failure-transition wakeups. The portable reference implementation — what the
+//!   fiber backends degrade to on targets without the fiber runtime and what the
+//!   equivalence tests compare against — and the slow one: on the 2-core host of
 //!   `benchmark/baseline.json` the 64-rank HPCCG cell costs 41 ms on it
 //!   (`mpisim.cell_ms.threads`) against 4.9 ms on `coop`, and the gap widens with
 //!   the rank count until the host runs out of threads around 2k ranks.
@@ -31,8 +32,23 @@
 //!   run queue is sharded over `MATCH_WORKERS` worker threads with deterministic
 //!   contiguous rank-block ownership, each worker driving its own `(clock, rank)`
 //!   min-heap of pinned fibers, with token-validated park/wake channels at every
-//!   communication edge and published per-worker virtual-time watermarks. Best for
-//!   paper-scale jobs (≥ ~2k ranks) on multi-core hosts.
+//!   communication edge and published per-worker virtual-time watermarks. **The
+//!   default backend.** A `par` job whose worker count resolves to one *is* a
+//!   `coop` job: it runs [`CoopScheduler`]'s loop inline on the calling thread, with
+//!   no worker thread spawned and no channel-registry lock taken.
+//!
+//! # When `par` gets more than one worker
+//!
+//! The worker count of a `par` job is the first of: an explicit
+//! [`ClusterConfig::workers`](crate::ClusterConfig), the `MATCH_WORKERS`
+//! environment variable, the per-job share the suite engine published
+//! ([`set_default_par_workers`]: `max(1, MATCH_CORES / MATCH_JOBS)`), and the host's
+//! available parallelism — capped at the rank count. Under the engine's defaults
+//! (`jobs` = `cores` = the host's parallelism) every cell therefore gets one worker
+//! and cells run side by side, one per core: job-level parallelism carries a sweep.
+//! A job gets several workers when there are fewer concurrent jobs than cores — an
+//! engine with `--jobs 1` (one wide cell at a time gets the whole budget), a
+//! `Cluster` run outside any engine, or an explicit `--workers` / `MATCH_WORKERS`.
 //!
 //! The fiber backends count what they do — [`SchedStats`] on every
 //! [`RunOutcome`](crate::RunOutcome) — so that the host cost of a job can be asserted
@@ -40,10 +56,10 @@
 //!
 //! The backend is selected per job through
 //! [`ClusterConfig::backend`](crate::ClusterConfig) (defaulting to the
-//! `MATCH_BACKEND` environment variable, then to `threads`).
+//! `MATCH_BACKEND` environment variable, then to `par`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
@@ -106,33 +122,41 @@ pub(crate) fn resolve_workers(explicit: usize) -> usize {
     if explicit > 0 {
         return explicit;
     }
-    if let Ok(s) = std::env::var(WORKERS_ENV_VAR) {
-        match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!(
-                "warning: {WORKERS_ENV_VAR}='{s}' is not a positive worker count; ignoring"
-            ),
-        }
+    let env = std::env::var(WORKERS_ENV_VAR).ok();
+    let pinned = env.as_deref().and_then(|s| s.trim().parse::<usize>().ok());
+    if let Some(n) = pinned.filter(|&n| n > 0) {
+        return n;
     }
-    let engine_default = DEFAULT_PAR_WORKERS.load(Ordering::Relaxed);
-    if engine_default > 0 {
-        return engine_default;
+    let fallback = match DEFAULT_PAR_WORKERS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        engine_default => engine_default,
+    };
+    if let Some(s) = env {
+        // Warn once: this runs per job, hundreds of times in one figure sweep.
+        static WARNED: Once = Once::new();
+        WARNED.call_once(|| {
+            eprintln!(
+                "warning: {WORKERS_ENV_VAR}='{s}' is not a positive worker count; \
+                 using {fallback}"
+            );
+        });
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    fallback
 }
 
 /// Which scheduler backend a job runs on (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedBackend {
-    /// One OS thread per simulated rank (the default).
-    #[default]
+    /// One OS thread per simulated rank (the reference implementation).
     Threads,
     /// All ranks as cooperative fibers over a virtual-time run queue in one OS thread.
     Coop,
     /// The virtual-time run queue sharded over `MATCH_WORKERS` worker threads, each
-    /// owning a contiguous rank block of pinned fibers.
+    /// owning a contiguous rank block of pinned fibers; with one worker, the `coop`
+    /// loop on the calling thread (the default).
+    #[default]
     Par,
 }
 
@@ -142,17 +166,22 @@ impl SchedBackend {
         [SchedBackend::Threads, SchedBackend::Coop, SchedBackend::Par];
 
     /// Reads the backend from the `MATCH_BACKEND` environment variable, defaulting to
-    /// [`SchedBackend::Threads`]. Unrecognized values fall back to the default (with a
-    /// warning on stderr) rather than aborting a long bench run.
+    /// [`SchedBackend::default`] (`par`). Unrecognized values fall back to the default
+    /// (with one warning per process on stderr) rather than aborting a long bench run.
     pub fn from_env() -> SchedBackend {
         match std::env::var(BACKEND_ENV_VAR) {
-            Err(_) => SchedBackend::Threads,
+            Err(_) => SchedBackend::default(),
             Ok(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!(
-                    "warning: {BACKEND_ENV_VAR}='{s}' is not a backend (threads|coop|par); \
-                     using threads"
-                );
-                SchedBackend::Threads
+                let fallback = SchedBackend::default();
+                // Warn once: this runs per job, hundreds of times in one figure sweep.
+                static WARNED: Once = Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "warning: {BACKEND_ENV_VAR}='{s}' is not a backend \
+                         (threads|coop|par); using {fallback}"
+                    );
+                });
+                fallback
             }),
         }
     }
@@ -437,7 +466,7 @@ mod tests {
         assert!("green-threads".parse::<SchedBackend>().is_err());
         assert_eq!(SchedBackend::Coop.to_string(), "coop");
         assert_eq!(SchedBackend::Par.to_string(), "par");
-        assert_eq!(SchedBackend::default(), SchedBackend::Threads);
+        assert_eq!(SchedBackend::default(), SchedBackend::Par);
         assert_eq!(SchedBackend::ALL.len(), 3);
     }
 

@@ -31,6 +31,11 @@
 //! need to emulate the single-threaded pop order across blocks, so workers run their
 //! blocks freely and only synchronise at communication edges.
 //!
+//! A job whose worker count resolves to **one** never gets here: one block owning
+//! every rank is the `coop` scheduler by definition, so `run_workers` hands such a
+//! job to [`coop`](super::coop)'s loop on the calling thread. Everything below
+//! describes jobs with at least two workers.
+//!
 //! # Token-validated parks (no lost wakeups)
 //!
 //! On one thread, `coop`'s check-then-park is atomic by construction. Across workers
@@ -622,6 +627,12 @@ where
 
     let nprocs = state.nprocs;
     let nworkers = super::resolve_workers(config.workers).min(nprocs).max(1);
+    if nworkers == 1 {
+        // par(1) *is* coop: one worker owns every rank, so the sharded machinery (a
+        // spawned thread, token-validated parks, the channel registry's locks) would
+        // only re-derive what the single-threaded loop has by construction.
+        return super::coop::run_fibers(config, state, body);
+    }
     let horizon = horizon_from_env();
     let shared = Arc::new(ParShared::new(nprocs, nworkers));
     state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);

@@ -138,69 +138,140 @@ impl Comd {
         }
         Ok(ghosts)
     }
+}
 
-    /// Computes Lennard-Jones forces and the local potential energy from the owned
-    /// particles plus ghosts, using an O(n·m) neighbour scan over a cutoff (the link
-    /// cells of the original are approximated by the cutoff test; the arithmetic per
-    /// interacting pair is the real LJ kernel).
-    fn compute_forces(
-        &self,
-        ctx: &mut RankCtx,
-        positions: &[f64],
-        ghosts: &[f64],
-        forces: &mut [f64],
-    ) -> f64 {
-        let n = positions.len() / 3;
-        forces.iter_mut().for_each(|f| *f = 0.0);
-        let cutoff2 = CUTOFF * CUTOFF;
-        let mut potential = 0.0;
-        let mut flops = 0.0;
-        let pair = |pi: &[f64], pj: &[f64]| -> Option<(f64, [f64; 3])> {
-            let dx = pi[0] - pj[0];
-            let dy = pi[1] - pj[1];
-            let dz = pi[2] - pj[2];
-            let r2 = dx * dx + dy * dy + dz * dz;
-            if r2 >= cutoff2 || r2 < 1e-12 {
-                return None;
+/// Lennard-Jones forces on the owned particles and the local potential energy, with
+/// the flops to charge: an all-pairs scan under a cutoff test (the link cells of the
+/// original are approximated by the cutoff; the arithmetic per interacting pair is the
+/// real LJ kernel).
+///
+/// The scan is pruned by blocks: consecutive particles are grouped [`BLOCK`] at a time
+/// under a per-call bounding box, and a block whose box lies at least [`CUTOFF`] from
+/// particle `i` along one axis is skipped whole. Every pair in such a block fails the
+/// cutoff test (`|dx| ≥ CUTOFF` survives the rounding of `dx`, `dx²` and the sum), so
+/// the pairs that do interact are visited in the all-pairs order — `i` ascending, `j`
+/// ascending, owned before ghosts — and every accumulation is bit-identical to the
+/// unpruned scan's; the flops of the skipped tests are still charged, in closed form.
+fn compute_forces(positions: &[f64], ghosts: &[f64], forces: &mut [f64]) -> (f64, f64) {
+    let n = positions.len() / 3;
+    let g = ghosts.len() / 3;
+    forces.iter_mut().for_each(|f| *f = 0.0);
+    let owned_boxes = block_boxes(positions);
+    let ghost_boxes = block_boxes(ghosts);
+    let mut potential = 0.0;
+    let mut owned_hits = 0u64;
+    let mut ghost_hits = 0u64;
+    for i in 0..n {
+        let pi = &positions[3 * i..3 * i + 3];
+        // A non-finite coordinate makes `r2` NaN, which *passes* the cutoff test: such
+        // a particle prunes nothing (and poisons its own block's box).
+        let prune = pi.iter().all(|x| x.is_finite());
+        // Owned-owned pairs (each counted once): the rest of `i`'s own block, then
+        // the later blocks.
+        for (b, bbox) in owned_boxes.iter().enumerate().skip(i / BLOCK) {
+            if prune && bbox.is_beyond_cutoff(pi) {
+                continue;
             }
-            let inv_r2 = 1.0 / r2;
-            let inv_r6 = inv_r2 * inv_r2 * inv_r2;
-            let inv_r12 = inv_r6 * inv_r6;
-            // V = 4 (r^-12 - r^-6); F = 24 (2 r^-12 - r^-6) / r^2 * dr
-            let energy = 4.0 * (inv_r12 - inv_r6);
-            let scale = 24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2;
-            Some((energy, [scale * dx, scale * dy, scale * dz]))
-        };
-        // Owned-owned pairs (each counted once).
-        for i in 0..n {
-            let pi = &positions[3 * i..3 * i + 3];
-            for j in (i + 1)..n {
-                let pj = &positions[3 * j..3 * j + 3];
-                flops += 12.0;
-                if let Some((energy, f)) = pair(pi, pj) {
+            let first = (b * BLOCK).max(i + 1);
+            let last = ((b + 1) * BLOCK).min(n);
+            for j in first..last {
+                if let Some((energy, f)) = lj_pair(pi, &positions[3 * j..3 * j + 3]) {
                     potential += energy;
                     for d in 0..3 {
                         forces[3 * i + d] += f[d];
                         forces[3 * j + d] -= f[d];
                     }
-                    flops += 20.0;
+                    owned_hits += 1;
                 }
             }
-            // Owned-ghost pairs (half the energy belongs to this rank).
-            for pj in ghosts.chunks_exact(3) {
-                flops += 12.0;
-                if let Some((energy, f)) = pair(pi, pj) {
+        }
+        // Owned-ghost pairs (half the energy belongs to this rank).
+        for (bbox, block) in ghost_boxes.iter().zip(ghosts.chunks(3 * BLOCK)) {
+            if prune && bbox.is_beyond_cutoff(pi) {
+                continue;
+            }
+            for pj in block.chunks_exact(3) {
+                if let Some((energy, f)) = lj_pair(pi, pj) {
                     potential += 0.5 * energy;
                     for d in 0..3 {
                         forces[3 * i + d] += f[d];
                     }
-                    flops += 12.0;
+                    ghost_hits += 1;
                 }
             }
         }
-        ctx.compute(flops);
-        potential
     }
+    // 12 flops per cutoff test — all n(n-1)/2 + n·g of them: the cost model is the
+    // all-pairs scan — plus 20 per interacting owned pair and 12 per interacting ghost
+    // pair. Integer-valued and far below 2^53, hence equal to the sum the unpruned
+    // loop accumulates term by term.
+    let tests = n * n.saturating_sub(1) / 2 + n * g;
+    let flops = 12.0 * tests as f64 + 20.0 * owned_hits as f64 + 12.0 * ghost_hits as f64;
+    (potential, flops)
+}
+
+/// Particles per pruning block of [`compute_forces`].
+const BLOCK: usize = 16;
+
+/// The Lennard-Jones interaction of one pair: its energy and the force on `pi`, or
+/// `None` beyond the cutoff (and for coincident particles).
+fn lj_pair(pi: &[f64], pj: &[f64]) -> Option<(f64, [f64; 3])> {
+    let dx = pi[0] - pj[0];
+    let dy = pi[1] - pj[1];
+    let dz = pi[2] - pj[2];
+    let r2 = dx * dx + dy * dy + dz * dz;
+    let cutoff2 = CUTOFF * CUTOFF;
+    if r2 >= cutoff2 || r2 < 1e-12 {
+        return None;
+    }
+    let inv_r2 = 1.0 / r2;
+    let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+    let inv_r12 = inv_r6 * inv_r6;
+    // V = 4 (r^-12 - r^-6); F = 24 (2 r^-12 - r^-6) / r^2 * dr
+    let energy = 4.0 * (inv_r12 - inv_r6);
+    let scale = 24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2;
+    Some((energy, [scale * dx, scale * dy, scale * dz]))
+}
+
+/// Axis-aligned bounding box of one block of particles.
+#[derive(Debug)]
+struct BlockBox {
+    lo: [f64; 3],
+    hi: [f64; 3],
+}
+
+impl BlockBox {
+    /// Whether every particle of the block is at least [`CUTOFF`] from `p` along one
+    /// axis. Never true for a block holding a non-finite coordinate (its box is NaN).
+    fn is_beyond_cutoff(&self, p: &[f64]) -> bool {
+        (0..3).any(|d| p[d] - self.hi[d] >= CUTOFF || self.lo[d] - p[d] >= CUTOFF)
+    }
+}
+
+/// The bounding boxes of `points` (xyz triples) taken [`BLOCK`] at a time.
+fn block_boxes(points: &[f64]) -> Vec<BlockBox> {
+    points
+        .chunks(3 * BLOCK)
+        .map(|block| {
+            if !block.iter().all(|x| x.is_finite()) {
+                return BlockBox {
+                    lo: [f64::NAN; 3],
+                    hi: [f64::NAN; 3],
+                };
+            }
+            let mut bbox = BlockBox {
+                lo: [f64::INFINITY; 3],
+                hi: [f64::NEG_INFINITY; 3],
+            };
+            for p in block.chunks_exact(3) {
+                for (d, &x) in p.iter().enumerate() {
+                    bbox.lo[d] = bbox.lo[d].min(x);
+                    bbox.hi[d] = bbox.hi[d].max(x);
+                }
+            }
+            bbox
+        })
+        .collect()
 }
 
 impl ProxyApp for Comd {
@@ -253,7 +324,8 @@ impl ProxyApp for Comd {
             injector.maybe_fail(ctx, current)?;
 
             let ghosts = self.exchange_ghosts(ctx, &world, &positions, slab_min, slab_max)?;
-            let potential = self.compute_forces(ctx, &positions, &ghosts, &mut forces);
+            let (potential, flops) = compute_forces(&positions, &ghosts, &mut forces);
+            ctx.compute(flops);
 
             // Velocity Verlet (mass = 1): a single force evaluation per step, using the
             // previous step's forces implicitly through the half-kick ordering.
@@ -349,17 +421,119 @@ mod tests {
 
     #[test]
     fn forces_are_newton_balanced_without_ghosts() {
-        let cluster = Cluster::new(ClusterConfig::with_ranks(1));
-        let outcome = cluster.run(|ctx| {
-            let app = small();
-            let (positions, _, _, _) = app.init_particles(0, 1);
-            let mut forces = vec![0.0; positions.len()];
-            let _ = app.compute_forces(ctx, &positions, &[], &mut forces);
-            // Newton's third law: the net force over an isolated system is ~zero.
-            let net: f64 = forces.iter().sum();
-            Ok(net.abs())
-        });
-        assert!(*outcome.value_of(0) < 1e-9);
+        let (positions, _, _, _) = small().init_particles(0, 1);
+        let mut forces = vec![0.0; positions.len()];
+        compute_forces(&positions, &[], &mut forces);
+        // Newton's third law: the net force over an isolated system is ~zero.
+        let net: f64 = forces.iter().sum();
+        assert!(net.abs() < 1e-9);
+    }
+
+    /// The unpruned all-pairs scan `compute_forces` replaced (same pair kernel), flops
+    /// counted term by term: the oracle the pruned scan must equal bit for bit.
+    fn all_pairs_forces(positions: &[f64], ghosts: &[f64], forces: &mut [f64]) -> (f64, f64) {
+        let n = positions.len() / 3;
+        forces.iter_mut().for_each(|f| *f = 0.0);
+        let mut potential = 0.0;
+        let mut flops = 0.0;
+        for i in 0..n {
+            let pi = &positions[3 * i..3 * i + 3];
+            for j in (i + 1)..n {
+                let pj = &positions[3 * j..3 * j + 3];
+                flops += 12.0;
+                if let Some((energy, f)) = lj_pair(pi, pj) {
+                    potential += energy;
+                    for d in 0..3 {
+                        forces[3 * i + d] += f[d];
+                        forces[3 * j + d] -= f[d];
+                    }
+                    flops += 20.0;
+                }
+            }
+            for pj in ghosts.chunks_exact(3) {
+                flops += 12.0;
+                if let Some((energy, f)) = lj_pair(pi, pj) {
+                    potential += 0.5 * energy;
+                    for d in 0..3 {
+                        forces[3 * i + d] += f[d];
+                    }
+                    flops += 12.0;
+                }
+            }
+        }
+        (potential, flops)
+    }
+
+    fn assert_pruned_equals_all_pairs(positions: &[f64], ghosts: &[f64], what: &str) {
+        let mut pruned = vec![0.0; positions.len()];
+        let mut oracle = vec![0.0; positions.len()];
+        let (potential, flops) = compute_forces(positions, ghosts, &mut pruned);
+        let (want_potential, want_flops) = all_pairs_forces(positions, ghosts, &mut oracle);
+        // Bit equality, except that a NaN equals any NaN: which sign and payload an
+        // invalid operation yields is the code generator's choice, not the kernel's.
+        let bits = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+        let all_bits = |v: &[f64]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
+        assert_eq!(all_bits(&pruned), all_bits(&oracle), "{what}: forces");
+        assert_eq!(bits(potential), bits(want_potential), "{what}: potential");
+        assert_eq!(bits(flops), bits(want_flops), "{what}: flops");
+    }
+
+    #[test]
+    fn pruned_forces_equal_the_all_pairs_scan_bit_for_bit() {
+        // (lattice, particles per rank): the middle rank of three owns 4 x 8 x 8 and
+        // 8 x 16 x 16 sites; the rank index seeds the jitter.
+        for (params, per_rank) in [
+            (ComdParams::new(12, 8, 8, 1), 256),
+            (ComdParams::new(24, 16, 16, 1), 2048),
+        ] {
+            let app = Comd::new(params);
+            for rank in 0..3usize {
+                let (mut positions, mut velocities, slab_min, slab_max) =
+                    app.init_particles(rank, 3);
+                assert_eq!(positions.len() / 3, per_rank);
+                // What `exchange_ghosts` would deliver: the neighbours' boundary strips.
+                let mut strips: Vec<f64> = Vec::new();
+                for peer in (0..3usize).filter(|p| p.abs_diff(rank) == 1) {
+                    let (theirs, ..) = app.init_particles(peer, 3);
+                    for p in theirs.chunks_exact(3) {
+                        if p[0] > slab_min - CUTOFF && p[0] < slab_max + CUTOFF {
+                            strips.extend_from_slice(p);
+                        }
+                    }
+                }
+                assert!(!strips.is_empty());
+                for (ghosts, label) in [(&[][..], "no ghosts"), (&strips[..], "ghosts")] {
+                    let what = format!("{per_rank} particles, rank {rank}, {label}");
+                    assert_pruned_equals_all_pairs(&positions, ghosts, &format!("{what}, before"));
+                    let mut forces = vec![0.0; positions.len()];
+                    for _ in 0..20 {
+                        compute_forces(&positions, ghosts, &mut forces);
+                        for i in 0..velocities.len() {
+                            velocities[i] += DT * forces[i];
+                            positions[i] += DT * velocities[i];
+                        }
+                    }
+                    assert_pruned_equals_all_pairs(
+                        &positions,
+                        ghosts,
+                        &format!("{what}, after 20 steps"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_prune_nothing() {
+        // NaN distances pass the cutoff test of the all-pairs scan; the pruned kernel
+        // must reproduce even that.
+        let (mut positions, ..) = Comd::new(ComdParams::new(8, 8, 8, 1)).init_particles(0, 1);
+        let ghosts = positions[..3 * 40].to_vec();
+        positions[3 * 100 + 1] = f64::NAN;
+        positions[3 * 300] = f64::INFINITY;
+        positions[3 * 301] = f64::INFINITY;
+        positions[3 * 400] = f64::INFINITY;
+        assert_pruned_equals_all_pairs(&positions, &ghosts, "non-finite");
     }
 
     #[test]

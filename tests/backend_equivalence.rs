@@ -91,16 +91,24 @@ fn run_trace_at(
     trace: FailureTrace,
     fti: FtiConfig,
 ) -> (Vec<RankObservation>, TimeBreakdown) {
+    let cluster = ClusterConfig::with_ranks(nprocs)
+        .nodes(nnodes)
+        .backend(backend)
+        .workers(workers)
+        .stack_size(256 * 1024);
+    run_trace_in(cluster, strategy, trace, fti)
+}
+
+fn run_trace_in(
+    cluster: ClusterConfig,
+    strategy: RecoveryStrategy,
+    trace: FailureTrace,
+    fti: FtiConfig,
+) -> (Vec<RankObservation>, TimeBreakdown) {
+    let backend = cluster.backend;
     let store = CheckpointStore::shared();
     let config = FtConfig::new(strategy, fti).with_fault(trace);
-    let cluster = Cluster::new(
-        ClusterConfig::with_ranks(nprocs)
-            .nodes(nnodes)
-            .backend(backend)
-            .workers(workers)
-            .stack_size(256 * 1024),
-    );
-    let outcome = cluster.run(move |ctx| {
+    let outcome = Cluster::new(cluster).run(move |ctx| {
         let driver = FtDriver::new(config.clone(), Arc::clone(&store));
         driver.execute(ctx, toy_app)
     });
@@ -397,6 +405,68 @@ fn wide_cells_with_a_failure_are_bit_identical_across_backends() {
     }
 }
 
+/// Exclusive hold on the scheduler selection of the process environment: saves
+/// `MATCH_BACKEND` and `MATCH_WORKERS` and puts them back on drop. The tests that set
+/// or clear them serialise on it; every other test in this binary names its backend.
+struct SchedEnv {
+    saved: [(&'static str, Option<String>); 2],
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+impl SchedEnv {
+    fn hold() -> SchedEnv {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        SchedEnv {
+            saved: ["MATCH_BACKEND", "MATCH_WORKERS"].map(|k| (k, std::env::var(k).ok())),
+            _lock: lock,
+        }
+    }
+}
+
+impl Drop for SchedEnv {
+    fn drop(&mut self) {
+        for (key, value) in &self.saved {
+            match value {
+                Some(v) => std::env::set_var(key, v),
+                None => std::env::remove_var(key),
+            }
+        }
+    }
+}
+
+/// The library-default leg: a configuration that names no backend, in a process
+/// whose environment names none either, runs on `SchedBackend::default()` with the
+/// default worker resolution — the path every figure takes — and must equal the
+/// `threads` reference bit for bit. One with-failure cell per design at 64 ranks
+/// (a few ranks per worker on a small host) and at 256.
+#[test]
+fn library_default_backend_is_bit_identical_to_threads() {
+    let _env = SchedEnv::hold();
+    std::env::remove_var("MATCH_BACKEND");
+    std::env::remove_var("MATCH_WORKERS");
+    for nprocs in [64usize, 256] {
+        let default = ClusterConfig::with_ranks(nprocs);
+        assert_eq!(default.backend, SchedBackend::Par, "fibers are the default");
+        assert_eq!(default.workers, 0, "the default names no worker count");
+        let trace = FailureTrace::schedule(vec![FailureSpec::kill_process(nprocs / 3, 7)]);
+        for strategy in RecoveryStrategy::ALL {
+            let run = |cluster| run_trace_in(cluster, strategy, trace.clone(), resilient_config());
+            let (a, ba) = run(default.clone().backend(SchedBackend::Threads));
+            assert!(
+                a.iter().any(|o| o.recoveries == 1),
+                "{strategy} must recover"
+            );
+            let (b, bb) = run(default.clone());
+            assert_eq!(a, b, "{strategy}@{nprocs} diverged on the default backend");
+            assert_eq!(
+                ba, bb,
+                "{strategy}@{nprocs} breakdowns diverged on the default backend"
+            );
+        }
+    }
+}
+
 /// A rank program that blocks with no simulated event left to produce — here a
 /// receive cycle nobody ever feeds — must be *diagnosed* by the `par` backend with a
 /// panic naming the parked ranks, not hang the suite.
@@ -433,8 +503,7 @@ fn experiment_run_reports_are_equal_across_backends() {
     })
     .with_options(&SuiteOptions::smoke())
     .with_failure(true);
-    let saved = std::env::var("MATCH_BACKEND").ok();
-    let saved_workers = std::env::var("MATCH_WORKERS").ok();
+    let env = SchedEnv::hold();
     std::env::set_var("MATCH_BACKEND", "threads");
     let threads = runner::run_experiment_uncached(&experiment).unwrap();
     std::env::set_var("MATCH_BACKEND", "coop");
@@ -442,14 +511,7 @@ fn experiment_run_reports_are_equal_across_backends() {
     std::env::set_var("MATCH_BACKEND", "par");
     std::env::set_var("MATCH_WORKERS", "3");
     let par = runner::run_experiment_uncached(&experiment).unwrap();
-    match saved {
-        Some(v) => std::env::set_var("MATCH_BACKEND", v),
-        None => std::env::remove_var("MATCH_BACKEND"),
-    }
-    match saved_workers {
-        Some(v) => std::env::set_var("MATCH_WORKERS", v),
-        None => std::env::remove_var("MATCH_WORKERS"),
-    }
+    drop(env);
     assert_eq!(
         threads, coop,
         "RunReports must be bit-identical across backends (the cache key omits the \
