@@ -6,7 +6,8 @@
 //!
 //! * `MATCH_PROCS` — comma-separated process-count ladder (default `4,8,16,32`;
 //!   the paper uses `64,128,256,512`),
-//! * `MATCH_SCALE` — `smoke`, `bench` or `paper` input scaling (default `smoke`),
+//! * `MATCH_SCALE` — `smoke`, `bench` or `paper` input scaling, in any letter case
+//!   (default `smoke`; any other value is an error, exit status 2),
 //! * `MATCH_APPS` — comma-separated subset of applications (default: all six),
 //! * `MATCH_REPS` — repetitions per configuration (default 1; the paper uses 5),
 //! * `MATCH_JOBS` — number of experiments run concurrently by the
@@ -47,10 +48,12 @@ pub fn options_from_env() -> MatrixOptions {
         .filter(|v: &Vec<usize>| !v.is_empty())
         .unwrap_or_else(|| vec![4, 8, 16, 32]);
 
-    let scale = match std::env::var("MATCH_SCALE").as_deref() {
-        Ok("paper") => ExecutionScale::paper(),
-        Ok("bench") => ExecutionScale::bench(),
-        _ => ExecutionScale::smoke(),
+    let scale = match std::env::var("MATCH_SCALE") {
+        Err(_) => ExecutionScale::smoke(),
+        Ok(value) => parse_scale(&value).unwrap_or_else(|error| {
+            eprintln!("{error}");
+            std::process::exit(2);
+        }),
     };
 
     let apps: Vec<ProxyKind> = std::env::var("MATCH_APPS")
@@ -82,6 +85,23 @@ pub fn options_from_env() -> MatrixOptions {
             repetitions,
             seed: 2020,
         },
+    }
+}
+
+/// Parses a `MATCH_SCALE` value: `smoke`, `bench` or `paper`, in any letter case.
+///
+/// # Errors
+///
+/// Any other value is an error naming the knob and the accepted values — a
+/// misspelt scale must not regenerate smoke numbers under another label.
+pub fn parse_scale(value: &str) -> Result<ExecutionScale, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "smoke" => Ok(ExecutionScale::smoke()),
+        "bench" => Ok(ExecutionScale::bench()),
+        "paper" => Ok(ExecutionScale::paper()),
+        _ => Err(format!(
+            "MATCH_SCALE='{value}' is not a scale (expected smoke, bench or paper)"
+        )),
     }
 }
 
@@ -225,5 +245,25 @@ mod tests {
         assert!(!opts.process_counts.is_empty());
         assert!(!opts.apps.is_empty());
         assert!(opts.suite.repetitions >= 1);
+    }
+
+    #[test]
+    fn scale_names_parse_in_any_case_and_nothing_else_does() {
+        for (value, want) in [
+            ("smoke", ExecutionScale::smoke()),
+            ("bench", ExecutionScale::bench()),
+            ("paper", ExecutionScale::paper()),
+            ("Paper", ExecutionScale::paper()),
+            ("BENCH", ExecutionScale::bench()),
+            (" smoke ", ExecutionScale::smoke()),
+        ] {
+            assert_eq!(parse_scale(value), Ok(want), "{value:?}");
+        }
+        for value in ["", "papr", "paper2", "smoke,bench", "1.0", "full"] {
+            let error = parse_scale(value).unwrap_err();
+            assert!(error.contains("MATCH_SCALE"), "{error}");
+            assert!(error.contains(&format!("'{value}'")), "{error}");
+            assert!(error.contains("smoke, bench or paper"), "{error}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! A small CLI that regenerates any table or figure of the MATCH paper on demand.
 //!
 //! ```text
-//! match-bench [--jobs N] [--json] [--backend threads|coop|par] [--workers N] \
+//! match-bench [--help] [--jobs N] [--json] [--backend threads|coop|par] [--workers N] \
 //!             [--racks N] [--expect-warm] \
 //!             [table1|fig5|...|fig10|mtbf|findings|micro|scale|cachebench|explore|all ...]
 //! match-bench cache stats|gc|clear
@@ -87,6 +87,50 @@ use match_core::SuiteEngine;
 const TARGETS: [&str; 9] = [
     "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "mtbf", "findings",
 ];
+
+/// What `--help` prints.
+const USAGE: &str = "\
+Regenerates the tables and figures of the MATCH paper on the simulated cluster.
+
+usage: match-bench [flags] [target ...]        (no target: all)
+       match-bench cache stats|gc|clear
+       match-bench --replay <artifact.json>
+
+targets:
+  table1            Table I, the experimentation configuration (no simulation)
+  fig5 fig6 fig7    scaling in the process count: failure-free, with a failure,
+                    recovery time
+  fig8 fig9 fig10   scaling in the input size: failure-free, with a failure,
+                    recovery time
+  mtbf              efficiency against the failure rate, per design
+  findings          the Section V-C findings, derived from the Fig. 6 matrix
+  all               every target above, as one scheduled matrix
+  micro scale cachebench explore
+                    data-plane kernels, scheduler scaling, cold against warm
+                    cache, fault-space explorer (not part of all)
+
+flags:
+  -j, --jobs N      experiments run concurrently (MATCH_JOBS; default: host cores)
+  --backend NAME    scheduler backend: threads, coop or par (MATCH_BACKEND; par)
+  --workers N       worker threads of a par job (MATCH_WORKERS; cores / jobs)
+  --racks N         racks of the simulated topology (MATCH_RACKS)
+  --json            also write <target>.json, byte-identical for identical results
+  --expect-warm     exit 1 if any figure cell had to be simulated
+  --replay FILE     re-run an explorer repro and verify it reproduces
+  -h, --help        print this and exit
+
+environment:
+  MATCH_PROCS       process-count ladder (default 4,8,16,32; the paper: 64,128,256,512)
+  MATCH_SCALE       smoke, bench or paper input scaling (default smoke)
+  MATCH_APPS        subset of AMG,CoMD,HPCCG,LULESH,miniFE,miniVite (default: all)
+  MATCH_REPS        repetitions per configuration (default 1; the paper: 5)
+  MATCH_SHRINK      0 drops the SHRINK-FTI design from every sweep
+  MATCH_MTBF, MATCH_MTBF_CRASH_PCT, MATCH_MTBF_RACK_PCT
+                    the mtbf target's ladder and failure correlation
+  MATCH_CACHE, MATCH_CACHE_DIR, MATCH_CACHE_MAX_MB
+                    the persistent result cache: off, its root, its size cap
+  (the README's knob table lists every MATCH_* variable)
+";
 
 /// Writes a target's canonical JSON next to the working directory (used by the CI
 /// determinism job, which byte-diffs the output of two runs).
@@ -403,6 +447,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             "--json" => json = true,
             "--expect-warm" => expect_warm = true,
             "--replay" => {

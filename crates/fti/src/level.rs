@@ -60,8 +60,9 @@ pub enum RestoreSource {
 /// Outcome of a checkpoint read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOutcome {
-    /// The recovered per-object payloads, in checkpoint order.
-    pub objects: Vec<Vec<u8>>,
+    /// The recovered per-object payloads, in checkpoint order: views of the blob the
+    /// read was served from (or of the decoded buffer), not copies.
+    pub objects: Vec<Payload>,
     /// The iteration the checkpoint was taken at.
     pub iteration: u64,
     /// Bytes read from storage.
@@ -479,7 +480,7 @@ fn try_reconstruct(ctx: &mut RankCtx, cfg: &FtiConfig, set: &CheckpointSet) -> O
                     .compute_cost(rs_code::encode_work(meta.bytes, k, m)),
             );
             return Some(ReadOutcome {
-                objects: meta.split_payload(&payload),
+                objects: meta.split_payload(&Payload::from(payload)),
                 iteration: meta.iteration,
                 read_bytes: shard_bytes,
                 degraded: true,
@@ -525,7 +526,7 @@ mod tests {
         level: CheckpointLevel,
         erase_home_node: bool,
         fallback: bool,
-    ) -> Vec<Result<Option<Vec<Vec<u8>>>, MpiError>> {
+    ) -> Vec<Result<Option<Vec<Payload>>, MpiError>> {
         let store = CheckpointStore::shared();
         let cfg = FtiConfig::level(level).fallback(fallback);
         let cluster = Cluster::new(ClusterConfig::with_ranks(8).nodes(4));
@@ -647,6 +648,59 @@ mod tests {
             assert_eq!(read.level, CheckpointLevel::L4);
             assert!(read.degraded);
             assert_eq!(read.objects[0], vec![7u8; 64]);
+            Ok(())
+        });
+        assert!(outcome.all_ok(), "{:?}", outcome.errors());
+    }
+
+    #[test]
+    fn read_objects_are_views_of_the_blob_that_served_the_read() {
+        // Restoring must not copy the payload twice: the per-object payloads of a read
+        // alias the stored blob — the primary, and once its node is gone the partner
+        // copy — and an object restored from them is unchanged.
+        use crate::protect::Protectable;
+        let store = CheckpointStore::shared();
+        let cfg = FtiConfig::level(CheckpointLevel::L2);
+        let store2 = Arc::clone(&store);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4).nodes(4));
+        let outcome = cluster.run(move |ctx| {
+            let world = ctx.world();
+            let field: Vec<f64> = (0..40).map(|i| (i * (ctx.rank() + 1)) as f64).collect();
+            let step = 7u64;
+            let objects = vec![field.to_bytes(), step.to_bytes()];
+            let meta = meta_for(&objects, CheckpointLevel::L2, 6);
+            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            ctx.barrier(&world)?;
+            for crashed in [false, true] {
+                if crashed {
+                    // Node 0 holds rank 0's primary: its next read is served by the
+                    // partner copy on another node.
+                    ctx.barrier(&world)?;
+                    if ctx.rank() == 0 {
+                        store2.erase_node(0);
+                    }
+                    ctx.barrier(&world)?;
+                }
+                let read = read_checkpoint(ctx, &cfg, &store2)?.expect("L2 set must survive");
+                let served_by = if crashed && ctx.rank() == 0 {
+                    assert_eq!(read.source, RestoreSource::Partner);
+                    BlobKind::PartnerCopy
+                } else {
+                    assert_eq!(read.source, RestoreSource::Primary);
+                    BlobKind::Primary
+                };
+                let blob = store2.get(ctx.rank()).unwrap().blobs[&served_by]
+                    .data
+                    .clone();
+                assert_eq!(read.objects.len(), 2);
+                for object in &read.objects {
+                    assert!(object.same_buffer(&blob), "{served_by:?}: copied");
+                }
+                let (mut restored_field, mut restored_step) = (vec![0.0f64; 1], 0u64);
+                restored_field.restore_from(&read.objects[0]);
+                restored_step.restore_from(&read.objects[1]);
+                assert_eq!((restored_field, restored_step), (field.clone(), step));
+            }
             Ok(())
         });
         assert!(outcome.all_ok(), "{:?}", outcome.errors());

@@ -1,5 +1,7 @@
 //! Checkpoint metadata.
 
+use mpisim::Payload;
+
 use crate::config::CheckpointLevel;
 use crate::protect::ObjectLayout;
 
@@ -33,21 +35,24 @@ impl CheckpointMeta {
         self.object_ids.len()
     }
 
-    /// Splits a flat payload into per-object byte vectors according to
-    /// [`CheckpointMeta::object_lens`].
+    /// Splits a flat payload into per-object views according to
+    /// [`CheckpointMeta::object_lens`]: sub-slices of `payload`'s own buffer, no bytes
+    /// are copied.
     ///
     /// # Panics
     ///
     /// Panics if the payload is shorter than the sum of the object lengths (which
     /// would indicate a corrupted checkpoint).
-    pub fn split_payload(&self, payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.object_lens.len());
+    pub fn split_payload(&self, payload: &Payload) -> Vec<Payload> {
         let mut offset = 0;
-        for &len in &self.object_lens {
-            out.push(payload[offset..offset + len].to_vec());
-            offset += len;
-        }
-        out
+        self.object_lens
+            .iter()
+            .map(|&len| {
+                let object = payload.slice(offset..offset + len);
+                offset += len;
+                object
+            })
+            .collect()
     }
 }
 
@@ -80,8 +85,10 @@ mod tests {
             object_layouts: vec![ObjectLayout::Replicated; 3],
         };
         assert_eq!(m.object_count(), 3);
-        let parts = m.split_payload(&[1, 2, 3, 4, 5, 6]);
+        let payload = Payload::from(vec![1, 2, 3, 4, 5, 6]);
+        let parts = m.split_payload(&payload);
         assert_eq!(parts, vec![vec![1], vec![2, 3], vec![4, 5, 6]]);
+        assert!(parts.iter().all(|part| part.same_buffer(&payload)));
     }
 
     #[test]

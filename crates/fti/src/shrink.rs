@@ -130,7 +130,7 @@ pub fn redistribute_after_shrink(
     // Read the agreed set of every owner this survivor speaks for. Adoption reads
     // fetch a dead rank's surviving blobs across the failure domain separating the
     // reader from them (the dead rank's own node is gone by construction).
-    let mut held: HashMap<usize, (CheckpointMeta, Vec<Vec<u8>>)> = HashMap::new();
+    let mut held: HashMap<usize, (CheckpointMeta, Vec<Payload>)> = HashMap::new();
     for &oi in &my_owners {
         let owner = old_world[oi];
         let read = read_checkpoint_of(ctx, cfg, store, owner, Some(agreed))?.ok_or_else(|| {
@@ -152,7 +152,7 @@ pub fn redistribute_after_shrink(
 
     let mut my_bytes_sent = 0u64;
     let mut my_messages = 0u64;
-    let mut new_objects: Vec<Vec<u8>> = Vec::with_capacity(template.object_ids.len());
+    let mut new_objects: Vec<Payload> = Vec::with_capacity(template.object_ids.len());
 
     for (obj_pos, (&obj_id, &layout)) in template
         .object_ids
@@ -207,12 +207,12 @@ pub fn redistribute_after_shrink(
                                     unit_bytes,
                                 );
                                 let off = (lo - my_new_start) as usize * unit_bytes;
-                                assembled[off..off + frag_bytes].copy_from_slice(src);
+                                assembled[off..off + frag_bytes].copy_from_slice(&src);
                             }
                         } else if me_idx == holder_idx {
                             let src =
                                 slice_of(&held[&old_idx], obj_id, old_start, lo, hi, unit_bytes);
-                            ctx.send_payload(comm, new_idx, REDISTRIBUTE_TAG, Payload::from(src))?;
+                            ctx.send_payload(comm, new_idx, REDISTRIBUTE_TAG, src)?;
                             my_bytes_sent += frag_bytes as u64;
                             my_messages += 1;
                         } else if me_idx == new_idx {
@@ -223,7 +223,7 @@ pub fn redistribute_after_shrink(
                         }
                     }
                 }
-                new_objects.push(assembled);
+                new_objects.push(Payload::from(assembled));
             }
         }
     }
@@ -236,7 +236,7 @@ pub fn redistribute_after_shrink(
     }
     ctx.barrier(comm)?;
 
-    let object_lens: Vec<usize> = new_objects.iter().map(Vec::len).collect();
+    let object_lens: Vec<usize> = new_objects.iter().map(Payload::len).collect();
     let object_layouts: Vec<ObjectLayout> = template
         .object_layouts
         .iter()
@@ -274,16 +274,16 @@ pub fn redistribute_after_shrink(
     })
 }
 
-/// The byte slice of units `[lo, hi)` inside the held checkpoint of one old owner,
-/// whose object `obj_id` starts at global unit `old_start`.
+/// The bytes of units `[lo, hi)` inside the held checkpoint of one old owner, whose
+/// object `obj_id` starts at global unit `old_start`: a view of the held payload.
 fn slice_of(
-    held: &(CheckpointMeta, Vec<Vec<u8>>),
+    held: &(CheckpointMeta, Vec<Payload>),
     obj_id: u32,
     old_start: u64,
     lo: u64,
     hi: u64,
     unit_bytes: usize,
-) -> &[u8] {
+) -> Payload {
     let (meta, objects) = held;
     let pos = meta
         .object_ids
@@ -292,7 +292,7 @@ fn slice_of(
         .expect("owner's checkpoint must hold the same objects");
     let a = (lo - old_start) as usize * unit_bytes;
     let b = (hi - old_start) as usize * unit_bytes;
-    &objects[pos][a..b]
+    objects[pos].slice(a..b)
 }
 
 #[cfg(test)]

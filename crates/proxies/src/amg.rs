@@ -118,9 +118,7 @@ impl Amg {
         r: &mut [f64],
     ) -> Result<(), MpiError> {
         let plane = level.nx * level.ny;
-        let bottom = x[..plane].to_vec();
-        let top = x[x.len() - plane..].to_vec();
-        let (below, above) = halo_exchange(ctx, comm, 31, &bottom, &top)?;
+        let (below, above) = halo_exchange(ctx, comm, 31, &x[..plane], &x[x.len() - plane..])?;
         let mut flops = 0.0;
         for iz in 0..level.nz {
             for iy in 0..level.ny {

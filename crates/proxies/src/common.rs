@@ -195,6 +195,12 @@ pub fn halo_exchange(
     Ok((from_prev, from_next))
 }
 
+/// A halo plane as [`halo_exchange`] returned it, or `None` for the empty vector that
+/// stands for a physical domain boundary.
+pub(crate) fn received(halo: &[f64]) -> Option<&[f64]> {
+    (!halo.is_empty()).then_some(halo)
+}
+
 /// Distributed dot product: the global sum of `sum(a[i] * b[i])` over all ranks.
 ///
 /// # Errors
@@ -298,6 +304,46 @@ pub fn run_standalone(
     let mut fti = Fti::init(fti_config, store, ctx)?;
     let injector = FaultInjector::disabled();
     app.run(ctx, &mut fti, &injector)
+}
+
+/// Helpers of the kernel-versus-oracle tests of the proxy modules.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::DetRng;
+
+    /// The bit pattern of `x`, except that a NaN equals any NaN: which sign and payload
+    /// an invalid operation yields is the code generator's choice, not the kernel's.
+    pub(crate) fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            u64::MAX
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// [`bits`] of every element.
+    pub(crate) fn all_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|&x| bits(x)).collect()
+    }
+
+    /// `len` values that exercise rounding and the special cases of IEEE arithmetic:
+    /// mostly ordinary magnitudes over six decades, salted with ±0, subnormals and
+    /// values near the overflow threshold, and, if `wild`, ±inf and NaN.
+    pub(crate) fn awkward_values(rng: &mut DetRng, len: usize, wild: bool) -> Vec<f64> {
+        (0..len)
+            .map(|_| {
+                let sign = if rng.next_below(2) == 0 { 1.0 } else { -1.0 };
+                match rng.next_below(100) {
+                    0..=5 => sign * 0.0,
+                    6..=11 => sign * f64::from_bits(rng.next_u64() >> 12),
+                    12..=15 => sign * 1.0e308 * rng.next_f64(),
+                    16..=17 if wild => sign * f64::INFINITY,
+                    18..=19 if wild => f64::NAN,
+                    _ => sign * rng.next_f64() * 10f64.powi(rng.next_below(7) as i32 - 3),
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@ use fti::{Fti, Protectable};
 use mpisim::{Comm, MpiError, RankCtx};
 use recovery::FaultInjector;
 
-use crate::common::{checksum, distributed_dot, halo_exchange, world_slab, AppOutput, ProxyApp};
+use crate::common::{
+    checksum, distributed_dot, halo_exchange, received, world_slab, AppOutput, ProxyApp,
+};
 
 /// HPCCG parameters: the per-process grid dimensions (the meaning of the `nx ny nz`
 /// command-line arguments of the original proxy) and the CG iteration bound.
@@ -75,59 +77,58 @@ impl Hpccg {
         &self.params
     }
 
-    fn index(&self, ix: usize, iy: usize, iz: usize) -> usize {
-        (iz * self.params.ny + iy) * self.params.nx + ix
-    }
-
     /// Applies the 27-point stencil operator `y = A v`, using the halo planes received
-    /// from the z-neighbours (empty slices mean a physical domain boundary). The local
-    /// z extent is derived from `v`, because the rank's slab of the global z axis
-    /// changes when the world shrinks.
+    /// from the z-neighbours (empty slices mean a physical domain boundary), and
+    /// returns the flops to charge. The local z extent is derived from `v`, because
+    /// the rank's slab of the global z axis changes when the world shrinks.
+    ///
+    /// Every point starts from `27 v` and subtracts its in-domain neighbours in
+    /// ascending `(dz, dy, dx)` order. The sweep is sliced into x-rows: an output row
+    /// takes its (up to nine) neighbour rows in `(dz, dy)` order, and within one
+    /// neighbour row every point subtracts its `dx = -1, 0, +1` entries in that order,
+    /// so each point sees exactly the subtraction sequence of a point-by-point scan
+    /// while the loops over `ix` carry no branch and vectorise.
     fn spmv(&self, v: &[f64], below: &[f64], above: &[f64], y: &mut [f64]) -> f64 {
         let (nx, ny) = (self.params.nx, self.params.ny);
         let plane = nx * ny;
         let nz = v.len() / plane;
-        let mut flops = 0.0;
         for iz in 0..nz {
+            let centre = &v[iz * plane..(iz + 1) * plane];
+            let planes = [
+                if iz > 0 {
+                    Some(&v[(iz - 1) * plane..iz * plane])
+                } else {
+                    received(below)
+                },
+                Some(centre),
+                if iz + 1 < nz {
+                    Some(&v[(iz + 1) * plane..(iz + 2) * plane])
+                } else {
+                    received(above)
+                },
+            ];
             for iy in 0..ny {
-                for ix in 0..nx {
-                    let mut acc = 27.0 * v[self.index(ix, iy, iz)];
-                    for dz in -1i64..=1 {
-                        for dy in -1i64..=1 {
-                            for dx in -1i64..=1 {
-                                if dx == 0 && dy == 0 && dz == 0 {
-                                    continue;
-                                }
-                                let jx = ix as i64 + dx;
-                                let jy = iy as i64 + dy;
-                                let jz = iz as i64 + dz;
-                                if jx < 0 || jx >= nx as i64 || jy < 0 || jy >= ny as i64 {
-                                    continue;
-                                }
-                                let neighbour = if jz < 0 {
-                                    if below.is_empty() {
-                                        continue;
-                                    }
-                                    below[(jy as usize) * nx + jx as usize]
-                                } else if jz >= nz as i64 {
-                                    if above.is_empty() {
-                                        continue;
-                                    }
-                                    above[(jy as usize) * nx + jx as usize]
-                                } else {
-                                    v[self.index(jx as usize, jy as usize, jz as usize)]
-                                };
-                                acc -= neighbour;
-                            }
+                let out = &mut y[iz * plane + iy * nx..][..nx];
+                for (o, c) in out.iter_mut().zip(&centre[iy * nx..][..nx]) {
+                    *o = 27.0 * c;
+                }
+                for (dz, neighbours) in planes.iter().enumerate() {
+                    let Some(neighbours) = neighbours else {
+                        continue;
+                    };
+                    for jy in iy.saturating_sub(1)..=(iy + 1).min(ny - 1) {
+                        let row = &neighbours[jy * nx..][..nx];
+                        if dz == 1 && jy == iy {
+                            subtract_row::<false>(out, row);
+                        } else {
+                            subtract_row::<true>(out, row);
                         }
                     }
-                    y[self.index(ix, iy, iz)] = acc;
-                    flops += 54.0;
                 }
             }
         }
-        let _ = plane;
-        flops
+        // Two flops per stencil entry, boundary rows charged like interior ones.
+        54.0 * v.len() as f64
     }
 
     /// One halo exchange + SpMV, charging the compute cost.
@@ -139,12 +140,39 @@ impl Hpccg {
         y: &mut [f64],
     ) -> Result<(), MpiError> {
         let plane = self.params.nx * self.params.ny;
-        let bottom_plane = v[..plane].to_vec();
-        let top_plane = v[v.len() - plane..].to_vec();
-        let (below, above) = halo_exchange(ctx, comm, 11, &bottom_plane, &top_plane)?;
+        let (below, above) = halo_exchange(ctx, comm, 11, &v[..plane], &v[v.len() - plane..])?;
         let flops = self.spmv(v, &below, &above, y);
         ctx.compute(flops);
         Ok(())
+    }
+}
+
+/// Subtracts from every `out[ix]` the entries of one neighbour row that are adjacent to
+/// it in x, in ascending `dx` order: `row[ix - 1]`, `row[ix]` (only if `CENTRE`: the
+/// point is not its own neighbour) and `row[ix + 1]`, each where it exists.
+fn subtract_row<const CENTRE: bool>(out: &mut [f64], row: &[f64]) {
+    let nx = out.len();
+    let row = &row[..nx];
+    if nx == 1 {
+        if CENTRE {
+            out[0] -= row[0];
+        }
+        return;
+    }
+    if CENTRE {
+        out[0] -= row[0];
+    }
+    out[0] -= row[1];
+    for (o, w) in out[1..nx - 1].iter_mut().zip(row.windows(3)) {
+        *o -= w[0];
+        if CENTRE {
+            *o -= w[1];
+        }
+        *o -= w[2];
+    }
+    out[nx - 1] -= row[nx - 2];
+    if CENTRE {
+        out[nx - 1] -= row[nx - 1];
     }
 }
 
@@ -214,15 +242,15 @@ impl ProxyApp for Hpccg {
             self.apply_operator(ctx, &world, &p, &mut ap)?;
             let pap = distributed_dot(ctx, &world, &p, &ap)?;
             let alpha = if pap.abs() > 0.0 { rr / pap } else { 0.0 };
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
+            for ((xi, ri), (pi, api)) in x.iter_mut().zip(&mut r).zip(p.iter().zip(&ap)) {
+                *xi += alpha * pi;
+                *ri -= alpha * api;
             }
             ctx.compute(4.0 * n as f64);
             let rr_new = distributed_dot(ctx, &world, &r, &r)?;
             let beta = if rr.abs() > 0.0 { rr_new / rr } else { 0.0 };
-            for i in 0..n {
-                p[i] = r[i] + beta * p[i];
+            for (pi, ri) in p.iter_mut().zip(&r) {
+                *pi = ri + beta * *pi;
             }
             ctx.compute(2.0 * n as f64);
             rr = rr_new;
@@ -259,10 +287,12 @@ impl ProxyApp for Hpccg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_standalone;
+    use crate::common::testing::{all_bits, awkward_values};
+    use crate::common::{run_standalone, DetRng};
     use fti::store::CheckpointStore;
     use fti::FtiConfig;
     use mpisim::{Cluster, ClusterConfig};
+    use proptest::prelude::*;
 
     fn small() -> Hpccg {
         Hpccg::new(HpccgParams::new(6, 6, 6, 12))
@@ -334,6 +364,93 @@ mod tests {
         let reference = outcome.value_of(0).checksum;
         for rank in outcome.ranks() {
             assert_eq!(rank.result.as_ref().unwrap().checksum, reference);
+        }
+    }
+
+    /// The point-by-point scan `spmv` replaced: 27 range-tested neighbours per point,
+    /// flops counted point by point. The oracle the row-sliced sweep must equal bit
+    /// for bit.
+    fn spmv_point_by_point(
+        app: &Hpccg,
+        v: &[f64],
+        below: &[f64],
+        above: &[f64],
+        y: &mut [f64],
+    ) -> f64 {
+        let (nx, ny) = (app.params.nx, app.params.ny);
+        let index = |ix: usize, iy: usize, iz: usize| (iz * ny + iy) * nx + ix;
+        let nz = v.len() / (nx * ny);
+        let mut flops = 0.0;
+        for iz in 0..nz {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let mut acc = 27.0 * v[index(ix, iy, iz)];
+                    for dz in -1i64..=1 {
+                        for dy in -1i64..=1 {
+                            for dx in -1i64..=1 {
+                                if dx == 0 && dy == 0 && dz == 0 {
+                                    continue;
+                                }
+                                let jx = ix as i64 + dx;
+                                let jy = iy as i64 + dy;
+                                let jz = iz as i64 + dz;
+                                if jx < 0 || jx >= nx as i64 || jy < 0 || jy >= ny as i64 {
+                                    continue;
+                                }
+                                let neighbour = if jz < 0 {
+                                    if below.is_empty() {
+                                        continue;
+                                    }
+                                    below[(jy as usize) * nx + jx as usize]
+                                } else if jz >= nz as i64 {
+                                    if above.is_empty() {
+                                        continue;
+                                    }
+                                    above[(jy as usize) * nx + jx as usize]
+                                } else {
+                                    v[index(jx as usize, jy as usize, jz as usize)]
+                                };
+                                acc -= neighbour;
+                            }
+                        }
+                    }
+                    y[index(ix, iy, iz)] = acc;
+                    flops += 54.0;
+                }
+            }
+        }
+        flops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Degenerate extents (one to three points across, one local plane so that the
+        /// bottom plane is the top plane, a slab whose `local_nz` differs from
+        /// `params.nz`), halos present or absent on either side, and values that
+        /// overflow, underflow, cancel to ±0 or are not numbers at all.
+        #[test]
+        fn spmv_equals_the_point_by_point_scan_bit_for_bit(
+            nx in 1usize..12,
+            ny in 1usize..8,
+            local_nz in 1usize..5,
+            has_below in any::<bool>(),
+            has_above in any::<bool>(),
+            wild in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let app = Hpccg::new(HpccgParams::new(nx, ny, 3, 1));
+            let mut rng = DetRng::new(seed);
+            let plane = nx * ny;
+            let v = awkward_values(&mut rng, plane * local_nz, wild);
+            let below = awkward_values(&mut rng, if has_below { plane } else { 0 }, wild);
+            let above = awkward_values(&mut rng, if has_above { plane } else { 0 }, wild);
+            let mut y = vec![f64::NAN; v.len()];
+            let mut want = vec![0.0; v.len()];
+            let flops = app.spmv(&v, &below, &above, &mut y);
+            let want_flops = spmv_point_by_point(&app, &v, &below, &above, &mut want);
+            prop_assert_eq!(all_bits(&y), all_bits(&want));
+            prop_assert_eq!(flops.to_bits(), want_flops.to_bits());
         }
     }
 

@@ -18,7 +18,7 @@ use fti::{Fti, Protectable};
 use mpisim::{MpiError, RankCtx};
 use recovery::FaultInjector;
 
-use crate::common::{checksum, halo_exchange, world_slab, AppOutput, ProxyApp};
+use crate::common::{checksum, halo_exchange, received, world_slab, AppOutput, ProxyApp};
 
 /// Ideal-gas constant for the equation of state.
 const GAMMA: f64 = 1.4;
@@ -71,10 +71,76 @@ impl Lulesh {
     pub fn params(&self) -> &LuleshParams {
         &self.params
     }
+}
 
-    fn idx(&self, ix: usize, iy: usize, iz: usize) -> usize {
-        let s = self.params.s;
-        (iz * s + iy) * s + ix
+/// One Lagrange sweep over the rank's elements, z-plane by z-plane in ascending order.
+/// An element's energy gradient reads the element below *after* its update and the
+/// element above *before* its update (the sweep is in place); at the slab's ends the
+/// neighbour is the received halo plane or, at a physical boundary (`None`), the
+/// element itself.
+#[allow(clippy::too_many_arguments)]
+fn sweep_elements(
+    plane: usize,
+    energy: &mut [f64],
+    pressure: &mut [f64],
+    volume: &mut [f64],
+    divergence: &mut [f64],
+    below: Option<&[f64]>,
+    above: Option<&[f64]>,
+    dt: f64,
+) {
+    let local_nz = energy.len() / plane;
+    for iz in 0..local_nz {
+        let (swept, rest) = energy.split_at_mut(iz * plane);
+        let (current, ahead) = rest.split_at_mut(plane);
+        let e_below = if iz > 0 {
+            Some(&swept[(iz - 1) * plane..])
+        } else {
+            below
+        };
+        let e_above = if iz + 1 < local_nz {
+            Some(&ahead[..plane])
+        } else {
+            above
+        };
+        let at = iz * plane..(iz + 1) * plane;
+        let state = (
+            current,
+            &mut pressure[at.clone()],
+            &mut volume[at.clone()],
+            &mut divergence[at],
+        );
+        // One loop per combination, so that none of them tests it per element.
+        match (e_below, e_above) {
+            (Some(b), Some(a)) => sweep_plane(state, dt, |i, _| (b[i], a[i])),
+            (Some(b), None) => sweep_plane(state, dt, |i, own| (b[i], own)),
+            (None, Some(a)) => sweep_plane(state, dt, |i, own| (own, a[i])),
+            (None, None) => sweep_plane(state, dt, |_, own| (own, own)),
+        }
+    }
+}
+
+/// Updates the elements of one z-plane; `neighbours(i, e)` yields the energies below
+/// and above element `i`, whose own energy before the update is `e`.
+#[inline(always)]
+fn sweep_plane(
+    (energy, pressure, volume, divergence): (&mut [f64], &mut [f64], &mut [f64], &mut [f64]),
+    dt: f64,
+    neighbours: impl Fn(usize, f64) -> (f64, f64),
+) {
+    let elements = energy
+        .iter_mut()
+        .zip(pressure)
+        .zip(volume.iter_mut().zip(divergence));
+    for (i, ((e, p), (v, div))) in elements.enumerate() {
+        *p = (GAMMA - 1.0) * *e / v.max(1e-9);
+        let (e_below, e_above) = neighbours(i, *e);
+        let grad = (e_above - e_below) * 0.5;
+        let q = Q_COEF * grad.abs();
+        *div = -(*p + q) * 1e-4;
+        // Work done on / by the element changes its energy and volume.
+        *e = (*e + dt * *div * (*p + q)).max(0.0);
+        *v = (*v + dt * *div).clamp(0.05, 20.0);
     }
 }
 
@@ -117,7 +183,7 @@ impl ProxyApp for Lulesh {
         // The Sedov blast: deposit a large point energy in the corner element of the
         // global mesh — whichever rank currently owns global z-plane 0.
         if z_start == 0 {
-            energy[self.idx(0, 0, 0)] = 3.948746e+7;
+            energy[0] = 3.948746e+7;
         }
 
         fti.protect_partitioned(0, "energy", &energy, global_nz as u64);
@@ -155,44 +221,23 @@ impl ProxyApp for Lulesh {
             let dt = ctx.allreduce_min_f64(&world, local_dt)?.min(1.0e-2);
 
             // 2. Halo exchange of the boundary planes of the energy field.
-            let bottom = energy[..plane].to_vec();
-            let top = energy[n - plane..].to_vec();
-            let (below, above) = halo_exchange(ctx, &world, 51, &bottom, &top)?;
+            let (below, above) =
+                halo_exchange(ctx, &world, 51, &energy[..plane], &energy[n - plane..])?;
 
             // 3. Element updates: pressure from the equation of state, an artificial
             //    viscosity from the energy gradient to the z neighbours, and the energy
             //    / volume update.
-            let mut flops = 0.0;
-            for iz in 0..local_nz {
-                for iy in 0..s {
-                    for ix in 0..s {
-                        let e = self.idx(ix, iy, iz);
-                        pressure[e] = (GAMMA - 1.0) * energy[e] / volume[e].max(1e-9);
-                        let e_below = if iz > 0 {
-                            energy[self.idx(ix, iy, iz - 1)]
-                        } else if !below.is_empty() {
-                            below[iy * s + ix]
-                        } else {
-                            energy[e]
-                        };
-                        let e_above = if iz + 1 < local_nz {
-                            energy[self.idx(ix, iy, iz + 1)]
-                        } else if !above.is_empty() {
-                            above[iy * s + ix]
-                        } else {
-                            energy[e]
-                        };
-                        let grad = (e_above - e_below) * 0.5;
-                        let q = Q_COEF * grad.abs();
-                        divergence[e] = -(pressure[e] + q) * 1e-4;
-                        // Work done on / by the element changes its energy and volume.
-                        energy[e] = (energy[e] + dt * divergence[e] * (pressure[e] + q)).max(0.0);
-                        volume[e] = (volume[e] + dt * divergence[e]).clamp(0.05, 20.0);
-                        flops += 22.0;
-                    }
-                }
-            }
-            ctx.compute(flops);
+            sweep_elements(
+                plane,
+                &mut energy,
+                &mut pressure,
+                &mut volume,
+                &mut divergence,
+                received(&below),
+                received(&above),
+                dt,
+            );
+            ctx.compute(22.0 * n as f64);
 
             // 4. Energy balance check (every step; the original does it for reporting).
             let local_energy: f64 = energy.iter().sum();
@@ -235,10 +280,12 @@ impl ProxyApp for Lulesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_standalone;
+    use crate::common::testing::{all_bits, awkward_values};
+    use crate::common::{run_standalone, DetRng};
     use fti::store::CheckpointStore;
     use fti::FtiConfig;
     use mpisim::{Cluster, ClusterConfig};
+    use proptest::prelude::*;
 
     fn small() -> Lulesh {
         Lulesh::new(LuleshParams::new(6, 12))
@@ -247,6 +294,106 @@ mod tests {
     #[test]
     fn element_counts() {
         assert_eq!(LuleshParams::new(30, 10).local_elements(), 27_000);
+    }
+
+    /// The element-by-element sweep `sweep_elements` replaced, with its `iz` branches
+    /// per element and flops counted element by element: the oracle the plane-sliced
+    /// sweep must equal bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_by_element(
+        s: usize,
+        energy: &mut [f64],
+        pressure: &mut [f64],
+        volume: &mut [f64],
+        divergence: &mut [f64],
+        below: &[f64],
+        above: &[f64],
+        dt: f64,
+    ) -> f64 {
+        let idx = |ix: usize, iy: usize, iz: usize| (iz * s + iy) * s + ix;
+        let local_nz = energy.len() / (s * s);
+        let mut flops = 0.0;
+        for iz in 0..local_nz {
+            for iy in 0..s {
+                for ix in 0..s {
+                    let e = idx(ix, iy, iz);
+                    pressure[e] = (GAMMA - 1.0) * energy[e] / volume[e].max(1e-9);
+                    let e_below = if iz > 0 {
+                        energy[idx(ix, iy, iz - 1)]
+                    } else if !below.is_empty() {
+                        below[iy * s + ix]
+                    } else {
+                        energy[e]
+                    };
+                    let e_above = if iz + 1 < local_nz {
+                        energy[idx(ix, iy, iz + 1)]
+                    } else if !above.is_empty() {
+                        above[iy * s + ix]
+                    } else {
+                        energy[e]
+                    };
+                    let grad = (e_above - e_below) * 0.5;
+                    let q = Q_COEF * grad.abs();
+                    divergence[e] = -(pressure[e] + q) * 1e-4;
+                    energy[e] = (energy[e] + dt * divergence[e] * (pressure[e] + q)).max(0.0);
+                    volume[e] = (volume[e] + dt * divergence[e]).clamp(0.05, 20.0);
+                    flops += 22.0;
+                }
+            }
+        }
+        flops
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Degenerate extents (one to three elements across, one local plane so that
+        /// the bottom plane is the top plane, a slab whose `local_nz` differs from
+        /// `s`), halos present or absent on either side, several steps so that the
+        /// in-place dependence on the plane below compounds, and values that overflow,
+        /// underflow, cancel to ±0 or are not numbers at all.
+        #[test]
+        fn plane_sliced_sweep_equals_the_element_sweep_bit_for_bit(
+            s in 1usize..7,
+            local_nz in 1usize..6,
+            has_below in any::<bool>(),
+            has_above in any::<bool>(),
+            wild in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = DetRng::new(seed);
+            let plane = s * s;
+            let n = plane * local_nz;
+            let mut state: Vec<Vec<f64>> =
+                (0..4).map(|_| awkward_values(&mut rng, n, wild)).collect();
+            if !wild {
+                // The application's ranges: non-negative energy, clamped volume.
+                state[0].iter_mut().for_each(|e| *e = e.abs());
+                state[2].iter_mut().for_each(|v| *v = v.abs().clamp(0.05, 20.0));
+            }
+            let mut want = state.clone();
+            for _ in 0..3 {
+                let below = awkward_values(&mut rng, if has_below { plane } else { 0 }, wild);
+                let above = awkward_values(&mut rng, if has_above { plane } else { 0 }, wild);
+                let dt = awkward_values(&mut rng, 1, wild)[0];
+                let [energy, pressure, volume, divergence] = &mut state[..] else {
+                    unreachable!()
+                };
+                sweep_elements(
+                    plane, energy, pressure, volume, divergence,
+                    received(&below), received(&above), dt,
+                );
+                let [energy, pressure, volume, divergence] = &mut want[..] else {
+                    unreachable!()
+                };
+                let flops =
+                    sweep_by_element(s, energy, pressure, volume, divergence, &below, &above, dt);
+                prop_assert_eq!(flops.to_bits(), (22.0 * n as f64).to_bits());
+                for (got, want) in state.iter().zip(&want) {
+                    prop_assert_eq!(all_bits(got), all_bits(want));
+                }
+            }
+        }
     }
 
     #[test]
