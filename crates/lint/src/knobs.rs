@@ -90,11 +90,6 @@ pub const KNOBS: &[Knob] = &[
         doc: "previously measured fig6 wall-clock recorded as the before in micro JSON",
     },
     Knob {
-        name: "MATCH_HORIZON",
-        default: "unset",
-        doc: "par backend pacing bound in simulated seconds",
-    },
-    Knob {
         name: "MATCH_JOBS",
         default: "core budget",
         doc: "concurrent experiments in the SuiteEngine",

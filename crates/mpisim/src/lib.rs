@@ -79,7 +79,7 @@ pub use msg::Payload;
 pub use runtime::{Cluster, ClusterConfig, RankOutcome, RunOutcome};
 pub use sched::{
     set_default_par_workers, RankScheduler, SchedBackend, SchedStats, BACKEND_ENV_VAR,
-    COOP_SUPPORTED, HORIZON_ENV_VAR, WORKERS_ENV_VAR,
+    COOP_SUPPORTED, WORKERS_ENV_VAR,
 };
 pub use stats::{RankStats, TimeBreakdown};
 pub use time::SimTime;

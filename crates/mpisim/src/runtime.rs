@@ -834,4 +834,100 @@ mod tests {
         let b = par_cluster(8, 4).run(program);
         assert_eq!(a.max_time(), b.max_time());
     }
+
+    // ----- the collective slot protocol, on every wait strategy -----------------------
+
+    /// Every way a member of a collective round waits: on the slot's condvar
+    /// (`threads`), parked on one thread (`coop`), parked across 2, 3 and 4 workers.
+    fn every_wait_strategy(nprocs: usize) -> Vec<(String, Cluster)> {
+        let par = [2, 3, 4].map(|w| (format!("par[{w}]"), par_cluster(nprocs, w)));
+        let mut all = vec![
+            ("threads".to_string(), threads_cluster(nprocs)),
+            ("coop".to_string(), coop_cluster(nprocs)),
+        ];
+        all.extend(par);
+        all
+    }
+
+    #[test]
+    fn back_to_back_rounds_never_mix_and_share_one_output() {
+        // No rank waits for a round to drain: a member that takes its delivery early
+        // is back depositing into the next round while others have yet to take
+        // theirs. Round-dependent values make any mix-up a wrong sum.
+        const ROUNDS: usize = 300;
+        let program = |ctx: &mut RankCtx| {
+            let world = ctx.world();
+            let n = world.size() as f64;
+            let mut last = None;
+            for round in 0..ROUNDS {
+                // Uneven bodies: who finishes a round changes from round to round.
+                ctx.compute(((ctx.rank() + round) % 5) as f64 * 1e3);
+                let mine = [(round * 1000 + ctx.rank()) as f64, 1.0];
+                let sums = ctx.allreduce_f64(&world, ReduceOp::Sum, &mine)?;
+                let expected = round as f64 * 1000.0 * n + n * (n - 1.0) / 2.0;
+                assert_eq!(*sums, vec![expected, n], "round {round}");
+                last = Some(sums);
+            }
+            Ok((last.expect("at least one round"), ctx.now()))
+        };
+        for nprocs in [1usize, 12] {
+            let reference = threads_cluster(nprocs).run(program);
+            for (name, cluster) in every_wait_strategy(nprocs) {
+                let outcome = cluster.run(program);
+                assert!(outcome.all_ok(), "{name}: {:?}", outcome.errors());
+                let (shared, _) = outcome.value_of(0);
+                for rank in 0..nprocs {
+                    let (output, finished) = outcome.value_of(rank);
+                    assert!(
+                        std::sync::Arc::ptr_eq(output, shared),
+                        "{name}: the finisher's one output reaches rank {rank} as is"
+                    );
+                    assert_eq!(*finished, reference.value_of(rank).1, "{name}, rank {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_death_mid_round_aborts_the_round_and_the_repaired_slot_starts_clean() {
+        // Rank 5 dies instead of depositing into round 3. Its peers have deposited
+        // and wait; they withdraw, the repair resets the slot, and the rounds after
+        // it see neither a stale contribution nor a stale delivery.
+        let program = |ctx: &mut RankCtx| {
+            let world = ctx.world();
+            let mut sums = Vec::new();
+            let mut died = false;
+            let mut round = 0;
+            while round < 8 {
+                ctx.compute((ctx.rank() % 3) as f64 * 1e4);
+                if round == 3 && ctx.rank() == 5 && !died {
+                    died = true;
+                    let _ = ctx.kill_self();
+                } else {
+                    match ctx.allreduce_sum_f64(&world, (round * 10 + ctx.rank()) as f64) {
+                        Ok(sum) => {
+                            sums.push(sum);
+                            round += 1;
+                            continue;
+                        }
+                        Err(e) if e.is_process_failure() => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                ctx.recovery_rendezvous(SimTime::from_secs(0.5))?;
+            }
+            Ok((sums, ctx.now()))
+        };
+        let expected: Vec<f64> = (0..8).map(|round| (round * 10 * 8 + 28) as f64).collect();
+        let reference = threads_cluster(8).run(program);
+        for (name, cluster) in every_wait_strategy(8) {
+            let outcome = cluster.run(program);
+            assert!(outcome.all_ok(), "{name}: {:?}", outcome.errors());
+            assert_eq!(outcome.total_stats().recoveries, 8, "{name}");
+            for rank in 0..8 {
+                assert_eq!(outcome.value_of(rank).0, expected, "{name}, rank {rank}");
+                assert_eq!(outcome.value_of(rank), reference.value_of(rank), "{name}");
+            }
+        }
+    }
 }

@@ -34,7 +34,7 @@
 //! per-rank diagnosis instead of hanging, which is strictly more debuggable than the
 //! thread backend's behaviour for the same bug.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -45,53 +45,46 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
+use super::channels::{ChannelTable, Waiter};
 use super::{JobWaker, RankScheduler, SchedStats, WaitKey};
-
-/// Status of one cooperatively scheduled rank task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    /// In the run queue (or about to be popped from it).
-    Runnable,
-    /// Currently executing on the job thread.
-    Running,
-    /// Suspended on a wait channel.
-    Parked(WaitKey),
-    /// Finished (outcome or panic recorded).
-    Done,
-}
 
 /// Run-queue and wait-channel bookkeeping (behind one mutex; uncontended — only the
 /// job's OS thread ever takes it, but the type must be `Sync` because the cluster
 /// state holds a handle).
 struct Queues {
-    /// Min-heap of runnable ranks ordered by `(virtual clock bits, rank)`.
+    /// Min-heap of runnable ranks ordered by `(virtual clock bits, rank)` (IEEE-754
+    /// bits of seconds; non-negative floats order identically to their bit patterns).
     runnable: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    /// Parked ranks per wait channel. Entries outlive their waiters (a woken
-    /// channel keeps its allocation for the next park) until an epoch end forgets
-    /// the idle ones.
-    waiting: HashMap<usize, Vec<usize>>,
-    status: Vec<Status>,
-    /// Last observed virtual clock per rank (IEEE-754 bits of seconds; non-negative
-    /// floats order identically to their bit patterns).
-    clock: Vec<u64>,
+    /// Parked ranks per wait channel: the table `par` uses, with one lane and plain
+    /// lists — check-then-park is atomic on one thread, so there is no eventcount.
+    waiting: ChannelTable<Vec<Waiter>>,
     finished: usize,
     stats: SchedStats,
 }
 
 impl Queues {
-    /// Makes the ranks parked on the channels `select` picks runnable.
-    fn wake<'a, I>(&'a mut self, select: impl FnOnce(&'a mut HashMap<usize, Vec<usize>>) -> I)
-    where
-        I: Iterator<Item = &'a mut Vec<usize>>,
-    {
-        for ranks in select(&mut self.waiting) {
-            self.stats.wakes += ranks.len() as u64;
-            for rank in ranks.drain(..) {
-                debug_assert!(matches!(self.status[rank], Status::Parked(_)));
-                self.status[rank] = Status::Runnable;
-                self.runnable
-                    .push(std::cmp::Reverse((self.clock[rank], rank)));
-            }
+    /// Makes the waiters `select` picks runnable: those of `only`'s channel, or of
+    /// every channel.
+    fn release(&mut self, only: Option<WaitKey>, select: impl Fn(WaitKey) -> bool) {
+        let Queues {
+            waiting,
+            runnable,
+            stats,
+            ..
+        } = self;
+        let mut release = |chan: &mut Vec<Waiter>| {
+            chan.retain(|w| {
+                let woken = select(w.key);
+                if woken {
+                    runnable.push(std::cmp::Reverse((w.clock, w.rank)));
+                    stats.wakes += 1;
+                }
+                !woken
+            });
+        };
+        match only {
+            Some(key) => release(waiting.channel_mut(key, 0)),
+            None => waiting.iter_mut().for_each(release),
         }
     }
 }
@@ -122,9 +115,7 @@ impl CoopShared {
         CoopShared {
             inner: Mutex::new(Queues {
                 runnable,
-                waiting: HashMap::new(),
-                status: vec![Status::Runnable; nprocs],
-                clock: vec![0; nprocs],
+                waiting: ChannelTable::new(nprocs, 1),
                 finished: 0,
                 stats: SchedStats::default(),
             }),
@@ -147,10 +138,10 @@ impl CoopShared {
     fn park(&self, rank: usize, key: WaitKey, now: SimTime, suspended_before: bool) {
         {
             let mut q = self.inner.lock();
-            debug_assert_eq!(q.status[rank], Status::Running);
-            q.status[rank] = Status::Parked(key);
-            q.clock[rank] = now.as_secs().to_bits();
-            q.waiting.entry(key.0).or_default().push(rank);
+            let clock = now.as_secs().to_bits();
+            q.waiting
+                .channel_mut(key, 0)
+                .push(Waiter { key, rank, clock });
             q.stats.parks += 1;
             q.stats.spurious_wakes += u64::from(suspended_before);
         }
@@ -172,18 +163,12 @@ impl CoopShared {
 
     /// Makes every rank parked on `key` runnable.
     fn wake(&self, key: WaitKey) {
-        self.inner
-            .lock()
-            .wake(|waiting| waiting.get_mut(&key.0).into_iter());
+        self.inner.lock().release(Some(key), |k| k == key);
     }
 
     /// Marks the calling rank done and leaves its fiber for good.
     fn finish(&self, rank: usize) -> ! {
-        {
-            let mut q = self.inner.lock();
-            q.status[rank] = Status::Done;
-            q.finished += 1;
-        }
+        self.inner.lock().finished += 1;
         loop {
             // SAFETY: as in `park`; the scheduler never resumes a Done task, so the
             // loop body runs exactly once.
@@ -209,19 +194,7 @@ impl JobWaker for CoopShared {
     }
 
     fn wake_all_except(&self, spared: WaitKey) {
-        self.inner.lock().wake(|waiting| {
-            waiting
-                .iter_mut()
-                .filter(move |(key, _)| **key != spared.0)
-                .map(|(_, ranks)| ranks)
-        });
-    }
-
-    fn forget_idle_channels(&self) {
-        self.inner
-            .lock()
-            .waiting
-            .retain(|_, ranks| !ranks.is_empty());
+        self.inner.lock().release(None, |k| k != spared);
     }
 }
 
@@ -402,14 +375,9 @@ where
     loop {
         let next = {
             let mut q = shared.inner.lock();
-            match q.runnable.pop() {
-                Some(std::cmp::Reverse((_, rank))) => {
-                    q.status[rank] = Status::Running;
-                    q.stats.resumes += 1;
-                    Some(rank)
-                }
-                None => None,
-            }
+            let next = q.runnable.pop();
+            q.stats.resumes += u64::from(next.is_some());
+            next.map(|std::cmp::Reverse((_, rank))| rank)
         };
         match next {
             Some(rank) => {
@@ -418,7 +386,7 @@ where
                 unsafe { switch_context(shared.sched_ctx(), *shared.task_ctx(rank)) };
             }
             None => {
-                let q = shared.inner.lock();
+                let mut q = shared.inner.lock();
                 if q.finished == nprocs {
                     break;
                 }
@@ -428,22 +396,14 @@ where
                     // Abandon the job and propagate the panic below.
                     break;
                 }
-                let stuck: Vec<String> = q
-                    .status
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, s)| match s {
-                        Status::Parked(key) => Some(format!("rank {r} on {key:?}")),
-                        _ => None,
-                    })
-                    .collect();
+                let stuck: Vec<Waiter> = q.waiting.iter_mut().flat_map(|c| c.clone()).collect();
                 drop(q);
                 panic!(
                     "cooperative scheduler deadlock: no runnable rank and {} unfinished \
                      task(s) parked [{}] — a cooperative rank program must only block \
                      through simulated operations",
                     stuck.len(),
-                    stuck.join(", ")
+                    Waiter::listing(stuck)
                 );
             }
         }

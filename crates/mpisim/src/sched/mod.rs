@@ -31,11 +31,11 @@
 //! * [`ParScheduler`] (**`par`**) — the multi-core variant of `coop`: the virtual-time
 //!   run queue is sharded over `MATCH_WORKERS` worker threads with deterministic
 //!   contiguous rank-block ownership, each worker driving its own `(clock, rank)`
-//!   min-heap of pinned fibers, with token-validated park/wake channels at every
-//!   communication edge and published per-worker virtual-time watermarks. **The
-//!   default backend.** A `par` job whose worker count resolves to one *is* a
-//!   `coop` job: it runs [`CoopScheduler`]'s loop inline on the calling thread, with
-//!   no worker thread spawned and no channel-registry lock taken.
+//!   min-heap of pinned fibers, with token-validated park/wake channels (lock-free
+//!   eventcounts) at every communication edge. **The default backend.** A `par` job
+//!   whose worker count resolves to one *is* a `coop` job: it runs
+//!   [`CoopScheduler`]'s loop inline on the calling thread, with no worker thread
+//!   spawned and no atomic on any wait channel.
 //!
 //! # When `par` gets more than one worker
 //!
@@ -67,6 +67,7 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
+pub(crate) mod channels;
 pub(crate) mod coop;
 #[cfg(all(
     target_os = "linux",
@@ -96,12 +97,6 @@ pub const BACKEND_ENV_VAR: &str = "MATCH_BACKEND";
 /// engine's core-budget arithmetic (see [`set_default_par_workers`]) applies, and
 /// failing that the host's available parallelism.
 pub const WORKERS_ENV_VAR: &str = "MATCH_WORKERS";
-
-/// Environment variable bounding how far a `par` worker may run ahead of the slowest
-/// worker's published virtual-time watermark, in simulated seconds. Unset (the
-/// default) disables the pacing gate entirely — it is never needed for correctness,
-/// only to bound memory skew on pathological workloads (see the `par` module docs).
-pub const HORIZON_ENV_VAR: &str = "MATCH_HORIZON";
 
 /// Process-wide default `par` worker count published by the suite engine (0 = unset).
 static DEFAULT_PAR_WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -355,6 +350,11 @@ impl WaitKey {
         WaitKey((rank << 2) | 1)
     }
 
+    /// The rank whose mailbox this key names, if it is a mailbox key.
+    pub(crate) fn mailbox_rank(self) -> Option<usize> {
+        (self.0 & 1 == 1).then_some(self.0 >> 2)
+    }
+
     /// A channel identified by a shared object's address (the object must stay alive
     /// while any task is parked on it, which the simulator's `Arc`s guarantee).
     pub(crate) fn object<T>(obj: &T) -> WaitKey {
@@ -375,10 +375,6 @@ pub(crate) trait JobWaker: Send + Sync {
     /// revocation, abort; `spared` is the recovery rendezvous, whose waiters wait for
     /// slot progress only).
     fn wake_all_except(&self, spared: WaitKey);
-    /// Drops the bookkeeping of wait channels nobody is parked on. Called when a
-    /// disruption epoch ends: object channels are keyed by address, and the
-    /// communicators an epoch replaces would otherwise leave their entries behind.
-    fn forget_idle_channels(&self);
 }
 
 /// A snapshot of a wait channel's state, read **before** the caller checks its wait
@@ -386,8 +382,8 @@ pub(crate) trait JobWaker: Send + Sync {
 ///
 /// On the single-threaded `coop` backend the check-then-park sequence is atomic by
 /// construction and the token carries no information. On the multi-worker `par`
-/// backend it is an eventcount: the park validates — under the channel's registry
-/// lock — that neither the channel's sequence number nor the cluster-wide wake epoch
+/// backend it is an eventcount: the park announces itself on the channel and then
+/// validates that neither the channel's sequence number nor the cluster-wide wake epoch
 /// has moved since the token was read, and returns *without suspending* if either
 /// did. A wake that raced between the condition check and the park therefore can
 /// never be lost; the caller's retry loop simply re-checks its condition.

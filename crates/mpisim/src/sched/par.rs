@@ -41,30 +41,46 @@
 //! On one thread, `coop`'s check-then-park is atomic by construction. Across workers
 //! it is not: between a rank observing "message not there yet" and its fiber parking,
 //! another worker's rank can deposit the message and issue the wakeup — which would
-//! find nobody parked and be lost. The classic fix is an eventcount, and that is what
-//! [`WaitToken`] implements: before checking its condition the rank snapshots the wait
-//! channel's sequence number and the cluster-wide wake epoch; the park then
-//! re-validates both under the channel registry's shard lock and returns *without
-//! suspending* if either moved. Wakes bump the sequence (or, for cluster-wide
-//! transitions, the epoch) before draining waiters, so the raced wake always either
-//! finds the parked rank or invalidates its token. A channel's sequence starts at a
-//! value no other channel incarnation ever had, so the registry may forget an idle
-//! channel at any time: a token issued before the forgetting cannot validate against
-//! the channel's next incarnation.
+//! find nobody parked and be lost. The fix is an eventcount per wait channel.
 //!
-//! # Virtual-time watermarks
+//! **Where `seq` lives.** Channels are addressed through the
+//! [`ChannelTable`](super::channels): a mailbox key indexes its rank's channel, an
+//! object key hashes to a bucket and parks on the lane of the parking rank's owner.
+//! Each [`Channel`] holds `seq` (bumped by every wake), `parked` (waiters listed or
+//! about to be) and the waiter list behind a mutex. A [`WaitToken`] is two atomic
+//! loads — the cluster-wide wake epoch and the channel's `seq` — taken *before* the
+//! rank checks its wait condition. Channels live as long as the job and `seq` only
+//! ever grows; there is nothing to create, look up or forget.
 //!
-//! Every worker publishes the virtual clock of the rank it is currently running (or
-//! `u64::MAX` while its heap is empty) as an atomic **watermark**; cross-worker
-//! wakeups lower the target's watermark to the woken rank's clock before it is
-//! enqueued. The watermarks make the sharded schedule observable — `match-bench`
-//! reports skew, and the deadlock census uses the all-idle condition — and they
-//! optionally *pace* it: setting `MATCH_HORIZON` (simulated seconds) stops a worker
-//! from running more than that far ahead of the slowest non-idle worker, bounding
-//! mailbox growth on pathological workloads. The gate is off by default because it is
-//! never needed for correctness (see above); parked ranks are deliberately excluded
-//! from watermarks, since gating on a rank that cannot run until its gated peer
-//! progresses would deadlock.
+//! **The pairing.** All four accesses are `SeqCst`, so they have one total order:
+//!
+//! ```text
+//! park:  parked += 1     then   validate seq == token.seq  (and epoch == token.epoch)
+//! wake:  seq    += 1     then   read parked                (epoch += 1 for wake-all)
+//! ```
+//!
+//! Either the park's increment precedes the wake's read — the wake sees `parked > 0`,
+//! takes the list lock and drains — or it follows it, and then the wake's bump
+//! precedes the park's validation, which fails: the park returns without suspending
+//! and the rank re-checks its condition (which the waker changed *before* bumping).
+//! The validation and the push happen under the list lock, so a wake that does take
+//! the lock either finds the waiter listed or runs before the validation and
+//! invalidates it. A wake of a channel nobody is parked on is one `fetch_add` and one
+//! load; no lock, no hash.
+//!
+//! **Collisions and address reuse are harmless.** Two keys in one bucket share `seq`:
+//! a wake of one can at worst refuse a park on the other (which re-checks and parks
+//! again), and it drains only waiters carrying its own key. An object freed and
+//! another allocated at its address continue one channel: a token taken for the old
+//! object still validates only if no wake came in between, in which case nothing was
+//! there to lose.
+//!
+//! **Which channels are padded.** Object channels are per lane and cache-line
+//! aligned: the 512 parks a worker issues in one collective round of a 1024-rank job
+//! write `parked` and the list of its own lane only, and a wake pushes a lane's whole
+//! batch onto its owner's heap under one queue lock. Mailbox channels need neither
+//! lanes nor padding — only the mailbox's owner ever parks there, so a channel's
+//! lines move between cores exactly when a message edge does.
 //!
 //! # Deadlock diagnosis
 //!
@@ -75,7 +91,7 @@
 //! per-rank diagnosis (mirroring `coop`) after flagging the job abandoned so its
 //! peers exit and the panic can propagate instead of hanging the join.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,21 +104,21 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
+use super::channels::{ChannelTable, Waiter};
 use super::{JobWaker, RankScheduler, SchedStats, WaitKey, WaitToken};
-
-/// Shard count of the wait-channel registry (power of two; keys are spread with a
-/// 64-bit mix so address-derived keys don't collide into one shard).
-const REGISTRY_SHARDS: usize = 64;
 
 /// How long an idle worker sleeps before re-running the deadlock census. Workers add
 /// a per-worker offset so their censuses don't lock-step.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
-/// One wait channel: its eventcount sequence plus the parked ranks (with the clock
-/// bits that order them in their owner's heap on wakeup).
-struct WaitChannel {
-    seq: u64,
-    waiting: Vec<(usize, u64)>,
+/// One wait channel: an eventcount (see the module docs for the pairing argument).
+#[derive(Default)]
+struct Channel {
+    /// Bumped by every wake of the channel, before the wake reads `parked`.
+    seq: AtomicU64,
+    /// Waiters on the list plus ranks between announcing and validating their park.
+    parked: AtomicUsize,
+    waiters: Mutex<Vec<Waiter>>,
 }
 
 /// A worker's run queue: the min-heap of runnable owned ranks plus the idle/exited
@@ -120,15 +136,12 @@ struct WorkerQ {
     wakes: u64,
 }
 
-/// Per-worker shared state.
+/// Per-worker shared state, on its own cache lines: a worker's queue lock and park
+/// counters are written on every scheduling step of that worker.
+#[repr(align(128))]
 struct Worker {
     q: Mutex<WorkerQ>,
     cv: Condvar,
-    /// Virtual clock bits of the rank the worker is running (`u64::MAX` while its
-    /// heap is empty), lowered by incoming wakeups. Pacing/diagnostics only — a pop's
-    /// `store` can race a concurrent `fetch_min` and transiently overestimate, which
-    /// is harmless because nothing correctness-critical gates on it.
-    watermark: AtomicU64,
     /// How many of the worker's owned ranks have finished.
     owned_done: AtomicUsize,
     /// How many ranks the worker owns.
@@ -145,15 +158,11 @@ pub(crate) struct ParShared {
     nprocs: usize,
     nworkers: usize,
     workers: Vec<Worker>,
-    /// The wait-channel registry, sharded to keep cross-block wakeups from
-    /// serialising on one lock.
-    shards: Vec<Mutex<HashMap<usize, WaitChannel>>>,
-    /// Cluster-wide wake epoch: bumped by `wake_all_except` *before* draining the
-    /// shards, so a token issued before the bump can never park after it.
+    /// The job's wait channels, one lane per worker.
+    channels: ChannelTable<Channel>,
+    /// Cluster-wide wake epoch: bumped by `wake_all_except` *before* it reads any
+    /// channel's `parked`, so a token issued before the bump can never park after it.
     epoch: AtomicU64,
-    /// Source of initial channel sequence numbers, spaced so that no two channel
-    /// incarnations ever share a sequence value (see the module docs).
-    next_seq_base: AtomicU64,
     /// Set on rank panic or deadlock diagnosis: workers drain out instead of
     /// scheduling further.
     abandon: AtomicBool,
@@ -165,9 +174,9 @@ pub(crate) struct ParShared {
 
 // SAFETY: context slot `w` is only touched by worker thread `w`'s loop and the fibers
 // it runs; slot `nworkers + rank` only by `owner(rank)`'s thread (the fiber is pinned
-// — cross-worker wakeups go through the mutex-guarded registry and heaps, never the
-// context slots). Initial slot installation on the spawning thread happens-before the
-// workers start.
+// — cross-worker wakeups go through the wait channels and the mutex-guarded heaps,
+// never the context slots). Initial slot installation on the spawning thread
+// happens-before the workers start.
 unsafe impl Send for ParShared {}
 // SAFETY: same pinned-owner discipline as the Send impl above — shared references
 // only dereference a context slot from the one worker thread that owns it.
@@ -177,16 +186,12 @@ impl ParShared {
     fn new(nprocs: usize, nworkers: usize) -> ParShared {
         let workers = (0..nworkers)
             .map(|w| {
-                let owned = (0..nprocs)
-                    .filter(|&r| owner_of(r, nprocs, nworkers) == w)
-                    .count();
-                let mut heap = BinaryHeap::with_capacity(owned);
-                for rank in 0..nprocs {
-                    if owner_of(rank, nprocs, nworkers) == w {
-                        heap.push(std::cmp::Reverse((0, rank)));
-                    }
-                }
+                let heap: BinaryHeap<_> = (0..nprocs)
+                    .filter(|&rank| owner_of(rank, nprocs, nworkers) == w)
+                    .map(|rank| std::cmp::Reverse((0, rank)))
+                    .collect();
                 Worker {
+                    owned: heap.len(),
                     q: Mutex::new(WorkerQ {
                         heap,
                         idle: false,
@@ -195,9 +200,7 @@ impl ParShared {
                         wakes: 0,
                     }),
                     cv: Condvar::new(),
-                    watermark: AtomicU64::new(0),
                     owned_done: AtomicUsize::new(0),
-                    owned,
                     parks: AtomicU64::new(0),
                     spurious_wakes: AtomicU64::new(0),
                 }
@@ -207,11 +210,8 @@ impl ParShared {
             nprocs,
             nworkers,
             workers,
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            channels: ChannelTable::new(nprocs, nworkers),
             epoch: AtomicU64::new(0),
-            next_seq_base: AtomicU64::new(0),
             abandon: AtomicBool::new(false),
             finished: AtomicUsize::new(0),
             ctxs: (0..nworkers + nprocs)
@@ -232,51 +232,43 @@ impl ParShared {
         self.ctxs[self.nworkers + rank].get()
     }
 
-    fn shard_of(&self, key: WaitKey) -> &Mutex<HashMap<usize, WaitChannel>> {
-        // splitmix64 finalizer: spreads address-derived keys (8-aligned, shared high
-        // bits) uniformly over the shards.
-        let mut h = key.0 as u64;
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        &self.shards[(h as usize) & (REGISTRY_SHARDS - 1)]
-    }
-
-    /// A fresh channel. Its sequence starts 2^32 above the previous incarnation's
-    /// start: no channel is woken that often between two epoch ends.
-    fn new_channel(&self) -> WaitChannel {
-        WaitChannel {
-            seq: self.next_seq_base.fetch_add(1 << 32, Ordering::Relaxed),
-            waiting: Vec::new(),
-        }
-    }
-
-    /// Snapshots `key`'s eventcount; must precede the caller's condition check.
-    fn wait_token(&self, key: WaitKey) -> WaitToken {
+    /// Snapshots the eventcount of the channel `rank` would park on for `key`; must
+    /// precede the caller's condition check.
+    fn wait_token(&self, rank: usize, key: WaitKey) -> WaitToken {
         let epoch = self.epoch.load(Ordering::SeqCst);
-        let seq = self
-            .shard_of(key)
-            .lock()
-            .entry(key.0)
-            .or_insert_with(|| self.new_channel())
-            .seq;
+        let chan = self.channels.channel(key, self.owner(rank));
+        let seq = chan.seq.load(Ordering::SeqCst);
         WaitToken { key, epoch, seq }
+    }
+
+    /// Lists `rank` as a waiter of the token's channel — unless the token no longer
+    /// validates: a wake raced the caller's condition check, and this returns `false`.
+    /// Announce first, validate second: the order the wake's "bump, then read
+    /// `parked`" pairs with.
+    fn enlist(&self, rank: usize, token: WaitToken, now: SimTime) -> bool {
+        let chan = self.channels.channel(token.key, self.owner(rank));
+        chan.parked.fetch_add(1, Ordering::SeqCst);
+        let mut waiters = chan.waiters.lock();
+        if chan.seq.load(Ordering::SeqCst) != token.seq
+            || self.epoch.load(Ordering::SeqCst) != token.epoch
+        {
+            chan.parked.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        waiters.push(Waiter {
+            key: token.key,
+            rank,
+            clock: now.as_secs().to_bits(),
+        });
+        true
     }
 
     /// Parks the calling rank's fiber on the token's channel and switches to its
     /// worker's scheduler (returns `true` once resumed) — unless the token no longer
-    /// validates, in which case a wake raced the caller's condition check and this
-    /// returns `false` immediately.
+    /// validates, in which case this returns `false` immediately.
     fn park(&self, rank: usize, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
-        {
-            let mut shard = self.shard_of(token.key).lock();
-            let chan = shard
-                .entry(token.key.0)
-                .or_insert_with(|| self.new_channel());
-            if chan.seq != token.seq || self.epoch.load(Ordering::SeqCst) != token.epoch {
-                return false;
-            }
-            chan.waiting.push((rank, now.as_secs().to_bits()));
+        if !self.enlist(rank, token, now) {
+            return false;
         }
         let worker = &self.workers[self.owner(rank)];
         worker.parks.fetch_add(1, Ordering::Relaxed);
@@ -308,38 +300,47 @@ impl ParShared {
 
     /// Wakes every rank parked on `key`, invalidating in-flight tokens first.
     fn wake(&self, key: WaitKey) {
-        let woken = {
-            let mut shard = self.shard_of(key).lock();
-            match shard.get_mut(&key.0) {
-                // No entry means no token of the channel's current incarnation was
-                // issued, so no rank can be mid-park on it: a later token is read
-                // before its condition check, which will observe the state change
-                // this wake announces, and an earlier one cannot validate anymore.
-                None => return,
-                Some(chan) => {
-                    chan.seq += 1;
-                    std::mem::take(&mut chan.waiting)
-                }
-            }
+        let lanes = match key.mailbox_rank().map(|rank| self.owner(rank)) {
+            Some(owner) => owner..owner + 1,
+            None => 0..self.nworkers,
         };
-        for (rank, clock) in woken {
-            self.make_runnable(rank, clock);
+        for lane in lanes {
+            let chan = self.channels.channel(key, lane);
+            chan.seq.fetch_add(1, Ordering::SeqCst);
+            self.drain(chan, lane, |waiter| waiter == key);
         }
     }
 
-    /// Pushes a woken rank onto its owner's heap (lowering the owner's watermark
-    /// first, so pacing and the census see it before it is popped).
-    fn make_runnable(&self, rank: usize, clock: u64) {
-        let worker = &self.workers[self.owner(rank)];
-        worker.watermark.fetch_min(clock, Ordering::SeqCst);
-        let notify = {
-            let mut q = worker.q.lock();
-            q.heap.push(std::cmp::Reverse((clock, rank)));
-            q.wakes += 1;
-            q.idle
-        };
+    /// Moves the waiters of `chan` that `select` picks onto the heap of `owner` (every
+    /// waiter of one channel has the same owner), under one list lock and one queue
+    /// lock. Lock order list → queue; nothing takes them the other way round.
+    fn drain(&self, chan: &Channel, owner: usize, select: impl Fn(WaitKey) -> bool) {
+        if chan.parked.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut waiters = chan.waiters.lock();
+        if waiters.is_empty() {
+            // Only ranks still validating: they will see what the caller bumped.
+            return;
+        }
+        let worker = &self.workers[owner];
+        let mut q = worker.q.lock();
+        let listed = waiters.len();
+        waiters.retain(|w| {
+            let woken = select(w.key);
+            if woken {
+                q.heap.push(std::cmp::Reverse((w.clock, w.rank)));
+            }
+            !woken
+        });
+        let woken = listed - waiters.len();
+        chan.parked.fetch_sub(woken, Ordering::SeqCst);
+        q.wakes += woken as u64;
+        let notify = q.idle && woken > 0;
+        drop(q);
+        drop(waiters);
         if notify {
-            worker.cv.notify_all();
+            worker.cv.notify_one();
         }
     }
 
@@ -400,19 +401,8 @@ impl ParShared {
     /// and panics with a per-rank diagnosis of what everyone is parked on.
     fn diagnose_deadlock(&self) -> ! {
         self.abandon_job();
-        let mut stuck: Vec<(usize, WaitKey)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (key, chan) in shard.iter() {
-                for &(rank, _) in &chan.waiting {
-                    stuck.push((rank, WaitKey(*key)));
-                }
-            }
-        }
-        stuck.sort_by_key(|&(rank, _)| rank);
-        let listing: Vec<String> = stuck
-            .iter()
-            .map(|(rank, key)| format!("rank {rank} on {key:?}"))
+        let stuck: Vec<Waiter> = (self.channels.iter())
+            .flat_map(|chan| chan.waiters.lock().clone())
             .collect();
         panic!(
             "parallel scheduler deadlock: no runnable rank on any of {} worker(s) and {} \
@@ -420,7 +410,7 @@ impl ParShared {
              simulated operations",
             self.nworkers,
             stuck.len(),
-            listing.join(", ")
+            Waiter::listing(stuck)
         );
     }
 }
@@ -436,27 +426,16 @@ impl JobWaker for ParShared {
     }
 
     fn wake_all_except(&self, spared: WaitKey) {
-        // Epoch first: a token read before this line can no longer park after it,
-        // closing the race with ranks mid-way between condition check and park. That
-        // also turns away a rank about to park on the spared channel, which merely
-        // re-checks its condition.
+        // Epoch first: it is the `seq` bump of every channel at once. A token read
+        // before this line can no longer park after it, closing the race with ranks
+        // mid-way between condition check and park. That also turns away a rank about
+        // to park on the spared key, which merely re-checks its condition.
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        let mut woken: Vec<(usize, u64)> = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for (_, chan) in shard.iter_mut().filter(|(key, _)| **key != spared.0) {
-                chan.seq += 1;
-                woken.append(&mut chan.waiting);
-            }
+        for (rank, chan) in self.channels.mailboxes().iter().enumerate() {
+            self.drain(chan, self.owner(rank), |_| true);
         }
-        for (rank, clock) in woken {
-            self.make_runnable(rank, clock);
-        }
-    }
-
-    fn forget_idle_channels(&self) {
-        for shard in &self.shards {
-            shard.lock().retain(|_, chan| !chan.waiting.is_empty());
+        for (lane, chan) in self.channels.objects() {
+            self.drain(chan, lane, |waiter| waiter != spared);
         }
     }
 }
@@ -480,7 +459,7 @@ impl std::fmt::Debug for ParYielder {
 impl ParYielder {
     /// Snapshots `key`'s eventcount; must precede the condition check it guards.
     pub(crate) fn wait_token(&self, key: WaitKey) -> WaitToken {
-        self.shared.wait_token(key)
+        self.shared.wait_token(self.rank, key)
     }
 
     /// Parks the calling rank on the token's channel (or returns `false`
@@ -591,25 +570,6 @@ where
     job.shared.finish(rank)
 }
 
-/// Reads the optional `MATCH_HORIZON` pacing bound (simulated seconds).
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn horizon_from_env() -> Option<f64> {
-    let s = std::env::var(super::HORIZON_ENV_VAR).ok()?;
-    match s.trim().parse::<f64>() {
-        Ok(h) if h.is_finite() && h >= 0.0 => Some(h),
-        _ => {
-            eprintln!(
-                "warning: {}='{s}' is not a non-negative horizon in seconds; ignoring",
-                super::HORIZON_ENV_VAR
-            );
-            None
-        }
-    }
-}
-
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -629,11 +589,10 @@ where
     let nworkers = super::resolve_workers(config.workers).min(nprocs).max(1);
     if nworkers == 1 {
         // par(1) *is* coop: one worker owns every rank, so the sharded machinery (a
-        // spawned thread, token-validated parks, the channel registry's locks) would
-        // only re-derive what the single-threaded loop has by construction.
+        // spawned thread, token-validated parks, atomics on every channel) would only
+        // re-derive what the single-threaded loop has by construction.
         return super::coop::run_fibers(config, state, body);
     }
-    let horizon = horizon_from_env();
     let shared = Arc::new(ParShared::new(nprocs, nworkers));
     state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
 
@@ -678,7 +637,7 @@ where
             let shared = Arc::clone(&shared);
             let builder = std::thread::Builder::new().name(format!("par-worker-{w}"));
             let handle = builder
-                .spawn_scoped(scope, move || worker_loop(&shared, w, horizon))
+                .spawn_scoped(scope, move || worker_loop(&shared, w))
                 .expect("failed to spawn par worker thread");
             handles.push(handle);
         }
@@ -719,15 +678,14 @@ where
     (outcomes, stats)
 }
 
-/// One worker's scheduler loop: pop the lowest-clock owned rank, publish its clock as
-/// the watermark, optionally pace against the slowest peer, switch into the fiber;
-/// when the heap is empty, exit if all owned ranks finished, otherwise census and
-/// idle-wait.
+/// One worker's scheduler loop: pop the lowest-clock owned rank and switch into its
+/// fiber; when the heap is empty, exit if all owned ranks finished, otherwise census
+/// and idle-wait.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-fn worker_loop(shared: &ParShared, me: usize, horizon: Option<f64>) {
+fn worker_loop(shared: &ParShared, me: usize) {
     use super::fiber::switch_context;
 
     let worker = &shared.workers[me];
@@ -743,18 +701,13 @@ fn worker_loop(shared: &ParShared, me: usize, horizon: Option<f64>) {
             next
         };
         match next {
-            Some(std::cmp::Reverse((clock, rank))) => {
-                worker.watermark.store(clock, Ordering::SeqCst);
-                if let Some(h) = horizon {
-                    pace(shared, me, clock, h);
-                }
+            Some(std::cmp::Reverse((_, rank))) => {
                 // SAFETY: `rank` is owned by this worker and suspended (fresh or
                 // parked-then-woken; a woken rank's context was saved before its
                 // owner — this thread — regained control, by pinning).
                 unsafe { switch_context(shared.sched_ctx(me), *shared.task_ctx(rank)) };
             }
             None => {
-                worker.watermark.store(u64::MAX, Ordering::SeqCst);
                 if worker.owned_done.load(Ordering::SeqCst) == worker.owned {
                     let mut q = worker.q.lock();
                     // Re-check under the lock: a wake cannot beat a finish (finished
@@ -785,39 +738,10 @@ fn worker_loop(shared: &ParShared, me: usize, horizon: Option<f64>) {
     }
 }
 
-/// The optional pacing gate: spin (yielding) while this worker's next rank is more
-/// than `horizon` simulated seconds ahead of the slowest *non-idle* peer. Idle peers
-/// publish `u64::MAX` and exert no back-pressure — their parked ranks cannot run
-/// until someone (possibly this worker) progresses, so gating on them would deadlock.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn pace(shared: &ParShared, me: usize, clock: u64, horizon: f64) {
-    let mine = f64::from_bits(clock);
-    loop {
-        if shared.abandon.load(Ordering::SeqCst) {
-            return;
-        }
-        let min_other = shared
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| w != me)
-            .map(|(_, ws)| ws.watermark.load(Ordering::SeqCst))
-            .filter(|&bits| bits != u64::MAX)
-            .map(f64::from_bits)
-            .fold(f64::INFINITY, f64::min);
-        if mine <= min_other + horizon {
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn ownership_is_contiguous_and_covers_all_ranks() {
@@ -834,40 +758,244 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tokens_detect_wakes_between_check_and_park() {
-        let shared = ParShared::new(2, 2);
-        let key = WaitKey::mailbox(0);
-        let token = shared.wait_token(key);
-        shared.wake(key); // bumps the seq: the token must no longer validate
-        assert!(
-            !shared.park(0, token, SimTime::ZERO, false),
-            "a wake between token and park must invalidate it"
-        );
+    /// A job whose every rank is "running": nothing on any heap, so a heap entry is a
+    /// wake's doing.
+    fn running_job(nprocs: usize, nworkers: usize) -> ParShared {
+        let shared = ParShared::new(nprocs, nworkers);
+        for worker in &shared.workers {
+            worker.q.lock().heap.clear();
+        }
+        shared
+    }
+
+    /// Takes `rank` off its owner's heap if a wake put it there.
+    fn claim(shared: &ParShared, rank: usize) -> bool {
+        let mut q = shared.workers[shared.owner(rank)].q.lock();
+        let before = q.heap.len();
+        q.heap.retain(|entry| entry.0 .1 != rank);
+        match before - q.heap.len() {
+            0 => false,
+            1 => true,
+            n => panic!("rank {rank} was enqueued {n} times by one park"),
+        }
+    }
+
+    /// Two object keys that share a bucket.
+    fn colliding_keys() -> (WaitKey, WaitKey) {
+        let a = WaitKey(8 << 10);
+        let b = (1..)
+            .map(|i| WaitKey((8 << 10) + 8 * i))
+            .find(|k| k.bucket() == a.bucket())
+            .expect("64 buckets");
+        (a, b)
     }
 
     #[test]
-    fn forgotten_channels_cannot_validate_old_tokens() {
-        // An epoch end forgets idle channels. A token of the forgotten incarnation
-        // must not validate against the next one — otherwise the wake that found no
-        // entry (and did nothing) would be lost.
-        let shared = ParShared::new(2, 2);
+    fn tokens_detect_wakes_between_check_and_park() {
+        let shared = running_job(2, 2);
         let key = WaitKey::mailbox(0);
-        let token = shared.wait_token(key);
-        shared.forget_idle_channels();
-        assert!(shared.shard_of(key).lock().is_empty());
+        let token = shared.wait_token(0, key);
+        shared.wake(key); // bumps the seq: the token must no longer validate
+        assert!(
+            !shared.enlist(0, token, SimTime::ZERO),
+            "a wake between token and park must invalidate it"
+        );
+        let chan = shared.channels.channel(key, 0);
+        assert_eq!(
+            chan.parked.load(Ordering::SeqCst),
+            0,
+            "a refused park leaves"
+        );
+        assert!(shared.enlist(0, shared.wait_token(0, key), SimTime::ZERO));
         shared.wake(key);
-        assert!(!shared.park(0, token, SimTime::ZERO, false));
+        assert!(claim(&shared, 0));
+    }
+
+    #[test]
+    fn a_reused_key_neither_validates_a_stale_token_nor_loses_a_wake() {
+        // Object channels are keyed by address and live as long as the job: a
+        // communicator dropped in a recovery and another allocated where it was share
+        // a key, and any two objects may share a bucket.
+        let shared = running_job(4, 2);
+        let (key, neighbour) = colliding_keys();
+        // A token taken for the old object: the new object's first wake refuses it.
+        let stale = shared.wait_token(0, key);
+        shared.wake(key);
+        assert!(!shared.enlist(0, stale, SimTime::ZERO));
+        // A rank parked on the new object is found by the new object's wake...
+        assert!(shared.enlist(0, shared.wait_token(0, key), SimTime::ZERO));
+        // ...and by nothing else: the bucket's other key wakes only its own waiters,
+        // on whichever lane they parked.
+        assert!(shared.enlist(3, shared.wait_token(3, neighbour), SimTime::ZERO));
+        shared.wake(neighbour);
+        assert!(claim(&shared, 3) && !claim(&shared, 0));
+        // The neighbour's wake shares the seq: it may refuse a park (a re-check),
+        // never fake one.
+        let token = shared.wait_token(1, key);
+        shared.wake(neighbour);
+        assert!(!shared.enlist(1, token, SimTime::ZERO));
+        shared.wake(key);
+        assert!(claim(&shared, 0));
+        let q = shared.workers[0].q.lock();
+        assert!(q.heap.is_empty() && q.wakes == 1);
     }
 
     #[test]
     fn wake_all_invalidates_every_token() {
-        let shared = ParShared::new(2, 2);
-        let a = shared.wait_token(WaitKey::FAILURE_EVENTS);
-        let b = shared.wait_token(WaitKey::mailbox(1));
-        shared.wake_all_except(WaitKey::mailbox(0));
-        let epoch = shared.epoch.load(Ordering::SeqCst);
-        assert_ne!(epoch, a.epoch);
-        assert_ne!(epoch, b.epoch);
+        let shared = running_job(4, 2);
+        let (spared, other) = colliding_keys();
+        let tokens = [
+            shared.wait_token(0, WaitKey::FAILURE_EVENTS),
+            shared.wait_token(1, WaitKey::mailbox(1)),
+            shared.wait_token(2, spared),
+        ];
+        assert!(shared.enlist(3, shared.wait_token(3, spared), SimTime::ZERO));
+        assert!(shared.enlist(2, shared.wait_token(2, other), SimTime::ZERO));
+        assert!(shared.enlist(0, shared.wait_token(0, WaitKey::mailbox(0)), SimTime::ZERO));
+        shared.wake_all_except(spared);
+        for (rank, token) in tokens.into_iter().enumerate() {
+            assert!(!shared.enlist(rank, token, SimTime::ZERO));
+        }
+        assert!(claim(&shared, 0) && claim(&shared, 2));
+        assert!(!claim(&shared, 3), "the spared key's waiters stay parked");
+        shared.wake(spared);
+        assert!(claim(&shared, 3));
+    }
+
+    // ----- eventcount stress: real threads, no fibers --------------------------------
+
+    const ROUNDS: u64 = 100_000;
+
+    /// A waker that serves every round alone.
+    const EVERY: (u64, u64) = (0, 1);
+
+    /// Spins until `cond` holds. A lost wake is a hang; the deadline turns it into a
+    /// failure that names what was being waited for.
+    fn spin_until(what: impl Fn() -> String, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for spins in 0u64.. {
+            if cond() {
+                return;
+            }
+            // Busy first — the two sides must meet within nanoseconds for the race to
+            // be a race — then polite: there are more threads than cores.
+            if spins % 256 == 255 {
+                assert!(Instant::now() < deadline, "gave up waiting for {}", what());
+                std::thread::yield_now();
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// One waiter/waker pair's shared condition: the round the waker has announced and
+    /// the round the waiter has seen.
+    #[derive(Default)]
+    struct Rounds {
+        announced: AtomicU64,
+        seen: AtomicU64,
+    }
+
+    /// The blocking side of every operation: token, check, park — for [`ROUNDS`]
+    /// rounds. Every park that validates must be handed to the owner's heap exactly
+    /// once; returns how many did.
+    fn wait_rounds(shared: &ParShared, rank: usize, key: WaitKey, rounds: &Rounds) -> u64 {
+        let mut parks = 0;
+        for round in 1..=ROUNDS {
+            loop {
+                let token = shared.wait_token(rank, key);
+                if rounds.announced.load(Ordering::SeqCst) >= round {
+                    break;
+                }
+                if shared.enlist(rank, token, SimTime::ZERO) {
+                    parks += 1;
+                    spin_until(
+                        || format!("the wake of rank {rank} parked on {key:?} in round {round}"),
+                        || claim(shared, rank),
+                    );
+                }
+            }
+            rounds.seen.store(round, Ordering::SeqCst);
+        }
+        parks
+    }
+
+    /// The publishing side: change the condition, then wake — in every round, or in
+    /// every `of`-th when `of` wakers take turns.
+    fn wake_rounds(rounds: &Rounds, (turn, of): (u64, u64), wake: impl Fn()) {
+        for round in (1..=ROUNDS).filter(|round| round % of == turn) {
+            spin_until(
+                || format!("the waiter to see round {}", round - 1),
+                || rounds.seen.load(Ordering::SeqCst) >= round - 1,
+            );
+            // Sweep the publication across the waiter's token-check-park sequence.
+            for step in 0..round % 256 {
+                std::hint::black_box(step);
+            }
+            rounds.announced.fetch_max(round, Ordering::SeqCst);
+            wake();
+        }
+    }
+
+    /// Nothing parked, nothing queued, and exactly one heap push per validated park.
+    fn assert_settled(shared: &ParShared, parks: u64) {
+        for chan in shared.channels.iter() {
+            assert_eq!(chan.parked.load(Ordering::SeqCst), 0);
+            assert!(chan.waiters.lock().is_empty());
+        }
+        let queues: Vec<_> = shared.workers.iter().map(|w| w.q.lock()).collect();
+        assert!(queues.iter().all(|q| q.heap.is_empty()));
+        assert_eq!(queues.iter().map(|q| q.wakes).sum::<u64>(), parks);
+    }
+
+    #[test]
+    fn a_mailbox_channel_loses_no_wake_to_three_wakers_taking_turns() {
+        let shared = running_job(4, 2);
+        let key = WaitKey::mailbox(2);
+        let rounds = Rounds::default();
+        let parks = std::thread::scope(|scope| {
+            for turn in 0..3 {
+                let (shared, rounds) = (&shared, &rounds);
+                scope.spawn(move || wake_rounds(rounds, (turn, 3), || shared.wake(key)));
+            }
+            wait_rounds(&shared, 2, key, &rounds)
+        });
+        assert_settled(&shared, parks);
+    }
+
+    #[test]
+    fn two_keys_in_one_bucket_lose_no_wake_and_take_none_of_each_others() {
+        let shared = running_job(4, 2);
+        let (a, b) = colliding_keys();
+        let (rounds_a, rounds_b) = (Rounds::default(), Rounds::default());
+        // Ranks 0 and 1 share worker 0, so both waiters park on one lane's channel.
+        let parks = std::thread::scope(|scope| {
+            scope.spawn(|| wake_rounds(&rounds_a, EVERY, || shared.wake(a)));
+            scope.spawn(|| wake_rounds(&rounds_b, EVERY, || shared.wake(b)));
+            let on_b = scope.spawn(|| wait_rounds(&shared, 1, b, &rounds_b));
+            wait_rounds(&shared, 0, a, &rounds_a) + on_b.join().expect("waiter on b")
+        });
+        assert_settled(&shared, parks);
+    }
+
+    #[test]
+    fn wake_all_except_races_parks_on_the_spared_and_on_other_keys() {
+        let shared = running_job(4, 2);
+        let (spared, other) = colliding_keys();
+        let mailbox = WaitKey::mailbox(3);
+        // One broadcaster serves the mailbox and the object waiter; the spared key
+        // needs a waker of its own, because no broadcast ever wakes it.
+        let (bcast_mailbox, bcast_other, on_spared) =
+            (Rounds::default(), Rounds::default(), Rounds::default());
+        let parks = std::thread::scope(|scope| {
+            scope.spawn(|| wake_rounds(&bcast_mailbox, EVERY, || shared.wake_all_except(spared)));
+            scope.spawn(|| wake_rounds(&bcast_other, EVERY, || shared.wake_all_except(spared)));
+            scope.spawn(|| wake_rounds(&on_spared, EVERY, || shared.wake(spared)));
+            let a = scope.spawn(|| wait_rounds(&shared, 3, mailbox, &bcast_mailbox));
+            let b = scope.spawn(|| wait_rounds(&shared, 1, other, &bcast_other));
+            wait_rounds(&shared, 0, spared, &on_spared)
+                + a.join().expect("mailbox waiter")
+                + b.join().expect("object waiter")
+        });
+        assert_settled(&shared, parks);
     }
 }

@@ -615,17 +615,13 @@ impl ClusterState {
     }
 
     /// Ends the disruption epoch: no failure outstanding, nobody to blame, every
-    /// in-flight message dropped, and the fiber scheduler's idle wait channels (those
-    /// of communicators the epoch may have dropped) forgotten.
+    /// in-flight message dropped.
     fn end_epoch(&self) {
         self.global_disruption.store(false, Ordering::SeqCst);
         self.fail_time_bits.store(u64::MAX, Ordering::SeqCst);
         self.first_failed.store(NO_RANK, Ordering::SeqCst);
         for mb in &self.mailboxes {
             mb.clear();
-        }
-        if let Some(waker) = self.job_waker.get() {
-            waker.forget_idle_channels();
         }
     }
 
@@ -765,7 +761,6 @@ mod tests {
         fn wake_all_except(&self, spared: WaitKey) {
             self.broadcasts.lock().push(spared);
         }
-        fn forget_idle_channels(&self) {}
     }
 
     fn state_with_waker(n: usize) -> (Arc<ClusterState>, Arc<RecordingWaker>) {

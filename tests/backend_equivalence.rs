@@ -105,12 +105,25 @@ fn run_trace_in(
     trace: FailureTrace,
     fti: FtiConfig,
 ) -> (Vec<RankObservation>, TimeBreakdown) {
+    run_app_in(cluster, strategy, trace, fti, toy_app)
+}
+
+/// A rank program under the recovery driver.
+type App = fn(&mut RankCtx, &mut Fti, &FaultInjector) -> Result<f64, MpiError>;
+
+fn run_app_in(
+    cluster: ClusterConfig,
+    strategy: RecoveryStrategy,
+    trace: FailureTrace,
+    fti: FtiConfig,
+    app: App,
+) -> (Vec<RankObservation>, TimeBreakdown) {
     let backend = cluster.backend;
     let store = CheckpointStore::shared();
     let config = FtConfig::new(strategy, fti).with_fault(trace);
     let outcome = Cluster::new(cluster).run(move |ctx| {
         let driver = FtDriver::new(config.clone(), Arc::clone(&store));
-        driver.execute(ctx, toy_app)
+        driver.execute(ctx, app)
     });
     assert!(
         outcome.all_ok(),
@@ -394,6 +407,88 @@ fn wide_cells_with_a_failure_are_bit_identical_across_backends() {
             (SchedBackend::Coop, 0),
             (SchedBackend::Par, 2),
             (SchedBackend::Par, 3),
+        ] {
+            let (b, bb) = run(backend, workers);
+            assert_eq!(a, b, "{strategy} diverged on {backend}[w={workers}]");
+            assert_eq!(
+                ba, bb,
+                "{strategy} breakdowns diverged on {backend}[w={workers}]"
+            );
+        }
+    }
+}
+
+/// The collective slot under load: every iteration runs an all-reduce, a ring
+/// exchange, an all-gather, a barrier and a max-reduce back to back — no rank waits
+/// for a round to drain before depositing into the next — and the victim dies between
+/// two of them, after its peers have run ahead into a round it will never join. The
+/// respawn designs must be bit-identical to `threads` on `coop` and on `par` at 2, 3
+/// and 4 workers (12 ranks: even, uneven and one-node-per-worker blocks).
+#[test]
+fn collective_heavy_rounds_with_a_kill_are_bit_identical_across_backends() {
+    const RANKS: usize = 12;
+
+    fn collective_app(
+        ctx: &mut RankCtx,
+        fti: &mut Fti,
+        injector: &FaultInjector,
+    ) -> Result<f64, MpiError> {
+        let world = ctx.world();
+        let (me, n) = (world.rank(), world.size());
+        let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+        let mut acc = 0.0f64;
+        let mut start = 1u64;
+        fti.protect(0, "acc", &acc);
+        if fti.status().is_restart() {
+            start = fti.recover_object(ctx, 0, &mut acc)? + 1;
+        }
+        for iteration in start..=ITERATIONS {
+            // Uneven bodies: who is ahead, and who finishes a round, changes per
+            // iteration.
+            ctx.compute(((me + iteration as usize) % 4) as f64 * 3e4);
+            let sum = ctx.allreduce_sum_f64(&world, (me + 1) as f64 * iteration as f64)?;
+            let halo = ctx.sendrecv_f64(&world, next, &[acc, sum], prev, 7)?;
+            injector.maybe_fail(ctx, iteration)?;
+            let gathered = ctx.allgather_f64(&world, &[halo[0] + me as f64, sum])?;
+            ctx.barrier(&world)?;
+            let peak = ctx.allreduce_max_f64(&world, gathered.chunk(prev)[0])?;
+            acc += sum + 1e-3 * gathered.flat().iter().sum::<f64>() + 1e-6 * peak;
+            if fti.should_checkpoint(iteration) {
+                fti.checkpoint(ctx, iteration, &[(0, &acc as &dyn Protectable)])?;
+            }
+        }
+        fti.finalize(ctx)?;
+        Ok(acc)
+    }
+
+    let trace = FailureTrace::schedule(vec![FailureSpec::kill_process(RANKS / 2, 7)]);
+    for strategy in RecoveryStrategy::ALL
+        .into_iter()
+        .filter(|s| *s != RecoveryStrategy::Shrink)
+    {
+        let run = |backend, workers| {
+            let cluster = ClusterConfig::with_ranks(RANKS)
+                .nodes(4)
+                .backend(backend)
+                .workers(workers)
+                .stack_size(256 * 1024);
+            let fti = resilient_config();
+            run_app_in(cluster, strategy, trace.clone(), fti, collective_app)
+        };
+        let (a, ba) = run(SchedBackend::Threads, 0);
+        assert!(
+            a.iter().all(|o| o.recoveries == 1),
+            "{strategy} must recover"
+        );
+        assert!(
+            a.iter().all(|o| o.value == a[0].value),
+            "{strategy}: one answer"
+        );
+        for (backend, workers) in [
+            (SchedBackend::Coop, 0),
+            (SchedBackend::Par, 2),
+            (SchedBackend::Par, 3),
+            (SchedBackend::Par, 4),
         ] {
             let (b, bb) = run(backend, workers);
             assert_eq!(a, b, "{strategy} diverged on {backend}[w={workers}]");
