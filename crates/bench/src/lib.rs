@@ -13,8 +13,8 @@
 //! * `MATCH_JOBS` — number of experiments run concurrently by the
 //!   [`SuiteEngine`] (default: the host's available parallelism; the `match-bench`
 //!   CLI also accepts `--jobs N`),
-//! * `MATCH_BACKEND` — the scheduler backend simulated jobs run on (`threads` or
-//!   `coop`; results are bit-identical, only host scaling differs; the CLI also
+//! * `MATCH_BACKEND` — the scheduler backend simulated jobs run on (`par`, `coop` or
+//!   `threads`; results are bit-identical, only host scaling differs; the CLI also
 //!   accepts `--backend NAME`),
 //! * `MATCH_RACKS` — rack-count override for the experiment topology (the `nracks`
 //!   sweep knob; must divide the paper-layout node count; the CLI also accepts
@@ -26,7 +26,6 @@
 //!   subcommand inspects and maintains the store).
 
 pub mod micro;
-pub mod scale;
 pub mod warm;
 
 use match_core::matrix::MatrixOptions;

@@ -3,7 +3,7 @@
 //! ```text
 //! match-bench [--help] [--jobs N] [--json] [--backend threads|coop|par] [--workers N] \
 //!             [--racks N] [--expect-warm] \
-//!             [table1|fig5|...|fig10|mtbf|findings|micro|scale|cachebench|explore|all ...]
+//!             [table1|fig5|...|fig10|mtbf|findings|micro|cachebench|explore|all ...]
 //! match-bench cache stats|gc|clear
 //! match-bench --replay <artifact.json>
 //! ```
@@ -19,8 +19,7 @@
 //! root/entry/byte counts, `gc` runs one mtime-LRU sweep down to
 //! `MATCH_CACHE_MAX_MB`, and `clear` removes every entry. The `cachebench`
 //! target times a cold-vs-warm Fig. 6 matrix against a private store (with
-//! `--json`: written to `BENCH_PR7.json`); like `micro`/`scale` it is not part
-//! of `all`.
+//! `--json`: written to `BENCH_PR7.json`); like `micro` it is not part of `all`.
 //!
 //! `--backend` selects the scheduler backend simulated jobs run on (equivalent to
 //! `MATCH_BACKEND`; default `par`): `par` runs the ranks of a job as fibers sharded
@@ -31,10 +30,7 @@
 //! (the slow reference). Figure output is bit-identical across all three and any
 //! worker count; `coop` and `par` are the ones that scale to thousands of ranks.
 //! `--racks N` regroups the experiment topology's nodes into `N` racks (equivalent
-//! to `MATCH_RACKS`; must divide the paper-layout node count). The `scale` target
-//! sweeps rank counts per backend (and worker counts for `par`) and records
-//! wall-clock and RSS (see [`match_bench::scale`]); like `micro` it is not part
-//! of `all`.
+//! to `MATCH_RACKS`; must divide the paper-layout node count).
 //!
 //! The `explore` target runs the coverage-guided fault-space explorer (see
 //! [`match_explorer`]): per enabled design it searches the failure-trace space
@@ -73,7 +69,7 @@ use std::time::Instant;
 
 use match_bench::{
     figure_to_json, micro, mtbf_options_from_env, mtbf_to_json, options_from_env,
-    print_engine_line, print_figure, print_recovery_series, scale, warm,
+    print_engine_line, print_figure, print_recovery_series, warm,
 };
 use match_core::figures;
 use match_core::findings::Findings;
@@ -105,9 +101,9 @@ targets:
   mtbf              efficiency against the failure rate, per design
   findings          the Section V-C findings, derived from the Fig. 6 matrix
   all               every target above, as one scheduled matrix
-  micro scale cachebench explore
-                    data-plane kernels, scheduler scaling, cold against warm
-                    cache, fault-space explorer (not part of all)
+  micro cachebench explore
+                    data-plane kernels, cold against warm cache, fault-space
+                    explorer (not part of all)
 
 flags:
   -j, --jobs N      experiments run concurrently (MATCH_JOBS; default: host cores)
@@ -242,17 +238,6 @@ fn run_target(
             std::process::exit(1);
         }
     }
-}
-
-/// Runs the scheduler-backend scale sweep; with `json`, also writes `scale.json`.
-fn run_scale(json: bool) {
-    let report = scale::run();
-    println!("Scheduler-backend scale sweep (synthetic ring + allreduce kernel)");
-    print!("{}", report.render());
-    if json {
-        dump_json("scale", report.to_json());
-    }
-    println!();
 }
 
 /// Runs the cold-vs-warm persistent-cache benchmark; with `json`, also writes
@@ -547,10 +532,10 @@ fn main() {
     // Reject typos before any simulation runs — a bad name at the end of the list
     // must not surface only after minutes of matrix work.
     for name in &expanded {
-        if !TARGETS.contains(name) && !["micro", "scale", "cachebench", "explore"].contains(name) {
+        if !TARGETS.contains(name) && !["micro", "cachebench", "explore"].contains(name) {
             eprintln!(
                 "unknown target '{name}' (expected table1, fig5..fig10, mtbf, findings, micro, \
-                 scale, cachebench, explore, all; or the 'cache stats|gc|clear' subcommand)"
+                 cachebench, explore, all; or the 'cache stats|gc|clear' subcommand)"
             );
             std::process::exit(2);
         }
@@ -577,8 +562,6 @@ fn main() {
     for name in expanded {
         if name == "micro" {
             run_micro(json, jobs);
-        } else if name == "scale" {
-            run_scale(json);
         } else if name == "cachebench" {
             run_cachebench(json, jobs, &options);
         } else if name == "explore" {
@@ -589,8 +572,8 @@ fn main() {
     }
 
     // The warm-start contract check: with a populated cache directory, a rerun
-    // must have answered every figure cell without simulating (micro/scale use
-    // private engines and are exempt by design).
+    // must have answered every figure cell without simulating (micro and
+    // cachebench use private engines and are exempt by design).
     if expect_warm {
         let stats = engine.cache_stats();
         if stats.disk_misses > 0 {

@@ -300,7 +300,6 @@ mod tests {
     use super::*;
     use crate::api::Fti;
     use crate::protect::Protectable;
-    use mpisim::sched::SchedBackend;
     use mpisim::ulfm::{shrink_recovery, shrinking_recovery_cost};
     use mpisim::{Cluster, ClusterConfig, SimTime};
 
@@ -321,9 +320,7 @@ mod tests {
     ) -> Vec<SurvivorView> {
         let store = CheckpointStore::shared();
         let store2 = Arc::clone(&store);
-        // Survivors busy-wait in host time for failure visibility, which is only
-        // legal on the thread backend.
-        let cluster = Cluster::new(config.backend(SchedBackend::Threads));
+        let cluster = Cluster::new(config);
         let outcome = cluster.run(move |ctx| {
             let world = ctx.world();
             let cfg = FtiConfig::default().interval(10);
@@ -336,9 +333,7 @@ mod tests {
             if ctx.rank() == victim {
                 return Err(ctx.kill_self());
             }
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let cost = shrinking_recovery_cost(ctx, world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             assert_eq!(shrunk.size(), nprocs - 1);
@@ -438,15 +433,13 @@ mod tests {
     fn nothing_recoverable_means_a_clean_fresh_start() {
         let store = CheckpointStore::shared();
         let store2 = Arc::clone(&store);
-        let cluster = Cluster::new(ClusterConfig::with_ranks(4).backend(SchedBackend::Threads));
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(move |ctx| {
             let world = ctx.world();
             if ctx.rank() == 1 {
                 return Err(ctx.kill_self());
             }
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let cost = shrinking_recovery_cost(ctx, world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             // No checkpoint was ever written: the agreement lands on 0.

@@ -135,36 +135,6 @@ pub const KNOBS: &[Knob] = &[
         doc: "input scaling preset: smoke, bench or paper",
     },
     Knob {
-        name: "MATCH_SCALE_BACKENDS",
-        default: "threads,coop,par",
-        doc: "backends swept by the scale target",
-    },
-    Knob {
-        name: "MATCH_SCALE_ITERS",
-        default: "5",
-        doc: "iterations of the scale target's synthetic kernel",
-    },
-    Knob {
-        name: "MATCH_SCALE_RANKS",
-        default: "512,1024,2048,4096",
-        doc: "rank ladder of the scale target",
-    },
-    Knob {
-        name: "MATCH_SCALE_STACK_KB",
-        default: "256",
-        doc: "fiber stack size of the scale target, KiB",
-    },
-    Knob {
-        name: "MATCH_SCALE_THREADS_MAX",
-        default: "2048",
-        doc: "largest rank count the scale target runs on the threads backend",
-    },
-    Knob {
-        name: "MATCH_SCALE_WORKERS",
-        default: "1,2,4,8",
-        doc: "par worker ladder of the scale target",
-    },
-    Knob {
         name: "MATCH_SHRINK",
         default: "1",
         doc: "set to 0/off/false/no to drop SHRINK-FTI and sweep only the paper's three designs",

@@ -19,7 +19,7 @@
 //! Violations can be waived in-source, narrowly, with a mandatory reason:
 //!
 //! ```text
-//! // match-lint: allow(no-wall-clock) -- threads-backend fallback, wakeups re-check
+//! // match-lint: allow(no-wall-clock) -- log-only timing, never read into a result
 //! ```
 //!
 //! A standalone waiver comment covers the next code line; a trailing waiver covers

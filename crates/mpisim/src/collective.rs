@@ -18,19 +18,19 @@
 //! safe because round *n+1* cannot complete — and overwrite the cell — before the
 //! slow member has deposited into it, which it does only after taking the cell.
 //!
-//! A waiting member polls a caller-supplied `abort_check`, so members blocked in a
-//! collective whose peers have failed observe the failure (ULFM semantics) instead of
-//! hanging. **The cell comes first:** a round whose members all deposited always
-//! completes, so a member that finds its cell filled returns the round's result even
-//! if a failure transition woke it; only a member whose cell is still empty under the
-//! slot lock withdraws its contribution and reports the abort.
+//! A waiting member parks through a caller-supplied [`SlotWait`] — the point where the
+//! scheduler backend plugs in — and re-checks its cell and a caller-supplied
+//! `abort_check` each time it is woken, so members blocked in a collective whose peers
+//! have failed observe the failure (ULFM semantics) instead of hanging: the failure
+//! transition wakes them. **The cell comes first:** a round whose members all
+//! deposited always completes, so a member that finds its cell filled returns the
+//! round's result even if a failure transition woke it; only a member whose cell is
+//! still empty under the slot lock withdraws its contribution and reports the abort.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::MpiError;
 use crate::sched::WaitToken;
@@ -42,29 +42,24 @@ pub type AnyBox = Box<dyn Any + Send>;
 /// The type-erased output of a rendezvous round, shared by all its members.
 pub type AnyArc = Arc<dyn Any + Send + Sync>;
 
-/// How a member blocked inside [`CollSlot::run_with_wait`] waits for its round to
-/// complete — the point where the scheduler backend plugs into the rendezvous engine.
+/// How a member blocked inside [`CollSlot::run`] waits for its round to complete —
+/// the point where the scheduler backend plugs into the rendezvous engine.
+///
+/// `prepare` snapshots the slot's wait channel *before* the member checks its delivery
+/// cell, `park` suspends the calling rank until woken (or returns immediately if a
+/// wake invalidated the token), and `wake` is invoked by the finisher once every cell
+/// is filled. No timeouts exist: the finisher's wake follows the cells it announces,
+/// and cluster-wide transitions invalidate prepared tokens, so no wakeup can be lost.
 #[derive(Clone, Copy)]
-pub enum SlotWait<'a> {
-    /// Thread backend: block on the slot's internal condition variable, with a long
-    /// timeout as a pure fallback (failure transitions wake waiters explicitly).
-    Condvar,
-    /// Fiber backends (`coop`/`par`): `prepare` snapshots the slot's wait channel
-    /// *before* the member checks its delivery cell, `park` suspends the calling task
-    /// until woken (or returns immediately if a wake invalidated the token), and
-    /// `wake` is invoked by the finisher once every cell is filled. No timeouts exist
-    /// on this path: the finisher's wake follows the cells it announces, and
-    /// cluster-wide transitions invalidate prepared tokens, so no wakeup can be lost.
-    Park {
-        /// Snapshots the slot's wait channel (before the checks the park guards).
-        prepare: &'a dyn Fn() -> WaitToken,
-        /// Suspends the calling task (called with the slot lock released). The flag
-        /// says whether this wait already suspended before — a wake that did not end
-        /// it — and the result whether the task was actually suspended.
-        park: &'a dyn Fn(WaitToken, bool) -> bool,
-        /// Wakes every task parked on this slot.
-        wake: &'a dyn Fn(),
-    },
+pub struct SlotWait<'a> {
+    /// Snapshots the slot's wait channel (before the checks the park guards).
+    pub prepare: &'a dyn Fn() -> WaitToken,
+    /// Suspends the calling rank (called with the slot lock released). The flag says
+    /// whether this wait already suspended before — a wake that did not end it — and
+    /// the result whether the rank was actually suspended.
+    pub park: &'a dyn Fn(WaitToken, bool) -> bool,
+    /// Wakes every rank parked on this slot.
+    pub wake: &'a dyn Fn(),
 }
 
 /// What a completed round hands each member: the common completion time and the
@@ -84,12 +79,6 @@ pub struct CollSlot {
     /// Per-member delivery cells (see the module docs): filled by the finisher under
     /// the state lock, emptied by the member alone.
     cells: Vec<Mutex<Option<Delivery>>>,
-    cv: Condvar,
-    /// Threads blocked on `cv` (thread backend only). Counted under the state lock,
-    /// and a finisher reads it after filling the cells under that lock, so the
-    /// notification is skipped exactly when nobody sleeps: on the fiber backends the
-    /// condition variable is never touched.
-    cv_waiters: AtomicUsize,
 }
 
 impl std::fmt::Debug for CollSlot {
@@ -102,12 +91,6 @@ impl std::fmt::Debug for CollSlot {
             .finish()
     }
 }
-
-/// Fallback timeout between abort-condition re-checks while waiting. Failure, revoke
-/// and abort transitions wake waiters explicitly (see [`CollSlot::wake_all`]), so this
-/// only bounds the delay of a lost race between checking and sleeping; it is long
-/// enough that idle members no longer burn the host CPU with wake-ups.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 impl CollSlot {
     /// Creates a slot for a group of `nmembers` members.
@@ -123,8 +106,6 @@ impl CollSlot {
                 contributions: (0..nmembers).map(|_| None).collect(),
             }),
             cells: (0..nmembers).map(|_| Mutex::new(None)).collect(),
-            cv: Condvar::new(),
-            cv_waiters: AtomicUsize::new(0),
         }
     }
 
@@ -143,8 +124,10 @@ impl CollSlot {
     /// * `contribution` — this member's type-erased input.
     /// * `finish` — run exactly once per round, by the last member to deposit; receives
     ///   all contributions ordered by member index and returns the round's one output.
-    /// * `abort_check` — polled while waiting; returning `Some(err)` makes this member
-    ///   abandon the round with `Err(err)` (used for failure notification).
+    /// * `abort_check` — re-checked each time the member is woken while waiting;
+    ///   returning `Some(err)` makes this member abandon the round with `Err(err)`
+    ///   (used for failure notification).
+    /// * `wait` — how the member parks while it waits, and how the finisher wakes it.
     ///
     /// Returns the common completion time and the round's shared output.
     ///
@@ -152,35 +135,8 @@ impl CollSlot {
     ///
     /// Returns whatever error `abort_check` produced, or [`MpiError::Internal`] if a
     /// member index was out of range or used twice in one round.
-    pub fn run(
-        &self,
-        member: usize,
-        now: SimTime,
-        cost: SimTime,
-        contribution: AnyBox,
-        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
-        abort_check: impl FnMut() -> Option<MpiError>,
-    ) -> Result<(SimTime, AnyArc), MpiError> {
-        self.run_with_wait(
-            member,
-            now,
-            cost,
-            contribution,
-            finish,
-            abort_check,
-            SlotWait::Condvar,
-        )
-    }
-
-    /// Like [`CollSlot::run`], but with an explicit waiting strategy — the scheduler
-    /// backends differ only in how a member blocks (condvar versus cooperative park),
-    /// never in the rendezvous logic itself.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`CollSlot::run`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_with_wait(
+    pub fn run(
         &self,
         member: usize,
         now: SimTime,
@@ -227,36 +183,22 @@ impl CollSlot {
             drop(st);
             // After the unlock, so woken members find the slot free for the next
             // round. Nothing is lost by that: a waiter checks its cell after preparing
-            // its token (fibers) or under the state lock it sleeps on (threads), and
-            // every cell was filled before this line.
-            match wait {
-                SlotWait::Condvar => self.wake_all(),
-                SlotWait::Park { wake, .. } => wake(),
-            }
+            // its token, and every cell was filled before this line.
+            (wait.wake)();
             return Ok(delivery);
         }
 
-        // Wait for the finisher. A condvar waiter keeps the state lock between its
-        // checks and its sleep; a fiber gives it up for good and is covered by the
-        // token it prepares before each pass instead.
-        let mut st = match wait {
-            SlotWait::Condvar => Some(st),
-            SlotWait::Park { .. } => {
-                drop(st);
-                None
-            }
-        };
+        // Wait for the finisher, without the state lock: the token prepared before
+        // each pass covers the checks instead.
+        drop(st);
         let mut suspended_before = false;
         loop {
-            let token = match wait {
-                SlotWait::Park { prepare, .. } => Some(prepare()),
-                SlotWait::Condvar => None,
-            };
+            let token = (wait.prepare)();
             if let Some(delivery) = self.cells[member].lock().take() {
                 return Ok(delivery);
             }
             if let Some(err) = abort_check() {
-                let mut st = st.unwrap_or_else(|| self.state.lock());
+                let mut st = self.state.lock();
                 // The round may have completed since the check above: under the lock
                 // the cell is final, and a completed round is never reported aborted.
                 if let Some(delivery) = self.cells[member].lock().take() {
@@ -268,28 +210,7 @@ impl CollSlot {
                 }
                 return Err(err);
             }
-            match (wait, &mut st) {
-                (SlotWait::Park { park, .. }, _) => {
-                    let token = token.expect("fiber waits prepare a token");
-                    suspended_before |= park(token, suspended_before);
-                }
-                (SlotWait::Condvar, Some(st)) => {
-                    self.cv_waiters.fetch_add(1, Ordering::SeqCst);
-                    self.cv.wait_for(st, POLL_INTERVAL);
-                    self.cv_waiters.fetch_sub(1, Ordering::SeqCst);
-                }
-                (SlotWait::Condvar, None) => unreachable!("condvar waiters keep the lock"),
-            }
-        }
-    }
-
-    /// Wakes every thread blocked inside [`CollSlot::run`] without changing any
-    /// state. Called when a cluster-wide condition (failure, revoke, abort) changes,
-    /// so waiting members run their `abort_check` promptly instead of discovering the
-    /// condition on their next poll timeout.
-    pub fn wake_all(&self) {
-        if self.cv_waiters.load(Ordering::SeqCst) > 0 {
-            self.cv.notify_all();
+            suspended_before |= (wait.park)(token, suspended_before);
         }
     }
 
@@ -306,13 +227,13 @@ impl CollSlot {
         for cell in &self.cells {
             *cell.lock() = None;
         }
-        self.wake_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::WaitKey;
 
     /// Runs `f(member)` on `n` threads and returns their results.
     fn run_members<R: Send + 'static>(
@@ -328,6 +249,18 @@ mod tests {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
+
+    /// A wait that never suspends: every park is refused, so a waiting member
+    /// re-checks its cell and its abort condition in a loop — the rendezvous logic
+    /// with no scheduler behind it.
+    const SPIN: SlotWait<'static> = SlotWait {
+        prepare: &|| WaitToken::immediate(WaitKey::FAILURE_EVENTS),
+        park: &|_, _| {
+            std::thread::yield_now();
+            false
+        },
+        wake: &|| (),
+    };
 
     /// A finish closure summing `u64` contributions into the round's shared output.
     fn sum_u64(contribs: Vec<(SimTime, AnyBox)>) -> AnyArc {
@@ -352,13 +285,14 @@ mod tests {
                     Arc::new(*v.downcast::<u64>().unwrap() + 1)
                 },
                 || None,
+                SPIN,
             )
             .unwrap();
         assert_eq!(t.as_secs(), 1.5);
         assert_eq!(*out.downcast::<u64>().unwrap(), 42);
         // The lone member is every round's finisher: the next round is open at once.
         let (_, out) = slot
-            .run(0, t, SimTime::ZERO, Box::new(7u64), sum_u64, || None)
+            .run(0, t, SimTime::ZERO, Box::new(7u64), sum_u64, || None, SPIN)
             .unwrap();
         assert_eq!(*out.downcast::<u64>().unwrap(), 7);
         assert!(format!("{slot:?}").contains("deposited: 0, undelivered: 0"));
@@ -377,6 +311,7 @@ mod tests {
                     Box::new(i as u64),
                     sum_u64,
                     || None,
+                    SPIN,
                 )
                 .unwrap();
             (t.as_secs(), out.downcast::<u64>().unwrap())
@@ -407,6 +342,7 @@ mod tests {
                         Box::new(round * 10 + i as u64),
                         sum_u64,
                         || None,
+                        SPIN,
                     )
                     .unwrap();
                 sums.push(*out.downcast::<u64>().unwrap());
@@ -439,6 +375,7 @@ mod tests {
                         None
                     }
                 },
+                SPIN,
             )
         });
         let res = handle.join().unwrap();
@@ -461,6 +398,7 @@ mod tests {
                 Box::new(()),
                 |_| Arc::new(()),
                 || None,
+                SPIN,
             )
             .unwrap_err();
         assert!(matches!(err, MpiError::Internal(_)));
@@ -482,6 +420,7 @@ mod tests {
                     polls += 1;
                     (polls > 2).then_some(MpiError::Revoked)
                 },
+                SPIN,
             );
         });
         t.join().unwrap();
@@ -489,10 +428,9 @@ mod tests {
         assert!(format!("{slot:?}").contains("deposited: 0"));
     }
 
-    // ----- the fiber protocol, interleaved by hand ------------------------------------
+    // ----- the park protocol, interleaved by hand -------------------------------------
 
-    use crate::sched::WaitKey;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::{channel, Receiver, Sender};
 
     /// What a scripted member tells the test.
@@ -516,7 +454,7 @@ mod tests {
     impl Member<'_> {
         fn round(&self, value: u64) -> Result<u64, MpiError> {
             let key = WaitKey::object(self.slot);
-            let round = self.slot.run_with_wait(
+            let round = self.slot.run(
                 self.index,
                 SimTime::ZERO,
                 SimTime::ZERO,
@@ -527,7 +465,7 @@ mod tests {
                         .load(Ordering::SeqCst)
                         .then_some(MpiError::Revoked)
                 },
-                SlotWait::Park {
+                SlotWait {
                     prepare: &|| WaitToken::immediate(key),
                     park: &|_, _| {
                         self.events.send(Event::Parked(self.index)).unwrap();
@@ -611,19 +549,20 @@ mod tests {
                 Box::new(20u64),
                 sum_u64,
                 || None,
+                SPIN,
             );
             assert!(delivered.is_ok());
             Some(MpiError::Revoked)
         };
         let (_, out) = slot
-            .run_with_wait(
+            .run(
                 0,
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Box::new(2u64),
                 sum_u64,
                 late_finisher,
-                SlotWait::Park {
+                SlotWait {
                     prepare: &|| WaitToken::immediate(key),
                     park: &|_, _| unreachable!("the first pass decides"),
                     wake: &|| (),
@@ -671,6 +610,7 @@ mod tests {
                             Box::new(100u64),
                             sum_u64,
                             || None,
+                            SPIN,
                         )
                     };
                     scope.spawn(sum)

@@ -13,8 +13,6 @@ use crate::datatype;
 use crate::error::MpiError;
 use crate::machine::{CollectiveKind, MachineModel, StorageTier};
 use crate::msg::{Message, Payload};
-use crate::sched::coop::CoopYielder;
-use crate::sched::par::ParYielder;
 use crate::sched::{WaitKey, WaitToken, Yielder};
 use crate::state::ClusterState;
 use crate::stats::{RankStats, TimeBreakdown};
@@ -140,10 +138,9 @@ pub struct RankCtx {
     compute_interference: f64,
     io_interference: f64,
     world: Comm,
-    /// Set when this rank runs on a fiber backend (`coop` or `par`): blocked
-    /// operations park the rank's fiber instead of waiting on condition variables,
+    /// The backend's park/wake handle: blocked operations park the rank through it,
     /// and state changes other ranks may be parked on are signalled through it.
-    yielder: Option<Yielder>,
+    yielder: Yielder,
 }
 
 impl std::fmt::Debug for RankCtx {
@@ -157,26 +154,9 @@ impl std::fmt::Debug for RankCtx {
 }
 
 impl RankCtx {
-    /// Creates the context for `rank` over the given shared cluster state (thread
-    /// backend: blocked operations wait on condition variables).
-    pub(crate) fn new(rank: usize, state: Arc<ClusterState>) -> Self {
-        Self::with_backend(rank, state, None)
-    }
-
-    /// Creates the context for `rank` on the cooperative backend: blocked operations
-    /// park the rank's fiber through `yielder` instead of blocking the host thread.
-    pub(crate) fn new_coop(rank: usize, state: Arc<ClusterState>, yielder: CoopYielder) -> Self {
-        Self::with_backend(rank, state, Some(Yielder::Coop(yielder)))
-    }
-
-    /// Creates the context for `rank` on the parallel backend: like
-    /// [`RankCtx::new_coop`], but parks are token-validated against racing wakeups
-    /// from other worker threads.
-    pub(crate) fn new_par(rank: usize, state: Arc<ClusterState>, yielder: ParYielder) -> Self {
-        Self::with_backend(rank, state, Some(Yielder::Par(yielder)))
-    }
-
-    fn with_backend(rank: usize, state: Arc<ClusterState>, yielder: Option<Yielder>) -> Self {
+    /// Creates the context for `rank` over the given shared cluster state; blocked
+    /// operations park through `yielder`, the handle of the job's backend.
+    pub(crate) fn new(rank: usize, state: Arc<ClusterState>, yielder: Yielder) -> Self {
         let world = Comm::new(Arc::clone(&state.world), rank);
         RankCtx {
             rank,
@@ -194,45 +174,26 @@ impl RankCtx {
 
     // ----- backend plumbing ----------------------------------------------------------
 
-    /// Snapshots the wait channel `key` for a subsequent [`RankCtx::park_or_sleep`].
-    /// Must be read **before** the condition the park guards is checked: on the
-    /// parallel backend the token is what detects a wake racing the check (the park
-    /// then returns immediately); on the other backends it is inert.
+    /// Snapshots the wait channel `key` for a subsequent [`RankCtx::park`]. Must be
+    /// read **before** the condition the park guards is checked: on the backends whose
+    /// ranks park from several OS threads the token is what detects a wake racing the
+    /// check (the park then returns immediately); on `coop` it is inert.
     pub(crate) fn wait_token(&self, key: WaitKey) -> WaitToken {
-        match &self.yielder {
-            Some(y) => y.wait_token(key),
-            None => WaitToken::immediate(key),
-        }
+        self.yielder.wait_token(self.rank, key)
     }
 
-    /// Suspends this rank until the token's wait channel is signalled (fiber
-    /// backends) or sleeps for `fallback` host time (thread backend, where the
-    /// corresponding state change broadcasts a wakeup anyway). The caller re-checks
-    /// its condition in a loop around this, re-reading the token each pass; parks
-    /// whose token a wake has invalidated return immediately, so no wakeup can be
-    /// lost. `suspended_before` and the result are those of [`Yielder::park`]: the
+    /// Suspends this rank until the token's wait channel is signalled. The caller
+    /// re-checks its condition in a loop around this, re-reading the token each pass;
+    /// parks whose token a wake has invalidated return immediately, so no wakeup can
+    /// be lost. `suspended_before` and the result are those of [`Yielder::park`]: the
     /// caller ORs the result into the flag it passes on its next pass.
-    pub(crate) fn park_or_sleep(
-        &self,
-        token: WaitToken,
-        fallback: std::time::Duration,
-        suspended_before: bool,
-    ) -> bool {
-        match &self.yielder {
-            Some(y) => y.park(token, self.now, suspended_before),
-            None => {
-                // match-lint: allow(no-wall-clock) -- threads backend's documented
-                // host-time fallback: the nap only paces a poll loop re-checked against
-                // virtual state, so host timing never reaches any simulation result.
-                std::thread::sleep(fallback);
-                false
-            }
-        }
+    pub(crate) fn park(&self, token: WaitToken, suspended_before: bool) -> bool {
+        self.yielder
+            .park(self.rank, token, self.now, suspended_before)
     }
 
-    /// Executes one rendezvous round on `slot` as member `member`, blocking the way
-    /// this rank's backend blocks: on the slot's condition variable (threads) or
-    /// parked on the slot's wait channel (fibers).
+    /// Executes one rendezvous round on `slot` as member `member`, parked on the
+    /// slot's wait channel while it waits.
     fn run_round(
         &self,
         slot: &CollSlot,
@@ -242,32 +203,26 @@ impl RankCtx {
         finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
         abort_check: impl FnMut() -> Option<MpiError>,
     ) -> Result<(SimTime, AnyArc), MpiError> {
-        let Some(y) = &self.yielder else {
-            return slot.run(member, self.now, cost, contribution, finish, abort_check);
-        };
-        let key = WaitKey::object(slot);
-        let entry_time = self.now;
-        slot.run_with_wait(
+        let (y, rank, key, entry_time) =
+            (&self.yielder, self.rank, WaitKey::object(slot), self.now);
+        slot.run(
             member,
             entry_time,
             cost,
             contribution,
             finish,
             abort_check,
-            SlotWait::Park {
-                prepare: &|| y.wait_token(key),
-                park: &|token, suspended_before| y.park(token, entry_time, suspended_before),
+            SlotWait {
+                prepare: &|| y.wait_token(rank, key),
+                park: &|token, suspended_before| y.park(rank, token, entry_time, suspended_before),
                 wake: &|| y.wake(key),
             },
         )
     }
 
-    /// Signals the wait channel `key` (no-op on the thread backend, whose waiters use
-    /// condvars or polling instead of channels).
+    /// Signals the wait channel `key`.
     pub(crate) fn wake_channel(&self, key: WaitKey) {
-        if let Some(y) = &self.yielder {
-            y.wake(key);
-        }
+        self.yielder.wake(key);
     }
 
     // ----- introspection -------------------------------------------------------------
@@ -523,10 +478,8 @@ impl RankCtx {
     /// *detection barrier*: a rank that has reached the iteration of a scheduled
     /// failure event waits here until the event's victim has actually died, which
     /// guarantees the failure's virtual timestamp is published before any post-event
-    /// operation evaluates the visibility rule. On the thread backend the wait is a
-    /// host-time poll; on the cooperative backend it is a scheduler yield point —
-    /// the rank parks on the failure-event channel and every failure publication
-    /// wakes it.
+    /// operation evaluates the visibility rule. The rank parks on the failure-event
+    /// channel and every failure publication wakes it.
     pub fn wait_for_failure_events(&self, events: u64) {
         let mut suspended_before = false;
         loop {
@@ -536,11 +489,7 @@ impl RankCtx {
             if self.state.failure_events() >= events || self.state.failed_count() > 0 {
                 return;
             }
-            suspended_before |= self.park_or_sleep(
-                token,
-                std::time::Duration::from_micros(100),
-                suspended_before,
-            );
+            suspended_before |= self.park(token, suspended_before);
         }
     }
 
@@ -677,7 +626,7 @@ impl RankCtx {
             payload,
             sent_at: self.now,
         });
-        // Cooperative backend: the destination may be parked on its mailbox channel.
+        // The destination may be parked on its mailbox channel.
         self.wake_channel(WaitKey::mailbox(dest_global));
         self.stats.sends += 1;
         Ok(())
@@ -760,11 +709,8 @@ impl RankCtx {
         loop {
             // Token before *both* conditions the park guards — the health check and
             // the mailbox probe: a failure publication or a send racing either one
-            // invalidates the park below instead of being lost (parallel backend).
-            let token = self
-                .yielder
-                .as_ref()
-                .map(|y| y.wait_token(WaitKey::mailbox(me)));
+            // invalidates the park below instead of being lost.
+            let token = self.wait_token(WaitKey::mailbox(me));
             if let Some(err) = self.state.health_error(comm.shared()) {
                 match err {
                     // Abort and revocation interrupt a blocked receive unconditionally.
@@ -792,15 +738,7 @@ impl RankCtx {
                 }
             }
             let mailbox = &self.state.mailboxes[me];
-            let matched = match (&self.yielder, *watching) {
-                // Thread backend, registered: the search and the wait happen under
-                // one mailbox lock so a concurrent push can never be missed.
-                (None, true) => {
-                    mailbox.match_or_wait(comm.id(), src_global, tag_sel, self.state.poll_interval)
-                }
-                _ => mailbox.try_match(comm.id(), src_global, tag_sel),
-            };
-            if let Some(msg) = matched {
+            if let Some(msg) = mailbox.try_match(comm.id(), src_global, tag_sel) {
                 return Ok(msg);
             }
             if !*watching {
@@ -809,13 +747,12 @@ impl RankCtx {
                 // pass again: the registration must precede the quiescence check.
                 self.state.watch_source(me, src_global, comm.size());
                 *watching = true;
-            } else if let (Some(y), Some(token)) = (&self.yielder, token) {
-                // Fiber backends: park on the mailbox channel; a send to this rank,
-                // the parking of its source or any cluster-wide failure transition
-                // wakes it. On `coop` the check-then-park is atomic (one OS thread);
-                // on `par` the token read above detects a racing wake and turns the
-                // park into a no-op.
-                suspended_before |= y.park(token, self.now, suspended_before);
+            } else {
+                // Park on the mailbox channel; a send to this rank, the parking of its
+                // source or any cluster-wide failure transition wakes it. On `coop`
+                // the check-then-park is atomic (one OS thread); elsewhere the token
+                // read above detects a racing wake and turns the park into a no-op.
+                suspended_before |= self.park(token, suspended_before);
             }
         }
     }
@@ -1325,12 +1262,20 @@ impl RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::threads::ThreadShared;
     use crate::state::ClusterState;
     use crate::topology::Topology;
 
+    /// Rank 0's context on a thread-backend job of `nprocs` ranks.
+    fn rank0_ctx(nprocs: usize) -> RankCtx {
+        let topology = Topology::single_node(nprocs);
+        let state = ClusterState::new(nprocs, topology, MachineModel::default());
+        let yielder = Yielder::Threads(ThreadShared::for_job(&state));
+        RankCtx::new(0, state, yielder)
+    }
+
     fn single_rank_ctx() -> RankCtx {
-        let state = ClusterState::new(1, Topology::single_node(1), MachineModel::default());
-        RankCtx::new(0, state)
+        rank0_ctx(1)
     }
 
     #[test]
@@ -1428,8 +1373,7 @@ mod tests {
         // Two ranks: rank 1 "fails" while rank 0 only ever talks to itself through a
         // self-communicator. Without the global-restart declaration that communicator
         // keeps working; with it, the operation reports the failure.
-        let state = ClusterState::new(2, Topology::single_node(2), MachineModel::default());
-        let mut ctx = RankCtx::new(0, state);
+        let mut ctx = rank0_ctx(2);
         let world = ctx.world();
         ctx.fail_rank(1);
         // A communicator containing only rank 0 (build it directly to avoid needing

@@ -2,11 +2,11 @@
 //!
 //! Each rank owns one [`Mailbox`]. Senders push messages into the destination rank's
 //! mailbox; the receiver scans its mailbox for the first message matching the
-//! `(communicator, source, tag)` selector. Blocking receives are implemented by the
-//! caller as a loop around [`Mailbox::match_or_wait`] (thread backend) or
-//! [`Mailbox::try_match`] plus a fiber park, so that failure conditions can be
-//! checked between attempts — this is how the simulator delivers ULFM-style failure
-//! notifications to ranks blocked in communication.
+//! `(communicator, source, tag)` selector. The mailbox itself never blocks: a blocking
+//! receive is the caller's loop around [`Mailbox::try_match`] plus a park on the
+//! rank's mailbox wait channel, which every push to the rank wakes, so that failure
+//! conditions can be checked between attempts — this is how the simulator delivers
+//! ULFM-style failure notifications to ranks blocked in communication.
 //!
 //! Matching from the middle of the queue used to shift every later message down
 //! (`VecDeque::remove` is O(n)); the queue now uses *tombstones* instead: a matched
@@ -17,9 +17,8 @@
 //! triple.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::msg::Message;
 
@@ -32,18 +31,12 @@ struct Slots {
     queue: VecDeque<Option<Message>>,
     /// Number of live (non-tombstone) messages.
     live: usize,
-    /// Threads asleep in [`Mailbox::match_or_wait`] (thread backend only). The
-    /// condition variable is notified only while this is nonzero, so on the fiber
-    /// backends — whose receivers park on wait channels instead — a push costs no
-    /// wake-up system call.
-    sleepers: usize,
 }
 
 /// A thread-safe queue of messages addressed to one rank.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     slots: Mutex<Slots>,
-    cv: Condvar,
 }
 
 impl Mailbox {
@@ -52,57 +45,19 @@ impl Mailbox {
         Mailbox::default()
     }
 
-    /// Delivers a message into the mailbox and wakes any waiting receiver.
+    /// Delivers a message into the mailbox (the sender then wakes the receiver's
+    /// wait channel).
     pub fn push(&self, msg: Message) {
         let mut s = self.slots.lock();
         s.queue.push_back(Some(msg));
         s.live += 1;
-        self.notify(&s);
-    }
-
-    fn notify(&self, s: &Slots) {
-        if s.sleepers > 0 {
-            self.cv.notify_all();
-        }
     }
 
     /// Removes and returns the first message matching the selector, preserving the
     /// order of the remaining messages (MPI's non-overtaking rule for a given
     /// `(source, tag, communicator)` triple).
     pub fn try_match(&self, comm_id: u64, src: Option<usize>, tag: Option<i32>) -> Option<Message> {
-        Self::take_match(&mut self.slots.lock(), comm_id, src, tag)
-    }
-
-    /// Like [`Mailbox::try_match`], but when no queued message matches, atomically
-    /// blocks (for at most `timeout`) until a new message is pushed or the mailbox is
-    /// woken, then scans once more. The search and the wait happen under one lock, so
-    /// a message pushed between them can never be missed — and, unlike a naive
-    /// "wait while empty", a receiver is *not* woken over and over by queued messages
-    /// that do not match its selector (that busy-spin used to dominate the host CPU
-    /// whenever ranks held out-of-selector traffic, e.g. in halo exchanges).
-    pub fn match_or_wait(
-        &self,
-        comm_id: u64,
-        src: Option<usize>,
-        tag: Option<i32>,
-        timeout: Duration,
-    ) -> Option<Message> {
         let mut s = self.slots.lock();
-        if let Some(msg) = Self::take_match(&mut s, comm_id, src, tag) {
-            return Some(msg);
-        }
-        s.sleepers += 1;
-        self.cv.wait_for(&mut s, timeout);
-        s.sleepers -= 1;
-        Self::take_match(&mut s, comm_id, src, tag)
-    }
-
-    fn take_match(
-        s: &mut parking_lot::MutexGuard<'_, Slots>,
-        comm_id: u64,
-        src: Option<usize>,
-        tag: Option<i32>,
-    ) -> Option<Message> {
         let pos = s
             .queue
             .iter()
@@ -130,21 +85,12 @@ impl Mailbox {
         self.len() == 0
     }
 
-    /// Wakes the thread blocked in [`Mailbox::match_or_wait`], if any, without
-    /// delivering anything. Called when a condition its receive's abort predicate
-    /// reads (a failure, the parking of its source, a revoke, an abort) changes, so it
-    /// re-checks its health promptly instead of on its next poll timeout.
-    pub fn wake_all(&self) {
-        self.notify(&self.slots.lock());
-    }
-
     /// Discards every queued message (used when a communicator is repaired after a
     /// failure: pending communication is dropped, matching ULFM revoke semantics).
     pub fn clear(&self) {
         let mut s = self.slots.lock();
         s.queue.clear();
         s.live = 0;
-        self.notify(&s);
     }
 }
 

@@ -152,9 +152,9 @@ impl<R> RunOutcome<R> {
         &self.ranks
     }
 
-    /// The scheduler's host-side counters for this job (all zero on the thread
-    /// backend). They describe how the host executed the job, not what it simulated:
-    /// nothing derived from them may enter a report, a cache key or a persisted file.
+    /// The scheduler's host-side counters for this job, on every backend. They
+    /// describe how the host executed the job, not what it simulated: nothing derived
+    /// from them may enter a report, a cache key or a persisted file.
     pub fn sched_stats(&self) -> SchedStats {
         self.sched
     }
@@ -837,8 +837,9 @@ mod tests {
 
     // ----- the collective slot protocol, on every wait strategy -----------------------
 
-    /// Every way a member of a collective round waits: on the slot's condvar
-    /// (`threads`), parked on one thread (`coop`), parked across 2, 3 and 4 workers.
+    /// Every way a member of a collective round waits: its thread parked in the
+    /// kernel (`threads`), its fiber parked on one thread (`coop`) or across 2, 3 and
+    /// 4 workers.
     fn every_wait_strategy(nprocs: usize) -> Vec<(String, Cluster)> {
         let par = [2, 3, 4].map(|w| (format!("par[{w}]"), par_cluster(nprocs, w)));
         let mut all = vec![

@@ -24,10 +24,12 @@
 //!   operation re-evaluates its deterministic abort predicate. These happen O(1) times
 //!   per recovery, which keeps one recovery at N ranks at O(N) fiber resumes.
 //!
-//! Because everything runs on one thread, the check-then-park sequence is atomic by
+//! Every backend runs this one protocol; what is particular to `coop` is that
+//! everything runs on one thread, so the check-then-park sequence is atomic by
 //! construction: no condition can change between a task observing "not ready" and its
-//! fiber being parked, so there are no lost wakeups, no timeouts and no polling —
-//! the fallback heartbeats of the thread backend simply do not exist here.
+//! fiber being parked. Its wait channels are therefore plain waiter lists with no
+//! atomics, and its tokens carry nothing — the eventcount `par` and `threads` park on
+//! would only re-derive what one thread has for free.
 //!
 //! If the run queue empties while unfinished tasks remain parked (an application
 //! deadlock — e.g. a receive nothing will ever send to), the scheduler panics with a
@@ -46,7 +48,7 @@ use crate::state::ClusterState;
 use crate::time::SimTime;
 
 use super::channels::{ChannelTable, Waiter};
-use super::{JobWaker, RankScheduler, SchedStats, WaitKey};
+use super::{JobWaker, RankScheduler, SchedStats, WaitKey, Yielder};
 
 /// Run-queue and wait-channel bookkeeping (behind one mutex; uncontended — only the
 /// job's OS thread ever takes it, but the type must be `Sync` because the cluster
@@ -135,7 +137,7 @@ impl CoopShared {
 
     /// Parks the calling rank's fiber on `key` and switches to the scheduler. Returns
     /// when the rank is next resumed.
-    fn park(&self, rank: usize, key: WaitKey, now: SimTime, suspended_before: bool) {
+    pub(crate) fn park(&self, rank: usize, key: WaitKey, now: SimTime, suspended_before: bool) {
         {
             let mut q = self.inner.lock();
             let clock = now.as_secs().to_bits();
@@ -162,7 +164,7 @@ impl CoopShared {
     }
 
     /// Makes every rank parked on `key` runnable.
-    fn wake(&self, key: WaitKey) {
+    pub(crate) fn wake(&self, key: WaitKey) {
         self.inner.lock().release(Some(key), |k| k == key);
     }
 
@@ -195,37 +197,6 @@ impl JobWaker for CoopShared {
 
     fn wake_all_except(&self, spared: WaitKey) {
         self.inner.lock().release(None, |k| k != spared);
-    }
-}
-
-/// The per-rank handle blocked operations use to park and to wake their peers. Held
-/// by [`RankCtx`] when (and only when) the rank runs on the cooperative backend.
-#[derive(Clone)]
-pub(crate) struct CoopYielder {
-    shared: Arc<CoopShared>,
-    rank: usize,
-}
-
-impl std::fmt::Debug for CoopYielder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoopYielder")
-            .field("rank", &self.rank)
-            .finish()
-    }
-}
-
-impl CoopYielder {
-    /// Parks the calling rank on `key`; returns (`true`: it was suspended) when a
-    /// wakeup resumes it. `now` is the rank's virtual clock, which orders it in the
-    /// run queue on wakeup.
-    pub(crate) fn park(&self, key: WaitKey, now: SimTime, suspended_before: bool) -> bool {
-        self.shared.park(self.rank, key, now, suspended_before);
-        true
-    }
-
-    /// Wakes every rank parked on `key`.
-    pub(crate) fn wake(&self, key: WaitKey) {
-        self.shared.wake(key);
     }
 }
 
@@ -290,11 +261,8 @@ where
     let job = unsafe { &*(arg as *const RankJob<R, F>) };
     let rank = job.rank;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let yielder = CoopYielder {
-            shared: Arc::clone(&job.shared),
-            rank,
-        };
-        let mut ctx = RankCtx::new_coop(rank, Arc::clone(&job.state), yielder);
+        let yielder = Yielder::Coop(Arc::clone(&job.shared));
+        let mut ctx = RankCtx::new(rank, Arc::clone(&job.state), yielder);
         // SAFETY: `body` outlives the scheduler loop (it is a reference held by the
         // caller of run_fibers); fibers never outlive that call.
         let result = unsafe { (*job.body)(&mut ctx) };

@@ -9,25 +9,31 @@
 //! [`RunOutcome`](crate::RunOutcome)s. That property is the contract of the
 //! [`RankScheduler`] trait, and the backend-equivalence test suite enforces it.
 //!
+//! Every backend blocks the same way. A blocked receive, collective, rendezvous or
+//! detection barrier reads a [`WaitToken`] for its wait channel, checks its condition,
+//! and parks on the channel if the condition does not hold; the event it needs
+//! (message arrival, round completion, failure publication) wakes the channel. A
+//! backend only decides what "park" and "wake" mean — `sched/channels.rs` says where
+//! the channels live and why parks across OS threads lose no wake. No backend
+//! polls, sleeps on a timeout or reads host time while a rank waits.
+//!
 //! Three backends implement the trait:
 //!
 //! * [`ThreadScheduler`] (**`threads`**) — one OS thread per rank, true host
-//!   parallelism, blocking implemented with condition variables plus explicit
-//!   failure-transition wakeups. The portable reference implementation — what the
-//!   fiber backends degrade to on targets without the fiber runtime and what the
-//!   equivalence tests compare against — and the slow one: on the 2-core host of
-//!   `benchmark/baseline.json` the 64-rank HPCCG cell costs 41 ms on it
-//!   (`mpisim.cell_ms.threads`) against 4.9 ms on `coop`, and the gap widens with
-//!   the rank count until the host runs out of threads around 2k ranks.
+//!   parallelism; a parked rank's thread sleeps in `thread::park` on the same
+//!   eventcount `par` uses, until a wake unparks it. The portable reference
+//!   implementation — what the fiber backends degrade to on targets without the fiber
+//!   runtime and what the equivalence tests compare against — and the slow one: on
+//!   the 2-core host of `benchmark/baseline.json` the 64-rank HPCCG cell costs 41 ms
+//!   on it (`mpisim.cell_ms.threads`) against 4.9 ms on `coop`, and the gap widens
+//!   with the rank count until the host runs out of threads around 2k ranks.
 //!   `benchmark/README.md` says how these rows are measured.
 //! * [`CoopScheduler`] (**`coop`**) — all ranks of a job multiplexed as stackful
 //!   fibers over **one** OS thread, driven by a virtual-time run queue: the scheduler
-//!   always resumes the runnable rank with the lowest virtual clock, and a blocked
-//!   receive/collective/rendezvous parks its fiber on a wait channel until the event
-//!   it needs (message arrival, round completion, failure publication) wakes it. No
-//!   mailbox polling, no condition variables and no fallback heartbeats exist on this
-//!   path, which removes the per-rank host-thread cost entirely and lifts the
-//!   practical rank ceiling from hundreds to tens of thousands.
+//!   always resumes the runnable rank with the lowest virtual clock, and a parked
+//!   fiber is a saved stack pointer on a plain waiter list until a wake makes it
+//!   runnable again. This removes the per-rank host-thread cost entirely and lifts
+//!   the practical rank ceiling from hundreds to tens of thousands.
 //! * [`ParScheduler`] (**`par`**) — the multi-core variant of `coop`: the virtual-time
 //!   run queue is sharded over `MATCH_WORKERS` worker threads with deterministic
 //!   contiguous rank-block ownership, each worker driving its own `(clock, rank)`
@@ -50,7 +56,7 @@
 //! engine with `--jobs 1` (one wide cell at a time gets the whole budget), a
 //! `Cluster` run outside any engine, or an explicit `--workers` / `MATCH_WORKERS`.
 //!
-//! The fiber backends count what they do — [`SchedStats`] on every
+//! Every backend counts what it does — [`SchedStats`] on every
 //! [`RunOutcome`](crate::RunOutcome) — so that the host cost of a job can be asserted
 //! on counts (one recovery at N ranks resumes O(N) fibers), not on wall-clock.
 //!
@@ -75,9 +81,11 @@ pub(crate) mod coop;
 ))]
 pub(crate) mod fiber;
 pub(crate) mod par;
+pub(crate) mod threads;
 
 pub use coop::CoopScheduler;
 pub use par::ParScheduler;
+pub use threads::ThreadScheduler;
 
 /// Whether the cooperative backend's fiber runtime is available on this target
 /// (Linux on x86-64 or AArch64). Elsewhere [`CoopScheduler`] degrades to the thread
@@ -210,16 +218,17 @@ impl std::fmt::Display for SchedBackend {
     }
 }
 
-/// Host-side scheduler counters of one job: how often rank fibers were switched into,
-/// suspended and made runnable again. Filled by the fiber backends (`coop`, `par`) and
-/// all zero on `threads`, whose blocking is done by the host kernel. The counts
-/// describe host work only — they are no part of the simulated result and are exact
-/// run to run only on `coop`, whose schedule is deterministic.
+/// Host-side scheduler counters of one job: how often ranks were started or resumed,
+/// suspended and made runnable again — rank fibers on `coop` and `par`, rank threads
+/// on `threads`. The counts describe host work only — they are no part of the
+/// simulated result and are exact run to run only on `coop`, whose schedule is
+/// deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Switches into a rank fiber (its first start included).
+    /// Switches into a rank fiber, or returns of a suspended rank thread from its
+    /// park (each rank's first start included).
     pub resumes: u64,
-    /// Suspensions of a rank fiber on a wait channel.
+    /// Suspensions of a rank on a wait channel.
     pub parks: u64,
     /// Suspended ranks made runnable again by a wake.
     pub wakes: u64,
@@ -262,76 +271,7 @@ pub trait RankScheduler {
         F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync;
 }
 
-/// The thread-per-rank backend: every rank is an OS thread; blocked operations wait
-/// on condition variables and are woken explicitly on failure transitions (with a
-/// long timeout as a pure fallback). See the module docs for when to prefer it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadScheduler;
-
-impl RankScheduler for ThreadScheduler {
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> (Vec<RankOutcome<R>>, SchedStats)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-    {
-        let nprocs = state.nprocs;
-        let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
-        let mut spawn_error: Option<std::io::Error> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nprocs);
-            for rank in 0..nprocs {
-                let rank_state = Arc::clone(&state);
-                let builder = std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(config.stack_size);
-                let spawned = builder.spawn_scoped(scope, move || {
-                    let mut ctx = RankCtx::new(rank, rank_state);
-                    let result = body(&mut ctx);
-                    RankOutcome {
-                        rank,
-                        result,
-                        finish_time: ctx.now(),
-                        breakdown: *ctx.breakdown(),
-                        stats: *ctx.stats(),
-                    }
-                });
-                match spawned {
-                    Ok(handle) => handles.push(handle),
-                    Err(error) => {
-                        // The host ran out of threads mid-job. Abort the cluster so
-                        // the already-spawned ranks drain out of their blocked
-                        // operations (the abort wakes every waiter) instead of
-                        // waiting forever for peers that will never exist; the
-                        // spawn failure is reported after they have been joined.
-                        state.set_abort(-1);
-                        spawn_error = Some(error);
-                        break;
-                    }
-                }
-            }
-            for handle in handles {
-                let outcome = handle.join().expect("rank thread panicked");
-                let rank = outcome.rank;
-                outcomes[rank] = Some(outcome);
-            }
-        });
-        if let Some(error) = spawn_error {
-            panic!("failed to spawn rank thread for a {nprocs}-rank job: {error}");
-        }
-        let outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("missing rank outcome"))
-            .collect();
-        (outcomes, SchedStats::default())
-    }
-}
-
-/// Identifies what a cooperatively scheduled rank is parked on: a wait channel.
+/// Identifies what a blocked rank is parked on: a wait channel.
 ///
 /// Keys are plain integers carved out of disjoint ranges so they can never collide:
 /// per-rank mailbox keys are odd, the failure-event channel is the constant `2`, and
@@ -362,10 +302,9 @@ impl WaitKey {
     }
 }
 
-/// Hook through which [`ClusterState`](crate::state::ClusterState) reaches the fiber
-/// scheduler of the job it belongs to, to wake the tasks whose abort or quiescence
-/// predicate a state transition changed — the fiber analogue of the thread backend's
-/// condvar notifications.
+/// Hook through which [`ClusterState`](crate::state::ClusterState) reaches the
+/// scheduler of the job it belongs to, to wake the ranks whose abort or quiescence
+/// predicate a state transition changed.
 pub(crate) trait JobWaker: Send + Sync {
     /// Makes the tasks parked on `key` runnable again (a per-rank transition: the
     /// parking of a rank concerns only the operations that wait on that rank).
@@ -381,12 +320,13 @@ pub(crate) trait JobWaker: Send + Sync {
 /// condition and consumed by the park that follows a failed check.
 ///
 /// On the single-threaded `coop` backend the check-then-park sequence is atomic by
-/// construction and the token carries no information. On the multi-worker `par`
-/// backend it is an eventcount: the park announces itself on the channel and then
-/// validates that neither the channel's sequence number nor the cluster-wide wake epoch
-/// has moved since the token was read, and returns *without suspending* if either
-/// did. A wake that raced between the condition check and the park therefore can
-/// never be lost; the caller's retry loop simply re-checks its condition.
+/// construction and the token carries no information. On `par` and `threads`, whose
+/// ranks park from several OS threads, it is an eventcount: the park announces itself
+/// on the channel and then validates that neither the channel's sequence number nor
+/// the cluster-wide wake epoch has moved since the token was read, and returns
+/// *without suspending* if either did. A wake that raced between the condition check
+/// and the park therefore can never be lost; the caller's retry loop simply re-checks
+/// its condition.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitToken {
     pub(crate) key: WaitKey,
@@ -395,8 +335,7 @@ pub struct WaitToken {
 }
 
 impl WaitToken {
-    /// A token that always validates (thread/coop backends, where validation is
-    /// unnecessary: threads sleep on condvars, coop parks atomically).
+    /// A token that always validates (`coop`, whose check-then-park is atomic).
     pub(crate) fn immediate(key: WaitKey) -> WaitToken {
         WaitToken {
             key,
@@ -406,44 +345,58 @@ impl WaitToken {
     }
 }
 
-/// The per-rank park/wake handle of whichever fiber backend the rank runs on. Held by
-/// [`RankCtx`] when (and only when) the rank runs on the `coop` or `par` backend.
-#[derive(Debug, Clone)]
+/// The park/wake handle of the backend a job runs on — its shared scheduler state —
+/// held by every [`RankCtx`] of the job.
 pub(crate) enum Yielder {
+    /// One OS thread per rank: parks are token-validated (see [`WaitToken`]) and
+    /// sleep in `thread::park`.
+    Threads(Arc<threads::ThreadShared>),
     /// Single-threaded cooperative scheduling: parks are unconditional (the
     /// check-then-park sequence is atomic on one OS thread).
-    Coop(coop::CoopYielder),
+    Coop(Arc<coop::CoopShared>),
     /// Sharded multi-worker scheduling: parks are token-validated (see [`WaitToken`]).
-    Par(par::ParYielder),
+    Par(Arc<par::ParShared>),
 }
 
 impl Yielder {
-    /// Reads a wait token for `key`; must be called before the caller checks the
-    /// condition it would park on.
-    pub(crate) fn wait_token(&self, key: WaitKey) -> WaitToken {
+    /// Reads `rank`'s wait token for `key`; must be called before the caller checks
+    /// the condition it would park on.
+    pub(crate) fn wait_token(&self, rank: usize, key: WaitKey) -> WaitToken {
         match self {
+            Yielder::Threads(job) => job.events.wait_token(key, 0),
             Yielder::Coop(_) => WaitToken::immediate(key),
-            Yielder::Par(y) => y.wait_token(key),
+            Yielder::Par(job) => job.wait_token(rank, key),
         }
     }
 
-    /// Parks the calling rank on the token's channel; returns `true` when a wakeup
-    /// resumed it, or `false` immediately if the token no longer validates. `now` is
-    /// the rank's virtual clock, which orders it in the run queue on wakeup;
+    /// Parks `rank` — the caller — on the token's channel; returns `true` when a
+    /// wakeup resumed it, or `false` immediately if the token no longer validates.
+    /// `now` is the rank's virtual clock, which orders it in the run queue on wakeup;
     /// `suspended_before` says that the caller's wait loop was already suspended and
     /// woken without its condition having become true (counted as a spurious wake).
-    pub(crate) fn park(&self, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
+    pub(crate) fn park(
+        &self,
+        rank: usize,
+        token: WaitToken,
+        now: SimTime,
+        suspended_before: bool,
+    ) -> bool {
         match self {
-            Yielder::Coop(y) => y.park(token.key, now, suspended_before),
-            Yielder::Par(y) => y.park(token, now, suspended_before),
+            Yielder::Threads(job) => job.park(rank, token, now, suspended_before),
+            Yielder::Coop(job) => {
+                job.park(rank, token.key, now, suspended_before);
+                true
+            }
+            Yielder::Par(job) => job.park(rank, token, now, suspended_before),
         }
     }
 
     /// Wakes every rank parked on `key`.
     pub(crate) fn wake(&self, key: WaitKey) {
         match self {
-            Yielder::Coop(y) => y.wake(key),
-            Yielder::Par(y) => y.wake(key),
+            Yielder::Threads(job) => job.wake(key),
+            Yielder::Coop(job) => job.wake(key),
+            Yielder::Par(job) => job.wake(key),
         }
     }
 }

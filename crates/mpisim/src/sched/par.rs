@@ -39,48 +39,11 @@
 //! # Token-validated parks (no lost wakeups)
 //!
 //! On one thread, `coop`'s check-then-park is atomic by construction. Across workers
-//! it is not: between a rank observing "message not there yet" and its fiber parking,
-//! another worker's rank can deposit the message and issue the wakeup — which would
-//! find nobody parked and be lost. The fix is an eventcount per wait channel.
-//!
-//! **Where `seq` lives.** Channels are addressed through the
-//! [`ChannelTable`](super::channels): a mailbox key indexes its rank's channel, an
-//! object key hashes to a bucket and parks on the lane of the parking rank's owner.
-//! Each [`Channel`] holds `seq` (bumped by every wake), `parked` (waiters listed or
-//! about to be) and the waiter list behind a mutex. A [`WaitToken`] is two atomic
-//! loads — the cluster-wide wake epoch and the channel's `seq` — taken *before* the
-//! rank checks its wait condition. Channels live as long as the job and `seq` only
-//! ever grows; there is nothing to create, look up or forget.
-//!
-//! **The pairing.** All four accesses are `SeqCst`, so they have one total order:
-//!
-//! ```text
-//! park:  parked += 1     then   validate seq == token.seq  (and epoch == token.epoch)
-//! wake:  seq    += 1     then   read parked                (epoch += 1 for wake-all)
-//! ```
-//!
-//! Either the park's increment precedes the wake's read — the wake sees `parked > 0`,
-//! takes the list lock and drains — or it follows it, and then the wake's bump
-//! precedes the park's validation, which fails: the park returns without suspending
-//! and the rank re-checks its condition (which the waker changed *before* bumping).
-//! The validation and the push happen under the list lock, so a wake that does take
-//! the lock either finds the waiter listed or runs before the validation and
-//! invalidates it. A wake of a channel nobody is parked on is one `fetch_add` and one
-//! load; no lock, no hash.
-//!
-//! **Collisions and address reuse are harmless.** Two keys in one bucket share `seq`:
-//! a wake of one can at worst refuse a park on the other (which re-checks and parks
-//! again), and it drains only waiters carrying its own key. An object freed and
-//! another allocated at its address continue one channel: a token taken for the old
-//! object still validates only if no wake came in between, in which case nothing was
-//! there to lose.
-//!
-//! **Which channels are padded.** Object channels are per lane and cache-line
-//! aligned: the 512 parks a worker issues in one collective round of a 1024-rank job
-//! write `parked` and the list of its own lane only, and a wake pushes a lane's whole
-//! batch onto its owner's heap under one queue lock. Mailbox channels need neither
-//! lanes nor padding — only the mailbox's owner ever parks there, so a channel's
-//! lines move between cores exactly when a message edge does.
+//! it is not, so `par` parks on the job's [`Eventcount`](super::channels) — the
+//! token-validated wait channels it shares with the `threads` backend, whose module
+//! docs give the pairing argument — with one lane per worker. Its [`Drain`] pushes a
+//! lane's woken waiters onto the heap of the worker that owns the lane, under one
+//! queue lock per batch.
 //!
 //! # Deadlock diagnosis
 //!
@@ -104,22 +67,12 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
-use super::channels::{ChannelTable, Waiter};
-use super::{JobWaker, RankScheduler, SchedStats, WaitKey, WaitToken};
+use super::channels::{Drain, Eventcount, Waiter};
+use super::{JobWaker, RankScheduler, SchedStats, WaitKey, WaitToken, Yielder};
 
 /// How long an idle worker sleeps before re-running the deadlock census. Workers add
 /// a per-worker offset so their censuses don't lock-step.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
-
-/// One wait channel: an eventcount (see the module docs for the pairing argument).
-#[derive(Default)]
-struct Channel {
-    /// Bumped by every wake of the channel, before the wake reads `parked`.
-    seq: AtomicU64,
-    /// Waiters on the list plus ranks between announcing and validating their park.
-    parked: AtomicUsize,
-    waiters: Mutex<Vec<Waiter>>,
-}
 
 /// A worker's run queue: the min-heap of runnable owned ranks plus the idle/exited
 /// flags the deadlock census reads.
@@ -159,10 +112,7 @@ pub(crate) struct ParShared {
     nworkers: usize,
     workers: Vec<Worker>,
     /// The job's wait channels, one lane per worker.
-    channels: ChannelTable<Channel>,
-    /// Cluster-wide wake epoch: bumped by `wake_all_except` *before* it reads any
-    /// channel's `parked`, so a token issued before the bump can never park after it.
-    epoch: AtomicU64,
+    events: Eventcount,
     /// Set on rank panic or deadlock diagnosis: workers drain out instead of
     /// scheduling further.
     abandon: AtomicBool,
@@ -210,8 +160,7 @@ impl ParShared {
             nprocs,
             nworkers,
             workers,
-            channels: ChannelTable::new(nprocs, nworkers),
-            epoch: AtomicU64::new(0),
+            events: Eventcount::new(nprocs, nworkers),
             abandon: AtomicBool::new(false),
             finished: AtomicUsize::new(0),
             ctxs: (0..nworkers + nprocs)
@@ -234,40 +183,21 @@ impl ParShared {
 
     /// Snapshots the eventcount of the channel `rank` would park on for `key`; must
     /// precede the caller's condition check.
-    fn wait_token(&self, rank: usize, key: WaitKey) -> WaitToken {
-        let epoch = self.epoch.load(Ordering::SeqCst);
-        let chan = self.channels.channel(key, self.owner(rank));
-        let seq = chan.seq.load(Ordering::SeqCst);
-        WaitToken { key, epoch, seq }
-    }
-
-    /// Lists `rank` as a waiter of the token's channel — unless the token no longer
-    /// validates: a wake raced the caller's condition check, and this returns `false`.
-    /// Announce first, validate second: the order the wake's "bump, then read
-    /// `parked`" pairs with.
-    fn enlist(&self, rank: usize, token: WaitToken, now: SimTime) -> bool {
-        let chan = self.channels.channel(token.key, self.owner(rank));
-        chan.parked.fetch_add(1, Ordering::SeqCst);
-        let mut waiters = chan.waiters.lock();
-        if chan.seq.load(Ordering::SeqCst) != token.seq
-            || self.epoch.load(Ordering::SeqCst) != token.epoch
-        {
-            chan.parked.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        waiters.push(Waiter {
-            key: token.key,
-            rank,
-            clock: now.as_secs().to_bits(),
-        });
-        true
+    pub(crate) fn wait_token(&self, rank: usize, key: WaitKey) -> WaitToken {
+        self.events.wait_token(key, self.owner(rank))
     }
 
     /// Parks the calling rank's fiber on the token's channel and switches to its
     /// worker's scheduler (returns `true` once resumed) — unless the token no longer
     /// validates, in which case this returns `false` immediately.
-    fn park(&self, rank: usize, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
-        if !self.enlist(rank, token, now) {
+    pub(crate) fn park(
+        &self,
+        rank: usize,
+        token: WaitToken,
+        now: SimTime,
+        suspended_before: bool,
+    ) -> bool {
+        if !self.events.enlist(rank, self.owner(rank), token, now) {
             return false;
         }
         let worker = &self.workers[self.owner(rank)];
@@ -299,49 +229,8 @@ impl ParShared {
     }
 
     /// Wakes every rank parked on `key`, invalidating in-flight tokens first.
-    fn wake(&self, key: WaitKey) {
-        let lanes = match key.mailbox_rank().map(|rank| self.owner(rank)) {
-            Some(owner) => owner..owner + 1,
-            None => 0..self.nworkers,
-        };
-        for lane in lanes {
-            let chan = self.channels.channel(key, lane);
-            chan.seq.fetch_add(1, Ordering::SeqCst);
-            self.drain(chan, lane, |waiter| waiter == key);
-        }
-    }
-
-    /// Moves the waiters of `chan` that `select` picks onto the heap of `owner` (every
-    /// waiter of one channel has the same owner), under one list lock and one queue
-    /// lock. Lock order list → queue; nothing takes them the other way round.
-    fn drain(&self, chan: &Channel, owner: usize, select: impl Fn(WaitKey) -> bool) {
-        if chan.parked.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let mut waiters = chan.waiters.lock();
-        if waiters.is_empty() {
-            // Only ranks still validating: they will see what the caller bumped.
-            return;
-        }
-        let worker = &self.workers[owner];
-        let mut q = worker.q.lock();
-        let listed = waiters.len();
-        waiters.retain(|w| {
-            let woken = select(w.key);
-            if woken {
-                q.heap.push(std::cmp::Reverse((w.clock, w.rank)));
-            }
-            !woken
-        });
-        let woken = listed - waiters.len();
-        chan.parked.fetch_sub(woken, Ordering::SeqCst);
-        q.wakes += woken as u64;
-        let notify = q.idle && woken > 0;
-        drop(q);
-        drop(waiters);
-        if notify {
-            worker.cv.notify_one();
-        }
+    pub(crate) fn wake(&self, key: WaitKey) {
+        self.events.wake(key, self);
     }
 
     /// Flags the job abandoned and wakes every idle worker so it notices.
@@ -401,9 +290,7 @@ impl ParShared {
     /// and panics with a per-rank diagnosis of what everyone is parked on.
     fn diagnose_deadlock(&self) -> ! {
         self.abandon_job();
-        let stuck: Vec<Waiter> = (self.channels.iter())
-            .flat_map(|chan| chan.waiters.lock().clone())
-            .collect();
+        let stuck = self.events.listed();
         panic!(
             "parallel scheduler deadlock: no runnable rank on any of {} worker(s) and {} \
              unfinished task(s) parked [{}] — a rank program must only block through \
@@ -420,58 +307,38 @@ fn owner_of(rank: usize, nprocs: usize, nworkers: usize) -> usize {
     rank * nworkers / nprocs
 }
 
+impl Drain for ParShared {
+    fn lane(&self, rank: usize) -> usize {
+        self.owner(rank)
+    }
+
+    /// Pushes the woken waiters onto the heap of the lane's worker (every waiter of
+    /// one channel lane has that owner) under one queue lock. Lock order list → queue;
+    /// nothing takes them the other way round.
+    fn deliver(&self, lane: usize, take: impl FnOnce(&mut dyn FnMut(Waiter))) {
+        let worker = &self.workers[lane];
+        let mut q = worker.q.lock();
+        let mut woken = 0;
+        take(&mut |w| {
+            q.heap.push(std::cmp::Reverse((w.clock, w.rank)));
+            woken += 1;
+        });
+        q.wakes += woken;
+        let notify = q.idle && woken > 0;
+        drop(q);
+        if notify {
+            worker.cv.notify_one();
+        }
+    }
+}
+
 impl JobWaker for ParShared {
     fn wake_key(&self, key: WaitKey) {
         self.wake(key);
     }
 
     fn wake_all_except(&self, spared: WaitKey) {
-        // Epoch first: it is the `seq` bump of every channel at once. A token read
-        // before this line can no longer park after it, closing the race with ranks
-        // mid-way between condition check and park. That also turns away a rank about
-        // to park on the spared key, which merely re-checks its condition.
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        for (rank, chan) in self.channels.mailboxes().iter().enumerate() {
-            self.drain(chan, self.owner(rank), |_| true);
-        }
-        for (lane, chan) in self.channels.objects() {
-            self.drain(chan, lane, |waiter| waiter != spared);
-        }
-    }
-}
-
-/// The per-rank handle blocked operations use to park and to wake their peers. Held
-/// by [`RankCtx`] when (and only when) the rank runs on the parallel backend.
-#[derive(Clone)]
-pub(crate) struct ParYielder {
-    shared: Arc<ParShared>,
-    rank: usize,
-}
-
-impl std::fmt::Debug for ParYielder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParYielder")
-            .field("rank", &self.rank)
-            .finish()
-    }
-}
-
-impl ParYielder {
-    /// Snapshots `key`'s eventcount; must precede the condition check it guards.
-    pub(crate) fn wait_token(&self, key: WaitKey) -> WaitToken {
-        self.shared.wait_token(self.rank, key)
-    }
-
-    /// Parks the calling rank on the token's channel (or returns `false`
-    /// immediately if the token no longer validates). `now` orders the rank in its
-    /// owner's heap.
-    pub(crate) fn park(&self, token: WaitToken, now: SimTime, suspended_before: bool) -> bool {
-        self.shared.park(self.rank, token, now, suspended_before)
-    }
-
-    /// Wakes every rank parked on `key`.
-    pub(crate) fn wake(&self, key: WaitKey) {
-        self.shared.wake(key);
+        self.events.wake_all(Some(spared), self);
     }
 }
 
@@ -537,11 +404,8 @@ where
     let job = unsafe { &*(arg as *const ParRankJob<R, F>) };
     let rank = job.rank;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let yielder = ParYielder {
-            shared: Arc::clone(&job.shared),
-            rank,
-        };
-        let mut ctx = RankCtx::new_par(rank, Arc::clone(&job.state), yielder);
+        let yielder = Yielder::Par(Arc::clone(&job.shared));
+        let mut ctx = RankCtx::new(rank, Arc::clone(&job.state), yielder);
         // SAFETY: `body` outlives the worker loops (it is a reference held by the
         // caller of run_workers); fibers never outlive that call.
         let result = unsafe { (*job.body)(&mut ctx) };
@@ -739,9 +603,9 @@ fn worker_loop(shared: &ParShared, me: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use super::super::channels::tests::{assert_settled, colliding_keys, spin_until, Client};
     use super::*;
-    use std::time::Instant;
 
     #[test]
     fn ownership_is_contiguous_and_covers_all_ranks() {
@@ -760,12 +624,17 @@ mod tests {
 
     /// A job whose every rank is "running": nothing on any heap, so a heap entry is a
     /// wake's doing.
-    fn running_job(nprocs: usize, nworkers: usize) -> ParShared {
+    pub(crate) fn running_job(nprocs: usize, nworkers: usize) -> ParShared {
         let shared = ParShared::new(nprocs, nworkers);
         for worker in &shared.workers {
             worker.q.lock().heap.clear();
         }
         shared
+    }
+
+    /// Lists `rank` on its owner's lane, as its park would.
+    fn enlist(shared: &ParShared, rank: usize, token: WaitToken) -> bool {
+        (shared.events).enlist(rank, shared.owner(rank), token, SimTime::ZERO)
     }
 
     /// Takes `rank` off its owner's heap if a wake put it there.
@@ -780,14 +649,31 @@ mod tests {
         }
     }
 
-    /// Two object keys that share a bucket.
-    fn colliding_keys() -> (WaitKey, WaitKey) {
-        let a = WaitKey(8 << 10);
-        let b = (1..)
-            .map(|i| WaitKey((8 << 10) + 8 * i))
-            .find(|k| k.bucket() == a.bucket())
-            .expect("64 buckets");
-        (a, b)
+    /// `par`'s drain without fibers: a validated park waits until its wake has put
+    /// the rank on its owner's heap, and takes it off again.
+    impl Client for ParShared {
+        fn events(&self) -> &Eventcount {
+            &self.events
+        }
+        fn token(&self, rank: usize, key: WaitKey) -> WaitToken {
+            self.wait_token(rank, key)
+        }
+        fn park(&self, rank: usize, token: WaitToken) -> bool {
+            if !enlist(self, rank, token) {
+                return false;
+            }
+            spin_until(
+                || format!("the wake of rank {rank} parked on {:?}", token.key),
+                || claim(self, rank),
+            );
+            true
+        }
+        fn wake(&self, key: WaitKey) {
+            ParShared::wake(self, key);
+        }
+        fn delivered(&self) -> u64 {
+            self.workers.iter().map(|w| w.q.lock().wakes).sum()
+        }
     }
 
     #[test]
@@ -797,16 +683,11 @@ mod tests {
         let token = shared.wait_token(0, key);
         shared.wake(key); // bumps the seq: the token must no longer validate
         assert!(
-            !shared.enlist(0, token, SimTime::ZERO),
+            !enlist(&shared, 0, token),
             "a wake between token and park must invalidate it"
         );
-        let chan = shared.channels.channel(key, 0);
-        assert_eq!(
-            chan.parked.load(Ordering::SeqCst),
-            0,
-            "a refused park leaves"
-        );
-        assert!(shared.enlist(0, shared.wait_token(0, key), SimTime::ZERO));
+        assert_settled(&shared.events); // a refused park leaves
+        assert!(enlist(&shared, 0, shared.wait_token(0, key)));
         shared.wake(key);
         assert!(claim(&shared, 0));
     }
@@ -821,19 +702,19 @@ mod tests {
         // A token taken for the old object: the new object's first wake refuses it.
         let stale = shared.wait_token(0, key);
         shared.wake(key);
-        assert!(!shared.enlist(0, stale, SimTime::ZERO));
+        assert!(!enlist(&shared, 0, stale));
         // A rank parked on the new object is found by the new object's wake...
-        assert!(shared.enlist(0, shared.wait_token(0, key), SimTime::ZERO));
+        assert!(enlist(&shared, 0, shared.wait_token(0, key)));
         // ...and by nothing else: the bucket's other key wakes only its own waiters,
         // on whichever lane they parked.
-        assert!(shared.enlist(3, shared.wait_token(3, neighbour), SimTime::ZERO));
+        assert!(enlist(&shared, 3, shared.wait_token(3, neighbour)));
         shared.wake(neighbour);
         assert!(claim(&shared, 3) && !claim(&shared, 0));
         // The neighbour's wake shares the seq: it may refuse a park (a re-check),
         // never fake one.
         let token = shared.wait_token(1, key);
         shared.wake(neighbour);
-        assert!(!shared.enlist(1, token, SimTime::ZERO));
+        assert!(!enlist(&shared, 1, token));
         shared.wake(key);
         assert!(claim(&shared, 0));
         let q = shared.workers[0].q.lock();
@@ -849,153 +730,20 @@ mod tests {
             shared.wait_token(1, WaitKey::mailbox(1)),
             shared.wait_token(2, spared),
         ];
-        assert!(shared.enlist(3, shared.wait_token(3, spared), SimTime::ZERO));
-        assert!(shared.enlist(2, shared.wait_token(2, other), SimTime::ZERO));
-        assert!(shared.enlist(0, shared.wait_token(0, WaitKey::mailbox(0)), SimTime::ZERO));
+        assert!(enlist(&shared, 3, shared.wait_token(3, spared)));
+        assert!(enlist(&shared, 2, shared.wait_token(2, other)));
+        assert!(enlist(
+            &shared,
+            0,
+            shared.wait_token(0, WaitKey::mailbox(0))
+        ));
         shared.wake_all_except(spared);
         for (rank, token) in tokens.into_iter().enumerate() {
-            assert!(!shared.enlist(rank, token, SimTime::ZERO));
+            assert!(!enlist(&shared, rank, token));
         }
         assert!(claim(&shared, 0) && claim(&shared, 2));
         assert!(!claim(&shared, 3), "the spared key's waiters stay parked");
         shared.wake(spared);
         assert!(claim(&shared, 3));
-    }
-
-    // ----- eventcount stress: real threads, no fibers --------------------------------
-
-    const ROUNDS: u64 = 100_000;
-
-    /// A waker that serves every round alone.
-    const EVERY: (u64, u64) = (0, 1);
-
-    /// Spins until `cond` holds. A lost wake is a hang; the deadline turns it into a
-    /// failure that names what was being waited for.
-    fn spin_until(what: impl Fn() -> String, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        for spins in 0u64.. {
-            if cond() {
-                return;
-            }
-            // Busy first — the two sides must meet within nanoseconds for the race to
-            // be a race — then polite: there are more threads than cores.
-            if spins % 256 == 255 {
-                assert!(Instant::now() < deadline, "gave up waiting for {}", what());
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// One waiter/waker pair's shared condition: the round the waker has announced and
-    /// the round the waiter has seen.
-    #[derive(Default)]
-    struct Rounds {
-        announced: AtomicU64,
-        seen: AtomicU64,
-    }
-
-    /// The blocking side of every operation: token, check, park — for [`ROUNDS`]
-    /// rounds. Every park that validates must be handed to the owner's heap exactly
-    /// once; returns how many did.
-    fn wait_rounds(shared: &ParShared, rank: usize, key: WaitKey, rounds: &Rounds) -> u64 {
-        let mut parks = 0;
-        for round in 1..=ROUNDS {
-            loop {
-                let token = shared.wait_token(rank, key);
-                if rounds.announced.load(Ordering::SeqCst) >= round {
-                    break;
-                }
-                if shared.enlist(rank, token, SimTime::ZERO) {
-                    parks += 1;
-                    spin_until(
-                        || format!("the wake of rank {rank} parked on {key:?} in round {round}"),
-                        || claim(shared, rank),
-                    );
-                }
-            }
-            rounds.seen.store(round, Ordering::SeqCst);
-        }
-        parks
-    }
-
-    /// The publishing side: change the condition, then wake — in every round, or in
-    /// every `of`-th when `of` wakers take turns.
-    fn wake_rounds(rounds: &Rounds, (turn, of): (u64, u64), wake: impl Fn()) {
-        for round in (1..=ROUNDS).filter(|round| round % of == turn) {
-            spin_until(
-                || format!("the waiter to see round {}", round - 1),
-                || rounds.seen.load(Ordering::SeqCst) >= round - 1,
-            );
-            // Sweep the publication across the waiter's token-check-park sequence.
-            for step in 0..round % 256 {
-                std::hint::black_box(step);
-            }
-            rounds.announced.fetch_max(round, Ordering::SeqCst);
-            wake();
-        }
-    }
-
-    /// Nothing parked, nothing queued, and exactly one heap push per validated park.
-    fn assert_settled(shared: &ParShared, parks: u64) {
-        for chan in shared.channels.iter() {
-            assert_eq!(chan.parked.load(Ordering::SeqCst), 0);
-            assert!(chan.waiters.lock().is_empty());
-        }
-        let queues: Vec<_> = shared.workers.iter().map(|w| w.q.lock()).collect();
-        assert!(queues.iter().all(|q| q.heap.is_empty()));
-        assert_eq!(queues.iter().map(|q| q.wakes).sum::<u64>(), parks);
-    }
-
-    #[test]
-    fn a_mailbox_channel_loses_no_wake_to_three_wakers_taking_turns() {
-        let shared = running_job(4, 2);
-        let key = WaitKey::mailbox(2);
-        let rounds = Rounds::default();
-        let parks = std::thread::scope(|scope| {
-            for turn in 0..3 {
-                let (shared, rounds) = (&shared, &rounds);
-                scope.spawn(move || wake_rounds(rounds, (turn, 3), || shared.wake(key)));
-            }
-            wait_rounds(&shared, 2, key, &rounds)
-        });
-        assert_settled(&shared, parks);
-    }
-
-    #[test]
-    fn two_keys_in_one_bucket_lose_no_wake_and_take_none_of_each_others() {
-        let shared = running_job(4, 2);
-        let (a, b) = colliding_keys();
-        let (rounds_a, rounds_b) = (Rounds::default(), Rounds::default());
-        // Ranks 0 and 1 share worker 0, so both waiters park on one lane's channel.
-        let parks = std::thread::scope(|scope| {
-            scope.spawn(|| wake_rounds(&rounds_a, EVERY, || shared.wake(a)));
-            scope.spawn(|| wake_rounds(&rounds_b, EVERY, || shared.wake(b)));
-            let on_b = scope.spawn(|| wait_rounds(&shared, 1, b, &rounds_b));
-            wait_rounds(&shared, 0, a, &rounds_a) + on_b.join().expect("waiter on b")
-        });
-        assert_settled(&shared, parks);
-    }
-
-    #[test]
-    fn wake_all_except_races_parks_on_the_spared_and_on_other_keys() {
-        let shared = running_job(4, 2);
-        let (spared, other) = colliding_keys();
-        let mailbox = WaitKey::mailbox(3);
-        // One broadcaster serves the mailbox and the object waiter; the spared key
-        // needs a waker of its own, because no broadcast ever wakes it.
-        let (bcast_mailbox, bcast_other, on_spared) =
-            (Rounds::default(), Rounds::default(), Rounds::default());
-        let parks = std::thread::scope(|scope| {
-            scope.spawn(|| wake_rounds(&bcast_mailbox, EVERY, || shared.wake_all_except(spared)));
-            scope.spawn(|| wake_rounds(&bcast_other, EVERY, || shared.wake_all_except(spared)));
-            scope.spawn(|| wake_rounds(&on_spared, EVERY, || shared.wake(spared)));
-            let a = scope.spawn(|| wait_rounds(&shared, 3, mailbox, &bcast_mailbox));
-            let b = scope.spawn(|| wait_rounds(&shared, 1, other, &bcast_other));
-            wait_rounds(&shared, 0, spared, &on_spared)
-                + a.join().expect("mailbox waiter")
-                + b.join().expect("object waiter")
-        });
-        assert_settled(&shared, parks);
     }
 }

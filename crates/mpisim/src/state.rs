@@ -1,13 +1,14 @@
 //! Cluster-wide shared state.
 //!
-//! One [`ClusterState`] is shared (via `Arc`) by every rank thread of a simulated job.
-//! It owns the machine model, the topology, the per-rank mailboxes, the liveness table,
-//! the world communicator, the registry of derived communicators (so they can be reset
-//! during repair) and the global rendezvous used by recovery.
+//! One [`ClusterState`] is shared (via `Arc`) by every rank of a simulated job. It owns
+//! the machine model, the topology, the per-rank mailboxes, the liveness table, the
+//! world communicator, the registry of derived communicators (so they can be reset
+//! during repair) and the global rendezvous used by recovery. It also holds the hook
+//! into the job's scheduler through which every state transition that can change a
+//! blocked operation's condition wakes the ranks parked on it.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -143,11 +144,10 @@ pub struct ClusterState {
     /// must have quiesced before its abort predicate can possibly hold (its
     /// communicator's size minus itself).
     any_source_watchers: Mutex<Vec<(usize, usize)>>,
-    /// Wake-up hook into the fiber scheduler of the job this state belongs to (unset
-    /// on the thread backend, whose blocked ranks sleep on condition variables).
+    /// Wake-up hook into the scheduler of the job this state belongs to, installed
+    /// by every backend before its ranks start (unset only for a state no job runs
+    /// on, where no rank can be parked and a wake has nothing to do).
     job_waker: OnceLock<Arc<dyn JobWaker>>,
-    /// How long blocked operations sleep between failure checks (host time).
-    pub poll_interval: Duration,
     /// A small shared blackboard for tests and out-of-band coordination.
     pub blackboard: Mutex<std::collections::HashMap<String, Vec<u8>>>,
 }
@@ -200,9 +200,6 @@ impl ClusterState {
             source_watchers: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
             any_source_watchers: Mutex::new(Vec::new()),
             job_waker: OnceLock::new(),
-            // A fallback only: every transition that can change a blocked operation's
-            // abort predicate wakes it explicitly, so receivers need no fast heartbeat.
-            poll_interval: Duration::from_millis(5),
             blackboard: Mutex::new(std::collections::HashMap::new()),
         })
     }
@@ -303,7 +300,7 @@ impl ClusterState {
         }
         let nparked = self.nparked.fetch_add(1, Ordering::SeqCst) + 1;
         for &receiver in self.source_watchers[rank].lock().iter() {
-            self.wake_mailbox(receiver);
+            self.wake_key(WaitKey::mailbox(receiver));
         }
         // An upper bound on the ranks that can no longer act (a rank both dead and
         // parked counts twice): an `ANY_SOURCE` receiver is woken only once every
@@ -311,12 +308,12 @@ impl ClusterState {
         let quiesced = nparked + self.failed_count() + self.retired_count();
         for &(receiver, needed) in self.any_source_watchers.lock().iter() {
             if quiesced >= needed {
-                self.wake_mailbox(receiver);
+                self.wake_key(WaitKey::mailbox(receiver));
             }
         }
         for comm in self.comms.lock().iter().filter_map(Weak::upgrade) {
             if comm.rank_of(rank).is_some() {
-                self.wake_slot(&comm.slot);
+                self.wake_key(WaitKey::object(&comm.slot));
             }
         }
     }
@@ -375,19 +372,11 @@ impl ClusterState {
         std::mem::take(&mut *self.pending_node_failures.lock())
     }
 
-    /// Wakes the receive `rank` may be blocked in.
-    fn wake_mailbox(&self, rank: usize) {
-        match self.job_waker.get() {
-            Some(waker) => waker.wake_key(WaitKey::mailbox(rank)),
-            None => self.mailboxes[rank].wake_all(),
-        }
-    }
-
-    /// Wakes the members blocked in a round of `slot`.
-    fn wake_slot(&self, slot: &CollSlot) {
-        match self.job_waker.get() {
-            Some(waker) => waker.wake_key(WaitKey::object(slot)),
-            None => slot.wake_all(),
+    /// Wakes the ranks parked on `key`: the receive of a mailbox's owner, or the
+    /// members blocked in a round of a collective slot.
+    fn wake_key(&self, key: WaitKey) {
+        if let Some(waker) = self.job_waker.get() {
+            waker.wake_key(key);
         }
     }
 
@@ -398,25 +387,15 @@ impl ClusterState {
     /// an epoch, a revocation, an abort — each of which happens O(1) times per
     /// recovery; the per-rank transition ([`ClusterState::set_parked`]) is targeted
     /// instead. Ranks waiting at the recovery rendezvous are spared: they wait for
-    /// slot progress only. On the fiber backends this resumes parked fibers and
-    /// touches no condition variable; on the thread backend it is the condvar
-    /// broadcast that lets the blocked-operation poll interval be a long fallback.
+    /// slot progress only.
     pub fn wake_all_waiters(&self) {
-        match self.job_waker.get() {
-            Some(waker) => waker.wake_all_except(WaitKey::object(&self.recovery_slot)),
-            None => {
-                for mb in &self.mailboxes {
-                    mb.wake_all();
-                }
-                for comm in self.comms.lock().iter().filter_map(Weak::upgrade) {
-                    comm.slot.wake_all();
-                }
-            }
+        if let Some(waker) = self.job_waker.get() {
+            waker.wake_all_except(WaitKey::object(&self.recovery_slot));
         }
     }
 
-    /// Installs the fiber scheduler's wake-up hook for the job this state was created
-    /// for (see [`ClusterState::wake_all_waiters`]).
+    /// Installs the scheduler's wake-up hook for the job this state was created for
+    /// (see [`ClusterState::wake_all_waiters`]).
     pub(crate) fn set_job_waker(&self, waker: Arc<dyn JobWaker>) {
         assert!(
             self.job_waker.set(waker).is_ok(),
@@ -747,7 +726,7 @@ mod tests {
         assert_eq!(s.failed_count(), 0);
     }
 
-    /// Records what the cluster state asks of the fiber scheduler.
+    /// Records what the cluster state asks of the scheduler.
     #[derive(Default)]
     struct RecordingWaker {
         keys: Mutex<Vec<WaitKey>>,

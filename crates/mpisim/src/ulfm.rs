@@ -16,17 +16,13 @@
 //! the spawn + merge + agree steps.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::comm::{Comm, CommShared, SurvivorResult};
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
 use crate::sched::WaitKey;
+use crate::state::ClusterState;
 use crate::time::SimTime;
-
-/// How often survivor-only rendezvous re-check for completion (thread backend only;
-/// the cooperative backend parks on the rendezvous channel instead of polling).
-const POLL: Duration = Duration::from_micros(200);
 
 /// Revokes a communicator (`MPIX_Comm_revoke`).
 ///
@@ -36,8 +32,7 @@ const POLL: Duration = Duration::from_micros(200);
 /// the modelled revoke propagation cost.
 pub fn comm_revoke(ctx: &mut RankCtx, comm: &Comm) {
     comm.shared().revoke();
-    // Wake blocked members so they observe the revocation immediately rather than on
-    // their next poll-timeout.
+    // Wake blocked members so they observe the revocation.
     ctx.cluster().wake_all_waiters();
     let cost = ctx.machine().ulfm_revoke_cost(comm.size());
     ctx.elapse(cost);
@@ -58,10 +53,11 @@ pub fn comm_failure_ack(ctx: &mut RankCtx, comm: &Comm) -> Vec<usize> {
 /// # Errors
 ///
 /// Returns [`MpiError::Internal`] if the caller is not an alive member of the
-/// communicator (a failed process must not participate).
+/// communicator (a failed process must not participate), and
+/// [`MpiError::SelfFailed`] if every member dies before the agreement completes.
 pub fn comm_agree(ctx: &mut RankCtx, comm: &Comm, flag: u64) -> Result<u64, MpiError> {
     let cost = ctx.machine().ulfm_agree_cost(comm.size());
-    let result = survivor_rendezvous(ctx, comm, flag, cost, CombineOp::And, false)?;
+    let result = survivor_rendezvous(ctx, comm, flag, cost, false)?;
     Ok(result.value)
 }
 
@@ -70,10 +66,11 @@ pub fn comm_agree(ctx: &mut RankCtx, comm: &Comm, flag: u64) -> Result<u64, MpiE
 ///
 /// # Errors
 ///
-/// Returns [`MpiError::Internal`] if the caller is not an alive member.
+/// Returns [`MpiError::Internal`] if the caller is not an alive member, and
+/// [`MpiError::SelfFailed`] if every member dies before the shrink completes.
 pub fn comm_shrink(ctx: &mut RankCtx, comm: &Comm) -> Result<Comm, MpiError> {
     let cost = ctx.machine().ulfm_shrink_cost(comm.size());
-    let result = survivor_rendezvous(ctx, comm, 0, cost, CombineOp::And, true)?;
+    let result = survivor_rendezvous(ctx, comm, 0, cost, true)?;
     let shared = result
         .new_comm
         .ok_or_else(|| MpiError::Internal("shrink produced no communicator".into()))?;
@@ -142,7 +139,6 @@ pub fn shrink_recovery(
     let cluster = Arc::clone(ctx.cluster());
     let shared = Arc::clone(comm.shared());
     let entry_time = ctx.now();
-    let key = WaitKey::object(&shared.survivor_rounds);
 
     // Park first: survivors still blocked in application operations must be able to
     // conclude that no more messages can arrive from ranks already gathered here.
@@ -160,113 +156,33 @@ pub fn shrink_recovery(
         if rounds.finished.is_some() {
             return Err(MpiError::SelfFailed);
         }
-        let seq = rounds.seq;
         rounds.arrivals.push((me, entry_time, 0));
-        seq
+        rounds.seq
     };
 
     let mut repair_hook = Some(repair_hook);
-    let mut suspended_before = false;
-    loop {
-        let token = ctx.wait_token(key);
-        {
-            let mut rounds = shared.survivor_rounds.lock();
-            if let Some(res) = rounds.finished.clone() {
-                if res.seq == my_seq {
-                    rounds.collected += 1;
-                    let drained = rounds.collected >= res.participants;
-                    if drained {
-                        rounds.seq += 1;
-                        rounds.arrivals.clear();
-                        rounds.finished = None;
-                        rounds.collected = 0;
-                    }
-                    drop(rounds);
-                    if drained {
-                        ctx.wake_channel(key);
-                    }
-                    ctx.elapse(res.finish_time.saturating_sub(entry_time));
-                    ctx.stats_mut().collectives += 1;
-                    let new_shared = res.new_comm.ok_or_else(|| {
-                        MpiError::Internal("shrink recovery produced no communicator".into())
-                    })?;
-                    return match new_shared.rank_of(me) {
-                        Some(idx) => Ok(Comm::new(new_shared, idx)),
-                        // Killed after depositing but before the round completed:
-                        // membership in the published communicator is the
-                        // virtual-time-deterministic casualty test (the host-time
-                        // liveness flag must not be consulted here).
-                        None => Err(MpiError::SelfFailed),
-                    };
-                }
-            } else if rounds.seq == my_seq
-                && all_survivors_may_have_arrived(&cluster, &shared, &rounds)
-            {
-                let alive_members = alive_members_of(&cluster, &shared);
-                if alive_members.is_empty() {
-                    // Everyone died: no finisher can ever complete this round.
-                    return Err(MpiError::SelfFailed);
-                }
-                let arrived_alive: Vec<(usize, SimTime)> = rounds
-                    .arrivals
-                    .iter()
-                    .filter(|(r, _, _)| cluster.is_alive(*r))
-                    .map(|(r, t, _)| (*r, *t))
-                    .collect();
-                if arrived_alive.len() >= alive_members.len() {
-                    // Every survivor has arrived: this caller repairs the epoch and
-                    // finishes the round.
-                    let max_entry = arrived_alive
-                        .iter()
-                        .map(|(_, t)| *t)
-                        .fold(SimTime::ZERO, SimTime::max);
-                    let crashed_nodes = cluster.take_pending_node_failures();
-                    if let Some(hook) = repair_hook.take() {
-                        hook(&crashed_nodes);
-                    }
-                    cluster.retire_failed_ranks();
-                    cluster.complete_shrink_repair();
-                    let id = cluster.next_comm_id();
-                    let c = CommShared::new(id, alive_members.clone());
-                    cluster.register_comm(&c);
-                    rounds.finished = Some(SurvivorResult {
-                        seq: my_seq,
-                        finish_time: max_entry + cost,
-                        value: 0,
-                        // Every depositor — including casualties killed after
-                        // depositing — collects exactly once, so the drain count is
-                        // independent of host scheduling.
-                        participants: rounds.arrivals.len(),
-                        new_comm: Some(c),
-                    });
-                    drop(rounds);
-                    // Members parked waiting for the round's result, plus anything
-                    // blocked on state the repair just reset.
-                    ctx.wake_channel(key);
-                    cluster.wake_all_waiters();
-                    continue;
-                }
-            }
+    let res = survivor_round(ctx, &shared, my_seq, cost, |alive_members, _| {
+        // Every survivor has arrived: this caller repairs the epoch.
+        let crashed_nodes = cluster.take_pending_node_failures();
+        if let Some(hook) = repair_hook.take() {
+            hook(&crashed_nodes);
         }
-        suspended_before |= ctx.park_or_sleep(token, POLL, suspended_before);
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CombineOp {
-    And,
-}
-
-impl CombineOp {
-    fn identity(self) -> u64 {
-        match self {
-            CombineOp::And => u64::MAX,
-        }
-    }
-    fn apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            CombineOp::And => a & b,
-        }
+        cluster.retire_failed_ranks();
+        cluster.complete_shrink_repair();
+        let shrunk = register_comm(&cluster, alive_members);
+        // Anything blocked on state the repair just reset.
+        cluster.wake_all_waiters();
+        (0, Some(shrunk))
+    })?;
+    let new_shared = res
+        .new_comm
+        .ok_or_else(|| MpiError::Internal("shrink recovery produced no communicator".into()))?;
+    match new_shared.rank_of(me) {
+        Some(idx) => Ok(Comm::new(new_shared, idx)),
+        // Killed after depositing but before the round completed: membership in the
+        // published communicator is the virtual-time-deterministic casualty test (the
+        // host-time liveness flag must not be consulted here).
+        None => Err(MpiError::SelfFailed),
     }
 }
 
@@ -274,14 +190,13 @@ impl CombineOp {
 ///
 /// Unlike the regular collective slot, participation is determined dynamically: the
 /// round completes once every currently-alive member has arrived. The last arriver
-/// combines the contributions, optionally builds the shrunk communicator, and sets the
+/// ANDs the contributions, optionally builds the shrunk communicator, and sets the
 /// common completion time to `max(entry times) + cost`.
 fn survivor_rendezvous(
     ctx: &mut RankCtx,
     comm: &Comm,
     contribution: u64,
     cost: SimTime,
-    op: CombineOp,
     build_shrunk: bool,
 ) -> Result<SurvivorResult, MpiError> {
     let me = ctx.rank();
@@ -293,109 +208,141 @@ fn survivor_rendezvous(
     }
     let shared = Arc::clone(comm.shared());
     let entry_time = ctx.now();
-    // The rendezvous wait channel (cooperative backend): progress transitions below
-    // signal it, and failures signal every channel through the cluster state.
     let key = WaitKey::object(&shared.survivor_rounds);
 
     // Deposit phase: wait until the previous round has fully drained, then join the
     // current round. The token is read before each condition check so a progress
-    // signal racing the check invalidates the park (parallel backend).
+    // signal racing the check invalidates the park.
     let mut suspended_before = false;
     let my_seq = loop {
         let token = ctx.wait_token(key);
         {
             let mut rounds = shared.survivor_rounds.lock();
             if rounds.finished.is_none() {
-                let seq = rounds.seq;
                 rounds.arrivals.push((me, entry_time, contribution));
-                break seq;
+                break rounds.seq;
             }
         }
-        suspended_before |= ctx.park_or_sleep(token, POLL, suspended_before);
+        suspended_before |= ctx.park(token, suspended_before);
     };
 
+    survivor_round(
+        ctx,
+        &shared,
+        my_seq,
+        cost,
+        |alive_members, arrived_alive| {
+            let value = arrived_alive
+                .iter()
+                .fold(u64::MAX, |acc, (_, _, v)| acc & v);
+            let shrunk = build_shrunk.then(|| register_comm(&cluster, alive_members));
+            (value, shrunk)
+        },
+    )
+}
+
+/// Waits in survivor round `my_seq` of `shared`, which the caller has joined, until
+/// the round has a result, and collects it. The caller that finds every alive member
+/// arrived finishes the round: `finish` gets the alive members and their arrivals and
+/// returns the round's value and new communicator, and the completion time is
+/// `max(their entry times) + cost`.
+///
+/// # Errors
+///
+/// [`MpiError::SelfFailed`] if every member of `shared` died, so that no survivor can
+/// ever complete the round.
+fn survivor_round(
+    ctx: &mut RankCtx,
+    shared: &CommShared,
+    my_seq: u64,
+    cost: SimTime,
+    mut finish: impl FnMut(&[usize], &[(usize, SimTime, u64)]) -> (u64, Option<Arc<CommShared>>),
+) -> Result<SurvivorResult, MpiError> {
+    let cluster = Arc::clone(ctx.cluster());
+    let entry_time = ctx.now();
+    // The rendezvous wait channel: progress transitions below signal it, and failures
+    // signal every channel through the cluster state.
+    let key = WaitKey::object(&shared.survivor_rounds);
     let mut suspended_before = false;
     loop {
         let token = ctx.wait_token(key);
+        let mut rounds = shared.survivor_rounds.lock();
+        if let Some(res) = rounds.finished.clone().filter(|res| res.seq == my_seq) {
+            rounds.collected += 1;
+            let drained = rounds.collected >= res.participants;
+            if drained {
+                // Round fully drained: advance to the next one.
+                rounds.seq += 1;
+                rounds.arrivals.clear();
+                rounds.finished = None;
+                rounds.collected = 0;
+            }
+            drop(rounds);
+            if drained {
+                // Members parked waiting to deposit into the next round.
+                ctx.wake_channel(key);
+            }
+            ctx.elapse(res.finish_time.saturating_sub(entry_time));
+            ctx.stats_mut().collectives += 1;
+            return Ok(res);
+        }
+        if rounds.finished.is_none()
+            && rounds.seq == my_seq
+            && all_survivors_may_have_arrived(&cluster, shared, &rounds)
         {
-            let mut rounds = shared.survivor_rounds.lock();
-            if let Some(res) = rounds.finished.clone() {
-                if res.seq == my_seq {
-                    rounds.collected += 1;
-                    let drained = rounds.collected >= res.participants;
-                    if drained {
-                        // Round fully drained: advance to the next one.
-                        rounds.seq += 1;
-                        rounds.arrivals.clear();
-                        rounds.finished = None;
-                        rounds.collected = 0;
-                    }
-                    drop(rounds);
-                    if drained {
-                        // Members parked waiting to deposit into the next round.
-                        ctx.wake_channel(key);
-                    }
-                    ctx.elapse(res.finish_time.saturating_sub(entry_time));
-                    ctx.stats_mut().collectives += 1;
-                    return Ok(res);
-                }
-            } else if rounds.seq == my_seq
-                && all_survivors_may_have_arrived(&cluster, &shared, &rounds)
-            {
-                let alive_members = alive_members_of(&cluster, &shared);
-                let arrived_alive: Vec<(usize, SimTime, u64)> = rounds
-                    .arrivals
-                    .iter()
-                    .filter(|(r, _, _)| cluster.is_alive(*r))
-                    .copied()
-                    .collect();
-                if !alive_members.is_empty() && arrived_alive.len() >= alive_members.len() {
-                    // Everyone alive has arrived: this caller finishes the round.
-                    let max_entry = arrived_alive
-                        .iter()
-                        .map(|(_, t, _)| *t)
-                        .fold(SimTime::ZERO, SimTime::max);
-                    let value = arrived_alive
-                        .iter()
-                        .fold(op.identity(), |acc, (_, _, v)| op.apply(acc, *v));
-                    let new_comm = if build_shrunk {
-                        let id = cluster.next_comm_id();
-                        let c = CommShared::new(id, alive_members.clone());
-                        cluster.register_comm(&c);
-                        Some(c)
-                    } else {
-                        None
-                    };
-                    rounds.finished = Some(SurvivorResult {
-                        seq: my_seq,
-                        finish_time: max_entry + cost,
-                        value,
-                        participants: arrived_alive.len(),
-                        new_comm,
-                    });
-                    drop(rounds);
-                    // Members parked waiting for the round's result.
-                    ctx.wake_channel(key);
-                    continue;
-                }
+            let alive_members = alive_members_of(&cluster, shared);
+            if alive_members.is_empty() {
+                return Err(MpiError::SelfFailed);
+            }
+            let arrived_alive: Vec<(usize, SimTime, u64)> = (rounds.arrivals.iter())
+                .filter(|(r, _, _)| cluster.is_alive(*r))
+                .copied()
+                .collect();
+            if arrived_alive.len() >= alive_members.len() {
+                let max_entry = (arrived_alive.iter())
+                    .map(|(_, t, _)| *t)
+                    .fold(SimTime::ZERO, SimTime::max);
+                let (value, new_comm) = finish(&alive_members, &arrived_alive);
+                rounds.finished = Some(SurvivorResult {
+                    seq: my_seq,
+                    finish_time: max_entry + cost,
+                    value,
+                    // Every depositor — including casualties killed after depositing —
+                    // collects exactly once, so the drain count is independent of host
+                    // scheduling.
+                    participants: rounds.arrivals.len(),
+                    new_comm,
+                });
+                drop(rounds);
+                // Members parked waiting for the round's result.
+                ctx.wake_channel(key);
+                continue;
             }
         }
-        suspended_before |= ctx.park_or_sleep(token, POLL, suspended_before);
+        drop(rounds);
+        suspended_before |= ctx.park(token, suspended_before);
     }
+}
+
+/// Creates and registers the communicator of `members`.
+fn register_comm(cluster: &ClusterState, members: &[usize]) -> Arc<CommShared> {
+    let comm = CommShared::new(cluster.next_comm_id(), members.to_vec());
+    cluster.register_comm(&comm);
+    comm
 }
 
 /// A constant-time necessary condition for "every alive member of `comm` has arrived":
 /// the arrivals plus every dead rank of the job cover the membership. All but the last
 /// arrivers of a round fail it and skip the per-member liveness scans.
 fn all_survivors_may_have_arrived(
-    cluster: &crate::state::ClusterState,
+    cluster: &ClusterState,
     comm: &CommShared,
     rounds: &crate::comm::SurvivorRounds,
 ) -> bool {
     rounds.arrivals.len() + cluster.failed_count() + cluster.retired_count() >= comm.members.len()
 }
 
-fn alive_members_of(cluster: &crate::state::ClusterState, comm: &CommShared) -> Vec<usize> {
+fn alive_members_of(cluster: &ClusterState, comm: &CommShared) -> Vec<usize> {
     comm.members
         .iter()
         .copied()
@@ -407,14 +354,6 @@ fn alive_members_of(cluster: &crate::state::ClusterState, comm: &CommShared) -> 
 mod tests {
     use super::*;
     use crate::runtime::{Cluster, ClusterConfig};
-    use crate::sched::SchedBackend;
-
-    /// Some tests below busy-wait in host time inside rank closures, which is only
-    /// legal on the thread backend (a cooperative rank must block through simulated
-    /// operations). Pin them so an exported `MATCH_BACKEND=coop` cannot hang them.
-    fn thread_cluster(nprocs: usize) -> Cluster {
-        Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Threads))
-    }
 
     #[test]
     fn revoke_poisons_collectives() {
@@ -440,15 +379,13 @@ mod tests {
 
     #[test]
     fn failure_ack_lists_failed_members() {
-        let cluster = thread_cluster(4);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             if ctx.rank() == 2 {
                 ctx.fail_rank(2);
             }
             // Wait until the failure is visible everywhere.
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let world = ctx.world();
             Ok(comm_failure_ack(ctx, &world))
         });
@@ -459,7 +396,7 @@ mod tests {
 
     #[test]
     fn shrink_and_agree_among_survivors() {
-        let cluster = thread_cluster(4);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 1 {
@@ -467,9 +404,7 @@ mod tests {
                 return Err(ctx.kill_self());
             }
             // Survivors wait until they can see the failure, then shrink.
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let shrunk = comm_shrink(ctx, &world)?;
             assert_eq!(shrunk.size(), 3);
             assert!(!shrunk.contains(1));
@@ -498,15 +433,13 @@ mod tests {
 
     #[test]
     fn shrink_recovery_retires_the_dead_and_continues_on_the_survivor_comm() {
-        let cluster = thread_cluster(4);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 1 {
                 return Err(ctx.kill_self());
             }
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let cost = shrinking_recovery_cost(ctx, world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             assert_eq!(shrunk.size(), 3);

@@ -568,17 +568,10 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{Cluster, ClusterConfig, SchedBackend};
+    use mpisim::{Cluster, ClusterConfig};
 
     fn topo(nranks: usize, nnodes: usize) -> Topology {
         Topology::new(nranks, nnodes)
-    }
-
-    /// Some tests below busy-wait in host time inside rank closures, which is only
-    /// legal on the thread backend (a cooperative rank must block through simulated
-    /// operations). Pin them so an exported `MATCH_BACKEND=coop` cannot hang them.
-    fn thread_cluster(config: ClusterConfig) -> Cluster {
-        Cluster::new(config.backend(SchedBackend::Threads))
     }
 
     #[test]
@@ -973,7 +966,7 @@ mod tests {
         // iteration on the same (crashed, now repaired) node; the spent event must
         // not fire again — and the crash counts as ONE spent event even though it
         // killed two ranks.
-        let cluster = thread_cluster(ClusterConfig::with_ranks(4).nodes(2));
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4).nodes(2));
         let outcome = cluster.run(|ctx| {
             let injector =
                 FaultInjector::new(&FaultPlan::crash_node_at(0, 2).into(), ctx.topology())?;
@@ -998,9 +991,7 @@ mod tests {
                     ctx.recovery_rendezvous(mpisim::SimTime::ZERO)?;
                 } else if attempt == 0 {
                     // Survivors wait for the epoch before joining recovery.
-                    while !ctx.any_failed() {
-                        std::thread::sleep(std::time::Duration::from_micros(100));
-                    }
+                    ctx.wait_for_failure_events(1);
                     ctx.recovery_rendezvous(mpisim::SimTime::ZERO)?;
                 }
             }
@@ -1015,7 +1006,7 @@ mod tests {
 
     #[test]
     fn multi_event_schedules_fire_in_order_across_epochs() {
-        let cluster = thread_cluster(ClusterConfig::with_ranks(2));
+        let cluster = Cluster::new(ClusterConfig::with_ranks(2));
         let trace = FailureTrace::schedule(vec![
             FailureSpec::kill_process(0, 2),
             FailureSpec::kill_process(1, 4),
@@ -1040,9 +1031,7 @@ mod tests {
                     // A survivor of this epoch waits until the scheduled victim died
                     // (or no event is pending at all).
                     if ctx.failure_events() < 2 {
-                        while !ctx.any_failed() {
-                            std::thread::sleep(std::time::Duration::from_micros(100));
-                        }
+                        ctx.wait_for_failure_events(ctx.failure_events() + 1);
                     }
                 }
                 if ctx.any_failed() {
