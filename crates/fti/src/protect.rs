@@ -32,13 +32,13 @@ impl Protectable for Vec<f64> {
         datatype::pack_f64(self)
     }
     fn restore_from(&mut self, bytes: &[u8]) {
-        *self = datatype::unpack_f64(bytes);
+        datatype::unpack_into(bytes, self);
     }
     fn byte_len(&self) -> usize {
         self.len() * 8
     }
     fn append_bytes(&self, out: &mut Vec<u8>) {
-        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+        datatype::pack_into(self, out);
     }
 }
 
@@ -47,13 +47,13 @@ impl Protectable for Vec<u64> {
         datatype::pack_u64(self)
     }
     fn restore_from(&mut self, bytes: &[u8]) {
-        *self = datatype::unpack_u64(bytes);
+        datatype::unpack_into(bytes, self);
     }
     fn byte_len(&self) -> usize {
         self.len() * 8
     }
     fn append_bytes(&self, out: &mut Vec<u8>) {
-        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+        datatype::pack_into(self, out);
     }
 }
 
@@ -62,13 +62,13 @@ impl Protectable for Vec<i64> {
         datatype::pack_i64(self)
     }
     fn restore_from(&mut self, bytes: &[u8]) {
-        *self = datatype::unpack_i64(bytes);
+        datatype::unpack_into(bytes, self);
     }
     fn byte_len(&self) -> usize {
         self.len() * 8
     }
     fn append_bytes(&self, out: &mut Vec<u8>) {
-        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
+        datatype::pack_into(self, out);
     }
 }
 

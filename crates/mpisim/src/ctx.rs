@@ -12,7 +12,7 @@ use crate::comm::{Comm, CommShared};
 use crate::datatype;
 use crate::error::MpiError;
 use crate::machine::{CollectiveKind, MachineModel, StorageTier};
-use crate::msg::{Message, Payload};
+use crate::msg::{Message, Payload, SpareBuffers};
 use crate::sched::{WaitKey, WaitToken, Yielder};
 use crate::state::ClusterState;
 use crate::stats::{RankStats, TimeBreakdown};
@@ -141,6 +141,8 @@ pub struct RankCtx {
     /// The backend's park/wake handle: blocked operations park the rank through it,
     /// and state changes other ranks may be parked on are signalled through it.
     yielder: Yielder,
+    /// Message buffers typed receives freed for typed sends to reuse.
+    spares: SpareBuffers,
 }
 
 impl std::fmt::Debug for RankCtx {
@@ -169,6 +171,7 @@ impl RankCtx {
             io_interference: 0.0,
             world,
             yielder,
+            spares: SpareBuffers::default(),
         }
     }
 
@@ -757,8 +760,8 @@ impl RankCtx {
         }
     }
 
-    /// Sends a slice of `f64` values (see [`RankCtx::send_bytes`]). The packed buffer
-    /// is moved into the message's shared payload without a second copy.
+    /// Sends a slice of `f64` values (see [`RankCtx::send_bytes`]), packed into a
+    /// message buffer an earlier typed receive of this rank freed, when there is one.
     pub fn send_f64(
         &mut self,
         comm: &Comm,
@@ -766,22 +769,51 @@ impl RankCtx {
         tag: i32,
         data: &[f64],
     ) -> Result<(), MpiError> {
-        self.send_payload(comm, dest, tag, datatype::pack_f64(data).into())
+        let payload = self.spares.payload(|out| datatype::pack_into(data, out));
+        self.send_payload(comm, dest, tag, payload)
     }
 
-    /// Receives a slice of `f64` values (see [`RankCtx::recv_bytes`]).
+    /// Receives a slice of `f64` values into `out`, replacing its contents and keeping
+    /// its allocation, and returns the source's communicator rank (see
+    /// [`RankCtx::recv_bytes`]). The message buffer is kept for this rank's next
+    /// [`RankCtx::send_f64`] if nothing else refers to it.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RankCtx::recv_bytes`], and [`MpiError::InvalidArgument`] if the
+    /// matched message is not a whole number of `f64` values (it is consumed).
+    pub fn recv_f64_into(
+        &mut self,
+        comm: &Comm,
+        src: i32,
+        tag: i32,
+        out: &mut Vec<f64>,
+    ) -> Result<usize, MpiError> {
+        let (s, _t, payload) = self.recv_payload(comm, src, tag)?;
+        check_f64_payload(&payload, s)?;
+        datatype::unpack_into(&payload, out);
+        self.spares.recycle(payload);
+        Ok(s)
+    }
+
+    /// Receives a slice of `f64` values (see [`RankCtx::recv_f64_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RankCtx::recv_f64_into`].
     pub fn recv_f64(
         &mut self,
         comm: &Comm,
         src: i32,
         tag: i32,
     ) -> Result<(usize, Vec<f64>), MpiError> {
-        let (s, _t, payload) = self.recv_payload(comm, src, tag)?;
-        Ok((s, datatype::unpack_f64(&payload)))
+        let mut data = Vec::new();
+        let s = self.recv_f64_into(comm, src, tag, &mut data)?;
+        Ok((s, data))
     }
 
-    /// Combined send + receive, the halo-exchange workhorse. Sends `send_data` to
-    /// `dest` and receives one message from `src`, both with tag `tag`.
+    /// Combined send + receive: sends `send_data` to `dest`, then receives one message
+    /// from `src`, both with tag `tag` — one step of a ring or shift.
     pub fn sendrecv_f64(
         &mut self,
         comm: &Comm,
@@ -914,13 +946,19 @@ impl RankCtx {
     }
 
     /// Broadcasts `f64` values from `root` (see [`RankCtx::bcast_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RankCtx::bcast_bytes`], and [`MpiError::InvalidArgument`] if the
+    /// root's contribution is not a whole number of `f64` values.
     pub fn bcast_f64(
         &mut self,
         comm: &Comm,
         root: usize,
         data: Vec<f64>,
     ) -> Result<Vec<f64>, MpiError> {
-        let bytes = self.bcast_bytes(comm, root, datatype::pack_f64(&data))?;
+        let bytes = self.bcast_payload(comm, root, datatype::pack_f64(&data).into())?;
+        check_f64_payload(&bytes, root)?;
         Ok(datatype::unpack_f64(&bytes))
     }
 
@@ -1256,6 +1294,19 @@ impl RankCtx {
     pub fn completion_barrier(&mut self) -> Result<(), MpiError> {
         self.check_health(&self.world())?;
         self.barrier(&self.world())
+    }
+}
+
+/// Rejects a payload from communicator rank `src` that an `f64` operation cannot
+/// decode: its length must be a multiple of 8 bytes.
+fn check_f64_payload(payload: &[u8], src: usize) -> Result<(), MpiError> {
+    if payload.len().is_multiple_of(8) {
+        Ok(())
+    } else {
+        Err(MpiError::InvalidArgument(format!(
+            "a {}-byte message from rank {src} is not a whole number of f64 values",
+            payload.len()
+        )))
     }
 }
 

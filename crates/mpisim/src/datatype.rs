@@ -5,6 +5,83 @@
 //! packing and unpacking, and are also used by the checkpoint library to serialize
 //! protected buffers.
 
+/// An element type of the slice helpers: `f64`, `u64` or `i64`, each carried as its
+/// 8 little-endian bytes.
+pub trait Word: Copy {
+    /// The value's little-endian bytes.
+    fn to_le(self) -> [u8; 8];
+    /// The value whose little-endian bytes are `bytes`.
+    fn from_le(bytes: [u8; 8]) -> Self;
+}
+
+impl Word for f64 {
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+    fn from_le(bytes: [u8; 8]) -> Self {
+        f64::from_le_bytes(bytes)
+    }
+}
+
+impl Word for u64 {
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+    fn from_le(bytes: [u8; 8]) -> Self {
+        u64::from_le_bytes(bytes)
+    }
+}
+
+impl Word for i64 {
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+    fn from_le(bytes: [u8; 8]) -> Self {
+        i64::from_le_bytes(bytes)
+    }
+}
+
+/// Appends the little-endian bytes of `values` to `out`: the one packing routine
+/// behind every typed message and every serialised checkpoint buffer.
+pub fn pack_into<T: Word>(values: &[T], out: &mut Vec<u8>) {
+    // One reservation, then one `extend` over the bytes: faster than an
+    // `extend_from_slice` per element, and no slower for checkpoint-sized buffers.
+    out.reserve(values.len() * 8);
+    out.extend(values.iter().flat_map(|v| v.to_le()));
+}
+
+/// Replaces the contents of `out` with the values `bytes` encodes, keeping the
+/// allocation of `out`.
+///
+/// # Panics
+///
+/// Panics if the byte length is not a multiple of 8.
+pub fn unpack_into<T: Word>(bytes: &[u8], out: &mut Vec<T>) {
+    assert!(
+        bytes.len().is_multiple_of(8),
+        "payload length {} is not a multiple of 8",
+        bytes.len()
+    );
+    out.clear();
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| T::from_le(c.try_into().expect("chunk of 8"))),
+    );
+}
+
+fn pack<T: Word>(values: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    pack_into(values, &mut out);
+    out
+}
+
+fn unpack<T: Word>(bytes: &[u8]) -> Vec<T> {
+    let mut out = Vec::new();
+    unpack_into(bytes, &mut out);
+    out
+}
+
 /// Packs a slice of `f64` values into little-endian bytes.
 ///
 /// ```
@@ -13,11 +90,7 @@
 /// assert_eq!(unpack_f64(&pack_f64(&xs)), xs);
 /// ```
 pub fn pack_f64(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    pack(values)
 }
 
 /// Unpacks little-endian bytes into `f64` values.
@@ -26,24 +99,12 @@ pub fn pack_f64(values: &[f64]) -> Vec<u8> {
 ///
 /// Panics if the byte length is not a multiple of 8.
 pub fn unpack_f64(bytes: &[u8]) -> Vec<f64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload length {} is not a multiple of 8",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
+    unpack(bytes)
 }
 
 /// Packs a slice of `u64` values into little-endian bytes.
 pub fn pack_u64(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    pack(values)
 }
 
 /// Unpacks little-endian bytes into `u64` values.
@@ -52,24 +113,12 @@ pub fn pack_u64(values: &[u64]) -> Vec<u8> {
 ///
 /// Panics if the byte length is not a multiple of 8.
 pub fn unpack_u64(bytes: &[u8]) -> Vec<u64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload length {} is not a multiple of 8",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
+    unpack(bytes)
 }
 
 /// Packs a slice of `i64` values into little-endian bytes.
 pub fn pack_i64(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    pack(values)
 }
 
 /// Unpacks little-endian bytes into `i64` values.
@@ -78,15 +127,7 @@ pub fn pack_i64(values: &[i64]) -> Vec<u8> {
 ///
 /// Panics if the byte length is not a multiple of 8.
 pub fn unpack_i64(bytes: &[u8]) -> Vec<i64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload length {} is not a multiple of 8",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
+    unpack(bytes)
 }
 
 /// Packs a single `f64` value.
@@ -176,6 +217,8 @@ mod proptests {
             unsigned in proptest::collection::vec(any::<u64>(), 0..100),
             signed in proptest::collection::vec(any::<i64>(), 0..100),
         ) {
+            let wire: Vec<u8> = floats.iter().flat_map(|v| v.to_le_bytes()).collect();
+            prop_assert_eq!(pack_f64(&floats), wire);
             prop_assert_eq!(unpack_f64(&pack_f64(&floats)), floats.clone());
             prop_assert_eq!(unpack_u64(&pack_u64(&unsigned)), unsigned.clone());
             prop_assert_eq!(unpack_i64(&pack_i64(&signed)), signed.clone());

@@ -172,6 +172,54 @@ impl std::fmt::Debug for Payload {
     }
 }
 
+/// A rank's spare message buffers: typed sends pack into them, and typed receives
+/// return the buffers of the payloads they decoded, so that a steady exchange of
+/// typed messages allocates nothing.
+///
+/// Only a payload that is the sole view of its whole buffer is taken back; a shared
+/// one — a collective's output, a checkpoint blob, a payload its sender still holds —
+/// is never unique, and nobody can observe a buffer that is.
+#[derive(Debug, Default)]
+pub(crate) struct SpareBuffers {
+    bufs: Vec<Arc<Vec<u8>>>,
+}
+
+impl SpareBuffers {
+    /// At most this many buffers are kept ...
+    const MAX_BUFFERS: usize = 2;
+    /// ... of at most this capacity each.
+    const MAX_BYTES: usize = 64 << 10;
+
+    /// A payload of the bytes `fill` appends to an empty spare buffer, or to a fresh
+    /// one when none is spare.
+    pub(crate) fn payload(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Payload {
+        let mut buf = self.bufs.pop().unwrap_or_default();
+        let bytes = Arc::get_mut(&mut buf).expect("a spare buffer has no other owner");
+        bytes.clear();
+        fill(bytes);
+        let end = bytes.len();
+        Payload { buf, start: 0, end }
+    }
+
+    /// Keeps `payload`'s buffer for a later [`SpareBuffers::payload`] if it is the only
+    /// view of the whole buffer and there is room for it; drops it otherwise.
+    pub(crate) fn recycle(&mut self, payload: Payload) {
+        let Payload {
+            mut buf,
+            start,
+            end,
+        } = payload;
+        if self.bufs.len() < Self::MAX_BUFFERS
+            && start == 0
+            && end == buf.len()
+            && buf.capacity() <= Self::MAX_BYTES
+            && Arc::get_mut(&mut buf).is_some()
+        {
+            self.bufs.push(buf);
+        }
+    }
+}
+
 /// A point-to-point message in flight between two ranks.
 #[derive(Debug, Clone)]
 pub struct Message {
@@ -288,6 +336,29 @@ mod tests {
         src.fill(0);
         assert_eq!(src[0], 0);
         assert_eq!(p, vec![9u8; 16]);
+    }
+
+    #[test]
+    fn spare_buffers_take_back_only_unshared_whole_small_buffers() {
+        let mut spares = SpareBuffers::default();
+        let sent = spares.payload(|out| out.extend_from_slice(&[1, 2, 3]));
+        assert_eq!(sent, vec![1, 2, 3]);
+        let held = sent.clone();
+        spares.recycle(sent); // another view is alive
+        spares.recycle(Payload::from(vec![0u8; 8]).slice(0..4)); // part of a buffer
+        spares.recycle(Payload::from(vec![0u8; SpareBuffers::MAX_BYTES + 1]));
+        assert!(spares.bufs.is_empty());
+
+        let address = held.as_ptr();
+        spares.recycle(held);
+        let reused = spares.payload(|out| out.push(9));
+        assert_eq!(reused, vec![9]);
+        assert_eq!(reused.as_ptr(), address, "the spare buffer is reused");
+
+        for _ in 0..=SpareBuffers::MAX_BUFFERS {
+            spares.recycle(Payload::from(vec![0u8; 8]));
+        }
+        assert_eq!(spares.bufs.len(), SpareBuffers::MAX_BUFFERS);
     }
 
     #[test]

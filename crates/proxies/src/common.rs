@@ -159,9 +159,30 @@ pub fn world_slab(comm: &Comm, global_units: usize) -> (usize, usize) {
     (p.start(comm.rank()), p.count(comm.rank()))
 }
 
+/// The halo planes a rank received in its last [`halo_exchange`], held in buffers that
+/// every exchange refills instead of reallocating. A rank keeps one `Halo` for its whole
+/// run.
+#[derive(Debug, Default)]
+pub struct Halo {
+    below: Vec<f64>,
+    above: Vec<f64>,
+}
+
+impl Halo {
+    /// The plane received from rank-1, or `None` at the bottom of the domain.
+    pub fn below(&self) -> Option<&[f64]> {
+        (!self.below.is_empty()).then_some(&self.below)
+    }
+
+    /// The plane received from rank+1, or `None` at the top of the domain.
+    pub fn above(&self) -> Option<&[f64]> {
+        (!self.above.is_empty()).then_some(&self.above)
+    }
+}
+
 /// Exchanges boundary planes with the 1-D neighbours of this rank: sends `to_prev` to
-/// rank-1 and `to_next` to rank+1, returns `(from_prev, from_next)` (empty vectors at
-/// the domain boundaries).
+/// rank-1 and `to_next` to rank+1, and receives their planes into `halo` (a side
+/// without a neighbour, or whose neighbour sent an empty plane, reads `None`).
 ///
 /// # Errors
 ///
@@ -172,7 +193,8 @@ pub fn halo_exchange(
     tag: i32,
     to_prev: &[f64],
     to_next: &[f64],
-) -> Result<(Vec<f64>, Vec<f64>), MpiError> {
+    halo: &mut Halo,
+) -> Result<(), MpiError> {
     let me = comm.rank();
     let n = comm.size();
     // Post sends first (eager), then receive: no deadlock because sends are buffered.
@@ -182,23 +204,17 @@ pub fn halo_exchange(
     if me + 1 < n {
         ctx.send_f64(comm, me + 1, tag, to_next)?;
     }
-    let from_prev = if me > 0 {
-        ctx.recv_f64(comm, (me - 1) as i32, tag)?.1
+    if me > 0 {
+        ctx.recv_f64_into(comm, (me - 1) as i32, tag, &mut halo.below)?;
     } else {
-        Vec::new()
-    };
-    let from_next = if me + 1 < n {
-        ctx.recv_f64(comm, (me + 1) as i32, tag)?.1
+        halo.below.clear();
+    }
+    if me + 1 < n {
+        ctx.recv_f64_into(comm, (me + 1) as i32, tag, &mut halo.above)?;
     } else {
-        Vec::new()
-    };
-    Ok((from_prev, from_next))
-}
-
-/// A halo plane as [`halo_exchange`] returned it, or `None` for the empty vector that
-/// stands for a physical domain boundary.
-pub(crate) fn received(halo: &[f64]) -> Option<&[f64]> {
-    (!halo.is_empty()).then_some(halo)
+        halo.above.clear();
+    }
+    Ok(())
 }
 
 /// Distributed dot product: the global sum of `sum(a[i] * b[i])` over all ranks.
@@ -382,20 +398,35 @@ mod tests {
         let outcome = cluster.run(|ctx| {
             let world = ctx.world();
             let me = world.rank() as f64;
-            let (from_prev, from_next) =
-                halo_exchange(ctx, &world, 5, &[me * 10.0], &[me * 10.0 + 1.0])?;
-            Ok((from_prev, from_next))
+            let mut halo = Halo::default();
+            let mut seen = Vec::new();
+            for round in 0..3 {
+                let base = me * 10.0 + round as f64 * 100.0;
+                let plane = [base; 16];
+                let next = [base + 1.0; 16];
+                halo_exchange(ctx, &world, 5, &plane, &next, &mut halo)?;
+                let first =
+                    |side: Option<&[f64]>| side.map(|p| (p[0], p.len(), p.as_ptr() as usize));
+                seen.push((first(halo.below()), first(halo.above())));
+            }
+            Ok(seen)
         });
         assert!(outcome.all_ok());
-        // Rank 1 receives rank 0's "to_next" (1.0) and rank 2's "to_prev" (20.0).
-        let (prev, next) = outcome.value_of(1);
-        assert_eq!(prev, &vec![1.0]);
-        assert_eq!(next, &vec![20.0]);
-        // Domain boundaries receive nothing from outside.
-        let (prev0, _) = outcome.value_of(0);
-        assert!(prev0.is_empty());
-        let (_, next3) = outcome.value_of(3);
-        assert!(next3.is_empty());
+        for rank in 0..4 {
+            let seen = outcome.value_of(rank);
+            for (round, &(below, above)) in seen.iter().enumerate() {
+                let base = round as f64 * 100.0;
+                // Rank r receives rank r-1's "to_next" and rank r+1's "to_prev"; the
+                // domain boundaries receive nothing from outside.
+                let want_below = (rank > 0).then(|| (base + (rank - 1) as f64 * 10.0 + 1.0, 16));
+                let want_above = (rank < 3).then(|| (base + (rank + 1) as f64 * 10.0, 16));
+                assert_eq!(below.map(|(v, len, _)| (v, len)), want_below);
+                assert_eq!(above.map(|(v, len, _)| (v, len)), want_above);
+                // The second and third exchange refill the first one's buffers.
+                assert_eq!(below.map(|b| b.2), seen[0].0.map(|b| b.2));
+                assert_eq!(above.map(|a| a.2), seen[0].1.map(|a| a.2));
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use mpisim::{Comm, MpiError, RankCtx};
 use recovery::FaultInjector;
 
 use crate::common::{
-    checksum, distributed_dot, halo_exchange, received, world_slab, AppOutput, ProxyApp,
+    checksum, distributed_dot, halo_exchange, world_slab, AppOutput, Halo, ProxyApp,
 };
 
 /// HPCCG parameters: the per-process grid dimensions (the meaning of the `nx ny nz`
@@ -78,7 +78,7 @@ impl Hpccg {
     }
 
     /// Applies the 27-point stencil operator `y = A v`, using the halo planes received
-    /// from the z-neighbours (empty slices mean a physical domain boundary), and
+    /// from the z-neighbours (`None` at a physical domain boundary), and
     /// returns the flops to charge. The local z extent is derived from `v`, because
     /// the rank's slab of the global z axis changes when the world shrinks.
     ///
@@ -88,7 +88,7 @@ impl Hpccg {
     /// neighbour row every point subtracts its `dx = -1, 0, +1` entries in that order,
     /// so each point sees exactly the subtraction sequence of a point-by-point scan
     /// while the loops over `ix` carry no branch and vectorise.
-    fn spmv(&self, v: &[f64], below: &[f64], above: &[f64], y: &mut [f64]) -> f64 {
+    fn spmv(&self, v: &[f64], below: Option<&[f64]>, above: Option<&[f64]>, y: &mut [f64]) -> f64 {
         let (nx, ny) = (self.params.nx, self.params.ny);
         let plane = nx * ny;
         let nz = v.len() / plane;
@@ -98,13 +98,13 @@ impl Hpccg {
                 if iz > 0 {
                     Some(&v[(iz - 1) * plane..iz * plane])
                 } else {
-                    received(below)
+                    below
                 },
                 Some(centre),
                 if iz + 1 < nz {
                     Some(&v[(iz + 1) * plane..(iz + 2) * plane])
                 } else {
-                    received(above)
+                    above
                 },
             ];
             for iy in 0..ny {
@@ -136,12 +136,13 @@ impl Hpccg {
         &self,
         ctx: &mut RankCtx,
         comm: &Comm,
+        halo: &mut Halo,
         v: &[f64],
         y: &mut [f64],
     ) -> Result<(), MpiError> {
         let plane = self.params.nx * self.params.ny;
-        let (below, above) = halo_exchange(ctx, comm, 11, &v[..plane], &v[v.len() - plane..])?;
-        let flops = self.spmv(v, &below, &above, y);
+        halo_exchange(ctx, comm, 11, &v[..plane], &v[v.len() - plane..], halo)?;
+        let flops = self.spmv(v, halo.below(), halo.above(), y);
         ctx.compute(flops);
         Ok(())
     }
@@ -235,11 +236,12 @@ impl ProxyApp for Hpccg {
         }
 
         let mut ap = vec![0.0f64; n];
+        let mut halo = Halo::default();
         while iteration < self.params.max_iterations {
             let current = iteration + 1;
             injector.maybe_fail(ctx, current)?;
 
-            self.apply_operator(ctx, &world, &p, &mut ap)?;
+            self.apply_operator(ctx, &world, &mut halo, &p, &mut ap)?;
             let pap = distributed_dot(ctx, &world, &p, &ap)?;
             let alpha = if pap.abs() > 0.0 { rr / pap } else { 0.0 };
             for ((xi, ri), (pi, api)) in x.iter_mut().zip(&mut r).zip(p.iter().zip(&ap)) {
@@ -447,7 +449,12 @@ mod tests {
             let above = awkward_values(&mut rng, if has_above { plane } else { 0 }, wild);
             let mut y = vec![f64::NAN; v.len()];
             let mut want = vec![0.0; v.len()];
-            let flops = app.spmv(&v, &below, &above, &mut y);
+            let flops = app.spmv(
+                &v,
+                has_below.then_some(&below[..]),
+                has_above.then_some(&above[..]),
+                &mut y,
+            );
             let want_flops = spmv_point_by_point(&app, &v, &below, &above, &mut want);
             prop_assert_eq!(all_bits(&y), all_bits(&want));
             prop_assert_eq!(flops.to_bits(), want_flops.to_bits());
@@ -461,7 +468,7 @@ mod tests {
         let app = Hpccg::new(HpccgParams::new(2, 2, 2, 1));
         let v = vec![1.0; 8];
         let mut y = vec![0.0; 8];
-        let flops = app.spmv(&v, &[], &[], &mut y);
+        let flops = app.spmv(&v, None, None, &mut y);
         assert!(flops > 0.0);
         // Every point of a 2x2x2 cube has exactly 7 in-domain neighbours.
         for value in y {

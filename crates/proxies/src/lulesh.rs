@@ -18,7 +18,7 @@ use fti::{Fti, Protectable};
 use mpisim::{MpiError, RankCtx};
 use recovery::FaultInjector;
 
-use crate::common::{checksum, halo_exchange, received, world_slab, AppOutput, ProxyApp};
+use crate::common::{checksum, halo_exchange, world_slab, AppOutput, Halo, ProxyApp};
 
 /// Ideal-gas constant for the equation of state.
 const GAMMA: f64 = 1.4;
@@ -206,6 +206,7 @@ impl ProxyApp for Lulesh {
             )?;
         }
 
+        let mut halo = Halo::default();
         while step < self.params.steps {
             let current = step + 1;
             injector.maybe_fail(ctx, current)?;
@@ -221,8 +222,14 @@ impl ProxyApp for Lulesh {
             let dt = ctx.allreduce_min_f64(&world, local_dt)?.min(1.0e-2);
 
             // 2. Halo exchange of the boundary planes of the energy field.
-            let (below, above) =
-                halo_exchange(ctx, &world, 51, &energy[..plane], &energy[n - plane..])?;
+            halo_exchange(
+                ctx,
+                &world,
+                51,
+                &energy[..plane],
+                &energy[n - plane..],
+                &mut halo,
+            )?;
 
             // 3. Element updates: pressure from the equation of state, an artificial
             //    viscosity from the energy gradient to the z neighbours, and the energy
@@ -233,8 +240,8 @@ impl ProxyApp for Lulesh {
                 &mut pressure,
                 &mut volume,
                 &mut divergence,
-                received(&below),
-                received(&above),
+                halo.below(),
+                halo.above(),
                 dt,
             );
             ctx.compute(22.0 * n as f64);
@@ -381,7 +388,7 @@ mod tests {
                 };
                 sweep_elements(
                     plane, energy, pressure, volume, divergence,
-                    received(&below), received(&above), dt,
+                    has_below.then_some(&below[..]), has_above.then_some(&above[..]), dt,
                 );
                 let [energy, pressure, volume, divergence] = &mut want[..] else {
                     unreachable!()

@@ -19,7 +19,7 @@ use mpisim::{Comm, MpiError, RankCtx};
 use recovery::FaultInjector;
 
 use crate::common::{
-    checksum, distributed_dot, halo_exchange, received, world_slab, AppOutput, ProxyApp,
+    checksum, distributed_dot, halo_exchange, world_slab, AppOutput, Halo, ProxyApp,
 };
 
 /// miniFE parameters: per-process brick dimensions (`-nx -ny -nz`) and the CG
@@ -77,16 +77,22 @@ struct Operator {
 }
 
 impl Operator {
-    /// `y = A v` with the received halo planes (empty at a domain boundary). Every
+    /// `y = A v` with the received halo planes (`None` at a domain boundary). Every
     /// row accumulates `value * x` over its entries in stored order, from zero.
     /// Returns the flops to charge: two per stored entry.
-    fn apply(&mut self, v: &[f64], below: &[f64], above: &[f64], y: &mut [f64]) -> f64 {
+    fn apply(
+        &mut self,
+        v: &[f64],
+        below: Option<&[f64]>,
+        above: Option<&[f64]>,
+        y: &mut [f64],
+    ) -> f64 {
         let plane = (self.extended.len() - v.len()) / 2;
         let (lower, rest) = self.extended.split_at_mut(plane);
         let (local, upper) = rest.split_at_mut(v.len());
         local.copy_from_slice(v);
         for (halo, plane) in [(lower, below), (upper, above)] {
-            match received(plane) {
+            match plane {
                 Some(plane) => halo.copy_from_slice(plane),
                 None => halo.fill(0.0),
             }
@@ -204,12 +210,13 @@ impl MiniFe {
         ctx: &mut RankCtx,
         comm: &Comm,
         a: &mut Operator,
+        halo: &mut Halo,
         v: &[f64],
         y: &mut [f64],
     ) -> Result<(), MpiError> {
         let plane = self.params.nx * self.params.ny;
-        let (below, above) = halo_exchange(ctx, comm, 21, &v[..plane], &v[v.len() - plane..])?;
-        let flops = a.apply(v, &below, &above, y);
+        halo_exchange(ctx, comm, 21, &v[..plane], &v[v.len() - plane..], halo)?;
+        let flops = a.apply(v, halo.below(), halo.above(), y);
         ctx.compute(flops);
         Ok(())
     }
@@ -270,11 +277,12 @@ impl ProxyApp for MiniFe {
         }
 
         let mut ap = vec![0.0f64; n];
+        let mut halo = Halo::default();
         while iteration < self.params.max_iterations {
             let current = iteration + 1;
             injector.maybe_fail(ctx, current)?;
 
-            self.apply_operator(ctx, &world, &mut matrix, &p, &mut ap)?;
+            self.apply_operator(ctx, &world, &mut matrix, &mut halo, &p, &mut ap)?;
             let pap = distributed_dot(ctx, &world, &p, &ap)?;
             let alpha = if pap.abs() > 0.0 { rr / pap } else { 0.0 };
             for ((xi, ri), (pi, api)) in x.iter_mut().zip(&mut r).zip(p.iter().zip(&ap)) {
@@ -500,7 +508,12 @@ mod tests {
                 let above = awkward_values(&mut rng, if has_above { plane } else { 0 }, wild);
                 let mut y = vec![f64::NAN; v.len()];
                 let mut want = vec![0.0; v.len()];
-                let flops = operator.apply(&v, &below, &above, &mut y);
+                let flops = operator.apply(
+                    &v,
+                    has_below.then_some(&below[..]),
+                    has_above.then_some(&above[..]),
+                    &mut y,
+                );
                 let want_flops = spmv_halo_encoded(&oracle, &v, &below, &above, &mut want);
                 prop_assert_eq!(all_bits(&y), all_bits(&want));
                 prop_assert_eq!(flops.to_bits(), want_flops.to_bits());

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use match_core::fti::store::CheckpointStore;
 use match_core::fti::{Fti, FtiConfig, Protectable};
 use match_core::mpisim::{Cluster, ClusterConfig, MpiError, RankCtx};
-use match_core::proxies::common::{world_slab, AppOutput};
+use match_core::proxies::common::{halo_exchange, world_slab, AppOutput, Halo};
 use match_core::proxies::ProxyApp;
 use match_core::recovery::{FaultInjector, FaultPlan, FtConfig, FtDriver, RecoveryStrategy};
 
@@ -66,18 +66,20 @@ impl ProxyApp for HeatDiffusion {
                 ],
             )?;
         }
+        let mut halo = Halo::default();
         while step < self.steps {
             let current = step + 1;
             injector.maybe_fail(ctx, current)?;
-            let (left, right) = match_core::proxies::common::halo_exchange(
+            halo_exchange(
                 ctx,
                 &world,
                 9,
                 &[temperature[0]],
                 &[temperature[n - 1]],
+                &mut halo,
             )?;
-            let left = left.first().copied().unwrap_or(temperature[0]);
-            let right = right.first().copied().unwrap_or(temperature[n - 1]);
+            let left = halo.below().map_or(temperature[0], |plane| plane[0]);
+            let right = halo.above().map_or(temperature[n - 1], |plane| plane[0]);
             let mut next = temperature.clone();
             for i in 0..n {
                 let l = if i == 0 { left } else { temperature[i - 1] };
