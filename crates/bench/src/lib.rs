@@ -1,15 +1,17 @@
-//! Shared helpers for the MATCH-RS benchmark harnesses.
+//! Shared helpers of the `match-bench` CLI.
 //!
-//! Every figure/table of the paper has a `harness = false` bench target that prints the
-//! regenerated rows as a text table of *virtual* time (the simulator's deterministic
-//! clock). The helpers here read the environment knobs shared by all of them:
+//! Every figure/table target prints the regenerated rows as a text table of *virtual*
+//! time (the simulator's deterministic clock). The helpers here read the environment
+//! knobs that shape the matrix:
 //!
 //! * `MATCH_PROCS` — comma-separated process-count ladder (default `4,8,16,32`;
 //!   the paper uses `64,128,256,512`),
 //! * `MATCH_SCALE` — `smoke`, `bench` or `paper` input scaling, in any letter case
-//!   (default `smoke`; any other value is an error, exit status 2),
-//! * `MATCH_APPS` — comma-separated subset of applications (default: all six),
+//!   (default `smoke`),
+//! * `MATCH_APPS` — comma-separated subset of applications, in any letter case
+//!   (default: all six),
 //! * `MATCH_REPS` — repetitions per configuration (default 1; the paper uses 5),
+//! * `MATCH_MTBF` — the `mtbf` target's comma-separated node-MTBF ladder,
 //! * `MATCH_JOBS` — number of experiments run concurrently by the
 //!   [`SuiteEngine`] (default: the host's available parallelism; the `match-bench`
 //!   CLI also accepts `--jobs N`),
@@ -24,9 +26,12 @@
 //!   (default `target/match-cache`), and the cap enables mtime-LRU garbage
 //!   collection (see `match_core::persist`; the CLI's `cache stats|gc|clear`
 //!   subcommand inspects and maintains the store).
+//!
+//! An unset matrix knob takes its default. A set one must parse completely: a
+//! malformed `MATCH_PROCS`, `MATCH_SCALE`, `MATCH_APPS`, `MATCH_REPS` or `MATCH_MTBF`
+//! is an error naming the knob (exit status 2), never a silently different matrix.
 
-pub mod micro;
-pub mod warm;
+use std::str::FromStr;
 
 use match_core::matrix::MatrixOptions;
 use match_core::mtbf::MtbfSweep;
@@ -34,47 +39,29 @@ use match_core::proxies::registry::ExecutionScale;
 use match_core::proxies::ProxyKind;
 use match_core::{FigureData, MtbfSweepOptions, SuiteEngine, SuiteOptions};
 
-/// Reads the benchmark matrix options from the environment (see the module docs).
-pub fn options_from_env() -> MatrixOptions {
-    let procs: Vec<usize> = std::env::var("MATCH_PROCS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|p| p.trim().parse().ok())
-                .filter(|&p| p > 0)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![4, 8, 16, 32]);
-
-    let scale = match std::env::var("MATCH_SCALE") {
-        Err(_) => ExecutionScale::smoke(),
-        Ok(value) => parse_scale(&value).unwrap_or_else(|error| {
+/// Reads knob `name` with `parse`, or returns `default()` when it is unset. A value
+/// `parse` rejects ends the process with exit status 2 and the parser's message.
+fn knob<T>(
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+    default: impl FnOnce() -> T,
+) -> T {
+    match std::env::var(name) {
+        Err(_) => default(),
+        Ok(value) => parse(&value).unwrap_or_else(|error| {
             eprintln!("{error}");
             std::process::exit(2);
         }),
-    };
+    }
+}
 
-    let apps: Vec<ProxyKind> = std::env::var("MATCH_APPS")
-        .ok()
-        .map(|s| {
-            ProxyKind::ALL
-                .into_iter()
-                .filter(|k| {
-                    s.split(',')
-                        .any(|name| name.trim().eq_ignore_ascii_case(k.name()))
-                })
-                .collect()
-        })
-        .filter(|v: &Vec<ProxyKind>| !v.is_empty())
-        .unwrap_or_else(|| ProxyKind::ALL.to_vec());
-
-    let repetitions: u32 = std::env::var("MATCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-
-    let default_procs = *procs.first().expect("non-empty process ladder");
+/// Reads the benchmark matrix options from the environment (see the module docs).
+pub fn options_from_env() -> MatrixOptions {
+    let procs = knob("MATCH_PROCS", parse_procs, || vec![4, 8, 16, 32]);
+    let scale = knob("MATCH_SCALE", parse_scale, ExecutionScale::smoke);
+    let apps = knob("MATCH_APPS", parse_apps, || ProxyKind::ALL.to_vec());
+    let repetitions = knob("MATCH_REPS", parse_reps, || 1);
+    let default_procs = procs[0];
     MatrixOptions {
         process_counts: procs,
         default_procs,
@@ -104,6 +91,104 @@ pub fn parse_scale(value: &str) -> Result<ExecutionScale, String> {
     }
 }
 
+/// Parses a comma-separated list of positive integers for knob `name`; `accepts`
+/// describes the valid values in the error.
+fn parse_positive_list<T: FromStr + PartialOrd + Default>(
+    name: &str,
+    value: &str,
+    accepts: &str,
+) -> Result<Vec<T>, String> {
+    value
+        .split(',')
+        .map(|entry| {
+            entry
+                .trim()
+                .parse::<T>()
+                .ok()
+                .filter(|n| *n > T::default())
+                .ok_or_else(|| format!("{name}='{value}': '{}' is not {accepts}", entry.trim()))
+        })
+        .collect()
+}
+
+/// Parses a `MATCH_PROCS` value: comma-separated positive process counts, the
+/// first of which is also the input-size sweep's process count.
+///
+/// # Errors
+///
+/// An entry that is not a positive integer is an error naming the knob, the value
+/// and what it accepts.
+pub fn parse_procs(value: &str) -> Result<Vec<usize>, String> {
+    parse_positive_list(
+        "MATCH_PROCS",
+        value,
+        "a process count (expected comma-separated positive integers, e.g. 4,8,16,32)",
+    )
+}
+
+/// Parses a `MATCH_APPS` value: comma-separated application names in any letter
+/// case. The result follows [`ProxyKind::ALL`]'s order, whatever order the names
+/// come in, and names each application once.
+///
+/// # Errors
+///
+/// A name that is no application is an error naming the knob, the value and the
+/// accepted names.
+pub fn parse_apps(value: &str) -> Result<Vec<ProxyKind>, String> {
+    let mut wanted = Vec::new();
+    for name in value.split(',').map(str::trim) {
+        match ProxyKind::ALL
+            .into_iter()
+            .find(|k| name.eq_ignore_ascii_case(k.name()))
+        {
+            Some(kind) => wanted.push(kind),
+            None => {
+                let names: Vec<&str> = ProxyKind::ALL.iter().map(|k| k.name()).collect();
+                return Err(format!(
+                    "MATCH_APPS='{value}': '{name}' is not an application (expected \
+                     comma-separated names from {})",
+                    names.join(", ")
+                ));
+            }
+        }
+    }
+    Ok(ProxyKind::ALL
+        .into_iter()
+        .filter(|k| wanted.contains(k))
+        .collect())
+}
+
+/// Parses a `MATCH_REPS` value: a positive number of repetitions per cell.
+///
+/// # Errors
+///
+/// Anything else is an error naming the knob, the value and what it accepts.
+pub fn parse_reps(value: &str) -> Result<u32, String> {
+    value
+        .trim()
+        .parse::<u32>()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| {
+            format!("MATCH_REPS='{value}' is not a repetition count (expected a positive integer)")
+        })
+}
+
+/// Parses a `MATCH_MTBF` value: comma-separated positive node MTBFs, in main-loop
+/// iterations.
+///
+/// # Errors
+///
+/// An entry that is not a positive integer is an error naming the knob, the value
+/// and what it accepts.
+pub fn parse_mtbf_ladder(value: &str) -> Result<Vec<u32>, String> {
+    parse_positive_list(
+        "MATCH_MTBF",
+        value,
+        "a node MTBF (expected comma-separated positive iteration counts, e.g. 64,16,8)",
+    )
+}
+
 /// Reads the MTBF-sweep options from the environment: the matrix options plus
 /// `MATCH_MTBF` (comma-separated node-MTBF ladder in iterations; the default scales
 /// with the execution scale's iteration cap) and `MATCH_MTBF_CRASH_PCT` /
@@ -113,15 +198,10 @@ pub fn parse_scale(value: &str) -> Result<ExecutionScale, String> {
 /// and sweeps with cascades checkpoint at the erasure-coded L3 level.
 pub fn mtbf_options_from_env(options: &MatrixOptions) -> MtbfSweepOptions {
     let mut sweep = MtbfSweepOptions::from_matrix(options);
-    if let Some(ladder) = std::env::var("MATCH_MTBF").ok().map(|s| {
-        s.split(',')
-            .filter_map(|p| p.trim().parse().ok())
-            .filter(|&p| p > 0)
-            .collect::<Vec<u32>>()
-    }) {
-        if !ladder.is_empty() {
-            sweep = sweep.with_ladder(ladder);
-        }
+    // A parsed ladder is never empty, so the empty default means "unset".
+    let ladder = knob("MATCH_MTBF", parse_mtbf_ladder, Vec::new);
+    if !ladder.is_empty() {
+        sweep = sweep.with_ladder(ladder);
     }
     let pct = |var: &str| match std::env::var(var) {
         Err(_) => 0u8,
@@ -263,6 +343,77 @@ mod tests {
             assert!(error.contains("MATCH_SCALE"), "{error}");
             assert!(error.contains(&format!("'{value}'")), "{error}");
             assert!(error.contains("smoke, bench or paper"), "{error}");
+        }
+    }
+
+    /// Checks that `error` names the knob, the whole bad value and what it accepts.
+    fn assert_names(error: &str, knob: &str, value: &str, accepts: &str) {
+        assert!(error.contains(knob), "{error}");
+        assert!(error.contains(&format!("'{value}'")), "{error}");
+        assert!(error.contains(accepts), "{error}");
+    }
+
+    #[test]
+    fn process_ladders_parse_positive_integers_and_nothing_else_does() {
+        assert_eq!(parse_procs("4,8,16,32"), Ok(vec![4, 8, 16, 32]));
+        assert_eq!(parse_procs(" 2 , 4 "), Ok(vec![2, 4]));
+        assert_eq!(parse_procs("64"), Ok(vec![64]));
+        for value in ["", "2,x", "garbage", "0", "2,0", "4,8,", "-4", "2.5"] {
+            let error = parse_procs(value).unwrap_err();
+            assert_names(
+                &error,
+                "MATCH_PROCS",
+                value,
+                "comma-separated positive integers",
+            );
+        }
+    }
+
+    #[test]
+    fn app_names_parse_in_any_case_in_registry_order_and_nothing_else_does() {
+        assert_eq!(parse_apps("HPCCG"), Ok(vec![ProxyKind::Hpccg]));
+        assert_eq!(
+            parse_apps("miniVite, hpccg"),
+            Ok(vec![ProxyKind::Hpccg, ProxyKind::MiniVite])
+        );
+        assert_eq!(parse_apps("HPCCG,MiniVite,hpccg").unwrap().len(), 2);
+        assert_eq!(
+            parse_apps("amg,comd,hpccg,lulesh,minife,minivite"),
+            Ok(ProxyKind::ALL.to_vec())
+        );
+        for value in ["", "hpcg", "HPCCG,hpcg", "HPCCG,", "all", "HPCCG;miniVite"] {
+            let error = parse_apps(value).unwrap_err();
+            assert_names(
+                &error,
+                "MATCH_APPS",
+                value,
+                "AMG, CoMD, HPCCG, LULESH, miniFE, miniVite",
+            );
+        }
+    }
+
+    #[test]
+    fn repetition_counts_parse_positive_integers_and_nothing_else_does() {
+        assert_eq!(parse_reps("1"), Ok(1));
+        assert_eq!(parse_reps(" 5 "), Ok(5));
+        for value in ["", "five", "0", "-1", "2.0", "1,2"] {
+            let error = parse_reps(value).unwrap_err();
+            assert_names(&error, "MATCH_REPS", value, "a positive integer");
+        }
+    }
+
+    #[test]
+    fn mtbf_ladders_parse_positive_integers_and_nothing_else_does() {
+        assert_eq!(parse_mtbf_ladder("16,8"), Ok(vec![16, 8]));
+        assert_eq!(parse_mtbf_ladder(" 4096 "), Ok(vec![4096]));
+        for value in ["", "8,x", "0", "16,,8", "-8", "1e3"] {
+            let error = parse_mtbf_ladder(value).unwrap_err();
+            assert_names(
+                &error,
+                "MATCH_MTBF",
+                value,
+                "comma-separated positive iteration counts",
+            );
         }
     }
 }

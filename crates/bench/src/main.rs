@@ -3,7 +3,7 @@
 //! ```text
 //! match-bench [--help] [--jobs N] [--json] [--backend threads|coop|par] [--workers N] \
 //!             [--racks N] [--expect-warm] \
-//!             [table1|fig5|...|fig10|mtbf|findings|micro|cachebench|explore|all ...]
+//!             [table1|fig5|...|fig10|mtbf|findings|explore|all ...]
 //! match-bench cache stats|gc|clear
 //! match-bench --replay <artifact.json>
 //! ```
@@ -17,9 +17,7 @@
 //! (the CI warm-cache job runs figures twice and passes this on the second run).
 //! The `cache` subcommand inspects and maintains the store: `stats` prints the
 //! root/entry/byte counts, `gc` runs one mtime-LRU sweep down to
-//! `MATCH_CACHE_MAX_MB`, and `clear` removes every entry. The `cachebench`
-//! target times a cold-vs-warm Fig. 6 matrix against a private store (with
-//! `--json`: written to `BENCH_PR7.json`); like `micro` it is not part of `all`.
+//! `MATCH_CACHE_MAX_MB`, and `clear` removes every entry.
 //!
 //! `--backend` selects the scheduler backend simulated jobs run on (equivalent to
 //! `MATCH_BACKEND`; default `par`): `par` runs the ranks of a job as fibers sharded
@@ -44,7 +42,7 @@
 //! `MATCH_EXPLORE_ASSERT=<substring>` seeds a deliberate violation (asserting the
 //! substring unreachable in any path label) — with it set, finding and shrinking
 //! that violation is the *success* path, which is how CI drives the whole
-//! shrink → replay pipeline. Like `micro`, `explore` is not part of `all`.
+//! shrink → replay pipeline. `explore` is not part of `all`.
 //!
 //! The `mtbf` target runs the MTBF sweep (efficiency vs. failure rate per design, an
 //! MTBF-driven multi-failure arrival process; knobs: `MATCH_MTBF`,
@@ -54,30 +52,28 @@
 //!
 //! The matrix is controlled by the `MATCH_PROCS`, `MATCH_SCALE`, `MATCH_APPS`,
 //! `MATCH_REPS` and `MATCH_JOBS` environment variables (see the crate documentation);
-//! `--jobs N` overrides `MATCH_JOBS`. All targets of one invocation share one
-//! [`SuiteEngine`], so overlapping targets (`fig6 fig7 findings`, or `all`) are
-//! answered from the result cache instead of re-running their experiments — the
-//! engine/cache line printed after each target shows the reuse.
+//! a malformed value exits 2 naming the knob. `--jobs N` overrides `MATCH_JOBS`. All
+//! targets of one invocation share one [`SuiteEngine`], so overlapping targets
+//! (`fig6 fig7 findings`, or `all`) are answered from the result cache instead of
+//! re-running their experiments — the engine/cache line printed after each target
+//! shows the reuse. Each `figN` target is the [`Figure`] of that name.
 //!
-//! The `micro` target runs the data-plane micro benchmark suite (Reed–Solomon
-//! encode/decode, differential delta, payload fan-out — each against its kept scalar
-//! baseline — plus a fresh-engine fig6 wall-clock). With `--json` the results are also
-//! written to `BENCH_PR2.json`. `micro` deliberately uses its own engine so a warm
-//! result cache from earlier targets cannot flatter the end-to-end timing.
+//! Host-time measurement is not this CLI's job: the `match-perf` benchmark package
+//! (`benchmark/`) times the data-plane kernels, the cold and warm cache paths and
+//! the figure matrices.
 
 use std::time::Instant;
 
 use match_bench::{
-    figure_to_json, micro, mtbf_options_from_env, mtbf_to_json, options_from_env,
-    print_engine_line, print_figure, print_recovery_series, warm,
+    figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env, print_engine_line,
+    print_figure, print_recovery_series,
 };
-use match_core::figures;
 use match_core::findings::Findings;
-use match_core::matrix::full_suite_matrix;
-use match_core::mtbf::mtbf_sweep_with_engine;
+use match_core::matrix::{full_suite_matrix, MatrixOptions};
+use match_core::mtbf::mtbf_sweep;
 use match_core::persist::{DiskCache, CACHE_MAX_MB_ENV_VAR};
 use match_core::table1::table1;
-use match_core::SuiteEngine;
+use match_core::{Figure, MtbfSweepOptions, SuiteEngine};
 
 /// Every valid target, in the order `all` runs them.
 const TARGETS: [&str; 9] = [
@@ -101,9 +97,7 @@ targets:
   mtbf              efficiency against the failure rate, per design
   findings          the Section V-C findings, derived from the Fig. 6 matrix
   all               every target above, as one scheduled matrix
-  micro cachebench explore
-                    data-plane kernels, cold against warm cache, fault-space
-                    explorer (not part of all)
+  explore           the coverage-guided fault-space explorer (not part of all)
 
 flags:
   -j, --jobs N      experiments run concurrently (MATCH_JOBS; default: host cores)
@@ -142,14 +136,10 @@ fn dump_json(name: &str, json: String) {
 fn run_target(
     name: &str,
     engine: &SuiteEngine,
-    options: &match_core::matrix::MatrixOptions,
+    options: &MatrixOptions,
+    sweep_options: Option<&MtbfSweepOptions>,
     json: bool,
 ) {
-    let figure = |data: &figures::FigureData| {
-        if json {
-            dump_json(name, figure_to_json(data));
-        }
-    };
     let result = match name {
         "table1" => {
             println!(
@@ -161,52 +151,10 @@ fn run_target(
             }
             return;
         }
-        "fig5" => {
-            let t = Instant::now();
-            figures::fig5_with_engine(engine, options).map(|data| {
-                print_figure(&data, t);
-                figure(&data);
-            })
-        }
-        "fig6" => {
-            let t = Instant::now();
-            figures::fig6_with_engine(engine, options).map(|data| {
-                print_figure(&data, t);
-                figure(&data);
-            })
-        }
-        "fig7" => {
-            let t = Instant::now();
-            figures::fig7_with_engine(engine, options).map(|data| {
-                print_recovery_series(&data, t);
-                figure(&data);
-            })
-        }
-        "fig8" => {
-            let t = Instant::now();
-            figures::fig8_with_engine(engine, options).map(|data| {
-                print_figure(&data, t);
-                figure(&data);
-            })
-        }
-        "fig9" => {
-            let t = Instant::now();
-            figures::fig9_with_engine(engine, options).map(|data| {
-                print_figure(&data, t);
-                figure(&data);
-            })
-        }
-        "fig10" => {
-            let t = Instant::now();
-            figures::fig10_with_engine(engine, options).map(|data| {
-                print_recovery_series(&data, t);
-                figure(&data);
-            })
-        }
         "mtbf" => {
             let t = Instant::now();
-            let sweep_options = mtbf_options_from_env(options);
-            mtbf_sweep_with_engine(engine, &sweep_options).map(|sweep| {
+            let sweep_options = sweep_options.expect("main reads the sweep options for mtbf");
+            mtbf_sweep(engine, sweep_options).map(|sweep| {
                 println!("{}", sweep.render());
                 println!(
                     "[swept {} cells in {:.1}s wall-clock]",
@@ -229,36 +177,27 @@ fn run_target(
                 }
             })
         }
-        other => unreachable!("target '{other}' was validated against TARGETS in main"),
+        other => {
+            let Some(figure) = Figure::from_name(other) else {
+                unreachable!("target '{other}' was validated against TARGETS in main")
+            };
+            let t = Instant::now();
+            figure.generate(engine, options).map(|data| {
+                if figure.recovery_only() {
+                    print_recovery_series(&data, t);
+                } else {
+                    print_figure(&data, t);
+                }
+                if json {
+                    dump_json(name, figure_to_json(&data));
+                }
+            })
+        }
     };
     match result {
         Ok(()) => print_engine_line(engine),
         Err(error) => {
             eprintln!("target '{name}' failed: {error}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs the cold-vs-warm persistent-cache benchmark; with `json`, also writes
-/// `BENCH_PR7.json`.
-fn run_cachebench(json: bool, jobs: Option<usize>, options: &match_core::matrix::MatrixOptions) {
-    println!("Persistent-cache cold vs. warm (fig6 matrix, private store)");
-    match warm::run(jobs, options) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if json {
-                let path = "BENCH_PR7.json";
-                if let Err(error) = std::fs::write(path, report.to_json()) {
-                    eprintln!("failed to write {path}: {error}");
-                    std::process::exit(1);
-                }
-                println!("[wrote {path}]");
-            }
-            println!();
-        }
-        Err(error) => {
-            eprintln!("target 'cachebench' failed: {error}");
             std::process::exit(1);
         }
     }
@@ -408,21 +347,6 @@ fn run_replay(path: &str) -> ! {
     }
 }
 
-/// Runs the micro benchmark suite; with `json`, also writes `BENCH_PR2.json`.
-fn run_micro(json: bool, jobs: Option<usize>) {
-    let report = micro::run(true, jobs);
-    print!("{}", report.render());
-    if json {
-        let path = "BENCH_PR2.json";
-        if let Err(error) = std::fs::write(path, report.to_json()) {
-            eprintln!("failed to write {path}: {error}");
-            std::process::exit(1);
-        }
-        println!("[wrote {path}]");
-    }
-    println!();
-}
-
 fn main() {
     let mut jobs: Option<usize> = None;
     let mut json = false;
@@ -532,14 +456,18 @@ fn main() {
     // Reject typos before any simulation runs — a bad name at the end of the list
     // must not surface only after minutes of matrix work.
     for name in &expanded {
-        if !TARGETS.contains(name) && !["micro", "cachebench", "explore"].contains(name) {
+        if !TARGETS.contains(name) && *name != "explore" {
             eprintln!(
-                "unknown target '{name}' (expected table1, fig5..fig10, mtbf, findings, micro, \
-                 cachebench, explore, all; or the 'cache stats|gc|clear' subcommand)"
+                "unknown target '{name}' (expected table1, fig5..fig10, mtbf, findings, \
+                 explore, all; or the 'cache stats|gc|clear' subcommand)"
             );
             std::process::exit(2);
         }
     }
+    // Like the matrix knobs, a malformed MTBF ladder exits before anything runs.
+    let sweep_options = expanded
+        .contains(&"mtbf")
+        .then(|| mtbf_options_from_env(&options));
 
     // When the whole evaluation is requested, schedule the full experiment union as
     // one wave first: it saturates the worker pool once, and every figure below then
@@ -560,20 +488,15 @@ fn main() {
     }
 
     for name in expanded {
-        if name == "micro" {
-            run_micro(json, jobs);
-        } else if name == "cachebench" {
-            run_cachebench(json, jobs, &options);
-        } else if name == "explore" {
+        if name == "explore" {
             run_explore(json);
         } else {
-            run_target(name, &engine, &options, json);
+            run_target(name, &engine, &options, sweep_options.as_ref(), json);
         }
     }
 
     // The warm-start contract check: with a populated cache directory, a rerun
-    // must have answered every figure cell without simulating (micro and
-    // cachebench use private engines and are exempt by design).
+    // must have answered every figure cell without simulating.
     if expect_warm {
         let stats = engine.cache_stats();
         if stats.disk_misses > 0 {

@@ -1,8 +1,8 @@
 //! The suite execution engine: parallel, cached, fallible experiment execution.
 //!
 //! [`SuiteEngine`] owns the execution of experiment matrices end-to-end and is the
-//! single path every consumer (figures, findings, the `match-bench` CLI, the bench
-//! harnesses and the examples) goes through:
+//! single path every consumer (figures, findings, the MTBF sweep, the `match-bench`
+//! CLI and the examples) goes through; each consumer is handed the engine it runs on:
 //!
 //! * **caching** — every run is keyed by its canonical
 //!   [`ExperimentId`] in a thread-safe
@@ -26,7 +26,7 @@
 //!   per-rank errors, and matrix runs surface the first failing cell.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use mpisim::MpiError;
 use recovery::RunReport;
@@ -176,14 +176,6 @@ impl SuiteEngine {
     /// Creates a strictly serial engine (equivalent to `MATCH_JOBS=1`).
     pub fn serial() -> Self {
         Self::with_jobs(1)
-    }
-
-    /// The process-wide shared engine. All convenience entry points
-    /// ([`runner::run_experiment`], the figure generators) go through this instance,
-    /// so results are shared across figure targets within one process.
-    pub fn global() -> &'static SuiteEngine {
-        static GLOBAL: OnceLock<SuiteEngine> = OnceLock::new();
-        GLOBAL.get_or_init(SuiteEngine::new)
     }
 
     /// The maximum number of experiments this engine runs concurrently.
@@ -408,7 +400,6 @@ mod tests {
     fn jobs_floor_is_one() {
         assert_eq!(SuiteEngine::with_jobs(0).jobs(), 1);
         assert!(SuiteEngine::new().jobs() >= 1);
-        assert_eq!(SuiteEngine::global().jobs(), SuiteEngine::global().jobs());
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! Figure generators: the data series behind Figs. 5–10 of the paper.
 //!
-//! Each generator runs the relevant experiment matrix and produces a [`FigureData`]
+//! Each figure runs the relevant experiment matrix and produces a [`FigureData`]
 //! whose rows carry the same quantities the paper's stacked bars show: the application
 //! time, the checkpoint-write time and (for the with-failure figures) the MPI recovery
 //! time, for every (application, group, design) combination. `group` is the process
 //! count for the scaling figures and the input size for the input-size figures.
 //!
-//! All generators execute through a [`SuiteEngine`]: the plain functions use the
-//! process-wide [`SuiteEngine::global`] instance (so repeated targets — Fig. 6
-//! followed by Fig. 7 or the findings — are answered from the result cache), and each
-//! has a `*_with_engine` variant for callers that manage their own engine, e.g. to
-//! pin the job count or isolate cache statistics.
+//! A figure is a [`Figure`] value and [`Figure::generate`] runs it on the
+//! [`SuiteEngine`] the caller passes in. Figures generated on one engine share its
+//! result cache, so overlapping figures (Fig. 7 after Fig. 6, Fig. 10 after Fig. 9,
+//! the findings after Fig. 6 or 7) are answered without simulating again.
 
 use proxies::ProxyKind;
-use recovery::RunReport;
 
 use crate::engine::{SuiteEngine, SuiteError};
-use crate::experiment::Experiment;
 use crate::matrix::{input_size_matrix, scaling_matrix, MatrixOptions};
 use crate::table::{secs, TextTable};
 
@@ -93,160 +90,132 @@ impl FigureData {
     }
 }
 
-fn row_from_report(experiment: &Experiment, group: String, report: &RunReport) -> FigureRow {
-    FigureRow {
-        app: experiment.app,
-        group,
-        design: experiment.strategy.design_name().to_string(),
-        application: report.application_time().as_secs(),
-        checkpoint_write: report.checkpoint_time().as_secs(),
-        recovery: report.recovery_time().as_secs(),
+/// One figure of the paper's evaluation. Each variant fixes the figure's title, the
+/// matrix it runs, how its rows are grouped and whether it injects a failure; every
+/// caller generates it through [`Figure::generate`] on the engine it passes in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Figure {
+    /// Execution-time breakdown across scaling sizes, **no failures**.
+    Fig5,
+    /// Execution-time breakdown across scaling sizes, **with one process failure**.
+    Fig6,
+    /// MPI recovery time across scaling sizes: the Fig. 6 runs, reported for their
+    /// recovery component only (so with a shared engine it costs no simulation).
+    Fig7,
+    /// Execution-time breakdown across input sizes, no failures.
+    Fig8,
+    /// Execution-time breakdown across input sizes, with one process failure.
+    Fig9,
+    /// MPI recovery time across input sizes: the Fig. 9 runs, recovery only.
+    Fig10,
+}
+
+impl Figure {
+    /// Every figure, in the paper's order.
+    pub const ALL: [Figure; 6] = [
+        Figure::Fig5,
+        Figure::Fig6,
+        Figure::Fig7,
+        Figure::Fig8,
+        Figure::Fig9,
+        Figure::Fig10,
+    ];
+
+    /// The figure's short name, which is also its `match-bench` target (`"fig5"`…).
+    pub fn name(self) -> &'static str {
+        match self {
+            Figure::Fig5 => "fig5",
+            Figure::Fig6 => "fig6",
+            Figure::Fig7 => "fig7",
+            Figure::Fig8 => "fig8",
+            Figure::Fig9 => "fig9",
+            Figure::Fig10 => "fig10",
+        }
     }
-}
 
-fn run_matrix(
-    engine: &SuiteEngine,
-    title: &str,
-    experiments: Vec<Experiment>,
-    group_by_procs: bool,
-    with_failure: bool,
-) -> Result<FigureData, SuiteError> {
-    let reports = engine.run_matrix(&experiments)?;
-    let rows = experiments
-        .iter()
-        .zip(&reports)
-        .map(|(e, report)| {
-            let group = if group_by_procs {
-                e.nprocs.to_string()
-            } else {
-                e.input.name().to_string()
-            };
-            row_from_report(e, group, report)
+    /// The figure named `name` (see [`Figure::name`]), if there is one.
+    pub fn from_name(name: &str) -> Option<Figure> {
+        Figure::ALL.into_iter().find(|f| f.name() == name)
+    }
+
+    /// Whether the paper plots only the recovery component of this figure (Figs. 7
+    /// and 10).
+    pub fn recovery_only(self) -> bool {
+        matches!(self, Figure::Fig7 | Figure::Fig10)
+    }
+
+    /// Runs the figure's matrix through `engine` and collects one row per cell.
+    /// `group` is the process count for the scaling figures (5–7) and the input size
+    /// for the input-size figures (8–10).
+    ///
+    /// # Errors
+    ///
+    /// Surfaces the first failing cell as a [`SuiteError`].
+    pub fn generate(
+        self,
+        engine: &SuiteEngine,
+        options: &MatrixOptions,
+    ) -> Result<FigureData, SuiteError> {
+        let (title, scaling, with_failure) = match self {
+            Figure::Fig5 => (
+                "Figure 5: execution time breakdown across scaling sizes (no process failures)",
+                true,
+                false,
+            ),
+            Figure::Fig6 => (
+                "Figure 6: execution time breakdown recovering from a process failure across scaling sizes",
+                true,
+                true,
+            ),
+            Figure::Fig7 => (
+                "Figure 7: recovery time for different scaling sizes",
+                true,
+                true,
+            ),
+            Figure::Fig8 => (
+                "Figure 8: execution time breakdown across input problem sizes (no process failures)",
+                false,
+                false,
+            ),
+            Figure::Fig9 => (
+                "Figure 9: execution time breakdown recovering from a process failure across input problem sizes",
+                false,
+                true,
+            ),
+            Figure::Fig10 => (
+                "Figure 10: recovery time for different input problem sizes",
+                false,
+                true,
+            ),
+        };
+        let experiments = if scaling {
+            scaling_matrix(options, with_failure)
+        } else {
+            input_size_matrix(options, with_failure)
+        };
+        let reports = engine.run_matrix(&experiments)?;
+        let rows = experiments
+            .iter()
+            .zip(&reports)
+            .map(|(e, report)| FigureRow {
+                app: e.app,
+                group: if scaling {
+                    e.nprocs.to_string()
+                } else {
+                    e.input.name().to_string()
+                },
+                design: e.strategy.design_name().to_string(),
+                application: report.application_time().as_secs(),
+                checkpoint_write: report.checkpoint_time().as_secs(),
+                recovery: report.recovery_time().as_secs(),
+            })
+            .collect();
+        Ok(FigureData {
+            title: title.to_string(),
+            with_failure,
+            rows,
         })
-        .collect();
-    Ok(FigureData {
-        title: title.to_string(),
-        with_failure,
-        rows,
-    })
-}
-
-/// Figure 5: execution-time breakdown across scaling sizes, **no failures**.
-pub fn fig5_scaling_no_failure(options: &MatrixOptions) -> Result<FigureData, SuiteError> {
-    fig5_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`fig5_scaling_no_failure`] on a caller-provided engine.
-pub fn fig5_with_engine(
-    engine: &SuiteEngine,
-    options: &MatrixOptions,
-) -> Result<FigureData, SuiteError> {
-    run_matrix(
-        engine,
-        "Figure 5: execution time breakdown across scaling sizes (no process failures)",
-        scaling_matrix(options, false),
-        true,
-        false,
-    )
-}
-
-/// Figure 6: execution-time breakdown across scaling sizes, **with one process
-/// failure**.
-pub fn fig6_scaling_with_failure(options: &MatrixOptions) -> Result<FigureData, SuiteError> {
-    fig6_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`fig6_scaling_with_failure`] on a caller-provided engine.
-pub fn fig6_with_engine(
-    engine: &SuiteEngine,
-    options: &MatrixOptions,
-) -> Result<FigureData, SuiteError> {
-    run_matrix(
-        engine,
-        "Figure 6: execution time breakdown recovering from a process failure across scaling sizes",
-        scaling_matrix(options, true),
-        true,
-        true,
-    )
-}
-
-/// Figure 7: MPI recovery time across scaling sizes (derived from the same runs as
-/// Fig. 6 but reporting only the recovery component — with the engine cache, the
-/// second of the two figures costs no additional simulation).
-pub fn fig7_recovery_scaling(options: &MatrixOptions) -> Result<FigureData, SuiteError> {
-    fig7_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`fig7_recovery_scaling`] on a caller-provided engine.
-pub fn fig7_with_engine(
-    engine: &SuiteEngine,
-    options: &MatrixOptions,
-) -> Result<FigureData, SuiteError> {
-    run_matrix(
-        engine,
-        "Figure 7: recovery time for different scaling sizes",
-        scaling_matrix(options, true),
-        true,
-        true,
-    )
-}
-
-/// Figure 8: execution-time breakdown across input sizes, no failures.
-pub fn fig8_input_no_failure(options: &MatrixOptions) -> Result<FigureData, SuiteError> {
-    fig8_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`fig8_input_no_failure`] on a caller-provided engine.
-pub fn fig8_with_engine(
-    engine: &SuiteEngine,
-    options: &MatrixOptions,
-) -> Result<FigureData, SuiteError> {
-    run_matrix(
-        engine,
-        "Figure 8: execution time breakdown across input problem sizes (no process failures)",
-        input_size_matrix(options, false),
-        false,
-        false,
-    )
-}
-
-/// Figure 9: execution-time breakdown across input sizes, with one process failure.
-pub fn fig9_input_with_failure(options: &MatrixOptions) -> Result<FigureData, SuiteError> {
-    fig9_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`fig9_input_with_failure`] on a caller-provided engine.
-pub fn fig9_with_engine(
-    engine: &SuiteEngine,
-    options: &MatrixOptions,
-) -> Result<FigureData, SuiteError> {
-    run_matrix(
-        engine,
-        "Figure 9: execution time breakdown recovering from a process failure across input problem sizes",
-        input_size_matrix(options, true),
-        false,
-        true,
-    )
-}
-
-/// Figure 10: MPI recovery time across input sizes (shares every run with Fig. 9
-/// through the engine cache).
-pub fn fig10_recovery_input(options: &MatrixOptions) -> Result<FigureData, SuiteError> {
-    fig10_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`fig10_recovery_input`] on a caller-provided engine.
-pub fn fig10_with_engine(
-    engine: &SuiteEngine,
-    options: &MatrixOptions,
-) -> Result<FigureData, SuiteError> {
-    run_matrix(
-        engine,
-        "Figure 10: recovery time for different input problem sizes",
-        input_size_matrix(options, true),
-        false,
-        true,
-    )
+    }
 }
 
 #[cfg(test)]
@@ -262,8 +231,25 @@ mod tests {
     }
 
     #[test]
+    fn every_figure_name_round_trips_and_nothing_else_parses() {
+        for figure in Figure::ALL {
+            assert_eq!(Figure::from_name(figure.name()), Some(figure));
+        }
+        for name in ["", "fig4", "fig11", "Fig5", "fig 5", "table1", "findings"] {
+            assert_eq!(Figure::from_name(name), None, "{name:?}");
+        }
+        let recovery: Vec<Figure> = Figure::ALL
+            .into_iter()
+            .filter(|f| f.recovery_only())
+            .collect();
+        assert_eq!(recovery, [Figure::Fig7, Figure::Fig10]);
+    }
+
+    #[test]
     fn fig5_rows_cover_all_designs_and_groups() {
-        let data = fig5_scaling_no_failure(&tiny_options()).unwrap();
+        let data = Figure::Fig5
+            .generate(&SuiteEngine::serial(), &tiny_options())
+            .unwrap();
         assert_eq!(data.rows.len(), 2 * 4);
         assert!(!data.with_failure);
         for row in &data.rows {
@@ -285,12 +271,10 @@ mod tests {
         // (application, group) cell of every figure must carry every enabled
         // design. A generator that enumerated a hardcoded subset would fail here.
         let expected: Vec<&str> = crate::designs::enabled_design_names();
+        let engine = SuiteEngine::serial();
         let options = tiny_options();
-        for data in [
-            fig5_scaling_no_failure(&options).unwrap(),
-            fig6_scaling_with_failure(&options).unwrap(),
-            fig7_recovery_scaling(&options).unwrap(),
-        ] {
+        for figure in [Figure::Fig5, Figure::Fig6, Figure::Fig7] {
+            let data = figure.generate(&engine, &options).unwrap();
             let mut cells: std::collections::BTreeMap<(String, String), Vec<&str>> =
                 std::collections::BTreeMap::new();
             for row in &data.rows {
@@ -312,7 +296,9 @@ mod tests {
 
     #[test]
     fn fig7_recovery_orders_designs_correctly() {
-        let data = fig7_recovery_scaling(&tiny_options()).unwrap();
+        let data = Figure::Fig7
+            .generate(&SuiteEngine::serial(), &tiny_options())
+            .unwrap();
         for group in ["2", "4"] {
             let get = |design: &str| {
                 data.rows
@@ -352,7 +338,9 @@ mod tests {
                 ..SuiteOptions::smoke()
             },
         };
-        let data = fig8_input_no_failure(&options).unwrap();
+        let data = Figure::Fig8
+            .generate(&SuiteEngine::serial(), &options)
+            .unwrap();
         assert_eq!(data.rows.len(), 3 * 4);
         let groups: std::collections::BTreeSet<_> =
             data.rows.iter().map(|r| r.group.clone()).collect();
@@ -364,11 +352,11 @@ mod tests {
     fn fig6_then_fig7_reuses_every_run() {
         let engine = SuiteEngine::with_jobs(2);
         let options = tiny_options();
-        let fig6 = fig6_with_engine(&engine, &options).unwrap();
+        let fig6 = Figure::Fig6.generate(&engine, &options).unwrap();
         let after_fig6 = engine.cache_stats();
         assert_eq!(after_fig6.hits, 0);
         assert_eq!(after_fig6.misses as usize, fig6.rows.len());
-        let fig7 = fig7_with_engine(&engine, &options).unwrap();
+        let fig7 = Figure::Fig7.generate(&engine, &options).unwrap();
         let after_fig7 = engine.cache_stats();
         assert_eq!(
             after_fig7.misses, after_fig6.misses,
@@ -382,6 +370,34 @@ mod tests {
         // And the shared cells carry identical numbers.
         for (a, b) in fig6.rows.iter().zip(&fig7.rows) {
             assert_eq!(a.recovery, b.recovery);
+        }
+    }
+
+    #[test]
+    fn recovery_figures_are_all_cache_hits_after_their_source_figures() {
+        let engine = SuiteEngine::with_jobs(2);
+        let options = tiny_options();
+        for (source, recovery) in [(Figure::Fig6, Figure::Fig7), (Figure::Fig9, Figure::Fig10)] {
+            let full = source.generate(&engine, &options).unwrap();
+            let before = engine.cache_stats();
+            let data = recovery.generate(&engine, &options).unwrap();
+            let after = engine.cache_stats();
+            assert_eq!(
+                after.misses,
+                before.misses,
+                "{} recomputes nothing",
+                recovery.name()
+            );
+            assert_eq!(
+                (after.hits - before.hits) as usize,
+                data.rows.len(),
+                "{} is all cache hits",
+                recovery.name()
+            );
+            assert_eq!(full.rows.len(), data.rows.len());
+            for (a, b) in full.rows.iter().zip(&data.rows) {
+                assert_eq!(a.recovery, b.recovery);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! * ULFM delays application execution even without failures, Reinit does not.
 
 use crate::engine::{SuiteEngine, SuiteError};
-use crate::figures::{fig6_with_engine, FigureData};
+use crate::figures::{Figure, FigureData};
 use crate::matrix::MatrixOptions;
 use crate::table::TextTable;
 
@@ -43,7 +43,9 @@ impl Findings {
     /// it. When the engine already ran Fig. 6 (or Fig. 7, which shares every cell),
     /// this recomputes nothing: all cells are answered from the result cache.
     pub fn compute(engine: &SuiteEngine, options: &MatrixOptions) -> Result<Findings, SuiteError> {
-        Ok(Findings::from_figure(&fig6_with_engine(engine, options)?))
+        Ok(Findings::from_figure(
+            &Figure::Fig6.generate(engine, options)?,
+        ))
     }
 
     /// Derives the findings from with-failure figure data (Fig. 6/7 or Fig. 9/10

@@ -15,12 +15,13 @@
 //!   content ([`cache::ExperimentId`]) both in memory and — across processes — in
 //!   the persistent [`persist::DiskCache`], and reports failures as
 //!   [`engine::SuiteError`] values instead of panicking;
-//! * [`Experiment`] / [`runner::run_experiment`] — run one workload under one design
+//! * [`Experiment`] / [`SuiteEngine::run`] — run one workload under one design
 //!   at one scale, with or without an injected process failure, averaged over
 //!   repetitions, and get back a [`recovery::RunReport`] time breakdown;
 //! * [`matrix`] — the paper's run matrices: the scaling sweep (Figs. 5–7) and the
 //!   input-size sweep (Figs. 8–10);
-//! * [`figures`] — regenerate each figure's data as printable tables;
+//! * [`Figure`] — regenerate each figure's data as printable tables, on the engine
+//!   the caller passes in;
 //! * [`table1`] — reproduce Table I (the experimentation configuration);
 //! * [`findings`] — the headline comparisons of Section V-C (Reinit vs. ULFM vs.
 //!   Restart recovery ratios, checkpoint-time fraction).
@@ -62,7 +63,7 @@ pub use cache::{CacheStats, ExperimentId};
 pub use designs::{enabled_design_names, enabled_designs, SHRINK_ENV_VAR};
 pub use engine::{core_budget, SuiteEngine, SuiteError, CORES_ENV_VAR, JOBS_ENV_VAR};
 pub use experiment::{Experiment, FailureScenario, SuiteOptions};
-pub use figures::{FigureData, FigureRow};
+pub use figures::{Figure, FigureData, FigureRow};
 pub use findings::Findings;
 pub use mtbf::{MtbfSweep, MtbfSweepOptions};
 pub use persist::{DiskCache, CACHE_DIR_ENV_VAR, CACHE_ENV_VAR, CACHE_MAX_MB_ENV_VAR};

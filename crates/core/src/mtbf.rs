@@ -158,21 +158,12 @@ impl MtbfSweep {
     }
 }
 
-/// Runs the MTBF sweep through the process-wide engine.
+/// Runs the MTBF sweep through `engine`.
 ///
 /// # Errors
 ///
 /// Surfaces the first failing cell as a [`SuiteError`].
-pub fn mtbf_sweep(options: &MtbfSweepOptions) -> Result<MtbfSweep, SuiteError> {
-    mtbf_sweep_with_engine(SuiteEngine::global(), options)
-}
-
-/// [`mtbf_sweep`] on a caller-provided engine.
-///
-/// # Errors
-///
-/// Surfaces the first failing cell as a [`SuiteError`].
-pub fn mtbf_sweep_with_engine(
+pub fn mtbf_sweep(
     engine: &SuiteEngine,
     options: &MtbfSweepOptions,
 ) -> Result<MtbfSweep, SuiteError> {
@@ -252,7 +243,7 @@ mod tests {
     #[test]
     fn sweep_produces_rows_per_design_and_rung() {
         let engine = SuiteEngine::with_jobs(2);
-        let sweep = mtbf_sweep_with_engine(&engine, &tiny_sweep()).unwrap();
+        let sweep = mtbf_sweep(&engine, &tiny_sweep()).unwrap();
         assert_eq!(sweep.rows.len(), 4 * 2);
         for design in crate::designs::enabled_design_names() {
             assert_eq!(
@@ -275,8 +266,7 @@ mod tests {
         // A ladder with a strong contrast: at node MTBF 4096 the smoke-scale run sees
         // no failure at all, at 8 it sees several per run.
         let engine = SuiteEngine::with_jobs(2);
-        let sweep =
-            mtbf_sweep_with_engine(&engine, &tiny_sweep().with_ladder(vec![4096, 8])).unwrap();
+        let sweep = mtbf_sweep(&engine, &tiny_sweep().with_ladder(vec![4096, 8])).unwrap();
         for design in ["RESTART-FTI", "ULFM-FTI", "REINIT-FTI"] {
             let rows = sweep.rows_for(design);
             assert!(
@@ -301,9 +291,9 @@ mod tests {
     #[test]
     fn rerunning_the_sweep_hits_the_cache() {
         let engine = SuiteEngine::with_jobs(2);
-        let first = mtbf_sweep_with_engine(&engine, &tiny_sweep()).unwrap();
+        let first = mtbf_sweep(&engine, &tiny_sweep()).unwrap();
         let misses = engine.cache_stats().misses;
-        let second = mtbf_sweep_with_engine(&engine, &tiny_sweep()).unwrap();
+        let second = mtbf_sweep(&engine, &tiny_sweep()).unwrap();
         assert_eq!(first, second, "cached rerun must be verbatim");
         assert_eq!(
             engine.cache_stats().misses,

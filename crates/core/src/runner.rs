@@ -1,10 +1,10 @@
 //! Executes experiments on the simulated cluster.
 //!
-//! [`run_experiment`] and [`run_all_designs`] are convenience fronts over the
-//! process-wide [`SuiteEngine`]: results are cached by
-//! experiment content and failures are reported as [`SuiteError`] values instead of
-//! panics. The uncached single-run primitives ([`run_experiment_uncached`],
-//! [`run_single`]) remain available for tests and tools that must bypass the cache.
+//! These are the uncached single-run primitives ([`run_experiment_uncached`],
+//! [`run_single`], [`run_trace`]). Cached, parallel execution goes through a
+//! [`SuiteEngine`](crate::engine::SuiteEngine), which calls
+//! [`run_experiment_uncached`] once per distinct cell; failures are reported as
+//! [`SuiteError`] values instead of panics.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use recovery::{
     RunReport,
 };
 
-use crate::engine::{SuiteEngine, SuiteError};
+use crate::engine::SuiteError;
 use crate::experiment::{Experiment, FailureScenario};
 
 /// Environment variable overriding the rack count experiments run on (the `nracks`
@@ -55,16 +55,6 @@ pub fn experiment_cluster(nprocs: usize) -> ClusterConfig {
             config
         }
     }
-}
-
-/// Runs one experiment through the process-wide engine: the result is recalled from
-/// the cache when the same experiment (by content) has already run, and computed on
-/// the spot otherwise.
-///
-/// An experiment whose ranks report unrecovered errors yields a
-/// [`SuiteError::RankFailures`] instead of panicking.
-pub fn run_experiment(experiment: &Experiment) -> Result<RunReport, SuiteError> {
-    SuiteEngine::global().run(experiment)
 }
 
 /// Runs one experiment without consulting any cache: builds the cluster, runs the
@@ -239,15 +229,6 @@ fn summarize_outcome<R>(
     }
 }
 
-/// Runs the same workload under every design of the registry and returns the
-/// reports in [`crate::designs::enabled_designs`] order: the paper's three designs
-/// first (Restart, Ulfm, Reinit), then the shrinking design unless
-/// `MATCH_SHRINK=0`. Scheduled through the process-wide engine, so the designs run
-/// concurrently when jobs allow.
-pub fn run_all_designs(base: &Experiment) -> Result<Vec<RunReport>, SuiteError> {
-    SuiteEngine::global().run_all_designs(base)
-}
-
 /// One explicit failure-trace run: a design, an FTI configuration and a concrete
 /// event schedule, with none of [`Experiment`]'s scenario sampling in between. This
 /// is the fault-space explorer's entry point; it deliberately has no cached form —
@@ -348,6 +329,7 @@ pub fn run_trace(spec: &TraceRunSpec) -> Result<TraceRunOutcome, SuiteError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SuiteEngine;
     use crate::experiment::SuiteOptions;
     use mpisim::SimTime;
     use proxies::{InputSize, ProxyKind};
@@ -379,7 +361,9 @@ mod tests {
 
     #[test]
     fn failure_free_run_has_no_recovery_time() {
-        let report = run_experiment(&smoke_experiment(RecoveryStrategy::Reinit, false)).unwrap();
+        let report = SuiteEngine::serial()
+            .run(&smoke_experiment(RecoveryStrategy::Reinit, false))
+            .unwrap();
         assert_eq!(report.recovery_time(), SimTime::ZERO);
         assert!(report.application_time().as_secs() > 0.0);
         assert!(report.checkpoint_time().as_secs() > 0.0);
@@ -389,7 +373,9 @@ mod tests {
 
     #[test]
     fn injected_failure_produces_recovery_time_and_a_restart() {
-        let report = run_experiment(&smoke_experiment(RecoveryStrategy::Reinit, true)).unwrap();
+        let report = SuiteEngine::serial()
+            .run(&smoke_experiment(RecoveryStrategy::Reinit, true))
+            .unwrap();
         assert!(report.recovery_time().as_secs() > 0.0);
         assert!(report.restarts >= 1);
         assert!(report.failure_injected);
@@ -398,7 +384,7 @@ mod tests {
     #[test]
     fn all_designs_complete_and_are_ordered_on_recovery() {
         let base = smoke_experiment(RecoveryStrategy::Restart, true);
-        let reports = run_all_designs(&base).unwrap();
+        let reports = SuiteEngine::serial().run_all_designs(&base).unwrap();
         assert_eq!(reports.len(), crate::designs::enabled_designs().len());
         let restart = &reports[0];
         let ulfm = &reports[1];
@@ -424,8 +410,9 @@ mod tests {
     fn repetitions_average_deterministic_runs() {
         let mut e = smoke_experiment(RecoveryStrategy::Reinit, false);
         e = e.with_repetitions(2);
-        let avg = run_experiment(&e).unwrap();
-        let single = run_experiment(&e.with_repetitions(1)).unwrap();
+        let engine = SuiteEngine::serial();
+        let avg = engine.run(&e).unwrap();
+        let single = engine.run(&e.with_repetitions(1)).unwrap();
         // The simulator is deterministic, so averaging identical repetitions changes
         // nothing.
         assert!((avg.total_time.as_secs() - single.total_time.as_secs()).abs() < 1e-9);
@@ -435,7 +422,7 @@ mod tests {
     fn cached_and_uncached_runs_agree_exactly() {
         // Failure-free, hence bit-deterministic.
         let e = smoke_experiment(RecoveryStrategy::Ulfm, false);
-        let through_engine = run_experiment(&e).unwrap();
+        let through_engine = SuiteEngine::serial().run(&e).unwrap();
         let fresh = run_experiment_uncached(&e).unwrap();
         assert_eq!(through_engine, fresh);
     }

@@ -20,9 +20,8 @@
 //!   [`Payload`] instead of an owned `Vec<u8>` per changed block — building a delta
 //!   copies nothing.
 //!
-//! The previous owned-block representation is kept as [`compute_delta_owned`] /
-//! [`apply_delta_owned`]: it is the reference oracle the property tests compare the
-//! range-based path against, and the baseline the micro benchmark suite measures.
+//! The previous owned-block representation lives on in the unit tests as the reference
+//! oracle the property tests compare the range-based path against.
 
 use std::ops::Range;
 
@@ -57,30 +56,6 @@ impl DiffDelta {
     pub fn changed_block(&self, i: usize) -> &[u8] {
         let (_, range) = &self.changed[i];
         &self.payload[range.clone()]
-    }
-}
-
-/// The legacy change-set representation: an owned copy of every changed block. Kept as
-/// the reference oracle for [`DiffDelta`] and as the micro-benchmark baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedDiffDelta {
-    /// Block size used to compute the delta.
-    pub block_size: usize,
-    /// Length of the full payload this delta describes.
-    pub new_len: usize,
-    /// `(block index, new block contents)` for every changed block.
-    pub changed: Vec<(usize, Vec<u8>)>,
-}
-
-impl OwnedDiffDelta {
-    /// Total number of bytes that must actually be written for this delta.
-    pub fn bytes_to_write(&self) -> usize {
-        self.changed.iter().map(|(_, b)| b.len()).sum()
-    }
-
-    /// Number of changed blocks.
-    pub fn changed_blocks(&self) -> usize {
-        self.changed.len()
     }
 }
 
@@ -176,32 +151,49 @@ pub fn compute_delta_cached(
     )
 }
 
-/// The legacy byte-at-a-time FNV-1a step, kept so [`compute_delta_owned`] measures the
-/// true pre-optimization baseline (hash values never surface in the delta, so the
-/// oracle's equivalence guarantees do not depend on the hash function).
-fn byte_block_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// Applies `delta` to `base`, producing the new payload.
+pub fn apply_delta(base: &[u8], delta: &DiffDelta) -> Vec<u8> {
+    let mut out = base.to_vec();
+    out.resize(delta.new_len, 0);
+    for (_, range) in &delta.changed {
+        out[range.clone()].copy_from_slice(&delta.payload[range.clone()]);
     }
-    h
+    out.truncate(delta.new_len);
+    out
 }
 
-/// Computes the delta in the legacy owned-block representation (reference oracle and
-/// benchmark baseline; hashes byte-at-a-time, re-hashes the base and copies every
-/// changed block — exactly what the data plane did before the zero-copy rework).
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
-pub fn compute_delta_owned(base: &[u8], new: &[u8], block_size: usize) -> OwnedDiffDelta {
+/// The legacy change-set representation: an owned copy of every changed block, the
+/// reference oracle the property tests hold [`DiffDelta`] to.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct OwnedDiffDelta {
+    block_size: usize,
+    new_len: usize,
+    /// `(block index, new block contents)` for every changed block.
+    changed: Vec<(usize, Vec<u8>)>,
+}
+
+#[cfg(test)]
+impl OwnedDiffDelta {
+    fn bytes_to_write(&self) -> usize {
+        self.changed.iter().map(|(_, b)| b.len()).sum()
+    }
+
+    fn changed_blocks(&self) -> usize {
+        self.changed.len()
+    }
+}
+
+/// Computes the delta in the legacy owned-block representation: re-hashes the base and
+/// copies every changed block, as the data plane did before deltas became views.
+#[cfg(test)]
+fn compute_delta_owned(base: &[u8], new: &[u8], block_size: usize) -> OwnedDiffDelta {
     assert!(block_size > 0, "block size must be positive");
-    let base_hashes: Vec<u64> = base.chunks(block_size).map(byte_block_hash).collect();
+    let base_hashes: Vec<u64> = base.chunks(block_size).map(block_hash).collect();
     let mut changed = Vec::new();
     for (idx, block) in new.chunks(block_size).enumerate() {
         let unchanged = base_hashes.get(idx).is_some_and(|&h| {
-            h == byte_block_hash(block) && {
+            h == block_hash(block) && {
                 let start = idx * block_size;
                 let end = (start + block.len()).min(base.len());
                 &base[start..end] == block
@@ -218,19 +210,9 @@ pub fn compute_delta_owned(base: &[u8], new: &[u8], block_size: usize) -> OwnedD
     }
 }
 
-/// Applies `delta` to `base`, producing the new payload.
-pub fn apply_delta(base: &[u8], delta: &DiffDelta) -> Vec<u8> {
-    let mut out = base.to_vec();
-    out.resize(delta.new_len, 0);
-    for (_, range) in &delta.changed {
-        out[range.clone()].copy_from_slice(&delta.payload[range.clone()]);
-    }
-    out.truncate(delta.new_len);
-    out
-}
-
-/// Applies a legacy owned-block delta to `base` (reference oracle).
-pub fn apply_delta_owned(base: &[u8], delta: &OwnedDiffDelta) -> Vec<u8> {
+/// Applies a legacy owned-block delta to `base`.
+#[cfg(test)]
+fn apply_delta_owned(base: &[u8], delta: &OwnedDiffDelta) -> Vec<u8> {
     let mut out = base.to_vec();
     out.resize(delta.new_len, 0);
     for (idx, block) in &delta.changed {

@@ -28,9 +28,8 @@
 //! pure `u64` XOR loop when the coefficient is 1. Data shards are zero-copy
 //! [`Payload`] views into one shared padded buffer.
 //!
-//! The original per-byte path is kept as [`encode_scalar`] / [`decode_scalar`]: it is
-//! the reference oracle the property tests compare the fast path against bit-for-bit,
-//! and the baseline the micro benchmark suite measures speedups against.
+//! The original per-byte path lives on in the unit tests as the reference oracle the
+//! property tests compare the fast path against bit-for-bit.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -278,16 +277,6 @@ pub fn gf_mul_slice_xor_tables(dst: &mut [u8], src: &[u8], coeff: u8) {
                 *d ^= t[*s as usize] as u8;
             }
         }
-    }
-}
-
-/// The reference kernel the fast path is verified against: one [`gf_mul`] per byte.
-pub fn gf_mul_slice_xor_scalar(dst: &mut [u8], src: &[u8], coeff: u8) {
-    if coeff == 0 {
-        return;
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= gf_mul(coeff, *s);
     }
 }
 
@@ -539,17 +528,6 @@ pub fn encode_payload(payload: &Payload, k: usize, m: usize) -> Result<EncodedSh
     }
 }
 
-/// Encodes with the original per-byte GF multiply loop. Kept as the reference oracle
-/// for the fast path (the property tests require bit-identical shards) and as the
-/// baseline the micro benchmarks measure against.
-///
-/// # Errors
-///
-/// Same error conditions as [`encode`].
-pub fn encode_scalar(data: &[u8], k: usize, m: usize) -> Result<EncodedShards, RsError> {
-    encode_with_kernel(data, k, m, gf_mul_slice_xor_scalar)
-}
-
 fn encode_with_kernel(
     data: &[u8],
     k: usize,
@@ -611,20 +589,6 @@ pub fn decode<S: AsRef<[u8]>>(
     original_len: usize,
 ) -> Result<Vec<u8>, RsError> {
     decode_with_kernel(shards, k, m, original_len, gf_mul_slice_xor)
-}
-
-/// Decodes with the original per-byte GF multiply loop (see [`encode_scalar`]).
-///
-/// # Errors
-///
-/// Same error conditions as [`decode`].
-pub fn decode_scalar<S: AsRef<[u8]>>(
-    shards: &[Option<S>],
-    k: usize,
-    m: usize,
-    original_len: usize,
-) -> Result<Vec<u8>, RsError> {
-    decode_with_kernel(shards, k, m, original_len, gf_mul_slice_xor_scalar)
 }
 
 fn decode_with_kernel<S: AsRef<[u8]>>(
@@ -704,6 +668,35 @@ fn decode_with_kernel<S: AsRef<[u8]>>(
 pub fn encode_work(bytes: usize, k: usize, m: usize) -> f64 {
     let shard_len = bytes.div_ceil(k.max(1)).max(1);
     (shard_len * k * m) as f64
+}
+
+/// The reference kernel the fast path is verified against: one [`gf_mul`] per byte.
+#[cfg(test)]
+fn gf_mul_slice_xor_scalar(dst: &mut [u8], src: &[u8], coeff: u8) {
+    if coeff == 0 {
+        return;
+    }
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= gf_mul(coeff, *s);
+    }
+}
+
+/// Encodes with the original per-byte GF multiply loop: the reference oracle the
+/// property tests require the fast path to match shard for shard.
+#[cfg(test)]
+fn encode_scalar(data: &[u8], k: usize, m: usize) -> Result<EncodedShards, RsError> {
+    encode_with_kernel(data, k, m, gf_mul_slice_xor_scalar)
+}
+
+/// Decodes with the original per-byte GF multiply loop (see [`encode_scalar`]).
+#[cfg(test)]
+fn decode_scalar<S: AsRef<[u8]>>(
+    shards: &[Option<S>],
+    k: usize,
+    m: usize,
+    original_len: usize,
+) -> Result<Vec<u8>, RsError> {
+    decode_with_kernel(shards, k, m, original_len, gf_mul_slice_xor_scalar)
 }
 
 #[cfg(test)]

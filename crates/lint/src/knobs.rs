@@ -85,19 +85,9 @@ pub const KNOBS: &[Knob] = &[
         doc: "mutation RNG seed of the explorer",
     },
     Knob {
-        name: "MATCH_FIG6_BASELINE",
-        default: "unset",
-        doc: "previously measured fig6 wall-clock recorded as the before in micro JSON",
-    },
-    Knob {
         name: "MATCH_JOBS",
         default: "core budget",
         doc: "concurrent experiments in the SuiteEngine",
-    },
-    Knob {
-        name: "MATCH_MICRO_BUDGET_MS",
-        default: "300",
-        doc: "per-timer budget of the micro-kernel suite",
     },
     Knob {
         name: "MATCH_MTBF",

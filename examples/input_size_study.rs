@@ -5,10 +5,9 @@
 //! cargo run --example input_size_study
 //! ```
 
-use match_core::figures::{fig10_with_engine, fig8_with_engine};
 use match_core::matrix::MatrixOptions;
 use match_core::proxies::ProxyKind;
-use match_core::SuiteEngine;
+use match_core::{Figure, SuiteEngine};
 
 fn main() {
     let options = MatrixOptions::laptop()
@@ -16,10 +15,14 @@ fn main() {
         .with_process_counts(vec![8]);
     let engine = SuiteEngine::new();
 
-    let fig8 = fig8_with_engine(&engine, &options).expect("figure 8 matrix");
+    let fig8 = Figure::Fig8
+        .generate(&engine, &options)
+        .expect("figure 8 matrix");
     println!("{}", fig8.render());
 
-    let fig10 = fig10_with_engine(&engine, &options).expect("figure 10 matrix");
+    let fig10 = Figure::Fig10
+        .generate(&engine, &options)
+        .expect("figure 10 matrix");
     println!("{}", fig10.render());
 
     println!("Note how the recovery time barely changes across input sizes while the");

@@ -12,7 +12,7 @@
 //! ```
 
 use match_core::matrix::MatrixOptions;
-use match_core::mtbf::{mtbf_sweep_with_engine, MtbfSweepOptions};
+use match_core::mtbf::{mtbf_sweep, MtbfSweepOptions};
 use match_core::proxies::ProxyKind;
 use match_core::SuiteEngine;
 
@@ -23,14 +23,14 @@ fn main() {
     // Plain process kills first.
     let sweep_options =
         MtbfSweepOptions::from_matrix(&options).with_ladder(vec![1024, 256, 64, 16]);
-    let sweep = mtbf_sweep_with_engine(&engine, &sweep_options).expect("MTBF sweep");
+    let sweep = mtbf_sweep(&engine, &sweep_options).expect("MTBF sweep");
     println!("{}", sweep.render());
 
     // The same ladder with a quarter of the events escalated to correlated node
     // crashes (and some of those cascading to the rack neighbour): recovery now has
     // to fall back down the checkpoint hierarchy.
     let correlated = sweep_options.with_correlation(25, 50);
-    let sweep = mtbf_sweep_with_engine(&engine, &correlated).expect("correlated sweep");
+    let sweep = mtbf_sweep(&engine, &correlated).expect("correlated sweep");
     println!("With correlated node crashes:");
     println!("{}", sweep.render());
 

@@ -9,11 +9,10 @@
 //! cargo run --example scaling_study
 //! ```
 
-use match_core::figures::{fig5_with_engine, fig7_with_engine};
 use match_core::findings::Findings;
 use match_core::matrix::MatrixOptions;
 use match_core::proxies::ProxyKind;
-use match_core::SuiteEngine;
+use match_core::{Figure, SuiteEngine};
 
 fn main() {
     let options = MatrixOptions::laptop()
@@ -21,10 +20,14 @@ fn main() {
         .with_process_counts(vec![4, 8, 16]);
     let engine = SuiteEngine::new();
 
-    let fig5 = fig5_with_engine(&engine, &options).expect("figure 5 matrix");
+    let fig5 = Figure::Fig5
+        .generate(&engine, &options)
+        .expect("figure 5 matrix");
     println!("{}", fig5.render());
 
-    let fig7 = fig7_with_engine(&engine, &options).expect("figure 7 matrix");
+    let fig7 = Figure::Fig7
+        .generate(&engine, &options)
+        .expect("figure 7 matrix");
     println!("{}", fig7.render());
 
     let findings = Findings::from_figure(&fig7);

@@ -9,13 +9,12 @@
 //! rows are compared with exact `==` just like failure-free ones: across engines,
 //! across job counts, and against from-scratch recomputation.
 
-use match_core::figures::{fig5_with_engine, fig6_with_engine, fig7_with_engine};
 use match_core::matrix::{full_suite_matrix, MatrixOptions};
 use match_core::proxies::InputSize;
 use match_core::proxies::ProxyKind;
 use match_core::recovery::RecoveryStrategy;
 use match_core::runner;
-use match_core::{Experiment, SuiteEngine, SuiteOptions};
+use match_core::{Experiment, Figure, SuiteEngine, SuiteOptions};
 
 fn tiny_options() -> MatrixOptions {
     MatrixOptions::laptop()
@@ -77,8 +76,12 @@ fn parallel_equals_serial_for_figure_rows() {
     let parallel_engine = SuiteEngine::with_jobs(8);
 
     // Failure-free figure: strictly identical rows.
-    let serial5 = fig5_with_engine(&serial_engine, &options).expect("serial figure 5");
-    let parallel5 = fig5_with_engine(&parallel_engine, &options).expect("parallel figure 5");
+    let serial5 = Figure::Fig5
+        .generate(&serial_engine, &options)
+        .expect("serial figure 5");
+    let parallel5 = Figure::Fig5
+        .generate(&parallel_engine, &options)
+        .expect("parallel figure 5");
     assert_eq!(
         serial5, parallel5,
         "failure-free rows must be bit-identical"
@@ -86,8 +89,12 @@ fn parallel_equals_serial_for_figure_rows() {
 
     // With-failure figure: also strictly identical — virtual time never depends on
     // how the host schedules the engine's workers or the rank threads.
-    let serial6 = fig6_with_engine(&serial_engine, &options).expect("serial figure 6");
-    let parallel6 = fig6_with_engine(&parallel_engine, &options).expect("parallel figure 6");
+    let serial6 = Figure::Fig6
+        .generate(&serial_engine, &options)
+        .expect("serial figure 6");
+    let parallel6 = Figure::Fig6
+        .generate(&parallel_engine, &options)
+        .expect("parallel figure 6");
     assert_eq!(
         serial6, parallel6,
         "with-failure rows must be bit-identical"
@@ -98,9 +105,9 @@ fn parallel_equals_serial_for_figure_rows() {
 fn overlapping_figures_share_every_cell() {
     let options = tiny_options();
     let engine = SuiteEngine::with_jobs(4);
-    let fig6 = fig6_with_engine(&engine, &options).expect("figure 6");
+    let fig6 = Figure::Fig6.generate(&engine, &options).expect("figure 6");
     let misses_after_fig6 = engine.cache_stats().misses;
-    let fig7 = fig7_with_engine(&engine, &options).expect("figure 7");
+    let fig7 = Figure::Fig7.generate(&engine, &options).expect("figure 7");
     let stats = engine.cache_stats();
     assert_eq!(
         stats.misses, misses_after_fig6,
@@ -122,8 +129,11 @@ fn full_suite_matrix_runs_once_then_serves_all_figures() {
     let matrix = full_suite_matrix(&options);
     engine.run_matrix(&matrix).expect("full matrix");
     let misses = engine.cache_stats().misses;
-    let _ = fig6_with_engine(&engine, &options).expect("figure 6 from cache");
-    let _ = fig7_with_engine(&engine, &options).expect("figure 7 from cache");
+    for figure in Figure::ALL {
+        figure
+            .generate(&engine, &options)
+            .expect("figure from cache");
+    }
     assert_eq!(
         engine.cache_stats().misses,
         misses,

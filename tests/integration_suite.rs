@@ -1,11 +1,11 @@
 //! End-to-end suite tests: run small experiment matrices through the public harness
 //! API and check that the regenerated figures have the shapes the paper reports.
 
-use match_core::figures::{fig5_scaling_no_failure, fig7_recovery_scaling, fig8_input_no_failure};
 use match_core::findings::Findings;
 use match_core::matrix::MatrixOptions;
 use match_core::proxies::ProxyKind;
 use match_core::table1::table1;
+use match_core::{Figure, SuiteEngine};
 
 fn tiny_options(apps: Vec<ProxyKind>, procs: Vec<usize>) -> MatrixOptions {
     MatrixOptions::laptop()
@@ -37,7 +37,9 @@ fn table1_reproduces_the_paper_configuration() {
 #[test]
 fn scaling_figure_shapes_match_the_paper() {
     let options = tiny_options(vec![ProxyKind::Hpccg], vec![4, 16]);
-    let fig7 = fig7_recovery_scaling(&options).expect("figure 7 matrix");
+    let fig7 = Figure::Fig7
+        .generate(&SuiteEngine::new(), &options)
+        .expect("figure 7 matrix");
 
     // Ordering at every scale: Reinit < ULFM < Restart recovery.
     for group in ["4", "16"] {
@@ -82,7 +84,9 @@ fn scaling_figure_shapes_match_the_paper() {
 #[test]
 fn ulfm_delays_application_execution_without_failures() {
     let options = tiny_options(vec![ProxyKind::MiniVite], vec![8]);
-    let fig5 = fig5_scaling_no_failure(&options).expect("figure 5 matrix");
+    let fig5 = Figure::Fig5
+        .generate(&SuiteEngine::new(), &options)
+        .expect("figure 5 matrix");
     let app_time = |design: &str| {
         fig5.rows
             .iter()
@@ -108,7 +112,9 @@ fn ulfm_delays_application_execution_without_failures() {
 #[test]
 fn input_size_sweep_grows_application_time_with_input() {
     let options = tiny_options(vec![ProxyKind::Hpccg], vec![4]);
-    let fig8 = fig8_input_no_failure(&options).expect("figure 8 matrix");
+    let fig8 = Figure::Fig8
+        .generate(&SuiteEngine::new(), &options)
+        .expect("figure 8 matrix");
     let app_time = |group: &str| {
         fig8.rows
             .iter()
