@@ -42,7 +42,8 @@
 //! `MATCH_EXPLORE_ASSERT=<substring>` seeds a deliberate violation (asserting the
 //! substring unreachable in any path label) — with it set, finding and shrinking
 //! that violation is the *success* path, which is how CI drives the whole
-//! shrink → replay pipeline. `explore` is not part of `all`.
+//! shrink → replay pipeline. `explore` is not part of `all`. A malformed or
+//! out-of-range numeric explorer knob exits 2 naming the knob, before any target runs.
 //!
 //! The `mtbf` target runs the MTBF sweep (efficiency vs. failure rate per design, an
 //! MTBF-driven multi-failure arrival process; knobs: `MATCH_MTBF`,
@@ -260,8 +261,7 @@ fn run_cache_command(args: &[String]) -> ! {
 /// `explore.json`. Violations are shrunk and written to `explore-repro.json`.
 /// With `MATCH_EXPLORE_ASSERT` set, finding (and shrinking) the seeded
 /// assertion violation is the success path; organic violations always fail.
-fn run_explore(json: bool) {
-    let config = match_explorer::ExploreConfig::from_env();
+fn run_explore(config: match_explorer::ExploreConfig, json: bool) {
     let asserting = config.assert_label.is_some();
     let outcome = match_explorer::Explorer::new(config).run();
     print!("{}", outcome.report.render());
@@ -464,10 +464,17 @@ fn main() {
             std::process::exit(2);
         }
     }
-    // Like the matrix knobs, a malformed MTBF ladder exits before anything runs.
+    // Like the matrix knobs, a malformed MTBF ladder or explorer knob exits before
+    // anything runs.
     let sweep_options = expanded
         .contains(&"mtbf")
         .then(|| mtbf_options_from_env(&options));
+    let explore_config = expanded.contains(&"explore").then(|| {
+        match_explorer::ExploreConfig::from_env().unwrap_or_else(|error| {
+            eprintln!("{error}");
+            std::process::exit(2);
+        })
+    });
 
     // When the whole evaluation is requested, schedule the full experiment union as
     // one wave first: it saturates the worker pool once, and every figure below then
@@ -488,8 +495,8 @@ fn main() {
     }
 
     for name in expanded {
-        if name == "explore" {
-            run_explore(json);
+        if let (Some(config), "explore") = (&explore_config, name) {
+            run_explore(config.clone(), json);
         } else {
             run_target(name, &engine, &options, sweep_options.as_ref(), json);
         }

@@ -15,8 +15,9 @@
 //! * the trace representation ([`record`], [`trace`]) — dynamic operation records with
 //!   a location (register or memory address), the observed value, and the source line,
 //!   equivalent to the information LLVM-Tracer emits;
-//! * a runtime [`tracer::Tracer`] the Rust proxy applications use to emit such traces
-//!   while they execute (replacing the LLVM instrumentation pass);
+//! * a runtime [`tracer::Tracer`] a program (or test harness) drives explicitly to
+//!   record such a trace, standing in for the LLVM instrumentation pass — the
+//!   simulated proxy applications are not instrumented with it;
 //! * the analysis itself ([`analysis`]): a faithful implementation of Algorithm 1 that
 //!   returns the set of locations to checkpoint;
 //! * a human-readable report ([`report`]) mapping the selected locations back to the

@@ -1,11 +1,10 @@
 //! The runtime tracer.
 //!
 //! The paper obtains its traces from LLVM-Tracer, an instrumentation pass that logs
-//! every dynamic operation. In this reproduction the proxy applications are Rust code
-//! running on a simulated runtime, so the equivalent is a small runtime tracer the
-//! application (or a test harness) drives explicitly: it records object definitions
-//! before the main loop and reads/writes inside the loop, producing the same
-//! [`Trace`] the analysis consumes.
+//! every dynamic operation. Here the equivalent is a small runtime tracer a program
+//! (or a test harness) drives explicitly: it records object definitions before the
+//! main loop and reads/writes inside the loop, producing the same [`Trace`] the
+//! analysis consumes. No proxy application drives it; the examples and tests do.
 
 use crate::record::{Location, OpKind, TraceRecord};
 use crate::trace::Trace;

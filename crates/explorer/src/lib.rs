@@ -13,10 +13,12 @@
 //! mutation is kept exactly when its run reaches a path signature no earlier run of
 //! the same design did.
 //!
-//! While searching, every novel run is checked against the explorer's properties
-//! (see [`search::Property`]): bit-identical replay, the closed-form failure-free
-//! oracle for the non-shrinking designs, and survivability of configurations whose
-//! checkpoints live on storage the injected failures cannot destroy. On a
+//! While searching, every run is checked against the explorer's properties (see
+//! [`search::Property`]): the closed-form failure-free oracle for the non-shrinking
+//! designs, survivability of configurations whose checkpoints live on storage the
+//! injected failures cannot destroy, and — for runs reaching a novel signature —
+//! bit-identical replay. Each trace is simulated once and every property is judged
+//! on that run; only the replay of a novel trace simulates it again. On a
 //! violation, the trace is shrunk to a minimal reproducer by deterministic
 //! event-removal and value-bisection (routed through the workspace `proptest`
 //! shim's [`proptest::shrink`] module) and emitted as a replayable JSON artifact
@@ -27,14 +29,15 @@
 //! aggregation is over ordered containers — so the coverage report is
 //! byte-identical across `MATCH_JOBS`, `MATCH_BACKEND` and `MATCH_WORKERS`.
 //!
-//! Knobs (all optional):
+//! Knobs (all optional; a set numeric knob outside its range is an error, see
+//! [`ExploreConfig::from_env`]):
 //!
 //! | variable | default | meaning |
 //! |----------|---------|---------|
-//! | `MATCH_EXPLORE_BUDGET` | 48 | traces evaluated per design |
-//! | `MATCH_EXPLORE_SEED` | 20 | mutation RNG seed |
-//! | `MATCH_EXPLORE_PROCS` | 8 | ranks per explored trace |
-//! | `MATCH_EXPLORE_ITERS` | 12 | main-loop iterations per trace |
+//! | `MATCH_EXPLORE_BUDGET` | 48 | traces evaluated per design (≥ 1) |
+//! | `MATCH_EXPLORE_SEED` | 20 | mutation RNG seed (any `u64`) |
+//! | `MATCH_EXPLORE_PROCS` | 8 | ranks per explored trace (≥ 2) |
+//! | `MATCH_EXPLORE_ITERS` | 12 | main-loop iterations per trace (≥ 2) |
 //! | `MATCH_EXPLORE_CORPUS` | off | corpus directory (persistence is opt-in) |
 //! | `MATCH_EXPLORE_ASSERT` | unset | label substring asserted unreachable |
 
@@ -109,21 +112,27 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Builds the configuration the `MATCH_EXPLORE_*` environment describes.
-    /// Unparsable values fall back to the defaults.
-    pub fn from_env() -> Self {
+    /// Builds the configuration the `MATCH_EXPLORE_*` environment describes. An
+    /// unset knob keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// A set numeric knob that does not parse, or lies outside its range, is an
+    /// error naming the knob, the value and what it accepts — never a silently
+    /// different search.
+    pub fn from_env() -> Result<Self, String> {
         let mut config = ExploreConfig::default();
-        if let Some(n) = parse_env::<usize>(PROCS_ENV_VAR) {
-            config.nprocs = n.max(2);
+        if let Ok(value) = std::env::var(PROCS_ENV_VAR) {
+            config.nprocs = parse_procs(&value)?;
         }
-        if let Some(n) = parse_env::<u64>(ITERS_ENV_VAR) {
-            config.iterations = n.max(2);
+        if let Ok(value) = std::env::var(ITERS_ENV_VAR) {
+            config.iterations = parse_iters(&value)?;
         }
-        if let Some(n) = parse_env::<u32>(BUDGET_ENV_VAR) {
-            config.budget = n.max(1);
+        if let Ok(value) = std::env::var(BUDGET_ENV_VAR) {
+            config.budget = parse_budget(&value)?;
         }
-        if let Some(n) = parse_env::<u64>(SEED_ENV_VAR) {
-            config.seed = n;
+        if let Ok(value) = std::env::var(SEED_ENV_VAR) {
+            config.seed = parse_seed(&value)?;
         }
         if let Ok(dir) = std::env::var(CORPUS_ENV_VAR) {
             let dir = dir.trim();
@@ -137,12 +146,46 @@ impl ExploreConfig {
                 config.assert_label = Some(label.to_string());
             }
         }
-        config
+        Ok(config)
     }
 }
 
-fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
+/// Parses knob `name`'s `value` as an integer of at least `min`; `what` names the
+/// quantity in the error.
+fn parse_at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    name: &str,
+    value: &str,
+    min: T,
+    what: &str,
+) -> Result<T, String> {
+    value
+        .trim()
+        .parse::<T>()
+        .ok()
+        .filter(|n| *n >= min)
+        .ok_or_else(|| format!("{name}='{value}' is not {what} (expected an integer >= {min})"))
+}
+
+/// Parses a `MATCH_EXPLORE_PROCS` value: ranks per explored trace, at least 2.
+fn parse_procs(value: &str) -> Result<usize, String> {
+    parse_at_least(PROCS_ENV_VAR, value, 2, "a rank count")
+}
+
+/// Parses a `MATCH_EXPLORE_ITERS` value: main-loop iterations per trace, at least 2.
+fn parse_iters(value: &str) -> Result<u64, String> {
+    parse_at_least(ITERS_ENV_VAR, value, 2, "an iteration count")
+}
+
+/// Parses a `MATCH_EXPLORE_BUDGET` value: traces per design, at least 1.
+fn parse_budget(value: &str) -> Result<u32, String> {
+    parse_at_least(BUDGET_ENV_VAR, value, 1, "a trace budget")
+}
+
+/// Parses a `MATCH_EXPLORE_SEED` value: any `u64`.
+fn parse_seed(value: &str) -> Result<u64, String> {
+    value.trim().parse().map_err(|_| {
+        format!("{SEED_ENV_VAR}='{value}' is not a seed (expected an unsigned 64-bit integer)")
+    })
 }
 
 #[cfg(test)]
@@ -157,5 +200,47 @@ mod tests {
         assert!(config.budget > 0);
         assert!(config.corpus.is_none());
         assert!(config.assert_label.is_none());
+    }
+
+    /// Asserts `result` is an error naming `knob`.
+    fn names<T: std::fmt::Debug>(result: Result<T, String>, knob: &str) {
+        let error = result.expect_err("malformed value accepted");
+        assert!(error.contains(knob), "{error}");
+    }
+
+    #[test]
+    fn procs_parser_accepts_two_or_more_ranks() {
+        assert_eq!(parse_procs(" 16 "), Ok(16));
+        assert_eq!(parse_procs("2"), Ok(2));
+        for bad in ["1", "0", "-4", "abc", "", "8,16"] {
+            names(parse_procs(bad), PROCS_ENV_VAR);
+        }
+    }
+
+    #[test]
+    fn iters_parser_accepts_two_or_more_iterations() {
+        assert_eq!(parse_iters("12"), Ok(12));
+        assert_eq!(parse_iters("2"), Ok(2));
+        for bad in ["1", "0", "twelve", "1.5"] {
+            names(parse_iters(bad), ITERS_ENV_VAR);
+        }
+    }
+
+    #[test]
+    fn budget_parser_accepts_positive_budgets() {
+        assert_eq!(parse_budget("48"), Ok(48));
+        assert_eq!(parse_budget("1"), Ok(1));
+        for bad in ["0", "abc", "-1", "4294967296"] {
+            names(parse_budget(bad), BUDGET_ENV_VAR);
+        }
+    }
+
+    #[test]
+    fn seed_parser_accepts_any_u64() {
+        assert_eq!(parse_seed("0"), Ok(0));
+        assert_eq!(parse_seed(&u64::MAX.to_string()), Ok(u64::MAX));
+        for bad in ["-1", "seed", "18446744073709551616"] {
+            names(parse_seed(bad), SEED_ENV_VAR);
+        }
     }
 }

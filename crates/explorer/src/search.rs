@@ -4,17 +4,21 @@
 //! deterministic seed corpus first, then mutations of previously-kept traces. A
 //! trace is kept exactly when its run reaches a *novel* recovery-path signature
 //! (the ordered [`CoveragePath`](match_core::recovery::CoveragePath) labels of its
-//! attempts). Every novel run is additionally replayed once and compared
-//! bit-for-bit — the determinism property — and every run is checked against the
-//! oracle, survivability and assertion properties. The first violation of each
-//! property per design is shrunk (event removal and value bisection through
-//! [`proptest::shrink`]) to a 1-minimal reproducer.
+//! attempts). The first violation of each property per design is shrunk (event
+//! removal and value bisection through [`proptest::shrink`]) to a 1-minimal
+//! reproducer.
+//!
+//! Cost model: each round simulates its trace **once**, and the oracle,
+//! survivability and assertion properties are [`judge`]d on that run. Determinism
+//! adds exactly one replay, compared bit-for-bit against the round's run, and only
+//! when the run reached a novel signature. So a round costs one simulation, two when
+//! it is novel; shrinking a violation costs one [`check_property`] per candidate.
 
 use std::collections::BTreeSet;
 
 use match_core::enabled_designs;
 use match_core::recovery::RecoveryStrategy;
-use match_core::{run_trace, TraceRunOutcome};
+use match_core::{run_trace, SuiteError, TraceRunOutcome};
 use proptest::{shrink, TestRng};
 
 use crate::genome::TraceGenome;
@@ -89,18 +93,61 @@ pub struct PropertyCheck {
     pub detail: String,
 }
 
-/// Checks a single property of one trace under one design. This is the exact
-/// predicate the shrinker minimises against and the replayer re-runs — one
-/// definition, three users.
+/// A finished (or failed) simulation of one trace under one design.
+pub type TraceRun = Result<TraceRunOutcome, SuiteError>;
+
+#[cfg(test)]
+thread_local! {
+    /// `(simulations, Determinism replays)` this thread has run, for the cost-model
+    /// test; a replay is also counted as a simulation.
+    static SIMULATIONS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Simulates `genome` under `strategy`: the one path every explorer run takes.
+fn simulate(strategy: RecoveryStrategy, genome: &TraceGenome) -> TraceRun {
+    #[cfg(test)]
+    SIMULATIONS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+    run_trace(&genome.spec(strategy))
+}
+
+/// Simulates `genome` under `strategy` again, for the Determinism property.
+fn replay(strategy: RecoveryStrategy, genome: &TraceGenome) -> TraceRun {
+    #[cfg(test)]
+    SIMULATIONS.with(|c| c.set((c.get().0, c.get().1 + 1)));
+    simulate(strategy, genome)
+}
+
+/// Checks a single property of one trace under one design: one simulation, then
+/// [`judge`]. This is the exact predicate the shrinker minimises against and the
+/// replayer re-runs; the search loop calls [`judge`] on the run it already has —
+/// one definition, three users.
 pub fn check_property(
     strategy: RecoveryStrategy,
     genome: &TraceGenome,
     property: Property,
     assert_label: Option<&str>,
 ) -> PropertyCheck {
-    let run = run_trace(&genome.spec(strategy));
+    judge(
+        strategy,
+        genome,
+        property,
+        assert_label,
+        &simulate(strategy, genome),
+    )
+}
+
+/// Judges `property` on `run`, a simulation of `genome` under `strategy`. Pure for
+/// every property but [`Property::Determinism`], which replays the trace once and
+/// compares the replay against `run`.
+pub fn judge(
+    strategy: RecoveryStrategy,
+    genome: &TraceGenome,
+    property: Property,
+    assert_label: Option<&str>,
+    run: &TraceRun,
+) -> PropertyCheck {
     match property {
-        Property::Determinism => match (&run, run_trace(&genome.spec(strategy))) {
+        Property::Determinism => match (run, replay(strategy, genome)) {
             (Ok(first), Ok(second)) => {
                 let same = *first == second;
                 PropertyCheck {
@@ -131,11 +178,11 @@ pub fn check_property(
                 detail: "one replay of the trace completed, the other failed".into(),
             },
         },
-        Property::Oracle => match &run {
+        Property::Oracle => match run {
             // Shrinking recovery legitimately changes the answer (the survivors
             // continue without the casualties' contributions), so the oracle only
             // binds the non-shrinking designs.
-            _ if strategy == RecoveryStrategy::Shrink => no_violation(&run),
+            _ if strategy == RecoveryStrategy::Shrink => no_violation(run),
             Ok(outcome) => {
                 let expected = oracle_value(genome);
                 let wrong: Vec<String> = outcome
@@ -155,13 +202,13 @@ pub fn check_property(
                     },
                 }
             }
-            Err(_) => no_violation(&run),
+            Err(_) => no_violation(run),
         },
         Property::Survivability => {
             if !genome.survivability_expected() {
-                return no_violation(&run);
+                return no_violation(run);
             }
-            match &run {
+            match run {
                 Ok(outcome) => {
                     let labels = outcome.report.path_labels();
                     let scratched = labels.iter().any(|l| l.starts_with("scratch"));
@@ -191,9 +238,9 @@ pub fn check_property(
         }
         Property::AssertLabel => {
             let Some(needle) = assert_label else {
-                return no_violation(&run);
+                return no_violation(run);
             };
-            match &run {
+            match run {
                 Ok(outcome) => {
                     let labels = outcome.report.path_labels();
                     let hit = labels.iter().any(|l| l.contains(needle));
@@ -207,13 +254,13 @@ pub fn check_property(
                         labels,
                     }
                 }
-                Err(_) => no_violation(&run),
+                Err(_) => no_violation(run),
             }
         }
     }
 }
 
-fn no_violation(run: &Result<TraceRunOutcome, match_core::SuiteError>) -> PropertyCheck {
+fn no_violation(run: &TraceRun) -> PropertyCheck {
     PropertyCheck {
         violated: false,
         labels: run
@@ -319,7 +366,7 @@ impl Explorer {
                 }
             };
 
-            let run = run_trace(&genome.spec(strategy));
+            let run = simulate(strategy, &genome);
             let labels = match &run {
                 Ok(outcome) => outcome.report.path_labels(),
                 Err(_) => {
@@ -338,8 +385,9 @@ impl Explorer {
                 kept.push(genome.clone());
             }
 
-            // Properties. Determinism is only re-checked on novel signatures (one
-            // extra run per distinct path, not per trace); the others are cheap.
+            // Properties, judged on this round's run. Determinism replays the trace
+            // once, and only on novel signatures (one extra run per distinct path,
+            // not per trace).
             let mut candidates = vec![Property::Survivability, Property::Oracle];
             if self.config.assert_label.is_some() {
                 candidates.push(Property::AssertLabel);
@@ -351,11 +399,12 @@ impl Explorer {
                 if violated.contains(property.name()) {
                     continue;
                 }
-                let check = check_property(
+                let check = judge(
                     strategy,
                     &genome,
                     property,
                     self.config.assert_label.as_deref(),
+                    &run,
                 );
                 if check.violated {
                     violated.insert(property.name());
@@ -472,6 +521,21 @@ mod tests {
             None,
         );
         assert!(!unset.violated, "assert property is inert when unset");
+    }
+
+    #[test]
+    fn each_round_simulates_its_trace_once_and_replays_only_novel_ones() {
+        let config = tiny();
+        SIMULATIONS.with(|c| c.set((0, 0)));
+        let outcome = Explorer::new(config.clone()).run();
+        let (simulations, replays) = SIMULATIONS.with(|c| c.get());
+        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+        let rounds = enabled_designs().len() as u64 * u64::from(config.budget);
+        assert_eq!(simulations - replays, rounds, "one simulation per round");
+        assert!(
+            (1..=rounds).contains(&replays),
+            "{replays} Determinism replays over {rounds} rounds"
+        );
     }
 
     #[test]

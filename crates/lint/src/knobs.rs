@@ -62,7 +62,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "MATCH_EXPLORE_BUDGET",
         default: "48",
-        doc: "traces the explorer evaluates per design",
+        doc: "traces the explorer evaluates per design (integer >= 1)",
     },
     Knob {
         name: "MATCH_EXPLORE_CORPUS",
@@ -72,17 +72,17 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "MATCH_EXPLORE_ITERS",
         default: "12",
-        doc: "main-loop iterations per explored trace",
+        doc: "main-loop iterations per explored trace (integer >= 2)",
     },
     Knob {
         name: "MATCH_EXPLORE_PROCS",
         default: "8",
-        doc: "ranks per explored trace",
+        doc: "ranks per explored trace (integer >= 2)",
     },
     Knob {
         name: "MATCH_EXPLORE_SEED",
         default: "20",
-        doc: "mutation RNG seed of the explorer",
+        doc: "mutation RNG seed of the explorer (any u64)",
     },
     Knob {
         name: "MATCH_JOBS",
