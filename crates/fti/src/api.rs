@@ -74,8 +74,22 @@ pub struct Fti {
     restart_iteration: Option<u64>,
     /// The last restore this instance served, if any (see [`Fti::last_restore`]).
     last_restore: Option<RestoreObservation>,
+    /// The buffer of the checkpoint set the last write superseded, once nothing else
+    /// viewed it: the next checkpoint serialises into it instead of allocating.
+    spare: SpareBuffer,
     stats: FtiStats,
     finalized: bool,
+}
+
+/// An owned serialisation buffer kept between checkpoints, whose `Debug` form is its
+/// capacity rather than megabytes of bytes.
+#[derive(Default)]
+struct SpareBuffer(Vec<u8>);
+
+impl std::fmt::Debug for SpareBuffer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SpareBuffer({} bytes)", self.0.capacity())
+    }
 }
 
 impl Fti {
@@ -142,6 +156,7 @@ impl Fti {
             status,
             restart_iteration: (agreed > 0).then_some(agreed),
             last_restore: None,
+            spare: SpareBuffer::default(),
             stats: FtiStats::default(),
             finalized: false,
         })
@@ -276,10 +291,13 @@ impl Fti {
                 )));
             }
         }
-        // Serialize every object directly into one flat buffer: the shared payload is
-        // built with a single copy instead of per-object vectors plus a concatenation.
+        // Serialize every object directly into one flat buffer — the superseded set's,
+        // when the last write handed it back: the shared payload is built with a
+        // single copy, and in steady state without allocating.
         let mut object_lens = Vec::with_capacity(objects.len());
-        let mut flat = Vec::with_capacity(objects.iter().map(|(_, o)| o.byte_len()).sum());
+        let mut flat = std::mem::take(&mut self.spare.0);
+        flat.clear();
+        flat.reserve_exact(objects.iter().map(|(_, o)| o.byte_len()).sum());
         for (_, o) in objects {
             let start = flat.len();
             o.append_bytes(&mut flat);
@@ -308,7 +326,10 @@ impl Fti {
             write_checkpoint_payload(ctx, &self.comm, &self.config, &self.store, meta, payload);
         ctx.set_category(prev);
 
-        let outcome = result?;
+        let (outcome, reclaimed) = result?;
+        if let Some(buf) = reclaimed {
+            self.spare.0 = buf;
+        }
         self.next_ckpt_id += 1;
         self.stats.checkpoints_written += 1;
         self.stats.bytes_written += outcome.payload_bytes as u64;
@@ -479,6 +500,70 @@ mod tests {
             assert_eq!(set.blobs[&BlobKind::Primary].data, parts.concat());
             let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
             assert_eq!(set.meta.object_lens, lens);
+        }
+    }
+
+    /// Writes three same-level checkpoints of a changing field, optionally holding a
+    /// view of checkpoint 1's primary blob across the other two, and checks that the
+    /// held view still reads checkpoint 1's bytes. Returns, per rank, whether the
+    /// spare after checkpoint 2 is checkpoint 1's allocation and whether checkpoint 3's
+    /// primary was serialised into it.
+    fn first_buffer_reuse(level: CheckpointLevel, hold: bool) -> Vec<(bool, bool)> {
+        let store = store();
+        let s = Arc::clone(&store);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4).nodes(4));
+        let outcome = cluster.run(move |ctx| {
+            let cfg = FtiConfig::level(level).group_size(4).parity_shards(2);
+            let mut fti = Fti::init(cfg, Arc::clone(&s), ctx)?;
+            let mut field = vec![0.0f64; 512];
+            fti.protect(0, "field", &field);
+            let mut primaries = Vec::new();
+            let mut spares = Vec::new();
+            let mut held = None;
+            for iteration in 1..=3u64 {
+                field.iter_mut().for_each(|x| *x = (iteration * 10) as f64);
+                fti.checkpoint(ctx, iteration, &[(0, &field as &dyn Protectable)])?;
+                let primary = s.get(ctx.rank()).unwrap().blobs[&BlobKind::Primary]
+                    .data
+                    .clone();
+                assert_eq!(primary, field.to_bytes(), "iteration {iteration}");
+                primaries.push(primary.as_ptr());
+                spares.push((fti.spare.0.capacity() > 0).then_some(fti.spare.0.as_ptr()));
+                if hold && iteration == 1 {
+                    held = Some(primary);
+                }
+            }
+            if let Some(view) = held {
+                assert_eq!(view, vec![10.0f64; 512].to_bytes(), "the held view changed");
+            }
+            Ok((
+                spares[1] == Some(primaries[0]),
+                primaries[2] == primaries[0],
+            ))
+        });
+        assert!(outcome.all_ok(), "{level}: {:?}", outcome.errors());
+        (0..4).map(|rank| *outcome.value_of(rank)).collect()
+    }
+
+    #[test]
+    fn checkpoints_serialise_into_the_superseded_sets_buffer() {
+        for level in CheckpointLevel::ALL {
+            assert_eq!(
+                first_buffer_reuse(level, false),
+                vec![(true, true); 4],
+                "{level}: with no view alive checkpoint 1's buffer is kept and reused"
+            );
+        }
+    }
+
+    #[test]
+    fn a_buffer_that_a_live_view_aliases_is_never_reused() {
+        for level in CheckpointLevel::ALL {
+            assert_eq!(
+                first_buffer_reuse(level, true),
+                vec![(false, false); 4],
+                "{level}: checkpoint 1's buffer is still viewed"
+            );
         }
     }
 

@@ -2,26 +2,26 @@
 //!
 //! L4 flushes checkpoints to the parallel file system — the slowest tier — so FTI
 //! supports *differential* checkpointing there: the payload is split into fixed-size
-//! blocks, each block is hashed, and only the blocks whose hash changed since the
-//! previous L4 checkpoint are written. This module implements the block hashing, the
-//! delta computation and the reconstruction of a full payload from a base plus a delta.
+//! blocks and only the blocks that changed since the previous L4 checkpoint are written.
+//! This module implements the delta computation and the reconstruction of a full
+//! payload from a base plus a delta.
 //!
 //! ## The fast data path
 //!
-//! Three things keep the delta computation off the profile:
+//! A delta costs one pass over the new payload and its base, and copies nothing:
 //!
-//! * blocks are hashed *word-at-a-time* — eight bytes per FNV-style mixing step
-//!   instead of one (see `block_hash`);
-//! * [`compute_delta_cached`] accepts the base's block hashes (which the
-//!   [`crate::store::CheckpointStore`] caches alongside the differential base) and
-//!   returns the new payload's hashes for the next round, so each checkpoint hashes
-//!   only the *new* payload instead of re-hashing the base every time;
-//! * the delta stores `(block index, byte range)` views into one shared
-//!   [`Payload`] instead of an owned `Vec<u8>` per changed block — building a delta
-//!   copies nothing.
+//! * [`compute_delta`] compares each block with the base's block at the same index,
+//!   byte for byte — a block is unchanged exactly when its bytes equal the base's. The
+//!   comparison is a `memcmp` that stops at the first differing byte, so no hash of
+//!   either payload is computed or has to be kept coherent with the stored base;
+//! * the delta stores `(block index, byte range)` views into one shared [`Payload`]
+//!   instead of an owned `Vec<u8>` per changed block.
 //!
-//! The previous owned-block representation lives on in the unit tests as the reference
-//! oracle the property tests compare the range-based path against.
+//! [`block_hashes`] and [`compute_delta_cached`] are the hash-filtered form of the same
+//! computation (the hash is only a pre-filter for the same byte comparison, so the
+//! change sets are identical): the property tests hold [`compute_delta`] to it, and the
+//! previous owned-block representation lives on in the unit tests as the oracle for
+//! the range-based delta.
 
 use std::ops::Range;
 
@@ -91,24 +91,40 @@ pub fn block_hashes(data: &[u8], block_size: usize) -> Vec<u64> {
 
 /// Computes the delta that transforms `base` into `new`.
 ///
-/// Blocks are compared by hash; a block is also considered changed when it lies beyond
-/// the end of the base (growth) and blocks past the end of `new` are dropped
-/// implicitly through [`DiffDelta::new_len`]. Hashes the base in place — when the
-/// base's hashes are already known, use [`compute_delta_cached`].
+/// Block `i` of `new` is unchanged exactly when it equals block `i` of `base` — same
+/// length, same bytes — so a block beyond the end of the base (growth), or a ragged
+/// last block that the base's block overhangs, is changed. Blocks past the end of `new`
+/// are dropped implicitly through [`DiffDelta::new_len`].
 ///
 /// # Panics
 ///
 /// Panics if `block_size` is zero.
 pub fn compute_delta(base: &[u8], new: &Payload, block_size: usize) -> DiffDelta {
-    let base_hashes = block_hashes(base, block_size);
-    compute_delta_cached(base, &base_hashes, new, block_size).0
+    assert!(block_size > 0, "block size must be positive");
+    let mut base_blocks = base.chunks(block_size);
+    let changed = new
+        .chunks(block_size)
+        .enumerate()
+        .filter(|&(_, block)| base_blocks.next() != Some(block))
+        .map(|(idx, block)| {
+            let start = idx * block_size;
+            (idx, start..start + block.len())
+        })
+        .collect();
+    DiffDelta {
+        block_size,
+        new_len: new.len(),
+        payload: new.clone(),
+        changed,
+    }
 }
 
 /// Computes the delta that transforms `base` into `new`, given the base's block hashes
 /// (`base_hashes[i]` must be the hash of `base`'s `i`-th block at this `block_size`).
-/// Returns the delta together with the *new* payload's block hashes, which the caller
-/// caches as the base hashes of the next delta — so steady-state differential
-/// checkpointing hashes every payload exactly once.
+/// Returns the delta together with the *new* payload's block hashes, ready to be the
+/// base hashes of the next delta. A matching hash is confirmed by comparing the bytes,
+/// so the change set always equals [`compute_delta`]'s; this hash-filtered form is the
+/// oracle that function is tested against.
 ///
 /// # Panics
 ///
@@ -380,6 +396,37 @@ mod proptests {
             let base_hashes = block_hashes(&base, block_size);
             let (cached, _) = compute_delta_cached(&base, &base_hashes, &payload, block_size);
             prop_assert_eq!(cached, ranged);
+        }
+
+        /// The byte-compared delta equals the hash-filtered oracle: same changed
+        /// blocks, same write volume. `new` is a prefix of `base` (or `base` padded
+        /// past its end) with a few bytes flipped, so most blocks are unchanged, and
+        /// the cases where only a byte comparison of whole blocks is right all occur:
+        /// a base shorter or longer than `new`, a ragged last block on either side,
+        /// and block sizes that are not multiples of eight.
+        #[test]
+        fn byte_compared_delta_matches_the_hash_filtered_oracle(
+            base in proptest::collection::vec(any::<u8>(), 0..3000),
+            new_len in 0usize..3000,
+            pad in any::<u8>(),
+            flips in proptest::collection::vec((any::<usize>(), 1usize..256), 0..6),
+            block_size in 1usize..300,
+        ) {
+            let mut new: Vec<u8> =
+                (0..new_len).map(|i| base.get(i).copied().unwrap_or(pad)).collect();
+            for (at, mask) in flips {
+                if !new.is_empty() {
+                    let i = at % new.len();
+                    new[i] ^= mask as u8;
+                }
+            }
+            let payload: Payload = new.clone().into();
+            let compared = compute_delta(&base, &payload, block_size);
+            let (hashed, _) =
+                compute_delta_cached(&base, &block_hashes(&base, block_size), &payload, block_size);
+            prop_assert_eq!(&compared.changed, &hashed.changed);
+            prop_assert_eq!(compared.bytes_to_write(), hashed.bytes_to_write());
+            prop_assert_eq!(apply_delta(&base, &compared), new);
         }
     }
 }

@@ -23,7 +23,7 @@ use mpisim::{Comm, MpiError, Payload, RankCtx, Topology};
 use crate::config::{CheckpointLevel, FtiConfig};
 use crate::meta::CheckpointMeta;
 use crate::rs_code;
-use crate::store::{BlobKind, CheckpointSet, CheckpointStore, DiffHashes, Placement, StoredBlob};
+use crate::store::{BlobKind, CheckpointSet, CheckpointStore, Placement, StoredBlob};
 
 /// Outcome of a checkpoint write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,12 +103,19 @@ pub fn write_checkpoint(
         )));
     }
     write_checkpoint_payload(ctx, comm, cfg, store, meta, Payload::concat(objects))
+        .map(|(outcome, _)| outcome)
 }
 
 /// Writes one checkpoint whose flat payload has already been assembled into a shared
 /// buffer. This is the zero-copy core of [`write_checkpoint`]: every blob derived from
 /// the payload (primary copy, partner copy, differential base) is a reference-counted
 /// view of `payload`, never an owned copy.
+///
+/// Also hands back the payload buffer of the set this write superseded (the previous
+/// set of the same level) when its primary copy was the only view left of that buffer,
+/// so the caller can serialise its next checkpoint into it instead of allocating. A
+/// buffer that any live view — a read's objects, a clone of the set — still aliases is
+/// never handed back.
 ///
 /// # Errors
 ///
@@ -120,7 +127,7 @@ pub fn write_checkpoint_payload(
     store: &CheckpointStore,
     meta: CheckpointMeta,
     payload: Payload,
-) -> Result<WriteOutcome, MpiError> {
+) -> Result<(WriteOutcome, Option<Vec<u8>>), MpiError> {
     let payload_bytes = payload.len();
     let rank = ctx.rank();
     let node = ctx.topology().node_of(rank);
@@ -130,7 +137,6 @@ pub fn write_checkpoint_payload(
 
     let mut blobs: HashMap<BlobKind, StoredBlob> = HashMap::new();
     let mut stored_bytes = 0usize;
-    let mut diff_hashes = None;
 
     // The level comes from the metadata, not the configuration: the multi-level
     // schedule promotes individual checkpoints to higher levels.
@@ -235,32 +241,13 @@ pub fn write_checkpoint_payload(
         }
         CheckpointLevel::L4 => {
             let written = if cfg.differential {
-                let previous = store.get(rank);
-                let base = previous
-                    .as_ref()
-                    .and_then(|s| s.blobs.get(&BlobKind::DiffBase))
-                    .map(|b| b.data.clone())
+                // Diff against the newest set's parallel-file-system base (none when
+                // the newest set is of another level: everything is written).
+                let base = store
+                    .get(rank)
+                    .and_then(|s| s.blobs.get(&BlobKind::DiffBase).map(|b| b.data.clone()))
                     .unwrap_or_default();
-                // Diff against the cached base hashes when the store still has them
-                // (and for the same block size); otherwise hash the base once here.
-                let cached = previous
-                    .as_ref()
-                    .and_then(|s| s.diff_hashes.as_ref())
-                    .filter(|c| c.block_size == cfg.diff_block_size)
-                    .map(|c| c.hashes.to_vec());
-                let base_hashes =
-                    cached.unwrap_or_else(|| crate::diff::block_hashes(&base, cfg.diff_block_size));
-                let (delta, new_hashes) = crate::diff::compute_delta_cached(
-                    &base,
-                    &base_hashes,
-                    &payload,
-                    cfg.diff_block_size,
-                );
-                diff_hashes = Some(DiffHashes {
-                    block_size: cfg.diff_block_size,
-                    hashes: new_hashes.into(),
-                });
-                delta.bytes_to_write()
+                crate::diff::compute_delta(&base, &payload, cfg.diff_block_size).bytes_to_write()
             } else {
                 payload_bytes
             };
@@ -287,18 +274,20 @@ pub fn write_checkpoint_payload(
         }
     }
 
-    store.put(
-        rank,
-        CheckpointSet {
-            meta,
-            blobs,
-            diff_hashes,
-        },
-    );
-    Ok(WriteOutcome {
+    // The superseded set is dropped here, outside the store lock; its primary buffer
+    // comes back only if dropping the set's other blobs left it unshared.
+    let reclaimed = store
+        .put(rank, CheckpointSet { meta, blobs })
+        .and_then(|mut old| {
+            let primary = old.blobs.remove(&BlobKind::Primary)?;
+            drop(old);
+            primary.data.try_into_vec().ok()
+        });
+    let outcome = WriteOutcome {
         payload_bytes,
         stored_bytes,
-    })
+    };
+    Ok((outcome, reclaimed))
 }
 
 /// Reads the latest checkpoint of the calling rank back from the store, reconstructing
@@ -954,45 +943,33 @@ mod tests {
     }
 
     #[test]
-    fn differential_l4_caches_and_reuses_block_hashes() {
+    fn differential_l4_writes_the_local_copy_plus_the_changed_blocks() {
         let store = CheckpointStore::shared();
         let cfg = FtiConfig::level(CheckpointLevel::L4);
-        let store2 = Arc::clone(&store);
+        let block = cfg.diff_block_size;
         let cluster = Cluster::new(ClusterConfig::with_ranks(1));
         let outcome = cluster.run(move |ctx| {
             let world = ctx.world();
             let mut data = vec![0u8; 1 << 18];
-            let meta = meta_for(&[data.clone()], CheckpointLevel::L4, 1);
-            let cfg2 = cfg.clone();
-            write_checkpoint(ctx, &world, &cfg2, &store2, meta, &[data.clone()])?;
-            let first = store2.get(0).unwrap();
-            let hashes1 = first.diff_hashes.clone().expect("hashes cached");
-            assert_eq!(hashes1.block_size, cfg2.diff_block_size);
-            assert_eq!(
-                hashes1.hashes.len(),
-                data.len().div_ceil(cfg2.diff_block_size)
-            );
-
-            // Second write: the cache is consumed and replaced with the new payload's
-            // hashes; the delta it produces must match an uncached computation.
-            data[777] = 9;
-            let mut meta2 = meta_for(&[data.clone()], CheckpointLevel::L4, 2);
-            meta2.ckpt_id = 2;
-            let second = write_checkpoint(ctx, &world, &cfg2, &store2, meta2, &[data.clone()])?;
-            let set = store2.get(0).unwrap();
-            let hashes2 = set.diff_hashes.clone().expect("hashes re-cached");
-            assert_eq!(
-                hashes2.hashes.to_vec(),
-                crate::diff::block_hashes(&data, cfg2.diff_block_size)
-            );
-            // One changed block -> stored bytes are payload (local copy) + one block.
-            assert_eq!(
-                second.stored_bytes,
-                data.len() + cfg2.diff_block_size.min(data.len())
-            );
-            Ok(())
+            let mut stored = Vec::new();
+            for (ckpt_id, flip) in [(1, None), (2, Some(777)), (3, Some((1 << 18) - 1))] {
+                if let Some(at) = flip {
+                    data[at] ^= 9;
+                }
+                let mut meta = meta_for(&[data.clone()], CheckpointLevel::L4, ckpt_id);
+                meta.ckpt_id = ckpt_id;
+                let out = write_checkpoint(ctx, &world, &cfg, &store, meta, &[data.clone()])?;
+                stored.push(out.stored_bytes);
+            }
+            Ok(stored)
         });
-        assert!(outcome.all_ok(), "{:?}", outcome.errors());
+        let len = 1usize << 18;
+        // The first write has no base: the local copy plus the whole payload. Each
+        // later one changed a single byte: the local copy plus exactly that block.
+        assert_eq!(
+            outcome.value_of(0),
+            &vec![2 * len, len + block.min(len), len + block.min(len)]
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * **L3** — Reed–Solomon erasure-coded checkpoints across a group of ranks
 //!   (a real GF(2⁸) codec, see [`rs_code`]),
 //! * **L4** — checkpoints flushed to the parallel file system, with optional
-//!   differential (block-hash) writes (see [`diff`]).
+//!   differential writes of the changed blocks only (see [`diff`]).
 //!
 //! Checkpoint bytes are really stored (in the in-memory [`store::CheckpointStore`] that
 //! models the cluster's storage media) and really restored into the application's

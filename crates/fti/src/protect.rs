@@ -150,6 +150,22 @@ pub fn block_range(total_units: u64, parts: usize, part: usize) -> (u64, u64) {
     (start, count)
 }
 
+/// The part whose [`block_range`] block holds unit `unit` (which must be below
+/// `total_units`): the inverse of [`block_range`].
+pub(crate) fn part_of_unit(total_units: u64, parts: usize, unit: u64) -> usize {
+    let parts = parts as u64;
+    let (base, extra) = (total_units / parts, total_units % parts);
+    // The first `extra` parts hold `base + 1` units each.
+    let long_units = extra * (base + 1);
+    let part = if unit < long_units {
+        unit / (base + 1)
+    } else {
+        // Past the long parts `base` is positive, since `unit < total_units`.
+        extra + (unit - long_units) / base
+    };
+    part as usize
+}
+
 /// Metadata describing a protected object, registered through `Fti::protect`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtectedObject {
@@ -251,6 +267,12 @@ mod tests {
                     next = start + count;
                 }
                 assert_eq!(next, total, "parts must cover exactly the domain");
+                for part in 0..parts {
+                    let (start, count) = block_range(total, parts, part);
+                    for unit in start..start + count {
+                        assert_eq!(part_of_unit(total, parts, unit), part, "unit {unit}");
+                    }
+                }
                 // Balanced: counts differ by at most one unit.
                 let counts: Vec<u64> = (0..parts).map(|p| block_range(total, parts, p).1).collect();
                 let min = counts.iter().min().unwrap();

@@ -21,6 +21,7 @@
 //! the agreed iteration with the shrunken world owning the whole problem.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use mpisim::{Comm, MpiError, Payload, RankCtx};
@@ -28,7 +29,7 @@ use mpisim::{Comm, MpiError, Payload, RankCtx};
 use crate::config::FtiConfig;
 use crate::level::{read_checkpoint_of, write_checkpoint_payload};
 use crate::meta::CheckpointMeta;
-use crate::protect::{block_range, ObjectLayout};
+use crate::protect::{block_range, part_of_unit, ObjectLayout};
 use crate::store::CheckpointStore;
 
 /// Message tag used by redistribution fragments.
@@ -79,16 +80,13 @@ pub fn redistribute_after_shrink(
     let new_n = comm.size();
 
     // Old indices this survivor speaks for: its own, plus every dead rank it adopts.
+    let holders = holders_of(old_world, comm.members());
     let my_old_idx = old_world
         .iter()
         .position(|&r| r == me)
         .expect("caller must be a member of the old world");
     let mut my_owners: Vec<usize> = vec![my_old_idx];
-    for (old_idx, &rank) in old_world.iter().enumerate() {
-        if !comm.contains(rank) && adopter_of(old_idx, new_n) == me_idx {
-            my_owners.push(old_idx);
-        }
-    }
+    my_owners.extend((0..old_n).filter(|&oi| oi != my_old_idx && holders[oi] == me_idx));
 
     // Restart agreement over the survivors, each also answering for its adopted
     // ranks: converge on the newest iteration EVERY old rank can reconstruct.
@@ -175,52 +173,33 @@ pub fn redistribute_after_shrink(
                 let (my_new_start, my_new_count) = block_range(total_units, new_n, me_idx);
                 let mut assembled = vec![0u8; my_new_count as usize * unit_bytes];
 
-                // Every rank walks the (old owner, new owner) overlap pairs in the
+                // Every rank acts on its (old owner, new owner) overlap pairs in the
                 // same global order; sends are eager, so the matching blocking
-                // receives drain them deterministically.
-                for old_idx in 0..old_n {
+                // receives drain them deterministically. This rank holds the old
+                // block, owns the new one, or both (a local copy).
+                for (old_idx, new_idx) in
+                    my_overlap_pairs(total_units, old_n, new_n, me_idx, &my_owners)
+                {
                     let (old_start, old_count) = block_range(total_units, old_n, old_idx);
-                    if old_count == 0 {
-                        continue;
-                    }
-                    let holder_idx = comm
-                        .members()
-                        .iter()
-                        .position(|&m| m == old_world[old_idx])
-                        .unwrap_or_else(|| adopter_of(old_idx, new_n));
-                    for new_idx in 0..new_n {
-                        let (new_start, new_count) = block_range(total_units, new_n, new_idx);
-                        let lo = old_start.max(new_start);
-                        let hi = (old_start + old_count).min(new_start + new_count);
-                        if lo >= hi {
-                            continue;
-                        }
-                        let frag_bytes = (hi - lo) as usize * unit_bytes;
-                        if holder_idx == new_idx {
-                            if me_idx == new_idx {
-                                let src = slice_of(
-                                    &held[&old_idx],
-                                    obj_id,
-                                    old_start,
-                                    lo,
-                                    hi,
-                                    unit_bytes,
-                                );
-                                let off = (lo - my_new_start) as usize * unit_bytes;
-                                assembled[off..off + frag_bytes].copy_from_slice(&src);
-                            }
-                        } else if me_idx == holder_idx {
-                            let src =
-                                slice_of(&held[&old_idx], obj_id, old_start, lo, hi, unit_bytes);
-                            ctx.send_payload(comm, new_idx, REDISTRIBUTE_TAG, src)?;
-                            my_bytes_sent += frag_bytes as u64;
-                            my_messages += 1;
-                        } else if me_idx == new_idx {
-                            let (_, _, payload) =
-                                ctx.recv_payload(comm, holder_idx as i32, REDISTRIBUTE_TAG)?;
-                            let off = (lo - my_new_start) as usize * unit_bytes;
-                            assembled[off..off + frag_bytes].copy_from_slice(&payload);
-                        }
+                    let (new_start, new_count) = block_range(total_units, new_n, new_idx);
+                    let lo = old_start.max(new_start);
+                    let hi = (old_start + old_count).min(new_start + new_count);
+                    let frag_bytes = (hi - lo) as usize * unit_bytes;
+                    let holder_idx = holders[old_idx];
+                    if holder_idx == new_idx {
+                        let src = slice_of(&held[&old_idx], obj_id, old_start, lo, hi, unit_bytes);
+                        let off = (lo - my_new_start) as usize * unit_bytes;
+                        assembled[off..off + frag_bytes].copy_from_slice(&src);
+                    } else if me_idx == holder_idx {
+                        let src = slice_of(&held[&old_idx], obj_id, old_start, lo, hi, unit_bytes);
+                        ctx.send_payload(comm, new_idx, REDISTRIBUTE_TAG, src)?;
+                        my_bytes_sent += frag_bytes as u64;
+                        my_messages += 1;
+                    } else {
+                        let (_, _, payload) =
+                            ctx.recv_payload(comm, holder_idx as i32, REDISTRIBUTE_TAG)?;
+                        let off = (lo - my_new_start) as usize * unit_bytes;
+                        assembled[off..off + frag_bytes].copy_from_slice(&payload);
                     }
                 }
                 new_objects.push(Payload::from(assembled));
@@ -274,6 +253,60 @@ pub fn redistribute_after_shrink(
     })
 }
 
+/// For every old member, in old rank order, the survivor (new-communicator index)
+/// holding its checkpoint after the shrink: the member itself when it survived,
+/// otherwise its adopter. `members` lists the survivor communicator's global ranks.
+fn holders_of(old_world: &[usize], members: &[usize]) -> Vec<usize> {
+    let new_idx_of: HashMap<usize, usize> = members
+        .iter()
+        .enumerate()
+        .map(|(i, &rank)| (rank, i))
+        .collect();
+    old_world
+        .iter()
+        .enumerate()
+        .map(|(old_idx, rank)| {
+            new_idx_of
+                .get(rank)
+                .copied()
+                .unwrap_or_else(|| adopter_of(old_idx, members.len()))
+        })
+        .collect()
+}
+
+/// The parts of a `parts`-way [`block_range`] distribution of `total_units` whose
+/// blocks overlap the `count` units starting at `start` (none when `count` is 0).
+fn parts_overlapping(total_units: u64, parts: usize, start: u64, count: u64) -> Range<usize> {
+    if count == 0 {
+        return 0..0;
+    }
+    part_of_unit(total_units, parts, start)..part_of_unit(total_units, parts, start + count - 1) + 1
+}
+
+/// The (old index, new index) pairs of overlapping old and new blocks that survivor
+/// `me_idx` takes part in, in ascending (old, new) order — the order every survivor
+/// walks the global pair list in. `held` lists the old indices whose checkpoints this
+/// survivor holds (its own and its adopted ones): it sends or copies the fragments of
+/// those, and receives or copies every fragment of its own new block.
+fn my_overlap_pairs(
+    total_units: u64,
+    old_n: usize,
+    new_n: usize,
+    me_idx: usize,
+    held: &[usize],
+) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for &old_idx in held {
+        let (start, count) = block_range(total_units, old_n, old_idx);
+        pairs.extend(parts_overlapping(total_units, new_n, start, count).map(|n| (old_idx, n)));
+    }
+    let (start, count) = block_range(total_units, new_n, me_idx);
+    pairs.extend(parts_overlapping(total_units, old_n, start, count).map(|o| (o, me_idx)));
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
 /// The bytes of units `[lo, hi)` inside the held checkpoint of one old owner, whose
 /// object `obj_id` starts at global unit `old_start`: a view of the held payload.
 fn slice_of(
@@ -304,6 +337,77 @@ mod tests {
     use mpisim::{Cluster, ClusterConfig, SimTime};
 
     const TOTAL_UNITS: u64 = 32;
+
+    /// The full old × new walk the redistribution did before it enumerated only its
+    /// own pairs: every (old, new) pair of overlapping non-empty blocks, in (old, new)
+    /// order, kept where survivor `me_idx` is the holder or the new owner.
+    fn overlap_pairs_oracle(
+        total_units: u64,
+        old_n: usize,
+        new_n: usize,
+        me_idx: usize,
+        holders: &[usize],
+    ) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for (old_idx, &holder_idx) in holders.iter().enumerate() {
+            let (old_start, old_count) = block_range(total_units, old_n, old_idx);
+            if old_count == 0 {
+                continue;
+            }
+            for new_idx in 0..new_n {
+                let (new_start, new_count) = block_range(total_units, new_n, new_idx);
+                let lo = old_start.max(new_start);
+                let hi = (old_start + old_count).min(new_start + new_count);
+                if lo < hi && (holder_idx == me_idx || new_idx == me_idx) {
+                    pairs.push((old_idx, new_idx));
+                }
+            }
+        }
+        pairs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every survivor acts on exactly the pairs the full walk gives it, in the
+        /// same order, for any problem size (fewer units than ranks included), world
+        /// size and set of casualties.
+        #[test]
+        fn each_survivor_acts_on_the_oracles_pairs_in_order(
+            total_units in 0u64..200,
+            old_n in 2usize..40,
+            victim_bits in proptest::prelude::any::<u64>(),
+        ) {
+            let old_world: Vec<usize> = (0..old_n).map(|i| 3 * i + 1).collect();
+            // At least one casualty and at least one survivor.
+            let dead = |i: usize| i == 0 || (i + 1 < old_n && victim_bits >> (i % 64) & 1 == 1);
+            let members: Vec<usize> = old_world
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !dead(i))
+                .map(|(_, &r)| r)
+                .collect();
+            let new_n = members.len();
+            let holders = holders_of(&old_world, &members);
+            let searched: Vec<usize> = (0..old_n)
+                .map(|oi| {
+                    members
+                        .iter()
+                        .position(|&m| m == old_world[oi])
+                        .unwrap_or_else(|| adopter_of(oi, new_n))
+                })
+                .collect();
+            proptest::prop_assert_eq!(&holders, &searched);
+            for me_idx in 0..new_n {
+                let held: Vec<usize> = (0..old_n).filter(|&oi| holders[oi] == me_idx).collect();
+                proptest::prop_assert_eq!(
+                    my_overlap_pairs(total_units, old_n, new_n, me_idx, &held),
+                    overlap_pairs_oracle(total_units, old_n, new_n, me_idx, &holders),
+                    "survivor {} of {} (old world {})", me_idx, new_n, old_n
+                );
+            }
+        }
+    }
 
     /// Per-survivor result of [`shrink_and_redistribute`]: the new block start, the
     /// recovered block, the shrink outcome and the redistribution's elapsed time

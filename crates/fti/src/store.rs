@@ -97,20 +97,6 @@ pub struct CheckpointSet {
     pub meta: CheckpointMeta,
     /// Blobs by kind.
     pub blobs: HashMap<BlobKind, StoredBlob>,
-    /// Cached per-block hashes of the [`BlobKind::DiffBase`] blob (L4 differential
-    /// checkpoints). Lets the next differential write diff against this base without
-    /// re-hashing it; `None` for non-differential checkpoints.
-    pub diff_hashes: Option<DiffHashes>,
-}
-
-/// Cached block hashes of a differential base, tagged with the block size they were
-/// computed at (a configuration change invalidates the cache).
-#[derive(Debug, Clone)]
-pub struct DiffHashes {
-    /// The block size the hashes were computed with.
-    pub block_size: usize,
-    /// One hash per `block_size` block of the differential base payload.
-    pub hashes: Arc<[u64]>,
 }
 
 #[derive(Debug, Default)]
@@ -172,14 +158,19 @@ impl CheckpointStore {
     /// Stores `set` as the latest checkpoint of `rank` at the set's level, replacing
     /// the previous set of that level (older sets at *other* levels are retained for
     /// hierarchical fallback).
-    pub fn put(&self, rank: usize, set: CheckpointSet) {
+    ///
+    /// Returns the set this one superseded — the previous set of `rank` at the same
+    /// level, if any — the way `HashMap::insert` returns the value it replaced. The
+    /// caller drops it outside the store lock, or reuses its buffer for the next
+    /// checkpoint once no other view of it is alive.
+    pub fn put(&self, rank: usize, set: CheckpointSet) -> Option<CheckpointSet> {
         let mut inner = self.inner.lock();
         inner.bytes_written += set.meta.bytes as u64;
         inner
             .latest
             .entry(rank)
             .or_default()
-            .insert(set.meta.level, set);
+            .insert(set.meta.level, set)
     }
 
     /// Returns a clone of the newest checkpoint set of `rank` (across levels), if any.
@@ -327,7 +318,6 @@ mod tests {
                 object_layouts: vec![crate::protect::ObjectLayout::Replicated],
             },
             blobs,
-            diff_hashes: None,
         }
     }
 
@@ -348,12 +338,27 @@ mod tests {
     #[test]
     fn newer_checkpoint_replaces_older() {
         let store = CheckpointStore::shared();
-        store.put(0, set(0, 0, 16));
+        assert!(
+            store.put(0, set(0, 0, 16)).is_none(),
+            "nothing to supersede"
+        );
         let mut newer = set(0, 0, 32);
         newer.meta.ckpt_id = 2;
-        store.put(0, newer);
-        assert_eq!(store.get(0).unwrap().meta.ckpt_id, 2);
-        assert_eq!(store.bytes_written(), 48, "write accounting is cumulative");
+        let superseded = store
+            .put(0, newer)
+            .expect("the same level's set is replaced");
+        assert_eq!(superseded.meta.ckpt_id, 1);
+        assert_eq!(superseded.blobs[&BlobKind::Primary].data.len(), 16);
+        let mut other_level = set(0, 0, 8);
+        other_level.meta.ckpt_id = 3;
+        other_level.meta.level = CheckpointLevel::L2;
+        assert!(
+            store.put(0, other_level).is_none(),
+            "a set of another level is retained, not superseded"
+        );
+        assert_eq!(store.get(0).unwrap().meta.ckpt_id, 3);
+        assert_eq!(store.sets_newest_first(0).len(), 2);
+        assert_eq!(store.bytes_written(), 56, "write accounting is cumulative");
     }
 
     #[test]

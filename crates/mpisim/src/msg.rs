@@ -105,6 +105,41 @@ impl Payload {
     pub fn same_buffer(&self, other: &Payload) -> bool {
         Arc::ptr_eq(&self.buf, &other.buf)
     }
+
+    /// Takes back the owned buffer, without copying, when this payload is the only
+    /// view of the whole of it; otherwise returns the payload intact. A sub-slice, or
+    /// a payload whose buffer a clone or another slice still shares, is `Err`: a buffer
+    /// is handed out for reuse only when nobody can observe it any more.
+    ///
+    /// ```
+    /// use mpisim::Payload;
+    ///
+    /// let payload = Payload::from(vec![1u8, 2, 3]);
+    /// let view = payload.slice(0..2);
+    /// let payload = payload.try_into_vec().expect_err("a view is still alive");
+    /// drop(view);
+    /// assert_eq!(payload.try_into_vec(), Ok(vec![1, 2, 3]));
+    /// ```
+    pub fn try_into_vec(self) -> Result<Vec<u8>, Payload> {
+        self.into_unique_buffer()
+            .map(|buf| Arc::into_inner(buf).expect("a unique buffer has one owner"))
+    }
+
+    /// The shared buffer itself when this payload is its only view and spans all of
+    /// it — the ownership test behind [`Payload::try_into_vec`] and
+    /// [`SpareBuffers::recycle`].
+    fn into_unique_buffer(self) -> Result<Arc<Vec<u8>>, Payload> {
+        let Payload {
+            mut buf,
+            start,
+            end,
+        } = self;
+        if start == 0 && end == buf.len() && Arc::get_mut(&mut buf).is_some() {
+            Ok(buf)
+        } else {
+            Err(Payload { buf, start, end })
+        }
+    }
 }
 
 impl Default for Payload {
@@ -204,18 +239,10 @@ impl SpareBuffers {
     /// Keeps `payload`'s buffer for a later [`SpareBuffers::payload`] if it is the only
     /// view of the whole buffer and there is room for it; drops it otherwise.
     pub(crate) fn recycle(&mut self, payload: Payload) {
-        let Payload {
-            mut buf,
-            start,
-            end,
-        } = payload;
-        if self.bufs.len() < Self::MAX_BUFFERS
-            && start == 0
-            && end == buf.len()
-            && buf.capacity() <= Self::MAX_BYTES
-            && Arc::get_mut(&mut buf).is_some()
-        {
-            self.bufs.push(buf);
+        if self.bufs.len() < Self::MAX_BUFFERS && payload.buf.capacity() <= Self::MAX_BYTES {
+            if let Ok(buf) = payload.into_unique_buffer() {
+                self.bufs.push(buf);
+            }
         }
     }
 }
@@ -359,6 +386,38 @@ mod tests {
             spares.recycle(Payload::from(vec![0u8; 8]));
         }
         assert_eq!(spares.bufs.len(), SpareBuffers::MAX_BUFFERS);
+    }
+
+    #[test]
+    fn try_into_vec_takes_back_only_the_sole_view_of_a_whole_buffer() {
+        // The only view of its buffer, but not all of it.
+        let slice = Payload::from(vec![1u8, 2, 3, 4]).slice(1..3);
+        let slice = slice
+            .try_into_vec()
+            .expect_err("a slice is not the whole buffer");
+        assert_eq!(slice, vec![2u8, 3], "the refused view is returned intact");
+
+        let payload = Payload::from(vec![4u8, 5, 6, 7]);
+        let address = payload.as_ptr();
+        let view = payload.slice(0..2);
+        let payload = payload
+            .try_into_vec()
+            .expect_err("a slice still shares the buffer");
+        drop(view);
+        let clone = payload.clone();
+        let clone = clone.try_into_vec().expect_err("the original is alive");
+        assert_eq!(clone, vec![4u8, 5, 6, 7]);
+        assert!(clone.same_buffer(&payload));
+        drop(clone);
+
+        let owned = payload.try_into_vec().expect("the sole whole view");
+        assert_eq!(owned, vec![4, 5, 6, 7]);
+        assert_eq!(
+            owned.as_ptr(),
+            address,
+            "the buffer is handed back, not copied"
+        );
+        assert_eq!(Payload::empty().try_into_vec(), Ok(Vec::new()));
     }
 
     #[test]
