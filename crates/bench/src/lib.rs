@@ -15,9 +15,11 @@
 //! * `MATCH_JOBS` — number of experiments run concurrently by the
 //!   [`SuiteEngine`] (default: the host's available parallelism; the `match-bench`
 //!   CLI also accepts `--jobs N`),
-//! * `MATCH_BACKEND` — the scheduler backend simulated jobs run on (`par`, `coop` or
-//!   `threads`; results are bit-identical, only host scaling differs; the CLI also
-//!   accepts `--backend NAME`),
+//! * `MATCH_BACKEND` — the scheduler backend simulated jobs run on (`par` or `coop`;
+//!   results are bit-identical, only host scaling differs; the CLI also accepts
+//!   `--backend NAME`),
+//! * `MATCH_WORKERS` — worker threads of a `par` job (the CLI also accepts
+//!   `--workers N`),
 //! * `MATCH_RACKS` — rack-count override for the experiment topology (the `nracks`
 //!   sweep knob; must divide the paper-layout node count; the CLI also accepts
 //!   `--racks N`),
@@ -30,10 +32,13 @@
 //! An unset matrix knob takes its default. A set one must parse completely: a
 //! malformed `MATCH_PROCS`, `MATCH_SCALE`, `MATCH_APPS`, `MATCH_REPS` or `MATCH_MTBF`
 //! is an error naming the knob (exit status 2), never a silently different matrix.
+//! So is a malformed `MATCH_BACKEND` or `MATCH_WORKERS` ([`check_scheduler_env`]),
+//! where the simulator library alone would warn and run its default.
 
 use std::str::FromStr;
 
 use match_core::matrix::MatrixOptions;
+use match_core::mpisim::{SchedBackend, BACKEND_ENV_VAR, WORKERS_ENV_VAR};
 use match_core::mtbf::MtbfSweep;
 use match_core::proxies::registry::ExecutionScale;
 use match_core::proxies::ProxyKind;
@@ -72,6 +77,41 @@ pub fn options_from_env() -> MatrixOptions {
             seed: 2020,
         },
     }
+}
+
+/// Exits 2 naming the knob if `MATCH_BACKEND` or `MATCH_WORKERS` is set to a value
+/// the simulator would not accept. Unchecked, it would warn once and run every job on
+/// its default instead: a figure of another backend, or of another worker count,
+/// under the name the user asked for.
+pub fn check_scheduler_env() {
+    knob(BACKEND_ENV_VAR, parse_backend, SchedBackend::default);
+    knob(WORKERS_ENV_VAR, parse_workers, || 0);
+}
+
+/// Parses a `MATCH_BACKEND` value: a scheduler backend name, in any letter case.
+///
+/// # Errors
+///
+/// Any other name is an error naming the knob and the value; the retired `threads`
+/// backend is named as removed.
+pub fn parse_backend(value: &str) -> Result<SchedBackend, String> {
+    value
+        .parse()
+        .map_err(|error| format!("MATCH_BACKEND='{value}': {error}"))
+}
+
+/// Parses a `MATCH_WORKERS` value: a positive worker count of a `par` job.
+///
+/// # Errors
+///
+/// Anything else is an error naming the knob and the value.
+pub fn parse_workers(value: &str) -> Result<usize, String> {
+    value
+        .trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("MATCH_WORKERS='{value}' is not a positive worker count"))
 }
 
 /// Parses a `MATCH_SCALE` value: `smoke`, `bench` or `paper`, in any letter case.
@@ -324,6 +364,29 @@ mod tests {
         assert!(!opts.process_counts.is_empty());
         assert!(!opts.apps.is_empty());
         assert!(opts.suite.repetitions >= 1);
+    }
+
+    #[test]
+    fn scheduler_knobs_parse_backends_and_positive_counts_only() {
+        assert_eq!(parse_backend("coop"), Ok(SchedBackend::Coop));
+        assert_eq!(parse_backend(" PAR "), Ok(SchedBackend::Par));
+        let removed = parse_backend("threads").unwrap_err();
+        assert!(removed.contains("MATCH_BACKEND='threads'"), "{removed}");
+        assert!(
+            removed.contains("the threads backend was removed; use coop or par"),
+            "{removed}"
+        );
+        let unknown = parse_backend("fast").unwrap_err();
+        assert!(unknown.contains("MATCH_BACKEND='fast'"), "{unknown}");
+        assert_eq!(parse_workers("4"), Ok(4));
+        for value in ["0", "abc", "", "-1", "2.5"] {
+            let error = parse_workers(value).unwrap_err();
+            assert!(
+                error.contains(&format!("MATCH_WORKERS='{value}'")),
+                "{error}"
+            );
+            assert!(error.contains("not a positive worker count"), "{error}");
+        }
     }
 
     #[test]

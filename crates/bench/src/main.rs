@@ -1,7 +1,7 @@
 //! A small CLI that regenerates any table or figure of the MATCH paper on demand.
 //!
 //! ```text
-//! match-bench [--help] [--jobs N] [--json] [--backend threads|coop|par] [--workers N] \
+//! match-bench [--help] [--jobs N] [--json] [--backend coop|par] [--workers N] \
 //!             [--racks N] [--expect-warm] \
 //!             [table1|fig5|...|fig10|mtbf|findings|explore|all ...]
 //! match-bench cache stats|gc|clear
@@ -24,9 +24,9 @@
 //! across a small pool of worker threads (`--workers N`, equivalent to
 //! `MATCH_WORKERS`; default `max(1, MATCH_CORES / jobs)`, and a job with one worker
 //! runs inline on the engine thread that picked it up), `coop` multiplexes all
-//! ranks of a job as fibers over one OS thread, `threads` is one OS thread per rank
-//! (the slow reference). Figure output is bit-identical across all three and any
-//! worker count; `coop` and `par` are the ones that scale to thousands of ranks.
+//! ranks of a job as fibers over one OS thread. Figure output is bit-identical
+//! across both and any worker count. A malformed `MATCH_BACKEND` or `MATCH_WORKERS`
+//! exits 2 naming the knob, like the flags.
 //! `--racks N` regroups the experiment topology's nodes into `N` racks (equivalent
 //! to `MATCH_RACKS`; must divide the paper-layout node count).
 //!
@@ -66,8 +66,8 @@
 use std::time::Instant;
 
 use match_bench::{
-    figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env, print_engine_line,
-    print_figure, print_recovery_series,
+    check_scheduler_env, figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env,
+    print_engine_line, print_figure, print_recovery_series,
 };
 use match_core::findings::Findings;
 use match_core::matrix::{full_suite_matrix, MatrixOptions};
@@ -102,7 +102,7 @@ targets:
 
 flags:
   -j, --jobs N      experiments run concurrently (MATCH_JOBS; default: host cores)
-  --backend NAME    scheduler backend: threads, coop or par (MATCH_BACKEND; par)
+  --backend NAME    scheduler backend: coop or par (MATCH_BACKEND; par)
   --workers N       worker threads of a par job (MATCH_WORKERS; cores / jobs)
   --racks N         racks of the simulated topology (MATCH_RACKS)
   --json            also write <target>.json, byte-identical for identical results
@@ -395,7 +395,7 @@ fn main() {
                     // starts, single-threaded) routes every target through it.
                     Ok(b) => std::env::set_var(match_core::mpisim::BACKEND_ENV_VAR, b.name()),
                     Err(error) => {
-                        eprintln!("--backend: {error} (expected threads|coop|par)");
+                        eprintln!("--backend: {error}");
                         std::process::exit(2);
                     }
                 }
@@ -429,6 +429,7 @@ fn main() {
             target => targets.push(target.to_string()),
         }
     }
+    check_scheduler_env();
     if let Some(path) = replay {
         run_replay(&path);
     }

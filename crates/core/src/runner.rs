@@ -344,11 +344,6 @@ mod tests {
     #[test]
     fn trace_runs_execute_inline_on_the_callers_thread() {
         let config = trace_cluster(8);
-        // Only the fiber default promises this: `threads` spawns a thread per rank,
-        // and so does every backend on a target without the fiber runtime.
-        if config.backend == mpisim::SchedBackend::Threads || !mpisim::COOP_SUPPORTED {
-            return;
-        }
         let caller = std::thread::current().id();
         let outcome = Cluster::new(config).run(move |ctx| {
             let world = ctx.world();

@@ -149,8 +149,8 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Creates an empty store behind an `Arc`, ready to be shared across rank threads
-    /// and application restarts.
+    /// Creates an empty store behind an `Arc`, ready to be shared by a job's ranks and
+    /// across application restarts.
     pub fn shared() -> Arc<Self> {
         Arc::new(CheckpointStore::default())
     }

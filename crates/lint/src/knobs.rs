@@ -32,7 +32,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "MATCH_BACKEND",
         default: "par",
-        doc: "rank scheduler backend: par, coop or threads",
+        doc: "rank scheduler backend: par or coop",
     },
     Knob {
         name: "MATCH_CACHE",

@@ -178,8 +178,8 @@ impl RankCtx {
     // ----- backend plumbing ----------------------------------------------------------
 
     /// Snapshots the wait channel `key` for a subsequent [`RankCtx::park`]. Must be
-    /// read **before** the condition the park guards is checked: on the backends whose
-    /// ranks park from several OS threads the token is what detects a wake racing the
+    /// read **before** the condition the park guards is checked: on `par`, whose ranks
+    /// park from several worker threads, the token is what detects a wake racing the
     /// check (the park then returns immediately); on `coop` it is inert.
     pub(crate) fn wait_token(&self, key: WaitKey) -> WaitToken {
         self.yielder.wait_token(self.rank, key)
@@ -1313,15 +1313,16 @@ fn check_f64_payload(payload: &[u8], src: usize) -> Result<(), MpiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::threads::ThreadShared;
+    use crate::sched::coop::CoopShared;
     use crate::state::ClusterState;
     use crate::topology::Topology;
 
-    /// Rank 0's context on a thread-backend job of `nprocs` ranks.
+    /// Rank 0's context on a cooperative job of `nprocs` ranks, outside any fiber:
+    /// a test may use it for everything but a park.
     fn rank0_ctx(nprocs: usize) -> RankCtx {
         let topology = Topology::single_node(nprocs);
         let state = ClusterState::new(nprocs, topology, MachineModel::default());
-        let yielder = Yielder::Threads(ThreadShared::for_job(&state));
+        let yielder = Yielder::Coop(CoopShared::for_job(&state));
         RankCtx::new(0, state, yielder)
     }
 

@@ -5,8 +5,7 @@
 //! fault-tolerance extensions) plays in the original MATCH paper.
 //!
 //! The central idea is **virtual time, real data**: every MPI rank runs as a fiber
-//! (or, on the reference backend, an operating system thread — see [`sched`])
-//! executing the *real* distributed algorithm on real buffers, but the
+//! (see [`sched`]) executing the *real* distributed algorithm on real buffers, but the
 //! time reported for an experiment is not wall-clock time. Instead each rank carries a
 //! virtual clock ([`SimTime`]) that is advanced by an explicit, calibrated machine model
 //! ([`MachineModel`]): point-to-point messages pay an α–β (latency + bytes/bandwidth)
@@ -52,6 +51,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+// Ranks run as fibers, whose context switch is assembly written for these targets.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "mpisim requires Linux on x86-64 or AArch64: rank fibers switch context in assembly"
+);
+
 pub mod collective;
 pub mod comm;
 pub mod ctx;
@@ -78,8 +86,7 @@ pub use machine::{LinkDomain, MachineModel};
 pub use msg::Payload;
 pub use runtime::{Cluster, ClusterConfig, RankOutcome, RunOutcome};
 pub use sched::{
-    set_default_par_workers, RankScheduler, SchedBackend, SchedStats, BACKEND_ENV_VAR,
-    COOP_SUPPORTED, WORKERS_ENV_VAR,
+    set_default_par_workers, SchedBackend, SchedStats, BACKEND_ENV_VAR, WORKERS_ENV_VAR,
 };
 pub use stats::{RankStats, TimeBreakdown};
 pub use time::SimTime;

@@ -1,13 +1,11 @@
 //! The cluster runtime: executes jobs on a scheduler backend (cooperative fibers on
-//! one or several worker threads — the default — or thread-per-rank) and collects
-//! the results.
+//! one thread, or sharded over several worker threads — the default) and collects the
+//! results.
 
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
 use crate::machine::MachineModel;
-use crate::sched::{
-    CoopScheduler, ParScheduler, RankScheduler, SchedBackend, SchedStats, ThreadScheduler,
-};
+use crate::sched::{coop, par, SchedBackend, SchedStats};
 use crate::state::ClusterState;
 use crate::stats::{RankStats, TimeBreakdown};
 use crate::time::SimTime;
@@ -28,21 +26,20 @@ pub struct ClusterConfig {
     pub nracks: Option<usize>,
     /// The machine model; defaults to [`MachineModel::haswell_cluster`].
     pub machine: MachineModel,
-    /// Stack size for rank threads (and cooperative fiber stacks) in bytes: the proxy
-    /// applications keep their data on the heap, so a modest stack suffices even for
-    /// 512-rank jobs.
+    /// Stack size of each rank's fiber in bytes: the proxy applications keep their
+    /// data on the heap, so a modest stack suffices even for 512-rank jobs.
     pub stack_size: usize,
     /// The scheduler backend rank programs run on. Defaults to the `MATCH_BACKEND`
     /// environment variable, then to [`SchedBackend::Par`]. Results are
-    /// bit-identical across backends by the [`RankScheduler`] contract — only
+    /// bit-identical across backends by the [`SchedBackend`] contract — only
     /// host-side scaling differs — which is why the experiment cache key does *not*
     /// include it.
     pub backend: SchedBackend,
     /// Worker-thread count of the `par` backend; 0 (the default) resolves through
     /// `MATCH_WORKERS`, then the suite engine's published core budget, then the
     /// host's available parallelism. A job resolved to one worker runs the `coop`
-    /// loop on the calling thread. Ignored by the other backends. Like the backend
-    /// itself, the count has no observable effect on results.
+    /// loop on the calling thread. Ignored by `coop`. Like the backend itself, the
+    /// count has no observable effect on results.
     pub workers: usize,
 }
 
@@ -220,9 +217,8 @@ impl<R> RunOutcome<R> {
 /// Each call to [`Cluster::run`] executes one job on the configured scheduler
 /// backend — all ranks as cooperative fibers, in the calling thread
 /// ([`SchedBackend::Coop`], or [`SchedBackend::Par`] resolved to one worker) or
-/// sharded over worker threads ([`SchedBackend::Par`], the default), or one OS thread
-/// per rank ([`SchedBackend::Threads`]) — hands each rank a
-/// fresh [`RankCtx`] over a fresh shared state, runs the provided closure and
+/// sharded over worker threads ([`SchedBackend::Par`], the default) — hands each rank
+/// a fresh [`RankCtx`] over a fresh shared state, runs the provided closure and
 /// collects every rank's result, virtual time, breakdown and statistics.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -258,10 +254,10 @@ impl Cluster {
     ///
     /// The closure receives the rank's [`RankCtx`] and returns either a result value or
     /// an [`MpiError`]. Errors do not abort the other ranks; they are reported in the
-    /// [`RunOutcome`]. On the fiber backends — the default included — the closure must
-    /// block only through simulated operations (receives, collectives, rendezvous,
-    /// the injector's detection barrier): a raw host-time spin loop would never yield
-    /// the OS thread its peers share.
+    /// [`RunOutcome`]. On either backend the closure must block only through
+    /// simulated operations (receives, collectives, rendezvous, the injector's
+    /// detection barrier): a raw host-time spin loop would never yield the OS thread
+    /// its peers share.
     pub fn run<R, F>(&self, body: F) -> RunOutcome<R>
     where
         R: Send,
@@ -270,9 +266,8 @@ impl Cluster {
         let topology = self.config.topology();
         let state = ClusterState::new(self.config.nprocs, topology, self.config.machine.clone());
         let (ranks, sched) = match self.config.backend {
-            SchedBackend::Threads => ThreadScheduler.run_job(&self.config, state, &body),
-            SchedBackend::Coop => CoopScheduler.run_job(&self.config, state, &body),
-            SchedBackend::Par => ParScheduler.run_job(&self.config, state, &body),
+            SchedBackend::Coop => coop::run_job(&self.config, state, &body),
+            SchedBackend::Par => par::run_job(&self.config, state, &body),
         };
         RunOutcome { ranks, sched }
     }
@@ -501,45 +496,9 @@ mod tests {
 
     // ----- cooperative backend -------------------------------------------------------
 
-    /// The reference the fiber backends are compared against.
-    fn threads_cluster(nprocs: usize) -> Cluster {
-        Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Threads))
-    }
-
+    /// The reference `par` is compared against.
     fn coop_cluster(nprocs: usize) -> Cluster {
         Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Coop))
-    }
-
-    #[test]
-    fn coop_collectives_and_p2p_match_threads() {
-        let program = |ctx: &mut RankCtx| {
-            let world = ctx.world();
-            let n = world.size();
-            let next = (world.rank() + 1) % n;
-            let prev = (world.rank() + n - 1) % n;
-            for _ in 0..3 {
-                ctx.compute(1e5);
-                let data = vec![ctx.rank() as f64; 8];
-                let got = ctx.sendrecv_f64(&world, next, &data, prev, 3)?;
-                assert_eq!(got[0] as usize, prev);
-                ctx.allreduce_sum_f64(&world, 1.0)?;
-            }
-            let sum = ctx.allreduce_sum_f64(&world, ctx.rank() as f64)?;
-            ctx.barrier(&world)?;
-            Ok((sum, ctx.now()))
-        };
-        let threads = threads_cluster(8).run(program);
-        let coop = coop_cluster(8).run(program);
-        assert!(threads.all_ok() && coop.all_ok(), "{:?}", coop.errors());
-        for rank in 0..8 {
-            assert_eq!(
-                threads.value_of(rank),
-                coop.value_of(rank),
-                "rank {rank}: backends must agree bit-for-bit"
-            );
-        }
-        assert_eq!(threads.max_time(), coop.max_time());
-        assert_eq!(threads.max_breakdown(), coop.max_breakdown());
     }
 
     #[test]
@@ -555,13 +514,12 @@ mod tests {
                 other => Err(MpiError::Internal(format!("unexpected: {other:?}"))),
             }
         };
-        let threads = threads_cluster(4).run(program);
         let coop = coop_cluster(4).run(program);
-        for rank in [0usize, 1, 2] {
+        for rank in [1usize, 2] {
             assert_eq!(
-                threads.value_of(rank),
                 coop.value_of(rank),
-                "abort clocks must be the deterministic failure instant on both backends"
+                coop.value_of(0),
+                "every survivor aborts at the one deterministic failure instant"
             );
         }
     }
@@ -607,12 +565,7 @@ mod tests {
     #[test]
     fn coop_runs_in_a_single_thread_per_job() {
         // The defining property of the backend: rank bodies all execute on the OS
-        // thread that called `run`, no matter how many ranks the job has. Without
-        // fiber support the coop backend degrades to threads, where neither this
-        // property nor the deadlock diagnosis below holds.
-        if !crate::sched::COOP_SUPPORTED {
-            return;
-        }
+        // thread that called `run`, no matter how many ranks the job has.
         let caller = std::thread::current().id();
         let outcome = coop_cluster(32).run(move |ctx| {
             assert_eq!(
@@ -629,13 +582,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "cooperative scheduler deadlock")]
     fn coop_deadlock_is_diagnosed_not_hung() {
-        // A receive nothing will ever send to: the thread backend would hang forever;
-        // the cooperative scheduler panics with a per-rank diagnosis. On targets
-        // without fiber support the coop backend degrades to threads (which would
-        // hang here), so satisfy the expected panic directly instead.
-        if !crate::sched::COOP_SUPPORTED {
-            panic!("cooperative scheduler deadlock diagnosis needs fiber support");
-        }
+        // A receive nothing will ever send to: the cooperative scheduler panics with
+        // a per-rank diagnosis instead of hanging.
         let _ = coop_cluster(2).run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 0 {
@@ -645,21 +593,6 @@ mod tests {
             }
             Ok(())
         });
-    }
-
-    #[test]
-    fn coop_virtual_time_matches_threads_exactly() {
-        let program = |ctx: &mut RankCtx| {
-            let world = ctx.world();
-            for _ in 0..5 {
-                ctx.compute(1e6);
-                ctx.allreduce_sum_f64(&world, 1.0)?;
-            }
-            Ok(())
-        };
-        let a = threads_cluster(8).run(program);
-        let b = coop_cluster(8).run(program);
-        assert_eq!(a.max_time(), b.max_time());
     }
 
     // ----- parallel backend ----------------------------------------------------------
@@ -676,10 +609,6 @@ mod tests {
     fn par_with_one_worker_runs_inline_on_the_callers_thread() {
         // par(1) is coop: no worker thread exists, every rank body executes on the OS
         // thread that called `run`. With two workers the bodies run on the workers.
-        // (Without fiber support `par` degrades to threads and neither holds.)
-        if !crate::sched::COOP_SUPPORTED {
-            return;
-        }
         let ranks_on_caller = |workers: usize| {
             let caller = std::thread::current().id();
             let outcome = par_cluster(8, workers).run(move |ctx| {
@@ -699,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn par_collectives_and_p2p_match_threads_at_any_worker_count() {
+    fn par_collectives_and_p2p_match_coop_at_any_worker_count() {
         let program = |ctx: &mut RankCtx| {
             let world = ctx.world();
             let n = world.size();
@@ -716,20 +645,21 @@ mod tests {
             ctx.barrier(&world)?;
             Ok((sum, ctx.now()))
         };
-        let threads = threads_cluster(8).run(program);
-        // Worker counts beyond nprocs are clamped; 1 degenerates to coop's schedule.
+        let coop = coop_cluster(8).run(program);
+        // Worker counts beyond nprocs are clamped; 1 is coop's schedule, 8 gives
+        // every rank a worker thread of its own.
         for workers in [1usize, 2, 3, 8, 16] {
             let par = par_cluster(8, workers).run(program);
-            assert!(threads.all_ok() && par.all_ok(), "{:?}", par.errors());
+            assert!(coop.all_ok() && par.all_ok(), "{:?}", par.errors());
             for rank in 0..8 {
                 assert_eq!(
-                    threads.value_of(rank),
+                    coop.value_of(rank),
                     par.value_of(rank),
-                    "rank {rank}: par({workers} workers) must agree with threads bit-for-bit"
+                    "rank {rank}: par({workers} workers) must agree with coop bit-for-bit"
                 );
             }
-            assert_eq!(threads.max_time(), par.max_time());
-            assert_eq!(threads.max_breakdown(), par.max_breakdown());
+            assert_eq!(coop.max_time(), par.max_time());
+            assert_eq!(coop.max_breakdown(), par.max_breakdown());
         }
     }
 
@@ -746,12 +676,12 @@ mod tests {
                 other => Err(MpiError::Internal(format!("unexpected: {other:?}"))),
             }
         };
-        let threads = threads_cluster(4).run(program);
+        let coop = coop_cluster(4).run(program);
         for workers in [2usize, 4] {
             let par = par_cluster(4, workers).run(program);
             for rank in [0usize, 1, 2] {
                 assert_eq!(
-                    threads.value_of(rank),
+                    coop.value_of(rank),
                     par.value_of(rank),
                     "abort clocks must be the deterministic failure instant on both backends"
                 );
@@ -803,12 +733,7 @@ mod tests {
     fn par_deadlock_is_diagnosed_not_hung() {
         // Two ranks on two workers, each receiving a message the other will never
         // send: every worker goes quiet with unfinished ranks parked, the census
-        // fires, and the job panics with a per-rank diagnosis instead of hanging. On
-        // targets without fiber support the par backend degrades to threads (which
-        // would hang here), so satisfy the expected panic directly instead.
-        if !crate::sched::COOP_SUPPORTED {
-            panic!("parallel scheduler deadlock diagnosis needs fiber support");
-        }
+        // fires, and the job panics with a per-rank diagnosis instead of hanging.
         let _ = par_cluster(2, 2).run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 0 {
@@ -821,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn par_virtual_time_matches_threads_exactly() {
+    fn par_virtual_time_matches_coop_exactly() {
         let program = |ctx: &mut RankCtx| {
             let world = ctx.world();
             for _ in 0..5 {
@@ -830,22 +755,20 @@ mod tests {
             }
             Ok(())
         };
-        let a = threads_cluster(8).run(program);
-        let b = par_cluster(8, 4).run(program);
-        assert_eq!(a.max_time(), b.max_time());
+        let a = coop_cluster(8).run(program);
+        for workers in [4, 8] {
+            let b = par_cluster(8, workers).run(program);
+            assert_eq!(a.max_time(), b.max_time(), "par({workers} workers)");
+        }
     }
 
     // ----- the collective slot protocol, on every wait strategy -----------------------
 
-    /// Every way a member of a collective round waits: its thread parked in the
-    /// kernel (`threads`), its fiber parked on one thread (`coop`) or across 2, 3 and
-    /// 4 workers.
+    /// Every way a member of a collective round waits: its fiber parked on one thread
+    /// (`coop`), across 2, 3 and 4 workers, or on a worker of its own.
     fn every_wait_strategy(nprocs: usize) -> Vec<(String, Cluster)> {
-        let par = [2, 3, 4].map(|w| (format!("par[{w}]"), par_cluster(nprocs, w)));
-        let mut all = vec![
-            ("threads".to_string(), threads_cluster(nprocs)),
-            ("coop".to_string(), coop_cluster(nprocs)),
-        ];
+        let par = [2, 3, 4, nprocs].map(|w| (format!("par[{w}]"), par_cluster(nprocs, w)));
+        let mut all = vec![("coop".to_string(), coop_cluster(nprocs))];
         all.extend(par);
         all
     }
@@ -872,7 +795,7 @@ mod tests {
             Ok((last.expect("at least one round"), ctx.now()))
         };
         for nprocs in [1usize, 12] {
-            let reference = threads_cluster(nprocs).run(program);
+            let reference = coop_cluster(nprocs).run(program);
             for (name, cluster) in every_wait_strategy(nprocs) {
                 let outcome = cluster.run(program);
                 assert!(outcome.all_ok(), "{name}: {:?}", outcome.errors());
@@ -920,7 +843,7 @@ mod tests {
             Ok((sums, ctx.now()))
         };
         let expected: Vec<f64> = (0..8).map(|round| (round * 10 * 8 + 28) as f64).collect();
-        let reference = threads_cluster(8).run(program);
+        let reference = coop_cluster(8).run(program);
         for (name, cluster) in every_wait_strategy(8) {
             let outcome = cluster.run(program);
             assert!(outcome.all_ok(), "{name}: {:?}", outcome.errors());

@@ -1,4 +1,4 @@
-//! Where wait channels live, and how ranks on several OS threads wait on them.
+//! Where wait channels live, and how ranks on several worker threads wait on them.
 //!
 //! A [`WaitKey`] is either a rank's mailbox or an object's address. Mailbox keys index
 //! a per-rank array — no hash, no collision, and only the mailbox's owner ever parks
@@ -9,21 +9,19 @@
 //! an object dropped and another allocated at its address simply keep using the
 //! bucket the address hashes to.
 //!
-//! Every bucket holds one channel per **lane**. `coop` and `threads` have one lane;
-//! `par` has one per worker and parks a rank on its owner's lane, on cache lines no
-//! other worker's parks write. What a channel *is* — a plain waiter list, or an
-//! eventcount — is the backend's business (the type parameter).
+//! Every bucket holds one channel per **lane**. `coop` has one lane; `par` has one
+//! per worker and parks a rank on its owner's lane, on cache lines no other worker's
+//! parks write. What a channel *is* — a plain waiter list, or an eventcount — is the
+//! backend's business (the type parameter).
 //!
-//! # The eventcount: waiting across OS threads
+//! # The eventcount: waiting across worker threads
 //!
 //! On one thread, `coop`'s check-then-park is atomic by construction, and its channels
 //! are plain `Vec<Waiter>` lists. Across threads it is not: between a rank observing
 //! "message not there yet" and parking, another thread can deposit the message and
 //! issue the wakeup — which would find nobody parked and be lost. [`Eventcount`] is
-//! the one implementation of waiting across OS threads; `par` (one lane per worker)
-//! and `threads` (one lane) both park on it and differ only in their [`Drain`]: what a
-//! wake does with a waiter it takes off a channel. `par` pushes it onto its owner's
-//! run queue; `threads` sets the rank's `woken` flag and unparks its thread.
+//! what `par` parks on, one lane per worker; a wake hands the waiters it takes off a
+//! channel to `ParShared::deliver`, which pushes them onto their owner's run queue.
 //!
 //! **Where `seq` lives.** Each [`Channel`] holds `seq` (bumped by every wake),
 //! `parked` (waiters listed or about to be) and the waiter list behind a mutex. A
@@ -67,6 +65,7 @@ use parking_lot::Mutex;
 
 use crate::time::SimTime;
 
+use super::par::ParShared;
 use super::{WaitKey, WaitToken};
 
 /// Number of hashed buckets object keys are spread over (a power of two).
@@ -177,7 +176,7 @@ impl<C> ChannelTable<C> {
     }
 }
 
-/// One wait channel shared by OS threads: an eventcount (see the module docs for the
+/// One wait channel shared by worker threads: an eventcount (see the module docs for the
 /// pairing argument).
 #[derive(Default)]
 pub(crate) struct Channel {
@@ -188,19 +187,7 @@ pub(crate) struct Channel {
     waiters: Mutex<Vec<Waiter>>,
 }
 
-/// What a client of the [`Eventcount`] does with the waiters a wake takes off a
-/// channel: the one thing `par` and `threads` differ in.
-pub(crate) trait Drain {
-    /// The lane `rank` parks on.
-    fn lane(&self, rank: usize) -> usize;
-
-    /// Makes every waiter `take` hands over — all listed on `lane` — runnable again.
-    /// Runs under the channel's list lock, so a listed waiter is handed over exactly
-    /// once.
-    fn deliver(&self, lane: usize, take: impl FnOnce(&mut dyn FnMut(Waiter)));
-}
-
-/// The wait channels of one job whose ranks park from several OS threads, plus the
+/// The wait channels of one job whose ranks park from several worker threads, plus the
 /// cluster-wide wake epoch (see the module docs).
 pub(crate) struct Eventcount {
     channels: ChannelTable<Channel>,
@@ -249,8 +236,8 @@ impl Eventcount {
 
     /// Wakes every rank parked on `key`, invalidating in-flight tokens first: on the
     /// lane of the mailbox's owner, or on every lane of an object key.
-    pub(crate) fn wake(&self, key: WaitKey, to: &impl Drain) {
-        let lanes = match key.mailbox_rank().map(|rank| to.lane(rank)) {
+    pub(crate) fn wake(&self, key: WaitKey, to: &ParShared) {
+        let lanes = match key.mailbox_rank().map(|rank| to.owner(rank)) {
             Some(owner) => owner..owner + 1,
             None => 0..self.channels.lanes,
         };
@@ -263,14 +250,14 @@ impl Eventcount {
 
     /// Wakes every parked rank but those parked on `spared`, after invalidating every
     /// in-flight token at once.
-    pub(crate) fn wake_all(&self, spared: Option<WaitKey>, to: &impl Drain) {
+    pub(crate) fn wake_all(&self, spared: Option<WaitKey>, to: &ParShared) {
         // Epoch first: it is the `seq` bump of every channel at once. A token read
         // before this line can no longer park after it, closing the race with ranks
         // mid-way between condition check and park. That also turns away a rank about
         // to park on the spared key, which merely re-checks its condition.
         self.epoch.fetch_add(1, Ordering::SeqCst);
         for (rank, chan) in self.channels.mailboxes().iter().enumerate() {
-            self.drain(chan, to.lane(rank), |_| true, to);
+            self.drain(chan, to.owner(rank), |_| true, to);
         }
         for (lane, chan) in self.channels.objects() {
             self.drain(chan, lane, |waiter| Some(waiter) != spared, to);
@@ -285,13 +272,7 @@ impl Eventcount {
     }
 
     /// Hands the waiters of `chan` that `select` picks to `to`, under the list lock.
-    fn drain(
-        &self,
-        chan: &Channel,
-        lane: usize,
-        select: impl Fn(WaitKey) -> bool,
-        to: &impl Drain,
-    ) {
+    fn drain(&self, chan: &Channel, lane: usize, select: impl Fn(WaitKey) -> bool, to: &ParShared) {
         if chan.parked.load(Ordering::SeqCst) == 0 {
             return;
         }
@@ -320,8 +301,7 @@ pub(crate) mod tests {
     use super::*;
     use std::time::{Duration, Instant};
 
-    use crate::sched::par::tests::running_job;
-    use crate::sched::threads::ThreadShared;
+    use crate::sched::par::tests::{assert_delivered, park_until_woken, running_job};
     use crate::sched::JobWaker;
 
     /// Two object keys that share a bucket.
@@ -395,44 +375,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// A client of the eventcount as the stress tests drive it: ranks park and wake
-    /// through it, and the test can tell that every validated park was delivered.
-    pub(crate) trait Client: Sync {
-        fn events(&self) -> &Eventcount;
-        fn token(&self, rank: usize, key: WaitKey) -> WaitToken;
-        /// Parks `rank` on the token's channel until a wake delivers it; `false` if
-        /// the token no longer validates.
-        fn park(&self, rank: usize, token: WaitToken) -> bool;
-        fn wake(&self, key: WaitKey);
-        /// How many parks the drain delivered.
-        fn delivered(&self) -> u64;
-        /// Gets a waiter that no wake will ever reach out of its park.
-        fn abandon(&self) {}
-    }
-
-    /// The `threads` backend's drain, as is: a parked rank's OS thread really sleeps
-    /// in `thread::park` until a wake sets its flag and unparks it.
-    impl Client for ThreadShared {
-        fn events(&self) -> &Eventcount {
-            &self.events
-        }
-        fn token(&self, _rank: usize, key: WaitKey) -> WaitToken {
-            self.events.wait_token(key, 0)
-        }
-        fn park(&self, rank: usize, token: WaitToken) -> bool {
-            ThreadShared::park(self, rank, token, SimTime::ZERO, false)
-        }
-        fn wake(&self, key: WaitKey) {
-            ThreadShared::wake(self, key);
-        }
-        fn delivered(&self) -> u64 {
-            self.sched_stats().wakes
-        }
-        fn abandon(&self) {
-            ThreadShared::abandon(self);
-        }
-    }
-
     /// One waiter/waker pair's shared condition: the round the waker has announced and
     /// the round the waiter has seen.
     #[derive(Default)]
@@ -443,15 +385,15 @@ pub(crate) mod tests {
 
     /// The blocking side of every operation: token, check, park — for [`ROUNDS`]
     /// rounds. Returns how many parks validated; each must be delivered exactly once.
-    fn wait_rounds(client: &impl Client, rank: usize, key: WaitKey, rounds: &Rounds) -> u64 {
+    fn wait_rounds(job: &ParShared, rank: usize, key: WaitKey, rounds: &Rounds) -> u64 {
         let mut parks = 0;
         for round in 1..=ROUNDS {
             loop {
-                let token = client.token(rank, key);
+                let token = job.wait_token(rank, key);
                 if rounds.announced.load(Ordering::SeqCst) >= round {
                     break;
                 }
-                parks += u64::from(client.park(rank, token));
+                parks += u64::from(park_until_woken(job, rank, token));
             }
             rounds.seen.store(round, Ordering::SeqCst);
         }
@@ -475,45 +417,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// Nothing parked, nothing queued, and exactly one delivery per validated park.
-    fn assert_delivered(client: &impl Client, parks: u64) {
-        assert_settled(client.events());
-        assert_eq!(client.delivered(), parks);
-    }
-
-    fn three_wakers_taking_turns_on_a_mailbox(client: &impl Client) {
+    #[test]
+    fn a_mailbox_channel_loses_no_wake_to_three_wakers_taking_turns() {
+        let job = running_job(4, 2);
         let key = WaitKey::mailbox(2);
         let rounds = Rounds::default();
         let parks = std::thread::scope(|scope| {
             for turn in 0..3 {
-                let rounds = &rounds;
-                scope.spawn(move || {
-                    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        wake_rounds(rounds, (turn, 3), || client.wake(key))
-                    }));
-                    if let Err(p) = served {
-                        // A waiter asleep for good must get out for the test to fail
-                        // instead of hanging.
-                        client.abandon();
-                        std::panic::resume_unwind(p);
-                    }
-                });
+                let (job, rounds) = (&job, &rounds);
+                scope.spawn(move || wake_rounds(rounds, (turn, 3), || job.wake(key)));
             }
-            wait_rounds(client, 2, key, &rounds)
+            wait_rounds(&job, 2, key, &rounds)
         });
-        assert_delivered(client, parks);
-    }
-
-    #[test]
-    fn a_mailbox_channel_loses_no_wake_to_three_wakers_taking_turns() {
-        three_wakers_taking_turns_on_a_mailbox(&running_job(4, 2));
-    }
-
-    #[test]
-    fn a_parked_thread_loses_no_wake_to_three_wakers_taking_turns() {
-        // The `threads` drain, with a real `thread::park`: a lost wake leaves the
-        // waiter asleep until the waker gives up and abandons the job.
-        three_wakers_taking_turns_on_a_mailbox(&ThreadShared::new(4));
+        assert_delivered(&job, parks);
     }
 
     #[test]

@@ -24,17 +24,16 @@
 //!   operation re-evaluates its deterministic abort predicate. These happen O(1) times
 //!   per recovery, which keeps one recovery at N ranks at O(N) fiber resumes.
 //!
-//! Every backend runs this one protocol; what is particular to `coop` is that
+//! Both backends run this one protocol; what is particular to `coop` is that
 //! everything runs on one thread, so the check-then-park sequence is atomic by
 //! construction: no condition can change between a task observing "not ready" and its
 //! fiber being parked. Its wait channels are therefore plain waiter lists with no
-//! atomics, and its tokens carry nothing — the eventcount `par` and `threads` park on
-//! would only re-derive what one thread has for free.
+//! atomics, and its tokens carry nothing — the eventcount `par` parks on would only
+//! re-derive what one thread has for free.
 //!
 //! If the run queue empties while unfinished tasks remain parked (an application
 //! deadlock — e.g. a receive nothing will ever send to), the scheduler panics with a
-//! per-rank diagnosis instead of hanging, which is strictly more debuggable than the
-//! thread backend's behaviour for the same bug.
+//! per-rank diagnosis instead of hanging.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -48,7 +47,8 @@ use crate::state::ClusterState;
 use crate::time::SimTime;
 
 use super::channels::{ChannelTable, Waiter};
-use super::{JobWaker, RankScheduler, SchedStats, WaitKey, Yielder};
+use super::fiber::{switch_context, Fiber};
+use super::{JobWaker, SchedStats, WaitKey, Yielder};
 
 /// Run-queue and wait-channel bookkeeping (behind one mutex; uncontended — only the
 /// job's OS thread ever takes it, but the type must be `Sync` because the cluster
@@ -127,6 +127,13 @@ impl CoopShared {
         }
     }
 
+    /// The scheduler state of a cooperative job over `state`, installed as its waker.
+    pub(crate) fn for_job(state: &ClusterState) -> Arc<CoopShared> {
+        let shared = Arc::new(CoopShared::new(state.nprocs));
+        state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
+        shared
+    }
+
     fn sched_ctx(&self) -> *mut usize {
         self.ctxs[0].get()
     }
@@ -149,18 +156,7 @@ impl CoopShared {
         }
         // SAFETY: single-thread switch discipline (see CoopShared's Sync rationale);
         // the scheduler context was saved when this fiber was resumed.
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        unsafe {
-            super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx());
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        unreachable!("cooperative tasks cannot exist without fiber support");
+        unsafe { switch_context(self.task_ctx(rank), *self.sched_ctx()) };
     }
 
     /// Makes every rank parked on `key` runnable.
@@ -174,18 +170,7 @@ impl CoopShared {
         loop {
             // SAFETY: as in `park`; the scheduler never resumes a Done task, so the
             // loop body runs exactly once.
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            unsafe {
-                super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx());
-            }
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            unreachable!("cooperative tasks cannot exist without fiber support");
+            unsafe { switch_context(self.task_ctx(rank), *self.sched_ctx()) };
         }
     }
 }
@@ -200,45 +185,7 @@ impl JobWaker for CoopShared {
     }
 }
 
-/// The cooperative scheduler backend (see the module docs). On targets without fiber
-/// support it transparently degrades to [`ThreadScheduler`](super::ThreadScheduler) — results are identical
-/// by the [`RankScheduler`] contract, only the scaling differs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoopScheduler;
-
-impl RankScheduler for CoopScheduler {
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> (Vec<RankOutcome<R>>, SchedStats)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-    {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            run_fibers(config, state, body)
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            super::ThreadScheduler.run_job(config, state, body)
-        }
-    }
-}
-
 /// Everything one fiber needs, at a stable address for the fiber's whole lifetime.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 struct RankJob<R, F> {
     rank: usize,
     state: Arc<ClusterState>,
@@ -248,10 +195,6 @@ struct RankJob<R, F> {
     panic_slot: *mut Option<Box<dyn std::any::Any + Send>>,
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 extern "C" fn fiber_main<R, F>(arg: *mut ()) -> !
 where
     R: Send,
@@ -264,7 +207,7 @@ where
         let yielder = Yielder::Coop(Arc::clone(&job.shared));
         let mut ctx = RankCtx::new(rank, Arc::clone(&job.state), yielder);
         // SAFETY: `body` outlives the scheduler loop (it is a reference held by the
-        // caller of run_fibers); fibers never outlive that call.
+        // caller of run_job); fibers never outlive that call.
         let result = unsafe { (*job.body)(&mut ctx) };
         RankOutcome {
             rank,
@@ -275,7 +218,7 @@ where
         }
     }));
     match outcome {
-        // SAFETY: `out` points into a vector owned by run_fibers, which only reads
+        // SAFETY: `out` points into a vector owned by run_job, which only reads
         // it after this fiber is Done; slot `rank` is written by this fiber alone.
         Ok(o) => unsafe { *job.out = Some(o) },
         // SAFETY: as for `out` — `panic_slot` is this rank's private slot in a
@@ -285,11 +228,10 @@ where
     job.shared.finish(rank)
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-pub(super) fn run_fibers<R, F>(
+/// Runs one job on the cooperative backend: every rank a fiber over a virtual-time
+/// run queue on the calling thread. Returns the outcomes ordered by rank, with the
+/// scheduler's counters.
+pub(crate) fn run_job<R, F>(
     config: &ClusterConfig,
     state: Arc<ClusterState>,
     body: &F,
@@ -298,11 +240,8 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
 {
-    use super::fiber::{switch_context, Fiber};
-
     let nprocs = state.nprocs;
-    let shared = Arc::new(CoopShared::new(nprocs));
-    state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
+    let shared = CoopShared::for_job(&state);
 
     let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
     let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> =
@@ -378,7 +317,7 @@ where
     }
 
     if let Some(p) = panics.iter_mut().find_map(Option::take) {
-        // Mirror the thread backend's join-propagation. Unfinished fibers are
+        // Mirror `JoinHandle::join`'s panic propagation. Unfinished fibers are
         // abandoned: their stacks are unmapped without unwinding, which can leak
         // heap objects held by suspended frames — acceptable for a dying job.
         drop(fibers);

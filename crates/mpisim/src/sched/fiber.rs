@@ -13,9 +13,9 @@
 //!   per architecture (x86-64 SysV and AArch64 AAPCS64), saving exactly the registers
 //!   the respective C ABI declares callee-saved (plus `mxcsr`/x87 control words on
 //!   x86-64, mirroring what Boost.Context does);
-//! * stacks are `mmap`ed with a leading [`GUARD_SIZE`] `PROT_NONE` guard region on
-//!   Linux, so a fiber overflowing its stack faults instead of silently corrupting a
-//!   neighbouring allocation (elsewhere a plain aligned heap allocation is used);
+//! * stacks are `mmap`ed with a leading [`GUARD_SIZE`] `PROT_NONE` guard region, so
+//!   a fiber overflowing its stack faults instead of silently corrupting a
+//!   neighbouring allocation;
 //! * dropped stacks are returned to a process-wide free list (capped at
 //!   [`stack::POOL_MAX_BYTES`]) keyed by mapping size, so back-to-back jobs — and the
 //!   [`par`](super::par) backend's worker threads in particular — reuse warm mappings

@@ -6,42 +6,37 @@
 //! function of virtual time (failure detection, message deliver-vs-abort decisions and
 //! collective completion are all resolved by virtual-time rules, never by host
 //! timing), any schedule that respects the blocking semantics produces bit-identical
-//! [`RunOutcome`](crate::RunOutcome)s. That property is the contract of the
-//! [`RankScheduler`] trait, and the backend-equivalence test suite enforces it.
+//! [`RunOutcome`](crate::RunOutcome)s. That property is the contract of
+//! [`SchedBackend`], and the backend-equivalence test suite enforces it.
 //!
-//! Every backend blocks the same way. A blocked receive, collective, rendezvous or
-//! detection barrier reads a [`WaitToken`] for its wait channel, checks its condition,
-//! and parks on the channel if the condition does not hold; the event it needs
-//! (message arrival, round completion, failure publication) wakes the channel. A
-//! backend only decides what "park" and "wake" mean — `sched/channels.rs` says where
-//! the channels live and why parks across OS threads lose no wake. No backend
-//! polls, sleeps on a timeout or reads host time while a rank waits.
+//! Both backends run every rank as a stackful fiber and block the same way. A
+//! blocked receive, collective, rendezvous or detection barrier reads a [`WaitToken`]
+//! for its wait channel, checks its condition, and parks on the channel if the
+//! condition does not hold; the event it needs (message arrival, round completion,
+//! failure publication) wakes the channel. A backend only decides what "park" and
+//! "wake" mean — `sched/channels.rs` says where the channels live and why parks across
+//! worker threads lose no wake. No backend polls, sleeps on a timeout or reads host
+//! time while a rank waits.
 //!
-//! Three backends implement the trait:
+//! The two backends:
 //!
-//! * [`ThreadScheduler`] (**`threads`**) — one OS thread per rank, true host
-//!   parallelism; a parked rank's thread sleeps in `thread::park` on the same
-//!   eventcount `par` uses, until a wake unparks it. The portable reference
-//!   implementation — what the fiber backends degrade to on targets without the fiber
-//!   runtime and what the equivalence tests compare against — and the slow one: on
-//!   the 2-core host of `benchmark/baseline.json` the 64-rank HPCCG cell costs 41 ms
-//!   on it (`mpisim.cell_ms.threads`) against 4.9 ms on `coop`, and the gap widens
-//!   with the rank count until the host runs out of threads around 2k ranks.
-//!   `benchmark/README.md` says how these rows are measured.
-//! * [`CoopScheduler`] (**`coop`**) — all ranks of a job multiplexed as stackful
-//!   fibers over **one** OS thread, driven by a virtual-time run queue: the scheduler
-//!   always resumes the runnable rank with the lowest virtual clock, and a parked
-//!   fiber is a saved stack pointer on a plain waiter list until a wake makes it
-//!   runnable again. This removes the per-rank host-thread cost entirely and lifts
-//!   the practical rank ceiling from hundreds to tens of thousands.
-//! * [`ParScheduler`] (**`par`**) — the multi-core variant of `coop`: the virtual-time
-//!   run queue is sharded over `MATCH_WORKERS` worker threads with deterministic
+//! * **`coop`** — all ranks of a job multiplexed as fibers over **one** OS
+//!   thread, driven by a virtual-time run queue: the scheduler always resumes the
+//!   runnable rank with the lowest virtual clock, and a parked fiber is a saved stack
+//!   pointer on a plain waiter list until a wake makes it runnable again. There is no
+//!   per-rank host thread, so the practical rank ceiling is tens of thousands. It is
+//!   the reference the equivalence tests compare `par` against.
+//! * **`par`** — the multi-core variant of `coop`: the virtual-time run
+//!   queue is sharded over `MATCH_WORKERS` worker threads with deterministic
 //!   contiguous rank-block ownership, each worker driving its own `(clock, rank)`
 //!   min-heap of pinned fibers, with token-validated park/wake channels (lock-free
 //!   eventcounts) at every communication edge. **The default backend.** A `par` job
-//!   whose worker count resolves to one *is* a `coop` job: it runs
-//!   [`CoopScheduler`]'s loop inline on the calling thread, with no worker thread
-//!   spawned and no atomic on any wait channel.
+//!   whose worker count resolves to one *is* a `coop` job: it runs `coop`'s loop
+//!   inline on the calling thread, with no worker thread spawned and no atomic on any
+//!   wait channel.
+//!
+//! The fiber runtime exists for Linux on x86-64 and AArch64 only, which is therefore
+//! what the crate builds for.
 //!
 //! # When `par` gets more than one worker
 //!
@@ -67,36 +62,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 
-use crate::ctx::RankCtx;
-use crate::error::MpiError;
-use crate::runtime::{ClusterConfig, RankOutcome};
-use crate::state::ClusterState;
 use crate::time::SimTime;
 
 pub(crate) mod channels;
 pub(crate) mod coop;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub(crate) mod fiber;
 pub(crate) mod par;
-pub(crate) mod threads;
 
-pub use coop::CoopScheduler;
-pub use par::ParScheduler;
-pub use threads::ThreadScheduler;
-
-/// Whether the cooperative backend's fiber runtime is available on this target
-/// (Linux on x86-64 or AArch64). Elsewhere [`CoopScheduler`] degrades to the thread
-/// backend — results are bit-identical either way, only the scaling differs.
-pub const COOP_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-/// Environment variable selecting the default scheduler backend (`threads`, `coop` or
-/// `par`).
+/// Environment variable selecting the default scheduler backend (`coop` or `par`).
 pub const BACKEND_ENV_VAR: &str = "MATCH_BACKEND";
 
 /// Environment variable selecting the default worker-thread count of the `par`
@@ -150,11 +123,27 @@ pub(crate) fn resolve_workers(explicit: usize) -> usize {
 }
 
 /// Which scheduler backend a job runs on (see the module docs).
+///
+/// # Contract
+///
+/// Both backends deliver **bit-identical** outcomes for the same job, with and
+/// without injected failures. This is achievable because the simulator resolves every
+/// scheduling-sensitive decision in virtual time; a backend's job is purely to find
+/// *an* execution order consistent with the blocking semantics:
+///
+/// * a rank blocked in a receive may only proceed when a matching message is queued
+///   or the deterministic abort rule fires;
+/// * a rank blocked in a collective may only proceed when the round has completed or
+///   the abort rule fires;
+/// * a rank parked at the recovery rendezvous proceeds when all ranks have arrived.
+///
+/// Both also propagate rank panics to the caller (after all other ranks have finished
+/// or been abandoned), mirroring `std::thread::JoinHandle::join`, and diagnose a job
+/// in which every unfinished rank is parked with a panic instead of hanging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedBackend {
-    /// One OS thread per simulated rank (the reference implementation).
-    Threads,
-    /// All ranks as cooperative fibers over a virtual-time run queue in one OS thread.
+    /// All ranks as cooperative fibers over a virtual-time run queue in one OS thread
+    /// (the reference).
     Coop,
     /// The virtual-time run queue sharded over `MATCH_WORKERS` worker threads, each
     /// owning a contiguous rank block of pinned fibers; with one worker, the `coop`
@@ -164,35 +153,27 @@ pub enum SchedBackend {
 }
 
 impl SchedBackend {
-    /// Every backend, in the order benches sweep them.
-    pub const ALL: [SchedBackend; 3] =
-        [SchedBackend::Threads, SchedBackend::Coop, SchedBackend::Par];
-
     /// Reads the backend from the `MATCH_BACKEND` environment variable, defaulting to
     /// [`SchedBackend::default`] (`par`). Unrecognized values fall back to the default
     /// (with one warning per process on stderr) rather than aborting a long bench run.
     pub fn from_env() -> SchedBackend {
         match std::env::var(BACKEND_ENV_VAR) {
             Err(_) => SchedBackend::default(),
-            Ok(s) => s.parse().unwrap_or_else(|_| {
+            Ok(s) => s.parse().unwrap_or_else(|error| {
                 let fallback = SchedBackend::default();
                 // Warn once: this runs per job, hundreds of times in one figure sweep.
                 static WARNED: Once = Once::new();
                 WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: {BACKEND_ENV_VAR}='{s}' is not a backend \
-                         (threads|coop|par); using {fallback}"
-                    );
+                    eprintln!("warning: {BACKEND_ENV_VAR}: {error}; using {fallback}");
                 });
                 fallback
             }),
         }
     }
 
-    /// The backend's canonical name (`"threads"` / `"coop"` / `"par"`).
+    /// The backend's canonical name (`"coop"` / `"par"`).
     pub fn name(self) -> &'static str {
         match self {
-            SchedBackend::Threads => "threads",
             SchedBackend::Coop => "coop",
             SchedBackend::Par => "par",
         }
@@ -204,10 +185,10 @@ impl std::str::FromStr for SchedBackend {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "threads" | "thread" => Ok(SchedBackend::Threads),
             "coop" | "fiber" | "fibers" => Ok(SchedBackend::Coop),
             "par" | "parallel" => Ok(SchedBackend::Par),
-            other => Err(format!("unknown scheduler backend '{other}'")),
+            "threads" | "thread" => Err("the threads backend was removed; use coop or par".into()),
+            other => Err(format!("unknown scheduler backend '{other}' (coop|par)")),
         }
     }
 }
@@ -218,15 +199,13 @@ impl std::fmt::Display for SchedBackend {
     }
 }
 
-/// Host-side scheduler counters of one job: how often ranks were started or resumed,
-/// suspended and made runnable again — rank fibers on `coop` and `par`, rank threads
-/// on `threads`. The counts describe host work only — they are no part of the
-/// simulated result and are exact run to run only on `coop`, whose schedule is
-/// deterministic.
+/// Host-side scheduler counters of one job: how often rank fibers were started or
+/// resumed, suspended and made runnable again. The counts describe host work only —
+/// they are no part of the simulated result and are exact run to run only on `coop`,
+/// whose schedule is deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Switches into a rank fiber, or returns of a suspended rank thread from its
-    /// park (each rank's first start included).
+    /// Switches into a rank fiber (each rank's first start included).
     pub resumes: u64,
     /// Suspensions of a rank on a wait channel.
     pub parks: u64,
@@ -235,40 +214,6 @@ pub struct SchedStats {
     /// Wakes after which the woken rank found its wait still unsatisfied and
     /// suspended again: work a more precise wake would have avoided.
     pub spurious_wakes: u64,
-}
-
-/// A scheduler backend: executes one simulated job over a shared
-/// [`ClusterState`] and returns every rank's outcome, ordered by rank, with the
-/// scheduler's own counters.
-///
-/// # Contract
-///
-/// Implementations must deliver **bit-identical** outcomes for the same
-/// `(state, body)` pair, with and without injected failures. This is achievable
-/// because the simulator resolves every scheduling-sensitive decision in virtual
-/// time; a backend's job is purely to find *an* execution order consistent with the
-/// blocking semantics:
-///
-/// * a rank blocked in a receive may only proceed when a matching message is queued
-///   or the deterministic abort rule fires;
-/// * a rank blocked in a collective may only proceed when the round has completed or
-///   the abort rule fires;
-/// * a rank parked at the recovery rendezvous proceeds when all ranks have arrived.
-///
-/// Backends must also propagate rank panics to the caller (after all other ranks have
-/// finished or been abandoned), mirroring `std::thread::JoinHandle::join`.
-pub trait RankScheduler {
-    /// Runs one job: executes `body` once per rank over `state` and collects the
-    /// per-rank outcomes ordered by rank.
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> (Vec<RankOutcome<R>>, SchedStats)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync;
 }
 
 /// Identifies what a blocked rank is parked on: a wait channel.
@@ -320,8 +265,8 @@ pub(crate) trait JobWaker: Send + Sync {
 /// condition and consumed by the park that follows a failed check.
 ///
 /// On the single-threaded `coop` backend the check-then-park sequence is atomic by
-/// construction and the token carries no information. On `par` and `threads`, whose
-/// ranks park from several OS threads, it is an eventcount: the park announces itself
+/// construction and the token carries no information. On `par`, whose ranks park from
+/// several worker threads, it is an eventcount: the park announces itself
 /// on the channel and then validates that neither the channel's sequence number nor
 /// the cluster-wide wake epoch has moved since the token was read, and returns
 /// *without suspending* if either did. A wake that raced between the condition check
@@ -348,9 +293,6 @@ impl WaitToken {
 /// The park/wake handle of the backend a job runs on — its shared scheduler state —
 /// held by every [`RankCtx`] of the job.
 pub(crate) enum Yielder {
-    /// One OS thread per rank: parks are token-validated (see [`WaitToken`]) and
-    /// sleep in `thread::park`.
-    Threads(Arc<threads::ThreadShared>),
     /// Single-threaded cooperative scheduling: parks are unconditional (the
     /// check-then-park sequence is atomic on one OS thread).
     Coop(Arc<coop::CoopShared>),
@@ -363,7 +305,6 @@ impl Yielder {
     /// the condition it would park on.
     pub(crate) fn wait_token(&self, rank: usize, key: WaitKey) -> WaitToken {
         match self {
-            Yielder::Threads(job) => job.events.wait_token(key, 0),
             Yielder::Coop(_) => WaitToken::immediate(key),
             Yielder::Par(job) => job.wait_token(rank, key),
         }
@@ -382,7 +323,6 @@ impl Yielder {
         suspended_before: bool,
     ) -> bool {
         match self {
-            Yielder::Threads(job) => job.park(rank, token, now, suspended_before),
             Yielder::Coop(job) => {
                 job.park(rank, token.key, now, suspended_before);
                 true
@@ -394,7 +334,6 @@ impl Yielder {
     /// Wakes every rank parked on `key`.
     pub(crate) fn wake(&self, key: WaitKey) {
         match self {
-            Yielder::Threads(job) => job.wake(key),
             Yielder::Coop(job) => job.wake(key),
             Yielder::Par(job) => job.wake(key),
         }
@@ -407,7 +346,8 @@ mod tests {
 
     #[test]
     fn backend_parses_and_prints() {
-        assert_eq!("threads".parse::<SchedBackend>(), Ok(SchedBackend::Threads));
+        let removed = "threads".parse::<SchedBackend>().unwrap_err();
+        assert!(removed.contains("removed"), "{removed}");
         assert_eq!("Coop".parse::<SchedBackend>(), Ok(SchedBackend::Coop));
         assert_eq!("fibers".parse::<SchedBackend>(), Ok(SchedBackend::Coop));
         assert_eq!("par".parse::<SchedBackend>(), Ok(SchedBackend::Par));
@@ -416,7 +356,6 @@ mod tests {
         assert_eq!(SchedBackend::Coop.to_string(), "coop");
         assert_eq!(SchedBackend::Par.to_string(), "par");
         assert_eq!(SchedBackend::default(), SchedBackend::Par);
-        assert_eq!(SchedBackend::ALL.len(), 3);
     }
 
     #[test]

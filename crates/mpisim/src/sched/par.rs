@@ -24,26 +24,26 @@
 //! failure detection compares virtual timestamps, deliver-vs-abort consults virtual
 //! quiescence, collective completion is `max(entry) + max(cost)` over all members.
 //! Host interleaving can therefore change *when on the wall clock* a rank runs, but
-//! never *what it computes* — the `threads` backend (maximally racy: one OS thread
-//! per rank, no run queue at all) proves this property, and the backend-equivalence
-//! suite enforces it. What a multi-worker scheduler must guarantee is the blocking
-//! semantics: no lost wakeups, panics propagated, deadlocks diagnosed. It does **not**
-//! need to emulate the single-threaded pop order across blocks, so workers run their
-//! blocks freely and only synchronise at communication edges.
+//! never *what it computes* — the backend-equivalence suite holds `par` at 1, 2, 4
+//! and 8 workers to `coop`'s single-threaded schedule bit for bit. What a
+//! multi-worker scheduler must guarantee is the blocking semantics: no lost wakeups,
+//! panics propagated, deadlocks diagnosed. It does **not** need to emulate the
+//! single-threaded pop order across blocks, so workers run their blocks freely and
+//! only synchronise at communication edges.
 //!
 //! A job whose worker count resolves to **one** never gets here: one block owning
-//! every rank is the `coop` scheduler by definition, so `run_workers` hands such a
-//! job to [`coop`](super::coop)'s loop on the calling thread. Everything below
-//! describes jobs with at least two workers.
+//! every rank is the `coop` scheduler by definition, so `run_job` hands such a job to
+//! `coop`'s loop on the calling thread. Everything below describes jobs with at least
+//! two workers.
 //!
 //! # Token-validated parks (no lost wakeups)
 //!
 //! On one thread, `coop`'s check-then-park is atomic by construction. Across workers
 //! it is not, so `par` parks on the job's [`Eventcount`](super::channels) — the
-//! token-validated wait channels it shares with the `threads` backend, whose module
-//! docs give the pairing argument — with one lane per worker. Its [`Drain`] pushes a
-//! lane's woken waiters onto the heap of the worker that owns the lane, under one
-//! queue lock per batch.
+//! token-validated wait channels whose module docs give the pairing argument — with
+//! one lane per worker. A wake hands a lane's woken waiters to
+//! [`ParShared::deliver`], which pushes them onto the heap of the worker that owns
+//! the lane, under one queue lock per batch.
 //!
 //! # Deadlock diagnosis
 //!
@@ -67,8 +67,9 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
-use super::channels::{Drain, Eventcount, Waiter};
-use super::{JobWaker, RankScheduler, SchedStats, WaitKey, WaitToken, Yielder};
+use super::channels::{Eventcount, Waiter};
+use super::fiber::{switch_context, Fiber};
+use super::{JobWaker, SchedStats, WaitKey, WaitToken, Yielder};
 
 /// How long an idle worker sleeps before re-running the deadlock census. Workers add
 /// a per-worker offset so their censuses don't lock-step.
@@ -169,7 +170,9 @@ impl ParShared {
         }
     }
 
-    fn owner(&self, rank: usize) -> usize {
+    /// The worker that owns `rank`: the one that runs its fiber, and whose lane of
+    /// every object channel it parks on.
+    pub(super) fn owner(&self, rank: usize) -> usize {
         owner_of(rank, self.nprocs, self.nworkers)
     }
 
@@ -214,23 +217,33 @@ impl ParShared {
     fn switch_to_scheduler(&self, rank: usize) {
         // SAFETY: pinned-fiber switch discipline (see ParShared's Sync rationale);
         // the owning worker's scheduler context was saved when it resumed this fiber.
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        unsafe {
-            super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx(self.owner(rank)));
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        unreachable!("parallel tasks cannot exist without fiber support");
+        unsafe { switch_context(self.task_ctx(rank), *self.sched_ctx(self.owner(rank))) };
     }
 
     /// Wakes every rank parked on `key`, invalidating in-flight tokens first.
     pub(crate) fn wake(&self, key: WaitKey) {
         self.events.wake(key, self);
+    }
+
+    /// Makes every waiter `take` hands over — all listed on `lane` — runnable again:
+    /// pushes them onto the heap of the lane's worker (every waiter of one channel
+    /// lane has that owner) under one queue lock. Runs under the channel's list lock,
+    /// so a listed waiter is handed over exactly once. Lock order list → queue;
+    /// nothing takes them the other way round.
+    pub(super) fn deliver(&self, lane: usize, take: impl FnOnce(&mut dyn FnMut(Waiter))) {
+        let worker = &self.workers[lane];
+        let mut q = worker.q.lock();
+        let mut woken = 0;
+        take(&mut |w| {
+            q.heap.push(std::cmp::Reverse((w.clock, w.rank)));
+            woken += 1;
+        });
+        q.wakes += woken;
+        let notify = q.idle && woken > 0;
+        drop(q);
+        if notify {
+            worker.cv.notify_one();
+        }
     }
 
     /// Flags the job abandoned and wakes every idle worker so it notices.
@@ -251,18 +264,7 @@ impl ParShared {
         loop {
             // SAFETY: as in `park`; finished ranks are never re-enqueued, so the
             // owning worker never resumes this context and the loop body runs once.
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            unsafe {
-                super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx(worker));
-            }
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            unreachable!("parallel tasks cannot exist without fiber support");
+            unsafe { switch_context(self.task_ctx(rank), *self.sched_ctx(worker)) };
         }
     }
 
@@ -307,31 +309,6 @@ fn owner_of(rank: usize, nprocs: usize, nworkers: usize) -> usize {
     rank * nworkers / nprocs
 }
 
-impl Drain for ParShared {
-    fn lane(&self, rank: usize) -> usize {
-        self.owner(rank)
-    }
-
-    /// Pushes the woken waiters onto the heap of the lane's worker (every waiter of
-    /// one channel lane has that owner) under one queue lock. Lock order list → queue;
-    /// nothing takes them the other way round.
-    fn deliver(&self, lane: usize, take: impl FnOnce(&mut dyn FnMut(Waiter))) {
-        let worker = &self.workers[lane];
-        let mut q = worker.q.lock();
-        let mut woken = 0;
-        take(&mut |w| {
-            q.heap.push(std::cmp::Reverse((w.clock, w.rank)));
-            woken += 1;
-        });
-        q.wakes += woken;
-        let notify = q.idle && woken > 0;
-        drop(q);
-        if notify {
-            worker.cv.notify_one();
-        }
-    }
-}
-
 impl JobWaker for ParShared {
     fn wake_key(&self, key: WaitKey) {
         self.wake(key);
@@ -342,45 +319,7 @@ impl JobWaker for ParShared {
     }
 }
 
-/// The parallel scheduler backend (see the module docs). On targets without fiber
-/// support it transparently degrades to [`ThreadScheduler`](super::ThreadScheduler) —
-/// results are identical by the [`RankScheduler`] contract, only the scaling differs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParScheduler;
-
-impl RankScheduler for ParScheduler {
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> (Vec<RankOutcome<R>>, SchedStats)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-    {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            run_workers(config, state, body)
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            super::ThreadScheduler.run_job(config, state, body)
-        }
-    }
-}
-
 /// Everything one fiber needs, at a stable address for the fiber's whole lifetime.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 struct ParRankJob<R, F> {
     rank: usize,
     state: Arc<ClusterState>,
@@ -390,10 +329,6 @@ struct ParRankJob<R, F> {
     panic_slot: *mut Option<Box<dyn std::any::Any + Send>>,
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 extern "C" fn fiber_main<R, F>(arg: *mut ()) -> !
 where
     R: Send,
@@ -407,7 +342,7 @@ where
         let yielder = Yielder::Par(Arc::clone(&job.shared));
         let mut ctx = RankCtx::new(rank, Arc::clone(&job.state), yielder);
         // SAFETY: `body` outlives the worker loops (it is a reference held by the
-        // caller of run_workers); fibers never outlive that call.
+        // caller of run_job); fibers never outlive that call.
         let result = unsafe { (*job.body)(&mut ctx) };
         RankOutcome {
             rank,
@@ -418,7 +353,7 @@ where
         }
     }));
     match outcome {
-        // SAFETY: `out` points into a vector owned by run_workers, which only reads
+        // SAFETY: `out` points into a vector owned by run_job, which only reads
         // it after the worker threads have joined; slot `rank` is written by this
         // fiber alone.
         Ok(o) => unsafe { *job.out = Some(o) },
@@ -434,11 +369,10 @@ where
     job.shared.finish(rank)
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn run_workers<R, F>(
+/// Runs one job on the parallel backend (see the module docs); a job resolved to one
+/// worker runs on `coop`'s loop instead. Returns the outcomes ordered by rank, with
+/// the scheduler's counters.
+pub(crate) fn run_job<R, F>(
     config: &ClusterConfig,
     state: Arc<ClusterState>,
     body: &F,
@@ -447,15 +381,13 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
 {
-    use super::fiber::Fiber;
-
     let nprocs = state.nprocs;
     let nworkers = super::resolve_workers(config.workers).min(nprocs).max(1);
     if nworkers == 1 {
         // par(1) *is* coop: one worker owns every rank, so the sharded machinery (a
         // spawned thread, token-validated parks, atomics on every channel) would only
         // re-derive what the single-threaded loop has by construction.
-        return super::coop::run_fibers(config, state, body);
+        return super::coop::run_job(config, state, body);
     }
     let shared = Arc::new(ParShared::new(nprocs, nworkers));
     state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
@@ -516,7 +448,7 @@ where
     });
 
     if let Some(p) = panics.iter_mut().find_map(Option::take) {
-        // Mirror the thread backend's join-propagation. Unfinished fibers are
+        // Mirror `JoinHandle::join`'s panic propagation. Unfinished fibers are
         // abandoned: their stacks are unmapped without unwinding, which can leak
         // heap objects held by suspended frames — acceptable for a dying job.
         drop(fibers);
@@ -545,13 +477,7 @@ where
 /// One worker's scheduler loop: pop the lowest-clock owned rank and switch into its
 /// fiber; when the heap is empty, exit if all owned ranks finished, otherwise census
 /// and idle-wait.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 fn worker_loop(shared: &ParShared, me: usize) {
-    use super::fiber::switch_context;
-
     let worker = &shared.workers[me];
     loop {
         if shared.abandon.load(Ordering::SeqCst) {
@@ -604,7 +530,7 @@ fn worker_loop(shared: &ParShared, me: usize) {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::super::channels::tests::{assert_settled, colliding_keys, spin_until, Client};
+    use super::super::channels::tests::{assert_settled, colliding_keys, spin_until};
     use super::*;
 
     #[test]
@@ -649,31 +575,25 @@ pub(crate) mod tests {
         }
     }
 
-    /// `par`'s drain without fibers: a validated park waits until its wake has put
-    /// the rank on its owner's heap, and takes it off again.
-    impl Client for ParShared {
-        fn events(&self) -> &Eventcount {
-            &self.events
+    /// `par`'s park without fibers: a validated park waits until its wake has put the
+    /// rank on its owner's heap, and takes it off again; `false` if the token no
+    /// longer validates.
+    pub(crate) fn park_until_woken(shared: &ParShared, rank: usize, token: WaitToken) -> bool {
+        if !enlist(shared, rank, token) {
+            return false;
         }
-        fn token(&self, rank: usize, key: WaitKey) -> WaitToken {
-            self.wait_token(rank, key)
-        }
-        fn park(&self, rank: usize, token: WaitToken) -> bool {
-            if !enlist(self, rank, token) {
-                return false;
-            }
-            spin_until(
-                || format!("the wake of rank {rank} parked on {:?}", token.key),
-                || claim(self, rank),
-            );
-            true
-        }
-        fn wake(&self, key: WaitKey) {
-            ParShared::wake(self, key);
-        }
-        fn delivered(&self) -> u64 {
-            self.workers.iter().map(|w| w.q.lock().wakes).sum()
-        }
+        spin_until(
+            || format!("the wake of rank {rank} parked on {:?}", token.key),
+            || claim(shared, rank),
+        );
+        true
+    }
+
+    /// Nothing parked, nothing queued, and exactly one delivery per validated park.
+    pub(crate) fn assert_delivered(shared: &ParShared, parks: u64) {
+        assert_settled(&shared.events);
+        let delivered: u64 = shared.workers.iter().map(|w| w.q.lock().wakes).sum();
+        assert_eq!(delivered, parks);
     }
 
     #[test]

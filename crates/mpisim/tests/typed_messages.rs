@@ -5,11 +5,10 @@
 use mpisim::datatype::pack_f64;
 use mpisim::{Cluster, ClusterConfig, MpiError, Payload, SchedBackend};
 
-/// The three backends, `par` with two workers so that ranks really run on two threads.
-fn every_backend(nprocs: usize) -> [(&'static str, Cluster); 3] {
+/// Both backends, `par` with two workers so that ranks really run on two threads.
+fn every_backend(nprocs: usize) -> [(&'static str, Cluster); 2] {
     let on = |backend| ClusterConfig::with_ranks(nprocs).backend(backend);
     [
-        ("threads", Cluster::new(on(SchedBackend::Threads))),
         ("coop", Cluster::new(on(SchedBackend::Coop))),
         ("par[2]", Cluster::new(on(SchedBackend::Par).workers(2))),
     ]

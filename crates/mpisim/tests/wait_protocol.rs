@@ -6,12 +6,10 @@ use std::time::Duration;
 
 use mpisim::{Cluster, ClusterConfig, MpiError, SchedBackend};
 
-/// The three backends, `par` with two workers so that ranks really park across
-/// threads.
-fn every_backend(nprocs: usize) -> [(&'static str, Cluster); 3] {
+/// Both backends, `par` with two workers so that ranks really park across threads.
+fn every_backend(nprocs: usize) -> [(&'static str, Cluster); 2] {
     let on = |backend| ClusterConfig::with_ranks(nprocs).backend(backend);
     [
-        ("threads", Cluster::new(on(SchedBackend::Threads))),
         ("coop", Cluster::new(on(SchedBackend::Coop))),
         ("par[2]", Cluster::new(on(SchedBackend::Par).workers(2))),
     ]
@@ -53,10 +51,12 @@ fn a_rank_panic_ends_the_job_with_that_panic_on_every_backend() {
 }
 
 #[test]
-fn a_thread_backend_receive_parks_once_and_is_woken_once() {
-    // The sender takes 50 ms of host time: a receiver that polled would wake up
-    // several times in vain before the message arrives; a parked one wakes once.
-    let cluster = Cluster::new(ClusterConfig::with_ranks(2).backend(SchedBackend::Threads));
+fn a_cross_worker_receive_parks_once_and_is_woken_once() {
+    // Sender and receiver on different workers of a `par` job, and the sender takes
+    // 50 ms of host time: a receiver that polled would wake up several times in vain
+    // before the message arrives; a parked one wakes once.
+    let on_two_workers = ClusterConfig::with_ranks(2).backend(SchedBackend::Par);
+    let cluster = Cluster::new(on_two_workers.workers(2));
     let outcome = cluster.run(|ctx| {
         let world = ctx.world();
         if ctx.rank() == 0 {
@@ -75,6 +75,6 @@ fn a_thread_backend_receive_parks_once_and_is_woken_once() {
     assert_eq!(
         stats.resumes,
         2 + 1,
-        "two thread starts and one park: {stats:?}"
+        "two fiber starts and one park: {stats:?}"
     );
 }

@@ -1,14 +1,14 @@
-//! Backend-equivalence suite: the `threads`, `coop` and `par` scheduler backends must
-//! be observationally indistinguishable — every run is a pure function of virtual
-//! time, so a job's results, time breakdowns, statistics and per-attempt accounting
-//! must be **bit-identical** across backends (and, for `par`, across any worker
-//! count), with and without injected failures. This is the contract of
-//! `mpisim::RankScheduler`, and it is what lets the experiment cache key omit the
-//! backend entirely.
+//! Backend-equivalence suite: the `coop` and `par` scheduler backends must be
+//! observationally indistinguishable — every run is a pure function of virtual time,
+//! so a job's results, time breakdowns, statistics and per-attempt accounting must be
+//! **bit-identical** across backends (and, for `par`, across any worker count), with
+//! and without injected failures. `coop`, whose single-threaded schedule is the same
+//! every run, is the reference. This is the contract of `mpisim::SchedBackend`, and it
+//! is what lets the experiment cache key omit the backend entirely.
 
 /// The `par` worker counts every equivalence test sweeps: the degenerate single
-/// worker, small shard counts that split 4 ranks unevenly, and more workers than
-/// ranks (clamped internally).
+/// worker, two ranks per worker, one rank per worker (every rank parks and is woken
+/// on an OS thread of its own), and more workers than ranks (clamped internally).
 const PAR_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 use std::sync::Arc;
@@ -159,19 +159,11 @@ fn resilient_config() -> FtiConfig {
 fn failure_free_runs_are_bit_identical_across_backends() {
     for strategy in RecoveryStrategy::ALL {
         let (a, ba) = run_trace_on(
-            SchedBackend::Threads,
-            strategy,
-            FailureTrace::none(),
-            resilient_config(),
-        );
-        let (b, bb) = run_trace_on(
             SchedBackend::Coop,
             strategy,
             FailureTrace::none(),
             resilient_config(),
         );
-        assert_eq!(a, b, "{strategy}: per-rank observations diverged");
-        assert_eq!(ba, bb, "{strategy}: time breakdowns diverged");
         for workers in PAR_WORKERS {
             let (c, bc) = run_trace_on_workers(
                 SchedBackend::Par,
@@ -191,12 +183,6 @@ fn node_crash_recovery_is_bit_identical_across_backends() {
     let trace = FailureTrace::schedule(vec![FailureSpec::crash_node(1, 6)]);
     for strategy in RecoveryStrategy::ALL {
         let (a, ba) = run_trace_on(
-            SchedBackend::Threads,
-            strategy,
-            trace.clone(),
-            resilient_config(),
-        );
-        let (b, bb) = run_trace_on(
             SchedBackend::Coop,
             strategy,
             trace.clone(),
@@ -210,8 +196,6 @@ fn node_crash_recovery_is_bit_identical_across_backends() {
                 .all(|o| o.recoveries >= 1),
             "{strategy}: no recovery"
         );
-        assert_eq!(a, b, "{strategy}: node-crash observations diverged");
-        assert_eq!(ba, bb, "{strategy}: node-crash breakdowns diverged");
         for workers in PAR_WORKERS {
             let (c, bc) = run_trace_on_workers(
                 SchedBackend::Par,
@@ -234,7 +218,7 @@ fn node_crash_recovery_is_bit_identical_across_backends() {
 
 /// The dedicated shrink leg: a *partitioned* dataset (so the shrinking recovery
 /// actually moves blocks between survivors) run under `SHRINK-FTI` must be
-/// bit-identical across `threads`, `coop` and `par` at every worker count — the
+/// bit-identical across `coop` and `par` at every worker count — the
 /// redistribution messages are part of the virtual-time contract.
 #[test]
 fn shrink_redistribution_is_bit_identical_across_backends() {
@@ -315,7 +299,7 @@ fn shrink_redistribution_is_bit_identical_across_backends() {
         (observations, outcome.max_breakdown())
     };
 
-    let (a, ba) = run(SchedBackend::Threads, 0);
+    let (a, ba) = run(SchedBackend::Coop, 0);
     // The casualty reports no value; every survivor owns part of the full array and
     // agrees on the global sum (each element advanced by every one of the 12 steps).
     assert_eq!(a[2].value, None);
@@ -325,9 +309,6 @@ fn shrink_redistribution_is_bit_identical_across_backends() {
             assert_eq!(o.value, Some(expected), "rank {rank}");
         }
     }
-    let (b, bb) = run(SchedBackend::Coop, 0);
-    assert_eq!(a, b, "shrink redistribution diverged on coop");
-    assert_eq!(ba, bb, "shrink breakdowns diverged on coop");
     for workers in PAR_WORKERS {
         let (c, bc) = run(SchedBackend::Par, workers);
         assert_eq!(a, c, "shrink redistribution diverged on par[w={workers}]");
@@ -348,19 +329,11 @@ fn simultaneous_kills_under_shrink_are_bit_identical_across_backends() {
     ]);
     for _ in 0..12 {
         let (a, ba) = run_trace_on(
-            SchedBackend::Threads,
-            RecoveryStrategy::Shrink,
-            trace.clone(),
-            resilient_config(),
-        );
-        let (b, bb) = run_trace_on(
             SchedBackend::Coop,
             RecoveryStrategy::Shrink,
             trace.clone(),
             resilient_config(),
         );
-        assert_eq!(a, b, "double-kill shrink diverged on coop");
-        assert_eq!(ba, bb, "double-kill shrink breakdowns diverged on coop");
         for workers in PAR_WORKERS {
             let (c, bc) = run_trace_on_workers(
                 SchedBackend::Par,
@@ -379,9 +352,9 @@ fn simultaneous_kills_under_shrink_are_bit_identical_across_backends() {
 }
 
 /// The wide leg of the matrix: at 256 ranks a recovery is a few hundred parkings and
-/// two cluster-wide broadcasts racing each other across `par`'s workers and across
-/// 256 host threads — the regime the targeted failure-transition wakes were built
-/// for. One with-failure cell per design, bit-identical on every backend.
+/// two cluster-wide broadcasts racing each other across `par`'s workers — the regime
+/// the targeted failure-transition wakes were built for. One with-failure cell per
+/// design, bit-identical on every backend.
 #[test]
 fn wide_cells_with_a_failure_are_bit_identical_across_backends() {
     const WIDE: usize = 256;
@@ -398,22 +371,15 @@ fn wide_cells_with_a_failure_are_bit_identical_across_backends() {
                 resilient_config(),
             )
         };
-        let (a, ba) = run(SchedBackend::Threads, 0);
+        let (a, ba) = run(SchedBackend::Coop, 0);
         assert!(
             a.iter().any(|o| o.recoveries == 1),
             "{strategy} must recover"
         );
-        for (backend, workers) in [
-            (SchedBackend::Coop, 0),
-            (SchedBackend::Par, 2),
-            (SchedBackend::Par, 3),
-        ] {
-            let (b, bb) = run(backend, workers);
-            assert_eq!(a, b, "{strategy} diverged on {backend}[w={workers}]");
-            assert_eq!(
-                ba, bb,
-                "{strategy} breakdowns diverged on {backend}[w={workers}]"
-            );
+        for workers in [2, 3] {
+            let (b, bb) = run(SchedBackend::Par, workers);
+            assert_eq!(a, b, "{strategy} diverged on par[w={workers}]");
+            assert_eq!(ba, bb, "{strategy} breakdowns diverged on par[w={workers}]");
         }
     }
 }
@@ -422,8 +388,8 @@ fn wide_cells_with_a_failure_are_bit_identical_across_backends() {
 /// exchange, an all-gather, a barrier and a max-reduce back to back — no rank waits
 /// for a round to drain before depositing into the next — and the victim dies between
 /// two of them, after its peers have run ahead into a round it will never join. The
-/// respawn designs must be bit-identical to `threads` on `coop` and on `par` at 2, 3
-/// and 4 workers (12 ranks: even, uneven and one-node-per-worker blocks).
+/// respawn designs must be bit-identical to `coop` on `par` at 2, 3 and 4 workers
+/// (12 ranks: even, uneven and one-node-per-worker blocks).
 #[test]
 fn collective_heavy_rounds_with_a_kill_are_bit_identical_across_backends() {
     const RANKS: usize = 12;
@@ -475,7 +441,7 @@ fn collective_heavy_rounds_with_a_kill_are_bit_identical_across_backends() {
             let fti = resilient_config();
             run_app_in(cluster, strategy, trace.clone(), fti, collective_app)
         };
-        let (a, ba) = run(SchedBackend::Threads, 0);
+        let (a, ba) = run(SchedBackend::Coop, 0);
         assert!(
             a.iter().all(|o| o.recoveries == 1),
             "{strategy} must recover"
@@ -484,18 +450,10 @@ fn collective_heavy_rounds_with_a_kill_are_bit_identical_across_backends() {
             a.iter().all(|o| o.value == a[0].value),
             "{strategy}: one answer"
         );
-        for (backend, workers) in [
-            (SchedBackend::Coop, 0),
-            (SchedBackend::Par, 2),
-            (SchedBackend::Par, 3),
-            (SchedBackend::Par, 4),
-        ] {
-            let (b, bb) = run(backend, workers);
-            assert_eq!(a, b, "{strategy} diverged on {backend}[w={workers}]");
-            assert_eq!(
-                ba, bb,
-                "{strategy} breakdowns diverged on {backend}[w={workers}]"
-            );
+        for workers in [2, 3, 4] {
+            let (b, bb) = run(SchedBackend::Par, workers);
+            assert_eq!(a, b, "{strategy} diverged on par[w={workers}]");
+            assert_eq!(ba, bb, "{strategy} breakdowns diverged on par[w={workers}]");
         }
     }
 }
@@ -533,10 +491,10 @@ impl Drop for SchedEnv {
 /// The library-default leg: a configuration that names no backend, in a process
 /// whose environment names none either, runs on `SchedBackend::default()` with the
 /// default worker resolution — the path every figure takes — and must equal the
-/// `threads` reference bit for bit. One with-failure cell per design at 64 ranks
+/// `coop` reference bit for bit. One with-failure cell per design at 64 ranks
 /// (a few ranks per worker on a small host) and at 256.
 #[test]
-fn library_default_backend_is_bit_identical_to_threads() {
+fn library_default_backend_is_bit_identical_to_coop() {
     let _env = SchedEnv::hold();
     std::env::remove_var("MATCH_BACKEND");
     std::env::remove_var("MATCH_WORKERS");
@@ -547,7 +505,7 @@ fn library_default_backend_is_bit_identical_to_threads() {
         let trace = FailureTrace::schedule(vec![FailureSpec::kill_process(nprocs / 3, 7)]);
         for strategy in RecoveryStrategy::ALL {
             let run = |cluster| run_trace_in(cluster, strategy, trace.clone(), resilient_config());
-            let (a, ba) = run(default.clone().backend(SchedBackend::Threads));
+            let (a, ba) = run(default.clone().backend(SchedBackend::Coop));
             assert!(
                 a.iter().any(|o| o.recoveries == 1),
                 "{strategy} must recover"
@@ -568,11 +526,6 @@ fn library_default_backend_is_bit_identical_to_threads() {
 #[test]
 #[should_panic(expected = "parallel scheduler deadlock")]
 fn par_diagnoses_receive_cycles_instead_of_hanging() {
-    if !match_core::mpisim::COOP_SUPPORTED {
-        // Without fiber support `par` falls back to thread-per-rank, which cannot
-        // diagnose; keep the should_panic contract honest on such hosts.
-        panic!("parallel scheduler deadlock diagnosis needs fiber support");
-    }
     let cluster = Cluster::new(
         ClusterConfig::with_ranks(NPROCS)
             .backend(SchedBackend::Par)
@@ -599,34 +552,33 @@ fn experiment_run_reports_are_equal_across_backends() {
     .with_options(&SuiteOptions::smoke())
     .with_failure(true);
     let env = SchedEnv::hold();
-    std::env::set_var("MATCH_BACKEND", "threads");
-    let threads = runner::run_experiment_uncached(&experiment).unwrap();
     std::env::set_var("MATCH_BACKEND", "coop");
     let coop = runner::run_experiment_uncached(&experiment).unwrap();
     std::env::set_var("MATCH_BACKEND", "par");
-    std::env::set_var("MATCH_WORKERS", "3");
-    let par = runner::run_experiment_uncached(&experiment).unwrap();
+    let mut par = Vec::new();
+    for workers in ["3", "4"] {
+        std::env::set_var("MATCH_WORKERS", workers);
+        par.push((
+            workers,
+            runner::run_experiment_uncached(&experiment).unwrap(),
+        ));
+    }
     drop(env);
-    assert_eq!(
-        threads, coop,
-        "RunReports must be bit-identical across backends (the cache key omits the \
-         backend on the strength of this)"
-    );
-    assert_eq!(
-        threads, par,
-        "RunReports must be bit-identical on the par backend too"
-    );
-    assert!(threads.failure_injected && threads.restarts >= 1);
+    for (workers, report) in par {
+        assert_eq!(
+            coop, report,
+            "RunReports must be bit-identical across backends (the cache key omits the \
+             backend on the strength of this); par[w={workers}] diverged"
+        );
+    }
+    assert!(coop.failure_injected && coop.restarts >= 1);
 }
 
 /// A 4096-rank cooperative job — with a failure, a global-restart recovery and FTI
 /// checkpoint/restore — completes in a single process on one OS thread, in well under
 /// a second (21 s while every parking rank woke every other one; it was a slow-lane
-/// `--ignored` test then). Thread-per-rank at this scale needs 4096 host threads and
-/// is two orders of magnitude slower on the *trivial* scale kernel alone (measured
-/// 18.3 s vs 0.17 s on the 1-core container, sys-time dominated); with the driver's
-/// full blocking traffic it is infeasible, which is the ceiling the cooperative
-/// backend removes.
+/// `--ignored` test then). A host thread per rank would need 4096 threads at this
+/// scale, the ceiling the cooperative backend removes.
 #[test]
 fn coop_runs_4096_ranks_with_failure_recovery_in_one_process() {
     const BIG: usize = 4096;
@@ -684,7 +636,7 @@ mod proptests {
 
         /// The tentpole property: any seeded trace of up to three events (kills or
         /// node crashes) yields bit-identical per-rank observations and time
-        /// breakdowns under `threads`, `coop` and `par` (at a seed-chosen worker
+        /// breakdowns under `coop` and `par` (at a seed-chosen worker
         /// count), for every design of the axis — including the shrinking one,
         /// whose survivor set and redistribution traffic must also be a pure
         /// function of virtual time.
@@ -707,13 +659,9 @@ mod proptests {
             let trace = FailureTrace::schedule(events);
             for strategy in RecoveryStrategy::ALL {
                 let (a, ba) = run_trace_on(
-                    SchedBackend::Threads, strategy, trace.clone(), resilient_config());
-                let (b, bb) = run_trace_on(
                     SchedBackend::Coop, strategy, trace.clone(), resilient_config());
                 let (c, bc) = run_trace_on_workers(
                     SchedBackend::Par, workers, strategy, trace.clone(), resilient_config());
-                prop_assert_eq!(&a, &b, "{} diverged on {:?}", strategy, &trace);
-                prop_assert_eq!(&ba, &bb, "{} breakdowns diverged on {:?}", strategy, &trace);
                 prop_assert_eq!(
                     &a, &c, "{} diverged on par[w={}] on {:?}", strategy, workers, &trace);
                 prop_assert_eq!(

@@ -88,7 +88,7 @@ fn parallel_equals_serial_for_figure_rows() {
     );
 
     // With-failure figure: also strictly identical — virtual time never depends on
-    // how the host schedules the engine's workers or the rank threads.
+    // how the host schedules the engine's workers or the rank fibers.
     let serial6 = Figure::Fig6
         .generate(&serial_engine, &options)
         .expect("serial figure 6");

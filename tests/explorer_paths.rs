@@ -1,7 +1,7 @@
 //! Golden recovery-path coverage: the fault-space explorer must reach every
 //! named recovery path within a fixed deterministic budget, for all four
-//! designs, and its report must be byte-identical across the `threads`, `coop`
-//! and `par` scheduler backends.
+//! designs, and its report must be byte-identical across the `coop` and `par`
+//! scheduler backends.
 //!
 //! The golden sets encode a structural fact worth pinning: the three respawn
 //! designs reach the full taxonomy (primary restores at every level, the L2
@@ -53,7 +53,7 @@ const SHRINK_GOLDEN: [&str; 6] = [
 #[test]
 fn golden_paths_reachable_on_every_backend_and_byte_identical() {
     let mut reports = Vec::new();
-    for backend in ["threads", "coop", "par"] {
+    for backend in ["coop", "par"] {
         std::env::set_var(BACKEND_ENV_VAR, backend);
         let outcome = Explorer::new(config()).run();
         assert!(

@@ -76,9 +76,6 @@ fn one_failure_job(
 
 #[test]
 fn one_recovery_resumes_a_linear_number_of_fibers() {
-    if !match_core::mpisim::COOP_SUPPORTED {
-        return; // without fibers `coop` is `threads`, which counts nothing
-    }
     const COOP: (SchedBackend, usize) = (SchedBackend::Coop, 0);
     for strategy in [RecoveryStrategy::Reinit, RecoveryStrategy::Ulfm] {
         let narrow = one_failure_job(COOP, strategy, 256);
@@ -110,24 +107,21 @@ fn one_recovery_resumes_a_linear_number_of_fibers() {
 }
 
 #[test]
-fn the_thread_backend_and_par_count_consistently() {
-    // Both interleave freely, so their counts vary run to run — but never their
-    // balance: every park ends in exactly one wake and every wake in one resume, on
-    // rank threads as on fibers at any worker count. And without the single thread's
-    // clock order to hide them, wakes that reach ranks they do not concern show up as
-    // spurious ones: waking everybody whenever a rank parks costs tens to thousands
-    // of them here, depending on the interleaving; the targeted wakes leave at most
-    // the failure broadcast's, one per rank.
-    let threads = one_failure_job((SchedBackend::Threads, 0), RecoveryStrategy::Reinit, 16);
-    assert_eq!(threads.parks, threads.wakes, "threads: {threads:?}");
-    assert_eq!(threads.resumes, 16 + threads.wakes, "threads: {threads:?}");
+fn par_counts_consistently_at_any_worker_count() {
+    // Several workers interleave freely, so the counts vary run to run — but never
+    // their balance: every park ends in exactly one wake and every wake in one resume,
+    // at any worker count, one rank per worker included. And without the single
+    // thread's clock order to hide them, wakes that reach ranks they do not concern
+    // show up as spurious ones: waking everybody whenever a rank parks costs tens to
+    // thousands of them here, depending on the interleaving; the targeted wakes leave
+    // at most the failure broadcast's, one per rank.
+    let own = one_failure_job((SchedBackend::Par, 16), RecoveryStrategy::Reinit, 16);
+    assert_eq!(own.parks, own.wakes, "par[w=16]: {own:?}");
+    assert_eq!(own.resumes, 16 + own.wakes, "par[w=16]: {own:?}");
     assert!(
-        threads.parks > 0 && threads.spurious_wakes <= 16,
-        "threads: {threads:?}"
+        own.parks > 0 && own.spurious_wakes <= 16,
+        "par[w=16]: {own:?}"
     );
-    if !match_core::mpisim::COOP_SUPPORTED {
-        return;
-    }
     for workers in [1, 2, 3] {
         let stats = one_failure_job((SchedBackend::Par, workers), RecoveryStrategy::Ulfm, 256);
         assert_eq!(stats.parks, stats.wakes, "par[w={workers}]: {stats:?}");

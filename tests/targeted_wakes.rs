@@ -5,9 +5,10 @@
 //! collectives of its communicators. These tests put a rank into each kind of blocked
 //! operation and check that the transition it depends on gets it out — with the
 //! deterministic result and the deterministic exit clock — on the backends where a
-//! wake can race the blocked rank's check: `par` at 2 and 3 workers and `threads`
-//! (`coop` rides along as the single-threaded reference). A lost wake would show as
-//! the `par` deadlock diagnosis, a hang, or a clock that differs from the reference.
+//! wake can race the blocked rank's check: `par` at 2, 3 and 4 workers, the last one
+//! rank per worker (`coop` rides along as the single-threaded reference). A lost wake
+//! would show as the `par` deadlock diagnosis, or a clock that differs from the
+//! reference.
 //! Each job is repeated so that different host interleavings get sampled.
 
 use match_core::mpisim::{
@@ -17,9 +18,9 @@ use match_core::mpisim::{
 /// The backends under test: `(backend, par workers)`.
 const BACKENDS: [(SchedBackend, usize); 4] = [
     (SchedBackend::Coop, 0),
-    (SchedBackend::Threads, 0),
     (SchedBackend::Par, 2),
     (SchedBackend::Par, 3),
+    (SchedBackend::Par, 4),
 ];
 
 const REPEATS: usize = 25;
