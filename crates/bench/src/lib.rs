@@ -32,17 +32,22 @@
 //! An unset matrix knob takes its default. A set one must parse completely: a
 //! malformed `MATCH_PROCS`, `MATCH_SCALE`, `MATCH_APPS`, `MATCH_REPS` or `MATCH_MTBF`
 //! is an error naming the knob (exit status 2), never a silently different matrix.
-//! So is a malformed `MATCH_BACKEND` or `MATCH_WORKERS` ([`check_scheduler_env`]),
-//! where the simulator library alone would warn and run its default.
+//! So is a malformed `MATCH_BACKEND`, `MATCH_WORKERS`, `MATCH_JOBS`, `MATCH_CORES`,
+//! `MATCH_RACKS` or `MATCH_MTBF_{CRASH,RACK}_PCT` ([`check_env`]), where the
+//! simulator library alone would warn or ignore the value and run its default, and
+//! a rack count that does not divide the node count of every process count the run
+//! simulates ([`check_racks`]), where the library would panic.
 
 use std::str::FromStr;
 
 use match_core::matrix::MatrixOptions;
-use match_core::mpisim::{SchedBackend, BACKEND_ENV_VAR, WORKERS_ENV_VAR};
+use match_core::mpisim::{SchedBackend, Topology, BACKEND_ENV_VAR, WORKERS_ENV_VAR};
 use match_core::mtbf::MtbfSweep;
 use match_core::proxies::registry::ExecutionScale;
 use match_core::proxies::ProxyKind;
+use match_core::runner::RACKS_ENV_VAR;
 use match_core::{FigureData, MtbfSweepOptions, SuiteEngine, SuiteOptions};
+use match_core::{CORES_ENV_VAR, JOBS_ENV_VAR};
 
 /// Reads knob `name` with `parse`, or returns `default()` when it is unset. A value
 /// `parse` rejects ends the process with exit status 2 and the parser's message.
@@ -79,13 +84,89 @@ pub fn options_from_env() -> MatrixOptions {
     }
 }
 
-/// Exits 2 naming the knob if `MATCH_BACKEND` or `MATCH_WORKERS` is set to a value
-/// the simulator would not accept. Unchecked, it would warn once and run every job on
-/// its default instead: a figure of another backend, or of another worker count,
+/// The knobs of the MTBF sweep's failure correlation.
+const MTBF_CRASH_PCT: &str = "MATCH_MTBF_CRASH_PCT";
+const MTBF_RACK_PCT: &str = "MATCH_MTBF_RACK_PCT";
+
+/// Exits 2 naming the knob if a knob the simulator library reads leniently is set
+/// to a value it would not accept: `MATCH_BACKEND`, `MATCH_WORKERS`, `MATCH_JOBS`,
+/// `MATCH_CORES`, `MATCH_RACKS` and `MATCH_MTBF_{CRASH,RACK}_PCT`. Unchecked, the
+/// library would warn or stay silent and run its default instead: a figure of
+/// another backend, worker count, concurrency, rack layout or failure correlation,
 /// under the name the user asked for.
-pub fn check_scheduler_env() {
+pub fn check_env() {
     knob(BACKEND_ENV_VAR, parse_backend, SchedBackend::default);
     knob(WORKERS_ENV_VAR, parse_workers, || 0);
+    knob(
+        JOBS_ENV_VAR,
+        |v| parse_count(JOBS_ENV_VAR, v, "job count"),
+        || 0usize,
+    );
+    knob(
+        CORES_ENV_VAR,
+        |v| parse_count(CORES_ENV_VAR, v, "core budget"),
+        || 0usize,
+    );
+    knob(RACKS_ENV_VAR, |v| parse_racks(v, &[]), || 0);
+    knob(MTBF_CRASH_PCT, |v| parse_pct(MTBF_CRASH_PCT, v), || 0);
+    knob(MTBF_RACK_PCT, |v| parse_pct(MTBF_RACK_PCT, v), || 0);
+}
+
+/// Exits 2 naming `MATCH_RACKS` if it is set to a rack count that does not divide
+/// the paper-layout node count of every process count in `procs`; building such a
+/// cluster would panic.
+pub fn check_racks(procs: &[usize]) {
+    knob(RACKS_ENV_VAR, |v| parse_racks(v, procs), || 0);
+}
+
+/// Parses a positive count for knob `name`; `what` names the count in the error.
+fn parse_count<T: FromStr + PartialOrd + Default>(
+    name: &str,
+    value: &str,
+    what: &str,
+) -> Result<T, String> {
+    value
+        .trim()
+        .parse::<T>()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{name}='{value}' is not a {what} (expected a positive integer)"))
+}
+
+/// Parses a `MATCH_RACKS` value (also what `--racks` sets): a positive rack count
+/// that divides the paper-layout node count of every process count in `procs`.
+///
+/// # Errors
+///
+/// Anything else is an error naming the knob, the value and, for a count that
+/// does not divide, the first layout it does not divide.
+fn parse_racks(value: &str, procs: &[usize]) -> Result<usize, String> {
+    let racks = parse_count(RACKS_ENV_VAR, value, "rack count")?;
+    for &nprocs in procs {
+        let nnodes = Topology::paper_layout(nprocs).nnodes();
+        if !nnodes.is_multiple_of(racks) {
+            return Err(format!(
+                "{RACKS_ENV_VAR}='{value}' (or --racks) does not divide the {nnodes} \
+                 nodes of the {nprocs}-rank layout; pick a divisor of every rung's \
+                 node count"
+            ));
+        }
+    }
+    Ok(racks)
+}
+
+/// Parses a percentage knob `name`: an integer from 0 to 100.
+///
+/// # Errors
+///
+/// Anything else is an error naming the knob, the value and the accepted range.
+fn parse_pct(name: &str, value: &str) -> Result<u8, String> {
+    value
+        .trim()
+        .parse::<u8>()
+        .ok()
+        .filter(|&p| p <= 100)
+        .ok_or_else(|| format!("{name}='{value}' is not a percentage (expected 0-100)"))
 }
 
 /// Parses a `MATCH_BACKEND` value: a scheduler backend name, in any letter case.
@@ -106,12 +187,7 @@ pub fn parse_backend(value: &str) -> Result<SchedBackend, String> {
 ///
 /// Anything else is an error naming the knob and the value.
 pub fn parse_workers(value: &str) -> Result<usize, String> {
-    value
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("MATCH_WORKERS='{value}' is not a positive worker count"))
+    parse_count(WORKERS_ENV_VAR, value, "positive worker count")
 }
 
 /// Parses a `MATCH_SCALE` value: `smoke`, `bench` or `paper`, in any letter case.
@@ -204,14 +280,7 @@ pub fn parse_apps(value: &str) -> Result<Vec<ProxyKind>, String> {
 ///
 /// Anything else is an error naming the knob, the value and what it accepts.
 pub fn parse_reps(value: &str) -> Result<u32, String> {
-    value
-        .trim()
-        .parse::<u32>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| {
-            format!("MATCH_REPS='{value}' is not a repetition count (expected a positive integer)")
-        })
+    parse_count("MATCH_REPS", value, "repetition count")
 }
 
 /// Parses a `MATCH_MTBF` value: comma-separated positive node MTBFs, in main-loop
@@ -243,19 +312,8 @@ pub fn mtbf_options_from_env(options: &MatrixOptions) -> MtbfSweepOptions {
     if !ladder.is_empty() {
         sweep = sweep.with_ladder(ladder);
     }
-    let pct = |var: &str| match std::env::var(var) {
-        Err(_) => 0u8,
-        // Parse wide and clamp so "150" means 100, and complain loudly about
-        // unparseable values instead of silently running an uncorrelated sweep.
-        Ok(s) => match s.trim().parse::<u32>() {
-            Ok(v) => v.min(100) as u8,
-            Err(_) => {
-                eprintln!("warning: {var}='{s}' is not a percentage (0-100); using 0");
-                0
-            }
-        },
-    };
-    sweep.with_correlation(pct("MATCH_MTBF_CRASH_PCT"), pct("MATCH_MTBF_RACK_PCT"))
+    let pct = |name| knob(name, |v| parse_pct(name, v), || 0);
+    sweep.with_correlation(pct(MTBF_CRASH_PCT), pct(MTBF_RACK_PCT))
 }
 
 /// Serializes a figure into canonical JSON. Floats are rendered with Rust's
@@ -463,6 +521,41 @@ mod tests {
             let error = parse_reps(value).unwrap_err();
             assert_names(&error, "MATCH_REPS", value, "a positive integer");
         }
+    }
+
+    #[test]
+    fn lenient_library_knobs_parse_strictly_here() {
+        assert_eq!(parse_count(JOBS_ENV_VAR, " 3 ", "job count"), Ok(3usize));
+        for (name, what) in [(JOBS_ENV_VAR, "job count"), (CORES_ENV_VAR, "core budget")] {
+            for value in ["", "abc", "0", "-1", "2.5"] {
+                let error = parse_count::<usize>(name, value, what).unwrap_err();
+                assert_names(&error, name, value, "a positive integer");
+            }
+        }
+        for name in [MTBF_CRASH_PCT, MTBF_RACK_PCT] {
+            assert_eq!(parse_pct(name, "0"), Ok(0));
+            assert_eq!(parse_pct(name, " 100 "), Ok(100));
+            for value in ["", "x", "101", "150", "-5", "12.5", "60%"] {
+                let error = parse_pct(name, value).unwrap_err();
+                assert_names(&error, name, value, "0-100");
+            }
+        }
+    }
+
+    #[test]
+    fn rack_counts_must_divide_every_rungs_node_count() {
+        // The paper layout puts 64 ranks on 32 nodes, and fewer than 32 ranks one
+        // per node.
+        assert_eq!(parse_racks("4", &[8, 64]), Ok(4));
+        assert_eq!(parse_racks("3", &[]), Ok(3));
+        for value in ["abc", "0", "", "-2"] {
+            let error = parse_racks(value, &[]).unwrap_err();
+            assert_names(&error, "MATCH_RACKS", value, "a positive integer");
+        }
+        let error = parse_racks("3", &[64]).unwrap_err();
+        assert_names(&error, "MATCH_RACKS", "3", "does not divide the 32 nodes");
+        let error = parse_racks("8", &[64, 4]).unwrap_err();
+        assert_names(&error, "MATCH_RACKS", "8", "the 4-rank layout");
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! across both and any worker count. A malformed `MATCH_BACKEND` or `MATCH_WORKERS`
 //! exits 2 naming the knob, like the flags.
 //! `--racks N` regroups the experiment topology's nodes into `N` racks (equivalent
-//! to `MATCH_RACKS`; must divide the paper-layout node count).
+//! to `MATCH_RACKS`); a count that does not divide the paper-layout node count of
+//! every process count the run simulates exits 2 naming the knob.
 //!
 //! The `explore` target runs the coverage-guided fault-space explorer (see
 //! [`match_explorer`]): per enabled design it searches the failure-trace space
@@ -53,7 +54,9 @@
 //!
 //! The matrix is controlled by the `MATCH_PROCS`, `MATCH_SCALE`, `MATCH_APPS`,
 //! `MATCH_REPS` and `MATCH_JOBS` environment variables (see the crate documentation);
-//! a malformed value exits 2 naming the knob. `--jobs N` overrides `MATCH_JOBS`. All
+//! a malformed value of any of them, or of `MATCH_CORES` or
+//! `MATCH_MTBF_{CRASH,RACK}_PCT`, exits 2 naming the knob before anything runs.
+//! `--jobs N` overrides `MATCH_JOBS`. All
 //! targets of one invocation share one [`SuiteEngine`], so overlapping targets
 //! (`fig6 fig7 findings`, or `all`) are answered from the result cache instead of
 //! re-running their experiments — the engine/cache line printed after each target
@@ -66,7 +69,7 @@
 use std::time::Instant;
 
 use match_bench::{
-    check_scheduler_env, figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env,
+    check_env, check_racks, figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env,
     print_engine_line, print_figure, print_recovery_series,
 };
 use match_core::findings::Findings;
@@ -429,7 +432,7 @@ fn main() {
             target => targets.push(target.to_string()),
         }
     }
-    check_scheduler_env();
+    check_env();
     if let Some(path) = replay {
         run_replay(&path);
     }
@@ -476,6 +479,10 @@ fn main() {
             std::process::exit(2);
         })
     });
+    // A rack override must divide the node count of every job size the run builds.
+    let mut job_sizes = options.process_counts.clone();
+    job_sizes.extend(explore_config.as_ref().map(|config| config.nprocs));
+    check_racks(&job_sizes);
 
     // When the whole evaluation is requested, schedule the full experiment union as
     // one wave first: it saturates the worker pool once, and every figure below then

@@ -5,7 +5,12 @@
 //! invocations re-run identical cells. The cache keys every run by an
 //! [`ExperimentId`] — a canonical encoding of *every* field of an
 //! [`Experiment`], including the execution scale and seed — so two
-//! experiments collide exactly when they describe the same simulation. Every run —
+//! experiments collide exactly when they describe the same simulation. A
+//! failure-free cell's design is keyed by its healthy runtime's representative
+//! ([`Experiment::representative`]): before a failure a design acts only through
+//! its runtime's background interference, so REINIT and RESTART (and SHRINK and
+//! ULFM) simulate the same failure-free run, and the engine answers both twins
+//! from one simulation. Every run —
 //! failure-free or with injected failures — is bit-deterministic (failure detection
 //! resolves in virtual time), so the cache contract is exact: a recall equals a
 //! recompute, bit-identical, always. That is also why the scheduler backend and
@@ -33,6 +38,10 @@ use crate::experiment::Experiment;
 use crate::persist::{DiskCache, DiskLookup};
 
 /// Canonical cache key derived from every field of an [`Experiment`].
+///
+/// Two ids collide exactly when they describe the same simulation. A failure-free
+/// cell is keyed by its healthy runtime's first design, because that runtime's
+/// interference is all a design changes before the first failure.
 ///
 /// Floating-point fields (the execution scale's `linear_fraction`) are encoded through
 /// their IEEE-754 bit patterns so the key is `Eq + Hash` without rounding surprises.
@@ -76,7 +85,7 @@ impl ExperimentId {
             proxies::InputSize::Medium => 1,
             proxies::InputSize::Large => 2,
         };
-        let strategy = match experiment.strategy {
+        let strategy = match experiment.representative().strategy {
             RecoveryStrategy::Restart => 0,
             RecoveryStrategy::Ulfm => 1,
             RecoveryStrategy::Reinit => 2,
@@ -378,7 +387,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::SuiteOptions;
+    use crate::experiment::{FailureScenario, SuiteOptions};
     use proxies::{InputSize, ProxyKind};
     use recovery::RecoveryStrategy;
 
@@ -417,14 +426,14 @@ mod tests {
         let mut other = base;
         other = other.with_failure(true);
         assert_ne!(ExperimentId::of(&base), ExperimentId::of(&other));
-        let mtbf = base.with_scenario(crate::experiment::FailureScenario::Mtbf {
+        let mtbf = base.with_scenario(FailureScenario::Mtbf {
             node_mtbf_iterations: 500,
             node_crash_pct: 10,
             rack_neighbor_pct: 0,
             recovery_window_pct: 0,
         });
         assert_ne!(ExperimentId::of(&base), ExperimentId::of(&mtbf));
-        let mtbf2 = base.with_scenario(crate::experiment::FailureScenario::Mtbf {
+        let mtbf2 = base.with_scenario(FailureScenario::Mtbf {
             node_mtbf_iterations: 250,
             node_crash_pct: 10,
             rack_neighbor_pct: 0,
@@ -440,6 +449,45 @@ mod tests {
         let mut other = base;
         other.strategy = RecoveryStrategy::Ulfm;
         assert_ne!(ExperimentId::of(&base), ExperimentId::of(&other));
+    }
+
+    fn id_of(strategy: RecoveryStrategy, scenario: FailureScenario) -> ExperimentId {
+        let experiment = Experiment {
+            strategy,
+            ..experiment().with_scenario(scenario)
+        };
+        ExperimentId::of(&experiment)
+    }
+
+    #[test]
+    fn failure_free_twins_share_an_id_and_keep_their_runtimes_bytes() {
+        let none = FailureScenario::None;
+        let restart = id_of(RecoveryStrategy::Restart, none);
+        let ulfm = id_of(RecoveryStrategy::Ulfm, none);
+        assert_eq!(id_of(RecoveryStrategy::Reinit, none), restart);
+        assert_eq!(id_of(RecoveryStrategy::Shrink, none), ulfm);
+        assert_ne!(restart, ulfm);
+        // The representatives keep their own strategy byte (RESTART 0, ULFM 1), so
+        // the disk entries they stored before twins were merged stay addressable.
+        assert_eq!(restart.canonical_bytes()[2], 0);
+        assert_eq!(ulfm.canonical_bytes()[2], 1);
+    }
+
+    #[test]
+    fn cells_with_failures_never_collide_across_designs() {
+        let mtbf = FailureScenario::Mtbf {
+            node_mtbf_iterations: 16,
+            node_crash_pct: 60,
+            rack_neighbor_pct: 80,
+            recovery_window_pct: 10,
+        };
+        for scenario in [FailureScenario::SingleRandom, mtbf] {
+            let ids: std::collections::BTreeSet<ExperimentId> = RecoveryStrategy::ALL
+                .into_iter()
+                .map(|s| id_of(s, scenario))
+                .collect();
+            assert_eq!(ids.len(), RecoveryStrategy::ALL.len(), "{scenario:?}");
+        }
     }
 
     #[test]

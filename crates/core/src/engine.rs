@@ -8,7 +8,10 @@
 //!   [`ExperimentId`] in a thread-safe
 //!   [`ResultCache`], so overlapping matrices (Fig. 6 and
 //!   Fig. 7 share every cell; the findings re-derive from the Fig. 6 matrix) never
-//!   simulate the same cell twice in one process; unless `MATCH_CACHE=off`, the
+//!   simulate the same cell twice in one process; failure-free twins — designs on
+//!   the same healthy runtime, which simulate identically until a failure — share
+//!   one key, so one simulation answers both ([`Experiment::representative`]);
+//!   unless `MATCH_CACHE=off`, the
 //!   cache is also backed by the persistent content-addressed [`DiskCache`], so
 //!   *fresh processes* recall earlier results from disk instead of re-simulating
 //!   — a warm figure rerun performs zero simulations;
@@ -191,11 +194,24 @@ impl SuiteEngine {
 
     /// Runs (or recalls) one experiment. Panics inside the computation are contained
     /// by the cache's single backstop, labelled with the experiment's readable name.
+    ///
+    /// A failure-free cell is answered by its [`Experiment::representative`]'s
+    /// simulation (which is what the cache and the disk store hold), re-stamped
+    /// with the requested design; an error names the requested cell.
     pub fn run(&self, experiment: &Experiment) -> Result<RunReport, SuiteError> {
-        self.cache
-            .get_or_compute(ExperimentId::of(experiment), &experiment.label(), || {
-                runner::run_experiment_uncached(experiment)
-            })
+        let simulated = experiment.representative();
+        let result =
+            self.cache
+                .get_or_compute(ExperimentId::of(&simulated), &simulated.label(), || {
+                    runner::run_experiment_uncached(&simulated)
+                });
+        restamp(result, experiment)
+    }
+
+    /// The cached answer for `experiment`, re-stamped like [`SuiteEngine::run`]'s.
+    fn peek(&self, experiment: &Experiment) -> Option<Result<RunReport, SuiteError>> {
+        let result = self.cache.peek(&ExperimentId::of(experiment))?;
+        Some(restamp(result, experiment))
     }
 
     /// Runs a whole matrix: unique cells are scheduled across the worker pool (every
@@ -246,7 +262,7 @@ impl SuiteEngine {
             // Surface the first failing cell in input order; cells that were never
             // scheduled because of the abort must not be recomputed here.
             for e in experiments {
-                if let Some(Err(error)) = self.cache.peek(&ExperimentId::of(e)) {
+                if let Some(Err(error)) = self.peek(e) {
                     return Err(error);
                 }
             }
@@ -254,11 +270,7 @@ impl SuiteEngine {
 
         experiments
             .iter()
-            .map(|e| {
-                self.cache
-                    .peek(&ExperimentId::of(e))
-                    .unwrap_or_else(|| self.run(e))
-            })
+            .map(|e| self.peek(e).unwrap_or_else(|| self.run(e)))
             .collect()
     }
 
@@ -296,6 +308,33 @@ impl SuiteEngine {
     /// cold-cache work). The persistent store is untouched.
     pub fn clear_cache(&self) {
         self.cache.clear();
+    }
+}
+
+/// Turns the cached result of `requested`'s representative into `requested`'s own:
+/// a report carries the requested design, an error names the requested cell.
+fn restamp(
+    result: Result<RunReport, SuiteError>,
+    requested: &Experiment,
+) -> Result<RunReport, SuiteError> {
+    match result {
+        Ok(mut report) => {
+            report.strategy = requested.strategy;
+            Ok(report)
+        }
+        Err(SuiteError::RankFailures { errors, .. }) => Err(SuiteError::RankFailures {
+            label: requested.label(),
+            errors,
+        }),
+        Err(SuiteError::Panicked { context }) => {
+            let simulated = requested.representative().label();
+            Err(SuiteError::Panicked {
+                context: match context.strip_prefix(&simulated) {
+                    Some(message) => format!("{}{message}", requested.label()),
+                    None => context,
+                },
+            })
+        }
     }
 }
 
@@ -462,6 +501,70 @@ mod tests {
             error.to_string().contains("HPCCG/Small/0/REINIT-FTI"),
             "panic context must carry the label: {error}"
         );
+    }
+
+    #[test]
+    fn a_twin_is_a_cache_hit_stamped_with_its_own_design() {
+        let engine = SuiteEngine::serial();
+        let restart = engine
+            .run(&smoke(RecoveryStrategy::Restart, false))
+            .unwrap();
+        let reinit = engine.run(&smoke(RecoveryStrategy::Reinit, false)).unwrap();
+        assert_eq!(reinit.strategy, RecoveryStrategy::Reinit);
+        assert_eq!(
+            RunReport {
+                strategy: RecoveryStrategy::Restart,
+                ..reinit
+            },
+            restart
+        );
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // A matrix of all four failure-free designs simulates one cell per runtime,
+        // and every row names its own design.
+        let matrix: Vec<Experiment> = RecoveryStrategy::ALL
+            .iter()
+            .map(|&s| smoke(s, false))
+            .collect();
+        let fresh = SuiteEngine::with_jobs_and_disk(1, None);
+        let reports = fresh.run_matrix(&matrix).unwrap();
+        assert_eq!(fresh.cache_stats().disk_misses, 2);
+        let designs: Vec<_> = reports.iter().map(|r| r.strategy).collect();
+        assert_eq!(designs, RecoveryStrategy::ALL);
+    }
+
+    #[test]
+    fn an_erroring_twin_names_the_requested_cell() {
+        let bad = |strategy| {
+            Experiment::new(ProxyKind::Hpccg, InputSize::Small, 0, strategy)
+                .with_options(&SuiteOptions::smoke())
+        };
+        let engine = SuiteEngine::serial();
+        let restart = engine.run(&bad(RecoveryStrategy::Restart)).unwrap_err();
+        assert!(
+            restart.to_string().contains("HPCCG/Small/0/RESTART-FTI"),
+            "{restart}"
+        );
+        // The twin recalls RESTART's cached error, but names itself.
+        let reinit = engine.run(&bad(RecoveryStrategy::Reinit)).unwrap_err();
+        let text = reinit.to_string();
+        assert!(text.contains("HPCCG/Small/0/REINIT-FTI"), "{text}");
+        assert!(!text.contains("RESTART"), "{text}");
+        let shrink = engine
+            .run_matrix(&[bad(RecoveryStrategy::Shrink)])
+            .unwrap_err();
+        assert!(
+            shrink.to_string().contains("HPCCG/Small/0/SHRINK-FTI"),
+            "{shrink}"
+        );
+        // Rank failures are re-labelled the same way.
+        let failures = SuiteError::RankFailures {
+            label: bad(RecoveryStrategy::Restart).label(),
+            errors: vec![(1, MpiError::Revoked)],
+        };
+        let relabelled = restamp(Err(failures), &bad(RecoveryStrategy::Reinit)).unwrap_err();
+        assert_eq!(relabelled.label(), Some("HPCCG/Small/0/REINIT-FTI"));
+        assert_eq!(relabelled.rank_errors(), &[(1, MpiError::Revoked)]);
     }
 
     #[test]

@@ -161,6 +161,20 @@ impl Experiment {
         self
     }
 
+    /// The experiment whose simulation answers this one: itself, except that a
+    /// failure-free cell takes the first design of its healthy runtime
+    /// ([`recovery::HealthyRuntime::representative`]). Before a failure a design
+    /// acts only through its runtime's background interference, so REINIT runs
+    /// failure-free exactly like RESTART and SHRINK exactly like ULFM; only the
+    /// report's `strategy` differs.
+    pub fn representative(&self) -> Experiment {
+        let mut representative = *self;
+        if !self.inject_failure() {
+            representative.strategy = self.strategy.healthy_runtime().representative();
+        }
+        representative
+    }
+
     /// A short human-readable label ("HPCCG/Small/64/REINIT-FTI").
     pub fn label(&self) -> String {
         let suffix = match self.scenario {
@@ -211,6 +225,36 @@ mod tests {
         assert_eq!(e.label(), "AMG/Medium/64/ULFM-FTI/fault");
         let quiet = e.with_failure(false);
         assert_eq!(quiet.label(), "AMG/Medium/64/ULFM-FTI");
+    }
+
+    #[test]
+    fn only_failure_free_cells_take_their_runtimes_representative() {
+        let base = Experiment::new(
+            ProxyKind::Hpccg,
+            InputSize::Small,
+            8,
+            RecoveryStrategy::Restart,
+        );
+        for (design, twin) in [
+            (RecoveryStrategy::Restart, RecoveryStrategy::Restart),
+            (RecoveryStrategy::Ulfm, RecoveryStrategy::Ulfm),
+            (RecoveryStrategy::Reinit, RecoveryStrategy::Restart),
+            (RecoveryStrategy::Shrink, RecoveryStrategy::Ulfm),
+        ] {
+            let e = Experiment {
+                strategy: design,
+                ..base
+            };
+            assert_eq!(
+                e.representative(),
+                Experiment {
+                    strategy: twin,
+                    ..e
+                }
+            );
+            let faulty = e.with_failure(true);
+            assert_eq!(faulty.representative(), faulty);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   a fiber overflowing its stack faults instead of silently corrupting a
 //!   neighbouring allocation;
 //! * dropped stacks are returned to a process-wide free list (capped at
-//!   [`stack::POOL_MAX_BYTES`]) keyed by mapping size, so back-to-back jobs — and the
+//!   [`stack::POOL_MAX_STACKS`]) keyed by mapping size, so back-to-back jobs — and the
 //!   [`par`](super::par) backend's worker threads in particular — reuse warm mappings
 //!   instead of serializing on `mmap`/`munmap` in the kernel;
 //! * there is no scheduler in here — just "create with an entry function" and "switch"
@@ -187,10 +187,11 @@ mod stack {
         fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
     }
 
-    /// Total bytes of unmapped-but-pooled stack memory the process keeps around.
-    /// Generous enough for a 4k-rank coop job's stacks (4096 × 64 KiB = 256 MiB)
-    /// to be reused wholesale by the next job in a sweep.
-    pub const POOL_MAX_BYTES: usize = 256 * 1024 * 1024;
+    /// Number of retired stacks the process keeps mapped for reuse: enough for a
+    /// 4k-rank job's stacks to be reused wholesale by the next job in a sweep. A
+    /// default stack is 1 MiB plus the 64 KiB guard, so a full pool reserves
+    /// ~4.3 GiB of address space; only the pages a rank once touched are resident.
+    pub const POOL_MAX_STACKS: usize = 4096;
 
     /// Free list of retired stacks, grouped by mapping length. Bases are stored as
     /// `usize` (the mappings are not referenced by anyone while pooled, so there is
@@ -199,12 +200,12 @@ mod stack {
         /// `(mapping_len, bases)` per size class. Jobs use one or two distinct stack
         /// sizes, so a linear scan over classes is cheaper than a map.
         classes: Vec<(usize, Vec<usize>)>,
-        bytes: usize,
+        stacks: usize,
     }
 
     static POOL: std::sync::Mutex<PoolState> = std::sync::Mutex::new(PoolState {
         classes: Vec::new(),
-        bytes: 0,
+        stacks: 0,
     });
 
     fn lock_pool() -> std::sync::MutexGuard<'static, PoolState> {
@@ -283,7 +284,7 @@ mod stack {
         let mut pool = lock_pool();
         let class = pool.classes.iter_mut().find(|(l, _)| *l == len)?;
         let base = class.1.pop()?;
-        pool.bytes -= len;
+        pool.stacks -= 1;
         Some(base as *mut u8)
     }
 
@@ -291,10 +292,10 @@ mod stack {
     /// must unmap it instead.
     fn pool_put(base: *mut u8, len: usize) -> bool {
         let mut pool = lock_pool();
-        if pool.bytes + len > POOL_MAX_BYTES {
+        if pool.stacks == POOL_MAX_STACKS {
             return false;
         }
-        pool.bytes += len;
+        pool.stacks += 1;
         match pool.classes.iter_mut().find(|(l, _)| *l == len) {
             Some(class) => class.1.push(base as usize),
             None => pool.classes.push((len, vec![base as usize])),
@@ -506,6 +507,31 @@ mod tests {
         // alive across the switch.
         unsafe { switch_context(&mut pp.main_ctx, pp.fiber_ctx) };
         assert_eq!(pp.counter.get(), 1);
+    }
+
+    #[test]
+    fn a_second_512_rank_job_maps_no_new_stack() {
+        // A stack size no other test uses, so concurrent tests cannot race on its
+        // size class. 512 such stacks map ~560 MiB: the pool must cap the number
+        // of stacks, not their bytes, for the second job to reuse all of them.
+        const USABLE: usize = (1 << 20) + 17 * 4096;
+        const MAPPED: usize = USABLE + GUARD_SIZE;
+        let job = || {
+            let config = crate::ClusterConfig::with_ranks(512)
+                .backend(crate::SchedBackend::Coop)
+                .stack_size(USABLE);
+            let outcome = crate::Cluster::new(config).run(|ctx| {
+                let world = ctx.world();
+                ctx.barrier(&world)
+            });
+            assert!(outcome.all_ok());
+        };
+        job();
+        assert_eq!(stack::pooled_count(MAPPED), 512, "the first job's stacks");
+        job();
+        // The second job drew all 512 stacks from the pool; a fresh mapping would
+        // have come back to the pool on top of them.
+        assert_eq!(stack::pooled_count(MAPPED), 512, "the second job's stacks");
     }
 
     #[test]

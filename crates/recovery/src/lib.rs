@@ -73,4 +73,4 @@ pub use driver::{AttemptRecord, DriverOutcome, FtConfig, FtDriver};
 pub use inject::{ArrivalDistribution, ArrivalModel, FailureTrace, FaultInjector, FaultPlan};
 pub use path::{AttemptEntry, CoveragePath, Restore};
 pub use report::{AttemptSummary, RunReport};
-pub use strategy::RecoveryStrategy;
+pub use strategy::{HealthyRuntime, RecoveryStrategy};

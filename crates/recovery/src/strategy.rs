@@ -7,9 +7,10 @@
 //! * [`RecoveryStrategy`] — the tiny `Copy` tag that experiment identities, caches
 //!   and figures carry around;
 //! * [`DesignDescriptor`] — the data-carrying description of a design's static
-//!   properties (names, programming effort, whether the world shrinks);
-//! * [`RecoveryProtocol`] — the behavioural half (background interference and the
-//!   modelled MPI-recovery cost), with one implementation per design.
+//!   properties (names, programming effort, whether the world shrinks, and the
+//!   [`HealthyRuntime`] that fixes its background interference);
+//! * [`RecoveryProtocol`] — the behavioural half (the modelled MPI-recovery cost),
+//!   with one implementation per design.
 //!
 //! Adding a design means adding one protocol impl and one `ALL` entry; everything
 //! downstream enumerates the axis through `RecoveryStrategy::ALL` (or the
@@ -36,6 +37,40 @@ pub enum RecoveryStrategy {
     Shrink,
 }
 
+/// The MPI runtime a design runs on while no failure is being handled. Until the
+/// first failure, a design affects a run only through this runtime's background
+/// interference, so two designs on the same runtime simulate identical
+/// failure-free runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HealthyRuntime {
+    /// Plain MPI (RESTART, REINIT): nothing runs until a failure happens.
+    PlainMpi,
+    /// The ULFM runtime (ULFM, SHRINK): its heartbeat failure detector and MPI-call
+    /// interposition run always.
+    Ulfm,
+}
+
+impl HealthyRuntime {
+    /// The fractional interference this runtime imposes on application execution
+    /// and on checkpoint I/O while no failure is being handled, as
+    /// `(app_fraction, io_fraction)`.
+    pub fn background_interference(self, machine: &MachineModel, nprocs: usize) -> (f64, f64) {
+        match self {
+            HealthyRuntime::PlainMpi => (0.0, 0.0),
+            HealthyRuntime::Ulfm => (machine.ulfm_app_overhead(nprocs), machine.ulfm_io_overhead),
+        }
+    }
+
+    /// The first design of [`RecoveryStrategy::ALL`] on this runtime: the one whose
+    /// failure-free run stands for every design on the runtime.
+    pub fn representative(self) -> RecoveryStrategy {
+        match self {
+            HealthyRuntime::PlainMpi => RecoveryStrategy::Restart,
+            HealthyRuntime::Ulfm => RecoveryStrategy::Ulfm,
+        }
+    }
+}
+
 /// The static, data-carrying half of a design: everything about it that is a fact
 /// rather than a computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,18 +86,16 @@ pub struct DesignDescriptor {
     /// Whether recovery retires the failed ranks and continues on the survivor
     /// communicator (`true`), or restores the original world size (`false`).
     pub shrinks_world: bool,
+    /// The runtime the design runs on while healthy.
+    pub healthy_runtime: HealthyRuntime,
 }
 
-/// The behavioural half of a design: how it loads the machine while healthy and
-/// what its MPI-level recovery costs when a failure strikes.
+/// The behavioural half of a design: what its MPI-level recovery costs when a
+/// failure strikes (how it loads the machine while healthy is its descriptor's
+/// [`HealthyRuntime`]).
 pub trait RecoveryProtocol: Sync {
     /// The static description of this design.
     fn descriptor(&self) -> &'static DesignDescriptor;
-
-    /// The fractional interference this design imposes on application execution and
-    /// on checkpoint I/O while *no* failure is being handled, as
-    /// `(app_fraction, io_fraction)`.
-    fn background_interference(&self, machine: &MachineModel, nprocs: usize) -> (f64, f64);
 
     /// The modelled MPI-recovery cost for a job of `nprocs` processes of which
     /// `nfailed` failed, *excluding* the failure-detection latency (which is
@@ -80,33 +113,33 @@ static RESTART_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
     short_name: "restart",
     programming_effort_loc: 0,
     shrinks_world: false,
+    healthy_runtime: HealthyRuntime::PlainMpi,
 };
 static ULFM_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
     design_name: "ULFM-FTI",
     short_name: "ulfm",
     programming_effort_loc: 200,
     shrinks_world: false,
+    healthy_runtime: HealthyRuntime::Ulfm,
 };
 static REINIT_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
     design_name: "REINIT-FTI",
     short_name: "reinit",
     programming_effort_loc: 5,
     shrinks_world: false,
+    healthy_runtime: HealthyRuntime::PlainMpi,
 };
 static SHRINK_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
     design_name: "SHRINK-FTI",
     short_name: "shrink",
     programming_effort_loc: 250,
     shrinks_world: true,
+    healthy_runtime: HealthyRuntime::Ulfm,
 };
 
 impl RecoveryProtocol for RestartProtocol {
     fn descriptor(&self) -> &'static DesignDescriptor {
         &RESTART_DESCRIPTOR
-    }
-    fn background_interference(&self, _machine: &MachineModel, _nprocs: usize) -> (f64, f64) {
-        // Restart runs nothing until a failure happens.
-        (0.0, 0.0)
     }
     fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, _nfailed: usize) -> SimTime {
         machine.restart_recovery_cost(nprocs)
@@ -117,10 +150,6 @@ impl RecoveryProtocol for UlfmProtocol {
     fn descriptor(&self) -> &'static DesignDescriptor {
         &ULFM_DESCRIPTOR
     }
-    fn background_interference(&self, machine: &MachineModel, nprocs: usize) -> (f64, f64) {
-        // ULFM's heartbeat failure detector and MPI-call interposition run always.
-        (machine.ulfm_app_overhead(nprocs), machine.ulfm_io_overhead)
-    }
     fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, nfailed: usize) -> SimTime {
         machine.ulfm_recovery_cost(nprocs, nfailed.max(1))
     }
@@ -130,10 +159,6 @@ impl RecoveryProtocol for ReinitProtocol {
     fn descriptor(&self) -> &'static DesignDescriptor {
         &REINIT_DESCRIPTOR
     }
-    fn background_interference(&self, _machine: &MachineModel, _nprocs: usize) -> (f64, f64) {
-        // Reinit is free until a failure happens.
-        (0.0, 0.0)
-    }
     fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, _nfailed: usize) -> SimTime {
         machine.reinit_recovery_cost(nprocs)
     }
@@ -142,11 +167,6 @@ impl RecoveryProtocol for ReinitProtocol {
 impl RecoveryProtocol for ShrinkProtocol {
     fn descriptor(&self) -> &'static DesignDescriptor {
         &SHRINK_DESCRIPTOR
-    }
-    fn background_interference(&self, machine: &MachineModel, nprocs: usize) -> (f64, f64) {
-        // Shrinking recovery runs on the same ULFM runtime, so it pays the same
-        // heartbeat + interposition overhead while healthy.
-        (machine.ulfm_app_overhead(nprocs), machine.ulfm_io_overhead)
     }
     fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, _nfailed: usize) -> SimTime {
         // Revoke + shrink + agree only: no spawn and no merge, because the failed
@@ -207,12 +227,19 @@ impl RecoveryStrategy {
         self.descriptor().shrinks_world
     }
 
+    /// The runtime this design runs on while healthy.
+    pub fn healthy_runtime(&self) -> HealthyRuntime {
+        self.descriptor().healthy_runtime
+    }
+
     /// The fractional interference this strategy imposes on application execution and
-    /// on checkpoint I/O while *no* failure is being handled. Only the ULFM-based
-    /// designs run background work (heartbeat failure detector and MPI-call
-    /// interposition); Restart and Reinit are free until a failure happens.
+    /// on checkpoint I/O while *no* failure is being handled: its
+    /// [`HealthyRuntime`]'s. Only the ULFM-based designs run background work
+    /// (heartbeat failure detector and MPI-call interposition); Restart and Reinit
+    /// are free until a failure happens.
     pub fn background_interference(&self, machine: &MachineModel, nprocs: usize) -> (f64, f64) {
-        self.protocol().background_interference(machine, nprocs)
+        self.healthy_runtime()
+            .background_interference(machine, nprocs)
     }
 
     /// The modelled MPI-recovery cost of this strategy for a job of `nprocs` processes
@@ -277,10 +304,40 @@ mod tests {
                 (0.0, 0.0)
             );
         }
+        // Each design pays exactly its healthy runtime's interference.
+        for s in RecoveryStrategy::ALL {
+            let runtime = s.healthy_runtime();
+            assert_eq!(runtime.representative().healthy_runtime(), runtime);
+            for p in [4, 64, 512] {
+                assert_eq!(
+                    s.background_interference(&m, p),
+                    runtime.background_interference(&m, p),
+                    "{s} at {p} procs"
+                );
+            }
+        }
+        assert_eq!(
+            RecoveryStrategy::Reinit.healthy_runtime(),
+            HealthyRuntime::PlainMpi
+        );
+        assert_eq!(
+            RecoveryStrategy::Shrink.healthy_runtime(),
+            HealthyRuntime::Ulfm
+        );
         // ULFM interference grows with scale.
         let (a64, _) = RecoveryStrategy::Ulfm.background_interference(&m, 64);
         let (a512, _) = RecoveryStrategy::Ulfm.background_interference(&m, 512);
         assert!(a512 > a64);
+    }
+
+    #[test]
+    fn each_runtime_is_represented_by_its_first_design() {
+        for runtime in [HealthyRuntime::PlainMpi, HealthyRuntime::Ulfm] {
+            let first = RecoveryStrategy::ALL
+                .into_iter()
+                .find(|s| s.healthy_runtime() == runtime);
+            assert_eq!(Some(runtime.representative()), first, "{runtime:?}");
+        }
     }
 
     #[test]

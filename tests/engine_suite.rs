@@ -12,7 +12,7 @@
 use match_core::matrix::{full_suite_matrix, MatrixOptions};
 use match_core::proxies::InputSize;
 use match_core::proxies::ProxyKind;
-use match_core::recovery::RecoveryStrategy;
+use match_core::recovery::{RecoveryStrategy, RunReport};
 use match_core::runner;
 use match_core::{Experiment, Figure, SuiteEngine, SuiteOptions};
 
@@ -164,4 +164,54 @@ fn nonsensical_topology_surfaces_as_an_error_not_a_panic() {
             assert!(!text.is_empty());
         }
     }
+}
+
+#[test]
+fn failure_free_twins_simulate_identically_and_the_engine_answers_each_design() {
+    // Before a failure a design acts only through its healthy runtime's background
+    // interference, so REINIT's failure-free run is RESTART's and SHRINK's is
+    // ULFM's, bit for bit, except for the design the report names.
+    let engine = SuiteEngine::with_jobs_and_disk(2, None);
+    for app in ProxyKind::ALL {
+        for nprocs in [4, 8] {
+            let cells = RecoveryStrategy::ALL.map(|strategy| {
+                Experiment::new(app, InputSize::Small, nprocs, strategy)
+                    .with_options(&SuiteOptions::smoke())
+            });
+            let uncached = cells.map(|cell| {
+                runner::run_experiment_uncached(&cell)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cell.label()))
+            });
+            for (cell, report) in cells.iter().zip(&uncached) {
+                assert_eq!(report.strategy, cell.strategy);
+                let representative = cell.strategy.healthy_runtime().representative();
+                let twin = RunReport {
+                    strategy: representative,
+                    ..report.clone()
+                };
+                assert_eq!(
+                    twin,
+                    uncached[RecoveryStrategy::ALL
+                        .iter()
+                        .position(|&s| s == representative)
+                        .expect("a design of ALL")],
+                    "{} must simulate like {representative}",
+                    cell.label()
+                );
+            }
+            let answers = engine.run_matrix(&cells).expect("matrix");
+            for ((cell, answer), report) in cells.iter().zip(&answers).zip(&uncached) {
+                assert_eq!(answer, report, "{}", cell.label());
+                assert_eq!(
+                    &engine.run(cell).expect("recall"),
+                    report,
+                    "{}",
+                    cell.label()
+                );
+            }
+        }
+    }
+    // Two simulations per (app, nprocs): one per healthy runtime.
+    let stats = engine.cache_stats();
+    assert_eq!(stats.disk_misses as usize, ProxyKind::ALL.len() * 2 * 2);
 }

@@ -423,3 +423,47 @@ mod proptests {
         }
     }
 }
+
+#[test]
+fn a_failure_free_twin_stores_its_representatives_bytes_whichever_runs_first() {
+    // REINIT's failure-free cell is RESTART's simulation: one entry, stored under
+    // RESTART's label, byte-identical whichever twin the store saw first.
+    let twin = |strategy| Experiment {
+        strategy,
+        ..smoke(1, false)
+    };
+    let mut stored = Vec::new();
+    for (name, first, second) in [
+        (
+            "twin-reinit-first",
+            RecoveryStrategy::Reinit,
+            RecoveryStrategy::Restart,
+        ),
+        (
+            "twin-restart-first",
+            RecoveryStrategy::Restart,
+            RecoveryStrategy::Reinit,
+        ),
+    ] {
+        let root = tmp_root(name);
+        let disk = Arc::new(DiskCache::new(&root, None));
+        let engine = SuiteEngine::with_jobs_and_disk(1, Some(Arc::clone(&disk)));
+        let reports = [first, second].map(|s| engine.run(&twin(s)).expect("twin run"));
+        assert_eq!(reports.each_ref().map(|r| r.strategy), [first, second]);
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.disk_misses, stats.disk_writes),
+            (1, 1, 1)
+        );
+        assert_eq!(disk.usage().entries, 1);
+        let id = ExperimentId::of(&twin(RecoveryStrategy::Restart));
+        assert_eq!(id, ExperimentId::of(&twin(RecoveryStrategy::Reinit)));
+        match disk.load(&id) {
+            DiskLookup::Hit(report) => assert_eq!(report.strategy, RecoveryStrategy::Restart),
+            other => panic!("{name}: expected a hit, got {other:?}"),
+        }
+        stored.push(fs::read(disk.path_of(&id)).expect("entry bytes"));
+        let _ = fs::remove_dir_all(&root);
+    }
+    assert_eq!(stored[0], stored[1]);
+}
