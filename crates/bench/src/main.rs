@@ -8,59 +8,29 @@
 //! match-bench --replay <artifact.json>
 //! ```
 //!
-//! Results persist across invocations: unless `MATCH_CACHE=off`, every simulated
-//! cell is written through to the content-addressed disk store (root
-//! `MATCH_CACHE_DIR`, default `target/match-cache`), so a rerun of the same
-//! figures in a fresh process performs zero simulations — the `disk` counters on
-//! each target's cache line show the reuse. `--expect-warm` turns that into a
-//! contract: the process exits nonzero if any figure cell had to be simulated
-//! (the CI warm-cache job runs figures twice and passes this on the second run).
-//! The `cache` subcommand inspects and maintains the store: `stats` prints the
-//! root/entry/byte counts, `gc` runs one mtime-LRU sweep down to
-//! `MATCH_CACHE_MAX_MB`, and `clear` removes every entry.
+//! Results persist across invocations in the content-addressed disk store, so a
+//! rerun of the same figures in a fresh process performs zero simulations (the
+//! `disk` counters on each target's cache line show it); `--expect-warm` exits
+//! nonzero if any figure cell had to be simulated, and the `cache` subcommand
+//! prints, garbage-collects or clears the store. All targets of one invocation
+//! share one [`SuiteEngine`], so overlapping targets (`fig6 fig7 findings`, or
+//! `all`) are answered from its result cache. Each `figN` target is the
+//! [`Figure`] of that name; `mtbf` runs the MTBF sweep. With `--json`, figure
+//! targets also write `<target>.json` in canonical form — byte-identical across
+//! runs exactly when the simulated times are bit-identical, across both scheduler
+//! backends (`--backend`) and any worker count (`--workers`).
 //!
-//! `--backend` selects the scheduler backend simulated jobs run on (equivalent to
-//! `MATCH_BACKEND`; default `par`): `par` runs the ranks of a job as fibers sharded
-//! across a small pool of worker threads (`--workers N`, equivalent to
-//! `MATCH_WORKERS`; default `max(1, MATCH_CORES / jobs)`, and a job with one worker
-//! runs inline on the engine thread that picked it up), `coop` multiplexes all
-//! ranks of a job as fibers over one OS thread. Figure output is bit-identical
-//! across both and any worker count. A malformed `MATCH_BACKEND` or `MATCH_WORKERS`
-//! exits 2 naming the knob, like the flags.
-//! `--racks N` regroups the experiment topology's nodes into `N` racks (equivalent
-//! to `MATCH_RACKS`); a count that does not divide the paper-layout node count of
-//! every process count the run simulates exits 2 naming the knob.
+//! The `explore` target (not part of `all`) runs the coverage-guided fault-space
+//! explorer ([`match_explorer`]) and writes any property violation, shrunk, as
+//! the replayable artifact `explore-repro.json`; `--replay <file>` verifies such
+//! an artifact reproduces bit-for-bit. `MATCH_EXPLORE_ASSERT` seeds a deliberate
+//! violation, which is how CI drives the find → shrink → replay pipeline.
 //!
-//! The `explore` target runs the coverage-guided fault-space explorer (see
-//! [`match_explorer`]): per enabled design it searches the failure-trace space
-//! under a fixed budget (`MATCH_EXPLORE_BUDGET` traces of `MATCH_EXPLORE_PROCS`
-//! ranks × `MATCH_EXPLORE_ITERS` iterations, mutation seed `MATCH_EXPLORE_SEED`,
-//! optional on-disk corpus `MATCH_EXPLORE_CORPUS`) and prints the recovery-path
-//! coverage matrix (with `--json`: written to `explore.json`). Any property
-//! violation is shrunk to a minimal trace and written as a replayable artifact
-//! `explore-repro.json`; `--replay <file>` re-runs such an artifact and verifies
-//! it reproduces its recorded violation and path labels bit-for-bit.
-//! `MATCH_EXPLORE_ASSERT=<substring>` seeds a deliberate violation (asserting the
-//! substring unreachable in any path label) — with it set, finding and shrinking
-//! that violation is the *success* path, which is how CI drives the whole
-//! shrink → replay pipeline. `explore` is not part of `all`. A malformed or
-//! out-of-range numeric explorer knob exits 2 naming the knob, before any target runs.
-//!
-//! The `mtbf` target runs the MTBF sweep (efficiency vs. failure rate per design, an
-//! MTBF-driven multi-failure arrival process; knobs: `MATCH_MTBF`,
-//! `MATCH_MTBF_CRASH_PCT`, `MATCH_MTBF_RACK_PCT`). With `--json`, figure targets also
-//! write `<target>.json` in canonical form — byte-identical across runs exactly when
-//! the simulated times are bit-identical, which is what the CI determinism job diffs.
-//!
-//! The matrix is controlled by the `MATCH_PROCS`, `MATCH_SCALE`, `MATCH_APPS`,
-//! `MATCH_REPS` and `MATCH_JOBS` environment variables (see the crate documentation);
-//! a malformed value of any of them, or of `MATCH_CORES` or
-//! `MATCH_MTBF_{CRASH,RACK}_PCT`, exits 2 naming the knob before anything runs.
-//! `--jobs N` overrides `MATCH_JOBS`. All
-//! targets of one invocation share one [`SuiteEngine`], so overlapping targets
-//! (`fig6 fig7 findings`, or `all`) are answered from the result cache instead of
-//! re-running their experiments — the engine/cache line printed after each target
-//! shows the reuse. Each `figN` target is the [`Figure`] of that name.
+//! Every knob is a row of [`match_core::knobs`]; `--help` lists them. A malformed
+//! value of any knob, or a `--racks` count that does not divide the node count of
+//! every process count the run simulates, exits 2 naming the knob before anything
+//! runs. `--jobs`, `--backend`, `--workers` and `--racks` set the knob of the same
+//! name (`--flag VALUE` or `--flag=VALUE`) through its parser.
 //!
 //! Host-time measurement is not this CLI's job: the `match-perf` benchmark package
 //! (`benchmark/`) times the data-plane kernels, the cold and warm cache paths and
@@ -69,13 +39,14 @@
 use std::time::Instant;
 
 use match_bench::{
-    check_env, check_racks, figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env,
+    check_racks, exit_usage, figure_to_json, mtbf_options_from_env, mtbf_to_json, options_from_env,
     print_engine_line, print_figure, print_recovery_series,
 };
 use match_core::findings::Findings;
+use match_core::knobs::{self, AnyKnob};
 use match_core::matrix::{full_suite_matrix, MatrixOptions};
 use match_core::mtbf::mtbf_sweep;
-use match_core::persist::{DiskCache, CACHE_MAX_MB_ENV_VAR};
+use match_core::persist::DiskCache;
 use match_core::table1::table1;
 use match_core::{Figure, MtbfSweepOptions, SuiteEngine};
 
@@ -104,27 +75,35 @@ targets:
   explore           the coverage-guided fault-space explorer (not part of all)
 
 flags:
-  -j, --jobs N      experiments run concurrently (MATCH_JOBS; default: host cores)
-  --backend NAME    scheduler backend: coop or par (MATCH_BACKEND; par)
-  --workers N       worker threads of a par job (MATCH_WORKERS; cores / jobs)
-  --racks N         racks of the simulated topology (MATCH_RACKS)
-  --json            also write <target>.json, byte-identical for identical results
+";
+
+/// The `--help` lines of the flags that set no knob.
+const PLAIN_FLAGS: &str =
+    "  --json            also write <target>.json, byte-identical for identical results
   --expect-warm     exit 1 if any figure cell had to be simulated
   --replay FILE     re-run an explorer repro and verify it reproduces
   -h, --help        print this and exit
-
-environment:
-  MATCH_PROCS       process-count ladder (default 4,8,16,32; the paper: 64,128,256,512)
-  MATCH_SCALE       smoke, bench or paper input scaling (default smoke)
-  MATCH_APPS        subset of AMG,CoMD,HPCCG,LULESH,miniFE,miniVite (default: all)
-  MATCH_REPS        repetitions per configuration (default 1; the paper: 5)
-  MATCH_SHRINK      0 drops the SHRINK-FTI design from every sweep
-  MATCH_MTBF, MATCH_MTBF_CRASH_PCT, MATCH_MTBF_RACK_PCT
-                    the mtbf target's ladder and failure correlation
-  MATCH_CACHE, MATCH_CACHE_DIR, MATCH_CACHE_MAX_MB
-                    the persistent result cache: off, its root, its size cap
-  (the README's knob table lists every MATCH_* variable)
 ";
+
+/// The flags that set a knob, as `--flag VALUE` or `--flag=VALUE`, with their
+/// `--help` label: the value is checked by the knob's parser and handed to the
+/// library through the knob's variable (`-j` is `--jobs`).
+static KNOB_FLAGS: [(&str, &str, &dyn AnyKnob); 4] = [
+    ("--jobs", "-j, --jobs N", &knobs::JOBS),
+    ("--backend", "--backend NAME", &knobs::BACKEND),
+    ("--workers", "--workers N", &knobs::WORKERS),
+    ("--racks", "--racks N", &knobs::RACKS),
+];
+
+/// Prints `--help`: the usage, the flags and the environment section; the knob
+/// flags and the environment come from the knob table.
+fn print_help() {
+    print!("{USAGE}");
+    for (_, label, knob) in &KNOB_FLAGS {
+        println!("  {label:<16}  sets {}", knob.name());
+    }
+    print!("{PLAIN_FLAGS}\n{}", knobs::help_section());
+}
 
 /// Writes a target's canonical JSON next to the working directory (used by the CI
 /// determinism job, which byte-diffs the output of two runs).
@@ -211,10 +190,7 @@ fn run_target(
 fn run_cache_command(args: &[String]) -> ! {
     let sub = match args {
         [one] => one.as_str(),
-        _ => {
-            eprintln!("usage: match-bench cache stats|gc|clear");
-            std::process::exit(2);
-        }
+        _ => exit_usage("usage: match-bench cache stats|gc|clear"),
     };
     let Some(disk) = DiskCache::global() else {
         println!("persistent cache is disabled (MATCH_CACHE=off)");
@@ -227,8 +203,8 @@ fn run_cache_command(args: &[String]) -> ! {
             println!("entries: {}", usage.entries);
             println!("bytes:   {}", usage.bytes);
             match disk.max_bytes() {
-                Some(max) => println!("cap:     {max} bytes ({CACHE_MAX_MB_ENV_VAR})"),
-                None => println!("cap:     none ({CACHE_MAX_MB_ENV_VAR} unset)"),
+                Some(max) => println!("cap:     {max} bytes ({})", knobs::CACHE_MAX_MB.name),
+                None => println!("cap:     none ({} unset)", knobs::CACHE_MAX_MB.name),
             }
         }
         "gc" => match disk.max_bytes() {
@@ -243,19 +219,18 @@ fn run_cache_command(args: &[String]) -> ! {
                     outcome.remaining.bytes,
                 );
             }
-            None => {
-                eprintln!("cache gc needs a cap: set {CACHE_MAX_MB_ENV_VAR}");
-                std::process::exit(2);
-            }
+            None => exit_usage(&format!(
+                "cache gc needs a cap: set {}",
+                knobs::CACHE_MAX_MB.name
+            )),
         },
         "clear" => {
             let removed = disk.clear();
             println!("removed {removed} entries from {}", disk.root().display());
         }
-        other => {
-            eprintln!("unknown cache subcommand '{other}' (expected stats, gc or clear)");
-            std::process::exit(2);
-        }
+        other => exit_usage(&format!(
+            "unknown cache subcommand '{other}' (expected stats, gc or clear)"
+        )),
     }
     std::process::exit(0);
 }
@@ -306,7 +281,7 @@ fn run_explore(config: match_explorer::ExploreConfig, json: bool) {
     if asserting && asserted == 0 {
         eprintln!(
             "explore: {} was set but no path label matched it",
-            match_explorer::ASSERT_ENV_VAR
+            knobs::EXPLORE_ASSERT.name
         );
         std::process::exit(1);
     }
@@ -318,10 +293,7 @@ fn run_explore(config: match_explorer::ExploreConfig, json: bool) {
 fn run_replay(path: &str) -> ! {
     let artifact = match std::fs::read_to_string(path) {
         Ok(text) => text,
-        Err(error) => {
-            eprintln!("failed to read {path}: {error}");
-            std::process::exit(2);
-        }
+        Err(error) => exit_usage(&format!("failed to read {path}: {error}")),
     };
     match match_explorer::replay::replay(&artifact) {
         Ok(outcome) => {
@@ -343,24 +315,36 @@ fn run_replay(path: &str) -> ! {
             );
             std::process::exit(1);
         }
-        Err(error) => {
-            eprintln!("bad artifact {path}: {error}");
-            std::process::exit(2);
-        }
+        Err(error) => exit_usage(&format!("bad artifact {path}: {error}")),
     }
 }
 
 fn main() {
-    let mut jobs: Option<usize> = None;
     let mut json = false;
     let mut expect_warm = false;
     let mut replay: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let flag = if flag == "-j" { "--jobs" } else { flag };
+        if let Some((_, _, knob)) = KNOB_FLAGS.iter().find(|(name, ..)| *name == flag) {
+            let value = inline.or_else(|| args.next()).unwrap_or_default();
+            if let Err(error) = knob.check(&value) {
+                exit_usage(&format!("{flag}: {error}"));
+            }
+            // Simulated jobs read their knobs from the environment when they are
+            // configured; set here, before any job starts (single-threaded), the
+            // value reaches every target.
+            std::env::set_var(knob.name(), value);
+            continue;
+        }
         match arg.as_str() {
             "--help" | "-h" => {
-                print!("{USAGE}");
+                print_help();
                 return;
             }
             "--json" => json = true,
@@ -368,71 +352,16 @@ fn main() {
             "--replay" => {
                 let value = args.next().unwrap_or_default();
                 if value.is_empty() {
-                    eprintln!("--replay needs an artifact path");
-                    std::process::exit(2);
+                    exit_usage("--replay needs an artifact path");
                 }
                 replay = Some(value);
-            }
-            "--jobs" | "-j" => {
-                let value = args.next().unwrap_or_default();
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs needs a positive integer, got '{value}'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            flag if flag.starts_with("--jobs=") => match flag["--jobs=".len()..].parse::<usize>() {
-                Ok(n) if n > 0 => jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer, got '{flag}'");
-                    std::process::exit(2);
-                }
-            },
-            "--backend" => {
-                let value = args.next().unwrap_or_default();
-                match value.parse::<match_core::mpisim::SchedBackend>() {
-                    // Simulated jobs read the backend from the environment at
-                    // cluster-configuration time; setting it here (before any job
-                    // starts, single-threaded) routes every target through it.
-                    Ok(b) => std::env::set_var(match_core::mpisim::BACKEND_ENV_VAR, b.name()),
-                    Err(error) => {
-                        eprintln!("--backend: {error}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--workers" => {
-                let value = args.next().unwrap_or_default();
-                match value.parse::<usize>() {
-                    // Like --backend: resolved from the environment at
-                    // cluster-configuration time, set here before any job starts.
-                    Ok(n) if n > 0 => {
-                        std::env::set_var(match_core::mpisim::WORKERS_ENV_VAR, n.to_string())
-                    }
-                    _ => {
-                        eprintln!("--workers needs a positive integer, got '{value}'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--racks" => {
-                let value = args.next().unwrap_or_default();
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => {
-                        std::env::set_var(match_core::runner::RACKS_ENV_VAR, n.to_string())
-                    }
-                    _ => {
-                        eprintln!("--racks needs a positive integer, got '{value}'");
-                        std::process::exit(2);
-                    }
-                }
             }
             target => targets.push(target.to_string()),
         }
     }
-    check_env();
+    if let Err(error) = knobs::check_all() {
+        exit_usage(&error);
+    }
     if let Some(path) = replay {
         run_replay(&path);
     }
@@ -443,7 +372,7 @@ fn main() {
         targets.push("all".to_string());
     }
 
-    let engine = jobs.map(SuiteEngine::with_jobs).unwrap_or_default();
+    let engine = SuiteEngine::new();
     let options = options_from_env();
 
     let expanded: Vec<&str> = targets
@@ -461,23 +390,17 @@ fn main() {
     // must not surface only after minutes of matrix work.
     for name in &expanded {
         if !TARGETS.contains(name) && *name != "explore" {
-            eprintln!(
+            exit_usage(&format!(
                 "unknown target '{name}' (expected table1, fig5..fig10, mtbf, findings, \
                  explore, all; or the 'cache stats|gc|clear' subcommand)"
-            );
-            std::process::exit(2);
+            ));
         }
     }
-    // Like the matrix knobs, a malformed MTBF ladder or explorer knob exits before
-    // anything runs.
     let sweep_options = expanded
         .contains(&"mtbf")
         .then(|| mtbf_options_from_env(&options));
     let explore_config = expanded.contains(&"explore").then(|| {
-        match_explorer::ExploreConfig::from_env().unwrap_or_else(|error| {
-            eprintln!("{error}");
-            std::process::exit(2);
-        })
+        match_explorer::ExploreConfig::from_env().unwrap_or_else(|error| exit_usage(&error))
     });
     // A rack override must divide the node count of every job size the run builds.
     let mut job_sizes = options.process_counts.clone();

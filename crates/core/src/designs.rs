@@ -10,25 +10,21 @@
 //! against this list.
 //!
 //! The beyond-the-paper `SHRINK-FTI` design is part of the axis by default.
-//! Setting the `MATCH_SHRINK` environment variable to `0`/`off` restricts the
-//! suite to the paper's original three designs
-//! ([`recovery::RecoveryStrategy::PAPER`]), reproducing the published figures
-//! verbatim. Any other value (or no value) keeps all four designs. The choice does
+//! Switching the [`knobs::SHRINK`] knob (`MATCH_SHRINK`) off restricts the suite
+//! to the paper's original three designs ([`recovery::RecoveryStrategy::PAPER`]),
+//! reproducing the published figures verbatim. The choice does
 //! not enter the cache key: disabling a design only stops scheduling it, and the
 //! per-design results that do run are bit-identical either way.
 
 use recovery::RecoveryStrategy;
 
-/// Environment variable selecting the design axis: `0`/`off` restricts the suite
-/// to the paper's three designs, anything else (including unset) enables the
-/// fourth, shrinking design `SHRINK-FTI` as well.
-pub const SHRINK_ENV_VAR: &str = "MATCH_SHRINK";
+use crate::knobs;
 
 /// The designs the suite currently sweeps, in figure order (the paper's three
-/// first, `SHRINK-FTI` last when enabled). Honours [`SHRINK_ENV_VAR`].
+/// first, `SHRINK-FTI` last when enabled). Honours [`knobs::SHRINK`].
 pub fn enabled_designs() -> &'static [RecoveryStrategy] {
-    match std::env::var(SHRINK_ENV_VAR) {
-        Ok(value) if disables_shrink(&value) => &RecoveryStrategy::PAPER,
+    match knobs::SHRINK.read() {
+        Some(false) => &RecoveryStrategy::PAPER,
         _ => &RecoveryStrategy::ALL,
     }
 }
@@ -37,14 +33,6 @@ pub fn enabled_designs() -> &'static [RecoveryStrategy] {
 /// order as [`enabled_designs`].
 pub fn enabled_design_names() -> Vec<&'static str> {
     enabled_designs().iter().map(|s| s.design_name()).collect()
-}
-
-/// Whether a `MATCH_SHRINK` value turns the shrinking design off.
-fn disables_shrink(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "0" | "off" | "false" | "no"
-    )
 }
 
 #[cfg(test)]
@@ -69,10 +57,19 @@ mod tests {
     #[test]
     fn off_values_restrict_to_the_paper_axis() {
         for off in ["0", "off", "OFF", " Off ", "false", "no"] {
-            assert!(disables_shrink(off), "{off:?} must disable SHRINK-FTI");
+            assert_eq!(
+                knobs::SHRINK.parse(off),
+                Ok(false),
+                "{off:?} disables SHRINK-FTI"
+            );
         }
-        for on in ["1", "on", "", "yes", "shrink"] {
-            assert!(!disables_shrink(on), "{on:?} must keep SHRINK-FTI enabled");
+        for on in ["1", "on", "yes", "true"] {
+            assert_eq!(knobs::SHRINK.parse(on), Ok(true), "{on:?} keeps SHRINK-FTI");
+        }
+        // Anything else is malformed: `match-bench` exits 2, and the library warns
+        // and keeps the default, all four designs.
+        for bad in ["", "shrink", "maybe"] {
+            assert!(knobs::SHRINK.parse(bad).is_err(), "{bad:?}");
         }
     }
 

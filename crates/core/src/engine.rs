@@ -36,16 +36,9 @@ use recovery::RunReport;
 
 use crate::cache::{CacheStats, ExperimentId, ResultCache};
 use crate::experiment::Experiment;
+use crate::knobs;
 use crate::persist::DiskCache;
 use crate::runner;
-
-/// Environment variable bounding the number of experiments run concurrently.
-pub const JOBS_ENV_VAR: &str = "MATCH_JOBS";
-
-/// Environment variable bounding the engine's total core budget: the product of
-/// concurrent experiments (`MATCH_JOBS`) and per-experiment `par` scheduler workers
-/// stays within this many cores. Defaults to the host's available parallelism.
-pub const CORES_ENV_VAR: &str = "MATCH_CORES";
 
 /// An experiment (or the engine running it) failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -338,26 +331,20 @@ fn restamp(
     }
 }
 
-/// `MATCH_JOBS` if set and positive, otherwise the full core budget.
+/// [`knobs::JOBS`] if set and positive, otherwise the full core budget.
 fn default_jobs() -> usize {
-    positive_env(JOBS_ENV_VAR).unwrap_or_else(core_budget)
+    knobs::JOBS.read().unwrap_or_else(core_budget)
 }
 
-/// The engine's total core budget: `MATCH_CORES` if set and positive, otherwise the
-/// host's available parallelism (1 when that cannot be determined).
+/// The engine's total core budget, which concurrent experiments times their `par`
+/// workers stay within: [`knobs::CORES`] if set and positive, otherwise the host's
+/// available parallelism (1 when that cannot be determined).
 pub fn core_budget() -> usize {
-    positive_env(CORES_ENV_VAR).unwrap_or_else(|| {
+    knobs::CORES.read().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-fn positive_env(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@ pub mod engine;
 pub mod experiment;
 pub mod figures;
 pub mod findings;
+pub mod knobs;
 pub mod matrix;
 pub mod mtbf;
 pub mod persist;
@@ -60,13 +61,13 @@ pub mod table;
 pub mod table1;
 
 pub use cache::{CacheStats, ExperimentId};
-pub use designs::{enabled_design_names, enabled_designs, SHRINK_ENV_VAR};
-pub use engine::{core_budget, SuiteEngine, SuiteError, CORES_ENV_VAR, JOBS_ENV_VAR};
+pub use designs::{enabled_design_names, enabled_designs};
+pub use engine::{core_budget, SuiteEngine, SuiteError};
 pub use experiment::{Experiment, FailureScenario, SuiteOptions};
 pub use figures::{Figure, FigureData, FigureRow};
 pub use findings::Findings;
 pub use mtbf::{MtbfSweep, MtbfSweepOptions};
-pub use persist::{DiskCache, CACHE_DIR_ENV_VAR, CACHE_ENV_VAR, CACHE_MAX_MB_ENV_VAR};
+pub use persist::DiskCache;
 pub use runner::{run_trace, TraceRunOutcome, TraceRunSpec};
 
 // Re-export the building blocks so downstream users (examples, benches) need only one

@@ -15,10 +15,11 @@
 //!   processes. The full id bytes are also stored in each entry's header and
 //!   verified on read, so even a digest collision can only produce a miss, never a
 //!   wrong report.
-//! * **Crash safety** — writes go to a temp file in the destination directory,
-//!   `fsync`, then atomic `rename`, so a concurrent or crashing process never
-//!   observes a torn entry. Corrupt, truncated or version-mismatched files are a
-//!   silent miss (the cell is recomputed and the entry rewritten), never a panic.
+//! * **Crash safety** — writes go through [`atomic_write`] (temp file in the
+//!   destination directory, `fsync`, atomic `rename`, `fsync` of the directory),
+//!   so a concurrent or crashing process never observes a torn entry. Corrupt,
+//!   truncated or version-mismatched files are a silent miss (the cell is
+//!   recomputed and the entry rewritten), never a panic.
 //! * **Staleness safety** — every entry records the [`source_fingerprint`] of the
 //!   simulation stack it was produced by (a build-script hash over the sources of
 //!   every crate that influences simulated results). An entry written by a
@@ -26,12 +27,12 @@
 //!   cache directory surviving a code change can never serve outdated numbers.
 //!
 //! Layout under the root (default `target/match-cache`, overridable via
-//! [`CACHE_DIR_ENV_VAR`]): entries fan out over two directory levels keyed by the
+//! [`knobs::CACHE_DIR`]): entries fan out over two directory levels keyed by the
 //! leading hex digits of the content address, `root/ab/cd/<32-hex-digest>.rpt`,
 //! keeping directories small even for hundred-thousand-entry caches. The
-//! [`CACHE_MAX_MB_ENV_VAR`] cap enables mtime-LRU garbage collection (reads bump
-//! the entry's mtime, best-effort), and [`CACHE_ENV_VAR`]`=off` disables the disk
-//! layer entirely.
+//! [`knobs::CACHE_MAX_MB`] cap enables mtime-LRU garbage collection (reads bump
+//! the entry's mtime, best-effort), and switching [`knobs::CACHE`] off disables
+//! the disk layer entirely.
 
 use std::fs;
 use std::io::Write;
@@ -45,19 +46,7 @@ use mpisim::{RankStats, SimTime, TimeBreakdown};
 use recovery::{AttemptEntry, AttemptSummary, CoveragePath, RecoveryStrategy, Restore, RunReport};
 
 use crate::cache::ExperimentId;
-
-/// Environment variable disabling the persistent cache when set to `off`, `0`,
-/// `false` or `no` (case-insensitive).
-pub const CACHE_ENV_VAR: &str = "MATCH_CACHE";
-
-/// Environment variable overriding the persistent cache's root directory
-/// (default: `target/match-cache` under the workspace root).
-pub const CACHE_DIR_ENV_VAR: &str = "MATCH_CACHE_DIR";
-
-/// Environment variable capping the persistent cache's size in mebibytes.
-/// When set, writes trigger periodic mtime-LRU garbage collection down to the cap
-/// (`match-bench cache gc` runs one on demand).
-pub const CACHE_MAX_MB_ENV_VAR: &str = "MATCH_CACHE_MAX_MB";
+use crate::knobs;
 
 /// Version of the on-disk entry layout. Bumping it silently invalidates every
 /// existing entry (old files decode as a stale miss and are rewritten).
@@ -596,27 +585,20 @@ impl DiskCache {
         }
     }
 
-    /// Builds the store the environment describes: `None` when
-    /// [`CACHE_ENV_VAR`] disables it, otherwise rooted at [`CACHE_DIR_ENV_VAR`]
-    /// (default `target/match-cache` under the workspace) with the
-    /// [`CACHE_MAX_MB_ENV_VAR`] cap.
+    /// Builds the store the environment describes: `None` when [`knobs::CACHE`]
+    /// is off, otherwise rooted at [`knobs::CACHE_DIR`] (default
+    /// `target/match-cache` under the workspace) with the [`knobs::CACHE_MAX_MB`]
+    /// cap.
     pub fn from_env() -> Option<Arc<DiskCache>> {
-        if matches!(
-            std::env::var(CACHE_ENV_VAR).ok().as_deref().map(str::trim),
-            Some(v) if v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("no")
-                || v == "0"
-        ) {
+        if knobs::CACHE.read() == Some(false) {
             return None;
         }
-        let root = std::env::var_os(CACHE_DIR_ENV_VAR)
-            .map(PathBuf::from)
-            .filter(|p| !p.as_os_str().is_empty())
+        let root = knobs::CACHE_DIR
+            .read()
+            .flatten()
             .unwrap_or_else(default_root);
-        let max_bytes = std::env::var(CACHE_MAX_MB_ENV_VAR)
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
+        let max_bytes = knobs::CACHE_MAX_MB
+            .read()
             .map(|mb| mb.saturating_mul(1024 * 1024));
         Some(Arc::new(DiskCache::new(root, max_bytes)))
     }
@@ -670,37 +652,15 @@ impl DiskCache {
         }
     }
 
-    /// Writes `report` as the entry for `id`: temp file in the destination
-    /// directory, `fsync`, atomic rename. Readers either see the old complete
-    /// entry (which is bit-identical anyway) or the new one, never a torn file.
-    /// Triggers a GC pass periodically (every 32nd write) when a cap is set.
+    /// Writes `report` as the entry for `id` with [`atomic_write`]. Readers
+    /// either see the old complete entry (which is bit-identical anyway) or the
+    /// new one, never a torn file. Triggers a GC pass periodically (every 32nd
+    /// write) when a cap is set.
     pub fn store(&self, id: &ExperimentId, report: &RunReport) -> std::io::Result<()> {
         let path = self.path_of(id);
         let dir = path.parent().expect("entry path has a parent");
-        fs::create_dir_all(dir)?;
-        let bytes = encode_entry(id, report);
-
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let temp = dir.join(format!(
-            ".{}.{}.tmp",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = (|| {
-            let mut file = fs::File::create(&temp)?;
-            file.write_all(&bytes)?;
-            // Durability point: after this fsync the rename publishes a complete
-            // entry even if the process or host dies mid-way.
-            file.sync_all()?;
-            fs::rename(&temp, &path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&temp);
-        }
-        write?;
-        // Make the rename itself durable (best-effort: not all filesystems
-        // support fsync on directories).
-        let _ = fs::File::open(dir).and_then(|d| d.sync_all());
+        let name = path.file_name().expect("entry path has a file name");
+        atomic_write(dir, &name.to_string_lossy(), &encode_entry(id, report))?;
 
         if let Some(max) = self.max_bytes {
             if self
@@ -823,6 +783,40 @@ fn touch(path: &Path) {
     if let Ok(file) = fs::File::options().append(true).open(path) {
         let _ = file.set_modified(SystemTime::now());
     }
+}
+
+/// Publishes `bytes` as the file `name` under `dir` (created on demand), or
+/// leaves the directory as it was: the bytes go to a temp file in `dir` (a
+/// dot-file ending in `.tmp`), which is `fsync`ed and atomically renamed onto
+/// `name`; then `dir` itself is `fsync`ed so the rename is durable too
+/// (best-effort: not every filesystem supports it). A failed write removes its
+/// temp file. A concurrent or crashing writer never publishes a torn file.
+///
+/// # Errors
+///
+/// Creating the directory, writing or syncing the temp file, or the rename.
+pub fn atomic_write(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let temp = dir.join(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let write = (|| {
+        let mut file = fs::File::create(&temp)?;
+        file.write_all(bytes)?;
+        // Durability point: after this fsync the rename publishes a complete
+        // file even if the process or host dies mid-way.
+        file.sync_all()?;
+        fs::rename(&temp, dir.join(name))
+    })();
+    if write.is_err() {
+        let _ = fs::remove_file(&temp);
+    }
+    write?;
+    let _ = fs::File::open(dir).and_then(|d| d.sync_all());
+    Ok(())
 }
 
 /// `target/match-cache` under the workspace this binary was compiled from. The

@@ -19,41 +19,21 @@ use recovery::{
 
 use crate::engine::SuiteError;
 use crate::experiment::{Experiment, FailureScenario};
-
-/// Environment variable overriding the rack count experiments run on (the `nracks`
-/// sweep knob): the paper-layout node count is regrouped into this many racks, which
-/// must divide it. Plumbed through [`ClusterConfig::racks`]; the cache key derives
-/// its failure-domain layout from the same configuration, so overridden sweeps can
-/// never collide with default-layout results.
-pub const RACKS_ENV_VAR: &str = "MATCH_RACKS";
+use crate::knobs;
 
 /// The cluster configuration an experiment of `nprocs` ranks runs on. The single
 /// source of the experiment → topology mapping: [`run_single`] builds its cluster
 /// from it and [`crate::cache::ExperimentId`] derives the failure-domain layout of
 /// its cache key from it, so the two can never silently diverge. Honours the
-/// `MATCH_RACKS` rack-count override (and, through
-/// [`ClusterConfig::with_ranks`], the `MATCH_BACKEND` scheduler selection — which
-/// deliberately does *not* enter the cache key, since results are bit-identical
-/// across backends).
+/// [`knobs::RACKS`] override, which regroups the paper-layout nodes into that many
+/// racks (it must divide the node count), and, through
+/// [`ClusterConfig::with_ranks`], [`knobs::BACKEND`] — which deliberately does
+/// *not* enter the cache key, since results are bit-identical across backends.
 pub fn experiment_cluster(nprocs: usize) -> ClusterConfig {
     let config = ClusterConfig::with_ranks(nprocs);
-    let Ok(value) = std::env::var(RACKS_ENV_VAR) else {
-        return config;
-    };
-    match value.trim().parse::<usize>() {
-        Ok(r) if r > 0 => config.racks(r),
-        _ => {
-            // Warn once (this runs per experiment, including cache-key derivation)
-            // instead of silently sweeping the default layout under a wrong label.
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: {RACKS_ENV_VAR}='{value}' is not a positive rack count; \
-                     using the default paper layout"
-                );
-            });
-            config
-        }
+    match knobs::RACKS.read() {
+        Some(racks) => config.racks(racks),
+        None => config,
     }
 }
 

@@ -4,17 +4,15 @@
 //! novel path signature is persisted — one file per genome, named by the FNV-1a-64
 //! content address of its canonical bytes — and reloaded as extra seeds by later
 //! invocations. The file format and failure model mirror the result cache
-//! (`match_core::persist`): magic, version and checksum framing; writes go to a
-//! temp file, `fsync`, then an atomic rename; and *every* malformation — torn,
+//! (`match_core::persist`): magic, version and checksum framing; writes go
+//! through the cache's [`atomic_write`]; and *every* malformation — torn,
 //! truncated, bit-rotted or version-skewed entries — degrades to re-exploration
 //! (the entry is skipped), never to a panic.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use match_core::persist::fnv1a64;
+use match_core::persist::{atomic_write, fnv1a64};
 
 use crate::genome::TraceGenome;
 
@@ -66,30 +64,11 @@ pub fn entry_name(genome: &TraceGenome) -> String {
     format!("{:016x}.{ENTRY_EXT}", fnv1a64(&genome.canonical_bytes()))
 }
 
-/// Persists `genome` under `dir` (created on demand): temp file in the
-/// destination directory, `fsync`, atomic rename — a concurrent or crashing
-/// writer never publishes a torn entry. Best-effort: an unwritable corpus
-/// silently degrades to in-memory exploration.
+/// Persists `genome` under `dir` (created on demand) with [`atomic_write`], so a
+/// concurrent or crashing writer never publishes a torn entry. Best-effort: an
+/// unwritable corpus silently degrades to in-memory exploration.
 pub fn save(dir: &Path, genome: &TraceGenome) {
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let temp = dir.join(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let target = dir.join(entry_name(genome));
-    let write = (|| {
-        let mut file = fs::File::create(&temp)?;
-        file.write_all(&encode_entry(genome))?;
-        file.sync_all()?;
-        fs::rename(&temp, &target)
-    })();
-    if write.is_err() {
-        let _ = fs::remove_file(&temp);
-    }
+    let _ = atomic_write(dir, &entry_name(genome), &encode_entry(genome));
 }
 
 /// Loads every valid entry under `dir`, in file-name (= content address) order so

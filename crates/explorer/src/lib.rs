@@ -29,17 +29,8 @@
 //! aggregation is over ordered containers — so the coverage report is
 //! byte-identical across `MATCH_JOBS`, `MATCH_BACKEND` and `MATCH_WORKERS`.
 //!
-//! Knobs (all optional; a set numeric knob outside its range is an error, see
-//! [`ExploreConfig::from_env`]):
-//!
-//! | variable | default | meaning |
-//! |----------|---------|---------|
-//! | `MATCH_EXPLORE_BUDGET` | 48 | traces evaluated per design (≥ 1) |
-//! | `MATCH_EXPLORE_SEED` | 20 | mutation RNG seed (any `u64`) |
-//! | `MATCH_EXPLORE_PROCS` | 8 | ranks per explored trace (≥ 2) |
-//! | `MATCH_EXPLORE_ITERS` | 12 | main-loop iterations per trace (≥ 2) |
-//! | `MATCH_EXPLORE_CORPUS` | off | corpus directory (persistence is opt-in) |
-//! | `MATCH_EXPLORE_ASSERT` | unset | label substring asserted unreachable |
+//! The `MATCH_EXPLORE_*` knobs are rows of the knob table
+//! ([`match_core::knobs`]); [`ExploreConfig::from_env`] reads them.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,34 +43,11 @@ pub mod search;
 
 use std::path::PathBuf;
 
+use match_core::knobs;
+
 pub use genome::TraceGenome;
 pub use report::ExploreReport;
 pub use search::{ExploreOutcome, Explorer, Property, Violation};
-
-/// Environment variable: traces evaluated per design (default 48).
-pub const BUDGET_ENV_VAR: &str = "MATCH_EXPLORE_BUDGET";
-
-/// Environment variable: the mutation RNG seed (default 20).
-pub const SEED_ENV_VAR: &str = "MATCH_EXPLORE_SEED";
-
-/// Environment variable: ranks per explored trace (default 8).
-pub const PROCS_ENV_VAR: &str = "MATCH_EXPLORE_PROCS";
-
-/// Environment variable: main-loop iterations per trace (default 12).
-pub const ITERS_ENV_VAR: &str = "MATCH_EXPLORE_ITERS";
-
-/// Environment variable: the corpus directory. Persistence is opt-in — unset (or
-/// `off`) keeps the corpus in memory only, so repeated invocations stay
-/// byte-identical; a path both reloads surviving entries as extra seeds and saves
-/// every novel genome.
-pub const CORPUS_ENV_VAR: &str = "MATCH_EXPLORE_CORPUS";
-
-/// Environment variable: a label substring asserted unreachable. When a run
-/// reaches a recovery-path label containing the substring, the explorer treats it
-/// as a property violation, shrinks the trace and emits a replayable artifact —
-/// the mechanism CI uses to prove the whole find → shrink → replay pipeline on a
-/// seeded "violation".
-pub const ASSERT_ENV_VAR: &str = "MATCH_EXPLORE_ASSERT";
 
 /// The explorer's run configuration, typically built [`from_env`](ExploreConfig::from_env).
 #[derive(Debug, Clone)]
@@ -94,7 +62,7 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Corpus directory; `None` keeps the corpus in memory only.
     pub corpus: Option<PathBuf>,
-    /// Label substring asserted unreachable (see [`ASSERT_ENV_VAR`]).
+    /// Label substring asserted unreachable (see [`knobs::EXPLORE_ASSERT`]).
     pub assert_label: Option<String>,
 }
 
@@ -112,8 +80,11 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Builds the configuration the `MATCH_EXPLORE_*` environment describes. An
-    /// unset knob keeps its default.
+    /// Builds the configuration the `MATCH_EXPLORE_*` knobs describe
+    /// ([`knobs::EXPLORE_PROCS`] and its neighbours). An unset knob keeps its
+    /// default; the corpus persists only when [`knobs::EXPLORE_CORPUS`] names a
+    /// directory, and [`knobs::EXPLORE_ASSERT`] seeds a label violation (how CI
+    /// drives the find → shrink → replay pipeline).
     ///
     /// # Errors
     ///
@@ -121,71 +92,16 @@ impl ExploreConfig {
     /// error naming the knob, the value and what it accepts — never a silently
     /// different search.
     pub fn from_env() -> Result<Self, String> {
-        let mut config = ExploreConfig::default();
-        if let Ok(value) = std::env::var(PROCS_ENV_VAR) {
-            config.nprocs = parse_procs(&value)?;
-        }
-        if let Ok(value) = std::env::var(ITERS_ENV_VAR) {
-            config.iterations = parse_iters(&value)?;
-        }
-        if let Ok(value) = std::env::var(BUDGET_ENV_VAR) {
-            config.budget = parse_budget(&value)?;
-        }
-        if let Ok(value) = std::env::var(SEED_ENV_VAR) {
-            config.seed = parse_seed(&value)?;
-        }
-        if let Ok(dir) = std::env::var(CORPUS_ENV_VAR) {
-            let dir = dir.trim();
-            if !dir.is_empty() && !dir.eq_ignore_ascii_case("off") {
-                config.corpus = Some(PathBuf::from(dir));
-            }
-        }
-        if let Ok(label) = std::env::var(ASSERT_ENV_VAR) {
-            let label = label.trim();
-            if !label.is_empty() {
-                config.assert_label = Some(label.to_string());
-            }
-        }
-        Ok(config)
+        let default = ExploreConfig::default();
+        Ok(ExploreConfig {
+            nprocs: knobs::EXPLORE_PROCS.get()?.unwrap_or(default.nprocs),
+            iterations: knobs::EXPLORE_ITERS.get()?.unwrap_or(default.iterations),
+            budget: knobs::EXPLORE_BUDGET.get()?.unwrap_or(default.budget),
+            seed: knobs::EXPLORE_SEED.get()?.unwrap_or(default.seed),
+            corpus: knobs::EXPLORE_CORPUS.get()?.flatten(),
+            assert_label: knobs::EXPLORE_ASSERT.get()?.flatten(),
+        })
     }
-}
-
-/// Parses knob `name`'s `value` as an integer of at least `min`; `what` names the
-/// quantity in the error.
-fn parse_at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
-    name: &str,
-    value: &str,
-    min: T,
-    what: &str,
-) -> Result<T, String> {
-    value
-        .trim()
-        .parse::<T>()
-        .ok()
-        .filter(|n| *n >= min)
-        .ok_or_else(|| format!("{name}='{value}' is not {what} (expected an integer >= {min})"))
-}
-
-/// Parses a `MATCH_EXPLORE_PROCS` value: ranks per explored trace, at least 2.
-fn parse_procs(value: &str) -> Result<usize, String> {
-    parse_at_least(PROCS_ENV_VAR, value, 2, "a rank count")
-}
-
-/// Parses a `MATCH_EXPLORE_ITERS` value: main-loop iterations per trace, at least 2.
-fn parse_iters(value: &str) -> Result<u64, String> {
-    parse_at_least(ITERS_ENV_VAR, value, 2, "an iteration count")
-}
-
-/// Parses a `MATCH_EXPLORE_BUDGET` value: traces per design, at least 1.
-fn parse_budget(value: &str) -> Result<u32, String> {
-    parse_at_least(BUDGET_ENV_VAR, value, 1, "a trace budget")
-}
-
-/// Parses a `MATCH_EXPLORE_SEED` value: any `u64`.
-fn parse_seed(value: &str) -> Result<u64, String> {
-    value.trim().parse().map_err(|_| {
-        format!("{SEED_ENV_VAR}='{value}' is not a seed (expected an unsigned 64-bit integer)")
-    })
 }
 
 #[cfg(test)]
@@ -202,45 +118,48 @@ mod tests {
         assert!(config.assert_label.is_none());
     }
 
-    /// Asserts `result` is an error naming `knob`.
-    fn names<T: std::fmt::Debug>(result: Result<T, String>, knob: &str) {
-        let error = result.expect_err("malformed value accepted");
-        assert!(error.contains(knob), "{error}");
+    /// Asserts `knob` rejects `value` with an error naming it.
+    fn names<T: std::fmt::Debug>(knob: &knobs::Knob<T>, value: &str) {
+        let error = knob.parse(value).expect_err("malformed value accepted");
+        assert!(error.contains(knob.name), "{error}");
     }
 
     #[test]
     fn procs_parser_accepts_two_or_more_ranks() {
-        assert_eq!(parse_procs(" 16 "), Ok(16));
-        assert_eq!(parse_procs("2"), Ok(2));
+        assert_eq!(knobs::EXPLORE_PROCS.parse(" 16 "), Ok(16));
+        assert_eq!(knobs::EXPLORE_PROCS.parse("2"), Ok(2));
         for bad in ["1", "0", "-4", "abc", "", "8,16"] {
-            names(parse_procs(bad), PROCS_ENV_VAR);
+            names(&knobs::EXPLORE_PROCS, bad);
         }
     }
 
     #[test]
     fn iters_parser_accepts_two_or_more_iterations() {
-        assert_eq!(parse_iters("12"), Ok(12));
-        assert_eq!(parse_iters("2"), Ok(2));
+        assert_eq!(knobs::EXPLORE_ITERS.parse("12"), Ok(12));
+        assert_eq!(knobs::EXPLORE_ITERS.parse("2"), Ok(2));
         for bad in ["1", "0", "twelve", "1.5"] {
-            names(parse_iters(bad), ITERS_ENV_VAR);
+            names(&knobs::EXPLORE_ITERS, bad);
         }
     }
 
     #[test]
     fn budget_parser_accepts_positive_budgets() {
-        assert_eq!(parse_budget("48"), Ok(48));
-        assert_eq!(parse_budget("1"), Ok(1));
+        assert_eq!(knobs::EXPLORE_BUDGET.parse("48"), Ok(48));
+        assert_eq!(knobs::EXPLORE_BUDGET.parse("1"), Ok(1));
         for bad in ["0", "abc", "-1", "4294967296"] {
-            names(parse_budget(bad), BUDGET_ENV_VAR);
+            names(&knobs::EXPLORE_BUDGET, bad);
         }
     }
 
     #[test]
     fn seed_parser_accepts_any_u64() {
-        assert_eq!(parse_seed("0"), Ok(0));
-        assert_eq!(parse_seed(&u64::MAX.to_string()), Ok(u64::MAX));
+        assert_eq!(knobs::EXPLORE_SEED.parse("0"), Ok(0));
+        assert_eq!(
+            knobs::EXPLORE_SEED.parse(&u64::MAX.to_string()),
+            Ok(u64::MAX)
+        );
         for bad in ["-1", "seed", "18446744073709551616"] {
-            names(parse_seed(bad), SEED_ENV_VAR);
+            names(&knobs::EXPLORE_SEED, bad);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! CI byte-diff jobs prove that invariant *dynamically*; this crate rejects the
 //! known hazard classes *statically*, before they cost a debugging session against
 //! a 16k-rank run. See [`rules`] for the rule set and the waiver syntax, and
-//! [`knobs`] for the `MATCH_*` environment-knob registry.
+//! [`check_knobs`] for the checks against the `MATCH_*` knob table.
 //!
 //! The analyzer is zero-dependency and token-level: a real lexer ([`lexer`])
 //! strips comments, strings and char literals so rules never fire on prose, but
@@ -16,11 +16,10 @@
 //! positives on this tree, simple enough that adding a rule is an afternoon, not
 //! a project.
 
-pub mod knobs;
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{lint_source, FileReport, UNSAFE_ALLOWED};
+pub use rules::{lint_source, FileReport, KnobRef, UNSAFE_ALLOWED};
 
 use std::fmt;
 use std::io;
@@ -93,7 +92,7 @@ impl Rule {
             Rule::UnsafeContainment => "unsafe only legal inside the four audited modules",
             Rule::SafetyComment => "every unsafe site needs a // SAFETY: comment stating its invariant",
             Rule::KnobRegistry => {
-                "every MATCH_* literal must be registered (knobs.rs), read somewhere, and in the README"
+                "every MATCH_* literal must be a knob-table row, every row read somewhere and in the README"
             }
             Rule::WaiverSyntax => "malformed or reason-less match-lint waiver comments",
         }
@@ -139,9 +138,14 @@ impl WorkspaceReport {
     }
 }
 
+/// The file holding the knob table, workspace-relative: every `name:` field in
+/// it is a registered knob, given as a `"MATCH_…"` literal or as the path of a
+/// `const IDENT: &str = "MATCH_…"` defined elsewhere in the workspace.
+pub const KNOB_TABLE: &str = "crates/core/src/knobs.rs";
+
 /// Lints the workspace rooted at `root`: every `.rs` file under `crates/`,
 /// `tests/` and `examples/` (skipping `target/`), plus the workspace-level knob
-/// checks (dead registry entries, README coverage).
+/// checks against [`KNOB_TABLE`] and `README.md`.
 pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     for top in ["crates", "tests", "examples"] {
@@ -153,52 +157,126 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     files.sort();
 
     let mut report = WorkspaceReport::default();
-    let mut knob_uses: Vec<String> = Vec::new();
+    let mut knobs: Vec<(String, Vec<KnobRef>)> = Vec::new();
     for path in &files {
         let rel = relative_slash(root, path);
         let src = std::fs::read_to_string(path)?;
         let file_report = lint_source(&rel, &src);
         report.violations.extend(file_report.violations);
         report.waivers_used += file_report.waivers_used;
-        knob_uses.extend(file_report.knob_uses);
+        knobs.push((rel, file_report.knobs));
         report.files_scanned += 1;
     }
 
-    // Workspace-level knob checks. Usage means a string literal in code — a doc
-    // mention alone does not keep a knob alive.
-    let registry_src = include_str!("knobs.rs");
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    for knob in knobs::KNOBS {
-        if !knob_uses.iter().any(|u| u == knob.name) {
-            report.violations.push(Violation {
-                file: "crates/lint/src/knobs.rs".to_string(),
-                line: registry_entry_line(registry_src, knob.name),
-                rule: Rule::KnobRegistry,
-                message: format!(
-                    "registered knob `{}` is read nowhere in the workspace; delete \
-                     the entry or restore the read",
-                    knob.name
-                ),
-            });
-        }
-        if !readme.contains(&format!("`{}`", knob.name)) {
-            report.violations.push(Violation {
-                file: "README.md".to_string(),
-                line: 1,
-                rule: Rule::KnobRegistry,
-                message: format!(
-                    "knob `{}` is missing from README.md; add a row to the knob \
-                     table ({})",
-                    knob.name, knob.doc
-                ),
-            });
-        }
-    }
-
+    report.violations.extend(check_knobs(&knobs, &readme));
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+/// The `knob-registry` checks of one workspace: `files` holds the knob mentions
+/// of every linted file ([`KNOB_TABLE`] among them) and `readme` the top-level
+/// README. Three invariants:
+///
+/// 1. every `MATCH_*` literal names a row of the table (a typo can never fork a
+///    knob);
+/// 2. every row is read outside the table file and outside test code, through
+///    `knobs::ROW` or by its literal name (a deleted read leaves no dead row
+///    behind);
+/// 3. every row appears in the README as `` `MATCH_…` `` (the user-facing table
+///    cannot drift from the code).
+pub fn check_knobs(files: &[(String, Vec<KnobRef>)], readme: &str) -> Vec<Violation> {
+    let violation = |file: &str, line: usize, message: String| Violation {
+        file: file.to_string(),
+        line,
+        rule: Rule::KnobRegistry,
+        message,
+    };
+    let refs = || {
+        files
+            .iter()
+            .flat_map(|(file, refs)| refs.iter().map(move |r| (file, r)))
+    };
+    let mut out = Vec::new();
+    // The rows, `(item, knob name, line)`, with their aliases resolved.
+    let mut rows: Vec<(&str, &str, usize)> = Vec::new();
+    for (_, r) in refs() {
+        let KnobRef::Field {
+            item,
+            name,
+            alias,
+            line,
+        } = r
+        else {
+            continue;
+        };
+        let resolved = refs().find_map(|(_, r)| match r {
+            KnobRef::Alias {
+                ident, name: knob, ..
+            } if ident == name => Some(knob.as_str()),
+            _ => None,
+        });
+        match (alias, resolved) {
+            (false, _) => rows.push((item, name, *line)),
+            (true, Some(knob)) => rows.push((item, knob, *line)),
+            (true, None) => out.push(violation(
+                KNOB_TABLE,
+                *line,
+                format!("row `{item}` is named by `{name}`, which is no `const {name}: &str`"),
+            )),
+        }
+    }
+
+    for (file, r) in refs() {
+        let (KnobRef::Literal { name, line, .. } | KnobRef::Alias { name, line, .. }) = r else {
+            continue;
+        };
+        if !rows.iter().any(|(_, row, _)| row == name) {
+            out.push(violation(
+                file,
+                *line,
+                format!(
+                    "`{name}` is not in the knob table; add a row to {KNOB_TABLE} \
+                     (name, default, doc, parser) and to the README knob table — \
+                     or fix the typo"
+                ),
+            ));
+        }
+    }
+    for (item, name, line) in rows {
+        let read = refs().any(|(file, r)| {
+            file != KNOB_TABLE
+                && match r {
+                    KnobRef::Literal {
+                        name: used,
+                        in_test,
+                        ..
+                    } => used == name && !in_test,
+                    KnobRef::Row { ident } => ident == item,
+                    _ => false,
+                }
+        });
+        if !read {
+            out.push(violation(
+                KNOB_TABLE,
+                line,
+                format!(
+                    "knob `{name}` (row `{item}`) is read nowhere in the workspace; delete \
+                     the row or restore the read"
+                ),
+            ));
+        }
+        if !readme.contains(&format!("`{name}`")) {
+            out.push(violation(
+                "README.md",
+                1,
+                format!("knob `{name}` is missing from README.md's knob table"),
+            ));
+        }
+    }
+    out
 }
 
 /// Locates the workspace root: `explicit` if given, else the nearest ancestor of
@@ -246,12 +324,4 @@ fn relative_slash(root: &Path, path: &Path) -> String {
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-fn registry_entry_line(src: &str, name: &str) -> usize {
-    let needle = format!("\"{name}\"");
-    src.lines()
-        .position(|l| l.contains(&needle))
-        .map(|i| i + 1)
-        .unwrap_or(1)
 }

@@ -12,9 +12,10 @@
 //! * `unsafe-containment` — `unsafe` is only legal in the four audited modules.
 //! * `safety-comment` — every `unsafe` site carries its invariant in a `// SAFETY:`
 //!   comment immediately above it.
-//! * `knob-registry` — every `MATCH_*` literal names a knob registered in
-//!   [`crate::knobs`], every registered knob is read somewhere, and the README
-//!   documents all of them.
+//! * `knob-registry` — every `MATCH_*` literal names a row of the knob table
+//!   ([`crate::KNOB_TABLE`]), every row is read somewhere, and the README documents
+//!   all of them. The rule is workspace-level ([`crate::check_knobs`]); per file,
+//!   [`lint_source`] only collects the [`KnobRef`]s it needs.
 //!
 //! Violations can be waived in-source, narrowly, with a mandatory reason:
 //!
@@ -27,7 +28,7 @@
 //! itself a violation, and that violation cannot be waived.
 
 use crate::lexer::{lex, TokKind, Token};
-use crate::{knobs, Rule, Violation};
+use crate::{Rule, Violation};
 
 /// Files in which the `unsafe` keyword is legal. Everything else in the workspace
 /// must stay safe Rust — these four modules are the audited containment boundary
@@ -100,9 +101,8 @@ fn in_scope(path: &str, scope: &[&str]) -> bool {
 pub struct FileReport {
     /// Violations that survived waiver filtering, in line order.
     pub violations: Vec<Violation>,
-    /// Every registered-or-not `MATCH_*` literal seen, for the workspace-level
-    /// dead-knob check.
-    pub knob_uses: Vec<String>,
+    /// Every `MATCH_*` knob mention, for the workspace-level knob checks.
+    pub knobs: Vec<KnobRef>,
     /// Waivers that actually suppressed a violation.
     pub waivers_used: usize,
 }
@@ -131,10 +131,11 @@ pub fn lint_source(rel_path: &str, source: &str) -> FileReport {
     }
     safety_comment(&file, &mut raw);
 
-    let mut knob_uses = Vec::new();
-    if !rel_path.starts_with("crates/lint") {
-        knob_registry(&file, &mut raw, &mut knob_uses);
-    }
+    let knobs = if rel_path.starts_with("crates/lint") {
+        Vec::new()
+    } else {
+        knob_refs(&file)
+    };
 
     let (waivers, mut violations) = parse_waivers(&file);
     let mut waivers_used = 0;
@@ -151,7 +152,7 @@ pub fn lint_source(rel_path: &str, source: &str) -> FileReport {
     violations.sort_by_key(|v| (v.line, v.rule.name()));
     FileReport {
         violations,
-        knob_uses,
+        knobs,
         waivers_used,
     }
 }
@@ -541,25 +542,100 @@ fn safety_comment(f: &FileCtx<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn knob_registry(f: &FileCtx<'_>, out: &mut Vec<Violation>, uses: &mut Vec<String>) {
-    for t in f.tokens {
-        let TokKind::Str(s) = &t.kind else { continue };
-        for name in extract_knob_names(s) {
-            if knobs::find(&name).is_none() {
-                f.violation(
-                    out,
-                    Rule::KnobRegistry,
-                    t.line,
-                    format!(
-                        "`{name}` is not in the knob registry; add it to \
-                         crates/lint/src/knobs.rs (name, default, one-line doc) \
-                         and to the README knob table — or fix the typo"
-                    ),
-                );
+/// A mention of a `MATCH_*` knob in code.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KnobRef {
+    /// A `MATCH_*` word in a string literal: a read (unless `in_test`), or text
+    /// naming the knob.
+    Literal {
+        name: String,
+        line: usize,
+        in_test: bool,
+    },
+    /// `const IDENT: &str = "MATCH_…";` — `IDENT` stands for the knob's name.
+    Alias {
+        ident: String,
+        name: String,
+        line: usize,
+    },
+    /// `knobs::IDENT` outside test code: a read through the table's row `IDENT`.
+    Row { ident: String },
+    /// In [`crate::KNOB_TABLE`], the `name:` field of row `item`: a knob name, or
+    /// (`alias`) the identifier of a [`KnobRef::Alias`].
+    Field {
+        item: String,
+        name: String,
+        alias: bool,
+        line: usize,
+    },
+}
+
+fn knob_refs(f: &FileCtx<'_>) -> Vec<KnobRef> {
+    let mut refs = Vec::new();
+    // The `static`/`const` item whose definition the scan is in.
+    let mut item = String::new();
+    for ci in 0..f.code.len() {
+        let line = f.code_tok(ci).line;
+        match &f.code_tok(ci).kind {
+            TokKind::Ident(s) if s == "static" || s == "const" => {
+                item = f.code_ident(ci + 1).unwrap_or_default().to_string();
             }
-            uses.push(name);
+            TokKind::Str(s) => {
+                let defines = ci >= 5
+                    && f.code_ident(ci - 5) == Some(item.as_str())
+                    && f.code_punct(ci - 1, '=')
+                    && f.code_ident(ci - 2) == Some("str")
+                    && f.code_punct(ci - 3, '&')
+                    && f.code_punct(ci - 4, ':');
+                for name in extract_knob_names(s) {
+                    refs.push(if defines && *s == name {
+                        let ident = item.clone();
+                        KnobRef::Alias { ident, name, line }
+                    } else {
+                        let in_test = f.in_test(line);
+                        KnobRef::Literal {
+                            name,
+                            line,
+                            in_test,
+                        }
+                    });
+                }
+            }
+            TokKind::Ident(s)
+                if s == "knobs"
+                    && f.code_punct(ci + 1, ':')
+                    && f.code_punct(ci + 2, ':')
+                    && !f.in_test(line) =>
+            {
+                if let Some(ident) = f.code_ident(ci + 3) {
+                    let ident = ident.to_string();
+                    refs.push(KnobRef::Row { ident });
+                }
+            }
+            TokKind::Ident(s)
+                if s == "name"
+                    && f.path == crate::KNOB_TABLE
+                    && !item.is_empty()
+                    && f.code_punct(ci + 1, ':')
+                    && !f.code_punct(ci + 2, ':') =>
+            {
+                let (name, alias) = match f.code.get(ci + 2).map(|_| &f.code_tok(ci + 2).kind) {
+                    Some(TokKind::Str(name)) => (name.clone(), false),
+                    Some(TokKind::Ident(ident)) => (ident.clone(), true),
+                    _ => continue,
+                };
+                let item = item.clone();
+                refs.push(KnobRef::Field {
+                    item,
+                    name,
+                    alias,
+                    line,
+                });
+            }
+            _ => {}
         }
     }
+    refs
 }
 
 /// Extracts every `MATCH_[A-Z0-9_]+` word from `s` (word-boundary on both sides).

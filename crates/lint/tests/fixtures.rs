@@ -3,7 +3,7 @@
 //! fixture sources live in string literals, so nothing here trips the linter
 //! when it scans this file as part of the workspace.
 
-use match_lint::{lint_source, Rule};
+use match_lint::{check_knobs, lint_source, KnobRef, Rule, KNOB_TABLE};
 
 fn rules_of(path: &str, src: &str) -> Vec<Rule> {
     lint_source(path, src)
@@ -239,12 +239,58 @@ fn safety_comment_must_be_adjacent() {
 
 // --------------------------------------------------------------- knob-registry
 
+/// A two-row knob table: one row named by a literal, one through an alias
+/// defined in another crate, as `match_core::knobs` names `MATCH_BACKEND`.
+const TABLE: &str = r#"
+    pub static JOBS: Knob<usize> = Knob { name: "MATCH_JOBS", default: "1", doc: "d", parser: positive };
+    pub static BACKEND: Knob<B> = Knob { name: BACKEND_ENV_VAR, default: "par", doc: "d", parser: str::parse };
+"#;
+
+const README: &str = "| `MATCH_JOBS` | d | 1 |\n| `MATCH_BACKEND` | d | par |\n";
+
+/// The knob checks over `files` (path, source) and the table above.
+fn knob_violations(files: &[(&str, &str)], readme: &str) -> Vec<String> {
+    let mut refs: Vec<(String, Vec<KnobRef>)> = files
+        .iter()
+        .map(|(path, src)| (path.to_string(), lint_source(path, src).knobs))
+        .collect();
+    refs.push((KNOB_TABLE.to_string(), lint_source(KNOB_TABLE, TABLE).knobs));
+    check_knobs(&refs, readme)
+        .iter()
+        .inspect(|v| assert_eq!(v.rule, Rule::KnobRegistry))
+        .map(|v| format!("{}:{}", v.file, v.line))
+        .collect()
+}
+
+/// A workspace where both rows are defined, read and documented.
+const ALIAS: (&str, &str) = (
+    "crates/mpisim/src/sched/mod.rs",
+    r#"pub const BACKEND_ENV_VAR: &str = "MATCH_BACKEND";"#,
+);
+const READER: (&str, &str) = (
+    "crates/bench/src/main.rs",
+    "fn f() { knobs::JOBS.read(); knobs::BACKEND.read(); }",
+);
+
 #[test]
 fn unregistered_knob_literal_detected() {
-    let src = r#"fn f() { let _ = std::env::var("MATCH_TYPO_KNOB"); }"#;
+    assert!(knob_violations(&[ALIAS, READER], README).is_empty());
+    let typo = (
+        "crates/core/src/runner.rs",
+        r#"fn f() { let _ = std::env::var("MATCH_TYPO_KNOB"); }"#,
+    );
     assert_eq!(
-        rules_of("crates/core/src/runner.rs", src),
-        vec![Rule::KnobRegistry]
+        knob_violations(&[ALIAS, READER, typo], README),
+        vec!["crates/core/src/runner.rs:1"]
+    );
+    // An alias of an unregistered name is a typo too.
+    let alias_typo = (
+        "crates/fti/src/lib.rs",
+        r#"const X: &str = "MATCH_TYPO_KNOB";"#,
+    );
+    assert_eq!(
+        knob_violations(&[ALIAS, READER, alias_typo], README),
+        vec!["crates/fti/src/lib.rs:1"]
     );
 }
 
@@ -253,7 +299,67 @@ fn registered_knob_literal_is_clean_and_counted() {
     let src = r#"fn f() { let _ = std::env::var("MATCH_JOBS"); }"#;
     let report = lint_source("crates/core/src/runner.rs", src);
     assert!(report.violations.is_empty());
-    assert_eq!(report.knob_uses, vec!["MATCH_JOBS".to_string()]);
+    assert_eq!(
+        report.knobs,
+        vec![KnobRef::Literal {
+            name: "MATCH_JOBS".to_string(),
+            line: 1,
+            in_test: false,
+        }]
+    );
+    // A literal read keeps a row alive as well as a `knobs::ROW` read does.
+    let literal_reader = ("crates/core/src/runner.rs", src);
+    let row_reader = (
+        "crates/bench/src/main.rs",
+        "fn f() { knobs::BACKEND.read(); }",
+    );
+    assert!(knob_violations(&[ALIAS, literal_reader, row_reader], README).is_empty());
+}
+
+#[test]
+fn registered_knob_read_nowhere_detected() {
+    // Only BACKEND is read; the table's JOBS row (line 2) is dead. The alias
+    // definition and the table's own literal are no reads.
+    let reader = (
+        "crates/bench/src/main.rs",
+        "fn f() { knobs::BACKEND.read(); }",
+    );
+    assert_eq!(
+        knob_violations(&[ALIAS, reader], README),
+        vec![format!("{KNOB_TABLE}:2")]
+    );
+    // A read in test code keeps no row alive.
+    let test_reader = (
+        "crates/core/src/designs.rs",
+        "#[cfg(test)]\nmod tests {\n    fn f() { knobs::JOBS.read(); std::env::var(\"MATCH_JOBS\"); }\n}\n",
+    );
+    assert_eq!(
+        knob_violations(&[ALIAS, reader, test_reader], README),
+        vec![format!("{KNOB_TABLE}:2")]
+    );
+    // The same for a row named through its alias (line 3).
+    let reader = ("crates/bench/src/main.rs", "fn f() { knobs::JOBS.read(); }");
+    assert_eq!(
+        knob_violations(&[ALIAS, reader], README),
+        vec![format!("{KNOB_TABLE}:3")]
+    );
+}
+
+#[test]
+fn knob_missing_from_readme_detected() {
+    assert_eq!(
+        knob_violations(&[ALIAS, READER], "| `MATCH_JOBS` | d | 1 |\n"),
+        vec!["README.md:1"]
+    );
+}
+
+#[test]
+fn knob_row_naming_an_undefined_alias_detected() {
+    // Without the alias definition the BACKEND row cannot be resolved.
+    assert_eq!(
+        knob_violations(&[READER], README),
+        vec![format!("{KNOB_TABLE}:3")]
+    );
 }
 
 // --------------------------------------------------------------------- waivers

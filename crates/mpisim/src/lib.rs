@@ -66,6 +66,7 @@ pub mod ctx;
 pub mod datatype;
 pub mod error;
 pub mod failure;
+pub mod knob;
 pub mod machine;
 pub mod mailbox;
 pub mod msg;

@@ -52,7 +52,9 @@ impl ClusterConfig {
             nracks: None,
             machine: MachineModel::default(),
             stack_size: 1 << 20,
-            backend: SchedBackend::from_env(),
+            // Read per configuration, never cached: callers switch backends by
+            // setting the variable between jobs.
+            backend: crate::knob::read(crate::BACKEND_ENV_VAR, str::parse).unwrap_or_default(),
             workers: 0,
         }
     }

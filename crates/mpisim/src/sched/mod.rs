@@ -60,7 +60,7 @@
 //! `MATCH_BACKEND` environment variable, then to `par`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 use crate::time::SimTime;
 
@@ -98,28 +98,15 @@ pub(crate) fn resolve_workers(explicit: usize) -> usize {
     if explicit > 0 {
         return explicit;
     }
-    let env = std::env::var(WORKERS_ENV_VAR).ok();
-    let pinned = env.as_deref().and_then(|s| s.trim().parse::<usize>().ok());
-    if let Some(n) = pinned.filter(|&n| n > 0) {
+    if let Some(n) = crate::knob::read(WORKERS_ENV_VAR, crate::knob::positive) {
         return n;
     }
-    let fallback = match DEFAULT_PAR_WORKERS.load(Ordering::Relaxed) {
+    match DEFAULT_PAR_WORKERS.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         engine_default => engine_default,
-    };
-    if let Some(s) = env {
-        // Warn once: this runs per job, hundreds of times in one figure sweep.
-        static WARNED: Once = Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: {WORKERS_ENV_VAR}='{s}' is not a positive worker count; \
-                 using {fallback}"
-            );
-        });
     }
-    fallback
 }
 
 /// Which scheduler backend a job runs on (see the module docs).
@@ -153,24 +140,6 @@ pub enum SchedBackend {
 }
 
 impl SchedBackend {
-    /// Reads the backend from the `MATCH_BACKEND` environment variable, defaulting to
-    /// [`SchedBackend::default`] (`par`). Unrecognized values fall back to the default
-    /// (with one warning per process on stderr) rather than aborting a long bench run.
-    pub fn from_env() -> SchedBackend {
-        match std::env::var(BACKEND_ENV_VAR) {
-            Err(_) => SchedBackend::default(),
-            Ok(s) => s.parse().unwrap_or_else(|error| {
-                let fallback = SchedBackend::default();
-                // Warn once: this runs per job, hundreds of times in one figure sweep.
-                static WARNED: Once = Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("warning: {BACKEND_ENV_VAR}: {error}; using {fallback}");
-                });
-                fallback
-            }),
-        }
-    }
-
     /// The backend's canonical name (`"coop"` / `"par"`).
     pub fn name(self) -> &'static str {
         match self {
