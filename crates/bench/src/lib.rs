@@ -5,6 +5,7 @@
 //! shape the matrix and the MTBF sweep; every knob is a row of
 //! [`match_core::knobs`], where its default, meaning and accepted values live.
 
+use match_core::json;
 use match_core::knobs::{self, Knob};
 use match_core::matrix::MatrixOptions;
 use match_core::mpisim::Topology;
@@ -92,55 +93,45 @@ pub fn mtbf_options_from_env(options: &MatrixOptions) -> MtbfSweepOptions {
     )
 }
 
-/// Serializes a figure into canonical JSON. Floats are rendered with Rust's
-/// shortest-round-trip formatting, so two outputs are byte-identical exactly when the
-/// underlying values are bit-identical — the property the determinism CI job diffs.
+/// Serializes a figure into canonical JSON ([`json::document`] layout). Floats are
+/// rendered with Rust's shortest-round-trip formatting, so two outputs are
+/// byte-identical exactly when the underlying values are bit-identical — the
+/// property the determinism CI job diffs.
 pub fn figure_to_json(data: &FigureData) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"title\": {:?},\n", data.title));
-    out.push_str(&format!("  \"with_failure\": {},\n", data.with_failure));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in data.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": {:?}, \"group\": {:?}, \"design\": {:?}, \"application\": {}, \"checkpoint_write\": {}, \"recovery\": {}}}{}\n",
-            row.app.name(),
-            row.group,
-            row.design,
-            row.application,
-            row.checkpoint_write,
-            row.recovery,
-            if i + 1 < data.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = json::rows(data.rows.iter().map(|row| {
+        json::row(&[
+            ("app", &json::string(row.app.name())),
+            ("group", &json::string(&row.group)),
+            ("design", &json::string(&row.design)),
+            ("application", &row.application),
+            ("checkpoint_write", &row.checkpoint_write),
+            ("recovery", &row.recovery),
+        ])
+    }));
+    json::document(&[
+        ("title", &json::string(&data.title)),
+        ("with_failure", &data.with_failure),
+        ("rows", &rows),
+    ])
 }
 
-/// Serializes an MTBF sweep into canonical JSON (same float convention as
-/// [`figure_to_json`]).
+/// Serializes an MTBF sweep into canonical JSON (same layout and float convention
+/// as [`figure_to_json`]).
 pub fn mtbf_to_json(sweep: &MtbfSweep) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"title\": {:?},\n", sweep.title));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in sweep.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"design\": {:?}, \"node_mtbf_iterations\": {}, \"failures\": {}, \"restarts\": {}, \"application\": {}, \"checkpoint_write\": {}, \"recovery\": {}, \"total\": {}, \"efficiency\": {}}}{}\n",
-            row.design,
-            row.node_mtbf_iterations,
-            row.failures,
-            row.restarts,
-            row.application,
-            row.checkpoint_write,
-            row.recovery,
-            row.total,
-            row.efficiency,
-            if i + 1 < sweep.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = json::rows(sweep.rows.iter().map(|row| {
+        json::row(&[
+            ("design", &json::string(&row.design)),
+            ("node_mtbf_iterations", &row.node_mtbf_iterations),
+            ("failures", &row.failures),
+            ("restarts", &row.restarts),
+            ("application", &row.application),
+            ("checkpoint_write", &row.checkpoint_write),
+            ("recovery", &row.recovery),
+            ("total", &row.total),
+            ("efficiency", &row.efficiency),
+        ])
+    }));
+    json::document(&[("title", &json::string(&sweep.title)), ("rows", &rows)])
 }
 
 /// Prints a figure with a standard banner, reporting the wall-clock time the

@@ -36,6 +36,7 @@
 //! (`benchmark/`) times the data-plane kernels, the cold and warm cache paths and
 //! the figure matrices.
 
+use std::path::Path;
 use std::time::Instant;
 
 use match_bench::{
@@ -46,7 +47,7 @@ use match_core::findings::Findings;
 use match_core::knobs::{self, AnyKnob};
 use match_core::matrix::{full_suite_matrix, MatrixOptions};
 use match_core::mtbf::mtbf_sweep;
-use match_core::persist::DiskCache;
+use match_core::persist::{atomic_write, DiskCache};
 use match_core::table1::table1;
 use match_core::{Figure, MtbfSweepOptions, SuiteEngine};
 
@@ -105,11 +106,11 @@ fn print_help() {
     print!("{PLAIN_FLAGS}\n{}", knobs::help_section());
 }
 
-/// Writes a target's canonical JSON next to the working directory (used by the CI
-/// determinism job, which byte-diffs the output of two runs).
-fn dump_json(name: &str, json: String) {
-    let path = format!("{name}.json");
-    if let Err(error) = std::fs::write(&path, json) {
+/// Writes `json` as the file `path` in the working directory (used by the CI
+/// determinism job, which byte-diffs the output of two runs, and by `--replay`).
+/// The write is atomic, so a killed run never leaves a torn file behind.
+fn dump_json(path: &str, json: &str) {
+    if let Err(error) = atomic_write(Path::new("."), path, json.as_bytes()) {
         eprintln!("failed to write {path}: {error}");
         std::process::exit(1);
     }
@@ -145,7 +146,7 @@ fn run_target(
                     t.elapsed().as_secs_f64()
                 );
                 if json {
-                    dump_json(name, mtbf_to_json(&sweep));
+                    dump_json(&format!("{name}.json"), &mtbf_to_json(&sweep));
                 }
             })
         }
@@ -172,7 +173,7 @@ fn run_target(
                     print_figure(&data, t);
                 }
                 if json {
-                    dump_json(name, figure_to_json(&data));
+                    dump_json(&format!("{name}.json"), &figure_to_json(&data));
                 }
             })
         }
@@ -244,7 +245,7 @@ fn run_explore(config: match_explorer::ExploreConfig, json: bool) {
     let outcome = match_explorer::Explorer::new(config).run();
     print!("{}", outcome.report.render());
     if json {
-        dump_json("explore", outcome.report.to_json());
+        dump_json("explore.json", &outcome.report.to_json());
     }
     let mut organic = 0usize;
     let mut asserted = 0usize;
@@ -265,13 +266,10 @@ fn run_explore(config: match_explorer::ExploreConfig, json: bool) {
         );
         // First artifact wins; one repro is what the replay step consumes.
         if organic + asserted == 1 {
-            let path = "explore-repro.json";
-            if let Err(error) = std::fs::write(path, match_explorer::replay::to_artifact(violation))
-            {
-                eprintln!("failed to write {path}: {error}");
-                std::process::exit(1);
-            }
-            println!("[wrote {path}]");
+            dump_json(
+                "explore-repro.json",
+                &match_explorer::replay::to_artifact(violation),
+            );
         }
     }
     if organic > 0 {

@@ -70,7 +70,6 @@ impl ExperimentId {
     /// Derives the canonical id of an experiment.
     pub fn of(experiment: &Experiment) -> Self {
         use proxies::ProxyKind;
-        use recovery::RecoveryStrategy;
 
         let app = match experiment.app {
             ProxyKind::Amg => 0,
@@ -85,12 +84,7 @@ impl ExperimentId {
             proxies::InputSize::Medium => 1,
             proxies::InputSize::Large => 2,
         };
-        let strategy = match experiment.representative().strategy {
-            RecoveryStrategy::Restart => 0,
-            RecoveryStrategy::Ulfm => 1,
-            RecoveryStrategy::Reinit => 2,
-            RecoveryStrategy::Shrink => 3,
-        };
+        let strategy = crate::persist::strategy_tag(experiment.representative().strategy);
         let scenario = match experiment.scenario {
             crate::experiment::FailureScenario::None => (0, 0, 0, 0, 0),
             crate::experiment::FailureScenario::SingleRandom => (1, 0, 0, 0, 0),

@@ -52,6 +52,7 @@ pub mod engine;
 pub mod experiment;
 pub mod figures;
 pub mod findings;
+pub mod json;
 pub mod knobs;
 pub mod matrix;
 pub mod mtbf;

@@ -8,6 +8,8 @@
 //! * **Canonical serialization** — a versioned, checksummed binary encoding of
 //!   [`RunReport`] (including the [`TimeBreakdown`] and the per-attempt log; every
 //!   `f64` travels as its IEEE-754 bit pattern, so decode(encode(r)) == r *bitwise*).
+//!   [`Enc`]/[`Dec`] and the entry frame ([`seal`]/[`unseal`]) are public: the
+//!   explorer's corpus entries use the same code.
 //! * **Content addressing** — the [`ExperimentId`] is encoded field-by-field into an
 //!   explicit little-endian byte string ([`ExperimentId::canonical_bytes`]) and fed
 //!   through an in-tree FNV-1a-128 digest ([`fnv1a128`]). `std::hash::Hasher` is
@@ -100,18 +102,20 @@ pub fn fnv1a128(bytes: &[u8]) -> u128 {
     hash
 }
 
-/// Little-endian byte-string encoder for the canonical formats of this module.
+/// Little-endian encoder of every binary format: cache entries, ids, genomes.
 #[derive(Debug, Default)]
-pub(crate) struct Enc {
+pub struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new() -> Self {
+    /// An empty encoding.
+    pub fn new() -> Self {
         Self::default()
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// Appends one byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
@@ -119,16 +123,18 @@ impl Enc {
         self.buf.push(v as u8);
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// Appends 4 little-endian bytes.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// Appends 8 little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// `usize` always travels as 8 bytes so 32- and 64-bit builds agree.
-    pub(crate) fn usize(&mut self, v: usize) {
+    pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
@@ -141,7 +147,8 @@ impl Enc {
         self.buf.extend_from_slice(v);
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    /// The encoded bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 }
@@ -201,14 +208,17 @@ impl DecodeError {
     }
 }
 
-/// Bounds-checked reader over an encoded byte string.
-pub(crate) struct Dec<'a> {
+/// Bounds-checked reader over an [`Enc`] encoding: every read past the end is
+/// [`DecodeError::Truncated`], never a panic.
+#[derive(Debug)]
+pub struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Dec { bytes, pos: 0 }
     }
 
@@ -222,7 +232,8 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
@@ -234,19 +245,22 @@ impl<'a> Dec<'a> {
         }
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
+    /// 4 little-endian bytes.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
+    /// 8 little-endian bytes.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    pub(crate) fn usize(&mut self) -> Result<usize, DecodeError> {
+    /// An 8-byte `usize` ([`DecodeError::BadValue`] if it does not fit).
+    pub fn usize(&mut self) -> Result<usize, DecodeError> {
         usize::try_from(self.u64()?).map_err(|_| DecodeError::BadValue("usize"))
     }
 
@@ -265,7 +279,8 @@ impl<'a> Dec<'a> {
         }
     }
 
-    pub(crate) fn finish(self) -> Result<(), DecodeError> {
+    /// Ends the read: [`DecodeError::TrailingBytes`] unless every byte was read.
+    pub fn finish(self) -> Result<(), DecodeError> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {
@@ -274,13 +289,45 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// Frames `body` as `magic | version u32 | body | FNV-1a-64 checksum u64` (over
+/// every preceding byte): the envelope of cache and explorer corpus entries.
+pub fn seal(magic: &[u8; 8], version: u32, body: &[u8]) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.bytes(magic);
+    enc.u32(version);
+    enc.bytes(body);
+    let checksum = fnv1a64(&enc.buf);
+    enc.u64(checksum);
+    enc.into_bytes()
+}
+
+/// The body of a [`seal`]ed entry. Magic and version are checked before the
+/// checksum, so an entry of a future layout (which may checksum differently)
+/// reads as stale ([`DecodeError::WrongVersion`]), not corrupt.
+pub fn unseal<'a>(magic: &[u8; 8], version: u32, bytes: &'a [u8]) -> Result<&'a [u8], DecodeError> {
+    let (sealed, checksum) = bytes.split_at(bytes.len().saturating_sub(8));
+    let mut dec = Dec::new(sealed);
+    if dec.take(magic.len())? != magic {
+        return Err(DecodeError::BadMagic);
+    }
+    let found = dec.u32()?;
+    if found != version {
+        return Err(DecodeError::WrongVersion(found));
+    }
+    if fnv1a64(sealed).to_le_bytes() != checksum {
+        return Err(DecodeError::BadChecksum);
+    }
+    Ok(&sealed[dec.pos..])
+}
+
 /// The content address of an experiment: the hex FNV-1a-128 digest of its
 /// canonical byte encoding. This is the entry's file name stem.
 pub fn content_address(id: &ExperimentId) -> String {
     format!("{:032x}", fnv1a128(&id.canonical_bytes()))
 }
 
-fn strategy_tag(strategy: RecoveryStrategy) -> u8 {
+/// Stable one-byte tag of a design (cache entry bodies and experiment ids).
+pub(crate) fn strategy_tag(strategy: RecoveryStrategy) -> u8 {
     match strategy {
         RecoveryStrategy::Restart => 0,
         RecoveryStrategy::Ulfm => 1,
@@ -290,13 +337,9 @@ fn strategy_tag(strategy: RecoveryStrategy) -> u8 {
 }
 
 fn strategy_from_tag(tag: u8) -> Result<RecoveryStrategy, DecodeError> {
-    match tag {
-        0 => Ok(RecoveryStrategy::Restart),
-        1 => Ok(RecoveryStrategy::Ulfm),
-        2 => Ok(RecoveryStrategy::Reinit),
-        3 => Ok(RecoveryStrategy::Shrink),
-        _ => Err(DecodeError::BadValue("recovery strategy tag")),
-    }
+    let mut designs = RecoveryStrategy::ALL.into_iter();
+    let strategy = designs.find(|&s| strategy_tag(s) == tag);
+    strategy.ok_or(DecodeError::BadValue("recovery strategy tag"))
 }
 
 fn encode_breakdown(enc: &mut Enc, b: &TimeBreakdown) {
@@ -463,52 +506,28 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, DecodeError> {
     Ok(report)
 }
 
-/// Serializes a full cache entry:
+/// Serializes a full cache entry, [`seal`]ed under the magic `"MATCHRC1"` and
+/// [`FORMAT_VERSION`]:
 ///
 /// ```text
-/// magic "MATCHRC1" | format version u32 | source fingerprint u64
-/// | id length u32 | canonical id bytes | report body | FNV-1a-64 checksum u64
+/// source fingerprint u64 | id length u32 | canonical id bytes | report body
 /// ```
 ///
-/// The checksum covers every preceding byte; the id bytes make a digest
-/// collision (or hand-renamed file) detectable on read.
+/// The id bytes make a digest collision (or hand-renamed file) detectable on read.
 pub fn encode_entry(id: &ExperimentId, report: &RunReport) -> Vec<u8> {
     let id_bytes = id.canonical_bytes();
     let mut enc = Enc::new();
-    enc.bytes(&MAGIC);
-    enc.u32(FORMAT_VERSION);
     enc.u64(source_fingerprint());
     enc.u32(id_bytes.len() as u32);
     enc.bytes(&id_bytes);
     enc.bytes(&encode_report(report));
-    let mut bytes = enc.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    seal(&MAGIC, FORMAT_VERSION, &enc.into_bytes())
 }
 
 /// Deserializes and fully validates a cache entry for `id` (the inverse of
 /// [`encode_entry`]). Every malformation is an `Err`, never a panic.
 pub fn decode_entry(id: &ExperimentId, bytes: &[u8]) -> Result<RunReport, DecodeError> {
-    // Checksum first: a torn or bit-rotted file must not be interpreted at all.
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    // Magic and version are checked before the checksum so a future layout
-    // (which may checksum differently) reads as stale, not corrupt.
-    let mut dec = Dec::new(payload);
-    if dec.take(MAGIC.len())? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = dec.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::WrongVersion(version));
-    }
-    if fnv1a64(payload) != stored {
-        return Err(DecodeError::BadChecksum);
-    }
+    let mut dec = Dec::new(unseal(&MAGIC, FORMAT_VERSION, bytes)?);
     if dec.u64()? != source_fingerprint() {
         return Err(DecodeError::StaleFingerprint);
     }
@@ -970,6 +989,31 @@ mod tests {
         assert_eq!(err, DecodeError::StaleFingerprint);
         assert!(err.is_stale());
         assert!(!DecodeError::BadChecksum.is_stale());
+    }
+
+    #[test]
+    fn unseal_checks_magic_then_version_then_checksum() {
+        let sealed = seal(b"MATCHXP1", 7, b"body");
+        assert_eq!(unseal(b"MATCHXP1", 7, &sealed), Ok(&b"body"[..]));
+        assert_eq!(unseal(&MAGIC, 7, &sealed), Err(DecodeError::BadMagic));
+        // A future layout reads as stale even when its checksum does not match.
+        let mut future = seal(b"MATCHXP1", 8, b"other body");
+        *future.last_mut().unwrap() ^= 1;
+        let err = unseal(b"MATCHXP1", 7, &future).unwrap_err();
+        assert_eq!(err, DecodeError::WrongVersion(8));
+        assert!(err.is_stale());
+        let mut corrupt = sealed.clone();
+        corrupt[12] ^= 1;
+        assert_eq!(
+            unseal(b"MATCHXP1", 7, &corrupt),
+            Err(DecodeError::BadChecksum)
+        );
+        for len in 0..sealed.len() {
+            assert!(
+                unseal(b"MATCHXP1", 7, &sealed[..len]).is_err(),
+                "prefix {len}"
+            );
+        }
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! When `MATCH_EXPLORE_CORPUS` names a directory, every genome that reached a
 //! novel path signature is persisted — one file per genome, named by the FNV-1a-64
 //! content address of its canonical bytes — and reloaded as extra seeds by later
-//! invocations. The file format and failure model mirror the result cache
-//! (`match_core::persist`): magic, version and checksum framing; writes go
-//! through the cache's [`atomic_write`]; and *every* malformation — torn,
-//! truncated, bit-rotted or version-skewed entries — degrades to re-exploration
-//! (the entry is skipped), never to a panic.
+//! invocations. An entry is framed and written by the result cache's own code
+//! ([`persist::seal`], [`persist::unseal`], [`persist::atomic_write`]), and *every*
+//! malformed entry (torn, truncated, bit-rotted, version-skewed) is skipped and
+//! re-explored, never a panic.
 
 use std::fs;
 use std::path::Path;
 
-use match_core::persist::{atomic_write, fnv1a64};
+use match_core::persist::{self, atomic_write, fnv1a64};
 
 use crate::genome::TraceGenome;
 
@@ -26,36 +25,14 @@ const VERSION: u32 = 1;
 /// temp file or foreign and is ignored.
 const ENTRY_EXT: &str = "xpc";
 
-/// Serializes one corpus entry: `magic | version u32 | genome bytes | fnv1a64
-/// checksum u64` (checksum over every preceding byte).
+/// Serializes one corpus entry: the genome's canonical bytes, sealed.
 pub fn encode_entry(genome: &TraceGenome) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&genome.canonical_bytes());
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    persist::seal(&MAGIC, VERSION, &genome.canonical_bytes())
 }
 
 /// Deserializes a corpus entry; `None` for anything malformed.
 pub fn decode_entry(bytes: &[u8]) -> Option<TraceGenome> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a64(payload) != stored {
-        return None;
-    }
-    if payload[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(payload[MAGIC.len()..MAGIC.len() + 4].try_into().ok()?);
-    if version != VERSION {
-        return None;
-    }
-    TraceGenome::decode(&payload[MAGIC.len() + 4..])
+    TraceGenome::decode(persist::unseal(&MAGIC, VERSION, bytes).ok()?)
 }
 
 /// The entry file name of a genome: the hex content address of its canonical

@@ -11,6 +11,7 @@
 
 use match_core::fti::{CheckpointLevel, FtiConfig};
 use match_core::mpisim::{FailureKind, FailureSpec, Topology};
+use match_core::persist::{Dec, Enc};
 use match_core::recovery::{FailureTrace, RecoveryStrategy};
 use match_core::runner::experiment_cluster;
 use match_core::TraceRunSpec;
@@ -196,52 +197,61 @@ impl TraceGenome {
     /// The canonical little-endian byte encoding (the corpus entry body; also the
     /// genome's content address input). The inverse is [`TraceGenome::decode`].
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.events.len() * 17);
-        out.extend_from_slice(&(self.nprocs as u64).to_le_bytes());
-        out.extend_from_slice(&self.iterations.to_le_bytes());
-        out.push(self.level.index());
-        out.extend_from_slice(&self.interval.to_le_bytes());
-        out.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
+        let mut enc = Enc::new();
+        enc.usize(self.nprocs);
+        enc.u64(self.iterations);
+        enc.u8(self.level.index());
+        enc.u64(self.interval);
+        enc.u32(self.events.len() as u32);
         for event in &self.events {
-            out.push(event_kind_tag(event.kind));
-            out.extend_from_slice(&(event.victim_index() as u64).to_le_bytes());
-            out.extend_from_slice(&event.at_iteration.to_le_bytes());
+            enc.u8(event_kind_tag(event.kind));
+            enc.usize(event.victim_index());
+            enc.u64(event.at_iteration);
         }
-        out
+        enc.into_bytes()
     }
 
     /// Decodes [`TraceGenome::canonical_bytes`]. Any malformation — truncation,
     /// unknown tags, trailing bytes — is `None`, never a panic: a corrupt corpus
     /// entry degrades to re-exploration.
     pub fn decode(bytes: &[u8]) -> Option<TraceGenome> {
-        let mut r = Reader { bytes, pos: 0 };
-        let nprocs = r.u64()? as usize;
-        let iterations = r.u64()?;
-        let level = CheckpointLevel::from_index(r.u8()?)?;
-        let interval = r.u64()?;
-        let nevents = r.u32()? as usize;
+        let mut dec = Dec::new(bytes);
+        let nprocs = dec.usize().ok()?;
+        let iterations = dec.u64().ok()?;
+        let level = CheckpointLevel::from_index(dec.u8().ok()?)?;
+        let interval = dec.u64().ok()?;
+        let nevents = dec.u32().ok()? as usize;
         if nevents > MAX_EVENTS {
             return None;
         }
         let mut events = Vec::with_capacity(nevents);
         for _ in 0..nevents {
-            let tag = r.u8()?;
-            let victim = r.u64()? as usize;
-            let at = r.u64()?;
+            let tag = dec.u8().ok()?;
+            let victim = dec.usize().ok()?;
+            let at = dec.u64().ok()?;
             events.push(event_from_tag(tag, victim, at)?);
         }
-        if r.pos != bytes.len() || nprocs < 2 || iterations == 0 || interval == 0 {
-            return None;
-        }
-        Some(TraceGenome {
+        dec.finish().ok()?;
+        let genome = TraceGenome {
             nprocs,
             iterations,
             level,
             interval,
             events,
-        })
+        };
+        genome.runnable().then_some(genome)
+    }
+
+    /// Whether the simulator accepts this genome's job: at least two ranks, one
+    /// iteration and a positive checkpoint interval. Decoded corpus entries and
+    /// replayed artifacts are checked, so neither can make a run panic.
+    pub(crate) fn runnable(&self) -> bool {
+        self.nprocs >= 2 && self.iterations > 0 && self.interval > 0
     }
 }
+
+/// Event kind names by corpus tag: the replay-artifact spelling.
+const EVENT_KINDS: [&str; 3] = ["kill", "node", "rack"];
 
 /// Stable corpus tag of an event kind (0 kill, 1 node, 2 rack).
 pub fn event_kind_tag(kind: FailureKind) -> u8 {
@@ -254,11 +264,7 @@ pub fn event_kind_tag(kind: FailureKind) -> u8 {
 
 /// The human-readable name of an event kind (the replay-artifact spelling).
 pub fn event_kind_name(kind: FailureKind) -> &'static str {
-    match kind {
-        FailureKind::ProcessKill { .. } => "kill",
-        FailureKind::NodeCrash { .. } => "node",
-        FailureKind::RackCrash { .. } => "rack",
-    }
+    EVENT_KINDS[event_kind_tag(kind) as usize]
 }
 
 /// The inverse of [`event_kind_tag`] (`None` for unknown tags).
@@ -273,38 +279,8 @@ pub fn event_from_tag(tag: u8, victim: usize, at_iteration: u64) -> Option<Failu
 
 /// The inverse of [`event_kind_name`] (`None` for unknown names).
 pub fn event_from_name(name: &str, victim: usize, at_iteration: u64) -> Option<FailureSpec> {
-    match name {
-        "kill" => Some(FailureSpec::kill_process(victim, at_iteration)),
-        "node" => Some(FailureSpec::crash_node(victim, at_iteration)),
-        "rack" => Some(FailureSpec::crash_rack(victim, at_iteration)),
-        _ => None,
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
+    let tag = EVENT_KINDS.iter().position(|&kind| kind == name)?;
+    event_from_tag(tag as u8, victim, at_iteration)
 }
 
 #[cfg(test)]

@@ -1,66 +1,60 @@
 //! Replayable minimal-repro artifacts.
 //!
-//! A shrunk [`Violation`] is emitted as a small JSON
-//! document carrying everything a later process needs to re-run it: the design,
-//! the violated property (plus the asserted substring for assertion violations,
-//! so no environment is required), the minimal genome, and the recovery-path
-//! labels the violating run reached. [`replay`] re-runs the trace and verifies
-//! both that the violation reproduces and that the reached labels match the
-//! recorded ones bit-for-bit — the contract the CI replay step enforces against a
-//! committed fixture.
+//! A shrunk [`Violation`] is emitted as a small JSON document carrying everything
+//! a later process needs to re-run it: the design, the violated property (plus
+//! the asserted substring for assertion violations, so no environment is
+//! required), the minimal genome, and the recovery-path labels the violating run
+//! reached. [`replay`] re-runs the trace and verifies both that the violation
+//! reproduces and that the reached labels match the recorded ones bit-for-bit —
+//! the contract the CI replay step enforces against a committed fixture.
 //!
-//! The workspace is offline (no serde), so the artifact is written by hand in
-//! canonical form and read back by a purpose-built recursive-descent scanner for
-//! this one schema. Unknown keys are ignored; any structural error is a `String`
-//! diagnostic, never a panic.
+//! The artifact is strict JSON, written by [`match_core::json::document`] and read
+//! by [`match_core::json::parse`], so any JSON tool may inspect or re-save it.
+//! Unknown keys are ignored; any structural error is a diagnostic, never a panic.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::Display;
 
 use match_core::fti::CheckpointLevel;
+use match_core::json;
 use match_core::recovery::RecoveryStrategy;
 
 use crate::genome::{event_from_name, event_kind_name, TraceGenome};
 use crate::search::{check_property, Property, Violation};
+
+/// The suite's JSON reader and value, for callers that depend on this crate
+/// alone (the `match-perf` benchmark reads its result files through them).
+pub use match_core::json::{parse as parse_json, Value};
 
 /// Artifact layout version.
 pub const ARTIFACT_VERSION: u64 = 1;
 
 /// Serializes a violation as a replayable JSON artifact.
 pub fn to_artifact(v: &Violation) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"version\": {ARTIFACT_VERSION},");
-    let _ = writeln!(out, "  \"design\": {:?},", v.strategy.design_name());
-    let _ = writeln!(out, "  \"property\": {:?},", v.property.name());
-    if let Some(label) = &v.assert_label {
-        let _ = writeln!(out, "  \"assert\": {label:?},");
-    }
-    let _ = writeln!(out, "  \"nprocs\": {},", v.genome.nprocs);
-    let _ = writeln!(out, "  \"iterations\": {},", v.genome.iterations);
-    let _ = writeln!(out, "  \"level\": {},", v.genome.level.index());
-    let _ = writeln!(out, "  \"interval\": {},", v.genome.interval);
-    out.push_str("  \"events\": [\n");
-    for (i, e) in v.genome.events.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"kind\": {:?}, \"victim\": {}, \"iteration\": {}}}{}",
-            event_kind_name(e.kind),
-            e.victim_index(),
-            e.at_iteration,
-            if i + 1 < v.genome.events.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    out.push_str("  ],\n");
-    let labels: Vec<String> = v.labels.iter().map(|l| format!("{l:?}")).collect();
-    let _ = writeln!(out, "  \"labels\": [{}],", labels.join(", "));
-    let _ = writeln!(out, "  \"detail\": {:?}", v.detail);
-    out.push_str("}\n");
-    out
+    let g = &v.genome;
+    let events = json::rows(g.events.iter().map(|e| {
+        json::row(&[
+            ("kind", &json::string(event_kind_name(e.kind))),
+            ("victim", &e.victim_index()),
+            ("iteration", &e.at_iteration),
+        ])
+    }));
+    let head: [(&str, &dyn Display); 3] = [
+        ("version", &ARTIFACT_VERSION),
+        ("design", &json::string(v.strategy.design_name())),
+        ("property", &json::string(v.property.name())),
+    ];
+    let assert = v.assert_label.as_deref().map(json::string);
+    let assert = assert.as_ref().map(|a| ("assert", a as &dyn Display));
+    let tail: [(&str, &dyn Display); 7] = [
+        ("nprocs", &g.nprocs),
+        ("iterations", &g.iterations),
+        ("level", &g.level.index()),
+        ("interval", &g.interval),
+        ("events", &events),
+        ("labels", &json::strings(&v.labels)),
+        ("detail", &json::string(&v.detail)),
+    ];
+    json::document(&[&head[..], assert.as_slice(), &tail[..]].concat())
 }
 
 /// What re-running an artifact found.
@@ -93,324 +87,75 @@ impl ReplayOutcome {
 /// artifact whose violation no longer reproduces is an `Ok` outcome with
 /// [`ReplayOutcome::verified`] false.
 pub fn replay(artifact: &str) -> Result<ReplayOutcome, String> {
-    let value = parse_json(artifact)?;
-    let obj = value.as_object().ok_or("artifact is not a JSON object")?;
-    let version = get_u64(obj, "version")?;
+    let doc = json::parse(artifact)?;
+    if !matches!(doc, Value::Object(_)) {
+        return Err("artifact is not a JSON object".into());
+    }
+    let version = doc.get_u64("version")?;
     if version != ARTIFACT_VERSION {
         return Err(format!("unsupported artifact version {version}"));
     }
-    let design = get_str(obj, "design")?;
+    let design = doc.get_str("design")?;
     let strategy = RecoveryStrategy::ALL
         .into_iter()
         .find(|s| s.design_name() == design)
         .ok_or_else(|| format!("unknown design {design:?}"))?;
-    let property_name = get_str(obj, "property")?;
-    let property = Property::from_name(&property_name)
+    let property_name = doc.get_str("property")?;
+    let property = Property::from_name(property_name)
         .ok_or_else(|| format!("unknown property {property_name:?}"))?;
-    let assert_label = match obj.get("assert") {
-        Some(v) => Some(v.as_str().ok_or("\"assert\" is not a string")?.to_string()),
+    let assert_label = match doc.get("assert") {
+        Some(label) => Some(label.as_str().ok_or("\"assert\" is not a string")?),
         None => None,
     };
-    let level = get_u64(obj, "level")?;
-    let level = CheckpointLevel::from_index(
-        u8::try_from(level).map_err(|_| format!("level {level} out of range"))?,
-    )
-    .ok_or_else(|| format!("level {level} out of range"))?;
-    let mut events = Vec::new();
-    let Some(Value::Array(raw_events)) = obj.get("events") else {
+    let index = doc.get_u64("level")?;
+    let level = u8::try_from(index)
+        .ok()
+        .and_then(CheckpointLevel::from_index);
+    let level = level.ok_or_else(|| format!("level {index} out of range"))?;
+    let Some(Value::Array(raw_events)) = doc.get("events") else {
         return Err("\"events\" is not an array".into());
     };
+    let mut events = Vec::new();
     for raw in raw_events {
-        let event = raw.as_object().ok_or("event is not an object")?;
-        let kind = get_str(event, "kind")?;
-        let victim = get_u64(event, "victim")? as usize;
-        let iteration = get_u64(event, "iteration")?;
-        events.push(
-            event_from_name(&kind, victim, iteration)
-                .ok_or_else(|| format!("unknown event kind {kind:?}"))?,
+        let kind = raw.get_str("kind")?;
+        let event = event_from_name(
+            kind,
+            raw.get_u64("victim")? as usize,
+            raw.get_u64("iteration")?,
         );
+        events.push(event.ok_or_else(|| format!("unknown event kind {kind:?}"))?);
     }
-    let Some(Value::Array(raw_labels)) = obj.get("labels") else {
+    let Some(Value::Array(labels)) = doc.get("labels") else {
         return Err("\"labels\" is not an array".into());
     };
-    let mut expected_labels = Vec::new();
-    for raw in raw_labels {
-        expected_labels.push(raw.as_str().ok_or("label is not a string")?.to_string());
-    }
+    let expected_labels: Option<Vec<String>> = labels
+        .iter()
+        .map(|l| l.as_str().map(str::to_string))
+        .collect();
+    let expected_labels = expected_labels.ok_or("label is not a string")?;
     let genome = TraceGenome {
-        nprocs: get_u64(obj, "nprocs")? as usize,
-        iterations: get_u64(obj, "iterations")?,
+        nprocs: doc.get_u64("nprocs")? as usize,
+        iterations: doc.get_u64("iterations")?,
         level,
-        interval: get_u64(obj, "interval")?,
+        interval: doc.get_u64("interval")?,
         events,
     };
-    if genome.nprocs < 2 || genome.nprocs > 4096 {
-        return Err(format!("nprocs {} out of range", genome.nprocs));
+    if !genome.runnable() || genome.nprocs > 4096 {
+        return Err(format!(
+            "nprocs {}, iterations {} or interval {} out of range",
+            genome.nprocs, genome.iterations, genome.interval
+        ));
     }
 
-    let check = check_property(strategy, &genome, property, assert_label.as_deref());
+    let check = check_property(strategy, &genome, property, assert_label);
     Ok(ReplayOutcome {
-        design,
+        design: design.to_string(),
         property,
         reproduced: check.violated,
         labels_match: check.labels == expected_labels,
         labels: check.labels,
         expected_labels,
     })
-}
-
-fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn get_str(obj: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-    Ok(obj
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string {key:?}"))?
-        .to_string())
-}
-
-/// A parsed JSON value (the minimal model this schema needs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (stored as f64; the schema only uses small unsigned integers).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object (ordered for deterministic diagnostics).
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (trailing whitespace allowed, anything else is an
-/// error).
-pub fn parse_json(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {}",
-                byte as char, self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::String(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}', got {:?} at offset {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']', got {:?} at offset {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {}", self.pos));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: the input is a &str, so continuation bytes
-                    // are valid — copy the whole code point through.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid UTF-8 in string")?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Number)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -470,19 +215,81 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a": [1, {"b": "x\"y\n"}, true, null], "c": -2.5}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj["c"], Value::Number(-2.5));
-        let Value::Array(items) = &obj["a"] else {
-            panic!("not an array")
-        };
-        assert_eq!(items[0].as_u64(), Some(1));
-        assert_eq!(
-            items[1].as_object().unwrap()["b"],
-            Value::String("x\"y\n".to_string())
-        );
-        assert_eq!(items[2], Value::Bool(true));
-        assert_eq!(items[3], Value::Null);
+    fn control_and_combining_characters_survive_the_artifact() {
+        let mut v = violation();
+        v.detail = "e\u{301} \u{1b}[0m \0".to_string();
+        let outcome = replay(&to_artifact(&v)).expect("parses");
+        assert!(outcome.verified(), "{outcome:?}");
+        // A label no path contains still parses back intact; it just does not
+        // reproduce.
+        v.assert_label = Some("e\u{301}\u{1b}\0".to_string());
+        let artifact = to_artifact(&v);
+        let doc = json::parse(&artifact).expect("strict JSON");
+        assert_eq!(doc.get_str("assert"), Ok("e\u{301}\u{1b}\0"));
+        assert_eq!(doc.get_str("detail"), Ok("e\u{301} \u{1b}[0m \0"));
+        assert!(!replay(&artifact).expect("parses").reproduced);
+    }
+
+    /// What Python's `json.dump` (default `ensure_ascii=True`) makes of a string:
+    /// every non-ASCII character as `\uXXXX`, astral ones as surrogate pairs.
+    fn ascii_escaped(text: &str) -> String {
+        let mut out = String::new();
+        for c in text.chars() {
+            if c.is_ascii() {
+                out.push(c);
+            } else {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn an_ascii_escaped_resave_replays() {
+        let mut v = violation();
+        v.detail = "caf\u{e9} \u{1F600}".to_string();
+        let resaved = ascii_escaped(&to_artifact(&v));
+        assert!(resaved.contains("\\ud83d\\ude00"), "{resaved}");
+        let outcome = replay(&resaved).expect("parses");
+        assert!(outcome.verified(), "{outcome:?}");
+        let lone = resaved.replace("\\ude00", "");
+        assert!(replay(&lone).unwrap_err().contains("surrogate"));
+    }
+
+    const FIXTURE: &str = include_str!("../../../tests/fixtures/explore-repro.json");
+
+    #[test]
+    fn the_fixture_never_panics_when_truncated_or_flipped() {
+        let bytes = FIXTURE.as_bytes();
+        let complete = FIXTURE.trim_end().len();
+        for len in 0..bytes.len() {
+            assert_eq!(
+                replay(&FIXTURE[..len]).is_ok(),
+                len >= complete,
+                "prefix {len}"
+            );
+        }
+        let no_interval = FIXTURE.replace("\"interval\": 3", "\"interval\": 0");
+        assert!(replay(&no_interval)
+            .unwrap_err()
+            .contains("interval 0 out of range"));
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0x20, 0x80] {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= mask;
+                let _ = replay(&String::from_utf8_lossy(&flipped));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_bytes_never_panic(bytes in proptest::collection::vec(proptest::any::<u8>(), 0..96)) {
+            let _ = replay(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -5,6 +5,8 @@
 //! `MATCH_JOBS`, scheduler backends and worker counts — the CI explore-smoke job
 //! diffs exactly these bytes.
 
+use match_core::json;
+
 /// Per-design coverage summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignSummary {
@@ -93,32 +95,25 @@ impl ExploreReport {
         out
     }
 
-    /// Canonical JSON (hand-built, like every figure's JSON: stable key order,
-    /// no float formatting involved — byte-identical exactly when the coverage
-    /// is).
+    /// Canonical JSON in the suite's [`json::document`] layout: stable key order,
+    /// no float formatting involved — byte-identical exactly when the coverage is.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"nprocs\": {},\n", self.nprocs));
-        out.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        out.push_str(&format!("  \"budget\": {},\n", self.budget));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"designs\": [\n");
-        for (i, d) in self.designs.iter().enumerate() {
-            let paths: Vec<String> = d.paths.iter().map(|p| format!("{p:?}")).collect();
-            out.push_str(&format!(
-                "    {{\"design\": {:?}, \"runs\": {}, \"dead_ends\": {}, \"violations\": {}, \
-                 \"paths\": [{}]}}{}\n",
-                d.design,
-                d.runs,
-                d.dead_ends,
-                d.violations,
-                paths.join(", "),
-                if i + 1 < self.designs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let designs = json::rows(self.designs.iter().map(|d| {
+            json::row(&[
+                ("design", &json::string(&d.design)),
+                ("runs", &d.runs),
+                ("dead_ends", &d.dead_ends),
+                ("violations", &d.violations),
+                ("paths", &json::strings(&d.paths)),
+            ])
+        }));
+        json::document(&[
+            ("nprocs", &self.nprocs),
+            ("iterations", &self.iterations),
+            ("budget", &self.budget),
+            ("seed", &self.seed),
+            ("designs", &designs),
+        ])
     }
 }
 

@@ -53,13 +53,10 @@ impl Property {
 
     /// The inverse of [`Property::name`].
     pub fn from_name(name: &str) -> Option<Property> {
-        match name {
-            "determinism" => Some(Property::Determinism),
-            "oracle" => Some(Property::Oracle),
-            "survivability" => Some(Property::Survivability),
-            "assert-label" => Some(Property::AssertLabel),
-            _ => None,
-        }
+        use Property::*;
+        [Determinism, Oracle, Survivability, AssertLabel]
+            .into_iter()
+            .find(|p| p.name() == name)
     }
 }
 
