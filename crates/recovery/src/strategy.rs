@@ -367,6 +367,31 @@ mod tests {
     }
 
     #[test]
+    fn recovery_cost_is_the_machine_closed_form() {
+        let m = MachineModel::default();
+        let bits = |t: SimTime| t.as_secs().to_bits();
+        for p in [2, 64, 512] {
+            for nfailed in [1, 3] {
+                let cost = |s: RecoveryStrategy| bits(s.recovery_cost(&m, p, nfailed));
+                assert_eq!(
+                    cost(RecoveryStrategy::Restart),
+                    bits(m.restart_recovery_cost(p))
+                );
+                assert_eq!(
+                    cost(RecoveryStrategy::Ulfm),
+                    bits(m.ulfm_recovery_cost(p, nfailed.max(1)))
+                );
+                assert_eq!(
+                    cost(RecoveryStrategy::Reinit),
+                    bits(m.reinit_recovery_cost(p))
+                );
+                let shrink = m.ulfm_revoke_cost(p) + m.ulfm_shrink_cost(p) + m.ulfm_agree_cost(p);
+                assert_eq!(cost(RecoveryStrategy::Shrink), bits(shrink), "{p} procs");
+            }
+        }
+    }
+
+    #[test]
     fn programming_effort_reflects_the_paper() {
         assert!(
             RecoveryStrategy::Ulfm.programming_effort_loc()
