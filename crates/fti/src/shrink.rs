@@ -333,7 +333,7 @@ mod tests {
     use super::*;
     use crate::api::Fti;
     use crate::protect::Protectable;
-    use mpisim::ulfm::{shrink_recovery, shrinking_recovery_cost};
+    use mpisim::ulfm::shrink_recovery;
     use mpisim::{Cluster, ClusterConfig, SimTime};
 
     const TOTAL_UNITS: u64 = 32;
@@ -438,7 +438,7 @@ mod tests {
                 return Err(ctx.kill_self());
             }
             ctx.wait_for_failure_events(1);
-            let cost = shrinking_recovery_cost(ctx, world.size());
+            let cost = ctx.machine().ulfm_shrink_recovery_cost(world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             assert_eq!(shrunk.size(), nprocs - 1);
             let before = ctx.now();
@@ -544,7 +544,7 @@ mod tests {
                 return Err(ctx.kill_self());
             }
             ctx.wait_for_failure_events(1);
-            let cost = shrinking_recovery_cost(ctx, world.size());
+            let cost = ctx.machine().ulfm_shrink_recovery_cost(world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             // No checkpoint was ever written: the agreement lands on 0.
             let cfg = FtiConfig::default();

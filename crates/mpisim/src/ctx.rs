@@ -335,7 +335,7 @@ impl RankCtx {
         self.state.retired_count()
     }
 
-    /// The shared cluster state (crate-internal; used by the ULFM and Reinit modules).
+    /// The shared cluster state (crate-internal; used by the ULFM module).
     pub(crate) fn cluster(&self) -> &Arc<ClusterState> {
         &self.state
     }
@@ -470,7 +470,7 @@ impl RankCtx {
     /// Records that `node` physically crashed (its node-local checkpoint storage is
     /// destroyed). The erasure itself is deferred: recovery drivers drain the pending
     /// node failures inside the repair rendezvous via
-    /// [`RankCtx::recovery_rendezvous_with`], while every rank is parked, so it can
+    /// [`RankCtx::recovery_rendezvous`], while every rank is parked, so it can
     /// never race an in-flight checkpoint write.
     pub fn note_node_failure(&self, node: usize) {
         self.state.note_node_failure(node);
@@ -1047,21 +1047,6 @@ impl RankCtx {
         Ok((comm.rank() == root).then(|| Vec::clone(&all)))
     }
 
-    /// All-gathers shared-buffer [`Payload`]s: every member receives the one list of
-    /// reference-counted views of all contributions, ordered by communicator rank.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`RankCtx::barrier`].
-    pub fn allgather_payload(
-        &mut self,
-        comm: &Comm,
-        data: Payload,
-    ) -> Result<Arc<Vec<Payload>>, MpiError> {
-        let bytes = data.len();
-        self.collective(comm, CollectiveKind::Allgather, bytes, data, |vals| vals)
-    }
-
     /// All-gathers typed slices into one contiguous, shared [`Gathered`] result.
     fn allgather_slices<T: Copy + Send + Sync + 'static>(
         &mut self,
@@ -1238,6 +1223,12 @@ impl RankCtx {
     /// and must be identical on every rank. The elapsed time is charged to the current
     /// time category (drivers set [`TimeCategory::Recovery`]).
     ///
+    /// `repair_hook` runs exactly once per recovery, by the last rank to arrive, while
+    /// every rank is still inside the rendezvous, and receives the nodes that physically
+    /// crashed in this epoch (see [`RankCtx::note_node_failure`]). Recovery drivers use
+    /// it to erase crashed nodes' checkpoint storage at a point where no checkpoint
+    /// write or read can race the erasure; callers with nothing to repair pass `|_| {}`.
+    ///
     /// # Errors
     ///
     /// Only internal errors are possible. Process failures cannot interrupt the
@@ -1245,21 +1236,7 @@ impl RankCtx {
     /// injector's detection barrier), never between a rank's abort and its arrival
     /// here, so multi-failure traces produce *sequential* disruption epochs — each
     /// fully repaired before the next event can fire on the replayed iterations.
-    pub fn recovery_rendezvous(&mut self, extra_cost: SimTime) -> Result<(), MpiError> {
-        self.recovery_rendezvous_with(extra_cost, |_nodes| {})
-    }
-
-    /// Like [`RankCtx::recovery_rendezvous`], but additionally runs `repair_hook` —
-    /// exactly once per recovery, by the last rank to arrive, while every rank is
-    /// still inside the rendezvous — passing the nodes that physically crashed in
-    /// this epoch (see [`RankCtx::note_node_failure`]). Recovery drivers use the hook
-    /// to erase crashed nodes' checkpoint storage at a point where no checkpoint
-    /// write or read can race the erasure.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`RankCtx::recovery_rendezvous`].
-    pub fn recovery_rendezvous_with(
+    pub fn recovery_rendezvous(
         &mut self,
         extra_cost: SimTime,
         repair_hook: impl FnOnce(&[usize]) + Send,
@@ -1457,7 +1434,8 @@ mod tests {
         let mut ctx = single_rank_ctx();
         let _ = ctx.kill_self();
         ctx.set_category(TimeCategory::Recovery);
-        ctx.recovery_rendezvous(SimTime::from_secs(2.0)).unwrap();
+        ctx.recovery_rendezvous(SimTime::from_secs(2.0), |_| {})
+            .unwrap();
         assert!(!ctx.any_failed());
         assert_eq!(ctx.breakdown().recovery.as_secs(), 2.0);
         assert_eq!(ctx.stats().recoveries, 1);

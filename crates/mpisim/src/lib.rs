@@ -26,9 +26,7 @@
 //!   [`MpiError::ProcFailed`] / [`MpiError::Revoked`]), and runtime repair primitives
 //!   used to implement global-restart recovery.
 //! * ULFM extensions ([`ulfm`]): revoke, shrink, agreement, failure acknowledgement and
-//!   a modelled spawn/merge that rebuilds a non-shrunk world.
-//! * Reinit extension ([`reinit`]): a runtime-level global-restart primitive with a
-//!   process-count-independent cost, mirroring the Reinit design.
+//!   the shrinking-recovery rendezvous.
 //! * Per-rank statistics and a per-rank time breakdown (application, checkpoint write,
 //!   checkpoint read, recovery) used by the MATCH figures.
 //!
@@ -70,7 +68,6 @@ pub mod knob;
 pub mod machine;
 pub mod mailbox;
 pub mod msg;
-pub mod reinit;
 pub mod runtime;
 pub mod sched;
 pub mod state;

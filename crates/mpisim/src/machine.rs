@@ -370,6 +370,14 @@ impl MachineModel {
             + self.ulfm_agree_cost(nprocs)
     }
 
+    /// Total cost of ULFM *shrinking* recovery over the `nprocs` processes of the
+    /// communicator before the shrink: revoke, shrink, agree. There is no spawn and no
+    /// merge, because the failed processes are never replaced; redistributing the
+    /// protected data is charged separately, as real simulated messages.
+    pub fn ulfm_shrink_recovery_cost(&self, nprocs: usize) -> SimTime {
+        self.ulfm_revoke_cost(nprocs) + self.ulfm_shrink_cost(nprocs) + self.ulfm_agree_cost(nprocs)
+    }
+
     /// Fractional application slow-down caused by the ULFM heartbeat failure detector
     /// and MPI-call interposition (0.16 means "application work takes 16% longer").
     pub fn ulfm_app_overhead(&self, nprocs: usize) -> f64 {
@@ -526,6 +534,9 @@ mod tests {
             + m.ulfm_merge_cost(128).as_secs()
             + m.ulfm_agree_cost(128).as_secs();
         assert!((total - parts).abs() < 1e-12);
+        // Shrinking recovery skips spawn + merge: positive, and strictly cheaper.
+        let shrink = m.ulfm_shrink_recovery_cost(128);
+        assert!(shrink.as_secs() > 0.0 && shrink < m.ulfm_recovery_cost(128, 1));
     }
 
     #[test]

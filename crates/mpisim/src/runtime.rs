@@ -460,7 +460,7 @@ mod tests {
                 // Survivors bump into the failure through a collective.
                 let _ = ctx.barrier(&world);
             }
-            ctx.recovery_rendezvous(SimTime::from_secs(1.0))?;
+            ctx.recovery_rendezvous(SimTime::from_secs(1.0), |_| {})?;
             let sum = ctx.allreduce_sum_f64(&world, 1.0)?;
             assert_eq!(sum, 4.0);
             Ok(ctx.breakdown().total().as_secs())
@@ -535,7 +535,7 @@ mod tests {
             } else {
                 let _ = ctx.barrier(&world);
             }
-            ctx.recovery_rendezvous(SimTime::from_secs(1.0))?;
+            ctx.recovery_rendezvous(SimTime::from_secs(1.0), |_| {})?;
             let sum = ctx.allreduce_sum_f64(&world, 1.0)?;
             assert_eq!(sum, 4.0);
             Ok(())
@@ -700,7 +700,7 @@ mod tests {
             } else {
                 let _ = ctx.barrier(&world);
             }
-            ctx.recovery_rendezvous(SimTime::from_secs(1.0))?;
+            ctx.recovery_rendezvous(SimTime::from_secs(1.0), |_| {})?;
             let sum = ctx.allreduce_sum_f64(&world, 1.0)?;
             assert_eq!(sum, 4.0);
             Ok(())
@@ -840,7 +840,7 @@ mod tests {
                         Err(e) => return Err(e),
                     }
                 }
-                ctx.recovery_rendezvous(SimTime::from_secs(0.5))?;
+                ctx.recovery_rendezvous(SimTime::from_secs(0.5), |_| {})?;
             }
             Ok((sums, ctx.now()))
         };

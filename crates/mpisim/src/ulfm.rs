@@ -9,11 +9,10 @@
 //! This module provides the same operations over the simulated runtime. The
 //! survivor-only operations (`comm_shrink`, `comm_agree`) synchronize exactly the
 //! members that are still alive, so they work while a failure is outstanding, and they
-//! charge the calibrated ULFM cost model of [`crate::MachineModel`]. Full non-shrinking
-//! recovery — respawning the failed processes and rebuilding the world — is
-//! orchestrated by the `match-recovery` crate on top of
-//! [`crate::RankCtx::recovery_rendezvous`], using [`spawn_merge_cost`] for the cost of
-//! the spawn + merge + agree steps.
+//! charge the calibrated ULFM cost model of [`crate::MachineModel`]. Recovery itself —
+//! respawning the failed processes at [`crate::RankCtx::recovery_rendezvous`], or
+//! retiring them at [`shrink_recovery`] — is orchestrated by the `recovery` crate,
+//! which charges the whole protocol as one modelled cost.
 
 use std::sync::Arc;
 
@@ -80,29 +79,6 @@ pub fn comm_shrink(ctx: &mut RankCtx, comm: &Comm) -> Result<Comm, MpiError> {
     Ok(Comm::new(shared, my_index))
 }
 
-/// The modelled cost of the spawn + intercommunicator-merge + agree sequence that
-/// non-shrinking ULFM recovery uses to replace `nfailed` processes in a job of
-/// `nprocs` processes.
-pub fn spawn_merge_cost(ctx: &RankCtx, nprocs: usize, nfailed: usize) -> SimTime {
-    let m = ctx.machine();
-    m.ulfm_spawn_cost(nfailed) + m.ulfm_merge_cost(nprocs) + m.ulfm_agree_cost(nprocs)
-}
-
-/// The total modelled cost of the full ULFM global non-shrinking recovery protocol
-/// (revoke + shrink + spawn + merge + agree), as used by the MATCH `ULFM-FTI` design.
-pub fn nonshrinking_recovery_cost(ctx: &RankCtx, nprocs: usize, nfailed: usize) -> SimTime {
-    ctx.machine().ulfm_recovery_cost(nprocs, nfailed)
-}
-
-/// The total modelled cost of the ULFM *shrinking* recovery protocol
-/// (revoke + shrink + agree — no spawn and no merge, because the failed processes
-/// are never replaced), as used by the beyond-the-paper `SHRINK-FTI` design.
-/// `nprocs` is the communicator size *before* the shrink.
-pub fn shrinking_recovery_cost(ctx: &RankCtx, nprocs: usize) -> SimTime {
-    let m = ctx.machine();
-    m.ulfm_revoke_cost(nprocs) + m.ulfm_shrink_cost(nprocs) + m.ulfm_agree_cost(nprocs)
-}
-
 /// Shrinking recovery rendezvous: every surviving member of `comm` gathers here, the
 /// failed members are *permanently retired* from the cluster (never respawned), and
 /// each survivor receives a freshly registered communicator containing exactly the
@@ -121,7 +97,8 @@ pub fn shrinking_recovery_cost(ctx: &RankCtx, nprocs: usize) -> SimTime {
 ///    `max(survivor entry times) + cost`.
 ///
 /// `cost` is the full modelled recovery cost the survivors synchronize over
-/// (typically failure detection plus [`shrinking_recovery_cost`]).
+/// (typically failure detection plus
+/// [`crate::MachineModel::ulfm_shrink_recovery_cost`]).
 ///
 /// # Errors
 ///
@@ -440,7 +417,7 @@ mod tests {
                 return Err(ctx.kill_self());
             }
             ctx.wait_for_failure_events(1);
-            let cost = shrinking_recovery_cost(ctx, world.size());
+            let cost = ctx.machine().ulfm_shrink_recovery_cost(world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             assert_eq!(shrunk.size(), 3);
             assert!(!shrunk.contains(1));
@@ -469,32 +446,5 @@ mod tests {
         }
         assert_eq!(ok, 3);
         assert_eq!(failed, 1);
-    }
-
-    #[test]
-    fn shrinking_costs_less_than_nonshrinking() {
-        let cluster = Cluster::new(ClusterConfig::with_ranks(2));
-        let outcome = cluster.run(|ctx| {
-            let shrink = shrinking_recovery_cost(ctx, 128);
-            let nonshrink = nonshrinking_recovery_cost(ctx, 128, 1);
-            assert!(shrink.as_secs() > 0.0);
-            // No spawn + merge step, so the shrink protocol itself must be cheaper.
-            assert!(shrink < nonshrink);
-            Ok(())
-        });
-        assert!(outcome.all_ok());
-    }
-
-    #[test]
-    fn recovery_costs_are_positive_and_ordered() {
-        let cluster = Cluster::new(ClusterConfig::with_ranks(2));
-        let outcome = cluster.run(|ctx| {
-            let spawn = spawn_merge_cost(ctx, 128, 1);
-            let total = nonshrinking_recovery_cost(ctx, 128, 1);
-            assert!(spawn.as_secs() > 0.0);
-            assert!(total > spawn);
-            Ok(())
-        });
-        assert!(outcome.all_ok());
     }
 }

@@ -473,11 +473,6 @@ impl FaultInjector {
         &self.events
     }
 
-    /// The first scheduled event, if any (the legacy single-failure accessor).
-    pub fn spec(&self) -> Option<FailureSpec> {
-        self.events.first().copied()
-    }
-
     /// Called by the application at the top of every main-loop iteration (the analogue
     /// of the paper's Fig. 4 snippet). Fires the next pending event of the schedule
     /// when this rank is among its victims and the iteration has been reached; blocks
@@ -929,7 +924,7 @@ mod tests {
                 }
                 // Both ranks join the recovery that revives the job between attempts
                 // (the rendezvous spans every rank of the job).
-                ctx.recovery_rendezvous(mpisim::SimTime::ZERO)?;
+                ctx.recovery_rendezvous(mpisim::SimTime::ZERO, |_| {})?;
             }
             Ok(kills)
         });
@@ -988,11 +983,11 @@ mod tests {
                 // Global-restart recovery revives everyone; the next attempt replays
                 // the same iterations.
                 if failed || ctx.any_failed() {
-                    ctx.recovery_rendezvous(mpisim::SimTime::ZERO)?;
+                    ctx.recovery_rendezvous(mpisim::SimTime::ZERO, |_| {})?;
                 } else if attempt == 0 {
                     // Survivors wait for the epoch before joining recovery.
                     ctx.wait_for_failure_events(1);
-                    ctx.recovery_rendezvous(mpisim::SimTime::ZERO)?;
+                    ctx.recovery_rendezvous(mpisim::SimTime::ZERO, |_| {})?;
                 }
             }
             Ok(deaths)
@@ -1035,7 +1030,7 @@ mod tests {
                     }
                 }
                 if ctx.any_failed() {
-                    ctx.recovery_rendezvous(mpisim::SimTime::ZERO)?;
+                    ctx.recovery_rendezvous(mpisim::SimTime::ZERO, |_| {})?;
                 }
             }
             Ok(deaths)
@@ -1047,7 +1042,6 @@ mod tests {
 
     #[test]
     fn disabled_injector_has_no_spec() {
-        assert!(FaultInjector::disabled().spec().is_none());
         assert!(FaultInjector::disabled().events().is_empty());
     }
 }

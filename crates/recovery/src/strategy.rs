@@ -1,20 +1,16 @@
 //! The design axis: the three MPI recovery strategies compared by MATCH plus the
 //! beyond-the-paper ULFM *shrinking* mode.
 //!
-//! The axis is split into three pieces so recovery semantics live behind one
-//! interface instead of being smeared across the driver, the figures and the cache:
+//! [`RecoveryStrategy`] is the tiny `Copy` tag that experiment identities, caches and
+//! figures carry around; each of its accessors is one `match` over the four designs.
+//! How a design recovers is decided in three places only: [`crate::FtDriver`] runs
+//! the recovery loop, [`RecoveryStrategy::recovery_cost`] picks the design's formula,
+//! and [`MachineModel`] evaluates it. [`HealthyRuntime`] groups the designs by the
+//! runtime they run on while no failure is being handled.
 //!
-//! * [`RecoveryStrategy`] — the tiny `Copy` tag that experiment identities, caches
-//!   and figures carry around;
-//! * [`DesignDescriptor`] — the data-carrying description of a design's static
-//!   properties (names, programming effort, whether the world shrinks, and the
-//!   [`HealthyRuntime`] that fixes its background interference);
-//! * [`RecoveryProtocol`] — the behavioural half (the modelled MPI-recovery cost),
-//!   with one implementation per design.
-//!
-//! Adding a design means adding one protocol impl and one `ALL` entry; everything
-//! downstream enumerates the axis through `RecoveryStrategy::ALL` (or the
-//! `MATCH_SHRINK`-aware registry in `match-core`).
+//! Adding a design means adding one variant, one arm per accessor and one `ALL`
+//! entry; everything downstream enumerates the axis through `RecoveryStrategy::ALL`
+//! (or the `MATCH_SHRINK`-aware registry in `match-core`).
 
 use mpisim::{MachineModel, SimTime};
 
@@ -71,114 +67,6 @@ impl HealthyRuntime {
     }
 }
 
-/// The static, data-carrying half of a design: everything about it that is a fact
-/// rather than a computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DesignDescriptor {
-    /// The design name used in the figures (e.g. `"REINIT-FTI"`).
-    pub design_name: &'static str,
-    /// A short lowercase identifier (e.g. `"reinit"`).
-    pub short_name: &'static str,
-    /// Approximate lines of code needed to add the design to a proxy application
-    /// (the paper reports Reinit < 5, ULFM > 200, Restart 0 beyond FTI itself;
-    /// shrinking additionally needs the data-redistribution logic).
-    pub programming_effort_loc: usize,
-    /// Whether recovery retires the failed ranks and continues on the survivor
-    /// communicator (`true`), or restores the original world size (`false`).
-    pub shrinks_world: bool,
-    /// The runtime the design runs on while healthy.
-    pub healthy_runtime: HealthyRuntime,
-}
-
-/// The behavioural half of a design: what its MPI-level recovery costs when a
-/// failure strikes (how it loads the machine while healthy is its descriptor's
-/// [`HealthyRuntime`]).
-pub trait RecoveryProtocol: Sync {
-    /// The static description of this design.
-    fn descriptor(&self) -> &'static DesignDescriptor;
-
-    /// The modelled MPI-recovery cost for a job of `nprocs` processes of which
-    /// `nfailed` failed, *excluding* the failure-detection latency (which is
-    /// identical for all designs and added by the driver).
-    fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, nfailed: usize) -> SimTime;
-}
-
-struct RestartProtocol;
-struct UlfmProtocol;
-struct ReinitProtocol;
-struct ShrinkProtocol;
-
-static RESTART_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
-    design_name: "RESTART-FTI",
-    short_name: "restart",
-    programming_effort_loc: 0,
-    shrinks_world: false,
-    healthy_runtime: HealthyRuntime::PlainMpi,
-};
-static ULFM_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
-    design_name: "ULFM-FTI",
-    short_name: "ulfm",
-    programming_effort_loc: 200,
-    shrinks_world: false,
-    healthy_runtime: HealthyRuntime::Ulfm,
-};
-static REINIT_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
-    design_name: "REINIT-FTI",
-    short_name: "reinit",
-    programming_effort_loc: 5,
-    shrinks_world: false,
-    healthy_runtime: HealthyRuntime::PlainMpi,
-};
-static SHRINK_DESCRIPTOR: DesignDescriptor = DesignDescriptor {
-    design_name: "SHRINK-FTI",
-    short_name: "shrink",
-    programming_effort_loc: 250,
-    shrinks_world: true,
-    healthy_runtime: HealthyRuntime::Ulfm,
-};
-
-impl RecoveryProtocol for RestartProtocol {
-    fn descriptor(&self) -> &'static DesignDescriptor {
-        &RESTART_DESCRIPTOR
-    }
-    fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, _nfailed: usize) -> SimTime {
-        machine.restart_recovery_cost(nprocs)
-    }
-}
-
-impl RecoveryProtocol for UlfmProtocol {
-    fn descriptor(&self) -> &'static DesignDescriptor {
-        &ULFM_DESCRIPTOR
-    }
-    fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, nfailed: usize) -> SimTime {
-        machine.ulfm_recovery_cost(nprocs, nfailed.max(1))
-    }
-}
-
-impl RecoveryProtocol for ReinitProtocol {
-    fn descriptor(&self) -> &'static DesignDescriptor {
-        &REINIT_DESCRIPTOR
-    }
-    fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, _nfailed: usize) -> SimTime {
-        machine.reinit_recovery_cost(nprocs)
-    }
-}
-
-impl RecoveryProtocol for ShrinkProtocol {
-    fn descriptor(&self) -> &'static DesignDescriptor {
-        &SHRINK_DESCRIPTOR
-    }
-    fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, _nfailed: usize) -> SimTime {
-        // Revoke + shrink + agree only: no spawn and no merge, because the failed
-        // processes are never replaced. The data-redistribution traffic is *not*
-        // part of this lump cost — it is sent as real simulated messages by the FTI
-        // layer so link domains are charged faithfully.
-        machine.ulfm_revoke_cost(nprocs)
-            + machine.ulfm_shrink_cost(nprocs)
-            + machine.ulfm_agree_cost(nprocs)
-    }
-}
-
 impl RecoveryStrategy {
     /// All strategies in figure order: the paper's three designs first, then the
     /// beyond-the-paper shrinking mode.
@@ -196,40 +84,38 @@ impl RecoveryStrategy {
         RecoveryStrategy::Reinit,
     ];
 
-    /// The behavioural implementation of this design.
-    pub fn protocol(&self) -> &'static dyn RecoveryProtocol {
-        match self {
-            RecoveryStrategy::Restart => &RestartProtocol,
-            RecoveryStrategy::Ulfm => &UlfmProtocol,
-            RecoveryStrategy::Reinit => &ReinitProtocol,
-            RecoveryStrategy::Shrink => &ShrinkProtocol,
-        }
-    }
-
-    /// The static description of this design.
-    pub fn descriptor(&self) -> &'static DesignDescriptor {
-        self.protocol().descriptor()
-    }
-
     /// The design name used in the paper's figures (e.g. `"REINIT-FTI"`).
     pub fn design_name(&self) -> &'static str {
-        self.descriptor().design_name
+        match self {
+            RecoveryStrategy::Restart => "RESTART-FTI",
+            RecoveryStrategy::Ulfm => "ULFM-FTI",
+            RecoveryStrategy::Reinit => "REINIT-FTI",
+            RecoveryStrategy::Shrink => "SHRINK-FTI",
+        }
     }
 
     /// A short lowercase identifier (`"restart"`, `"ulfm"`, `"reinit"`, `"shrink"`).
     pub fn short_name(&self) -> &'static str {
-        self.descriptor().short_name
+        match self {
+            RecoveryStrategy::Restart => "restart",
+            RecoveryStrategy::Ulfm => "ulfm",
+            RecoveryStrategy::Reinit => "reinit",
+            RecoveryStrategy::Shrink => "shrink",
+        }
     }
 
     /// Whether recovery retires the failed ranks and continues on the survivor
     /// communicator instead of restoring the original world size.
     pub fn shrinks_world(&self) -> bool {
-        self.descriptor().shrinks_world
+        matches!(self, RecoveryStrategy::Shrink)
     }
 
     /// The runtime this design runs on while healthy.
     pub fn healthy_runtime(&self) -> HealthyRuntime {
-        self.descriptor().healthy_runtime
+        match self {
+            RecoveryStrategy::Restart | RecoveryStrategy::Reinit => HealthyRuntime::PlainMpi,
+            RecoveryStrategy::Ulfm | RecoveryStrategy::Shrink => HealthyRuntime::Ulfm,
+        }
     }
 
     /// The fractional interference this strategy imposes on application execution and
@@ -246,13 +132,25 @@ impl RecoveryStrategy {
     /// of which `nfailed` failed, *excluding* the failure-detection latency (which is
     /// identical for all strategies and added by the driver).
     pub fn recovery_cost(&self, machine: &MachineModel, nprocs: usize, nfailed: usize) -> SimTime {
-        self.protocol().recovery_cost(machine, nprocs, nfailed)
+        match self {
+            RecoveryStrategy::Restart => machine.restart_recovery_cost(nprocs),
+            RecoveryStrategy::Ulfm => machine.ulfm_recovery_cost(nprocs, nfailed.max(1)),
+            RecoveryStrategy::Reinit => machine.reinit_recovery_cost(nprocs),
+            RecoveryStrategy::Shrink => machine.ulfm_shrink_recovery_cost(nprocs),
+        }
     }
 
-    /// Approximate lines of code the paper reports for adding this design to a proxy
-    /// application. Exposed for the suite's programming-effort table.
+    /// Approximate lines of code needed to add this design to a proxy application
+    /// (the paper reports Reinit < 5, ULFM > 200, Restart 0 beyond FTI itself;
+    /// shrinking additionally needs the data-redistribution logic). Exposed for the
+    /// suite's programming-effort table.
     pub fn programming_effort_loc(&self) -> usize {
-        self.descriptor().programming_effort_loc
+        match self {
+            RecoveryStrategy::Restart => 0,
+            RecoveryStrategy::Ulfm => 200,
+            RecoveryStrategy::Reinit => 5,
+            RecoveryStrategy::Shrink => 250,
+        }
     }
 }
 

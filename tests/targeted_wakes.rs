@@ -72,14 +72,14 @@ where
 fn die_then_rejoin(ctx: &mut RankCtx) -> Result<(), MpiError> {
     ctx.compute(VICTIM_FLOPS);
     let _ = ctx.kill_self();
-    ctx.recovery_rendezvous(SimTime::ZERO)
+    ctx.recovery_rendezvous(SimTime::ZERO, |_| {})
 }
 
 /// A survivor with nothing to receive: waits for the failure, then parks at the
 /// recovery rendezvous.
 fn observe_failure_then_park(ctx: &mut RankCtx) -> Result<(), MpiError> {
     ctx.wait_for_failure_events(1);
-    ctx.recovery_rendezvous(SimTime::ZERO)
+    ctx.recovery_rendezvous(SimTime::ZERO, |_| {})
 }
 
 /// After the repair every rank proves the job healed.
@@ -105,7 +105,7 @@ fn receiver_aborts_when_its_source_parks_at_the_recovery_rendezvous() {
                     .expect_err("nothing was ever sent with tag 9");
                 assert!(err.is_process_failure(), "{err:?}");
                 abort_clock = Some(ctx.now());
-                ctx.recovery_rendezvous(SimTime::ZERO)?;
+                ctx.recovery_rendezvous(SimTime::ZERO, |_| {})?;
             }
             1 => {
                 ctx.recv_f64(&world, 0, 1)?;
@@ -144,7 +144,7 @@ fn any_source_receiver_outlasts_every_source_but_the_last_and_loses_no_message()
                     .expect_err("every possible source has quiesced");
                 assert!(err.is_process_failure(), "{err:?}");
                 assert_eq!(ctx.now(), failure_instant());
-                ctx.recovery_rendezvous(SimTime::ZERO)?;
+                ctx.recovery_rendezvous(SimTime::ZERO, |_| {})?;
             }
             1 => {
                 ctx.send_f64(&world, 0, 1, &[10.0])?;
@@ -155,7 +155,7 @@ fn any_source_receiver_outlasts_every_source_but_the_last_and_loses_no_message()
                 // Issued before this rank's clock reaches the failure instant, so the
                 // failure is not yet visible to it and the send succeeds.
                 ctx.send_f64(&world, 0, 2, &[20.0])?;
-                ctx.recovery_rendezvous(SimTime::ZERO)?;
+                ctx.recovery_rendezvous(SimTime::ZERO, |_| {})?;
             }
             _ => die_then_rejoin(ctx)?,
         }
@@ -177,7 +177,7 @@ fn collective_blocked_on_a_dead_member_aborts_at_the_failure_instant() {
             .expect_err("rank 3 never reaches the barrier");
         assert!(err.is_process_failure(), "{err:?}");
         let abort_clock = ctx.now();
-        ctx.recovery_rendezvous(SimTime::ZERO)?;
+        ctx.recovery_rendezvous(SimTime::ZERO, |_| {})?;
         Ok((Some(abort_clock), healed_sum(ctx)?))
     });
     for observed in &results[..3] {
