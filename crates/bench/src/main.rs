@@ -15,10 +15,11 @@
 //! prints, garbage-collects or clears the store. All targets of one invocation
 //! share one [`SuiteEngine`], so overlapping targets (`fig6 fig7 findings`, or
 //! `all`) are answered from its result cache. Each `figN` target is the
-//! [`Figure`] of that name; `mtbf` runs the MTBF sweep. With `--json`, figure
-//! targets also write `<target>.json` in canonical form — byte-identical across
-//! runs exactly when the simulated times are bit-identical, across both scheduler
-//! backends (`--backend`) and any worker count (`--workers`).
+//! [`Figure`] of that name; `mtbf` runs the MTBF sweep. With `--json`, figure,
+//! `mtbf` and `findings` targets also write `<target>.json` in canonical form —
+//! byte-identical across runs exactly when the simulated times are bit-identical,
+//! across both scheduler backends (`--backend`) and any worker count
+//! (`--workers`).
 //!
 //! The `explore` target (not part of `all`) runs the coverage-guided fault-space
 //! explorer ([`match_explorer`]) and writes any property violation, shrunk, as
@@ -157,7 +158,7 @@ fn run_target(
                 println!("{}", findings.to_table().render());
                 println!("[derived in {:.1}s wall-clock]", t.elapsed().as_secs_f64());
                 if json {
-                    eprintln!("note: --json has no effect on the 'findings' target");
+                    dump_json(&format!("{name}.json"), &findings.to_json());
                 }
             })
         }

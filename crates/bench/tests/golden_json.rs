@@ -7,6 +7,7 @@
 //! was written.
 
 use match_bench::{figure_to_json, mtbf_to_json};
+use match_core::findings::Findings;
 use match_core::fti::CheckpointLevel;
 use match_core::mpisim::FailureSpec;
 use match_core::mtbf::{MtbfRow, MtbfSweep};
@@ -99,6 +100,44 @@ fn mtbf_json_bytes_are_pinned() {
         mtbf_to_json(&empty),
         "{\n  \"title\": \"MTBF sweep\",\n  \"rows\": [\n  ]\n}\n"
     );
+}
+
+#[test]
+fn findings_json_bytes_are_pinned() {
+    let findings = Findings {
+        ulfm_over_reinit_avg: 3.96,
+        ulfm_over_reinit_max: 7.0,
+        restart_over_reinit_avg: 10.8,
+        restart_over_reinit_max: 11.0,
+        restart_over_ulfm_avg: 3.5,
+        checkpoint_fraction_avg: 0.0018,
+        ulfm_app_inflation_avg: 1.0 / 3.0,
+        shrink_over_reinit_avg: 2.25,
+    };
+    let paper_rows = r#"{
+  "title": "Section V-C findings",
+  "rows": [
+    {"name": "ULFM recovery / Reinit recovery (avg)", "paper": "4x", "simulated": 3.96, "unit": "x"},
+    {"name": "ULFM recovery / Reinit recovery (max)", "paper": "13x", "simulated": 7, "unit": "x"},
+    {"name": "Restart recovery / Reinit recovery (avg)", "paper": "16x", "simulated": 10.8, "unit": "x"},
+    {"name": "Restart recovery / Reinit recovery (max)", "paper": "22x", "simulated": 11, "unit": "x"},
+    {"name": "Restart recovery / ULFM recovery (avg)", "paper": "2-3x", "simulated": 3.5, "unit": "x"},
+    {"name": "Checkpoint write share of total time", "paper": "~13%", "simulated": 0.18, "unit": "%"},
+    {"name": "ULFM application-time inflation vs. baseline", "paper": "grows with scale", "simulated": 0.3333333333333333, "unit": "x"}"#;
+    assert_eq!(
+        findings.to_json(),
+        format!(
+            "{paper_rows},\n    {{\"name\": \"Shrink recovery / Reinit recovery (avg)\", \
+             \"paper\": \"beyond the paper\", \"simulated\": 2.25, \"unit\": \"x\"}}\n  ]\n}}\n"
+        )
+    );
+    // Without SHRINK-FTI rows (MATCH_SHRINK=0) the Shrink finding is absent, as in
+    // the table.
+    let paper_designs = Findings {
+        shrink_over_reinit_avg: 0.0,
+        ..findings
+    };
+    assert_eq!(paper_designs.to_json(), format!("{paper_rows}\n  ]\n}}\n"));
 }
 
 #[test]

@@ -130,7 +130,7 @@ impl ExperimentId {
     /// is what the persistent cache digests into a content address and stores in
     /// each entry's header for verification (see [`crate::persist`]).
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut enc = crate::persist::Enc::new();
+        let mut enc = crate::persist::Enc::with_capacity(Self::CANONICAL_LEN);
         enc.u8(self.app);
         enc.u8(self.input);
         enc.u8(self.strategy);
@@ -147,8 +147,14 @@ impl ExperimentId {
         enc.usize(self.scale_min_extent);
         enc.u32(self.repetitions);
         enc.u64(self.seed);
-        enc.into_bytes()
+        let bytes = enc.into_bytes();
+        debug_assert_eq!(bytes.len(), Self::CANONICAL_LEN);
+        bytes
     }
+
+    /// Length of [`ExperimentId::canonical_bytes`]: seven single bytes, two `u32`s
+    /// and seven 8-byte fields.
+    const CANONICAL_LEN: usize = 7 + 2 * 4 + 7 * 8;
 }
 
 /// Snapshot of the cache's hit/miss counters.
@@ -276,15 +282,17 @@ impl ResultCache {
 
     /// Returns the cached result for `id`, computing it with `compute` on first
     /// request. Concurrent requests for the same id block until the first finishes
-    /// and then share its result; they are counted as hits. `label` is the
-    /// experiment's human-readable name, used to contextualise a contained panic.
-    pub fn get_or_compute<F>(
+    /// and then share its result; they are counted as hits. `label` yields the
+    /// experiment's human-readable name, used to contextualise a contained panic;
+    /// it is only called when `compute` panics.
+    pub fn get_or_compute<L, F>(
         &self,
         id: ExperimentId,
-        label: &str,
+        label: L,
         compute: F,
     ) -> Result<RunReport, SuiteError>
     where
+        L: FnOnce() -> String,
         F: FnOnce() -> Result<RunReport, SuiteError>,
     {
         let (cell, is_owner) = {
@@ -320,7 +328,7 @@ impl ResultCache {
             // Convert a panicking compute into an error so waiters are not stranded
             // on a cell that will never fill.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute))
-                .unwrap_or_else(|payload| Err(SuiteError::panicked_experiment(label, payload)));
+                .unwrap_or_else(|payload| Err(SuiteError::panicked_experiment(&label(), payload)));
             // Write-through: only successful reports persist (errors and contained
             // panics are process-local), and a failed write never fails the run.
             if let (Some(disk), Ok(report)) = (&self.disk, &result) {
@@ -336,15 +344,14 @@ impl ResultCache {
         }
     }
 
-    /// Returns the finished result for `id` if it is already cached (does not count
-    /// as a hit or miss, and does not block on in-flight cells).
-    pub fn peek(&self, id: &ExperimentId) -> Option<Result<RunReport, SuiteError>> {
-        let cell = {
-            let cells = self.cells.lock().expect("cache map lock");
-            Arc::clone(cells.get(id)?)
-        };
-        let slot = cell.slot.lock().expect("cache cell lock");
-        slot.clone()
+    /// How many of `ids` have no in-memory cell, finished or in flight (does not
+    /// count as a hit or miss).
+    pub(crate) fn count_absent<'a>(
+        &self,
+        ids: impl IntoIterator<Item = &'a ExperimentId>,
+    ) -> usize {
+        let cells = self.cells.lock().expect("cache map lock");
+        ids.into_iter().filter(|id| !cells.contains_key(id)).count()
     }
 
     /// Current hit/miss counters and entry count.
@@ -497,9 +504,15 @@ mod tests {
     fn second_lookup_is_a_hit_and_skips_compute() {
         let cache = ResultCache::new();
         let id = ExperimentId::of(&experiment());
-        let first = cache.get_or_compute(id, "t", || Ok(report(4))).unwrap();
+        let first = cache
+            .get_or_compute(id, || "t".into(), || Ok(report(4)))
+            .unwrap();
         let second = cache
-            .get_or_compute(id, "t", || panic!("must not recompute a cached cell"))
+            .get_or_compute(
+                id,
+                || "t".into(),
+                || panic!("must not recompute a cached cell"),
+            )
             .unwrap();
         assert_eq!(first, second);
         let stats = cache.stats();
@@ -516,8 +529,10 @@ mod tests {
             errors: vec![(0, mpisim::MpiError::Revoked)],
         };
         let e = err.clone();
-        assert!(cache.get_or_compute(id, "t", move || Err(e)).is_err());
-        let again = cache.get_or_compute(id, "t", || panic!("must not recompute"));
+        assert!(cache
+            .get_or_compute(id, || "t".into(), move || Err(e))
+            .is_err());
+        let again = cache.get_or_compute(id, || "t".into(), || panic!("must not recompute"));
         assert_eq!(again.unwrap_err(), err);
     }
 
@@ -531,12 +546,16 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let computations = Arc::clone(&computations);
                 scope.spawn(move || {
-                    let r = cache.get_or_compute(id, "t", || {
-                        computations.fetch_add(1, Ordering::Relaxed);
-                        // Give the other threads time to pile onto the in-flight cell.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        Ok(report(4))
-                    });
+                    let r = cache.get_or_compute(
+                        id,
+                        || "t".into(),
+                        || {
+                            computations.fetch_add(1, Ordering::Relaxed);
+                            // Give the other threads time to pile onto the in-flight cell.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Ok(report(4))
+                        },
+                    );
                     assert!(r.is_ok());
                 });
             }
@@ -551,10 +570,10 @@ mod tests {
     fn clear_resets_everything() {
         let cache = ResultCache::new();
         let id = ExperimentId::of(&experiment());
-        let _ = cache.get_or_compute(id, "t", || Ok(report(4)));
+        let _ = cache.get_or_compute(id, || "t".into(), || Ok(report(4)));
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
-        assert!(cache.peek(&id).is_none());
+        assert_eq!(cache.count_absent([&id]), 1);
     }
 
     #[test]
@@ -566,11 +585,15 @@ mod tests {
             let owner_cache = Arc::clone(&cache);
             let owner_count = Arc::clone(&computations);
             scope.spawn(move || {
-                let _ = owner_cache.get_or_compute(id, "t", || {
-                    owner_count.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    Ok(report(4))
-                });
+                let _ = owner_cache.get_or_compute(
+                    id,
+                    || "t".into(),
+                    || {
+                        owner_count.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        Ok(report(4))
+                    },
+                );
             });
             // Wait until the owner holds the cell, then clear: the pending cell must
             // survive so this request joins it instead of recomputing.
@@ -578,8 +601,11 @@ mod tests {
                 std::thread::yield_now();
             }
             cache.clear();
-            let joined =
-                cache.get_or_compute(id, "t", || panic!("must not recompute an in-flight cell"));
+            let joined = cache.get_or_compute(
+                id,
+                || "t".into(),
+                || panic!("must not recompute an in-flight cell"),
+            );
             assert!(joined.is_ok());
         });
         assert_eq!(computations.load(Ordering::Relaxed), 1);

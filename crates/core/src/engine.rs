@@ -28,8 +28,9 @@
 //!   `Result<RunReport, `[`SuiteError`]`>` carrying the experiment label and the
 //!   per-rank errors, and matrix runs surface the first failing cell.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mpisim::MpiError;
 use recovery::RunReport;
@@ -192,78 +193,93 @@ impl SuiteEngine {
     /// simulation (which is what the cache and the disk store hold), re-stamped
     /// with the requested design; an error names the requested cell.
     pub fn run(&self, experiment: &Experiment) -> Result<RunReport, SuiteError> {
+        restamp(
+            self.run_cell(ExperimentId::of(experiment), experiment),
+            experiment,
+        )
+    }
+
+    /// The cached (or freshly simulated) result of `experiment`'s representative,
+    /// whose id is `id`; not yet re-stamped.
+    fn run_cell(&self, id: ExperimentId, experiment: &Experiment) -> Result<RunReport, SuiteError> {
         let simulated = experiment.representative();
-        let result =
-            self.cache
-                .get_or_compute(ExperimentId::of(&simulated), &simulated.label(), || {
-                    runner::run_experiment_uncached(&simulated)
-                });
-        restamp(result, experiment)
+        self.cache.get_or_compute(
+            id,
+            || simulated.label(),
+            || runner::run_experiment_uncached(&simulated),
+        )
     }
 
-    /// The cached answer for `experiment`, re-stamped like [`SuiteEngine::run`]'s.
-    fn peek(&self, experiment: &Experiment) -> Option<Result<RunReport, SuiteError>> {
-        let result = self.cache.peek(&ExperimentId::of(experiment))?;
-        Some(restamp(result, experiment))
-    }
-
-    /// Runs a whole matrix: unique cells are scheduled across the worker pool (every
-    /// already-cached cell is recalled instead), then the reports are returned in the
-    /// input's order — duplicates included. The first failing cell (in input order)
-    /// is returned as the error. Scheduling stops early once any cell fails:
-    /// in-flight cells finish, unstarted ones are never launched.
+    /// Runs a whole matrix: each distinct cell is looked up once, and the cells
+    /// not yet in memory are scheduled across the worker pool (a matrix already
+    /// in memory is recalled on the calling thread). The reports are returned in
+    /// the input's order — duplicates and failure-free twins included. The first
+    /// failing cell (in input order) is returned as the error. Scheduling stops
+    /// early once any cell fails: in-flight cells finish, unstarted ones are never
+    /// launched.
     pub fn run_matrix(&self, experiments: &[Experiment]) -> Result<Vec<RunReport>, SuiteError> {
-        let mut seen = std::collections::HashSet::new();
-        let unique: Vec<&Experiment> = experiments
+        // One id per row; `slot_of[row]` indexes `distinct`, the first row of each
+        // id in input order.
+        let mut slots = HashMap::with_capacity(experiments.len());
+        let mut distinct: Vec<(ExperimentId, &Experiment)> = Vec::new();
+        let slot_of: Vec<usize> = experiments
             .iter()
-            .filter(|e| seen.insert(ExperimentId::of(e)))
+            .map(|experiment| {
+                let id = ExperimentId::of(experiment);
+                *slots.entry(id).or_insert_with(|| {
+                    distinct.push((id, experiment));
+                    distinct.len() - 1
+                })
+            })
             .collect();
 
-        let failed = AtomicBool::new(false);
-        let workers = self.jobs.min(unique.len());
+        let results: Vec<OnceLock<Result<RunReport, SuiteError>>> =
+            distinct.iter().map(|_| OnceLock::new()).collect();
+        // Runs slot `i` and reports whether it succeeded.
+        let run_slot = |i: usize| {
+            let (id, experiment) = distinct[i];
+            let result = results[i].get_or_init(|| self.run_cell(id, experiment));
+            result.is_ok()
+        };
+        let absent = self.cache.count_absent(distinct.iter().map(|(id, _)| id));
+        let workers = self.jobs.min(absent);
         if workers > 1 {
             let cursor = AtomicUsize::new(0);
-            let unique = &unique;
-            let failed = &failed;
+            let failed = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(experiment) = unique.get(i) else {
-                            break;
-                        };
-                        // Errors are cached; they surface during collection below.
-                        if self.run(experiment).is_err() {
-                            failed.store(true, Ordering::Relaxed);
+                    scope.spawn(|| {
+                        while !failed.load(Ordering::Relaxed) {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= distinct.len() {
+                                break;
+                            }
+                            // Errors are kept; they surface during collection below.
+                            if !run_slot(i) {
+                                failed.store(true, Ordering::Relaxed);
+                            }
                         }
                     });
                 }
             });
         } else {
-            for experiment in &unique {
-                if self.run(experiment).is_err() {
-                    failed.store(true, Ordering::Relaxed);
+            for i in 0..distinct.len() {
+                if !run_slot(i) {
                     break;
                 }
             }
         }
 
-        if failed.load(Ordering::Relaxed) {
-            // Surface the first failing cell in input order; cells that were never
-            // scheduled because of the abort must not be recomputed here.
-            for e in experiments {
-                if let Some(Err(error)) = self.peek(e) {
-                    return Err(error);
-                }
-            }
-        }
-
+        // Collection stops at the first failing row. Every slot first seen before
+        // that row was claimed (slots are claimed in order) and so has finished:
+        // the fallback below never runs a cell the abort skipped.
         experiments
             .iter()
-            .map(|e| self.peek(e).unwrap_or_else(|| self.run(e)))
+            .zip(&slot_of)
+            .map(|(experiment, &slot)| match results[slot].get() {
+                Some(result) => restamp(result.clone(), experiment),
+                None => self.run(experiment),
+            })
             .collect()
     }
 
@@ -282,8 +298,8 @@ impl SuiteEngine {
         self.run_matrix(&experiments)
     }
 
-    /// Hit/miss counters of the engine's cache. Counters track *scheduled* cells: a
-    /// matrix row recalled during result collection does not bump them. The
+    /// Hit/miss counters of the engine's cache. A matrix counts one lookup per
+    /// distinct cell: its duplicate rows and failure-free twins do not bump them. The
     /// `disk_misses` counter is the number of cells this engine actually
     /// simulated — zero on a fully warm-started run.
     pub fn cache_stats(&self) -> CacheStats {
@@ -337,13 +353,17 @@ fn default_jobs() -> usize {
 }
 
 /// The engine's total core budget, which concurrent experiments times their `par`
-/// workers stay within: [`knobs::CORES`] if set and positive, otherwise the host's
-/// available parallelism (1 when that cannot be determined).
+/// workers stay within: [`knobs::CORES`] if set and positive (read at every call),
+/// otherwise the host's available parallelism (probed once per process; 1 when it
+/// cannot be determined).
 pub fn core_budget() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
     knobs::CORES.read().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *HOST.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 
@@ -469,6 +489,37 @@ mod tests {
         assert!(error.to_string().contains("HPCCG/Small/0"), "{error}");
         // The failing first cell aborted scheduling: the good cell never ran.
         assert_eq!(engine.cache_stats().entries, 1);
+    }
+
+    #[test]
+    fn a_matrix_in_memory_recalls_the_same_reports_and_counts() {
+        // Twins, a duplicate row and a cell with a failure: three distinct cells.
+        let matrix = [
+            smoke(RecoveryStrategy::Reinit, false),
+            smoke(RecoveryStrategy::Restart, false),
+            smoke(RecoveryStrategy::Ulfm, true),
+            smoke(RecoveryStrategy::Reinit, false),
+            smoke(RecoveryStrategy::Shrink, false),
+        ];
+        let engine = SuiteEngine::with_jobs_and_disk(2, None);
+        let first = engine.run_matrix(&matrix).unwrap();
+        let cold = engine.cache_stats();
+        assert_eq!((cold.hits, cold.misses, cold.entries), (0, 3, 3));
+        let designs: Vec<_> = first.iter().map(|r| r.strategy).collect();
+        let asked: Vec<_> = matrix.iter().map(|e| e.strategy).collect();
+        assert_eq!(designs, asked);
+        for _ in 0..2 {
+            let before = engine.cache_stats();
+            assert_eq!(engine.run_matrix(&matrix).unwrap(), first);
+            // One memory hit per distinct cell, nothing else moves.
+            assert_eq!(
+                engine.cache_stats(),
+                CacheStats {
+                    hits: before.hits + 3,
+                    ..cold
+                }
+            );
+        }
     }
 
     #[test]

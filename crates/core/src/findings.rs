@@ -10,6 +10,7 @@
 
 use crate::engine::{SuiteEngine, SuiteError};
 use crate::figures::{Figure, FigureData};
+use crate::json;
 use crate::matrix::MatrixOptions;
 use crate::table::TextTable;
 
@@ -131,54 +132,82 @@ impl Findings {
         }
     }
 
+    /// The rows of [`Findings::to_table`] and [`Findings::to_json`]: each
+    /// finding's [`ROWS`] entry and simulated value, the Shrink ratio only when
+    /// the figure carried `SHRINK-FTI` rows.
+    fn rows(&self) -> impl Iterator<Item = (FindingRow, f64)> {
+        let values = [
+            self.ulfm_over_reinit_avg,
+            self.ulfm_over_reinit_max,
+            self.restart_over_reinit_avg,
+            self.restart_over_reinit_max,
+            self.restart_over_ulfm_avg,
+            self.checkpoint_fraction_avg * 100.0,
+            self.ulfm_app_inflation_avg,
+            self.shrink_over_reinit_avg,
+        ];
+        let shown = ROWS.len() - 1 + usize::from(self.shrink_over_reinit_avg > 0.0);
+        ROWS.into_iter().zip(values).take(shown)
+    }
+
     /// Renders the findings next to the paper's reported values.
     pub fn to_table(&self) -> TextTable {
         let mut t = TextTable::new(vec!["Finding", "Paper", "Measured"]);
-        t.add_row(vec![
-            "ULFM recovery / Reinit recovery (avg)".to_string(),
-            "4x".to_string(),
-            format!("{:.1}x", self.ulfm_over_reinit_avg),
-        ]);
-        t.add_row(vec![
-            "ULFM recovery / Reinit recovery (max)".to_string(),
-            "13x".to_string(),
-            format!("{:.1}x", self.ulfm_over_reinit_max),
-        ]);
-        t.add_row(vec![
-            "Restart recovery / Reinit recovery (avg)".to_string(),
-            "16x".to_string(),
-            format!("{:.1}x", self.restart_over_reinit_avg),
-        ]);
-        t.add_row(vec![
-            "Restart recovery / Reinit recovery (max)".to_string(),
-            "22x".to_string(),
-            format!("{:.1}x", self.restart_over_reinit_max),
-        ]);
-        t.add_row(vec![
-            "Restart recovery / ULFM recovery (avg)".to_string(),
-            "2-3x".to_string(),
-            format!("{:.1}x", self.restart_over_ulfm_avg),
-        ]);
-        t.add_row(vec![
-            "Checkpoint write share of total time".to_string(),
-            "~13%".to_string(),
-            format!("{:.0}%", self.checkpoint_fraction_avg * 100.0),
-        ]);
-        t.add_row(vec![
-            "ULFM application-time inflation vs. baseline".to_string(),
-            "grows with scale".to_string(),
-            format!("{:.2}x", self.ulfm_app_inflation_avg),
-        ]);
-        if self.shrink_over_reinit_avg > 0.0 {
+        for ((name, paper, unit, decimals), value) in self.rows() {
             t.add_row(vec![
-                "Shrink recovery / Reinit recovery (avg)".to_string(),
-                "beyond the paper".to_string(),
-                format!("{:.1}x", self.shrink_over_reinit_avg),
+                name.to_string(),
+                paper.to_string(),
+                format!("{value:.decimals$}{unit}"),
             ]);
         }
         t
     }
+
+    /// Serializes the rows of [`Findings::to_table`] into canonical JSON (the
+    /// [`json::document`] layout of the figure dumps): per finding its name, the
+    /// paper's value, the simulated value at full precision and its unit (`x` for
+    /// a ratio, `%` for a share).
+    pub fn to_json(&self) -> String {
+        let rows = json::rows(self.rows().map(|((name, paper, unit, _), value)| {
+            json::row(&[
+                ("name", &json::string(name)),
+                ("paper", &json::string(paper)),
+                ("simulated", &value),
+                ("unit", &json::string(unit)),
+            ])
+        }));
+        json::document(&[
+            ("title", &json::string("Section V-C findings")),
+            ("rows", &rows),
+        ])
+    }
 }
+
+/// A finding's name, the paper's value as the paper states it, the unit of the
+/// simulated value and the decimals the table shows.
+type FindingRow = (&'static str, &'static str, &'static str, usize);
+
+/// Every finding, in table order (the last, Shrink, only with `SHRINK-FTI` rows).
+const ROWS: [FindingRow; 8] = [
+    ("ULFM recovery / Reinit recovery (avg)", "4x", "x", 1),
+    ("ULFM recovery / Reinit recovery (max)", "13x", "x", 1),
+    ("Restart recovery / Reinit recovery (avg)", "16x", "x", 1),
+    ("Restart recovery / Reinit recovery (max)", "22x", "x", 1),
+    ("Restart recovery / ULFM recovery (avg)", "2-3x", "x", 1),
+    ("Checkpoint write share of total time", "~13%", "%", 0),
+    (
+        "ULFM application-time inflation vs. baseline",
+        "grows with scale",
+        "x",
+        2,
+    ),
+    (
+        "Shrink recovery / Reinit recovery (avg)",
+        "beyond the paper",
+        "x",
+        1,
+    ),
+];
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,11 @@
 //! JSON: the suite's one string quoter, document writer and parser.
 //!
-//! Every JSON document the suite emits — the figure and MTBF `--json` dumps, the
-//! explorer's coverage report and its replayable artifact — is a [`document`]:
-//! top-level keys one per line, arrays of inline [`row`]s one per line. Numbers
-//! are written with `Display` (shortest round-trip for floats), so two documents
-//! are byte-identical exactly when their values are bit-identical. [`parse`]
-//! turns any malformed input into a diagnostic, never a panic.
+//! Every JSON document the suite emits — the figure, MTBF and findings `--json`
+//! dumps, the explorer's coverage report and its replayable artifact — is a
+//! [`document`]: top-level keys one per line, arrays of inline [`row`]s one per
+//! line. Numbers are written with `Display` (shortest round-trip for floats), so
+//! two documents are byte-identical exactly when their values are bit-identical.
+//! [`parse`] turns any malformed input into a diagnostic, never a panic.
 
 use std::collections::BTreeMap;
 use std::fmt::Display;

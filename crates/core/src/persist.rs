@@ -32,16 +32,17 @@
 //! [`knobs::CACHE_DIR`]): entries fan out over two directory levels keyed by the
 //! leading hex digits of the content address, `root/ab/cd/<32-hex-digest>.rpt`,
 //! keeping directories small even for hundred-thousand-entry caches. The
-//! [`knobs::CACHE_MAX_MB`] cap enables mtime-LRU garbage collection (reads bump
-//! the entry's mtime, best-effort), and switching [`knobs::CACHE`] off disables
-//! the disk layer entirely.
+//! [`knobs::CACHE_MAX_MB`] cap enables mtime-LRU garbage collection (a read bumps
+//! the entry's mtime, best-effort, at most once a minute, so a warm rerun writes
+//! nothing to the store), and switching [`knobs::CACHE`] off disables the disk
+//! layer entirely.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::SystemTime;
+use std::time::{Duration, SystemTime};
 
 use fti::RestoreSource;
 use mpisim::{RankStats, SimTime, TimeBreakdown};
@@ -69,6 +70,11 @@ const GC_WRITE_PERIOD: u64 = 32;
 /// Temp files older than this are leftovers of a crashed writer and are removed
 /// by GC sweeps.
 const STALE_TEMP_SECS: u64 = 3600;
+
+/// A hit refreshes its entry's mtime (the LRU sweep's recency) only when the
+/// mtime is at least this old: a rerun of recent work reads the store without
+/// writing to it.
+const RECENCY_REFRESH: Duration = Duration::from_secs(60);
 
 /// The build-time fingerprint of every source file that influences simulated
 /// results (see `crates/core/build.rs`). Entries produced by a different build of
@@ -112,6 +118,13 @@ impl Enc {
     /// An empty encoding.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty encoding with room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Appends one byte.
@@ -323,7 +336,12 @@ pub fn unseal<'a>(magic: &[u8; 8], version: u32, bytes: &'a [u8]) -> Result<&'a 
 /// The content address of an experiment: the hex FNV-1a-128 digest of its
 /// canonical byte encoding. This is the entry's file name stem.
 pub fn content_address(id: &ExperimentId) -> String {
-    format!("{:032x}", fnv1a128(&id.canonical_bytes()))
+    address_of(&id.canonical_bytes())
+}
+
+/// The content address of the id whose canonical bytes are `id_bytes`.
+fn address_of(id_bytes: &[u8]) -> String {
+    format!("{:032x}", fnv1a128(id_bytes))
 }
 
 /// Stable one-byte tag of a design (cache entry bodies and experiment ids).
@@ -527,12 +545,17 @@ pub fn encode_entry(id: &ExperimentId, report: &RunReport) -> Vec<u8> {
 /// Deserializes and fully validates a cache entry for `id` (the inverse of
 /// [`encode_entry`]). Every malformation is an `Err`, never a panic.
 pub fn decode_entry(id: &ExperimentId, bytes: &[u8]) -> Result<RunReport, DecodeError> {
+    decode_entry_for(&id.canonical_bytes(), bytes)
+}
+
+/// [`decode_entry`] for the id whose canonical bytes are `id_bytes`.
+fn decode_entry_for(id_bytes: &[u8], bytes: &[u8]) -> Result<RunReport, DecodeError> {
     let mut dec = Dec::new(unseal(&MAGIC, FORMAT_VERSION, bytes)?);
     if dec.u64()? != source_fingerprint() {
         return Err(DecodeError::StaleFingerprint);
     }
     let id_len = dec.u32()? as usize;
-    if dec.take(id_len)? != id.canonical_bytes() {
+    if dec.take(id_len)? != id_bytes {
         return Err(DecodeError::IdMismatch);
     }
     let report = decode_report_body(&mut dec)?;
@@ -644,26 +667,56 @@ impl DiskCache {
     /// The path an entry for `id` lives at: two fan-out levels of the content
     /// address, then the full digest as the file name.
     pub fn path_of(&self, id: &ExperimentId) -> PathBuf {
-        let address = content_address(id);
-        self.root
-            .join(&address[0..2])
-            .join(&address[2..4])
-            .join(format!("{address}.{ENTRY_EXT}"))
+        self.entry_path(&id.canonical_bytes())
+    }
+
+    /// [`DiskCache::path_of`] the id whose canonical bytes are `id_bytes`.
+    fn entry_path(&self, id_bytes: &[u8]) -> PathBuf {
+        let address = address_of(id_bytes);
+        let mut path = PathBuf::with_capacity(self.root.as_os_str().len() + 48);
+        path.push(&self.root);
+        path.push(&address[0..2]);
+        path.push(&address[2..4]);
+        path.push(&address);
+        path.set_extension(ENTRY_EXT);
+        path
     }
 
     /// Looks `id` up on disk. Missing or stale entries are [`DiskLookup::Miss`];
-    /// corrupt, truncated or unreadable ones are [`DiskLookup::Corrupt`]. A hit
-    /// bumps the entry's mtime (best-effort) so mtime-LRU GC keeps hot entries.
+    /// corrupt, truncated or unreadable ones are [`DiskLookup::Corrupt`].
+    ///
+    /// A lookup opens the entry once and reads exactly the length its `fstat`
+    /// reports. A hit refreshes the entry's mtime, so mtime-LRU GC keeps hot
+    /// entries, but at most once a minute: a hit on an entry written or read in
+    /// the last minute writes nothing (best-effort either way).
     pub fn load(&self, id: &ExperimentId) -> DiskLookup {
-        let path = self.path_of(id);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
+        let id_bytes = id.canonical_bytes();
+        let path = self.entry_path(&id_bytes);
+        let mut file = match fs::File::open(&path) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return DiskLookup::Miss,
             Err(_) => return DiskLookup::Corrupt,
         };
-        match decode_entry(id, &bytes) {
+        let Ok(meta) = file.metadata() else {
+            return DiskLookup::Corrupt;
+        };
+        let Ok(len) = usize::try_from(meta.len()) else {
+            return DiskLookup::Corrupt;
+        };
+        let mut bytes = vec![0; len];
+        if file.read_exact(&mut bytes).is_err() {
+            return DiskLookup::Corrupt;
+        }
+        match decode_entry_for(&id_bytes, &bytes) {
             Ok(report) => {
-                touch(&path);
+                let now = SystemTime::now();
+                let recent = meta.modified().is_ok_and(|mtime| {
+                    now.duration_since(mtime)
+                        .map_or(true, |age| age < RECENCY_REFRESH)
+                });
+                if !recent && file.set_modified(now).is_err() {
+                    touch(&path);
+                }
                 DiskLookup::Hit(report)
             }
             Err(e) if e.is_stale() => DiskLookup::Miss,
@@ -797,7 +850,8 @@ impl DiskCache {
     }
 }
 
-/// Best-effort mtime bump so reads count as "recently used" for the LRU sweep.
+/// Best-effort mtime bump so reads count as "recently used" for the LRU sweep:
+/// the fallback when the reading descriptor may not set the mtime.
 fn touch(path: &Path) {
     if let Ok(file) = fs::File::options().append(true).open(path) {
         let _ = file.set_modified(SystemTime::now());

@@ -182,33 +182,30 @@ impl FtDriver {
             let events_at_start = ctx.failure_events();
 
             let mut fti = Fti::init(self.config.fti.clone(), Arc::clone(&self.store), ctx)?;
-            let attempt = match app(ctx, &mut fti, &injector) {
-                Ok(value) => {
-                    // The analogue of MPI_Finalize: ensure nobody still needs this rank
-                    // for recovery before leaving.
-                    match ctx.completion_barrier() {
-                        Ok(()) => Ok(value),
-                        Err(e) => Err(e),
-                    }
-                }
-                Err(e) => Err(e),
-            };
+            // After a completed run, the analogue of MPI_Finalize: ensure nobody
+            // still needs this rank for recovery before leaving.
+            let attempt = app(ctx, &mut fti, &injector)
+                .and_then(|value| ctx.completion_barrier().map(|()| value));
+            // This attempt's record, once its outcome is known; the recovery that
+            // followed it is the time from `ended_at` to now.
+            let record =
+                |ctx: &RankCtx, completed, ended_at, survivors, events: u64| AttemptRecord {
+                    attempt: attempts,
+                    started_at,
+                    ended_at,
+                    completed,
+                    recovery: ctx.now().saturating_sub(ended_at),
+                    survivors,
+                    path: CoveragePath::observed(
+                        entry,
+                        fti.last_restore(),
+                        (events.saturating_sub(events_at_start)) as u32,
+                    ),
+                };
             match attempt {
                 Ok(value) => {
                     let events = ctx.failure_events();
-                    attempt_log.push(AttemptRecord {
-                        attempt: attempts,
-                        started_at,
-                        ended_at: ctx.now(),
-                        completed: true,
-                        recovery: SimTime::ZERO,
-                        survivors: ctx.world().size(),
-                        path: CoveragePath::observed(
-                            entry,
-                            fti.last_restore(),
-                            (events.saturating_sub(events_at_start)) as u32,
-                        ),
-                    });
+                    attempt_log.push(record(ctx, true, ctx.now(), ctx.world().size(), events));
                     return Ok(DriverOutcome {
                         value: Some(value),
                         attempts,
@@ -233,19 +230,7 @@ impl FtDriver {
                         // death is recorded at kill time and fires in a globally
                         // serialized order, so it is bit-deterministic.
                         let events = ctx.failure_events_at_death();
-                        attempt_log.push(AttemptRecord {
-                            attempt: attempts,
-                            started_at,
-                            ended_at,
-                            completed: false,
-                            recovery: ctx.now().saturating_sub(ended_at),
-                            survivors: 0,
-                            path: CoveragePath::observed(
-                                entry,
-                                fti.last_restore(),
-                                (events.saturating_sub(events_at_start)) as u32,
-                            ),
-                        });
+                        attempt_log.push(record(ctx, false, ended_at, 0, events));
                         return Ok(DriverOutcome {
                             value: None,
                             attempts,
@@ -255,38 +240,16 @@ impl FtDriver {
                         });
                     }
                     recoveries += 1;
-                    attempt_log.push(AttemptRecord {
-                        attempt: attempts,
-                        started_at,
-                        ended_at,
-                        completed: false,
-                        recovery: ctx.now().saturating_sub(ended_at),
-                        survivors: ctx.world().size(),
-                        path: CoveragePath::observed(
-                            entry,
-                            fti.last_restore(),
-                            (ctx.failure_events().saturating_sub(events_at_start)) as u32,
-                        ),
-                    });
+                    let events = ctx.failure_events();
+                    attempt_log.push(record(ctx, false, ended_at, ctx.world().size(), events));
                     entry = AttemptEntry::Shrink;
                 }
                 Err(e) if e.is_process_failure() => {
                     let ended_at = ctx.now();
                     self.recover(ctx)?;
                     recoveries += 1;
-                    attempt_log.push(AttemptRecord {
-                        attempt: attempts,
-                        started_at,
-                        ended_at,
-                        completed: false,
-                        recovery: ctx.now().saturating_sub(ended_at),
-                        survivors: ctx.nprocs(),
-                        path: CoveragePath::observed(
-                            entry,
-                            fti.last_restore(),
-                            (ctx.failure_events().saturating_sub(events_at_start)) as u32,
-                        ),
-                    });
+                    let events = ctx.failure_events();
+                    attempt_log.push(record(ctx, false, ended_at, ctx.nprocs(), events));
                     entry = AttemptEntry::Respawn;
                 }
                 Err(e) => return Err(e),

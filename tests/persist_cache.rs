@@ -239,7 +239,7 @@ fn two_threads_writing_the_same_entry_never_tear_it() {
             scope.spawn(move || {
                 let cache = ResultCache::with_disk(Some(disk));
                 let out = cache
-                    .get_or_compute(id, "t", || Ok(report.clone()))
+                    .get_or_compute(id, || "t".into(), || Ok(report.clone()))
                     .expect("compute");
                 assert_eq!(out, report);
             });
@@ -331,12 +331,92 @@ fn reads_refresh_recency_for_the_lru_sweep() {
 }
 
 #[test]
+fn a_hit_on_a_recent_entry_writes_nothing_to_the_store() {
+    use std::os::unix::fs::MetadataExt;
+
+    let root = tmp_root("recent-hit");
+    let disk = DiskCache::new(&root, None);
+    let id = ExperimentId::of(&smoke(202, true));
+    let report = synthetic_report(13, 2);
+    disk.store(&id, &report).expect("store");
+    let path = disk.path_of(&id);
+    // Backdate inside the one-minute refresh interval, to an mtime no refresh
+    // would write.
+    fs::File::options()
+        .append(true)
+        .open(&path)
+        .expect("open")
+        .set_modified(SystemTime::now() - Duration::from_secs(20))
+        .expect("backdate");
+    let bytes = fs::read(&path).expect("entry bytes");
+    let meta = fs::metadata(&path).expect("metadata");
+    for _ in 0..3 {
+        match disk.load(&id) {
+            DiskLookup::Hit(back) => assert_eq!(back, report),
+            other => panic!("expected a hit, got {other:?}"),
+        }
+    }
+    let after = fs::metadata(&path).expect("metadata");
+    assert_eq!(fs::read(&path).expect("entry bytes"), bytes);
+    assert_eq!(
+        after.modified().ok(),
+        meta.modified().ok(),
+        "mtime unchanged"
+    );
+    // Any metadata write, even of an equal mtime, would move the change time.
+    assert_eq!(
+        (after.ctime(), after.ctime_nsec()),
+        (meta.ctime(), meta.ctime_nsec()),
+        "inode unchanged"
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_truncated_entry_loads_as_corrupt_and_is_recomputed() {
+    let root = tmp_root("truncated-load");
+    let disk = Arc::new(DiskCache::new(&root, None));
+    let experiment = smoke(8, true);
+    let id = ExperimentId::of(&experiment);
+    let cold = SuiteEngine::with_jobs_and_disk(1, Some(Arc::clone(&disk)));
+    let expected = cold.run(&experiment).expect("cold run");
+    let path = disk.path_of(&id);
+    let len = fs::metadata(&path).expect("entry").len();
+    for keep in [len - 1, len / 2, 13, 0] {
+        // Truncate in place, as `truncate -s` does: the entry keeps its inode.
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .expect("open")
+            .set_len(keep)
+            .expect("truncate");
+        assert!(
+            matches!(disk.load(&id), DiskLookup::Corrupt),
+            "{keep} of {len} bytes"
+        );
+        let engine = SuiteEngine::with_jobs_and_disk(1, Some(Arc::clone(&disk)));
+        assert_eq!(engine.run(&experiment).expect("recompute"), expected);
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.disk_read_errors, stats.disk_misses, stats.disk_writes),
+            (1, 1, 1),
+            "{keep} of {len} bytes"
+        );
+        match disk.load(&id) {
+            DiskLookup::Hit(back) => assert_eq!(back, expected, "{keep} of {len} bytes"),
+            other => panic!("the recompute rewrote the entry, got {other:?}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn disabled_disk_layer_counts_every_compute_as_a_disk_miss() {
     let cache = ResultCache::new();
     let id = ExperimentId::of(&smoke(300, false));
     let report = synthetic_report(1, 0);
-    let _ = cache.get_or_compute(id, "t", || Ok(report.clone()));
-    let _ = cache.get_or_compute(id, "t", || Ok(report));
+    let _ = cache.get_or_compute(id, || "t".into(), || Ok(report.clone()));
+    let _ = cache.get_or_compute(id, || "t".into(), || Ok(report));
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
     assert_eq!(
