@@ -130,7 +130,7 @@ impl ExperimentId {
     /// is what the persistent cache digests into a content address and stores in
     /// each entry's header for verification (see [`crate::persist`]).
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut enc = crate::persist::Enc::with_capacity(Self::CANONICAL_LEN);
+        let mut enc = crate::persist::Enc::new();
         enc.u8(self.app);
         enc.u8(self.input);
         enc.u8(self.strategy);
@@ -147,14 +147,8 @@ impl ExperimentId {
         enc.usize(self.scale_min_extent);
         enc.u32(self.repetitions);
         enc.u64(self.seed);
-        let bytes = enc.into_bytes();
-        debug_assert_eq!(bytes.len(), Self::CANONICAL_LEN);
-        bytes
+        enc.into_bytes()
     }
-
-    /// Length of [`ExperimentId::canonical_bytes`]: seven single bytes, two `u32`s
-    /// and seven 8-byte fields.
-    const CANONICAL_LEN: usize = 7 + 2 * 4 + 7 * 8;
 }
 
 /// Snapshot of the cache's hit/miss counters.

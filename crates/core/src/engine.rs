@@ -271,14 +271,15 @@ impl SuiteEngine {
         }
 
         // Collection stops at the first failing row. Every slot first seen before
-        // that row was claimed (slots are claimed in order) and so has finished:
-        // the fallback below never runs a cell the abort skipped.
+        // that row was claimed (slots are claimed in order) and so has finished.
         experiments
             .iter()
             .zip(&slot_of)
-            .map(|(experiment, &slot)| match results[slot].get() {
-                Some(result) => restamp(result.clone(), experiment),
-                None => self.run(experiment),
+            .map(|(experiment, &slot)| {
+                let result = results[slot]
+                    .get()
+                    .expect("every slot before the first failure was run");
+                restamp(result.clone(), experiment)
             })
             .collect()
     }

@@ -120,13 +120,6 @@ impl Enc {
         Self::default()
     }
 
-    /// An empty encoding with room for `capacity` bytes.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Enc {
-            buf: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -714,8 +707,8 @@ impl DiskCache {
                     now.duration_since(mtime)
                         .map_or(true, |age| age < RECENCY_REFRESH)
                 });
-                if !recent && file.set_modified(now).is_err() {
-                    touch(&path);
+                if !recent {
+                    let _ = file.set_modified(now);
                 }
                 DiskLookup::Hit(report)
             }
@@ -847,14 +840,6 @@ impl DiskCache {
             let _ = fs::remove_file(&temp);
         }
         removed
-    }
-}
-
-/// Best-effort mtime bump so reads count as "recently used" for the LRU sweep:
-/// the fallback when the reading descriptor may not set the mtime.
-fn touch(path: &Path) {
-    if let Ok(file) = fs::File::options().append(true).open(path) {
-        let _ = file.set_modified(SystemTime::now());
     }
 }
 

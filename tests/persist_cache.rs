@@ -165,7 +165,7 @@ fn corrupt_truncated_version_bumped_and_empty_entries_degrade_to_recompute() {
     // (mutation, is_corruption): corruption counts as a read error; a version
     // bump is an *expected* stale miss after an upgrade, not an error.
     type Mutation = Box<dyn Fn(&[u8]) -> Vec<u8>>;
-    let cases: [(&str, Mutation, bool); 5] = [
+    let cases: [(&str, Mutation, bool); 7] = [
         (
             "flipped byte",
             Box::new(|b: &[u8]| {
@@ -179,6 +179,16 @@ fn corrupt_truncated_version_bumped_and_empty_entries_degrade_to_recompute() {
         (
             "truncated",
             Box::new(|b: &[u8]| b[..b.len() / 2].to_vec()),
+            true,
+        ),
+        (
+            "truncated by one byte",
+            Box::new(|b: &[u8]| b[..b.len() - 1].to_vec()),
+            true,
+        ),
+        (
+            "truncated to 13 bytes",
+            Box::new(|b: &[u8]| b[..13].to_vec()),
             true,
         ),
         ("empty", Box::new(|_: &[u8]| Vec::new()), true),
@@ -369,44 +379,6 @@ fn a_hit_on_a_recent_entry_writes_nothing_to_the_store() {
         (meta.ctime(), meta.ctime_nsec()),
         "inode unchanged"
     );
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn a_truncated_entry_loads_as_corrupt_and_is_recomputed() {
-    let root = tmp_root("truncated-load");
-    let disk = Arc::new(DiskCache::new(&root, None));
-    let experiment = smoke(8, true);
-    let id = ExperimentId::of(&experiment);
-    let cold = SuiteEngine::with_jobs_and_disk(1, Some(Arc::clone(&disk)));
-    let expected = cold.run(&experiment).expect("cold run");
-    let path = disk.path_of(&id);
-    let len = fs::metadata(&path).expect("entry").len();
-    for keep in [len - 1, len / 2, 13, 0] {
-        // Truncate in place, as `truncate -s` does: the entry keeps its inode.
-        fs::File::options()
-            .write(true)
-            .open(&path)
-            .expect("open")
-            .set_len(keep)
-            .expect("truncate");
-        assert!(
-            matches!(disk.load(&id), DiskLookup::Corrupt),
-            "{keep} of {len} bytes"
-        );
-        let engine = SuiteEngine::with_jobs_and_disk(1, Some(Arc::clone(&disk)));
-        assert_eq!(engine.run(&experiment).expect("recompute"), expected);
-        let stats = engine.cache_stats();
-        assert_eq!(
-            (stats.disk_read_errors, stats.disk_misses, stats.disk_writes),
-            (1, 1, 1),
-            "{keep} of {len} bytes"
-        );
-        match disk.load(&id) {
-            DiskLookup::Hit(back) => assert_eq!(back, expected, "{keep} of {len} bytes"),
-            other => panic!("the recompute rewrote the entry, got {other:?}"),
-        }
-    }
     let _ = fs::remove_dir_all(&root);
 }
 
