@@ -269,11 +269,6 @@ impl ResultCache {
         }
     }
 
-    /// The persistent store backing this cache, when one is attached.
-    pub fn disk(&self) -> Option<&Arc<DiskCache>> {
-        self.disk.as_ref()
-    }
-
     /// Returns the cached result for `id`, computing it with `compute` on first
     /// request. Concurrent requests for the same id block until the first finishes
     /// and then share its result; they are counted as hits. `label` yields the

@@ -306,19 +306,6 @@ impl SuiteEngine {
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
-
-    /// The persistent result store backing this engine's cache, when one is
-    /// attached (`MATCH_CACHE=off` and [`SuiteEngine::with_jobs_and_disk`] with
-    /// `None` detach it).
-    pub fn disk_cache(&self) -> Option<&Arc<DiskCache>> {
-        self.cache.disk()
-    }
-
-    /// Drops every cached in-memory result (mainly for tests that measure
-    /// cold-cache work). The persistent store is untouched.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
 }
 
 /// Turns the cached result of `requested`'s representative into `requested`'s own:

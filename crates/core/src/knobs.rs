@@ -612,4 +612,57 @@ mod tests {
             );
         }
     }
+
+    /// Fragments the knob-check property strings together: the empty string, list
+    /// separators, signs, words every parser knows, control characters, non-ASCII
+    /// text and integers beyond `u32` and `u64`.
+    const ATOMS: [&str; 28] = [
+        "",
+        ",",
+        ", ",
+        " ",
+        "-",
+        "+",
+        ".",
+        "0",
+        "1",
+        "2",
+        "100",
+        "%",
+        "MB",
+        "on",
+        "off",
+        "paper",
+        "HPCCG",
+        "miniVite",
+        "coop",
+        "\0",
+        "\t",
+        "\n",
+        "\u{7f}",
+        "é",
+        "日本",
+        "🦀",
+        "4294967296",
+        "18446744073709551616",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Every row's `check` answers `Ok` or `Err` for any string, and never panics.
+        #[test]
+        fn every_knob_check_returns_instead_of_panicking(
+            atoms in proptest::collection::vec(0..ATOMS.len(), 0..10),
+            raw in proptest::collection::vec(proptest::any::<u32>(), 0..6),
+        ) {
+            let listed: String = atoms.iter().map(|&i| ATOMS[i]).collect();
+            let arbitrary: String = raw.iter().filter_map(|&c| char::from_u32(c % 0x11_0000)).collect();
+            for value in [listed.clone(), arbitrary.clone(), listed + &arbitrary] {
+                for knob in all_rows() {
+                    let _ = knob.check(&value);
+                }
+            }
+        }
+    }
 }

@@ -326,13 +326,8 @@ pub fn unseal<'a>(magic: &[u8; 8], version: u32, bytes: &'a [u8]) -> Result<&'a 
     Ok(&sealed[dec.pos..])
 }
 
-/// The content address of an experiment: the hex FNV-1a-128 digest of its
-/// canonical byte encoding. This is the entry's file name stem.
-pub fn content_address(id: &ExperimentId) -> String {
-    address_of(&id.canonical_bytes())
-}
-
-/// The content address of the id whose canonical bytes are `id_bytes`.
+/// The content address of the id whose canonical bytes are `id_bytes`: the hex
+/// FNV-1a-128 digest of that encoding. This is the entry's file name stem.
 fn address_of(id_bytes: &[u8]) -> String {
     format!("{:032x}", fnv1a128(id_bytes))
 }
@@ -1091,6 +1086,7 @@ mod tests {
 
     #[test]
     fn content_addresses_are_stable_and_distinct() {
+        let content_address = |id: &ExperimentId| address_of(&id.canonical_bytes());
         let a = content_address(&test_id(1));
         assert_eq!(a, content_address(&test_id(1)));
         assert_ne!(a, content_address(&test_id(2)));
@@ -1110,7 +1106,7 @@ mod tests {
         let path = cache.path_of(&id);
         assert!(path.exists());
         // Two-level fan-out: root/ab/cd/<digest>.rpt
-        let address = content_address(&id);
+        let address = address_of(&id.canonical_bytes());
         assert!(path.ends_with(
             Path::new(&address[0..2])
                 .join(&address[2..4])

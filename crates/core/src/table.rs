@@ -64,32 +64,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a time in seconds with three decimal places.
@@ -112,15 +86,6 @@ mod tests {
         assert_eq!(t.row_count(), 2);
         // Header and separator plus two rows.
         assert_eq!(text.lines().count(), 4);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.add_row(vec!["x,y", "he said \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
     }
 
     #[test]

@@ -244,16 +244,6 @@ impl Fti {
         }
     }
 
-    /// The registered protected objects, in registration order.
-    pub fn protected_objects(&self) -> &[ProtectedObject] {
-        &self.registry
-    }
-
-    /// Total registered payload size in bytes.
-    pub fn protected_bytes(&self) -> usize {
-        self.registry.iter().map(|o| o.bytes).sum()
-    }
-
     /// Whether a checkpoint exists for this rank (the analogue of `FTI_Status`).
     pub fn status(&self) -> FtiStatus {
         self.status
@@ -578,7 +568,7 @@ mod tests {
             assert!(!fti.status().is_restart());
             let field = vec![ctx.rank() as f64; 128];
             fti.protect(0, "field", &field);
-            assert_eq!(fti.protected_bytes(), 1024);
+            assert_eq!(fti.registry[0].bytes, 1024);
             fti.checkpoint(ctx, 10, &[(0, &field as &dyn Protectable)])?;
             fti.finalize(ctx)?;
             Ok(fti.stats().checkpoints_written)
@@ -738,8 +728,8 @@ mod tests {
             let large = vec![0.0f64; 100];
             fti.protect(0, "field", &small);
             fti.protect(0, "field", &large);
-            assert_eq!(fti.protected_objects().len(), 1);
-            assert_eq!(fti.protected_bytes(), 800);
+            assert_eq!(fti.registry.len(), 1);
+            assert_eq!(fti.registry[0].bytes, 800);
             Ok(())
         });
         assert!(outcome.all_ok());

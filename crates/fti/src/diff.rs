@@ -46,17 +46,6 @@ impl DiffDelta {
     pub fn bytes_to_write(&self) -> usize {
         self.changed.iter().map(|(_, r)| r.len()).sum()
     }
-
-    /// Number of changed blocks.
-    pub fn changed_blocks(&self) -> usize {
-        self.changed.len()
-    }
-
-    /// The bytes of the `i`-th changed block (zero-copy view into the shared payload).
-    pub fn changed_block(&self, i: usize) -> &[u8] {
-        let (_, range) = &self.changed[i];
-        &self.payload[range.clone()]
-    }
 }
 
 /// FNV-1a-style block hash, processing eight-byte words per mixing step (with the
@@ -194,10 +183,6 @@ impl OwnedDiffDelta {
     fn bytes_to_write(&self) -> usize {
         self.changed.iter().map(|(_, b)| b.len()).sum()
     }
-
-    fn changed_blocks(&self) -> usize {
-        self.changed.len()
-    }
 }
 
 /// Computes the delta in the legacy owned-block representation: re-hashes the base and
@@ -249,7 +234,7 @@ mod tests {
         let data = vec![7u8; 10_000];
         let payload: Payload = data.clone().into();
         let d = compute_delta(&data, &payload, 512);
-        assert_eq!(d.changed_blocks(), 0);
+        assert_eq!(d.changed.len(), 0);
         assert_eq!(d.bytes_to_write(), 0);
         assert_eq!(apply_delta(&data, &d), data);
     }
@@ -261,9 +246,9 @@ mod tests {
         new[1000] = 42;
         let new: Payload = new.into();
         let d = compute_delta(&base, &new, 256);
-        assert_eq!(d.changed_blocks(), 1);
+        assert_eq!(d.changed.len(), 1);
         assert_eq!(d.changed[0].0, 1000 / 256);
-        assert_eq!(d.changed_block(0), &new[768..1024]);
+        assert_eq!(&d.payload[d.changed[0].1.clone()], &new[768..1024]);
         assert_eq!(apply_delta(&base, &d), new.to_vec());
     }
 
@@ -275,7 +260,7 @@ mod tests {
         new[4095] = 2;
         let new: Payload = new.into();
         let d = compute_delta(&base, &new, 1024);
-        assert_eq!(d.changed_blocks(), 2);
+        assert_eq!(d.changed.len(), 2);
         assert!(d.payload.same_buffer(&new), "delta must share the payload");
         assert_eq!(d.bytes_to_write(), 2048);
     }
@@ -385,11 +370,11 @@ mod proptests {
             let ranged = compute_delta(&base, &payload, block_size);
             let owned = compute_delta_owned(&base, &new, block_size);
 
-            prop_assert_eq!(ranged.changed_blocks(), owned.changed_blocks());
+            prop_assert_eq!(ranged.changed.len(), owned.changed.len());
             prop_assert_eq!(ranged.bytes_to_write(), owned.bytes_to_write());
             for (i, (idx, block)) in owned.changed.iter().enumerate() {
                 prop_assert_eq!(ranged.changed[i].0, *idx);
-                prop_assert_eq!(ranged.changed_block(i), &block[..]);
+                prop_assert_eq!(&ranged.payload[ranged.changed[i].1.clone()], &block[..]);
             }
             prop_assert_eq!(apply_delta(&base, &ranged), apply_delta_owned(&base, &owned));
 

@@ -30,11 +30,6 @@ pub struct CheckpointMeta {
 }
 
 impl CheckpointMeta {
-    /// Number of protected objects in the checkpoint.
-    pub fn object_count(&self) -> usize {
-        self.object_ids.len()
-    }
-
     /// Splits a flat payload into per-object views according to
     /// [`CheckpointMeta::object_lens`]: sub-slices of `payload`'s own buffer, no bytes
     /// are copied.
@@ -84,7 +79,7 @@ mod tests {
             object_lens: vec![1, 2, 3],
             object_layouts: vec![ObjectLayout::Replicated; 3],
         };
-        assert_eq!(m.object_count(), 3);
+        assert_eq!(m.object_ids.len(), 3);
         let payload = Payload::from(vec![1, 2, 3, 4, 5, 6]);
         let parts = m.split_payload(&payload);
         assert_eq!(parts, vec![vec![1], vec![2, 3], vec![4, 5, 6]]);

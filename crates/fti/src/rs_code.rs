@@ -128,11 +128,6 @@ pub fn gf_div(a: u8, b: u8) -> u8 {
     t.exp[idx]
 }
 
-/// Exponentiation of the generator: returns `g^e` where `g = 3`.
-pub fn gf_exp(e: usize) -> u8 {
-    tables().exp[e % 255]
-}
-
 /// Multiplicative inverse in GF(2⁸).
 ///
 /// # Panics
@@ -464,11 +459,6 @@ impl EncodedShards {
     /// Length of each shard in bytes.
     pub fn shard_len(&self) -> usize {
         self.shards.first().map(Payload::len).unwrap_or(0)
-    }
-
-    /// Total storage consumed by all shards.
-    pub fn total_bytes(&self) -> usize {
-        self.shards.iter().map(Payload::len).sum()
     }
 }
 
@@ -894,7 +884,7 @@ mod tests {
     fn shard_accessors() {
         let enc = encode(&[1, 2, 3, 4, 5, 6, 7, 8], 4, 2).unwrap();
         assert_eq!(enc.shard_len(), 2);
-        assert_eq!(enc.total_bytes(), 12);
+        assert_eq!(enc.shards.iter().map(Payload::len).sum::<usize>(), 12);
     }
 }
 

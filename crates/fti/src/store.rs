@@ -250,16 +250,6 @@ impl CheckpointStore {
         self.inner.lock().bytes_written
     }
 
-    /// Number of ranks that currently have a checkpoint.
-    pub fn checkpointed_ranks(&self) -> usize {
-        self.inner
-            .lock()
-            .latest
-            .values()
-            .filter(|m| !m.is_empty())
-            .count()
-    }
-
     /// Removes every checkpoint (used between experiment repetitions).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
@@ -279,16 +269,6 @@ impl CheckpointStore {
                     .retain(|_, blob| blob.placement.node() != Some(node));
             }
         }
-    }
-
-    /// Whether the primary (node-local) copy of `rank`'s newest checkpoint is still
-    /// present.
-    pub fn has_primary(&self, rank: usize) -> bool {
-        self.inner
-            .lock()
-            .newest(rank)
-            .map(|s| s.blobs.contains_key(&BlobKind::Primary))
-            .unwrap_or(false)
     }
 }
 
@@ -332,7 +312,7 @@ mod tests {
         assert_eq!(got.blobs[&BlobKind::Primary].data.len(), 64);
         assert_eq!(store.meta(3).unwrap().bytes, 64);
         assert_eq!(store.bytes_written(), 64);
-        assert_eq!(store.checkpointed_ranks(), 1);
+        assert!(!store.has_checkpoint(2));
     }
 
     #[test]
@@ -411,9 +391,10 @@ mod tests {
                 data: vec![3; 8].into(),
             },
         );
-        assert!(store.has_primary(0));
+        let has_primary = || store.get(0).unwrap().blobs.contains_key(&BlobKind::Primary);
+        assert!(has_primary());
         store.erase_node(0);
-        assert!(!store.has_primary(0));
+        assert!(!has_primary());
         let got = store.get(0).unwrap();
         assert!(got.blobs.contains_key(&BlobKind::PartnerCopy));
         assert!(got.blobs.contains_key(&BlobKind::DiffBase));

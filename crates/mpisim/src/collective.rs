@@ -6,8 +6,8 @@
 //! *finisher* — runs a *finish* closure that combines all contributions into **one
 //! shared output** and computes the common completion time (`max` of the entry times
 //! plus the modelled collective cost). The output is produced once, whatever the
-//! group size: a member that needs only its own part of it (a scatter chunk, a prefix
-//! sum) projects it out after the round, outside the slot lock.
+//! group size, and every member receives a shared reference to it (the broadcast
+//! root's payload, the reduced vector, the gathered slices).
 //!
 //! **The finisher delivers.** Under the slot lock it already holds, the finisher puts
 //! `(completion time, output)` into a per-member delivery cell for every other

@@ -2,9 +2,9 @@
 //!
 //! A [`Comm`] is a rank-local handle onto a shared communicator object
 //! ([`CommShared`]): an ordered group of global ranks plus the rendezvous slot used for
-//! collective operations and the ULFM "revoked" flag. New communicators are created
-//! collectively through [`crate::RankCtx::comm_dup`], [`crate::RankCtx::comm_split`] and
-//! [`crate::ulfm::comm_shrink`].
+//! collective operations and the ULFM "revoked" flag. Besides the world, communicators
+//! are created by the ULFM shrink ([`crate::ulfm::comm_shrink`] and
+//! [`crate::ulfm::shrink_recovery`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

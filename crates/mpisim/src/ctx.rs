@@ -1,14 +1,14 @@
 //! The per-rank execution context.
 //!
 //! A [`RankCtx`] is handed to the closure each simulated rank executes. It exposes the
-//! MPI-like operations (point-to-point, collectives, communicator management), the
-//! virtual clock and its category-attributed time breakdown, failure reporting, and the
-//! global recovery rendezvous used by the fault-tolerance drivers.
+//! MPI-like operations (point-to-point and collectives), the virtual clock and its
+//! category-attributed time breakdown, failure reporting, and the global recovery
+//! rendezvous used by the fault-tolerance drivers.
 
 use std::sync::Arc;
 
 use crate::collective::{AnyArc, AnyBox, CollSlot, SlotWait};
-use crate::comm::{Comm, CommShared};
+use crate::comm::Comm;
 use crate::datatype;
 use crate::error::MpiError;
 use crate::machine::{CollectiveKind, MachineModel, StorageTier};
@@ -270,12 +270,6 @@ impl RankCtx {
     /// The time breakdown accumulated so far.
     pub fn breakdown(&self) -> &TimeBreakdown {
         &self.breakdown
-    }
-
-    /// Mutable access to the time breakdown (used by drivers to move time between
-    /// categories when attributing lost work).
-    pub fn breakdown_mut(&mut self) -> &mut TimeBreakdown {
-        &mut self.breakdown
     }
 
     /// Operation counters accumulated so far.
@@ -560,7 +554,9 @@ impl RankCtx {
 
     // ----- point-to-point ------------------------------------------------------------
 
-    /// Sends `payload` to communicator rank `dest` with the given `tag`.
+    /// Sends a shared-buffer [`Payload`] to communicator rank `dest` with the given
+    /// `tag`: the message holds a reference-counted view of the caller's buffer, not a
+    /// copy.
     ///
     /// The send is buffered (eager): it deposits the message in the destination's
     /// mailbox and returns. The transfer cost is charged to the receiver.
@@ -570,23 +566,6 @@ impl RankCtx {
     /// Fails with [`MpiError::ProcFailed`] if the destination (or any process, once a
     /// failure has been detected job-wide) has failed, [`MpiError::Revoked`] if the
     /// communicator is revoked, or [`MpiError::InvalidRank`] if `dest` is out of range.
-    pub fn send_bytes(
-        &mut self,
-        comm: &Comm,
-        dest: usize,
-        tag: i32,
-        payload: &[u8],
-    ) -> Result<(), MpiError> {
-        self.send_payload(comm, dest, tag, Payload::from(payload))
-    }
-
-    /// Sends a shared-buffer [`Payload`] to communicator rank `dest` with the given
-    /// `tag` — the zero-copy variant of [`RankCtx::send_bytes`]: the message holds a
-    /// reference-counted view of the caller's buffer instead of a fresh copy.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`RankCtx::send_bytes`].
     pub fn send_payload(
         &mut self,
         comm: &Comm,
@@ -635,31 +614,15 @@ impl RankCtx {
         Ok(())
     }
 
-    /// Receives a message on `comm`. `src` may be [`ANY_SOURCE`] and `tag` may be
-    /// [`ANY_TAG`]. Returns `(source communicator rank, tag, payload)`.
+    /// Receives a message on `comm` as a shared-buffer [`Payload`], the sender's buffer
+    /// view, not a copy. `src` may be [`ANY_SOURCE`] and `tag` may be [`ANY_TAG`].
+    /// Returns `(source communicator rank, tag, payload)`.
     ///
     /// # Errors
     ///
     /// Fails with a failure/revocation error under the same conditions as
-    /// [`RankCtx::send_bytes`]; in particular a receive blocked on a failed peer is
+    /// [`RankCtx::send_payload`]; in particular a receive blocked on a failed peer is
     /// woken up and reports the failure.
-    pub fn recv_bytes(
-        &mut self,
-        comm: &Comm,
-        src: i32,
-        tag: i32,
-    ) -> Result<(usize, i32, Vec<u8>), MpiError> {
-        let (s, t, payload) = self.recv_payload(comm, src, tag)?;
-        Ok((s, t, payload.to_vec()))
-    }
-
-    /// Receives a message as a shared-buffer [`Payload`] — the zero-copy variant of
-    /// [`RankCtx::recv_bytes`]: the returned payload is the sender's buffer view, not a
-    /// copy.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`RankCtx::recv_bytes`].
     pub fn recv_payload(
         &mut self,
         comm: &Comm,
@@ -760,7 +723,7 @@ impl RankCtx {
         }
     }
 
-    /// Sends a slice of `f64` values (see [`RankCtx::send_bytes`]), packed into a
+    /// Sends a slice of `f64` values (see [`RankCtx::send_payload`]), packed into a
     /// message buffer an earlier typed receive of this rank freed, when there is one.
     pub fn send_f64(
         &mut self,
@@ -775,12 +738,12 @@ impl RankCtx {
 
     /// Receives a slice of `f64` values into `out`, replacing its contents and keeping
     /// its allocation, and returns the source's communicator rank (see
-    /// [`RankCtx::recv_bytes`]). The message buffer is kept for this rank's next
+    /// [`RankCtx::recv_payload`]). The message buffer is kept for this rank's next
     /// [`RankCtx::send_f64`] if nothing else refers to it.
     ///
     /// # Errors
     ///
-    /// Those of [`RankCtx::recv_bytes`], and [`MpiError::InvalidArgument`] if the
+    /// Those of [`RankCtx::recv_payload`], and [`MpiError::InvalidArgument`] if the
     /// matched message is not a whole number of `f64` values (it is consumed).
     pub fn recv_f64_into(
         &mut self,
@@ -909,24 +872,14 @@ impl RankCtx {
         Ok(())
     }
 
-    /// Broadcasts bytes from `root` to every member. Only the root's `data` is used.
-    pub fn bcast_bytes(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Vec<u8>,
-    ) -> Result<Vec<u8>, MpiError> {
-        self.bcast_payload(comm, root, data.into())
-            .map(|p| p.to_vec())
-    }
-
     /// Broadcasts a shared-buffer [`Payload`] from `root`: every member receives a
-    /// reference-counted view of the root's buffer instead of an owned copy (the
-    /// zero-copy variant of [`RankCtx::bcast_bytes`]).
+    /// reference-counted view of the root's buffer, not a copy. Only the root's `data`
+    /// is used.
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`RankCtx::bcast_bytes`].
+    /// [`MpiError::InvalidRank`] if `root` is out of range, and the failure and
+    /// revocation errors of every collective.
     pub fn bcast_payload(
         &mut self,
         comm: &Comm,
@@ -943,43 +896,6 @@ impl RankCtx {
             move |mut vals| vals.swap_remove(root),
         )?;
         Ok(Payload::clone(&root_data))
-    }
-
-    /// Broadcasts `f64` values from `root` (see [`RankCtx::bcast_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Those of [`RankCtx::bcast_bytes`], and [`MpiError::InvalidArgument`] if the
-    /// root's contribution is not a whole number of `f64` values.
-    pub fn bcast_f64(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Vec<f64>,
-    ) -> Result<Vec<f64>, MpiError> {
-        let bytes = self.bcast_payload(comm, root, datatype::pack_f64(&data).into())?;
-        check_f64_payload(&bytes, root)?;
-        Ok(datatype::unpack_f64(&bytes))
-    }
-
-    /// Element-wise reduction to `root`. Every member passes a slice of the same
-    /// length; only the root receives `Some(result)`.
-    pub fn reduce_f64(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        op: ReduceOp,
-        data: &[f64],
-    ) -> Result<Option<Vec<f64>>, MpiError> {
-        Self::check_root(comm, root)?;
-        let reduced = self.collective(
-            comm,
-            CollectiveKind::Reduce,
-            data.len() * 8,
-            data.to_vec(),
-            move |vals| op.fold(vals),
-        )?;
-        Ok((comm.rank() == root).then(|| reduced.to_vec()))
     }
 
     /// Element-wise all-reduce: every member receives the combined vector — the one
@@ -1033,26 +949,9 @@ impl RankCtx {
         Ok(*total)
     }
 
-    /// Gathers each member's bytes at `root`. Only the root receives `Some(values)`,
-    /// ordered by communicator rank.
-    pub fn gather_bytes(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Vec<u8>,
-    ) -> Result<Option<Vec<Vec<u8>>>, MpiError> {
-        Self::check_root(comm, root)?;
-        let bytes = data.len();
-        let all = self.collective(comm, CollectiveKind::Gather, bytes, data, |vals| vals)?;
-        Ok((comm.rank() == root).then(|| Vec::clone(&all)))
-    }
-
-    /// All-gathers typed slices into one contiguous, shared [`Gathered`] result.
-    fn allgather_slices<T: Copy + Send + Sync + 'static>(
-        &mut self,
-        comm: &Comm,
-        data: &[T],
-    ) -> Result<Gathered<T>, MpiError> {
+    /// All-gathers `u64` slices into one contiguous, shared [`Gathered`] result: every
+    /// member receives all contributions, ordered by communicator rank.
+    pub fn allgather_u64(&mut self, comm: &Comm, data: &[u64]) -> Result<Gathered<u64>, MpiError> {
         let parts = self.collective(
             comm,
             CollectiveKind::Allgather,
@@ -1071,144 +970,6 @@ impl RankCtx {
             },
         )?;
         Ok(Gathered { parts })
-    }
-
-    /// All-gathers `f64` slices: every member receives all contributions, ordered by
-    /// communicator rank.
-    pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Result<Gathered<f64>, MpiError> {
-        self.allgather_slices(comm, data)
-    }
-
-    /// All-gathers `u64` slices (see [`RankCtx::allgather_f64`]).
-    pub fn allgather_u64(&mut self, comm: &Comm, data: &[u64]) -> Result<Gathered<u64>, MpiError> {
-        self.allgather_slices(comm, data)
-    }
-
-    /// Scatters per-member byte vectors from `root`; member `i` receives `data[i]`.
-    /// Only the root's `data` is used (others may pass an empty vector).
-    pub fn scatter_bytes(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Vec<Vec<u8>>,
-    ) -> Result<Vec<u8>, MpiError> {
-        Self::check_root(comm, root)?;
-        let n = comm.size();
-        if comm.rank() == root && data.len() != n {
-            return Err(MpiError::InvalidArgument(format!(
-                "scatter root must provide {n} chunks, got {}",
-                data.len()
-            )));
-        }
-        let bytes = data.iter().map(Vec::len).max().unwrap_or(0);
-        let root_chunks = self.collective(
-            comm,
-            CollectiveKind::Scatter,
-            bytes,
-            data,
-            move |mut vals| vals.swap_remove(root),
-        )?;
-        Ok(root_chunks.get(comm.rank()).cloned().unwrap_or_default())
-    }
-
-    /// Personalized all-to-all exchange: member `i` sends `data[j]` to member `j` and
-    /// receives a vector whose `j`-th entry came from member `j`.
-    pub fn alltoall_bytes(
-        &mut self,
-        comm: &Comm,
-        data: Vec<Vec<u8>>,
-    ) -> Result<Vec<Vec<u8>>, MpiError> {
-        let n = comm.size();
-        if data.len() != n {
-            return Err(MpiError::InvalidArgument(format!(
-                "alltoall needs {n} chunks, got {}",
-                data.len()
-            )));
-        }
-        let bytes = data.iter().map(Vec::len).max().unwrap_or(0);
-        let all = self.collective(comm, CollectiveKind::Alltoall, bytes, data, |vals| vals)?;
-        let me = comm.rank();
-        Ok(all.iter().map(|from_src| from_src[me].clone()).collect())
-    }
-
-    /// Inclusive prefix sum: member `i` receives the sum of the values of members
-    /// `0..=i`.
-    pub fn scan_sum_f64(&mut self, comm: &Comm, value: f64) -> Result<f64, MpiError> {
-        let prefix = self.collective(comm, CollectiveKind::Scan, 8, value, |vals| {
-            let mut acc = 0.0;
-            vals.into_iter()
-                .map(|v| {
-                    acc += v;
-                    acc
-                })
-                .collect::<Vec<f64>>()
-        })?;
-        Ok(prefix[comm.rank()])
-    }
-
-    // ----- communicator management ---------------------------------------------------
-
-    /// Duplicates a communicator: same membership, fresh collective context.
-    pub fn comm_dup(&mut self, comm: &Comm) -> Result<Comm, MpiError> {
-        let members = comm.members().to_vec();
-        self.comm_create(comm, members)
-    }
-
-    /// Splits a communicator by `color` (members passing the same color end up in the
-    /// same new communicator, ordered by `key`, ties broken by the old rank).
-    pub fn comm_split(&mut self, comm: &Comm, color: i64, key: i64) -> Result<Comm, MpiError> {
-        // Gather (color, key, global rank) from every member, then derive this member's
-        // group deterministically.
-        let packed: Vec<u64> = vec![color as u64, key as u64, self.rank as u64];
-        let all = self.allgather_u64(comm, &packed)?;
-        let mut group: Vec<(i64, usize, usize)> = all
-            .chunks()
-            .enumerate()
-            .filter(|(_, v)| v[0] as i64 == color)
-            .map(|(idx, v)| (v[1] as i64, idx, v[2] as usize))
-            .collect();
-        group.sort();
-        let members: Vec<usize> = group.iter().map(|&(_, _, g)| g).collect();
-        self.comm_create(comm, members)
-    }
-
-    /// Collectively creates a new communicator over `members` (global ranks). Every
-    /// member of `parent` must call this; members passing identical membership lists
-    /// share one new communicator object (distributed through the parent's rendezvous).
-    pub(crate) fn comm_create(
-        &mut self,
-        parent: &Comm,
-        members: Vec<usize>,
-    ) -> Result<Comm, MpiError> {
-        let state = Arc::clone(&self.state);
-        // Contribution: the desired membership. Output: per parent member, the shared
-        // communicator object it asked for.
-        let created = self.collective(
-            parent,
-            CollectiveKind::Allgather,
-            members.len() * 8 + 16,
-            members,
-            move |vals: Vec<Vec<usize>>| {
-                use std::collections::HashMap;
-                let mut cache: HashMap<Vec<usize>, Arc<CommShared>> = HashMap::new();
-                vals.into_iter()
-                    .map(|m| {
-                        if let Some(comm) = cache.get(&m) {
-                            return Arc::clone(comm);
-                        }
-                        let comm = CommShared::new(state.next_comm_id(), m.clone());
-                        state.register_comm(&comm);
-                        cache.insert(m, Arc::clone(&comm));
-                        comm
-                    })
-                    .collect::<Vec<Arc<CommShared>>>()
-            },
-        )?;
-        let shared = Arc::clone(&created[parent.rank()]);
-        let my_index = shared.rank_of(self.rank).ok_or_else(|| {
-            MpiError::InvalidArgument("calling rank not in new communicator".into())
-        })?;
-        Ok(Comm::new(shared, my_index))
     }
 
     // ----- recovery ------------------------------------------------------------------
@@ -1360,12 +1121,13 @@ mod tests {
         let world = ctx.world();
         assert_eq!(ctx.allreduce_sum_f64(&world, 5.0).unwrap(), 5.0);
         assert_eq!(ctx.allreduce_max_f64(&world, -1.0).unwrap(), -1.0);
-        assert_eq!(ctx.scan_sum_f64(&world, 2.0).unwrap(), 2.0);
         ctx.barrier(&world).unwrap();
-        let g = ctx.gather_bytes(&world, 0, vec![9]).unwrap().unwrap();
-        assert_eq!(g, vec![vec![9]]);
-        let bc = ctx.bcast_f64(&world, 0, vec![1.0, 2.0]).unwrap();
-        assert_eq!(bc, vec![1.0, 2.0]);
+        let g = ctx.allgather_u64(&world, &[9]).unwrap();
+        assert_eq!(g.flat(), &[9]);
+        let bc = ctx
+            .bcast_payload(&world, 0, Payload::from(vec![1, 2]))
+            .unwrap();
+        assert_eq!(bc, vec![1, 2]);
     }
 
     #[test]
@@ -1373,16 +1135,16 @@ mod tests {
         let mut ctx = single_rank_ctx();
         let world = ctx.world();
         assert!(matches!(
-            ctx.send_bytes(&world, 3, 0, &[1]),
+            ctx.send_f64(&world, 3, 0, &[1.0]),
             Err(MpiError::InvalidRank { .. })
         ));
         assert!(matches!(
-            ctx.reduce_f64(&world, 9, ReduceOp::Sum, &[1.0]),
+            ctx.recv_payload(&world, 1, 0),
             Err(MpiError::InvalidRank { .. })
         ));
         assert!(matches!(
-            ctx.alltoall_bytes(&world, vec![]),
-            Err(MpiError::InvalidArgument(_))
+            ctx.bcast_payload(&world, 9, Payload::default()),
+            Err(MpiError::InvalidRank { .. })
         ));
     }
 

@@ -76,30 +76,17 @@ fn pack<T: Word>(values: &[T]) -> Vec<u8> {
     out
 }
 
-fn unpack<T: Word>(bytes: &[u8]) -> Vec<T> {
-    let mut out = Vec::new();
-    unpack_into(bytes, &mut out);
-    out
-}
-
 /// Packs a slice of `f64` values into little-endian bytes.
 ///
 /// ```
-/// use mpisim::datatype::{pack_f64, unpack_f64};
+/// use mpisim::datatype::{pack_f64, unpack_into};
 /// let xs = [1.0, -2.5, 3.75];
-/// assert_eq!(unpack_f64(&pack_f64(&xs)), xs);
+/// let mut out: Vec<f64> = Vec::new();
+/// unpack_into(&pack_f64(&xs), &mut out);
+/// assert_eq!(out, xs);
 /// ```
 pub fn pack_f64(values: &[f64]) -> Vec<u8> {
     pack(values)
-}
-
-/// Unpacks little-endian bytes into `f64` values.
-///
-/// # Panics
-///
-/// Panics if the byte length is not a multiple of 8.
-pub fn unpack_f64(bytes: &[u8]) -> Vec<f64> {
-    unpack(bytes)
 }
 
 /// Packs a slice of `u64` values into little-endian bytes.
@@ -107,27 +94,9 @@ pub fn pack_u64(values: &[u64]) -> Vec<u8> {
     pack(values)
 }
 
-/// Unpacks little-endian bytes into `u64` values.
-///
-/// # Panics
-///
-/// Panics if the byte length is not a multiple of 8.
-pub fn unpack_u64(bytes: &[u8]) -> Vec<u64> {
-    unpack(bytes)
-}
-
 /// Packs a slice of `i64` values into little-endian bytes.
 pub fn pack_i64(values: &[i64]) -> Vec<u8> {
     pack(values)
-}
-
-/// Unpacks little-endian bytes into `i64` values.
-///
-/// # Panics
-///
-/// Panics if the byte length is not a multiple of 8.
-pub fn unpack_i64(bytes: &[u8]) -> Vec<i64> {
-    unpack(bytes)
 }
 
 /// Packs a single `f64` value.
@@ -164,22 +133,28 @@ pub fn unpack_u64_scalar(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
+    pub(super) fn unpack<T: Word>(bytes: &[u8]) -> Vec<T> {
+        let mut out = Vec::new();
+        unpack_into(bytes, &mut out);
+        out
+    }
+
     #[test]
     fn f64_round_trip() {
         let xs = vec![0.0, 1.5, -2.25, f64::MAX, f64::MIN_POSITIVE];
-        assert_eq!(unpack_f64(&pack_f64(&xs)), xs);
+        assert_eq!(unpack::<f64>(&pack_f64(&xs)), xs);
     }
 
     #[test]
     fn u64_round_trip() {
         let xs = vec![0, 1, u64::MAX, 42];
-        assert_eq!(unpack_u64(&pack_u64(&xs)), xs);
+        assert_eq!(unpack::<u64>(&pack_u64(&xs)), xs);
     }
 
     #[test]
     fn i64_round_trip() {
         let xs = vec![0, -1, i64::MIN, i64::MAX];
-        assert_eq!(unpack_i64(&pack_i64(&xs)), xs);
+        assert_eq!(unpack::<i64>(&pack_i64(&xs)), xs);
     }
 
     #[test]
@@ -191,19 +166,20 @@ mod tests {
     #[test]
     fn empty_slices() {
         assert!(pack_f64(&[]).is_empty());
-        assert!(unpack_f64(&[]).is_empty());
-        assert!(unpack_u64(&[]).is_empty());
+        assert!(unpack::<f64>(&[]).is_empty());
+        assert!(unpack::<u64>(&[]).is_empty());
     }
 
     #[test]
     #[should_panic]
     fn misaligned_payload_panics() {
-        let _ = unpack_f64(&[1, 2, 3]);
+        let _ = unpack::<f64>(&[1, 2, 3]);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::unpack;
     use super::*;
     use proptest::prelude::*;
 
@@ -219,9 +195,9 @@ mod proptests {
         ) {
             let wire: Vec<u8> = floats.iter().flat_map(|v| v.to_le_bytes()).collect();
             prop_assert_eq!(pack_f64(&floats), wire);
-            prop_assert_eq!(unpack_f64(&pack_f64(&floats)), floats.clone());
-            prop_assert_eq!(unpack_u64(&pack_u64(&unsigned)), unsigned.clone());
-            prop_assert_eq!(unpack_i64(&pack_i64(&signed)), signed.clone());
+            prop_assert_eq!(unpack::<f64>(&pack_f64(&floats)), floats.clone());
+            prop_assert_eq!(unpack::<u64>(&pack_u64(&unsigned)), unsigned.clone());
+            prop_assert_eq!(unpack::<i64>(&pack_i64(&signed)), signed.clone());
         }
     }
 }

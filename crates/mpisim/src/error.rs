@@ -64,14 +64,6 @@ impl MpiError {
             MpiError::ProcFailed { .. } | MpiError::Revoked | MpiError::SelfFailed
         )
     }
-
-    /// Returns the rank of the failed process if this error carries one.
-    pub fn failed_rank(&self) -> Option<usize> {
-        match self {
-            MpiError::ProcFailed { rank } => Some(*rank),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for MpiError {
@@ -108,12 +100,6 @@ mod tests {
         assert!(!MpiError::Aborted { code: 1 }.is_process_failure());
         assert!(!MpiError::InvalidArgument("x".into()).is_process_failure());
         assert!(!MpiError::Internal("x".into()).is_process_failure());
-    }
-
-    #[test]
-    fn failed_rank_extraction() {
-        assert_eq!(MpiError::ProcFailed { rank: 7 }.failed_rank(), Some(7));
-        assert_eq!(MpiError::Revoked.failed_rank(), None);
     }
 
     #[test]

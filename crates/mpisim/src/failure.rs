@@ -101,24 +101,19 @@ impl FailureSpec {
         }
     }
 
-    /// Whether this spec fires for `rank` (placed by `topology`) at `iteration`.
-    pub fn fires_for(&self, rank: usize, topology: &Topology, iteration: u64) -> bool {
-        if iteration != self.at_iteration {
-            return false;
-        }
+    /// The global ranks this failure kills in a job laid out over `topology`, in
+    /// ascending order: the victim for a process kill, every rank of the node or rack
+    /// for a crash. The iteration plays no part; when the spec fires is the injector's
+    /// decision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node or rack is outside `topology`.
+    pub fn victims(&self, topology: &Topology) -> Vec<usize> {
         match self.kind {
-            FailureKind::ProcessKill { rank: victim } => rank == victim,
-            FailureKind::NodeCrash { node: crashed } => topology.node_of(rank) == crashed,
-            FailureKind::RackCrash { rack: crashed } => topology.rack_of(rank) == crashed,
-        }
-    }
-
-    /// The number of processes this failure kills in a job laid out over `topology`.
-    pub fn victim_count(&self, topology: &Topology) -> usize {
-        match self.kind {
-            FailureKind::ProcessKill { .. } => 1,
-            FailureKind::NodeCrash { .. } => topology.ranks_per_node(),
-            FailureKind::RackCrash { .. } => topology.nodes_per_rack() * topology.ranks_per_node(),
+            FailureKind::ProcessKill { rank } => vec![rank],
+            FailureKind::NodeCrash { node } => topology.ranks_on_node(node),
+            FailureKind::RackCrash { rack } => topology.ranks_on_rack(rack),
         }
     }
 
@@ -142,21 +137,20 @@ mod tests {
     fn process_kill_fires_only_for_victim_and_iteration() {
         let t = Topology::new(8, 4);
         let spec = FailureSpec::kill_process(3, 10);
-        assert!(spec.fires_for(3, &t, 10));
-        assert!(!spec.fires_for(3, &t, 9));
-        assert!(!spec.fires_for(2, &t, 10));
-        assert_eq!(spec.victim_count(&t), 1);
+        assert_eq!(spec.victims(&t), vec![3]);
         assert!(spec.crashed_nodes(&t).is_empty());
+        // Another iteration is another event with the same victims: the spec fires
+        // only at its own iteration, which the injector compares.
+        let earlier = spec.with_iteration(9);
+        assert_ne!(earlier, spec);
+        assert_eq!(earlier.victims(&t), spec.victims(&t));
     }
 
     #[test]
     fn node_crash_fires_for_all_ranks_on_node() {
         let t = Topology::new(8, 4);
         let spec = FailureSpec::crash_node(2, 5);
-        assert!(spec.fires_for(4, &t, 5));
-        assert!(spec.fires_for(5, &t, 5));
-        assert!(!spec.fires_for(0, &t, 5));
-        assert_eq!(spec.victim_count(&t), 2);
+        assert_eq!(spec.victims(&t), vec![4, 5]);
         assert_eq!(spec.crashed_nodes(&t), vec![2]);
     }
 
@@ -179,13 +173,7 @@ mod tests {
         let t = Topology::with_racks(8, 4, 2);
         let spec = FailureSpec::crash_rack(1, 7);
         // Rack 1 holds nodes 2 and 3, i.e. ranks 4..8.
-        for rank in 4..8 {
-            assert!(spec.fires_for(rank, &t, 7));
-        }
-        for rank in 0..4 {
-            assert!(!spec.fires_for(rank, &t, 7));
-        }
-        assert_eq!(spec.victim_count(&t), 4);
+        assert_eq!(spec.victims(&t), vec![4, 5, 6, 7]);
         assert_eq!(spec.crashed_nodes(&t), vec![2, 3]);
     }
 }

@@ -17,10 +17,12 @@
 //! ## Features
 //!
 //! * Point-to-point messaging with tags and `ANY_SOURCE`/`ANY_TAG` matching
-//!   ([`RankCtx::send_bytes`], [`RankCtx::recv_bytes`]).
-//! * The collective operations used by the MATCH proxy applications: barrier,
-//!   broadcast, reduce, allreduce, gather, allgather, scatter and scan.
-//! * Communicator management: world, `dup`, `split`, and the ULFM `shrink`.
+//!   ([`RankCtx::send_payload`], [`RankCtx::recv_payload`], and their `f64` forms
+//!   [`RankCtx::send_f64`], [`RankCtx::recv_f64`], [`RankCtx::sendrecv_f64`]).
+//! * The collective operations the MATCH proxy applications, FTI and the recovery
+//!   driver use: barrier, broadcast ([`RankCtx::bcast_payload`]), allreduce and
+//!   allgather ([`RankCtx::allgather_u64`]).
+//! * Communicators: the world and the ULFM `shrink`.
 //! * Fail-stop process failures, a failure-notification model with ULFM semantics
 //!   (operations touching a failed process or a revoked communicator return
 //!   [`MpiError::ProcFailed`] / [`MpiError::Revoked`]), and runtime repair primitives

@@ -62,20 +62,10 @@ pub enum CollectiveKind {
     Barrier,
     /// One-to-all broadcast.
     Broadcast,
-    /// All-to-one reduction.
-    Reduce,
     /// All-to-all reduction (reduce + broadcast).
     Allreduce,
-    /// All-to-one gather.
-    Gather,
     /// All-to-all gather.
     Allgather,
-    /// One-to-all personalized scatter.
-    Scatter,
-    /// All-to-all personalized exchange.
-    Alltoall,
-    /// Prefix reduction.
-    Scan,
 }
 
 /// The calibrated machine model.
@@ -204,23 +194,6 @@ impl MachineModel {
         }
     }
 
-    /// Cost of a point-to-point message of `bytes` bytes between two ranks.
-    ///
-    /// `same_node` selects the intra- or inter-node (rack-local) latency/bandwidth
-    /// pair. Callers that know the full topology should use
-    /// [`MachineModel::p2p_cost_link`] so cross-rack traffic is charged through the
-    /// rack uplinks.
-    pub fn p2p_cost(&self, bytes: usize, same_node: bool) -> SimTime {
-        self.p2p_cost_link(
-            bytes,
-            if same_node {
-                LinkDomain::IntraNode
-            } else {
-                LinkDomain::IntraRack
-            },
-        )
-    }
-
     /// The one-way α (latency) of the given interconnect domain, seconds.
     pub fn link_latency(&self, domain: LinkDomain) -> f64 {
         match domain {
@@ -248,8 +221,8 @@ impl MachineModel {
     /// Cost of a collective operation of kind `kind` over `nprocs` processes where each
     /// process contributes `bytes` bytes.
     ///
-    /// The model uses logarithmic trees for rooted/doubling collectives and a linear
-    /// term for personalized all-to-all exchanges; it intentionally ignores topology
+    /// The model uses logarithmic trees, plus a linear bandwidth term for the
+    /// all-gather, whose output grows with the group; it intentionally ignores topology
     /// details beyond the inter-node α–β parameters (collectives in the evaluated
     /// configurations always span several nodes).
     pub fn collective_cost(&self, kind: CollectiveKind, nprocs: usize, bytes: usize) -> SimTime {
@@ -263,13 +236,8 @@ impl MachineModel {
         let secs = match kind {
             CollectiveKind::Barrier => 2.0 * logp * alpha,
             CollectiveKind::Broadcast => logp * (alpha + b * beta),
-            CollectiveKind::Reduce => logp * (alpha + b * beta),
             CollectiveKind::Allreduce => 2.0 * logp * (alpha + b * beta),
-            CollectiveKind::Gather => logp * alpha + (nprocs as f64 - 1.0) * b * beta,
             CollectiveKind::Allgather => logp * alpha + (nprocs as f64 - 1.0) * b * beta,
-            CollectiveKind::Scatter => logp * alpha + (nprocs as f64 - 1.0) * b * beta,
-            CollectiveKind::Alltoall => (nprocs as f64 - 1.0) * (alpha + b * beta),
-            CollectiveKind::Scan => logp * (alpha + b * beta),
         };
         SimTime::from_secs(secs)
     }
@@ -401,8 +369,9 @@ mod tests {
     #[test]
     fn p2p_intra_node_is_cheaper() {
         let m = MachineModel::default();
-        assert!(m.p2p_cost(1 << 20, true) < m.p2p_cost(1 << 20, false));
-        assert!(m.p2p_cost(0, true).as_secs() > 0.0);
+        let node = |bytes| m.p2p_cost_link(bytes, LinkDomain::IntraNode);
+        assert!(node(1 << 20) < m.p2p_cost_link(1 << 20, LinkDomain::IntraRack));
+        assert!(node(0).as_secs() > 0.0);
     }
 
     #[test]
@@ -413,9 +382,6 @@ mod tests {
         let rack = m.p2p_cost_link(bytes, LinkDomain::IntraRack);
         let spine = m.p2p_cost_link(bytes, LinkDomain::CrossRack);
         assert!(node < rack && rack < spine);
-        // The legacy boolean front maps onto the first two domains.
-        assert_eq!(m.p2p_cost(bytes, true), node);
-        assert_eq!(m.p2p_cost(bytes, false), rack);
         assert!(m.link_latency(LinkDomain::CrossRack) > m.link_latency(LinkDomain::IntraRack));
         assert!(m.link_bandwidth(LinkDomain::CrossRack) < m.link_bandwidth(LinkDomain::IntraRack));
     }
@@ -442,8 +408,8 @@ mod tests {
     #[test]
     fn p2p_cost_scales_with_bytes() {
         let m = MachineModel::default();
-        let small = m.p2p_cost(1 << 10, false);
-        let large = m.p2p_cost(1 << 24, false);
+        let small = m.p2p_cost_link(1 << 10, LinkDomain::IntraRack);
+        let large = m.p2p_cost_link(1 << 24, LinkDomain::IntraRack);
         assert!(large > small);
     }
 
@@ -455,7 +421,6 @@ mod tests {
             CollectiveKind::Broadcast,
             CollectiveKind::Allreduce,
             CollectiveKind::Allgather,
-            CollectiveKind::Alltoall,
         ] {
             let c64 = m.collective_cost(kind, 64, 1024);
             let c512 = m.collective_cost(kind, 512, 1024);
@@ -469,9 +434,11 @@ mod tests {
 
     #[test]
     fn allreduce_costs_about_twice_reduce() {
+        // A reduction runs the broadcast tree in reverse and costs what a broadcast
+        // does; an all-reduce is a reduction followed by a broadcast.
         let m = MachineModel::default();
         let r = m
-            .collective_cost(CollectiveKind::Reduce, 128, 4096)
+            .collective_cost(CollectiveKind::Broadcast, 128, 4096)
             .as_secs();
         let ar = m
             .collective_cost(CollectiveKind::Allreduce, 128, 4096)

@@ -492,11 +492,6 @@ impl ClusterState {
         self.casualties_slow().failed.clone()
     }
 
-    /// Global ranks currently alive.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.nprocs).filter(|&r| self.is_alive(r)).collect()
-    }
-
     /// The dead (failed or retired) member of `comm` with the lowest communicator
     /// rank, if any.
     fn first_dead_member(&self, comm: &CommShared) -> Option<usize> {
@@ -658,7 +653,7 @@ mod tests {
         assert_eq!(s.failed_count(), 0);
         assert!(s.is_alive(0));
         assert!(s.health_error(&s.world).is_none());
-        assert_eq!(s.alive_ranks(), vec![0, 1, 2, 3]);
+        assert!((0..4).all(|r| s.is_alive(r)));
         assert!(s.failed_ranks().is_empty());
         assert_eq!(s.abort_code(), None);
     }

@@ -45,29 +45,9 @@ impl SimTime {
         Self::from_secs(ms / 1e3)
     }
 
-    /// Creates a time from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us / 1e6)
-    }
-
-    /// Creates a time from nanoseconds.
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::from_secs(ns / 1e9)
-    }
-
     /// Returns the time in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Returns the time in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// Returns the time in microseconds.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// Returns the larger of two times.
@@ -94,11 +74,6 @@ impl SimTime {
     /// might be equal.
     pub fn saturating_sub(self, earlier: SimTime) -> SimTime {
         SimTime((self.0 - earlier.0).max(0.0))
-    }
-
-    /// Returns true if this is exactly the zero time.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -167,10 +142,8 @@ mod tests {
     #[test]
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_millis(1500.0).as_secs(), 1.5);
-        assert_eq!(SimTime::from_micros(2000.0).as_millis(), 2.0);
-        assert_eq!(SimTime::from_nanos(1e9).as_secs(), 1.0);
-        assert!(SimTime::ZERO.is_zero());
-        assert!(!SimTime::from_secs(0.1).is_zero());
+        assert_eq!(SimTime::from_secs(0.25).as_secs(), 0.25);
+        assert_eq!(SimTime::ZERO.as_secs(), 0.0);
     }
 
     #[test]
@@ -211,7 +184,7 @@ mod tests {
     fn display_units() {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500s");
         assert_eq!(format!("{}", SimTime::from_millis(2.0)), "2.000ms");
-        assert_eq!(format!("{}", SimTime::from_micros(3.0)), "3.000us");
+        assert_eq!(format!("{}", SimTime::from_secs(3e-6)), "3.000us");
     }
 
     #[test]

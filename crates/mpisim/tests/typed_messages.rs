@@ -20,13 +20,14 @@ fn an_f64_receive_of_a_malformed_payload_is_an_error_and_the_job_completes() {
         let outcome = cluster.run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 1 {
-                ctx.send_bytes(&world, 0, 4, &[1, 2, 3])?;
-                ctx.bcast_bytes(&world, 1, vec![4, 5, 6])?;
+                ctx.send_payload(&world, 0, 4, Payload::from(vec![1, 2, 3]))?;
+                ctx.send_payload(&world, 0, 5, Payload::from(vec![4, 5, 6]))?;
                 return Ok(vec![]);
             }
             let received = ctx.recv_f64(&world, 1, 4).map(|_| ());
-            let broadcast = ctx.bcast_f64(&world, 1, vec![]).map(|_| ());
-            Ok(vec![received, broadcast])
+            let mut out = vec![0.5];
+            let received_into = ctx.recv_f64_into(&world, 1, 5, &mut out).map(|_| ());
+            Ok(vec![received, received_into])
         });
         assert!(outcome.all_ok(), "{name}: {:?}", outcome.errors());
         for result in outcome.value_of(0) {

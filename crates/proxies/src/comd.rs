@@ -60,11 +60,6 @@ impl ComdParams {
         assert!(steps > 0, "need at least one step");
         ComdParams { nx, ny, nz, steps }
     }
-
-    /// Total number of particles in the global box.
-    pub fn global_particles(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
 }
 
 /// The CoMD proxy application.
@@ -619,7 +614,10 @@ mod tests {
 
     #[test]
     fn particle_counts() {
-        assert_eq!(ComdParams::new(8, 4, 4, 1).global_particles(), 128);
+        // The slabs of four ranks hold every particle of the 8 x 4 x 4 box once.
+        let app = small();
+        let total: usize = (0..4).map(|r| app.init_particles(r, 4).0.len() / 3).sum();
+        assert_eq!(total, 128);
     }
 
     #[test]

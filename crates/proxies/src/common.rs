@@ -27,16 +27,6 @@ impl InputSize {
             InputSize::Large => "Large",
         }
     }
-
-    /// The linear scale factor of this size relative to small (Table I roughly doubles
-    /// and triples the linear extent from small to medium to large).
-    pub fn linear_factor(&self) -> f64 {
-        match self {
-            InputSize::Small => 1.0,
-            InputSize::Medium => 2.0,
-            InputSize::Large => 3.0,
-        }
-    }
 }
 
 impl std::fmt::Display for InputSize {
@@ -371,7 +361,6 @@ mod tests {
     fn input_size_properties() {
         assert_eq!(InputSize::Small.name(), "Small");
         assert_eq!(InputSize::Large.to_string(), "Large");
-        assert!(InputSize::Medium.linear_factor() > InputSize::Small.linear_factor());
         assert_eq!(InputSize::ALL.len(), 3);
     }
 

@@ -48,11 +48,6 @@ impl LuleshParams {
         assert!(steps > 0, "need at least one step");
         LuleshParams { s, steps }
     }
-
-    /// Elements per process.
-    pub fn local_elements(&self) -> usize {
-        self.s * self.s * self.s
-    }
 }
 
 /// The LULESH proxy application.
@@ -296,11 +291,6 @@ mod tests {
 
     fn small() -> Lulesh {
         Lulesh::new(LuleshParams::new(6, 12))
-    }
-
-    #[test]
-    fn element_counts() {
-        assert_eq!(LuleshParams::new(30, 10).local_elements(), 27_000);
     }
 
     /// The element-by-element sweep `sweep_elements` replaced, with its `iz` branches

@@ -55,11 +55,6 @@ impl MiniFeParams {
             max_iterations,
         }
     }
-
-    /// Nodes per process.
-    pub fn local_nodes(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
 }
 
 /// The assembled operator of one rank: a compressed-sparse-row matrix whose columns
@@ -343,7 +338,10 @@ mod tests {
 
     #[test]
     fn local_nodes_count() {
-        assert_eq!(MiniFeParams::new(3, 4, 5, 1).local_nodes(), 60);
+        // One operator row per local node of the 3 x 4 x 5 block.
+        let app = MiniFe::new(MiniFeParams::new(3, 4, 5, 1));
+        let (m, _) = app.assemble(5);
+        assert_eq!(m.row_ptr.len(), 60 + 1);
     }
 
     #[test]
@@ -358,7 +356,8 @@ mod tests {
             let off: f64 = m.values[start + 1..end].iter().map(|v| v.abs()).sum();
             assert!(diag >= off + 1.0 - 1e-9, "diag {diag} vs off {off}");
         }
-        assert_eq!(m.row_ptr.len(), app.params().local_nodes() + 1);
+        let p = app.params();
+        assert_eq!(m.row_ptr.len(), p.nx * p.ny * p.nz + 1);
     }
 
     /// The matrix `Operator` replaced: per-row scratch vectors, 64-bit columns with the

@@ -63,12 +63,6 @@ impl FtConfig {
         self.fault = fault.into();
         self
     }
-
-    /// Sets the restart bound.
-    pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
-        self.max_restarts = max_restarts.max(1);
-        self
-    }
 }
 
 /// The account of one invocation of the application closure.

@@ -5,10 +5,9 @@
 //! *sequences* of failures, so the injection model is a [`FailureTrace`]: an ordered
 //! multi-event schedule of process kills and node crashes. Traces can be written out
 //! explicitly, derived from a legacy [`FaultPlan`], or sampled from a seeded arrival
-//! process ([`ArrivalModel`]: exponential or Weibull inter-arrival draws whose rate
-//! scales with the node count, with optional correlated same-node crashes,
-//! rack-neighbour follow-up crashes, checkpoint-window alignment and recovery-window
-//! follow-up events).
+//! process ([`ArrivalModel`]: exponential inter-arrival draws whose rate scales with
+//! the node count, with optional correlated same-node crashes, rack-neighbour
+//! follow-up crashes and recovery-window follow-up events).
 //!
 //! The [`FaultInjector`] is the per-run object the application consults at the top of
 //! every main-loop iteration. Firing is deterministic in virtual time:
@@ -64,13 +63,6 @@ impl FaultPlan {
         FaultPlan::Fixed(FailureSpec::crash_node(node, iteration))
     }
 
-    /// Crash every node of `rack` at `iteration` (a PDU / top-of-rack switch loss:
-    /// one event burst killing every rank of the rack and erasing the local
-    /// checkpoint storage of all its nodes).
-    pub fn crash_rack_at(rack: usize, iteration: u64) -> Self {
-        FaultPlan::Fixed(FailureSpec::crash_rack(rack, iteration))
-    }
-
     /// A seeded random process failure within the first `max_iteration` iterations.
     pub fn random(seed: u64, max_iteration: u64) -> Self {
         FaultPlan::Random {
@@ -105,22 +97,9 @@ impl FaultPlan {
     }
 }
 
-/// Inter-arrival distribution of an [`ArrivalModel`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalDistribution {
-    /// Memoryless exponential inter-arrival times (a Poisson failure process, the
-    /// classic MTBF model behind Daly's optimal-interval analysis).
-    Exponential,
-    /// Weibull inter-arrival times with the given shape parameter; `shape < 1` models
-    /// the infant-mortality clustering observed in production failure logs.
-    Weibull {
-        /// Weibull shape parameter `k` (`1.0` degenerates to exponential).
-        shape: f64,
-    },
-}
-
 /// A seeded stochastic failure-arrival model, resolved against a concrete topology
-/// into an ordered event schedule.
+/// into an ordered event schedule. Inter-arrival gaps are exponential (a Poisson
+/// failure process, the classic MTBF model behind Daly's optimal-interval analysis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalModel {
     /// RNG seed; equal seeds on equal topologies yield identical schedules.
@@ -131,8 +110,6 @@ pub struct ArrivalModel {
     /// with the node count: a 32-node job draws inter-arrival gaps with mean
     /// `node_mtbf_iterations / 32`.
     pub node_mtbf_iterations: f64,
-    /// Inter-arrival distribution.
-    pub distribution: ArrivalDistribution,
     /// Percent chance (0–100) that an event is a correlated *node crash* (killing
     /// every rank of the victim's node) instead of a single process kill.
     pub node_crash_pct: u8,
@@ -146,10 +123,6 @@ pub struct ArrivalModel {
     /// one iteration later — landing inside the *recovery window*, while the job is
     /// redoing the work lost to the first failure and before it can checkpoint again.
     pub recovery_window_pct: u8,
-    /// When set, event iterations are snapped up to the next multiple of this
-    /// checkpoint interval, so failures land at the top of *checkpoint-write*
-    /// iterations and the would-be checkpoint is lost with them.
-    pub align_to_checkpoint: Option<u64>,
 }
 
 impl ArrivalModel {
@@ -159,19 +132,9 @@ impl ArrivalModel {
             seed,
             max_iteration,
             node_mtbf_iterations,
-            distribution: ArrivalDistribution::Exponential,
             node_crash_pct: 0,
             rack_neighbor_pct: 0,
             recovery_window_pct: 0,
-            align_to_checkpoint: None,
-        }
-    }
-
-    /// A Weibull arrival model with the given shape.
-    pub fn weibull(seed: u64, node_mtbf_iterations: f64, max_iteration: u64, shape: f64) -> Self {
-        ArrivalModel {
-            distribution: ArrivalDistribution::Weibull { shape },
-            ..Self::exponential(seed, node_mtbf_iterations, max_iteration)
         }
     }
 
@@ -188,12 +151,6 @@ impl ArrivalModel {
         self
     }
 
-    /// Snaps event iterations onto checkpoint-write iterations of the given interval.
-    pub fn aligned_to_checkpoint(mut self, interval: u64) -> Self {
-        self.align_to_checkpoint = Some(interval.max(1));
-        self
-    }
-
     fn uniform(rng: &mut StdRng) -> f64 {
         (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -202,21 +159,11 @@ impl ArrivalModel {
         pct > 0 && rng.random_range(0..100) < pct as usize
     }
 
-    fn draw_gap(&self, rng: &mut StdRng, mean: f64) -> f64 {
+    /// An exponential inter-arrival gap of the given mean.
+    fn draw_gap(rng: &mut StdRng, mean: f64) -> f64 {
         let u = Self::uniform(rng);
         // `u` is in [0, 1); `1 - u` is in (0, 1], so the logarithm is finite.
-        let e = -(1.0 - u).ln();
-        match self.distribution {
-            ArrivalDistribution::Exponential => mean * e,
-            ArrivalDistribution::Weibull { shape } => {
-                // A Weibull with scale λ has mean λ·Γ(1 + 1/k); divide the requested
-                // mean by that factor so `node_mtbf_iterations` really is the mean
-                // inter-arrival time for every shape, not just k = 1.
-                let k = shape.max(1e-3);
-                let scale = mean / gamma(1.0 + 1.0 / k);
-                scale * e.powf(1.0 / k)
-            }
-        }
+        mean * -(1.0 - u).ln()
     }
 
     /// The cascade victim for a crash of `node`: another node sampled uniformly from
@@ -250,11 +197,8 @@ impl ArrivalModel {
         let mut events = Vec::new();
         let mut t = 0.0f64;
         while events.len() < MAX_EVENTS {
-            t += self.draw_gap(&mut rng, mean_gap).max(1e-9);
-            let mut iteration = (t.ceil() as u64).max(1);
-            if let Some(interval) = self.align_to_checkpoint {
-                iteration = iteration.div_ceil(interval) * interval;
-            }
+            t += Self::draw_gap(&mut rng, mean_gap).max(1e-9);
+            let iteration = (t.ceil() as u64).max(1);
             if iteration > self.max_iteration {
                 break;
             }
@@ -391,48 +335,16 @@ impl FailureTrace {
         for event in events {
             let overlaps = sanitized.iter().any(|prev| {
                 prev.at_iteration == event.at_iteration
-                    && victims_of(prev, topology)
+                    && prev
+                        .victims(topology)
                         .iter()
-                        .any(|v| victims_of(&event, topology).contains(v))
+                        .any(|v| event.victims(topology).contains(v))
             });
             if !overlaps {
                 sanitized.push(event);
             }
         }
         Ok(sanitized)
-    }
-}
-
-/// Lanczos approximation of the gamma function (g = 7, n = 9), accurate to well
-/// beyond the needs of the arrival sampler for the arguments it sees
-/// (`1 + 1/shape`, i.e. x > 1).
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    let z = x - 1.0;
-    let mut acc = COEF[0];
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        acc += c / (z + i as f64);
-    }
-    let t = z + G + 0.5;
-    (2.0 * std::f64::consts::PI).sqrt() * t.powf(z + 0.5) * (-t).exp() * acc
-}
-
-fn victims_of(event: &FailureSpec, topology: &Topology) -> Vec<usize> {
-    match event.kind {
-        FailureKind::ProcessKill { rank } => vec![rank],
-        FailureKind::NodeCrash { node } => topology.ranks_on_node(node),
-        FailureKind::RackCrash { rack } => topology.ranks_on_rack(rack),
     }
 }
 
@@ -456,7 +368,7 @@ impl FaultInjector {
     /// outside the topology (see [`FailureTrace::resolve`]).
     pub fn new(trace: &FailureTrace, topology: &Topology) -> Result<Self, MpiError> {
         let events = trace.resolve(topology)?;
-        let victims: Vec<Vec<usize>> = events.iter().map(|e| victims_of(e, topology)).collect();
+        let victims: Vec<Vec<usize>> = events.iter().map(|e| e.victims(topology)).collect();
         Ok(FaultInjector { events, victims })
     }
 
@@ -754,11 +666,11 @@ mod tests {
     #[test]
     fn rack_crash_events_resolve_and_validate() {
         let t = Topology::with_racks(8, 4, 2);
-        let trace: FailureTrace = FaultPlan::crash_rack_at(1, 3).into();
+        let trace: FailureTrace = FailureSpec::crash_rack(1, 3).into();
         let events = trace.resolve(&t).unwrap();
         assert_eq!(events, vec![FailureSpec::crash_rack(1, 3)]);
         // Out-of-range racks fail loudly, like ranks and nodes.
-        let bad: FailureTrace = FaultPlan::crash_rack_at(2, 3).into();
+        let bad: FailureTrace = FailureSpec::crash_rack(2, 3).into();
         assert!(matches!(bad.resolve(&t), Err(MpiError::InvalidArgument(_))));
     }
 
@@ -767,7 +679,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_ranks(8).nodes(4).racks(2));
         let outcome = cluster.run(|ctx| {
             let injector =
-                FaultInjector::new(&FaultPlan::crash_rack_at(0, 1).into(), ctx.topology())?;
+                FaultInjector::new(&FailureSpec::crash_rack(0, 1).into(), ctx.topology())?;
             let res = injector.maybe_fail(ctx, 1);
             if ctx.topology().rack_of(ctx.rank()) == 0 {
                 assert!(res.is_err());
@@ -814,67 +726,14 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_alignment_snaps_iterations() {
-        let t = topo(8, 4);
-        let model = ArrivalModel::exponential(3, 40.0, 200).aligned_to_checkpoint(10);
-        let events = FailureTrace::sampled(model).resolve(&t).unwrap();
-        assert!(!events.is_empty());
-        for e in &events {
-            assert_eq!(
-                e.at_iteration % 10,
-                0,
-                "event at {} not on a checkpoint iteration",
-                e.at_iteration
-            );
-        }
-    }
-
-    #[test]
-    fn gamma_matches_known_values() {
-        // The Weibull mean correction relies on Γ; spot-check against exact values.
-        for (x, expected) in [
-            (1.0, 1.0),
-            (2.0, 1.0),
-            (3.0, 2.0),
-            (1.5, 0.886_226_925_452_758),
-            (4.0, 6.0),
-        ] {
-            assert!(
-                (gamma(x) - expected).abs() < 1e-10,
-                "gamma({x}) = {} != {expected}",
-                gamma(x)
-            );
-        }
-    }
-
-    #[test]
-    fn weibull_mean_matches_the_configured_mtbf() {
-        // Average many Weibull gaps: the sample mean must track
-        // `node_mtbf_iterations / nnodes` for shapes other than 1 too (the Γ-factor
-        // correction), within sampling error.
-        for shape in [0.7, 1.0, 1.8] {
-            let model = ArrivalModel::weibull(5, 40.0, u64::MAX, shape);
-            let mut rng = StdRng::seed_from_u64(123);
-            let n = 20_000;
-            let total: f64 = (0..n).map(|_| model.draw_gap(&mut rng, 10.0)).sum();
-            let mean = total / n as f64;
-            assert!(
-                (mean - 10.0).abs() < 0.5,
-                "shape {shape}: sample mean {mean} far from 10"
-            );
-        }
-    }
-
-    #[test]
-    fn weibull_shape_changes_the_schedule() {
-        let t = topo(8, 4);
-        let exp = FailureTrace::sampled(ArrivalModel::exponential(11, 100.0, 500))
-            .resolve(&t)
-            .unwrap();
-        let wei = FailureTrace::sampled(ArrivalModel::weibull(11, 100.0, 500, 0.5))
-            .resolve(&t)
-            .unwrap();
-        assert_ne!(exp, wei);
+    fn exponential_mean_matches_the_configured_mtbf() {
+        // Average many gaps: the sample mean must track the requested mean within
+        // sampling error.
+        let mut rng = StdRng::seed_from_u64(123);
+        let n = 20_000;
+        let total: f64 = (0..n).map(|_| ArrivalModel::draw_gap(&mut rng, 10.0)).sum();
+        let mean = total / n as f64;
+        assert!((mean - 10.0).abs() < 0.5, "sample mean {mean} far from 10");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod report;
 pub mod strategy;
 
 pub use driver::{AttemptRecord, DriverOutcome, FtConfig, FtDriver};
-pub use inject::{ArrivalDistribution, ArrivalModel, FailureTrace, FaultInjector, FaultPlan};
+pub use inject::{ArrivalModel, FailureTrace, FaultInjector, FaultPlan};
 pub use path::{AttemptEntry, CoveragePath, Restore};
 pub use report::{AttemptSummary, RunReport};
 pub use strategy::{HealthyRuntime, RecoveryStrategy};

@@ -139,19 +139,6 @@ impl RecoveryStrategy {
             RecoveryStrategy::Shrink => machine.ulfm_shrink_recovery_cost(nprocs),
         }
     }
-
-    /// Approximate lines of code needed to add this design to a proxy application
-    /// (the paper reports Reinit < 5, ULFM > 200, Restart 0 beyond FTI itself;
-    /// shrinking additionally needs the data-redistribution logic). Exposed for the
-    /// suite's programming-effort table.
-    pub fn programming_effort_loc(&self) -> usize {
-        match self {
-            RecoveryStrategy::Restart => 0,
-            RecoveryStrategy::Ulfm => 200,
-            RecoveryStrategy::Reinit => 5,
-            RecoveryStrategy::Shrink => 250,
-        }
-    }
 }
 
 impl std::fmt::Display for RecoveryStrategy {
@@ -287,19 +274,5 @@ mod tests {
                 assert_eq!(cost(RecoveryStrategy::Shrink), bits(shrink), "{p} procs");
             }
         }
-    }
-
-    #[test]
-    fn programming_effort_reflects_the_paper() {
-        assert!(
-            RecoveryStrategy::Ulfm.programming_effort_loc()
-                >= 40 * RecoveryStrategy::Reinit.programming_effort_loc()
-        );
-        assert_eq!(RecoveryStrategy::Restart.programming_effort_loc(), 0);
-        // Shrinking needs everything non-shrinking ULFM needs plus redistribution.
-        assert!(
-            RecoveryStrategy::Shrink.programming_effort_loc()
-                > RecoveryStrategy::Ulfm.programming_effort_loc()
-        );
     }
 }

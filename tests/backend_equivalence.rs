@@ -415,10 +415,16 @@ fn collective_heavy_rounds_with_a_kill_are_bit_identical_across_backends() {
             let sum = ctx.allreduce_sum_f64(&world, (me + 1) as f64 * iteration as f64)?;
             let halo = ctx.sendrecv_f64(&world, next, &[acc, sum], prev, 7)?;
             injector.maybe_fail(ctx, iteration)?;
-            let gathered = ctx.allgather_f64(&world, &[halo[0] + me as f64, sum])?;
+            let mine = [(halo[0] + me as f64).to_bits(), sum.to_bits()];
+            let gathered = ctx.allgather_u64(&world, &mine)?;
             ctx.barrier(&world)?;
-            let peak = ctx.allreduce_max_f64(&world, gathered.chunk(prev)[0])?;
-            acc += sum + 1e-3 * gathered.flat().iter().sum::<f64>() + 1e-6 * peak;
+            let peak = ctx.allreduce_max_f64(&world, f64::from_bits(gathered.chunk(prev)[0]))?;
+            let gathered_sum = gathered
+                .flat()
+                .iter()
+                .map(|&b| f64::from_bits(b))
+                .sum::<f64>();
+            acc += sum + 1e-3 * gathered_sum + 1e-6 * peak;
             if fti.should_checkpoint(iteration) {
                 fti.checkpoint(ctx, iteration, &[(0, &acc as &dyn Protectable)])?;
             }
@@ -534,7 +540,7 @@ fn par_diagnoses_receive_cycles_instead_of_hanging() {
     cluster.run(|ctx| {
         let world = ctx.world();
         let from = (ctx.rank() + 1) % world.size();
-        let _ = ctx.recv_bytes(&world, from as i32, 7)?;
+        let _ = ctx.recv_payload(&world, from as i32, 7)?;
         Ok(())
     });
 }
