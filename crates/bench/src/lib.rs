@@ -63,7 +63,7 @@ pub fn check_racks(procs: &[usize]) {
 /// The first layout `racks` does not divide, named with the knob.
 fn racks_divide(racks: usize, procs: &[usize]) -> Result<(), String> {
     for &nprocs in procs {
-        let nnodes = Topology::paper_layout(nprocs).nnodes();
+        let (nnodes, _) = Topology::paper_shape(nprocs);
         if !nnodes.is_multiple_of(racks) {
             return Err(format!(
                 "{}='{racks}' (or --racks) does not divide the {nnodes} nodes of the \

@@ -101,14 +101,13 @@ impl ExperimentId {
                 recovery_window_pct,
             ),
         };
-        // The layout comes from the same ClusterConfig `run_single` builds, so the
-        // key can never diverge from the simulated topology. Invalid experiments
-        // (nprocs = 0) must still key cleanly: the engine caches their error
-        // instead of panicking here.
-        let topology = (experiment.nprocs > 0)
-            .then(|| crate::runner::experiment_cluster(experiment.nprocs).topology())
-            .map(|t| (t.nnodes(), t.nracks()))
-            .unwrap_or((0, 0));
+        // The layout `run_single` lays its cluster out by, so the key can never
+        // diverge from the simulated topology. Invalid experiments (nprocs = 0) must
+        // still key cleanly: the engine caches their error instead of panicking here.
+        let topology = match experiment.nprocs {
+            0 => (0, 0),
+            nprocs => crate::runner::experiment_layout(nprocs),
+        };
         ExperimentId {
             app,
             input,
@@ -355,23 +354,6 @@ impl ResultCache {
             disk_read_errors: self.disk_read_errors.load(Ordering::Relaxed),
         }
     }
-
-    /// Drops every *finished* in-memory entry and resets the counters (the
-    /// persistent store, if any, is untouched — use
-    /// [`DiskCache::clear`] for that). Cells whose first
-    /// computation is still in flight are kept, so their owner fills a cell that
-    /// waiters (current and future) still see — the compute-once guarantee survives
-    /// a concurrent `clear`.
-    pub fn clear(&self) {
-        let mut cells = self.cells.lock().expect("cache map lock");
-        cells.retain(|_, cell| cell.slot.lock().expect("cache cell lock").is_none());
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
-        self.disk_writes.store(0, Ordering::Relaxed);
-        self.disk_read_errors.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -556,47 +538,18 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let cache = ResultCache::new();
-        let id = ExperimentId::of(&experiment());
-        let _ = cache.get_or_compute(id, || "t".into(), || Ok(report(4)));
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.count_absent([&id]), 1);
-    }
-
-    #[test]
-    fn clear_during_in_flight_compute_keeps_the_cell() {
-        let cache = Arc::new(ResultCache::new());
-        let id = ExperimentId::of(&experiment());
-        let computations = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            let owner_cache = Arc::clone(&cache);
-            let owner_count = Arc::clone(&computations);
-            scope.spawn(move || {
-                let _ = owner_cache.get_or_compute(
-                    id,
-                    || "t".into(),
-                    || {
-                        owner_count.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        Ok(report(4))
-                    },
-                );
-            });
-            // Wait until the owner holds the cell, then clear: the pending cell must
-            // survive so this request joins it instead of recomputing.
-            while cache.stats().misses == 0 {
-                std::thread::yield_now();
-            }
-            cache.clear();
-            let joined = cache.get_or_compute(
-                id,
-                || "t".into(),
-                || panic!("must not recompute an in-flight cell"),
-            );
-            assert!(joined.is_ok());
-        });
-        assert_eq!(computations.load(Ordering::Relaxed), 1);
+    fn ids_are_equal_whatever_the_backend_knob_says() {
+        let saved = std::env::var_os(mpisim::BACKEND_ENV_VAR);
+        std::env::remove_var(mpisim::BACKEND_ENV_VAR);
+        let unset = ExperimentId::of(&experiment());
+        for backend in ["coop", "par"] {
+            std::env::set_var(mpisim::BACKEND_ENV_VAR, backend);
+            assert_eq!(ExperimentId::of(&experiment()), unset, "{backend}");
+        }
+        match saved {
+            Some(value) => std::env::set_var(mpisim::BACKEND_ENV_VAR, value),
+            None => std::env::remove_var(mpisim::BACKEND_ENV_VAR),
+        }
+        assert_eq!(unset.topology, crate::runner::experiment_layout(4));
     }
 }

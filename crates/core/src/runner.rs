@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use fti::store::CheckpointStore;
 use fti::{FtiConfig, Protectable};
-use mpisim::{Cluster, ClusterConfig, RunOutcome};
+use mpisim::{Cluster, ClusterConfig, RunOutcome, Topology};
 use proxies::registry::ProxySpec;
 use recovery::{
     ArrivalModel, DriverOutcome, FailureTrace, FaultPlan, FtConfig, FtDriver, RecoveryStrategy,
@@ -21,20 +21,25 @@ use crate::engine::SuiteError;
 use crate::experiment::{Experiment, FailureScenario};
 use crate::knobs;
 
-/// The cluster configuration an experiment of `nprocs` ranks runs on. The single
-/// source of the experiment → topology mapping: [`run_single`] builds its cluster
-/// from it and [`crate::cache::ExperimentId`] derives the failure-domain layout of
-/// its cache key from it, so the two can never silently diverge. Honours the
-/// [`knobs::RACKS`] override, which regroups the paper-layout nodes into that many
-/// racks (it must divide the node count), and, through
-/// [`ClusterConfig::with_ranks`], [`knobs::BACKEND`] — which deliberately does
-/// *not* enter the cache key, since results are bit-identical across backends.
+/// The `(nodes, racks)` layout an experiment of `nprocs` ranks runs on: the paper
+/// layout, its nodes regrouped into [`knobs::RACKS`] racks when that is set (it must
+/// divide the node count). The single source of the experiment → topology mapping:
+/// [`experiment_cluster`] lays its cluster out by it and
+/// [`crate::cache::ExperimentId`] keys on it, so the two can never silently diverge.
+pub fn experiment_layout(nprocs: usize) -> (usize, usize) {
+    let (nnodes, nracks) = Topology::paper_shape(nprocs);
+    (nnodes, knobs::RACKS.read().unwrap_or(nracks))
+}
+
+/// The cluster configuration an experiment of `nprocs` ranks runs on: laid out by
+/// [`experiment_layout`], on the backend [`ClusterConfig::with_ranks`] reads from
+/// [`knobs::BACKEND`] — which deliberately does *not* enter the cache key, since
+/// results are bit-identical across backends.
 pub fn experiment_cluster(nprocs: usize) -> ClusterConfig {
-    let config = ClusterConfig::with_ranks(nprocs);
-    match knobs::RACKS.read() {
-        Some(racks) => config.racks(racks),
-        None => config,
-    }
+    let (nnodes, nracks) = experiment_layout(nprocs);
+    ClusterConfig::with_ranks(nprocs)
+        .nodes(nnodes)
+        .racks(nracks)
 }
 
 /// Runs one experiment without consulting any cache: builds the cluster, runs the

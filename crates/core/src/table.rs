@@ -31,11 +31,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -83,7 +78,6 @@ mod tests {
         let text = t.render();
         assert!(text.contains("app"));
         assert!(text.contains("miniVite"));
-        assert_eq!(t.row_count(), 2);
         // Header and separator plus two rows.
         assert_eq!(text.lines().count(), 4);
     }

@@ -13,7 +13,7 @@ use match_core::fti::{CheckpointLevel, FtiConfig};
 use match_core::mpisim::{FailureKind, FailureSpec, Topology};
 use match_core::persist::{Dec, Enc};
 use match_core::recovery::{FailureTrace, RecoveryStrategy};
-use match_core::runner::experiment_cluster;
+use match_core::runner::experiment_layout;
 use match_core::TraceRunSpec;
 use proptest::TestRng;
 
@@ -101,7 +101,8 @@ impl TraceGenome {
     /// The topology this genome's runs are laid out on (victim index bounds for
     /// the mutation operators).
     pub fn topology(&self) -> Topology {
-        experiment_cluster(self.nprocs).topology()
+        let (nnodes, nracks) = experiment_layout(self.nprocs);
+        Topology::with_racks(self.nprocs, nnodes, nracks)
     }
 
     /// Whether every configured checkpoint of this genome survives every event of

@@ -89,7 +89,7 @@ impl Rule {
             Rule::FloatReductionOrder => {
                 "f64 sum/fold over an unordered collection's values flagged in cost accounting"
             }
-            Rule::UnsafeContainment => "unsafe only legal inside the four audited modules",
+            Rule::UnsafeContainment => "unsafe only legal inside the five audited files",
             Rule::SafetyComment => "every unsafe site needs a // SAFETY: comment stating its invariant",
             Rule::KnobRegistry => {
                 "every MATCH_* literal must be a knob-table row, every row read somewhere and in the README"

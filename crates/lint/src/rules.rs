@@ -9,7 +9,7 @@
 //!   it is allowed to touch; report/figure/serialization modules must not name them.
 //! * `float-reduction-order` — f64 accumulation is order-sensitive; reducing an
 //!   unordered map's values is a silent determinism hazard.
-//! * `unsafe-containment` — `unsafe` is only legal in the four audited modules.
+//! * `unsafe-containment` — `unsafe` is only legal in the five audited files.
 //! * `safety-comment` — every `unsafe` site carries its invariant in a `// SAFETY:`
 //!   comment immediately above it.
 //! * `knob-registry` — every `MATCH_*` literal names a row of the knob table
@@ -31,14 +31,16 @@ use crate::lexer::{lex, TokKind, Token};
 use crate::{Rule, Violation};
 
 /// Files in which the `unsafe` keyword is legal. Everything else in the workspace
-/// must stay safe Rust — these four modules are the audited containment boundary
+/// must stay safe Rust — these five files are the audited containment boundary
 /// (fiber context switching and stack mapping, the two fiber schedulers built on it,
-/// and the GFNI SIMD kernels).
+/// the GFNI SIMD kernels, and the counting global allocator of the allocation
+/// regression test, which `GlobalAlloc` makes an `unsafe impl`).
 pub const UNSAFE_ALLOWED: &[&str] = &[
     "crates/fti/src/rs_code.rs",
     "crates/mpisim/src/sched/coop.rs",
     "crates/mpisim/src/sched/fiber.rs",
     "crates/mpisim/src/sched/par.rs",
+    "crates/mpisim/tests/steady_state_allocations.rs",
 ];
 
 /// Simulation source trees where host wall-clock (`Instant`, `SystemTime`,

@@ -1,34 +1,43 @@
 //! The rendezvous engine behind collective operations.
 //!
 //! Every communicator owns a [`CollSlot`]. A collective operation is executed as a
-//! *rendezvous round*: each member deposits its contribution (an arbitrary `Send`
-//! value) together with its current virtual time; the last member to arrive — the
-//! *finisher* — runs a *finish* closure that combines all contributions into **one
-//! shared output** and computes the common completion time (`max` of the entry times
-//! plus the modelled collective cost). The output is produced once, whatever the
-//! group size, and every member receives a shared reference to it (the broadcast
-//! root's payload, the reduced vector, the gathered slices).
+//! *rendezvous round*: each member deposits its contribution together with its current
+//! virtual time; the last member to arrive — the *finisher* — folds all contributions,
+//! in member order, into **one shared result** and computes the common completion time
+//! (`max` of the entry times plus the modelled collective cost). The result is produced
+//! once, whatever the group size, and every member receives a clone of it (a scalar, or
+//! a shared reference to the broadcast root's payload, the reduced vector, the gathered
+//! slices).
 //!
-//! **The finisher delivers.** Under the slot lock it already holds, the finisher puts
-//! `(completion time, output)` into a per-member delivery cell for every other
-//! member, opens the next round at once and wakes the waiters — one wake per round. A
-//! woken member takes its own cell without touching the slot lock again, so a member
-//! locks the slot once per round. Rounds do not drain: a fast member may deposit into
-//! round *n+1* while a slow one has not yet taken its round-*n* cell, and that is
-//! safe because round *n+1* cannot complete — and overwrite the cell — before the
-//! slow member has deposited into it, which it does only after taking the cell.
+//! **Typed cells.** For every contribution type its rounds use, a slot keeps one cell per
+//! member, created the first time the type is seen. A member deposits by writing its
+//! cell in place — a vector contribution is copied into the cell's retained buffer — so
+//! a barrier or scalar round allocates nothing once the slot knows its type.
+//!
+//! **One result per round.** Rounds are numbered, and round *n*'s result goes into the
+//! buffer of parity *n* % 2, with the count of members yet to collect it. The finisher
+//! fills the buffer under the slot lock it already holds, opens the next round at once
+//! and wakes the waiters — one wake per round. A woken member takes the slot lock a
+//! second time to collect, so a member locks the slot once to deposit and once to
+//! collect. Rounds do not drain: a fast member may deposit into round *n+1* while a
+//! slow one has not yet collected round *n*, and that is safe because round *n+1*
+//! cannot complete — and round *n+2* overwrite the buffer of *n*'s parity — before the
+//! slow member has deposited into it, which it does only after collecting. The buffer
+//! keeps its result after the last collection; the finisher of the next round of that
+//! type and parity hands it to the fold, which refills it in place when no member
+//! holds it anymore (so a vector round need not allocate either).
 //!
 //! A waiting member parks through a caller-supplied [`SlotWait`] — the point where the
-//! scheduler backend plugs in — and re-checks its cell and a caller-supplied
+//! scheduler backend plugs in — and re-checks the round number and a caller-supplied
 //! `abort_check` each time it is woken, so members blocked in a collective whose peers
 //! have failed observe the failure (ULFM semantics) instead of hanging: the failure
-//! transition wakes them. **The cell comes first:** a round whose members all
-//! deposited always completes, so a member that finds its cell filled returns the
-//! round's result even if a failure transition woke it; only a member whose cell is
-//! still empty under the slot lock withdraws its contribution and reports the abort.
+//! transition wakes them. **Completion comes first:** a round whose members all
+//! deposited always completes, so a member that finds its round complete returns the
+//! round's result even if a failure transition woke it; only a member whose round is
+//! still open under the slot lock withdraws its contribution and reports the abort.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -36,20 +45,15 @@ use crate::error::MpiError;
 use crate::sched::WaitToken;
 use crate::time::SimTime;
 
-/// Type-erased contribution values deposited into a rendezvous.
-pub type AnyBox = Box<dyn Any + Send>;
-
-/// The type-erased output of a rendezvous round, shared by all its members.
-pub type AnyArc = Arc<dyn Any + Send + Sync>;
-
-/// How a member blocked inside [`CollSlot::run`] waits for its round to complete —
+/// How a member blocked inside [`CollSlot::round`] waits for its round to complete —
 /// the point where the scheduler backend plugs into the rendezvous engine.
 ///
-/// `prepare` snapshots the slot's wait channel *before* the member checks its delivery
-/// cell, `park` suspends the calling rank until woken (or returns immediately if a
-/// wake invalidated the token), and `wake` is invoked by the finisher once every cell
-/// is filled. No timeouts exist: the finisher's wake follows the cells it announces,
-/// and cluster-wide transitions invalidate prepared tokens, so no wakeup can be lost.
+/// `prepare` snapshots the slot's wait channel *before* the member checks whether its
+/// round completed, `park` suspends the calling rank until woken (or returns
+/// immediately if a wake invalidated the token), and `wake` is invoked by the finisher
+/// once the round's result is published. No timeouts exist: the finisher's wake
+/// follows the result it announces, and cluster-wide transitions invalidate prepared
+/// tokens, so no wakeup can be lost.
 #[derive(Clone, Copy)]
 pub struct SlotWait<'a> {
     /// Snapshots the slot's wait channel (before the checks the park guards).
@@ -62,32 +66,88 @@ pub struct SlotWait<'a> {
     pub wake: &'a dyn Fn(),
 }
 
-/// What a completed round hands each member: the common completion time and the
-/// round's one output.
-type Delivery = (SimTime, AnyArc);
+/// The cells and results of one contribution type `C` (folded into an `O`) of a slot.
+struct Store<C, O> {
+    /// Per-member contribution cells, written in place by the depositing member.
+    cells: Vec<C>,
+    /// Per parity: this type's most recent round's completion time and result.
+    results: [Option<(SimTime, O)>; 2],
+}
 
-/// The round members are currently depositing into.
+/// Everything behind the slot lock.
 struct RoundState {
     deposited: usize,
-    /// Per-member (entry time, declared cost, contribution).
-    contributions: Vec<Option<(SimTime, SimTime, AnyBox)>>,
+    /// Per member: (entry time, declared cost) once it deposited into the open round.
+    entries: Vec<Option<(SimTime, SimTime)>>,
+    /// Index into `stores` of the open round's type (meaningful while `deposited > 0`):
+    /// later depositors of the round use it without a lookup.
+    round_store: usize,
+    /// Per parity: how many members of the last completed round have yet to collect
+    /// its result.
+    pending: [usize; 2],
+    /// One `Store<C, O>` per contribution type the slot has seen.
+    stores: Vec<Box<dyn Any + Send>>,
+}
+
+impl RoundState {
+    /// The index of the store of contribution type `C` folded into `O`, created with
+    /// `nmembers` default cells the first time the type is seen.
+    fn store_index<C, O>(&mut self, nmembers: usize) -> usize
+    where
+        C: Default + Send + 'static,
+        O: Send + 'static,
+    {
+        if let Some(index) = self.stores.iter().position(|s| s.is::<Store<C, O>>()) {
+            return index;
+        }
+        self.stores.push(Box::new(Store::<C, O> {
+            cells: (0..nmembers).map(|_| C::default()).collect(),
+            results: [None, None],
+        }));
+        self.stores.len() - 1
+    }
+
+    /// The store at `index`, of contribution type `C` folded into `O`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store is of another type: the members of one round disagree on
+    /// the collective they run, a bug of the rank program.
+    fn store<C: 'static, O: 'static>(&mut self, index: usize) -> &mut Store<C, O> {
+        self.stores[index]
+            .downcast_mut()
+            .expect("a round's members share its contribution type")
+    }
+
+    /// Hands a member its copy of round `round`'s result, kept in store `store`.
+    fn collect<C: 'static, O: Clone + 'static>(
+        &mut self,
+        round: u64,
+        store: usize,
+    ) -> (SimTime, O) {
+        let parity = (round & 1) as usize;
+        self.pending[parity] -= 1;
+        let result = self.store::<C, O>(store).results[parity].clone();
+        result.expect("a completed round has a result")
+    }
 }
 
 /// A reusable rendezvous slot for a fixed group of members.
 pub struct CollSlot {
+    nmembers: usize,
     state: Mutex<RoundState>,
-    /// Per-member delivery cells (see the module docs): filled by the finisher under
-    /// the state lock, emptied by the member alone.
-    cells: Vec<Mutex<Option<Delivery>>>,
+    /// The number of the open round: every round below it has completed. Written under
+    /// the state lock; waiting members read it without.
+    round: AtomicU64,
 }
 
 impl std::fmt::Debug for CollSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let undelivered = self.cells.iter().filter(|c| c.lock().is_some()).count();
+        let st = self.state.lock();
         f.debug_struct("CollSlot")
-            .field("nmembers", &self.nmembers())
-            .field("deposited", &self.state.lock().deposited)
-            .field("undelivered", &undelivered)
+            .field("nmembers", &self.nmembers)
+            .field("deposited", &st.deposited)
+            .field("undelivered", &(st.pending[0] + st.pending[1]))
             .finish()
     }
 }
@@ -101,17 +161,16 @@ impl CollSlot {
     pub fn new(nmembers: usize) -> Self {
         assert!(nmembers > 0, "a collective needs at least one member");
         CollSlot {
+            nmembers,
             state: Mutex::new(RoundState {
                 deposited: 0,
-                contributions: (0..nmembers).map(|_| None).collect(),
+                entries: vec![None; nmembers],
+                round_store: 0,
+                pending: [0; 2],
+                stores: Vec::new(),
             }),
-            cells: (0..nmembers).map(|_| Mutex::new(None)).collect(),
+            round: AtomicU64::new(0),
         }
-    }
-
-    /// Number of members expected in every round.
-    pub fn nmembers(&self) -> usize {
-        self.cells.len()
     }
 
     /// Executes one rendezvous round for member `member`.
@@ -121,71 +180,86 @@ impl CollSlot {
     ///   completion time is `max(entry times) + max(declared costs)`, which keeps the
     ///   result deterministic even when members declare different payload sizes (e.g. a
     ///   broadcast root versus its receivers).
-    /// * `contribution` — this member's type-erased input.
-    /// * `finish` — run exactly once per round, by the last member to deposit; receives
-    ///   all contributions ordered by member index and returns the round's one output.
+    /// * `deposit` — writes this member's contribution into its cell (which holds
+    ///   whatever the member's last round of this type left there).
+    /// * `fold` — run exactly once per round, by the last member to deposit; receives
+    ///   all cells in member order and this type's result of two rounds back (to reuse
+    ///   if nobody holds it anymore), and returns the round's one result.
     /// * `abort_check` — re-checked each time the member is woken while waiting;
     ///   returning `Some(err)` makes this member abandon the round with `Err(err)`
     ///   (used for failure notification).
     /// * `wait` — how the member parks while it waits, and how the finisher wakes it.
     ///
-    /// Returns the common completion time and the round's shared output.
+    /// Returns the common completion time and the round's result.
     ///
     /// # Errors
     ///
     /// Returns whatever error `abort_check` produced, or [`MpiError::Internal`] if a
     /// member index was out of range or used twice in one round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the members of one round disagree on its contribution type.
     #[allow(clippy::too_many_arguments)]
-    pub fn run(
+    pub fn round<C, O>(
         &self,
         member: usize,
         now: SimTime,
         cost: SimTime,
-        contribution: AnyBox,
-        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
+        deposit: impl FnOnce(&mut C),
+        fold: impl FnOnce(&mut [C], Option<O>) -> O,
         mut abort_check: impl FnMut() -> Option<MpiError>,
         wait: SlotWait<'_>,
-    ) -> Result<(SimTime, AnyArc), MpiError> {
-        let nmembers = self.nmembers();
+    ) -> Result<(SimTime, O), MpiError>
+    where
+        C: Default + Send + 'static,
+        O: Clone + Send + 'static,
+    {
+        let nmembers = self.nmembers;
         if member >= nmembers {
             return Err(MpiError::Internal(format!(
                 "collective member index {member} out of range ({nmembers})"
             )));
         }
         let mut st = self.state.lock();
-        if st.contributions[member].is_some() {
+        if st.entries[member].is_some() {
             return Err(MpiError::Internal(format!(
                 "member {member} deposited twice in the same collective round"
             )));
         }
-        st.contributions[member] = Some((now, cost, contribution));
+        let store = match st.deposited {
+            0 => st.store_index::<C, O>(nmembers),
+            _ => st.round_store,
+        };
+        st.round_store = store;
+        deposit(&mut st.store::<C, O>(store).cells[member]);
+        st.entries[member] = Some((now, cost));
         st.deposited += 1;
+        let round = self.round.load(Ordering::Relaxed);
 
         if st.deposited == nmembers {
-            // Last to arrive: combine, deliver, open the next round, wake.
-            let mut max_entry = SimTime::ZERO;
-            let mut max_cost = SimTime::ZERO;
-            let contribs: Vec<(SimTime, AnyBox)> = st
-                .contributions
-                .iter_mut()
-                .map(|c| {
-                    let (entry, cost, value) = c.take().expect("all contributions present");
-                    max_entry = max_entry.max(entry);
-                    max_cost = max_cost.max(cost);
-                    (entry, value)
-                })
-                .collect();
-            let delivery = (max_entry + max_cost, finish(contribs));
-            for (_, cell) in (self.cells.iter().enumerate()).filter(|&(m, _)| m != member) {
-                *cell.lock() = Some(delivery.clone());
+            // Last to arrive: fold, publish, open the next round, wake.
+            let (mut max_entry, mut max_cost) = (SimTime::ZERO, SimTime::ZERO);
+            for entry in &mut st.entries {
+                let (entry, cost) = entry.take().expect("every member deposited");
+                max_entry = max_entry.max(entry);
+                max_cost = max_cost.max(cost);
             }
+            let parity = (round & 1) as usize;
+            debug_assert_eq!(st.pending[parity], 0, "round n - 2 is still uncollected");
+            st.pending[parity] = nmembers - 1;
             st.deposited = 0;
+            let Store { cells, results } = st.store::<C, O>(store);
+            let spare = results[parity].take().map(|(_, spare)| spare);
+            let result = fold(&mut cells[..], spare);
+            results[parity] = Some((max_entry + max_cost, result.clone()));
+            self.round.store(round + 1, Ordering::Release);
             drop(st);
-            // After the unlock, so woken members find the slot free for the next
-            // round. Nothing is lost by that: a waiter checks its cell after preparing
-            // its token, and every cell was filled before this line.
+            // After the unlock, so woken members find the slot free for collecting and
+            // the next round. Nothing is lost by that: a waiter checks the round number
+            // after preparing its token, and the round was published before this line.
             (wait.wake)();
-            return Ok(delivery);
+            return Ok((max_entry + max_cost, result));
         }
 
         // Wait for the finisher, without the state lock: the token prepared before
@@ -194,18 +268,19 @@ impl CollSlot {
         let mut suspended_before = false;
         loop {
             let token = (wait.prepare)();
-            if let Some(delivery) = self.cells[member].lock().take() {
-                return Ok(delivery);
+            if self.round.load(Ordering::Acquire) > round {
+                return Ok(self.state.lock().collect::<C, O>(round, store));
             }
             if let Some(err) = abort_check() {
                 let mut st = self.state.lock();
                 // The round may have completed since the check above: under the lock
-                // the cell is final, and a completed round is never reported aborted.
-                if let Some(delivery) = self.cells[member].lock().take() {
-                    return Ok(delivery);
+                // the round number is final, and a completed round is never reported
+                // aborted.
+                if self.round.load(Ordering::Relaxed) > round {
+                    return Ok(st.collect::<C, O>(round, store));
                 }
                 // Withdraw our contribution so a later repair/reset starts clean.
-                if st.contributions[member].take().is_some() {
+                if st.entries[member].take().is_some() {
                     st.deposited -= 1;
                 }
                 return Err(err);
@@ -217,16 +292,15 @@ impl CollSlot {
     /// Forcibly resets the slot to an empty collecting state.
     ///
     /// Used when a communicator is repaired after a failure: contributions from the
-    /// aborted round are discarded. Must only be called when no member is blocked
-    /// inside [`CollSlot::run`] (the recovery protocol guarantees this by first driving
-    /// every rank out of its pending operations).
+    /// aborted round and results nobody collected are discarded. Must only be called
+    /// when no member is blocked inside [`CollSlot::round`] (the recovery protocol
+    /// guarantees this by first driving every rank out of its pending operations).
     pub fn reset(&self) {
         let mut st = self.state.lock();
         st.deposited = 0;
-        st.contributions.fill_with(|| None);
-        for cell in &self.cells {
-            *cell.lock() = None;
-        }
+        st.entries.fill(None);
+        st.pending = [0; 2];
+        st.stores.clear();
     }
 }
 
@@ -234,6 +308,40 @@ impl CollSlot {
 mod tests {
     use super::*;
     use crate::sched::WaitKey;
+    use std::sync::Arc;
+
+    /// A type-erased contribution.
+    type AnyBox = Box<dyn Any + Send>;
+
+    /// A type-erased round result.
+    type AnyArc = Arc<dyn Any + Send + Sync>;
+
+    impl CollSlot {
+        /// One round with a boxed contribution and a boxed result, the form the tests
+        /// below drive the rendezvous in: `finish` receives every member's (entry time,
+        /// contribution) in member order.
+        #[allow(clippy::too_many_arguments)]
+        fn run(
+            &self,
+            member: usize,
+            now: SimTime,
+            cost: SimTime,
+            contribution: AnyBox,
+            finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
+            abort_check: impl FnMut() -> Option<MpiError>,
+            wait: SlotWait<'_>,
+        ) -> Result<(SimTime, AnyArc), MpiError> {
+            self.round(
+                member,
+                now,
+                cost,
+                |cell: &mut Option<(SimTime, AnyBox)>| *cell = Some((now, contribution)),
+                |cells, _| finish(cells.iter_mut().map(|c| c.take().unwrap()).collect()),
+                abort_check,
+                wait,
+            )
+        }
+    }
 
     /// Runs `f(member)` on `n` threads and returns their results.
     fn run_members<R: Send + 'static>(

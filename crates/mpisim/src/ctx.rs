@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::collective::{AnyArc, AnyBox, CollSlot, SlotWait};
+use crate::collective::{CollSlot, SlotWait};
 use crate::comm::Comm;
 use crate::datatype;
 use crate::error::MpiError;
@@ -66,15 +66,44 @@ impl ReduceOp {
         }
     }
 
-    /// Folds the members' vectors element-wise, in communicator-rank order.
-    fn fold(self, vals: Vec<Vec<f64>>) -> Vec<f64> {
-        let mut vals = vals.into_iter();
-        let mut acc = vals.next().expect("a collective has at least one member");
-        for v in vals {
-            self.apply(&mut acc, &v);
+    /// Folds the members' vectors element-wise into `acc`, in communicator-rank order.
+    fn fold_into(self, acc: &mut Vec<f64>, vals: &[Vec<f64>]) {
+        let (first, rest) = vals
+            .split_first()
+            .expect("a collective has at least one member");
+        acc.clear();
+        acc.extend_from_slice(first);
+        for v in rest {
+            self.apply(acc, v);
         }
-        acc
     }
+}
+
+/// A vector cell keeps its buffer for the slot's next round of its kind up to this
+/// size; a larger one is freed once folded, so that a slot never holds a round's worth
+/// of big contributions between rounds.
+const KEPT_CELL_BYTES: usize = 64 << 10;
+
+/// Folds the cells of a vector round into its result: `fold` writes into `spare` — the
+/// result of this kind two rounds back — when nobody holds that anymore, and into a
+/// fresh buffer otherwise. Then frees the cells above [`KEPT_CELL_BYTES`].
+fn fold_vectors<T, R: Default>(
+    cells: &mut [Vec<T>],
+    spare: Option<Arc<R>>,
+    fold: impl FnOnce(&[Vec<T>], &mut R),
+) -> Arc<R> {
+    let unshared = |buf: &Arc<R>| Arc::strong_count(buf) == 1 && Arc::weak_count(buf) == 0;
+    let mut result = spare.filter(unshared).unwrap_or_default();
+    fold(
+        cells,
+        Arc::get_mut(&mut result).expect("an unshared buffer"),
+    );
+    for cell in cells {
+        if cell.capacity() * std::mem::size_of::<T>() > KEPT_CELL_BYTES {
+            *cell = Vec::new();
+        }
+    }
+    result
 }
 
 /// The result of an all-gather of typed slices: every member's contribution in
@@ -84,7 +113,7 @@ pub struct Gathered<T> {
     parts: Arc<GatheredParts<T>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct GatheredParts<T> {
     flat: Vec<T>,
     /// `ends[i]` is the end offset of member `i`'s chunk in `flat`.
@@ -195,25 +224,29 @@ impl RankCtx {
             .park(self.rank, token, self.now, suspended_before)
     }
 
-    /// Executes one rendezvous round on `slot` as member `member`, parked on the
-    /// slot's wait channel while it waits.
-    fn run_round(
+    /// Executes one rendezvous round on `slot` as member `member` (see
+    /// [`CollSlot::round`]), parked on the slot's wait channel while it waits.
+    fn run_round<C, O>(
         &self,
         slot: &CollSlot,
         member: usize,
         cost: SimTime,
-        contribution: AnyBox,
-        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> AnyArc,
+        deposit: impl FnOnce(&mut C),
+        fold: impl FnOnce(&mut [C], Option<O>) -> O,
         abort_check: impl FnMut() -> Option<MpiError>,
-    ) -> Result<(SimTime, AnyArc), MpiError> {
+    ) -> Result<(SimTime, O), MpiError>
+    where
+        C: Default + Send + 'static,
+        O: Clone + Send + 'static,
+    {
         let (y, rank, key, entry_time) =
             (&self.yielder, self.rank, WaitKey::object(slot), self.now);
-        slot.run(
+        slot.round(
             member,
             entry_time,
             cost,
-            contribution,
-            finish,
+            deposit,
+            fold,
             abort_check,
             SlotWait {
                 prepare: &|| y.wait_token(rank, key),
@@ -290,11 +323,6 @@ impl RankCtx {
     /// Number of currently failed processes (retired ranks not counted).
     pub fn failed_count(&self) -> usize {
         self.state.failed_count()
-    }
-
-    /// Whether any process in the job is currently failed.
-    pub fn any_failed(&self) -> bool {
-        self.state.failed_count() > 0
     }
 
     /// How many liveness queries of the whole job left the lock-free fast path so far
@@ -663,6 +691,11 @@ impl RankCtx {
     /// Blocks until a message matching the selector is queued or the receive's
     /// deterministic abort rule fires. Sets `watching` once the receive has registered
     /// itself with the cluster as waiting on its source; the caller deregisters it.
+    ///
+    /// Only a receive that finds the job unhealthy registers: the registration serves
+    /// the quiescence check, which only a failure state asks for, and every transition
+    /// into one wakes all blocked operations, so a receive that parked unregistered
+    /// while the job was healthy runs again and registers before its first check.
     fn await_match(
         &mut self,
         comm: &Comm,
@@ -677,7 +710,9 @@ impl RankCtx {
             // the mailbox probe: a failure publication or a send racing either one
             // invalidates the park below instead of being lost.
             let token = self.wait_token(WaitKey::mailbox(me));
-            if let Some(err) = self.state.health_error(comm.shared()) {
+            let health = self.state.health_error(comm.shared());
+            let unhealthy = health.is_some();
+            if let Some(err) = health {
                 match err {
                     // Abort and revocation interrupt a blocked receive unconditionally.
                     MpiError::Aborted { .. } | MpiError::Revoked => return Err(err),
@@ -707,10 +742,11 @@ impl RankCtx {
             if let Some(msg) = mailbox.try_match(comm.id(), src_global, tag_sel) {
                 return Ok(msg);
             }
-            if !*watching {
-                // About to block. Tell the cluster whom this receive waits for, so
-                // that the source's parking wakes it — and only it — and take the
-                // pass again: the registration must precede the quiescence check.
+            if unhealthy && !*watching {
+                // About to block in a failure state. Tell the cluster whom this receive
+                // waits for, so that the source's parking wakes it — and only it — and
+                // take the pass again: the registration must precede the quiescence
+                // check.
                 self.state.watch_source(me, src_global, comm.size());
                 *watching = true;
             } else {
@@ -793,17 +829,21 @@ impl RankCtx {
 
     // ----- collectives ---------------------------------------------------------------
 
-    /// Executes one collective round on `comm`: every member contributes a `T`, the
-    /// last one to arrive runs `finish` over all contributions (in communicator-rank
-    /// order) and every member receives a reference to its one output.
-    fn collective<T: Send + 'static, O: Send + Sync + 'static>(
+    /// Executes one collective round on `comm`: every member writes its contribution
+    /// into its `C` cell, the last one to arrive folds all cells (in communicator-rank
+    /// order) into the round's one result, and every member receives a clone of it.
+    fn collective<C, O>(
         &mut self,
         comm: &Comm,
         kind: CollectiveKind,
         bytes_per_member: usize,
-        contribution: T,
-        finish: impl FnOnce(Vec<T>) -> O,
-    ) -> Result<Arc<O>, MpiError> {
+        deposit: impl FnOnce(&mut C),
+        fold: impl FnOnce(&mut [C], Option<O>) -> O,
+    ) -> Result<O, MpiError>
+    where
+        C: Default + Send + 'static,
+        O: Clone + Send + 'static,
+    {
         self.check_health(comm)?;
         let cost = self
             .state
@@ -827,20 +867,7 @@ impl RankCtx {
             };
             doomed.then_some(err)
         };
-        let round = self.run_round(
-            &shared.slot,
-            comm.rank(),
-            cost,
-            Box::new(contribution),
-            |contribs| {
-                let values: Vec<T> = contribs
-                    .into_iter()
-                    .map(|(_, b)| *b.downcast::<T>().expect("homogeneous collective type"))
-                    .collect();
-                Arc::new(finish(values))
-            },
-            abort_check,
-        );
+        let round = self.run_round(&shared.slot, comm.rank(), cost, deposit, fold, abort_check);
         let (finish_time, out) = match round {
             Ok(v) => v,
             Err(e) => {
@@ -852,8 +879,7 @@ impl RankCtx {
         };
         self.advance_to(finish_time);
         self.stats.collectives += 1;
-        out.downcast::<O>()
-            .map_err(|_| MpiError::Internal("collective output type mismatch".into()))
+        Ok(out)
     }
 
     fn check_root(comm: &Comm, root: usize) -> Result<(), MpiError> {
@@ -868,8 +894,7 @@ impl RankCtx {
 
     /// Synchronizes all members of `comm`.
     pub fn barrier(&mut self, comm: &Comm) -> Result<(), MpiError> {
-        self.collective(comm, CollectiveKind::Barrier, 0, (), |_| ())?;
-        Ok(())
+        self.collective(comm, CollectiveKind::Barrier, 0, |_: &mut ()| (), |_, _| ())
     }
 
     /// Broadcasts a shared-buffer [`Payload`] from `root`: every member receives a
@@ -887,15 +912,14 @@ impl RankCtx {
         data: Payload,
     ) -> Result<Payload, MpiError> {
         Self::check_root(comm, root)?;
-        let bytes = data.len();
-        let root_data = self.collective(
+        let (bytes, is_root) = (data.len(), comm.rank() == root);
+        self.collective(
             comm,
             CollectiveKind::Broadcast,
             bytes,
-            data,
-            move |mut vals| vals.swap_remove(root),
-        )?;
-        Ok(Payload::clone(&root_data))
+            |cell: &mut Option<Payload>| *cell = is_root.then_some(data),
+            |cells, _| cells[root].take().expect("the root deposited its payload"),
+        )
     }
 
     /// Element-wise all-reduce: every member receives the combined vector — the one
@@ -910,20 +934,28 @@ impl RankCtx {
             comm,
             CollectiveKind::Allreduce,
             data.len() * 8,
-            data.to_vec(),
-            move |vals| op.fold(vals),
+            |cell: &mut Vec<f64>| {
+                cell.clear();
+                cell.extend_from_slice(data);
+            },
+            |cells, spare| fold_vectors(cells, spare, |vals, acc| op.fold_into(acc, vals)),
         )
     }
 
     /// All-reduce of one `f64` per member (combined in communicator-rank order, like
     /// the element-wise form).
     fn allreduce_scalar(&mut self, comm: &Comm, op: ReduceOp, value: f64) -> Result<f64, MpiError> {
-        let combined = self.collective(comm, CollectiveKind::Allreduce, 8, value, move |vals| {
-            vals.into_iter()
-                .reduce(|acc, v| op.combine(acc, v))
-                .expect("a collective has at least one member")
-        })?;
-        Ok(*combined)
+        self.collective(
+            comm,
+            CollectiveKind::Allreduce,
+            8,
+            |cell: &mut f64| *cell = value,
+            |cells, _| {
+                (cells.iter().copied())
+                    .reduce(|acc, v| op.combine(acc, v))
+                    .expect("a collective has at least one member")
+            },
+        )
     }
 
     /// Scalar all-reduce sum.
@@ -943,10 +975,13 @@ impl RankCtx {
 
     /// Scalar all-reduce sum over unsigned integers (exact).
     pub fn allreduce_sum_u64(&mut self, comm: &Comm, value: u64) -> Result<u64, MpiError> {
-        let total = self.collective(comm, CollectiveKind::Allreduce, 8, value, |vals| {
-            vals.iter().sum::<u64>()
-        })?;
-        Ok(*total)
+        self.collective(
+            comm,
+            CollectiveKind::Allreduce,
+            8,
+            |cell: &mut u64| *cell = value,
+            |cells, _| cells.iter().sum(),
+        )
     }
 
     /// All-gathers `u64` slices into one contiguous, shared [`Gathered`] result: every
@@ -956,17 +991,19 @@ impl RankCtx {
             comm,
             CollectiveKind::Allgather,
             std::mem::size_of_val(data),
-            data.to_vec(),
-            |vals| {
-                let mut flat = Vec::with_capacity(vals.iter().map(Vec::len).sum());
-                let ends = vals
-                    .iter()
-                    .map(|chunk| {
-                        flat.extend_from_slice(chunk);
-                        flat.len()
-                    })
-                    .collect();
-                GatheredParts { flat, ends }
+            |cell: &mut Vec<u64>| {
+                cell.clear();
+                cell.extend_from_slice(data);
+            },
+            |cells, spare| {
+                fold_vectors(cells, spare, |chunks, parts: &mut GatheredParts<u64>| {
+                    parts.flat.clear();
+                    parts.ends.clear();
+                    for chunk in chunks {
+                        parts.flat.extend_from_slice(chunk);
+                        parts.ends.push(parts.flat.len());
+                    }
+                })
             },
         )?;
         Ok(Gathered { parts })
@@ -1011,12 +1048,11 @@ impl RankCtx {
             &state.recovery_slot,
             self.rank,
             extra_cost,
-            Box::new(()),
-            |_contribs| {
+            |_: &mut ()| (),
+            |_, _| {
                 let crashed_nodes = state.take_pending_node_failures();
                 state.repair_all();
                 repair_hook(&crashed_nodes);
-                Arc::new(())
             },
             || None,
         )?;
@@ -1058,7 +1094,7 @@ mod tests {
     /// Rank 0's context on a cooperative job of `nprocs` ranks, outside any fiber:
     /// a test may use it for everything but a park.
     fn rank0_ctx(nprocs: usize) -> RankCtx {
-        let topology = Topology::single_node(nprocs);
+        let topology = Topology::new(nprocs, 1);
         let state = ClusterState::new(nprocs, topology, MachineModel::default());
         let yielder = Yielder::Coop(CoopShared::for_job(&state));
         RankCtx::new(0, state, yielder)
@@ -1107,10 +1143,10 @@ mod tests {
     #[test]
     fn self_kill_marks_failure() {
         let mut ctx = single_rank_ctx();
-        assert!(!ctx.any_failed());
+        assert_eq!(ctx.failed_count(), 0);
         let err = ctx.kill_self();
         assert_eq!(err, MpiError::SelfFailed);
-        assert!(ctx.any_failed());
+        assert!(ctx.failed_count() > 0);
         assert_eq!(ctx.failed_ranks(), vec![0]);
         assert_eq!(ctx.stats().times_failed, 1);
     }
@@ -1198,7 +1234,7 @@ mod tests {
         ctx.set_category(TimeCategory::Recovery);
         ctx.recovery_rendezvous(SimTime::from_secs(2.0), |_| {})
             .unwrap();
-        assert!(!ctx.any_failed());
+        assert_eq!(ctx.failed_count(), 0);
         assert_eq!(ctx.breakdown().recovery.as_secs(), 2.0);
         assert_eq!(ctx.stats().recoveries, 1);
     }

@@ -103,7 +103,7 @@ impl ClusterConfig {
             // count and regroup those nodes, instead of silently degrading to one
             // rank per node.
             (None, Some(r)) => {
-                let nnodes = Topology::paper_layout(self.nprocs).nnodes();
+                let (nnodes, _) = Topology::paper_shape(self.nprocs);
                 assert!(
                     nnodes.is_multiple_of(r),
                     "racks({r}) does not divide the implied paper-layout node count \
@@ -751,6 +751,34 @@ mod tests {
                     assert_eq!(*finished, reference.value_of(rank).1, "{name}, rank {rank}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn vector_rounds_too_big_to_keep_fold_right_round_after_round() {
+        // 10 000 values per member: above what a slot keeps between rounds, so every
+        // round deposits into a freed cell.
+        const LEN: usize = 10_000;
+        let program = |ctx: &mut RankCtx| {
+            let world = ctx.world();
+            let (n, rank) = (world.size(), ctx.rank());
+            for round in 0..4 {
+                let mine = vec![(round * 100 + rank) as f64; LEN];
+                let sums = ctx.allreduce_f64(&world, ReduceOp::Sum, &mine)?;
+                let expected = (round * 100 * n + n * (n - 1) / 2) as f64;
+                assert!(sums.len() == LEN && sums.iter().all(|&v| v == expected));
+                let gathered = ctx.allgather_u64(&world, &vec![(round + rank) as u64; LEN])?;
+                for (member, chunk) in gathered.chunks().enumerate() {
+                    assert!(
+                        chunk.len() == LEN && chunk.iter().all(|&v| v == (round + member) as u64)
+                    );
+                }
+            }
+            Ok(())
+        };
+        for (name, cluster) in every_wait_strategy(4) {
+            let outcome = cluster.run(program);
+            assert!(outcome.all_ok(), "{name}: {:?}", outcome.errors());
         }
     }
 

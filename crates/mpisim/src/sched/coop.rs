@@ -3,13 +3,15 @@
 //!
 //! # How it works
 //!
-//! Every rank's program runs on its own [`fiber`](super::fiber) stack. The scheduler
-//! loop owns the OS thread: it pops the runnable rank with the **lowest virtual
-//! clock** (ties broken by rank id, so the order — and with it memory behaviour like
-//! mailbox depth — is fully deterministic) and context-switches into its fiber. The
-//! fiber runs until its rank either finishes or blocks in a simulated operation; a
-//! blocked operation *parks* the fiber on a [`WaitKey`] channel and switches straight
-//! back to the scheduler.
+//! Every rank's program runs on its own [`fiber`](super::fiber) stack. The run queue
+//! is a min-heap: the next rank to run is always the runnable rank with the **lowest
+//! virtual clock** (ties broken by rank id, so the order — and with it memory
+//! behaviour like mailbox depth — is fully deterministic). A fiber runs until its rank
+//! either finishes or blocks in a simulated operation; a blocked operation *parks* the
+//! fiber on a [`WaitKey`] channel. Either way the fiber pops the next rank itself and
+//! switches straight into it; the scheduler loop, which owns the OS thread, runs only
+//! to start the first rank and when no rank is runnable (the job is done, or
+//! deadlocked).
 //!
 //! Wakeups are precise and event-driven:
 //!
@@ -28,17 +30,17 @@
 //! everything runs on one thread, so the check-then-park sequence is atomic by
 //! construction: no condition can change between a task observing "not ready" and its
 //! fiber being parked. Its wait channels are therefore plain waiter lists with no
-//! atomics, and its tokens carry nothing — the eventcount `par` parks on would only
-//! re-derive what one thread has for free.
+//! atomics, its tokens carry nothing — the eventcount `par` parks on would only
+//! re-derive what one thread has for free — and parking, waking and popping the run
+//! queue take no lock.
 //!
 //! If the run queue empties while unfinished tasks remain parked (an application
 //! deadlock — e.g. a receive nothing will ever send to), the scheduler panics with a
 //! per-rank diagnosis instead of hanging.
 
+use std::cell::UnsafeCell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
@@ -50,9 +52,10 @@ use super::channels::{ChannelTable, Waiter};
 use super::fiber::{switch_context, Fiber};
 use super::{JobWaker, SchedStats, WaitKey, Yielder};
 
-/// Run-queue and wait-channel bookkeeping (behind one mutex; uncontended — only the
-/// job's OS thread ever takes it, but the type must be `Sync` because the cluster
-/// state holds a handle).
+/// Run-queue and wait-channel bookkeeping. Only the job's OS thread ever touches it —
+/// the scheduler loop, its fibers, and the cluster state's [`JobWaker`] calls, which
+/// rank programs make — so it lives in a plain cell (see [`CoopShared::queues`]), and
+/// parking, waking and popping the run queue take no lock.
 struct Queues {
     /// Min-heap of runnable ranks ordered by `(virtual clock bits, rank)` (IEEE-754
     /// bits of seconds; non-negative floats order identically to their bit patterns).
@@ -65,6 +68,13 @@ struct Queues {
 }
 
 impl Queues {
+    /// Takes the runnable rank with the lowest virtual clock, counting its resume.
+    fn pop_runnable(&mut self) -> Option<usize> {
+        let next = self.runnable.pop();
+        self.stats.resumes += u64::from(next.is_some());
+        next.map(|std::cmp::Reverse((_, rank))| rank)
+    }
+
     /// Makes the waiters `select` picks runnable: those of `only`'s channel, or of
     /// every channel.
     fn release(&mut self, only: Option<WaitKey>, select: impl Fn(WaitKey) -> bool) {
@@ -95,17 +105,19 @@ impl Queues {
 /// for fiber switching (slot 0 is the scheduler, slot `1 + rank` is the rank's
 /// fiber).
 pub(crate) struct CoopShared {
-    inner: Mutex<Queues>,
-    ctxs: Vec<std::cell::UnsafeCell<usize>>,
+    queues: UnsafeCell<Queues>,
+    ctxs: Vec<UnsafeCell<usize>>,
+    /// The job's OS thread, which alone may touch the cells (checked in debug builds).
+    owner: std::thread::ThreadId,
 }
 
-// SAFETY: the UnsafeCell context slots are only ever read or written by the single OS
-// thread that runs the job (scheduler loop and all of its fibers); the handle stored
-// in ClusterState is only used through the `JobWaker` methods, which touch the
-// mutex-guarded queues, never the context slots.
+// SAFETY: the UnsafeCell queues and context slots are only ever read or written by the
+// single OS thread that runs the job (scheduler loop and all of its fibers). The handle
+// stored in ClusterState is used through the `JobWaker` methods, which rank programs
+// call on that same thread; `CoopShared::queues` asserts the thread in debug builds.
 unsafe impl Send for CoopShared {}
 // SAFETY: same single-thread discipline as the Send impl above — shared references
-// only ever dereference the context slots from the job's one OS thread.
+// only ever dereference the cells from the job's one OS thread.
 unsafe impl Sync for CoopShared {}
 
 impl CoopShared {
@@ -115,16 +127,29 @@ impl CoopShared {
             runnable.push(std::cmp::Reverse((0, rank)));
         }
         CoopShared {
-            inner: Mutex::new(Queues {
+            queues: UnsafeCell::new(Queues {
                 runnable,
                 waiting: ChannelTable::new(nprocs, 1),
                 finished: 0,
                 stats: SchedStats::default(),
             }),
-            ctxs: (0..nprocs + 1)
-                .map(|_| std::cell::UnsafeCell::new(0))
-                .collect(),
+            ctxs: (0..nprocs + 1).map(|_| UnsafeCell::new(0)).collect(),
+            owner: std::thread::current().id(),
         }
+    }
+
+    /// Runs `f` on the queues. Every access goes through here, and none nests in
+    /// another or spans a fiber switch, so the exclusive borrow is the only one.
+    fn queues<R>(&self, f: impl FnOnce(&mut Queues) -> R) -> R {
+        debug_assert_eq!(
+            std::thread::current().id(),
+            self.owner,
+            "a coop job's queues are touched only from its own thread"
+        );
+        // SAFETY: single-thread discipline (see the Send/Sync rationale): no other
+        // thread reaches the cell, and on this thread `f` — which cannot call back
+        // into the scheduler — holds the only borrow until it returns.
+        f(unsafe { &mut *self.queues.get() })
     }
 
     /// The scheduler state of a cooperative job over `state`, installed as its waker.
@@ -142,35 +167,46 @@ impl CoopShared {
         self.ctxs[rank + 1].get()
     }
 
-    /// Parks the calling rank's fiber on `key` and switches to the scheduler. Returns
-    /// when the rank is next resumed.
+    /// Where a fiber that stops running hands the thread: straight to the next
+    /// runnable rank — the one the scheduler loop would pop — or, when nobody is
+    /// runnable, back to the loop.
+    fn successor(&self, next: Option<usize>) -> *mut usize {
+        next.map_or_else(|| self.sched_ctx(), |rank| self.task_ctx(rank))
+    }
+
+    /// Parks the calling rank's fiber on `key` and switches to the next runnable rank
+    /// (see [`CoopShared::successor`]). Returns when the rank is next resumed.
     pub(crate) fn park(&self, rank: usize, key: WaitKey, now: SimTime, suspended_before: bool) {
-        {
-            let mut q = self.inner.lock();
+        let next = self.queues(|q| {
             let clock = now.as_secs().to_bits();
             q.waiting
                 .channel_mut(key, 0)
                 .push(Waiter { key, rank, clock });
             q.stats.parks += 1;
             q.stats.spurious_wakes += u64::from(suspended_before);
-        }
+            q.pop_runnable()
+        });
         // SAFETY: single-thread switch discipline (see CoopShared's Sync rationale);
-        // the scheduler context was saved when this fiber was resumed.
-        unsafe { switch_context(self.task_ctx(rank), *self.sched_ctx()) };
+        // the successor is the scheduler, suspended in its loop, or a runnable rank,
+        // fresh or suspended in `park`.
+        unsafe { switch_context(self.task_ctx(rank), *self.successor(next)) };
     }
 
     /// Makes every rank parked on `key` runnable.
     pub(crate) fn wake(&self, key: WaitKey) {
-        self.inner.lock().release(Some(key), |k| k == key);
+        self.queues(|q| q.release(Some(key), |k| k == key));
     }
 
     /// Marks the calling rank done and leaves its fiber for good.
     fn finish(&self, rank: usize) -> ! {
-        self.inner.lock().finished += 1;
+        let next = self.queues(|q| {
+            q.finished += 1;
+            q.pop_runnable()
+        });
         loop {
-            // SAFETY: as in `park`; the scheduler never resumes a Done task, so the
-            // loop body runs exactly once.
-            unsafe { switch_context(self.task_ctx(rank), *self.sched_ctx()) };
+            // SAFETY: as in `park`; nobody resumes a Done task, so the loop body runs
+            // exactly once.
+            unsafe { switch_context(self.task_ctx(rank), *self.successor(next)) };
         }
     }
 }
@@ -181,7 +217,7 @@ impl JobWaker for CoopShared {
     }
 
     fn wake_all_except(&self, spared: WaitKey) {
-        self.inner.lock().release(None, |k| k != spared);
+        self.queues(|q| q.release(None, |k| k != spared));
     }
 }
 
@@ -277,15 +313,11 @@ where
         unsafe { *shared.task_ctx(rank) = *fiber.context_slot() };
     }
 
-    // The scheduler loop: always resume the runnable rank with the lowest virtual
-    // clock. Each switch returns here when that rank parks or finishes.
+    // The scheduler loop: resume the runnable rank with the lowest virtual clock.
+    // Ranks hand the thread to each other while any is runnable, so a switch returns
+    // here only when a rank parks or finishes with the run queue empty.
     loop {
-        let next = {
-            let mut q = shared.inner.lock();
-            let next = q.runnable.pop();
-            q.stats.resumes += u64::from(next.is_some());
-            next.map(|std::cmp::Reverse((_, rank))| rank)
-        };
+        let next = shared.queues(Queues::pop_runnable);
         match next {
             Some(rank) => {
                 // SAFETY: `rank` is suspended (fresh or parked-then-woken) and its
@@ -293,8 +325,7 @@ where
                 unsafe { switch_context(shared.sched_ctx(), *shared.task_ctx(rank)) };
             }
             None => {
-                let mut q = shared.inner.lock();
-                if q.finished == nprocs {
+                if shared.queues(|q| q.finished) == nprocs {
                     break;
                 }
                 let any_panic = panics.iter().any(Option::is_some);
@@ -303,8 +334,8 @@ where
                     // Abandon the job and propagate the panic below.
                     break;
                 }
-                let stuck: Vec<Waiter> = q.waiting.iter_mut().flat_map(|c| c.clone()).collect();
-                drop(q);
+                let stuck: Vec<Waiter> =
+                    shared.queues(|q| q.waiting.iter_mut().flat_map(|c| c.clone()).collect());
                 panic!(
                     "cooperative scheduler deadlock: no runnable rank and {} unfinished \
                      task(s) parked [{}] — a cooperative rank program must only block \
@@ -328,6 +359,6 @@ where
         .into_iter()
         .map(|o| o.expect("missing rank outcome"))
         .collect();
-    let stats = shared.inner.lock().stats;
+    let stats = shared.queues(|q| q.stats);
     (outcomes, stats)
 }

@@ -432,11 +432,6 @@ impl ClusterState {
         retired
     }
 
-    /// Whether `rank` was permanently retired by a shrinking recovery.
-    pub fn is_retired(&self, rank: usize) -> bool {
-        self.proc_state(rank) == ProcState::Retired
-    }
-
     /// The casualty lists, for a query that found a nonzero counter.
     fn casualties_slow(&self) -> parking_lot::MutexGuard<'_, Casualties> {
         self.slow_liveness_queries.fetch_add(1, Ordering::Relaxed);
@@ -644,7 +639,7 @@ mod tests {
     use super::*;
 
     fn state(n: usize) -> Arc<ClusterState> {
-        ClusterState::new(n, Topology::single_node(n), MachineModel::default())
+        ClusterState::new(n, Topology::new(n, 1), MachineModel::default())
     }
 
     #[test]
@@ -842,7 +837,7 @@ mod tests {
             assert!(s.failed_ranks().is_empty());
             assert!(s.retired_ranks().is_empty());
             assert!(s.health_error(&s.world).is_none());
-            assert!(s.is_alive(17) && !s.is_retired(17));
+            assert!(s.is_alive(17) && !s.retired_ranks().contains(&17));
         }
         assert_eq!(s.slow_liveness_queries(), 0);
         s.mark_failed(9);
@@ -869,6 +864,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn topology_mismatch_panics() {
-        let _ = ClusterState::new(4, Topology::single_node(2), MachineModel::default());
+        let _ = ClusterState::new(4, Topology::new(2, 1), MachineModel::default());
     }
 }

@@ -47,6 +47,9 @@ pub struct Topology {
     nracks: usize,
     ranks_per_node: usize,
     nodes_per_rack: usize,
+    /// Per rank: `(node, rack)`, so that [`Topology::link_between`] — asked on every
+    /// send and receive — compares instead of dividing.
+    place: Vec<(u32, u32)>,
 }
 
 impl Topology {
@@ -82,18 +85,21 @@ impl Topology {
             nnodes.is_multiple_of(nracks),
             "nnodes ({nnodes}) must be a multiple of nracks ({nracks})"
         );
+        let (ranks_per_node, nodes_per_rack) = (nranks / nnodes, nnodes / nracks);
+        let place = (0..nranks)
+            .map(|rank| {
+                let node = rank / ranks_per_node;
+                (node as u32, (node / nodes_per_rack) as u32)
+            })
+            .collect();
         Topology {
             nranks,
             nnodes,
             nracks,
-            ranks_per_node: nranks / nnodes,
-            nodes_per_rack: nnodes / nracks,
+            ranks_per_node,
+            nodes_per_rack,
+            place,
         }
-    }
-
-    /// A single-node topology (useful for unit tests).
-    pub fn single_node(nranks: usize) -> Self {
-        Self::new(nranks, 1)
     }
 
     /// The 32-node layout used throughout the paper's evaluation — four racks of
@@ -101,15 +107,18 @@ impl Topology {
     /// node per rank when `nranks < 32`, paired into two-node racks when the node
     /// count is even (so rack-correlated failures remain expressible at small scale).
     pub fn paper_layout(nranks: usize) -> Self {
+        let (nnodes, nracks) = Self::paper_shape(nranks);
+        Self::with_racks(nranks, nnodes, nracks)
+    }
+
+    /// The `(nodes, racks)` of [`Topology::paper_layout`] for `nranks` ranks.
+    pub fn paper_shape(nranks: usize) -> (usize, usize) {
         if nranks >= 32 && nranks.is_multiple_of(32) {
-            Self::with_racks(nranks, 32, 4)
+            (32, 4)
+        } else if nranks >= 4 && nranks.is_multiple_of(2) {
+            (nranks, nranks / 2)
         } else {
-            let nracks = if nranks >= 4 && nranks.is_multiple_of(2) {
-                nranks / 2
-            } else {
-                1
-            };
-            Self::with_racks(nranks, nranks, nracks)
+            (nranks, 1)
         }
     }
 
@@ -192,10 +201,15 @@ impl Topology {
 
     /// The interconnect domain a message between `a` and `b` crosses (decides which
     /// latency/bandwidth pair of the machine model applies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either rank is out of range.
     pub fn link_between(&self, a: usize, b: usize) -> LinkDomain {
-        if self.same_node(a, b) {
+        let ((node_a, rack_a), (node_b, rack_b)) = (self.place[a], self.place[b]);
+        if node_a == node_b {
             LinkDomain::IntraNode
-        } else if self.same_rack(a, b) {
+        } else if rack_a == rack_b {
             LinkDomain::IntraRack
         } else {
             LinkDomain::CrossRack
@@ -375,9 +389,51 @@ mod tests {
         }
     }
 
+    /// `link_between` as it was computed before the per-rank table: from the node
+    /// and rack divisions.
+    fn link_by_division(t: &Topology, a: usize, b: usize) -> LinkDomain {
+        if t.same_node(a, b) {
+            LinkDomain::IntraNode
+        } else if t.same_rack(a, b) {
+            LinkDomain::IntraRack
+        } else {
+            LinkDomain::CrossRack
+        }
+    }
+
+    #[test]
+    fn link_table_agrees_with_the_division_formula_over_all_pairs() {
+        let layouts = [
+            Topology::new(1, 1),
+            Topology::new(4, 1),
+            Topology::new(12, 4),
+            Topology::with_racks(16, 8, 2),
+            Topology::with_racks(24, 6, 3),
+            Topology::with_racks(64, 32, 32),
+            Topology::paper_layout(6),
+            Topology::paper_layout(8),
+            Topology::paper_layout(128),
+        ];
+        for t in &layouts {
+            for a in 0..t.nranks() {
+                for b in 0..t.nranks() {
+                    assert_eq!(
+                        t.link_between(a, b),
+                        link_by_division(t, a, b),
+                        "{a}-{b} in {t:?}"
+                    );
+                }
+            }
+        }
+        for n in [1, 2, 3, 5, 6, 30, 64, 96, 512] {
+            let t = Topology::paper_layout(n);
+            assert_eq!((t.nnodes(), t.nracks()), Topology::paper_shape(n));
+        }
+    }
+
     #[test]
     fn single_node_topology() {
-        let t = Topology::single_node(4);
+        let t = Topology::new(4, 1);
         assert_eq!(t.nnodes(), 1);
         assert_eq!(t.nracks(), 1);
         assert!(t.same_node(0, 3));

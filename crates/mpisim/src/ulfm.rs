@@ -423,7 +423,7 @@ mod tests {
             assert!(!shrunk.contains(1));
             // The casualty is permanently retired, not left failed: the epoch is
             // healthy again without anyone having been revived.
-            assert!(ctx.cluster().is_retired(1));
+            assert!(ctx.retired_ranks().contains(&1));
             assert_eq!(ctx.cluster().retired_count(), 1);
             assert_eq!(ctx.cluster().failed_count(), 0);
             assert!(ctx.failed_ranks().is_empty());

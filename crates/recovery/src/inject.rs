@@ -841,7 +841,7 @@ mod tests {
                 }
                 // Global-restart recovery revives everyone; the next attempt replays
                 // the same iterations.
-                if failed || ctx.any_failed() {
+                if failed || ctx.failed_count() > 0 {
                     ctx.recovery_rendezvous(mpisim::SimTime::ZERO, |_| {})?;
                 } else if attempt == 0 {
                     // Survivors wait for the epoch before joining recovery.
@@ -888,7 +888,7 @@ mod tests {
                         ctx.wait_for_failure_events(ctx.failure_events() + 1);
                     }
                 }
-                if ctx.any_failed() {
+                if ctx.failed_count() > 0 {
                     ctx.recovery_rendezvous(mpisim::SimTime::ZERO, |_| {})?;
                 }
             }
