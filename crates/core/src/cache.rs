@@ -27,7 +27,6 @@
 //! (see [`crate::persist`] for the on-disk format and crash-safety rules). Only
 //! successful reports persist — errors and contained panics stay in-process.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -242,7 +241,8 @@ impl Cell {
 /// optionally backed by a persistent [`DiskCache`].
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    cells: Mutex<HashMap<ExperimentId, Arc<Cell>>>,
+    #[allow(clippy::disallowed_types, reason = "lookup only, never iterated")]
+    cells: Mutex<std::collections::HashMap<ExperimentId, Arc<Cell>>>,
     disk: Option<Arc<DiskCache>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -508,6 +508,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a sleep widens the race window")]
     fn concurrent_requests_compute_once() {
         let cache = Arc::new(ResultCache::new());
         let id = ExperimentId::of(&experiment());

@@ -28,7 +28,6 @@
 //!   `Result<RunReport, `[`SuiteError`]`>` carrying the experiment label and the
 //!   per-rank errors, and matrix runs surface the first failing cell.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -220,7 +219,8 @@ impl SuiteEngine {
     pub fn run_matrix(&self, experiments: &[Experiment]) -> Result<Vec<RunReport>, SuiteError> {
         // One id per row; `slot_of[row]` indexes `distinct`, the first row of each
         // id in input order.
-        let mut slots = HashMap::with_capacity(experiments.len());
+        #[allow(clippy::disallowed_types, reason = "lookup only, never iterated")]
+        let mut slots = std::collections::HashMap::with_capacity(experiments.len());
         let mut distinct: Vec<(ExperimentId, &Experiment)> = Vec::new();
         let slot_of: Vec<usize> = experiments
             .iter()

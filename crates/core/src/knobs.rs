@@ -5,10 +5,11 @@
 //! once and runs the default); `match-bench` checks every row at start-up
 //! ([`check_all`], exit 2 on a malformed value) and reads its own knobs strictly
 //! ([`Knob::get`]). `--help` prints [`help_section`], the README's knob table is
-//! [`markdown_table`] (a test diffs the two), and `match-lint` reads this file as
-//! its knob registry. The parsers are built from a few primitives: a positive
-//! count ([`mpisim::knob::positive`]), an integer at least some bound, a
-//! percentage, an on/off switch, a comma list and a name from a set.
+//! [`markdown_table`] (a test diffs the two), and a test holds every `MATCH_…`
+//! name in the workspace's sources to a row and every row to a read. The parsers
+//! are built from a few primitives: a positive count
+//! ([`mpisim::knob::positive`]), an integer at least some bound, a percentage, an
+//! on/off switch, a comma list and a name from a set.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -446,6 +447,114 @@ mod tests {
             markdown_table(),
             "README.md's knob table differs from the rendered one; paste \
              match_core::knobs::markdown_table() between the markers"
+        );
+    }
+
+    /// The words of `text`: runs of ASCII letters, digits, `_` and `::` paths.
+    fn words(text: &str) -> impl Iterator<Item = &str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+            .map(|word| word.trim_matches(':'))
+    }
+
+    /// The `MATCH_…` names in `text`. A word ending in `_` (as in `MATCH_EXPLORE_*`)
+    /// names a family of knobs, not one.
+    fn knob_names(text: &str) -> impl Iterator<Item = &str> {
+        words(text).filter(|word| word.starts_with("MATCH_") && !word.ends_with('_'))
+    }
+
+    /// Every `.rs` file under `crates/`, `tests/` and `examples/`: its path from the
+    /// workspace root, and its text.
+    fn workspace_sources() -> Vec<(String, String)> {
+        fn walk(dir: &std::path::Path, root: &std::path::Path, out: &mut Vec<(String, String)>) {
+            for entry in std::fs::read_dir(dir).expect("read a source directory") {
+                let path = entry.expect("read a directory entry").path();
+                if path.is_dir() && !path.ends_with("target") {
+                    walk(&path, root, out);
+                } else if path.extension().is_some_and(|ext| ext == "rs") {
+                    let text = std::fs::read_to_string(&path).expect("read a source file");
+                    let relative = path.strip_prefix(root).expect("under the root");
+                    out.push((relative.to_string_lossy().replace('\\', "/"), text));
+                }
+            }
+        }
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut sources = Vec::new();
+        for top in ["crates", "tests", "examples"] {
+            walk(&root.join(top), root, &mut sources);
+        }
+        sources
+    }
+
+    /// The knob-registry invariants over `sources` and `readme`, one line per
+    /// problem: every `MATCH_…` name in a source is one of `rows`; every row is
+    /// read in the library code of some `crates/*/src` file other than this one
+    /// (by name, or as `knobs::ROW`); `readme` lists every row.
+    fn registry_problems(rows: &[&str], sources: &[(String, String)], readme: &str) -> Vec<String> {
+        let mut problems = Vec::new();
+        for (path, text) in sources {
+            for name in knob_names(text).filter(|name| !rows.contains(name)) {
+                problems.push(format!("{path}: `{name}` is no row of the knob table"));
+            }
+        }
+        for &row in rows {
+            let path = format!("knobs::{}", &row["MATCH_".len()..]);
+            let read = sources
+                .iter()
+                .filter(|(file, _)| file.contains("/src/") && !file.ends_with("core/src/knobs.rs"))
+                .any(|(_, text)| {
+                    // Library code: up to the file's first test item, comment lines out.
+                    let code = text.split("\n#[cfg(test)]\n").next().unwrap_or_default();
+                    code.lines()
+                        .filter(|line| !line.trim_start().starts_with("//"))
+                        .flat_map(words)
+                        .any(|word| word == row || word.ends_with(&path))
+                });
+            if !read {
+                problems.push(format!("`{row}` is read nowhere outside the knob table"));
+            }
+            if !readme.contains(&format!("`{row}`")) {
+                problems.push(format!("`{row}` is missing from README.md"));
+            }
+        }
+        problems
+    }
+
+    #[test]
+    fn every_knob_name_is_a_row_and_every_row_is_read_and_documented() {
+        let rows: Vec<&str> = all_rows().map(|k| k.name()).collect();
+        assert_eq!(rows.len(), 23);
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("read README.md");
+        let problems = registry_problems(&rows, &workspace_sources(), &readme);
+        assert!(problems.is_empty(), "{}", problems.join("\n"));
+    }
+
+    #[test]
+    fn each_registry_invariant_has_a_failing_case() {
+        // Names are assembled at run time so this file's own text names no
+        // unregistered knob.
+        let typo = format!("{}_JBOS", "MATCH");
+        let unread = format!("{}_UNREAD", "MATCH");
+        let lib = |text: String| vec![("crates/x/src/lib.rs".to_string(), text)];
+        let readme = format!("`{}` `{unread}`", JOBS.name);
+
+        let reads_jobs = lib(format!("knobs::JOBS.get(); var(\"{typo}\")"));
+        assert_eq!(
+            registry_problems(&[JOBS.name], &reads_jobs, &readme),
+            [format!(
+                "crates/x/src/lib.rs: `{typo}` is no row of the knob table"
+            )]
+        );
+        let reads_nothing = lib("knobs::JOBS.get()".to_string());
+        assert_eq!(
+            registry_problems(&[&unread], &reads_nothing, &readme),
+            [format!("`{unread}` is read nowhere outside the knob table")]
+        );
+        let reads_jobs = lib(format!("var(\"{}\")", JOBS.name));
+        assert_eq!(
+            registry_problems(&[JOBS.name], &reads_jobs, ""),
+            [format!("`{}` is missing from README.md", JOBS.name)]
         );
     }
 

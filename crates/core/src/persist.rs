@@ -42,7 +42,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, SystemTime};
+use std::time::Duration;
 
 use fti::RestoreSource;
 use mpisim::{RankStats, SimTime, TimeBreakdown};
@@ -75,6 +75,11 @@ const STALE_TEMP_SECS: u64 = 3600;
 /// mtime is at least this old: a rerun of recent work reads the store without
 /// writing to it.
 const RECENCY_REFRESH: Duration = Duration::from_secs(60);
+
+/// Host time. Only the mtime-LRU GC reads it: it orders evictions and recency
+/// refreshes of entries, and never reaches a report.
+#[allow(clippy::disallowed_types, reason = "the LRU GC runs on host mtimes")]
+type HostTime = std::time::SystemTime;
 
 /// The build-time fingerprint of every source file that influences simulated
 /// results (see `crates/core/build.rs`). Entries produced by a different build of
@@ -587,7 +592,7 @@ pub struct GcOutcome {
 struct DiskEntry {
     path: PathBuf,
     len: u64,
-    mtime: SystemTime,
+    mtime: HostTime,
 }
 
 /// The persistent content-addressed store under one root directory.
@@ -697,7 +702,7 @@ impl DiskCache {
         }
         match decode_entry_for(&id_bytes, &bytes) {
             Ok(report) => {
-                let now = SystemTime::now();
+                let now = HostTime::now();
                 let recent = meta.modified().is_ok_and(|mtime| {
                     now.duration_since(mtime)
                         .map_or(true, |age| age < RECENCY_REFRESH)
@@ -760,7 +765,7 @@ impl DiskCache {
                         entries.push(DiskEntry {
                             path,
                             len: meta.len(),
-                            mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+                            mtime: meta.modified().unwrap_or(HostTime::UNIX_EPOCH),
                         });
                     } else {
                         temps.push(path);

@@ -33,6 +33,8 @@
 //! The original per-byte, row-at-a-time path lives on in the unit tests as the
 //! reference oracle the property tests compare the fast path against bit-for-bit.
 
+#![allow(unsafe_code, reason = "audited boundary: the GFNI SIMD kernels")]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};

@@ -134,6 +134,7 @@ pub fn set_is_recoverable(set: &CheckpointSet, min_shards: usize) -> bool {
     {
         return true;
     }
+    #[allow(clippy::disallowed_methods, reason = "a count ignores visiting order")]
     let shards = set
         .blobs
         .keys()

@@ -200,7 +200,7 @@ impl CollSlot {
     /// # Panics
     ///
     /// Panics if the members of one round disagree on its contribution type.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one rendezvous, all its inputs")]
     pub fn round<C, O>(
         &self,
         member: usize,
@@ -320,7 +320,7 @@ mod tests {
         /// One round with a boxed contribution and a boxed result, the form the tests
         /// below drive the rendezvous in: `finish` receives every member's (entry time,
         /// contribution) in member order.
-        #[allow(clippy::too_many_arguments)]
+        #[allow(clippy::too_many_arguments, reason = "forwards `round`'s arguments")]
         fn run(
             &self,
             member: usize,

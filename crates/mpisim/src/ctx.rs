@@ -357,6 +357,12 @@ impl RankCtx {
         self.state.retired_count()
     }
 
+    /// Whether `rank` was permanently retired by a shrinking recovery (a lock-free
+    /// read of its liveness state).
+    pub fn is_retired(&self, rank: usize) -> bool {
+        self.state.is_retired(rank)
+    }
+
     /// The shared cluster state (crate-internal; used by the ULFM module).
     pub(crate) fn cluster(&self) -> &Arc<ClusterState> {
         &self.state

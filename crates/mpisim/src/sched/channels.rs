@@ -299,7 +299,7 @@ impl Eventcount {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     use crate::sched::par::tests::{assert_delivered, park_until_woken, running_job};
     use crate::sched::JobWaker;
@@ -359,8 +359,10 @@ pub(crate) mod tests {
 
     /// Spins until `cond` holds. A lost wake is a hang; the deadline turns it into a
     /// failure that names what was being waited for.
+    #[allow(clippy::disallowed_types, reason = "host deadline of a stress test")]
     pub(crate) fn spin_until(what: impl Fn() -> String, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(30);
+        let now = std::time::Instant::now;
+        let deadline = now() + Duration::from_secs(30);
         for spins in 0u64.. {
             if cond() {
                 return;
@@ -368,7 +370,7 @@ pub(crate) mod tests {
             // Busy first — the two sides must meet within nanoseconds for the race to
             // be a race — then polite: there are more threads than cores.
             if spins % 256 == 255 {
-                assert!(Instant::now() < deadline, "gave up waiting for {}", what());
+                assert!(now() < deadline, "gave up waiting for {}", what());
                 std::thread::yield_now();
             }
             std::hint::spin_loop();

@@ -38,6 +38,8 @@
 //! deadlock — e.g. a receive nothing will ever send to), the scheduler panics with a
 //! per-rank diagnosis instead of hanging.
 
+#![allow(unsafe_code, reason = "audited boundary: the one-thread scheduler")]
+
 use std::cell::UnsafeCell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;

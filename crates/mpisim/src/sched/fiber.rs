@@ -31,6 +31,8 @@
 //! `resume` context is a valid suspended context produced by this module and that the
 //! `save` slot stays alive until the suspended execution is resumed.
 
+#![allow(unsafe_code, reason = "audited boundary: fiber switches and stacks")]
+
 use std::ffi::c_void;
 
 /// Size of the `PROT_NONE` guard region placed below each fiber stack. Generously

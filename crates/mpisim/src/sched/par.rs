@@ -54,6 +54,8 @@
 //! per-rank diagnosis (mirroring `coop`) after flagging the job abandoned so its
 //! peers exit and the panic can propagate instead of hanging the join.
 
+#![allow(unsafe_code, reason = "audited boundary: fibers moved across workers")]
+
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -148,8 +148,6 @@ pub struct ClusterState {
     /// by every backend before its ranks start (unset only for a state no job runs
     /// on, where no rank can be parked and a wake has nothing to do).
     job_waker: OnceLock<Arc<dyn JobWaker>>,
-    /// A small shared blackboard for tests and out-of-band coordination.
-    pub blackboard: Mutex<std::collections::HashMap<String, Vec<u8>>>,
 }
 
 impl std::fmt::Debug for ClusterState {
@@ -200,7 +198,6 @@ impl ClusterState {
             source_watchers: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
             any_source_watchers: Mutex::new(Vec::new()),
             job_waker: OnceLock::new(),
-            blackboard: Mutex::new(std::collections::HashMap::new()),
         })
     }
 
@@ -223,6 +220,11 @@ impl ClusterState {
     /// Whether `rank` is currently alive.
     pub fn is_alive(&self, rank: usize) -> bool {
         self.proc_state(rank) == ProcState::Alive
+    }
+
+    /// Whether `rank` was permanently retired by a shrinking recovery.
+    pub fn is_retired(&self, rank: usize) -> bool {
+        self.proc_state(rank) == ProcState::Retired
     }
 
     /// Marks `rank` failed with an unspecified (immediately visible) failure time.

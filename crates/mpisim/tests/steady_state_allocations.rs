@@ -8,6 +8,8 @@
 //! equal. The file holds one test so that no other job shares the process-wide fiber
 //! stack pool while a count is taken.
 
+#![allow(unsafe_code, reason = "audited boundary: a counting GlobalAlloc")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

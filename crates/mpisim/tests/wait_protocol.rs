@@ -1,6 +1,8 @@
 //! The one wait protocol, seen from outside: how a blocked rank leaves its wait on
 //! each backend — woken by the event it waits for, or unwound because a peer died.
 
+#![allow(clippy::disallowed_methods, reason = "host sleeps force parks")]
+
 use std::sync::mpsc;
 use std::time::Duration;
 

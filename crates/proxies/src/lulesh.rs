@@ -73,7 +73,7 @@ impl Lulesh {
 /// element above *before* its update (the sweep is in place); at the slab's ends the
 /// neighbour is the received halo plane or, at a physical boundary (`None`), the
 /// element itself.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "fields, halos and the step")]
 fn sweep_elements(
     plane: usize,
     energy: &mut [f64],
@@ -296,7 +296,7 @@ mod tests {
     /// The element-by-element sweep `sweep_elements` replaced, with its `iz` branches
     /// per element and flops counted element by element: the oracle the plane-sliced
     /// sweep must equal bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "keeps the sweep's signature")]
     fn sweep_by_element(
         s: usize,
         energy: &mut [f64],

@@ -410,16 +410,17 @@ impl FaultInjector {
             // counter when it was first killed, and retired victims of later events
             // can never be killed again — so both the fired count and the per-event
             // thresholds are adjusted to the still-killable victims. While nobody is
-            // retired (every non-shrinking design) `retired` is empty and this
-            // reduces exactly to the precomputed thresholds. The retired set only
-            // changes inside the shrink rendezvous, which cannot complete while this
-            // rank is here, so the snapshot is stable for the whole loop body.
-            let retired = ctx.retired_ranks();
-            let adjusted_fired = ctx.failure_events() - retired.len() as u64;
+            // retired (every non-shrinking design) `retired` is 0 and this reduces
+            // exactly to the precomputed thresholds. The retired set only changes
+            // inside the shrink rendezvous, which cannot complete while this rank is
+            // here, so the count and the victims' states are stable for the whole
+            // loop body.
+            let retired = ctx.retired_count() as u64;
+            let adjusted_fired = ctx.failure_events() - retired;
             let mut killable_cum = 0u64;
             let mut pending = None;
             for (i, victims) in self.victims.iter().enumerate() {
-                killable_cum += victims.iter().filter(|v| !retired.contains(v)).count() as u64;
+                killable_cum += victims.iter().filter(|&&v| !ctx.is_retired(v)).count() as u64;
                 if adjusted_fired < killable_cum {
                     pending = Some((i, killable_cum));
                     break;
@@ -440,7 +441,7 @@ impl FaultInjector {
             // progress — then the event cannot fire until the job is repaired and the
             // victim replays the iteration, and this rank proceeds into the epoch's
             // deterministic abort protocol instead.
-            let raw_target = killable_cum + retired.len() as u64;
+            let raw_target = killable_cum + retired;
             ctx.wait_for_failure_events(raw_target);
             if ctx.failure_events() < raw_target {
                 return Self::ok_if_alive(ctx);

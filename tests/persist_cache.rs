@@ -5,6 +5,8 @@
 //! warm-start with zero simulations, and the mtime-LRU GC must evict oldest
 //! first.
 
+#![allow(clippy::disallowed_types, reason = "LRU tests age entries by mtime")]
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;

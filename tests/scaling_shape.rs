@@ -1,8 +1,8 @@
 //! Host-cost scaling shape, asserted on counts.
 //!
 //! The invariant: the host cost of one cell is linear in its rank count. Wall-clock
-//! cannot be asserted in a test (and `match-lint`'s `no-wall-clock` keeps it out of
-//! the simulation crates), so the shape is pinned on the scheduler's own counters —
+//! cannot be asserted in a test (and clippy's `disallowed_types` keeps it out of the
+//! simulation crates, this test included), so the shape is pinned on the scheduler's own counters —
 //! [`SchedStats`] — on the `coop` backend, whose schedule is deterministic: the counts
 //! repeat exactly, run to run.
 
