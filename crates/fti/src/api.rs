@@ -5,10 +5,8 @@ use std::sync::Arc;
 use mpisim::{Comm, MpiError, Payload, RankCtx, TimeCategory};
 
 use crate::config::{CheckpointLevel, FtiConfig};
-use crate::level::{
-    read_checkpoint_at, write_checkpoint_payload, ReadOutcome, RestoreSource, WriteOutcome,
-};
-use crate::meta::{CheckpointMeta, FtiStats};
+use crate::level::{read_checkpoint, write_checkpoint, ReadOutcome, RestoreSource, WriteOutcome};
+use crate::meta::CheckpointMeta;
 use crate::protect::{block_range, ObjectLayout, Protectable, ProtectedObject};
 use crate::store::CheckpointStore;
 
@@ -68,7 +66,7 @@ pub struct Fti {
     registry: Vec<ProtectedObject>,
     next_ckpt_id: u64,
     status: FtiStatus,
-    /// The cluster-agreed restart iteration (see [`Fti::init_with_comm`]); recovery
+    /// The cluster-agreed restart iteration (see [`Fti::init`]); recovery
     /// reads the set taken at exactly this iteration so every rank resumes from one
     /// consistent checkpoint wave.
     restart_iteration: Option<u64>,
@@ -77,7 +75,6 @@ pub struct Fti {
     /// The buffer of the checkpoint set the last write superseded, once nothing else
     /// viewed it: the next checkpoint serialises into it instead of allocating.
     spare: SpareBuffer,
-    stats: FtiStats,
     finalized: bool,
 }
 
@@ -93,24 +90,11 @@ impl std::fmt::Debug for SpareBuffer {
 }
 
 impl Fti {
-    /// Initializes FTI on the world communicator (the analogue of
-    /// `FTI_Init(config, MPI_COMM_WORLD)`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates communication errors from the initialization barrier.
-    pub fn init(
-        config: FtiConfig,
-        store: Arc<CheckpointStore>,
-        ctx: &mut RankCtx,
-    ) -> Result<Self, MpiError> {
-        let world = ctx.world();
-        Self::init_with_comm(config, store, ctx, world)
-    }
-
-    /// Initializes FTI on an explicit communicator. When combined with ULFM recovery
-    /// the repaired world communicator must be used, which is why the paper stresses
-    /// that the world communicator handle has to be refreshed after recovery.
+    /// Initializes FTI on the rank's world communicator (the analogue of
+    /// `FTI_Init(config, MPI_COMM_WORLD)`). After a shrinking recovery that is the
+    /// survivor communicator the recovery installed with [`RankCtx::set_world`], which
+    /// is why the paper stresses that the world communicator handle has to be
+    /// refreshed after recovery.
     ///
     /// Initialization runs the **restart agreement**: every member contributes the
     /// newest iteration it can still reconstruct a checkpoint for, and the members
@@ -123,12 +107,12 @@ impl Fti {
     /// # Errors
     ///
     /// Propagates communication errors from the initialization collectives.
-    pub fn init_with_comm(
+    pub fn init(
         config: FtiConfig,
         store: Arc<CheckpointStore>,
         ctx: &mut RankCtx,
-        comm: Comm,
     ) -> Result<Self, MpiError> {
+        let comm = ctx.world();
         ctx.barrier(&comm)?;
         let min_shards = config.rs_data_shards();
         let mine = store.best_recoverable_iteration(ctx.rank(), u64::MAX, min_shards);
@@ -146,7 +130,8 @@ impl Fti {
         } else {
             FtiStatus::Fresh
         };
-        let next_ckpt_id = store.meta(ctx.rank()).map(|m| m.ckpt_id + 1).unwrap_or(1);
+        let newest = store.sets(ctx.rank(), None).into_iter().next();
+        let next_ckpt_id = newest.map_or(1, |s| s.meta.ckpt_id + 1);
         Ok(Fti {
             config,
             store,
@@ -157,7 +142,6 @@ impl Fti {
             restart_iteration: (agreed > 0).then_some(agreed),
             last_restore: None,
             spare: SpareBuffer::default(),
-            stats: FtiStats::default(),
             finalized: false,
         })
     }
@@ -170,11 +154,6 @@ impl Fti {
         value: u64,
     ) -> Result<u64, MpiError> {
         Ok(ctx.allreduce_min_f64(comm, value as f64)? as u64)
-    }
-
-    /// The configuration this instance was created with.
-    pub fn config(&self) -> &FtiConfig {
-        &self.config
     }
 
     /// Registers a data object for checkpointing (the analogue of `FTI_Protect`).
@@ -312,8 +291,7 @@ impl Fti {
         };
 
         let prev = ctx.set_category(TimeCategory::CheckpointWrite);
-        let result =
-            write_checkpoint_payload(ctx, &self.comm, &self.config, &self.store, meta, payload);
+        let result = write_checkpoint(ctx, &self.comm, &self.config, &self.store, meta, payload);
         ctx.set_category(prev);
 
         let (outcome, reclaimed) = result?;
@@ -321,8 +299,6 @@ impl Fti {
             self.spare.0 = buf;
         }
         self.next_ckpt_id += 1;
-        self.stats.checkpoints_written += 1;
-        self.stats.bytes_written += outcome.payload_bytes as u64;
         ctx.stats_mut().checkpoints_written += 1;
         Ok(outcome)
     }
@@ -343,9 +319,7 @@ impl Fti {
         objects: &mut [(u32, &mut dyn Protectable)],
     ) -> Result<u64, MpiError> {
         let read = self.read(ctx)?;
-        let meta = self
-            .restart_meta(ctx.rank())
-            .ok_or_else(|| MpiError::InvalidArgument("no checkpoint to recover from".into()))?;
+        let meta = &read.meta;
         if meta.object_ids.len() != objects.len() {
             return Err(MpiError::InvalidArgument(format!(
                 "checkpoint holds {} objects but {} were passed to recover",
@@ -364,9 +338,7 @@ impl Fti {
             }
             object.restore_from(bytes);
         }
-        self.stats.recoveries += 1;
-        self.stats.bytes_read += read.read_bytes as u64;
-        Ok(read.iteration)
+        Ok(meta.iteration)
     }
 
     /// Restores a single protected object by identifier.
@@ -381,10 +353,8 @@ impl Fti {
         object: &mut T,
     ) -> Result<u64, MpiError> {
         let read = self.read(ctx)?;
-        let meta = self
-            .restart_meta(ctx.rank())
-            .ok_or_else(|| MpiError::InvalidArgument("no checkpoint to recover from".into()))?;
-        let idx = meta
+        let idx = read
+            .meta
             .object_ids
             .iter()
             .position(|&oid| oid == id)
@@ -392,21 +362,20 @@ impl Fti {
                 MpiError::InvalidArgument(format!("object {id} not present in checkpoint"))
             })?;
         object.restore_from(&read.objects[idx]);
-        self.stats.recoveries += 1;
-        self.stats.bytes_read += read.objects[idx].len() as u64;
-        Ok(read.iteration)
+        Ok(read.meta.iteration)
     }
 
     fn read(&mut self, ctx: &mut RankCtx) -> Result<ReadOutcome, MpiError> {
         let prev = ctx.set_category(TimeCategory::CheckpointRead);
-        let result = read_checkpoint_at(ctx, &self.config, &self.store, self.restart_iteration);
+        let rank = ctx.rank();
+        let read = read_checkpoint(ctx, &self.config, &self.store, rank, self.restart_iteration);
         ctx.set_category(prev);
-        let read = result?
-            .ok_or_else(|| MpiError::InvalidArgument("no checkpoint to recover from".into()))?;
+        let read =
+            read.ok_or_else(|| MpiError::InvalidArgument("no checkpoint to recover from".into()))?;
         self.last_restore = Some(RestoreObservation {
-            level: read.level,
+            level: read.meta.level,
             source: read.source,
-            iteration: read.iteration,
+            iteration: read.meta.iteration,
         });
         Ok(read)
     }
@@ -417,15 +386,6 @@ impl Fti {
     /// attempt's recovery-path coverage signal.
     pub fn last_restore(&self) -> Option<RestoreObservation> {
         self.last_restore
-    }
-
-    /// The metadata of the checkpoint set recovery reads from: the cluster-agreed
-    /// restart iteration's set when one was agreed, otherwise the newest set.
-    fn restart_meta(&self, rank: usize) -> Option<CheckpointMeta> {
-        match self.restart_iteration {
-            Some(it) => self.store.set_at(rank, it).map(|s| s.meta),
-            None => self.store.meta(rank),
-        }
     }
 
     /// Finalizes FTI (the analogue of `FTI_Finalize`): a final synchronization on the
@@ -442,23 +402,12 @@ impl Fti {
         self.finalized = true;
         Ok(())
     }
-
-    /// Cumulative statistics of this instance.
-    pub fn stats(&self) -> &FtiStats {
-        &self.stats
-    }
-
-    /// The shared checkpoint store backing this instance.
-    pub fn store(&self) -> &Arc<CheckpointStore> {
-        &self.store
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CheckpointLevel;
-    use crate::store::BlobKind;
     use mpisim::{Cluster, ClusterConfig};
 
     fn store() -> Arc<CheckpointStore> {
@@ -486,8 +435,8 @@ mod tests {
         assert!(outcome.all_ok(), "{:?}", outcome.errors());
         for rank in 0..2 {
             let parts = outcome.value_of(rank);
-            let set = store.get(rank).expect("checkpoint set");
-            assert_eq!(set.blobs[&BlobKind::Primary].data, parts.concat());
+            let set = store.sets(rank, None).remove(0);
+            assert_eq!(set.primary.as_ref().unwrap().data, parts.concat());
             let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
             assert_eq!(set.meta.object_lens, lens);
         }
@@ -513,7 +462,10 @@ mod tests {
             for iteration in 1..=3u64 {
                 field.iter_mut().for_each(|x| *x = (iteration * 10) as f64);
                 fti.checkpoint(ctx, iteration, &[(0, &field as &dyn Protectable)])?;
-                let primary = s.get(ctx.rank()).unwrap().blobs[&BlobKind::Primary]
+                let primary = s.sets(ctx.rank(), None)[0]
+                    .primary
+                    .as_ref()
+                    .unwrap()
                     .data
                     .clone();
                 assert_eq!(primary, field.to_bytes(), "iteration {iteration}");
@@ -571,8 +523,9 @@ mod tests {
             assert_eq!(fti.registry[0].bytes, 1024);
             fti.checkpoint(ctx, 10, &[(0, &field as &dyn Protectable)])?;
             fti.finalize(ctx)?;
-            Ok(fti.stats().checkpoints_written)
+            Ok(ctx.stats().checkpoints_written)
         });
+        assert_eq!(*outcome.value_of(0), 1);
         assert!(outcome.all_ok());
         // Second run over the same store: FTI reports a restart and recovers the data.
         let s = Arc::clone(&store);

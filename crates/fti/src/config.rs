@@ -92,12 +92,6 @@ pub struct FtiConfig {
     /// When set, every `l4_interval`-th iteration's checkpoint is promoted to L4 (a
     /// parallel-file-system flush).
     pub l4_interval: Option<u64>,
-    /// Whether recovery may fall back down the level hierarchy: when the configured
-    /// level's newest set can no longer be reconstructed from surviving blobs
-    /// (accumulated erasures exceeded its redundancy), older retained sets of other
-    /// levels are tried, and a rank whose sets are all gone restarts from scratch
-    /// instead of failing the run. Disable for the strict single-level semantics.
-    pub level_fallback: bool,
 }
 
 impl Default for FtiConfig {
@@ -111,7 +105,6 @@ impl Default for FtiConfig {
             differential: true,
             l2_interval: None,
             l4_interval: None,
-            level_fallback: true,
         }
     }
 }
@@ -163,13 +156,6 @@ impl FtiConfig {
     pub fn l4_every(mut self, n: u64) -> Self {
         assert!(n > 0, "L4 promotion interval must be positive");
         self.l4_interval = Some(n);
-        self
-    }
-
-    /// Enables or disables hierarchical recovery fallback (see
-    /// [`FtiConfig::level_fallback`]).
-    pub fn fallback(mut self, on: bool) -> Self {
-        self.level_fallback = on;
         self
     }
 

@@ -15,7 +15,7 @@
 //! all-reduce on the FTI communicator, which is what makes checkpoint time grow
 //! modestly with the number of processes in Fig. 5 of the paper.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use mpisim::machine::StorageTier;
 use mpisim::{Comm, MpiError, Payload, RankCtx, Topology};
@@ -23,7 +23,7 @@ use mpisim::{Comm, MpiError, Payload, RankCtx, Topology};
 use crate::config::{CheckpointLevel, FtiConfig};
 use crate::meta::CheckpointMeta;
 use crate::rs_code;
-use crate::store::{BlobKind, CheckpointSet, CheckpointStore, Placement, StoredBlob};
+use crate::store::{CheckpointSet, CheckpointStore, Placement, StoredBlob};
 
 /// Outcome of a checkpoint write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct WriteOutcome {
 
 /// Which redundancy mechanism actually served a checkpoint read.
 ///
-/// Together with [`ReadOutcome::level`] this names the recovery path an attempt took
+/// Together with the served set's level this names the recovery path an attempt took
 /// (the coverage signal the fault-space explorer steers by): an L2 restore served by
 /// `Partner` is a different path from an L2 restore whose primary copy survived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,64 +63,30 @@ pub struct ReadOutcome {
     /// The recovered per-object payloads, in checkpoint order: views of the blob the
     /// read was served from (or of the decoded buffer), not copies.
     pub objects: Vec<Payload>,
-    /// The iteration the checkpoint was taken at.
-    pub iteration: u64,
-    /// Bytes read from storage.
-    pub read_bytes: usize,
-    /// Whether the primary copy was lost and recovery had to fall back to partner
-    /// copies, erasure decoding or the parallel file system.
-    pub degraded: bool,
-    /// The level of the checkpoint set the data was recovered from (with hierarchical
-    /// fallback this may be an older, more resilient set than the configured level).
-    pub level: CheckpointLevel,
+    /// The metadata of the set the data was recovered from (with hierarchical
+    /// fallback this may be an older, more resilient set than the newest one).
+    pub meta: CheckpointMeta,
     /// The redundancy mechanism that served the read.
     pub source: RestoreSource,
 }
 
-/// Writes one checkpoint at the configured level.
-///
-/// `objects` are the serialized protected objects in registration order; `meta` must
-/// list matching `object_ids`/`object_lens`.
-///
-/// # Errors
-///
-/// Propagates communication errors from the metadata agreement (e.g. a process failure
-/// detected during the checkpoint) and reports [`MpiError::InvalidArgument`] for
-/// mismatched metadata.
-pub fn write_checkpoint(
-    ctx: &mut RankCtx,
-    comm: &Comm,
-    cfg: &FtiConfig,
-    store: &CheckpointStore,
-    meta: CheckpointMeta,
-    objects: &[Vec<u8>],
-) -> Result<WriteOutcome, MpiError> {
-    if meta.object_lens.len() != objects.len() {
-        return Err(MpiError::InvalidArgument(format!(
-            "checkpoint metadata lists {} objects but {} were provided",
-            meta.object_lens.len(),
-            objects.len()
-        )));
-    }
-    write_checkpoint_payload(ctx, comm, cfg, store, meta, Payload::concat(objects))
-        .map(|(outcome, _)| outcome)
-}
-
-/// Writes one checkpoint whose flat payload has already been assembled into a shared
-/// buffer. This is the zero-copy core of [`write_checkpoint`]: every blob derived from
-/// the payload (primary copy, partner copy, differential base) is a reference-counted
-/// view of `payload`, never an owned copy.
+/// Writes one checkpoint, whose flat payload (the concatenated protected objects) has
+/// already been assembled into a shared buffer, at the level `meta` names. Every blob
+/// derived from the payload (primary copy, partner copy, differential base) is a
+/// reference-counted view of `payload`, never an owned copy.
 ///
 /// Also hands back the payload buffer of the set this write superseded (the previous
 /// set of the same level) when its primary copy was the only view left of that buffer,
 /// so the caller can serialise its next checkpoint into it instead of allocating. A
-/// buffer that any live view — a read's objects, a clone of the set — still aliases is
+/// buffer that any live view — a read's objects, a handle on the set — still aliases is
 /// never handed back.
 ///
 /// # Errors
 ///
-/// Same error conditions as [`write_checkpoint`].
-pub fn write_checkpoint_payload(
+/// Propagates communication errors from the metadata agreement (e.g. a process failure
+/// detected during the checkpoint) and reports [`MpiError::InvalidArgument`] when the
+/// object lengths of `meta` do not add up to the payload.
+pub fn write_checkpoint(
     ctx: &mut RankCtx,
     comm: &Comm,
     cfg: &FtiConfig,
@@ -129,33 +95,35 @@ pub fn write_checkpoint_payload(
     payload: Payload,
 ) -> Result<(WriteOutcome, Option<Vec<u8>>), MpiError> {
     let payload_bytes = payload.len();
+    let listed: usize = meta.object_lens.iter().sum();
+    if listed != payload_bytes {
+        return Err(MpiError::InvalidArgument(format!(
+            "checkpoint metadata lists {listed} object bytes but the payload holds {payload_bytes}"
+        )));
+    }
     let rank = ctx.rank();
     let node = ctx.topology().node_of(rank);
 
     // FTI metadata agreement: every member confirms it reached this checkpoint id.
     let _ = ctx.allreduce_sum_u64(comm, meta.ckpt_id)?;
 
-    let mut blobs: HashMap<BlobKind, StoredBlob> = HashMap::new();
-    let mut stored_bytes = 0usize;
-
     // The level comes from the metadata, not the configuration: the multi-level
     // schedule promotes individual checkpoints to higher levels.
-    match meta.level {
+    let level = meta.level;
+    let mut set = CheckpointSet {
+        meta,
+        primary: Some(StoredBlob {
+            placement: Placement::Node(node),
+            data: payload.clone(),
+        }),
+        partner: None,
+        shards: Vec::new(),
+        diff_base: None,
+    };
+    let mut stored_bytes = payload_bytes;
+    match level {
         CheckpointLevel::L1 => {
             ctx.charge_storage_write(StorageTier::RamDisk, payload_bytes);
-            // The primary blob used to be an owned `payload.clone()` — a full copy
-            // whose source was dropped right after (the payload has no further use at
-            // L1). It is now a view of the shared buffer; see the
-            // `l1_l2_blobs_share_the_payload_buffer` test.
-            blobs.insert(
-                BlobKind::Primary,
-                StoredBlob {
-                    owner_rank: rank,
-                    placement: Placement::Node(node),
-                    data: payload,
-                },
-            );
-            stored_bytes += payload_bytes;
         }
         CheckpointLevel::L2 => {
             ctx.charge_storage_write(StorageTier::RamDisk, payload_bytes);
@@ -170,26 +138,16 @@ pub fn write_checkpoint_payload(
             // node (see `Topology::partner_rank`): the copy never leaves the RAM
             // disk, and — loudly documented — a node crash erases both copies, so L2
             // does NOT survive node loss there.
-            let partner_tier =
-                storage_tier_for(ctx.topology(), node, Placement::Node(partner_node));
-            ctx.charge_storage_write(partner_tier, payload_bytes);
-            blobs.insert(
-                BlobKind::Primary,
-                StoredBlob {
-                    owner_rank: rank,
-                    placement: Placement::Node(node),
-                    data: payload.clone(),
-                },
+            let placement = Placement::Node(partner_node);
+            ctx.charge_storage_write(
+                storage_tier_for(ctx.topology(), node, placement),
+                payload_bytes,
             );
-            blobs.insert(
-                BlobKind::PartnerCopy,
-                StoredBlob {
-                    owner_rank: rank,
-                    placement: Placement::Node(partner_node),
-                    data: payload,
-                },
-            );
-            stored_bytes += 2 * payload_bytes;
+            set.partner = Some(StoredBlob {
+                placement,
+                data: payload,
+            });
+            stored_bytes += payload_bytes;
         }
         CheckpointLevel::L3 => {
             ctx.charge_storage_write(StorageTier::RamDisk, payload_bytes);
@@ -208,81 +166,60 @@ pub fn write_checkpoint_payload(
             // scattered round-robin over the block — one shard per node when the
             // block is full-width, so the group survives the loss of any `m` nodes.
             let group = crate::placement::l3_group_in(ctx.topology(), comm, rank, cfg.group_size);
-            blobs.insert(
-                BlobKind::Primary,
-                StoredBlob {
-                    owner_rank: rank,
-                    placement: Placement::Node(node),
-                    data: payload,
-                },
-            );
-            stored_bytes += payload_bytes;
-            for (i, shard) in encoded.shards.iter().enumerate() {
-                let holder_node = group.shard_node(i);
-                let holder_rack = ctx.topology().rack_of_node(holder_node);
-                // Shards are charged by the domain they cross: node-local RAM disk,
-                // the rack-local fabric, or the rack uplinks.
-                let tier = storage_tier_for(ctx.topology(), node, Placement::Node(holder_node));
-                ctx.charge_storage_write(tier, shard.len());
-                blobs.insert(
-                    BlobKind::RsShard(i),
-                    StoredBlob {
-                        owner_rank: rank,
+            set.shards = encoded
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| {
+                    let holder_node = group.shard_node(i);
+                    // Shards are charged by the domain they cross: node-local RAM
+                    // disk, the rack-local fabric, or the rack uplinks.
+                    let tier = storage_tier_for(ctx.topology(), node, Placement::Node(holder_node));
+                    ctx.charge_storage_write(tier, shard.len());
+                    stored_bytes += shard.len();
+                    Some(StoredBlob {
                         placement: Placement::GroupShard {
                             node: holder_node,
-                            rack: holder_rack,
+                            rack: ctx.topology().rack_of_node(holder_node),
                             group: group.group,
                         },
                         data: shard.clone(),
-                    },
-                );
-                stored_bytes += shard.len();
-            }
+                    })
+                })
+                .collect();
         }
         CheckpointLevel::L4 => {
             let written = if cfg.differential {
                 // Diff against the newest set's parallel-file-system base (none when
                 // the newest set is of another level: everything is written).
-                let base = store
-                    .get(rank)
-                    .and_then(|s| s.blobs.get(&BlobKind::DiffBase).map(|b| b.data.clone()))
+                let newest = store.sets(rank, None).into_iter().next();
+                let base = newest
+                    .and_then(|s| s.diff_base.as_ref().map(|b| b.data.clone()))
                     .unwrap_or_default();
                 crate::diff::compute_delta(&base, &payload, cfg.diff_block_size).bytes_to_write()
             } else {
                 payload_bytes
             };
             ctx.charge_storage_write(StorageTier::ParallelFs, written);
-            blobs.insert(
-                BlobKind::Primary,
-                StoredBlob {
-                    owner_rank: rank,
-                    placement: Placement::Node(node),
-                    data: payload.clone(),
-                },
-            );
-            blobs.insert(
-                BlobKind::DiffBase,
-                StoredBlob {
-                    owner_rank: rank,
-                    placement: Placement::ParallelFs,
-                    data: payload,
-                },
-            );
+            set.diff_base = Some(StoredBlob {
+                placement: Placement::ParallelFs,
+                data: payload,
+            });
             // L4 also keeps the fast node-local copy for cheap restarts.
             ctx.charge_storage_write(StorageTier::RamDisk, payload_bytes);
-            stored_bytes += payload_bytes + written;
+            stored_bytes += written;
         }
     }
 
     // The superseded set is dropped here, outside the store lock; its primary buffer
-    // comes back only if dropping the set's other blobs left it unshared.
-    let reclaimed = store
-        .put(rank, CheckpointSet { meta, blobs })
-        .and_then(|mut old| {
-            let primary = old.blobs.remove(&BlobKind::Primary)?;
-            drop(old);
-            primary.data.try_into_vec().ok()
-        });
+    // comes back only if no reader holds the set and dropping its other blobs left
+    // the buffer unshared.
+    let reclaimed = store.put(rank, set).and_then(|old| {
+        let mut old = Arc::try_unwrap(old).ok()?;
+        let primary = old.primary.take()?;
+        drop(old);
+        primary.data.try_into_vec().ok()
+    });
     let outcome = WriteOutcome {
         payload_bytes,
         stored_bytes,
@@ -290,96 +227,32 @@ pub fn write_checkpoint_payload(
     Ok((outcome, reclaimed))
 }
 
-/// Reads the latest checkpoint of the calling rank back from the store, reconstructing
-/// it from redundancy if the primary (node-local) copy has been lost.
+/// Reads `owner`'s checkpoint back from the store, reconstructing it from redundancy
+/// when the primary (node-local) copy has been lost. Recovery reads the caller's own
+/// checkpoint; a shrinking recovery also reads the checkpoints of the retired ranks a
+/// survivor adopts. The read charges the caller's clock by the failure domain each
+/// blob actually crosses (a dead rank's surviving blobs live on *other* nodes, so
+/// adoption reads are remote by construction).
 ///
-/// Returns `Ok(None)` if the rank has no stored checkpoint — or, with
-/// [`FtiConfig::level_fallback`] enabled, when no retained set can be reconstructed
-/// anymore (the rank then restarts from scratch instead of failing the run).
+/// With an `iteration`, only the set taken at that iteration is read (after the
+/// cluster-wide restart agreement, so every rank resumes from the same consistent
+/// iteration). Without one, the retained sets are tried newest first: the newest set
+/// is usually the cheap L1 one, and when accumulated erasures have destroyed it an
+/// older L2/L3/L4 set — more redundancy, more lost work — takes over.
 ///
-/// # Errors
-///
-/// With `level_fallback` disabled, returns [`MpiError::InvalidArgument`] if the newest
-/// checkpoint exists but cannot be reconstructed from the surviving blobs (e.g. an L1
-/// checkpoint after its node was erased, or an L3 checkpoint that lost more shards
-/// than the code can tolerate).
+/// Returns `None` when `owner` has no stored checkpoint or none that can still be
+/// reconstructed: the rank then restarts from scratch instead of failing the run.
 pub fn read_checkpoint(
-    ctx: &mut RankCtx,
-    cfg: &FtiConfig,
-    store: &CheckpointStore,
-) -> Result<Option<ReadOutcome>, MpiError> {
-    read_checkpoint_at(ctx, cfg, store, None)
-}
-
-/// Like [`read_checkpoint`], but restricted to the set taken at `iteration` when one
-/// is given (used after the cluster-wide restart agreement, so every rank resumes
-/// from the same consistent iteration).
-///
-/// # Errors
-///
-/// Same error conditions as [`read_checkpoint`].
-pub fn read_checkpoint_at(
-    ctx: &mut RankCtx,
-    cfg: &FtiConfig,
-    store: &CheckpointStore,
-    iteration: Option<u64>,
-) -> Result<Option<ReadOutcome>, MpiError> {
-    let rank = ctx.rank();
-    read_checkpoint_of(ctx, cfg, store, rank, iteration)
-}
-
-/// Like [`read_checkpoint_at`], but reads the checkpoint set of an arbitrary
-/// `owner` rank instead of the caller's own. Used by shrinking recovery, where a
-/// survivor adopts the checkpoint of a retired rank and re-partitions its data: the
-/// read charges the caller's clock by the failure domain each blob actually crosses
-/// (a dead rank's surviving blobs live on *other* nodes, so adoption reads are
-/// remote by construction).
-///
-/// # Errors
-///
-/// Same error conditions as [`read_checkpoint`].
-pub fn read_checkpoint_of(
     ctx: &mut RankCtx,
     cfg: &FtiConfig,
     store: &CheckpointStore,
     owner: usize,
     iteration: Option<u64>,
-) -> Result<Option<ReadOutcome>, MpiError> {
-    let sets = match iteration {
-        Some(it) => store.set_at(owner, it).into_iter().collect::<Vec<_>>(),
-        None => store.sets_newest_first(owner),
-    };
-    if sets.is_empty() {
-        return Ok(None);
-    }
-    // Fall back down the retained hierarchy (newest set first): the newest set is
-    // usually the cheap L1 one; when accumulated erasures have destroyed it, an older
-    // L2/L4 set — more redundancy, more lost work — takes over.
-    for set in &sets {
-        if let Some(outcome) = try_reconstruct(ctx, cfg, set) {
-            return Ok(Some(outcome));
-        }
-        if !cfg.level_fallback {
-            return Err(unrecoverable_error(set.meta.level));
-        }
-    }
-    if cfg.level_fallback {
-        Ok(None)
-    } else {
-        Err(unrecoverable_error(sets[0].meta.level))
-    }
-}
-
-fn unrecoverable_error(level: CheckpointLevel) -> MpiError {
-    MpiError::InvalidArgument(
-        match level {
-            CheckpointLevel::L1 => "L1 checkpoint lost with its node and cannot be reconstructed",
-            CheckpointLevel::L2 => "L2 checkpoint lost both its copies",
-            CheckpointLevel::L3 => "L3 checkpoint lost more shards than the code tolerates",
-            CheckpointLevel::L4 => "L4 checkpoint missing from the parallel file system",
-        }
-        .into(),
-    )
+) -> Option<ReadOutcome> {
+    store
+        .sets(owner, iteration)
+        .iter()
+        .find_map(|set| try_reconstruct(ctx, cfg, set))
 }
 
 /// The storage tier a transfer between a rank on `local_node` and a blob placed at
@@ -402,102 +275,67 @@ fn storage_tier_for(topology: &Topology, local_node: usize, placement: Placement
 /// surviving shards, then the parallel-file-system base. Returns `None` when the set
 /// has lost too much (for L3: fewer than `k` of the group's shards survive).
 fn try_reconstruct(ctx: &mut RankCtx, cfg: &FtiConfig, set: &CheckpointSet) -> Option<ReadOutcome> {
-    let meta = &set.meta;
-    let reader_node = ctx.topology().node_of(ctx.rank());
+    // For the owner's own reads the primary is node-local (RAM disk, as always); an
+    // adoption read of a dead rank's set fetches it across the domain separating the
+    // reader from it.
+    let (source, data) = if let Some(primary) = &set.primary {
+        (RestoreSource::Primary, read_blob(ctx, primary))
+    } else if let Some(partner) = &set.partner {
+        (RestoreSource::Partner, read_blob(ctx, partner))
+    } else if let Some((shards, data)) = decode_shards(ctx, cfg, set) {
+        (RestoreSource::Decode { shards }, data)
+    } else {
+        (RestoreSource::Pfs, read_blob(ctx, set.diff_base.as_ref()?))
+    };
+    Some(ReadOutcome {
+        objects: set.meta.split_payload(&data),
+        meta: set.meta.clone(),
+        source,
+    })
+}
 
-    // Fast path: the primary copy is still there. For the owner's own reads the
-    // primary is node-local (RAM disk, as always); an adoption read of a dead rank's
-    // set fetches the primary across the domain separating the reader from it.
-    if let Some(primary) = set.blobs.get(&BlobKind::Primary) {
-        let tier = storage_tier_for(ctx.topology(), reader_node, primary.placement);
-        ctx.charge_storage_read(tier, primary.data.len());
-        return Some(ReadOutcome {
-            objects: meta.split_payload(&primary.data),
-            iteration: meta.iteration,
-            read_bytes: primary.data.len(),
-            degraded: false,
-            level: meta.level,
-            source: RestoreSource::Primary,
-        });
-    }
-    // Partner copy (L2) — on a rack-local or off-rack node depending on the mapping.
-    if let Some(partner) = set.blobs.get(&BlobKind::PartnerCopy) {
-        let tier = storage_tier_for(ctx.topology(), reader_node, partner.placement);
-        ctx.charge_storage_read(tier, partner.data.len());
-        return Some(ReadOutcome {
-            objects: meta.split_payload(&partner.data),
-            iteration: meta.iteration,
-            read_bytes: partner.data.len(),
-            degraded: true,
-            level: meta.level,
-            source: RestoreSource::Partner,
-        });
-    }
-    // Reed–Solomon decode (L3): count the group's *surviving* shards after storage
-    // erasure; decode when at least `k` remain, otherwise fall through to L4.
+/// Fetches one whole copy of the payload, charged by the domain it crosses.
+fn read_blob(ctx: &mut RankCtx, blob: &StoredBlob) -> Payload {
+    let reader_node = ctx.topology().node_of(ctx.rank());
+    let tier = storage_tier_for(ctx.topology(), reader_node, blob.placement);
+    ctx.charge_storage_read(tier, blob.data.len());
+    blob.data.clone()
+}
+
+/// Reed–Solomon decodes the payload from the shards of `set` that survived storage
+/// erasure, when at least `k` did; returns the surviving shard count and the payload.
+/// Only a successful decode charges: each surviving shard's read, in shard order, then
+/// the decode's compute.
+fn decode_shards(
+    ctx: &mut RankCtx,
+    cfg: &FtiConfig,
+    set: &CheckpointSet,
+) -> Option<(usize, Payload)> {
     let k = cfg.rs_data_shards();
     let m = cfg.rs_parity_shards();
-    let mut shards: Vec<Option<Payload>> = vec![None; k + m];
-    let mut shard_bytes = 0usize;
-    let mut available = 0usize;
-    let mut shard_reads: Vec<(usize, StorageTier, usize)> = Vec::new();
-    for (kind, blob) in &set.blobs {
-        if let BlobKind::RsShard(i) = kind {
-            if *i < shards.len() {
-                shards[*i] = Some(blob.data.clone());
-                shard_bytes += blob.data.len();
-                available += 1;
-                shard_reads.push((
-                    *i,
-                    storage_tier_for(ctx.topology(), reader_node, blob.placement),
-                    blob.data.len(),
-                ));
-            }
-        }
+    let mut shards: Vec<Option<&Payload>> = vec![None; k + m];
+    for (slot, blob) in shards.iter_mut().zip(&set.shards) {
+        *slot = blob.as_ref().map(|b| &b.data);
     }
-    if available >= k {
-        if let Ok(payload) = rs_code::decode(&shards, k, m, meta.bytes) {
-            // Charge in shard order: `set.blobs` is a HashMap whose iteration order
-            // is not stable, and virtual-time charges must accumulate in a fixed
-            // order to stay bit-deterministic.
-            shard_reads.sort_unstable_by_key(|&(i, _, _)| i);
-            for (_, tier, bytes) in shard_reads {
-                ctx.charge_storage_read(tier, bytes);
-            }
-            ctx.elapse(
-                ctx.machine()
-                    .compute_cost(rs_code::encode_work(meta.bytes, k, m)),
-            );
-            return Some(ReadOutcome {
-                objects: meta.split_payload(&Payload::from(payload)),
-                iteration: meta.iteration,
-                read_bytes: shard_bytes,
-                degraded: true,
-                level: meta.level,
-                source: RestoreSource::Decode { shards: available },
-            });
-        }
+    let available = shards.iter().flatten().count();
+    if available < k {
+        return None;
     }
-    // The parallel-file-system base copy (L4).
-    if let Some(base) = set.blobs.get(&BlobKind::DiffBase) {
-        ctx.charge_storage_read(StorageTier::ParallelFs, base.data.len());
-        return Some(ReadOutcome {
-            objects: meta.split_payload(&base.data),
-            iteration: meta.iteration,
-            read_bytes: base.data.len(),
-            degraded: true,
-            level: meta.level,
-            source: RestoreSource::Pfs,
-        });
+    let payload = rs_code::decode(&shards, k, m, set.meta.bytes).ok()?;
+    for blob in set.shards.iter().take(k + m).flatten() {
+        read_blob(ctx, blob);
     }
-    None
+    ctx.elapse(
+        ctx.machine()
+            .compute_cost(rs_code::encode_work(set.meta.bytes, k, m)),
+    );
+    Some((available, Payload::from(payload)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpisim::{Cluster, ClusterConfig};
-    use std::sync::Arc;
 
     fn meta_for(objects: &[Vec<u8>], level: CheckpointLevel, iteration: u64) -> CheckpointMeta {
         CheckpointMeta {
@@ -511,13 +349,27 @@ mod tests {
         }
     }
 
-    fn run_level(
-        level: CheckpointLevel,
-        erase_home_node: bool,
-        fallback: bool,
-    ) -> Vec<Result<Option<Vec<Payload>>, MpiError>> {
+    /// Writes `objects` as one checkpoint of the calling rank.
+    fn write(
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        cfg: &FtiConfig,
+        store: &CheckpointStore,
+        meta: CheckpointMeta,
+        objects: &[Vec<u8>],
+    ) -> Result<WriteOutcome, MpiError> {
+        write_checkpoint(ctx, comm, cfg, store, meta, Payload::concat(objects)).map(|(out, _)| out)
+    }
+
+    /// Reads the calling rank's newest reconstructible checkpoint.
+    fn read(ctx: &mut RankCtx, cfg: &FtiConfig, store: &CheckpointStore) -> Option<ReadOutcome> {
+        let rank = ctx.rank();
+        read_checkpoint(ctx, cfg, store, rank, None)
+    }
+
+    fn run_level(level: CheckpointLevel, erase_home_node: bool) -> Vec<Option<Vec<Payload>>> {
         let store = CheckpointStore::shared();
-        let cfg = FtiConfig::level(level).fallback(fallback);
+        let cfg = FtiConfig::level(level);
         let cluster = Cluster::new(ClusterConfig::with_ranks(8).nodes(4));
         let store2 = Arc::clone(&store);
         let outcome = cluster.run(move |ctx| {
@@ -529,32 +381,28 @@ mod tests {
                     .collect::<Vec<u8>>(),
             ];
             let meta = meta_for(&objects, level, 10);
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            write(ctx, &world, &cfg, &store2, meta, &objects)?;
             ctx.barrier(&world)?;
             if erase_home_node && ctx.rank() == 0 {
                 // Destroy node 0 (ranks 0 and 1) after everyone has written.
                 store2.erase_node(0);
             }
             ctx.barrier(&world)?;
-            match read_checkpoint(ctx, &cfg, &store2)? {
-                Some(read) => {
-                    assert_eq!(read.iteration, 10);
-                    Ok(Some(read.objects))
-                }
-                None => Ok(None),
-            }
+            Ok(read(ctx, &cfg, &store2).map(|read| {
+                assert_eq!(read.meta.iteration, 10);
+                read.objects
+            }))
         });
-        outcome.ranks().iter().map(|r| r.result.clone()).collect()
+        assert!(outcome.all_ok(), "{level}: {:?}", outcome.errors());
+        (0..8).map(|rank| outcome.value_of(rank).clone()).collect()
     }
 
     #[test]
     fn every_level_round_trips_without_failures() {
         for level in CheckpointLevel::ALL {
-            let results = run_level(level, false, true);
+            let results = run_level(level, false);
             for (rank, res) in results.iter().enumerate() {
                 let objects = res
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{level}: rank {rank}: {e}"))
                     .as_ref()
                     .unwrap_or_else(|| panic!("{level}: rank {rank}: no checkpoint"));
                 assert_eq!(
@@ -569,32 +417,21 @@ mod tests {
 
     #[test]
     fn l1_does_not_survive_node_loss_but_l2_l3_l4_do() {
-        // Ranks 0 and 1 live on node 0, which is erased. With fallback enabled their
-        // L1 data is simply gone (a fresh start, not a failed run); with the strict
-        // semantics the loss is a hard error. Higher levels reconstruct.
-        let l1 = run_level(CheckpointLevel::L1, true, true);
-        assert_eq!(l1[0], Ok(None), "L1 must not survive node loss");
-        assert_eq!(l1[1], Ok(None));
-        assert!(
-            l1[2].as_ref().unwrap().is_some(),
-            "ranks on surviving nodes are unaffected"
-        );
-        let strict = run_level(CheckpointLevel::L1, true, false);
-        assert!(
-            strict[0].is_err() && strict[1].is_err(),
-            "strict mode reports unreconstructible checkpoints loudly"
-        );
+        // Ranks 0 and 1 live on node 0, which is erased. Their L1 data is simply gone
+        // (a fresh start, not a failed run). Higher levels reconstruct.
+        let l1 = run_level(CheckpointLevel::L1, true);
+        assert_eq!(l1[0], None, "L1 must not survive node loss");
+        assert_eq!(l1[1], None);
+        assert!(l1[2].is_some(), "ranks on surviving nodes are unaffected");
 
         for level in [
             CheckpointLevel::L2,
             CheckpointLevel::L3,
             CheckpointLevel::L4,
         ] {
-            let results = run_level(level, true, true);
+            let results = run_level(level, true);
             for (rank, res) in results.iter().enumerate() {
                 let objects = res
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{level}: rank {rank}: {e}"))
                     .as_ref()
                     .unwrap_or_else(|| panic!("{level}: rank {rank}: lost"));
                 assert_eq!(
@@ -621,21 +458,24 @@ mod tests {
             let old = vec![vec![7u8; 64]];
             let mut meta = meta_for(&old, CheckpointLevel::L4, 10);
             meta.ckpt_id = 1;
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &old)?;
+            write(ctx, &world, &cfg, &store2, meta, &old)?;
             let new = vec![vec![9u8; 64]];
             let mut meta = meta_for(&new, CheckpointLevel::L1, 20);
             meta.ckpt_id = 2;
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &new)?;
+            write(ctx, &world, &cfg, &store2, meta, &new)?;
             ctx.barrier(&world)?;
             if ctx.rank() == 0 {
                 store2.erase_node(0);
                 store2.erase_node(1);
             }
             ctx.barrier(&world)?;
-            let read = read_checkpoint(ctx, &cfg, &store2)?.expect("L4 set must survive");
-            assert_eq!(read.iteration, 10, "fallback resumes from the older set");
-            assert_eq!(read.level, CheckpointLevel::L4);
-            assert!(read.degraded);
+            let read = read(ctx, &cfg, &store2).expect("L4 set must survive");
+            assert_eq!(
+                read.meta.iteration, 10,
+                "fallback resumes from the older set"
+            );
+            assert_eq!(read.meta.level, CheckpointLevel::L4);
+            assert_eq!(read.source, RestoreSource::Pfs);
             assert_eq!(read.objects[0], vec![7u8; 64]);
             Ok(())
         });
@@ -658,7 +498,7 @@ mod tests {
             let step = 7u64;
             let objects = vec![field.to_bytes(), step.to_bytes()];
             let meta = meta_for(&objects, CheckpointLevel::L2, 6);
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            write(ctx, &world, &cfg, &store2, meta, &objects)?;
             ctx.barrier(&world)?;
             for crashed in [false, true] {
                 if crashed {
@@ -670,20 +510,19 @@ mod tests {
                     }
                     ctx.barrier(&world)?;
                 }
-                let read = read_checkpoint(ctx, &cfg, &store2)?.expect("L2 set must survive");
+                let read = read(ctx, &cfg, &store2).expect("L2 set must survive");
+                let set = store2.sets(ctx.rank(), None).remove(0);
                 let served_by = if crashed && ctx.rank() == 0 {
                     assert_eq!(read.source, RestoreSource::Partner);
-                    BlobKind::PartnerCopy
+                    &set.partner
                 } else {
                     assert_eq!(read.source, RestoreSource::Primary);
-                    BlobKind::Primary
+                    &set.primary
                 };
-                let blob = store2.get(ctx.rank()).unwrap().blobs[&served_by]
-                    .data
-                    .clone();
+                let blob = &served_by.as_ref().unwrap().data;
                 assert_eq!(read.objects.len(), 2);
                 for object in &read.objects {
-                    assert!(object.same_buffer(&blob), "{served_by:?}: copied");
+                    assert!(object.same_buffer(blob), "{:?}: copied", read.source);
                 }
                 let (mut restored_field, mut restored_step) = (vec![0.0f64; 1], 0u64);
                 restored_field.restore_from(&read.objects[0]);
@@ -709,21 +548,21 @@ mod tests {
             let world = ctx.world();
             let objects = vec![vec![3u8; 64]];
             let meta = meta_for(&objects, CheckpointLevel::L2, 4);
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            write(ctx, &world, &cfg, &store2, meta, &objects)?;
             ctx.barrier(&world)?;
             if ctx.rank() == 0 {
                 // Both blobs sit on node 0: the partner placement never left it.
-                let set = store2.get(0).unwrap();
-                assert_eq!(set.blobs[&BlobKind::Primary].placement, Placement::Node(0));
+                let set = store2.sets(0, None).remove(0);
+                assert_eq!(set.primary.as_ref().unwrap().placement, Placement::Node(0));
                 assert_eq!(
-                    set.blobs[&BlobKind::PartnerCopy].placement,
+                    set.partner.as_ref().unwrap().placement,
                     Placement::Node(0),
                     "1-node L2 degrades to a same-node partner copy"
                 );
                 store2.erase_node(0);
             }
             ctx.barrier(&world)?;
-            Ok(read_checkpoint(ctx, &cfg, &store2)?.is_none())
+            Ok(read(ctx, &cfg, &store2).is_none())
         });
         assert!(outcome.all_ok(), "{:?}", outcome.errors());
         for rank in 0..2 {
@@ -744,13 +583,13 @@ mod tests {
             let world = ctx.world();
             let objects = vec![vec![ctx.rank() as u8; 32]];
             let meta = meta_for(&objects, CheckpointLevel::L2, 4);
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            write(ctx, &world, &cfg, &store2, meta, &objects)?;
             Ok(())
         });
         assert!(outcome.all_ok(), "{:?}", outcome.errors());
         for rank in 0..4 {
-            let set = store.get(rank).unwrap();
-            let Placement::Node(partner_node) = set.blobs[&BlobKind::PartnerCopy].placement else {
+            let set = store.sets(rank, None).remove(0);
+            let Placement::Node(partner_node) = set.partner.as_ref().unwrap().placement else {
                 panic!("partner copy must live on a node");
             };
             // Racks of two nodes: the partner sits in the *other* rack.
@@ -779,14 +618,15 @@ mod tests {
                 .map(|i| i ^ ctx.rank() as u8)
                 .collect::<Vec<u8>>()];
             let meta = meta_for(&objects, CheckpointLevel::L3, 8);
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            write(ctx, &world, &cfg, &store2, meta, &objects)?;
             ctx.barrier(&world)?;
             if ctx.rank() == 0 {
                 // Every shard carries its group/rack coordinates.
-                let set = store2.get(2).unwrap();
-                for i in 0..4 {
+                let set = store2.sets(2, None).remove(0);
+                assert_eq!(set.shards.len(), 4);
+                for (i, shard) in set.shards.iter().enumerate() {
                     let Placement::GroupShard { node, rack, .. } =
-                        set.blobs[&BlobKind::RsShard(i)].placement
+                        shard.as_ref().unwrap().placement
                     else {
                         panic!("shard {i} must be group-placed");
                     };
@@ -797,22 +637,23 @@ mod tests {
                 store2.erase_node(3);
             }
             ctx.barrier(&world)?;
-            let first = read_checkpoint(ctx, &cfg, &store2)?;
+            let first = read(ctx, &cfg, &store2);
             ctx.barrier(&world)?;
             if ctx.rank() == 0 {
                 store2.erase_node(1); // third node: > m erasures for ranks 2 and 3
             }
             ctx.barrier(&world)?;
-            let second = read_checkpoint(ctx, &cfg, &store2)?;
+            let second = read(ctx, &cfg, &store2);
+            let degraded = |r: &ReadOutcome| r.source != RestoreSource::Primary;
             Ok((
-                first.map(|r| (r.objects, r.degraded)),
-                second.map(|r| r.degraded),
+                first.map(|r| (degraded(&r), r.objects)),
+                second.map(|r| degraded(&r)),
             ))
         });
         assert!(outcome.all_ok(), "{:?}", outcome.errors());
         for rank in 0..4 {
             let (first, second) = outcome.value_of(rank);
-            let (objects, degraded) = first.as_ref().expect("m erasures must RS-decode");
+            let (degraded, objects) = first.as_ref().expect("m erasures must RS-decode");
             let expected: Vec<u8> = (0..200u8).map(|i| i ^ rank as u8).collect();
             assert_eq!(objects[0], expected, "rank {rank} decode mismatch");
             // Ranks on the dead rack lost their primary and had to decode.
@@ -824,6 +665,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn l3_decode_over_a_non_prefix_of_shards_charges_them_in_index_order() {
+        // k = 2, m = 2 on four nodes in two racks. Rank 0 loses its primary and shards
+        // 0 and 2, so the decode reads shards 1 (other rack) and 3 (its own node): a
+        // surviving set that is not a prefix, whose two reads cost different amounts.
+        let cfg = FtiConfig::level(CheckpointLevel::L3)
+            .group_size(4)
+            .parity_shards(2);
+        let cluster = || Cluster::new(ClusterConfig::with_ranks(4).nodes(4).racks(2));
+        let objects = vec![(0..3000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()];
+        let store = CheckpointStore::shared();
+        let (s, c, o) = (Arc::clone(&store), cfg.clone(), objects.clone());
+        let written = cluster().run(move |ctx| {
+            let world = ctx.world();
+            let meta = meta_for(&o, CheckpointLevel::L3, 5);
+            write(ctx, &world, &c, &s, meta, &o).map(|_| ())
+        });
+        assert!(written.all_ok(), "{:?}", written.errors());
+        let mut set = CheckpointSet::clone(&store.sets(0, None)[0]);
+        set.primary = None;
+        set.shards[0] = None;
+        set.shards[2] = None;
+        store.put(0, set);
+        let run = || {
+            let (store, cfg, objects) = (Arc::clone(&store), cfg.clone(), objects.clone());
+            let outcome = cluster().run(move |ctx| {
+                if ctx.rank() != 0 {
+                    return Ok(0);
+                }
+                // A clock of the reads' magnitude, so the order they are added in shows
+                // in the bits of the sum.
+                ctx.elapse(mpisim::SimTime::from_secs(2e-6));
+                let set = store.sets(0, None).remove(0);
+                let reader_node = ctx.topology().node_of(0);
+                let reads: Vec<_> = set
+                    .shards
+                    .iter()
+                    .flatten()
+                    .map(|shard| {
+                        let tier = storage_tier_for(ctx.topology(), reader_node, shard.placement);
+                        ctx.machine().storage_read_cost(tier, shard.data.len())
+                    })
+                    .collect();
+                let decode = rs_code::encode_work(set.meta.bytes, 2, 2);
+                let decode = ctx.machine().compute_cost(decode);
+                let clock_after = |order: [usize; 2]| {
+                    (order.iter().fold(ctx.now(), |t, &i| t + reads[i]) + decode)
+                        .as_secs()
+                        .to_bits()
+                };
+                let expected = clock_after([0, 1]);
+                assert_ne!(expected, clock_after([1, 0]), "the order must show");
+                let read = read(ctx, &cfg, &store).expect("k shards survive");
+                assert_eq!(read.source, RestoreSource::Decode { shards: 2 });
+                assert_eq!(read.objects[0], objects[0]);
+                assert_eq!(ctx.now().as_secs().to_bits(), expected);
+                Ok(expected)
+            });
+            assert!(outcome.all_ok(), "{:?}", outcome.errors());
+            *outcome.value_of(0)
+        };
+        assert_eq!(run(), run(), "identical runs must give identical clocks");
     }
 
     #[test]
@@ -839,7 +744,7 @@ mod tests {
                     ctx.set_category(mpisim::TimeCategory::CheckpointWrite);
                     let objects = vec![vec![7u8; 1 << 20]];
                     let meta = meta_for(&objects, level, 1);
-                    write_checkpoint(ctx, &world, &cfg, &store, meta, &objects)?;
+                    write(ctx, &world, &cfg, &store, meta, &objects)?;
                     Ok(ctx.breakdown().checkpoint_write.as_secs())
                 });
                 outcome.ranks()[0].result.clone().unwrap()
@@ -861,12 +766,12 @@ mod tests {
             let world = ctx.world();
             let mut data = vec![0u8; 1 << 20];
             let meta = meta_for(&[data.clone()], CheckpointLevel::L4, 1);
-            let first = write_checkpoint(ctx, &world, &cfg, &store, meta, &[data.clone()])?;
+            let first = write(ctx, &world, &cfg, &store, meta, &[data.clone()])?;
             // Change one byte and checkpoint again: the delta write must be far smaller.
             data[123] = 1;
             let mut meta2 = meta_for(&[data.clone()], CheckpointLevel::L4, 2);
             meta2.ckpt_id = 2;
-            let second = write_checkpoint(ctx, &world, &cfg, &store, meta2, &[data.clone()])?;
+            let second = write(ctx, &world, &cfg, &store, meta2, &[data.clone()])?;
             Ok((first.stored_bytes, second.stored_bytes))
         });
         let (first, second) = outcome.ranks()[0].result.clone().unwrap();
@@ -881,9 +786,8 @@ mod tests {
 
     #[test]
     fn l1_l2_blobs_share_the_payload_buffer() {
-        // The primary (and partner) blobs must be views of one shared payload buffer,
-        // not owned copies — this is the explicit fix for the old `payload.clone()`
-        // into `BlobKind::Primary`.
+        // The primary and its redundant copy must be views of one shared payload
+        // buffer, not owned copies.
         for level in [
             CheckpointLevel::L1,
             CheckpointLevel::L2,
@@ -897,19 +801,18 @@ mod tests {
                 let world = ctx.world();
                 let objects = vec![vec![5u8; 1000]];
                 let meta = meta_for(&objects, level, 1);
-                write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+                write(ctx, &world, &cfg, &store2, meta, &objects)?;
                 Ok(())
             });
             assert!(outcome.all_ok());
-            let set = store.get(0).unwrap();
-            let primary = &set.blobs[&BlobKind::Primary];
-            let partner_kind = match level {
-                CheckpointLevel::L2 => Some(BlobKind::PartnerCopy),
-                CheckpointLevel::L4 => Some(BlobKind::DiffBase),
-                _ => None,
+            let set = store.sets(0, None).remove(0);
+            let primary = set.primary.as_ref().unwrap();
+            let copy = match level {
+                CheckpointLevel::L2 => &set.partner,
+                CheckpointLevel::L4 => &set.diff_base,
+                _ => &None,
             };
-            if let Some(kind) = partner_kind {
-                let other = &set.blobs[&kind];
+            if let Some(other) = copy {
                 assert!(
                     primary.data.same_buffer(&other.data),
                     "{level}: redundant blob must alias the primary payload buffer"
@@ -931,11 +834,11 @@ mod tests {
             let world = ctx.world();
             let mut objects = vec![vec![1u8; 500]];
             let meta = meta_for(&objects, CheckpointLevel::L2, 1);
-            write_checkpoint(ctx, &world, &cfg, &store2, meta, &objects)?;
+            write(ctx, &world, &cfg, &store2, meta, &objects)?;
             // Clobber the application buffer after the write.
             objects[0].iter_mut().for_each(|b| *b = 0xFF);
             ctx.barrier(&world)?;
-            let read = read_checkpoint(ctx, &cfg, &store2)?.expect("checkpoint exists");
+            let read = read(ctx, &cfg, &store2).expect("checkpoint exists");
             assert_eq!(read.objects[0], vec![1u8; 500]);
             Ok(())
         });
@@ -958,7 +861,7 @@ mod tests {
                 }
                 let mut meta = meta_for(&[data.clone()], CheckpointLevel::L4, ckpt_id);
                 meta.ckpt_id = ckpt_id;
-                let out = write_checkpoint(ctx, &world, &cfg, &store, meta, &[data.clone()])?;
+                let out = write(ctx, &world, &cfg, &store, meta, &[data.clone()])?;
                 stored.push(out.stored_bytes);
             }
             Ok(stored)
@@ -982,7 +885,7 @@ mod tests {
             let objects = vec![vec![1u8; 10]];
             let mut meta = meta_for(&objects, CheckpointLevel::L1, 1);
             meta.object_lens.push(99); // now inconsistent
-            match write_checkpoint(ctx, &world, &cfg, &store, meta, &objects) {
+            match write(ctx, &world, &cfg, &store, meta, &objects) {
                 Err(MpiError::InvalidArgument(_)) => Ok(()),
                 other => panic!("expected InvalidArgument, got {other:?}"),
             }
@@ -995,7 +898,7 @@ mod tests {
         let store = CheckpointStore::shared();
         let cfg = FtiConfig::default();
         let cluster = Cluster::new(ClusterConfig::with_ranks(1));
-        let outcome = cluster.run(move |ctx| Ok(read_checkpoint(ctx, &cfg, &store)?.is_none()));
+        let outcome = cluster.run(move |ctx| Ok(read(ctx, &cfg, &store).is_none()));
         assert!(*outcome.value_of(0));
     }
 }

@@ -51,19 +51,6 @@ impl CheckpointMeta {
     }
 }
 
-/// Summary statistics kept by an FTI instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FtiStats {
-    /// Number of checkpoints written by this rank.
-    pub checkpoints_written: u64,
-    /// Number of recoveries performed by this rank.
-    pub recoveries: u64,
-    /// Total bytes written (payload, before replication/encoding overheads).
-    pub bytes_written: u64,
-    /// Total bytes read back during recoveries.
-    pub bytes_read: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,12 +71,5 @@ mod tests {
         let parts = m.split_payload(&payload);
         assert_eq!(parts, vec![vec![1], vec![2, 3], vec![4, 5, 6]]);
         assert!(parts.iter().all(|part| part.same_buffer(&payload)));
-    }
-
-    #[test]
-    fn stats_default_is_zero() {
-        let s = FtiStats::default();
-        assert_eq!(s.checkpoints_written, 0);
-        assert_eq!(s.bytes_written, 0);
     }
 }

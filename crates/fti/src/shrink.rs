@@ -27,7 +27,7 @@ use std::sync::Arc;
 use mpisim::{Comm, MpiError, Payload, RankCtx};
 
 use crate::config::FtiConfig;
-use crate::level::{read_checkpoint_of, write_checkpoint_payload};
+use crate::level::{read_checkpoint, write_checkpoint};
 use crate::meta::CheckpointMeta;
 use crate::protect::{block_range, part_of_unit, ObjectLayout};
 use crate::store::CheckpointStore;
@@ -131,22 +131,19 @@ pub fn redistribute_after_shrink(
     let mut held: HashMap<usize, (CheckpointMeta, Vec<Payload>)> = HashMap::new();
     for &oi in &my_owners {
         let owner = old_world[oi];
-        let read = read_checkpoint_of(ctx, cfg, store, owner, Some(agreed))?.ok_or_else(|| {
+        let read = read_checkpoint(ctx, cfg, store, owner, Some(agreed)).ok_or_else(|| {
             MpiError::InvalidArgument(format!(
                 "rank {owner}'s agreed checkpoint (iteration {agreed}) is unreadable"
             ))
         })?;
-        let meta = store
-            .set_at(owner, agreed)
-            .map(|s| s.meta)
-            .ok_or_else(|| MpiError::InvalidArgument("agreed checkpoint set vanished".into()))?;
-        held.insert(oi, (meta, read.objects));
+        held.insert(oi, (read.meta, read.objects));
     }
 
     // The object template: every rank protects the same ids/layouts, so this rank's
     // own meta describes the global object list.
     let template = held[&my_old_idx].0.clone();
-    let next_ckpt_id = store.meta(me).map(|m| m.ckpt_id + 1).unwrap_or(1);
+    let newest = store.sets(me, None).into_iter().next();
+    let next_ckpt_id = newest.map_or(1, |s| s.meta.ckpt_id + 1);
 
     let mut my_bytes_sent = 0u64;
     let mut my_messages = 0u64;
@@ -241,7 +238,7 @@ pub fn redistribute_after_shrink(
         object_lens,
         object_layouts,
     };
-    write_checkpoint_payload(ctx, comm, cfg, store, meta, payload)?;
+    write_checkpoint(ctx, comm, cfg, store, meta, payload)?;
 
     // Report cluster-wide totals identically on every survivor.
     let bytes_moved = ctx.allreduce_sum_u64(comm, my_bytes_sent)?;
@@ -446,7 +443,8 @@ mod tests {
             let elapsed = ctx.now().saturating_sub(before);
             // The next FTI generation on the survivor communicator finds the
             // redistributed wave through its ordinary restart agreement.
-            let mut fti2 = Fti::init_with_comm(cfg, Arc::clone(&store2), ctx, shrunk.clone())?;
+            ctx.set_world(shrunk.clone());
+            let mut fti2 = Fti::init(cfg, Arc::clone(&store2), ctx)?;
             assert_eq!(fti2.status().restart_iteration(), Some(10));
             let (new_start, new_count) = block_range(TOTAL_UNITS, shrunk.size(), shrunk.rank());
             let mut y = vec![0.0f64; new_count as usize];
@@ -551,7 +549,8 @@ mod tests {
             let out = redistribute_after_shrink(ctx, &shrunk, &cfg, &store2, world.members())?;
             assert_eq!(out.agreed_iteration, 0);
             assert_eq!(out.bytes_moved, 0);
-            let fti = Fti::init_with_comm(cfg, Arc::clone(&store2), ctx, shrunk)?;
+            ctx.set_world(shrunk);
+            let fti = Fti::init(cfg, Arc::clone(&store2), ctx)?;
             assert!(!fti.status().is_restart());
             Ok(())
         });

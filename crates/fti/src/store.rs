@@ -17,13 +17,12 @@
 //! other nodes, or parallel-file-system checkpoints — allowing the resilience
 //! differences between the four FTI levels to be exercised in tests.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 use mpisim::Payload;
 use parking_lot::Mutex;
 
-use crate::config::CheckpointLevel;
 use crate::meta::CheckpointMeta;
 
 /// Where a stored blob physically lives, which decides what destroys it.
@@ -61,8 +60,6 @@ impl Placement {
 /// (partner copy, parity shard, differential base).
 #[derive(Debug, Clone)]
 pub struct StoredBlob {
-    /// The rank whose data this blob belongs to.
-    pub owner_rank: usize,
     /// Physical placement.
     pub placement: Placement,
     /// The bytes, as a shared-buffer view: blobs derived from the same checkpoint
@@ -71,82 +68,66 @@ pub struct StoredBlob {
     pub data: Payload,
 }
 
-/// Key identifying a blob within a checkpoint set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum BlobKind {
-    /// The rank's own serialized checkpoint payload.
-    Primary,
-    /// A copy of the payload held on the partner node (L2).
-    PartnerCopy,
-    /// A Reed–Solomon shard (L3); the index is the shard number within the group.
-    RsShard(usize),
-    /// The full reference payload used as the base of differential checkpoints (L4).
-    DiffBase,
-}
-
-/// A complete checkpoint set of one rank: metadata plus its blobs.
+/// A complete checkpoint set of one rank: metadata plus its blobs. A blob a node
+/// crash destroyed is `None`.
 ///
 /// The logical payload (the concatenation of the protected objects) is not stored
-/// separately: it lives in the [`BlobKind::Primary`] blob (and is reconstructable from
-/// partner copies, surviving Reed–Solomon shards, or the parallel-file-system copy,
-/// depending on the level), so that simulated node failures really destroy data and the
+/// separately: it lives in the primary blob (and is reconstructable from the partner
+/// copy, surviving Reed–Solomon shards, or the parallel-file-system copy, depending on
+/// the level), so that simulated node failures really destroy data and the
 /// level-specific recovery paths are exercised for real.
 #[derive(Debug, Clone)]
 pub struct CheckpointSet {
     /// Metadata for the set.
     pub meta: CheckpointMeta,
-    /// Blobs by kind.
-    pub blobs: HashMap<BlobKind, StoredBlob>,
+    /// The rank's own serialized payload, on its node (every level).
+    pub primary: Option<StoredBlob>,
+    /// The copy on the partner node (L2).
+    pub partner: Option<StoredBlob>,
+    /// The Reed–Solomon shards scattered over the encoding group, in shard order
+    /// (L3; empty at the other levels).
+    pub shards: Vec<Option<StoredBlob>>,
+    /// The parallel-file-system copy, the base of the next differential write (L4).
+    pub diff_base: Option<StoredBlob>,
 }
 
-#[derive(Debug, Default)]
-struct StoreInner {
-    /// Latest checkpoint set per rank *per level* (FTI's multi-level retention).
-    latest: HashMap<usize, BTreeMap<CheckpointLevel, CheckpointSet>>,
-    /// Total bytes ever written, for reporting.
-    bytes_written: u64,
-}
-
-impl StoreInner {
-    /// The newest retained set of `rank` (highest checkpoint id across levels).
-    fn newest(&self, rank: usize) -> Option<&CheckpointSet> {
-        self.latest
-            .get(&rank)?
-            .values()
-            .max_by_key(|s| s.meta.ckpt_id)
+impl CheckpointSet {
+    /// Whether the set can still be reconstructed from its surviving blobs: the
+    /// primary copy, the partner copy, the parallel-file-system copy, or at least
+    /// `min_shards` Reed–Solomon shards.
+    fn is_recoverable(&self, min_shards: usize) -> bool {
+        self.primary.is_some()
+            || self.partner.is_some()
+            || self.diff_base.is_some()
+            || self.shards.iter().flatten().count() >= min_shards.max(1)
     }
 
-    fn newest_mut(&mut self, rank: usize) -> Option<&mut CheckpointSet> {
-        self.latest
-            .get_mut(&rank)?
-            .values_mut()
-            .max_by_key(|s| s.meta.ckpt_id)
+    /// Destroys every blob placed on `node`.
+    fn erase_node(&mut self, node: usize) {
+        let blobs = [&mut self.primary, &mut self.partner, &mut self.diff_base];
+        for blob in blobs.into_iter().chain(&mut self.shards) {
+            if blob
+                .as_ref()
+                .is_some_and(|b| b.placement.node() == Some(node))
+            {
+                *blob = None;
+            }
+        }
     }
 }
 
-/// Whether `set` can still be reconstructed from its surviving blobs: the primary
-/// copy, a partner copy, at least `min_shards` Reed–Solomon shards, or the parallel
-/// file-system copy.
-pub fn set_is_recoverable(set: &CheckpointSet, min_shards: usize) -> bool {
-    if set.blobs.contains_key(&BlobKind::Primary)
-        || set.blobs.contains_key(&BlobKind::PartnerCopy)
-        || set.blobs.contains_key(&BlobKind::DiffBase)
-    {
-        return true;
-    }
-    #[allow(clippy::disallowed_methods, reason = "a count ignores visiting order")]
-    let shards = set
-        .blobs
-        .keys()
-        .filter(|k| matches!(k, BlobKind::RsShard(_)))
-        .count();
-    shards >= min_shards.max(1)
-}
+/// A rank's retained sets, one slot per level (indexed by `CheckpointLevel as usize`).
+type LevelSlots = [Option<Arc<CheckpointSet>>; 4];
 
 /// A shared, thread-safe checkpoint store for one simulated job.
+///
+/// Sets are held behind `Arc`: a reader takes handles under the lock and decodes,
+/// charges and splits outside it, and a node crash copies a set on write only if a
+/// reader still holds it.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    inner: Mutex<StoreInner>,
+    /// Per rank (by index), the latest set of each level (FTI's multi-level retention).
+    ranks: Mutex<Vec<LevelSlots>>,
 }
 
 impl CheckpointStore {
@@ -161,60 +142,35 @@ impl CheckpointStore {
     /// hierarchical fallback).
     ///
     /// Returns the set this one superseded — the previous set of `rank` at the same
-    /// level, if any — the way `HashMap::insert` returns the value it replaced. The
+    /// level, if any — the way a map's `insert` returns the value it replaced. The
     /// caller drops it outside the store lock, or reuses its buffer for the next
     /// checkpoint once no other view of it is alive.
-    pub fn put(&self, rank: usize, set: CheckpointSet) -> Option<CheckpointSet> {
-        let mut inner = self.inner.lock();
-        inner.bytes_written += set.meta.bytes as u64;
-        inner
-            .latest
-            .entry(rank)
-            .or_default()
-            .insert(set.meta.level, set)
+    pub fn put(&self, rank: usize, set: CheckpointSet) -> Option<Arc<CheckpointSet>> {
+        let mut ranks = self.ranks.lock();
+        if ranks.len() <= rank {
+            ranks.resize_with(rank + 1, LevelSlots::default);
+        }
+        ranks[rank][set.meta.level as usize].replace(Arc::new(set))
     }
 
-    /// Returns a clone of the newest checkpoint set of `rank` (across levels), if any.
-    pub fn get(&self, rank: usize) -> Option<CheckpointSet> {
-        self.inner.lock().newest(rank).cloned()
-    }
-
-    /// Every retained set of `rank`, newest first (by checkpoint id).
-    pub fn sets_newest_first(&self, rank: usize) -> Vec<CheckpointSet> {
-        let inner = self.inner.lock();
-        let mut sets: Vec<CheckpointSet> = inner
-            .latest
-            .get(&rank)
-            .map(|m| m.values().cloned().collect())
-            .unwrap_or_default();
-        sets.sort_by_key(|s| std::cmp::Reverse(s.meta.ckpt_id));
-        sets
-    }
-
-    /// The newest retained set of `rank` taken at exactly `iteration`, if any.
-    pub fn set_at(&self, rank: usize, iteration: u64) -> Option<CheckpointSet> {
-        let inner = self.inner.lock();
-        inner
-            .latest
-            .get(&rank)?
-            .values()
-            .filter(|s| s.meta.iteration == iteration)
-            .max_by_key(|s| s.meta.ckpt_id)
+    /// The retained sets of `rank`, newest first (by checkpoint id); with an
+    /// `iteration`, only the newest set taken at exactly that iteration.
+    pub fn sets(&self, rank: usize, iteration: Option<u64>) -> Vec<Arc<CheckpointSet>> {
+        let ranks = self.ranks.lock();
+        let mut sets: Vec<Arc<CheckpointSet>> = ranks
+            .get(rank)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|s| iteration.is_none_or(|it| s.meta.iteration == it))
             .cloned()
-    }
-
-    /// Whether `rank` has a stored checkpoint.
-    pub fn has_checkpoint(&self, rank: usize) -> bool {
-        self.inner
-            .lock()
-            .latest
-            .get(&rank)
-            .is_some_and(|m| !m.is_empty())
-    }
-
-    /// The newest checkpoint metadata of `rank`, if any.
-    pub fn meta(&self, rank: usize) -> Option<CheckpointMeta> {
-        self.inner.lock().newest(rank).map(|s| s.meta.clone())
+            .collect();
+        drop(ranks);
+        sets.sort_by_key(|s| Reverse(s.meta.ckpt_id));
+        if iteration.is_some() {
+            sets.truncate(1);
+        }
+        sets
     }
 
     /// The newest iteration of `rank` whose set is still reconstructible from
@@ -223,39 +179,22 @@ impl CheckpointStore {
     /// treats 0 as "start from scratch".
     pub fn best_recoverable_iteration(&self, rank: usize, at_most: u64, min_shards: usize) -> u64 {
         // Metadata-only scan under the lock: the restart agreement calls this once
-        // per convergence round per rank, so it must not clone the retained sets.
-        let inner = self.inner.lock();
-        inner
-            .latest
-            .get(&rank)
+        // per convergence round per rank.
+        let ranks = self.ranks.lock();
+        ranks
+            .get(rank)
             .into_iter()
-            .flat_map(|m| m.values())
-            .filter(|s| s.meta.iteration <= at_most)
-            .filter(|s| set_is_recoverable(s, min_shards))
+            .flatten()
+            .flatten()
+            .filter(|s| s.meta.iteration <= at_most && s.is_recoverable(min_shards))
             .map(|s| s.meta.iteration)
             .max()
             .unwrap_or(0)
     }
 
-    /// Adds (or replaces) a blob inside `rank`'s newest checkpoint set. Used for
-    /// partner copies and parity shards that other ranks contribute.
-    pub fn attach_blob(&self, rank: usize, kind: BlobKind, blob: StoredBlob) {
-        let mut inner = self.inner.lock();
-        if let Some(set) = inner.newest_mut(rank) {
-            set.blobs.insert(kind, blob);
-        }
-    }
-
-    /// Total payload bytes written into the store so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.inner.lock().bytes_written
-    }
-
     /// Removes every checkpoint (used between experiment repetitions).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.latest.clear();
-        inner.bytes_written = 0;
+        self.ranks.lock().clear();
     }
 
     /// Simulates the loss of a compute node: every blob placed on `node` is destroyed.
@@ -263,12 +202,9 @@ impl CheckpointStore {
     /// be recovered through partner copies, surviving RS shards, or the parallel file
     /// system, depending on the level they were written at).
     pub fn erase_node(&self, node: usize) {
-        let mut inner = self.inner.lock();
-        for sets in inner.latest.values_mut() {
-            for set in sets.values_mut() {
-                set.blobs
-                    .retain(|_, blob| blob.placement.node() != Some(node));
-            }
+        let mut ranks = self.ranks.lock();
+        for set in ranks.iter_mut().flatten().flatten() {
+            Arc::make_mut(set).erase_node(node);
         }
     }
 }
@@ -278,16 +214,14 @@ mod tests {
     use super::*;
     use crate::config::CheckpointLevel;
 
-    fn set(rank: usize, node: usize, bytes: usize) -> CheckpointSet {
-        let mut blobs = HashMap::new();
-        blobs.insert(
-            BlobKind::Primary,
-            StoredBlob {
-                owner_rank: rank,
-                placement: Placement::Node(node),
-                data: vec![1; bytes].into(),
-            },
-        );
+    fn blob(placement: Placement, bytes: usize) -> Option<StoredBlob> {
+        Some(StoredBlob {
+            placement,
+            data: vec![1; bytes].into(),
+        })
+    }
+
+    fn set(node: usize, bytes: usize) -> CheckpointSet {
         CheckpointSet {
             meta: CheckpointMeta {
                 ckpt_id: 1,
@@ -298,128 +232,87 @@ mod tests {
                 object_lens: vec![bytes],
                 object_layouts: vec![crate::protect::ObjectLayout::Replicated],
             },
-            blobs,
+            primary: blob(Placement::Node(node), bytes),
+            partner: None,
+            shards: Vec::new(),
+            diff_base: None,
         }
     }
 
     #[test]
     fn put_get_round_trip() {
         let store = CheckpointStore::shared();
-        assert!(!store.has_checkpoint(3));
-        store.put(3, set(3, 1, 64));
-        assert!(store.has_checkpoint(3));
-        let got = store.get(3).unwrap();
-        assert_eq!(got.meta.iteration, 10);
-        assert_eq!(got.blobs[&BlobKind::Primary].data.len(), 64);
-        assert_eq!(store.meta(3).unwrap().bytes, 64);
-        assert_eq!(store.bytes_written(), 64);
-        assert!(!store.has_checkpoint(2));
+        assert!(store.sets(3, None).is_empty());
+        store.put(3, set(1, 64));
+        let sets = store.sets(3, None);
+        assert_eq!(sets.len(), 1);
+        assert_eq!(sets[0].meta.iteration, 10);
+        assert_eq!(sets[0].primary.as_ref().unwrap().data.len(), 64);
+        assert_eq!(store.sets(3, Some(10)).len(), 1);
+        assert!(store.sets(3, Some(9)).is_empty());
+        assert!(store.sets(2, None).is_empty());
     }
 
     #[test]
     fn newer_checkpoint_replaces_older() {
         let store = CheckpointStore::shared();
-        assert!(
-            store.put(0, set(0, 0, 16)).is_none(),
-            "nothing to supersede"
-        );
-        let mut newer = set(0, 0, 32);
+        assert!(store.put(0, set(0, 16)).is_none(), "nothing to supersede");
+        let mut newer = set(0, 32);
         newer.meta.ckpt_id = 2;
         let superseded = store
             .put(0, newer)
             .expect("the same level's set is replaced");
         assert_eq!(superseded.meta.ckpt_id, 1);
-        assert_eq!(superseded.blobs[&BlobKind::Primary].data.len(), 16);
-        let mut other_level = set(0, 0, 8);
+        assert_eq!(superseded.primary.as_ref().unwrap().data.len(), 16);
+        let mut other_level = set(0, 8);
         other_level.meta.ckpt_id = 3;
+        other_level.meta.iteration = 20;
         other_level.meta.level = CheckpointLevel::L2;
         assert!(
             store.put(0, other_level).is_none(),
             "a set of another level is retained, not superseded"
         );
-        assert_eq!(store.get(0).unwrap().meta.ckpt_id, 3);
-        assert_eq!(store.sets_newest_first(0).len(), 2);
-        assert_eq!(store.bytes_written(), 56, "write accounting is cumulative");
-    }
-
-    #[test]
-    fn attach_blob_adds_partner_copy() {
-        let store = CheckpointStore::shared();
-        store.put(1, set(1, 0, 8));
-        store.attach_blob(
-            1,
-            BlobKind::PartnerCopy,
-            StoredBlob {
-                owner_rank: 1,
-                placement: Placement::Node(5),
-                data: vec![9; 8].into(),
-            },
-        );
-        let got = store.get(1).unwrap();
-        assert!(got.blobs.contains_key(&BlobKind::PartnerCopy));
-        // Attaching to a rank without a checkpoint is a no-op.
-        store.attach_blob(
-            7,
-            BlobKind::PartnerCopy,
-            StoredBlob {
-                owner_rank: 7,
-                placement: Placement::Node(5),
-                data: vec![].into(),
-            },
-        );
-        assert!(!store.has_checkpoint(7));
+        let ids =
+            |sets: Vec<Arc<CheckpointSet>>| sets.iter().map(|s| s.meta.ckpt_id).collect::<Vec<_>>();
+        assert_eq!(ids(store.sets(0, None)), vec![3, 2], "newest first");
+        assert_eq!(ids(store.sets(0, Some(10))), vec![2]);
     }
 
     #[test]
     fn erase_node_destroys_local_blobs_only() {
         let store = CheckpointStore::shared();
-        store.put(0, set(0, 0, 8));
-        store.attach_blob(
-            0,
-            BlobKind::PartnerCopy,
-            StoredBlob {
-                owner_rank: 0,
-                placement: Placement::Node(1),
-                data: vec![2; 8].into(),
-            },
-        );
-        store.attach_blob(
-            0,
-            BlobKind::DiffBase,
-            StoredBlob {
-                owner_rank: 0,
-                placement: Placement::ParallelFs,
-                data: vec![3; 8].into(),
-            },
-        );
-        let has_primary = || store.get(0).unwrap().blobs.contains_key(&BlobKind::Primary);
-        assert!(has_primary());
+        let mut l4 = set(0, 8);
+        l4.partner = blob(Placement::Node(1), 8);
+        l4.diff_base = blob(Placement::ParallelFs, 8);
+        store.put(0, l4);
+        let held = store.sets(0, None).remove(0);
         store.erase_node(0);
-        assert!(!has_primary());
-        let got = store.get(0).unwrap();
-        assert!(got.blobs.contains_key(&BlobKind::PartnerCopy));
-        assert!(got.blobs.contains_key(&BlobKind::DiffBase));
+        let got = &store.sets(0, None)[0];
+        assert!(got.primary.is_none());
+        assert!(got.partner.is_some() && got.diff_base.is_some());
+        assert!(
+            held.primary.is_some(),
+            "a reader's handle is copied on write, not erased"
+        );
     }
 
     #[test]
     fn erase_node_destroys_group_shards_on_that_node() {
         let store = CheckpointStore::shared();
-        store.put(0, set(0, 0, 8));
-        for (i, node) in [(0usize, 1usize), (1, 2)] {
-            store.attach_blob(
-                0,
-                BlobKind::RsShard(i),
-                StoredBlob {
-                    owner_rank: 0,
-                    placement: Placement::GroupShard {
+        let mut l3 = set(0, 8);
+        l3.shards = [1usize, 2]
+            .map(|node| {
+                blob(
+                    Placement::GroupShard {
                         node,
                         rack: node / 2,
                         group: 0,
                     },
-                    data: vec![4; 8].into(),
-                },
-            );
-        }
+                    8,
+                )
+            })
+            .into();
+        store.put(0, l3);
         assert_eq!(
             Placement::GroupShard {
                 node: 2,
@@ -431,10 +324,10 @@ mod tests {
         );
         assert_eq!(Placement::ParallelFs.node(), None);
         store.erase_node(2);
-        let got = store.get(0).unwrap();
-        assert!(got.blobs.contains_key(&BlobKind::RsShard(0)));
+        let got = &store.sets(0, None)[0];
+        assert!(got.shards[0].is_some());
         assert!(
-            !got.blobs.contains_key(&BlobKind::RsShard(1)),
+            got.shards[1].is_none(),
             "the shard on the crashed node must be gone"
         );
     }
@@ -442,9 +335,8 @@ mod tests {
     #[test]
     fn clear_empties_store() {
         let store = CheckpointStore::shared();
-        store.put(0, set(0, 0, 8));
+        store.put(0, set(0, 8));
         store.clear();
-        assert!(!store.has_checkpoint(0));
-        assert_eq!(store.bytes_written(), 0);
+        assert!(store.sets(0, None).is_empty());
     }
 }

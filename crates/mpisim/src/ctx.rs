@@ -346,12 +346,6 @@ impl RankCtx {
         self.state.failure_events_at_death(self.rank)
     }
 
-    /// The ranks permanently retired by shrinking recoveries (ascending). Empty
-    /// under the non-shrinking designs, whose recoveries revive every rank.
-    pub fn retired_ranks(&self) -> Vec<usize> {
-        self.state.retired_ranks()
-    }
-
     /// How many ranks have been permanently retired by shrinking recoveries.
     pub fn retired_count(&self) -> usize {
         self.state.retired_count()
@@ -521,14 +515,6 @@ impl RankCtx {
                 return;
             }
             suspended_before |= self.park(token, suspended_before);
-        }
-    }
-
-    /// Marks another rank failed (external fault injection, e.g. modelling a node OS
-    /// crash observed from a monitoring rank).
-    pub fn fail_rank(&self, rank: usize) {
-        if rank < self.state.nprocs {
-            self.state.mark_failed(rank);
         }
     }
 
@@ -1193,7 +1179,7 @@ mod tests {
     #[test]
     fn operations_after_failure_report_proc_failed() {
         let mut ctx = single_rank_ctx();
-        ctx.fail_rank(0);
+        ctx.state.mark_failed(0);
         let world = ctx.world();
         assert!(matches!(
             ctx.allreduce_sum_f64(&world, 1.0),
@@ -1208,7 +1194,7 @@ mod tests {
         // keeps working; with it, the operation reports the failure.
         let mut ctx = rank0_ctx(2);
         let world = ctx.world();
-        ctx.fail_rank(1);
+        ctx.state.mark_failed(1);
         // A communicator containing only rank 0 (build it directly to avoid needing
         // rank 1 for the collective creation path).
         let self_shared = crate::comm::CommShared::new(99, vec![0]);

@@ -447,14 +447,6 @@ impl ClusterState {
         self.slow_liveness_queries.load(Ordering::Relaxed)
     }
 
-    /// The ranks permanently retired by shrinking recoveries, ascending.
-    pub fn retired_ranks(&self) -> Vec<usize> {
-        if self.retired_count() == 0 {
-            return Vec::new();
-        }
-        self.casualties_slow().retired.clone()
-    }
-
     /// Number of ranks permanently retired by shrinking recoveries.
     pub fn retired_count(&self) -> usize {
         self.nretired.load(Ordering::SeqCst)
@@ -837,9 +829,9 @@ mod tests {
         let s = state(64);
         for _ in 0..100 {
             assert!(s.failed_ranks().is_empty());
-            assert!(s.retired_ranks().is_empty());
+            assert_eq!(s.retired_count(), 0);
             assert!(s.health_error(&s.world).is_none());
-            assert!(s.is_alive(17) && !s.retired_ranks().contains(&17));
+            assert!(s.is_alive(17) && !s.is_retired(17));
         }
         assert_eq!(s.slow_liveness_queries(), 0);
         s.mark_failed(9);
@@ -847,7 +839,7 @@ mod tests {
         assert!(s.health_error(&s.world).is_some());
         assert_eq!(s.slow_liveness_queries(), 2);
         assert_eq!(s.retire_failed_ranks(), vec![9]);
-        assert_eq!(s.retired_ranks(), vec![9]);
+        assert!(s.is_retired(9));
         assert_eq!((s.failed_count(), s.retired_count()), (0, 1));
         // Retired ranks do not disturb the survivors' health checks.
         let before = s.slow_liveness_queries();

@@ -359,7 +359,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             if ctx.rank() == 2 {
-                ctx.fail_rank(2);
+                ctx.cluster().mark_failed(2);
             }
             // Wait until the failure is visible everywhere.
             ctx.wait_for_failure_events(1);
@@ -423,7 +423,7 @@ mod tests {
             assert!(!shrunk.contains(1));
             // The casualty is permanently retired, not left failed: the epoch is
             // healthy again without anyone having been revived.
-            assert!(ctx.retired_ranks().contains(&1));
+            assert!(ctx.is_retired(1));
             assert_eq!(ctx.cluster().retired_count(), 1);
             assert_eq!(ctx.cluster().failed_count(), 0);
             assert!(ctx.failed_ranks().is_empty());

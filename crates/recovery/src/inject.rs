@@ -714,7 +714,7 @@ mod tests {
                     FaultInjector::new(&FaultPlan::kill_rank_at(3, 1000).into(), ctx.topology())?;
                 for iteration in 1..=20 {
                     injector.maybe_fail(ctx, iteration)?;
-                    assert!(ctx.failed_ranks().is_empty() && ctx.retired_ranks().is_empty());
+                    assert!(ctx.failed_ranks().is_empty() && ctx.retired_count() == 0);
                     let world = ctx.world();
                     ctx.allreduce_sum_f64(&world, 1.0)?;
                 }
