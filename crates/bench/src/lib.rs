@@ -8,9 +8,7 @@
 use match_core::json;
 use match_core::knobs::{self, Knob};
 use match_core::matrix::MatrixOptions;
-use match_core::mpisim::Topology;
 use match_core::mtbf::MtbfSweep;
-use match_core::proxies::registry::ExecutionScale;
 use match_core::proxies::ProxyKind;
 use match_core::{FigureData, MtbfSweepOptions, SuiteEngine, SuiteOptions};
 
@@ -27,52 +25,33 @@ pub fn exit_usage(error: &str) -> ! {
 }
 
 /// Reads the benchmark matrix options from the environment: [`knobs::PROCS`],
-/// [`knobs::SCALE`], [`knobs::APPS`] and [`knobs::REPS`].
+/// [`knobs::SCALE`], [`knobs::APPS`] and [`knobs::REPS`], over
+/// [`SuiteOptions::default`].
 pub fn options_from_env() -> MatrixOptions {
     let procs = strict(&knobs::PROCS).unwrap_or_else(|| vec![4, 8, 16, 32]);
-    let scale = strict(&knobs::SCALE).unwrap_or_else(ExecutionScale::smoke);
     let apps = strict(&knobs::APPS).unwrap_or_else(|| ProxyKind::ALL.to_vec());
-    let repetitions = strict(&knobs::REPS).unwrap_or(1);
+    let defaults = SuiteOptions::default();
     let default_procs = procs[0];
     MatrixOptions {
         process_counts: procs,
         default_procs,
         apps,
         suite: SuiteOptions {
-            scale,
-            repetitions,
-            seed: 2020,
+            scale: strict(&knobs::SCALE).unwrap_or(defaults.scale),
+            repetitions: strict(&knobs::REPS).unwrap_or(defaults.repetitions),
+            ..defaults
         },
     }
 }
 
 /// Exits 2 naming [`knobs::RACKS`] if it is set to a rack count that does not
-/// divide the paper-layout node count of every process count in `procs`; building
-/// such a cluster would panic.
+/// divide the paper-layout node count of every process count in `procs`
+/// ([`knobs::racks_divide`]), where the library would warn and use the paper rack
+/// count.
 pub fn check_racks(procs: &[usize]) {
     if let Some(racks) = strict(&knobs::RACKS) {
-        racks_divide(racks, procs).unwrap_or_else(|error| exit_usage(&error));
+        knobs::racks_divide(racks, procs).unwrap_or_else(|error| exit_usage(&error));
     }
-}
-
-/// Whether `racks` divides the paper-layout node count of every process count in
-/// `procs`.
-///
-/// # Errors
-///
-/// The first layout `racks` does not divide, named with the knob.
-fn racks_divide(racks: usize, procs: &[usize]) -> Result<(), String> {
-    for &nprocs in procs {
-        let (nnodes, _) = Topology::paper_shape(nprocs);
-        if !nnodes.is_multiple_of(racks) {
-            return Err(format!(
-                "{}='{racks}' (or --racks) does not divide the {nnodes} nodes of the \
-                 {nprocs}-rank layout; pick a divisor of every rung's node count",
-                knobs::RACKS.name
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Reads the MTBF-sweep options from the environment: the matrix options plus
@@ -182,6 +161,7 @@ pub fn print_engine_line(engine: &SuiteEngine) {
 mod tests {
     use super::*;
     use match_core::mpisim::SchedBackend;
+    use match_core::proxies::registry::ExecutionScale;
 
     #[test]
     fn default_options_are_sane() {
@@ -255,18 +235,5 @@ mod tests {
             let error = knobs::MTBF.parse(value).unwrap_err();
             assert_names(&error, "MATCH_MTBF", value, "a positive integer");
         }
-    }
-
-    #[test]
-    fn rack_counts_must_divide_every_rungs_node_count() {
-        // The paper layout puts 64 ranks on 32 nodes, and fewer than 32 ranks one
-        // per node.
-        assert_eq!(racks_divide(4, &[8, 64]), Ok(()));
-        assert_eq!(racks_divide(3, &[]), Ok(()));
-        let error = racks_divide(3, &[64]).unwrap_err();
-        assert!(error.contains("MATCH_RACKS='3'"), "{error}");
-        assert!(error.contains("does not divide the 32 nodes"), "{error}");
-        let error = racks_divide(8, &[64, 4]).unwrap_err();
-        assert!(error.contains("the 4-rank layout"), "{error}");
     }
 }

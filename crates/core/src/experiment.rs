@@ -26,7 +26,7 @@ impl SuiteOptions {
         }
     }
 
-    /// The default bench setup: quarter-scale extents, one repetition.
+    /// The bench setup: quarter-scale extents, one repetition.
     pub fn bench() -> Self {
         SuiteOptions {
             scale: ExecutionScale::bench(),
@@ -46,8 +46,12 @@ impl SuiteOptions {
 }
 
 impl Default for SuiteOptions {
+    /// The `match-bench` setup: smoke-scale extents, one repetition, seed 2020.
     fn default() -> Self {
-        Self::bench()
+        SuiteOptions {
+            scale: ExecutionScale::smoke(),
+            ..Self::bench()
+        }
     }
 }
 
@@ -106,7 +110,8 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Creates an experiment with the default (bench) options and no failure.
+    /// Creates an experiment with the default options ([`SuiteOptions::default`]) and
+    /// no failure.
     pub fn new(
         app: ProxyKind,
         input: InputSize,
@@ -203,7 +208,9 @@ mod tests {
     #[test]
     fn options_presets() {
         assert_eq!(SuiteOptions::paper().repetitions, 5);
-        assert_eq!(SuiteOptions::default(), SuiteOptions::bench());
+        let default = SuiteOptions::default();
+        assert_eq!((default.repetitions, default.seed), (1, 2020));
+        assert_eq!(default.scale, ExecutionScale::smoke());
         assert!(
             SuiteOptions::smoke().scale.linear_fraction
                 < SuiteOptions::paper().scale.linear_fraction
@@ -259,7 +266,11 @@ mod tests {
 
     #[test]
     fn with_options_applies_scale_and_seed() {
-        let opts = SuiteOptions::smoke();
+        // Scale and seed both differ from the default's.
+        let opts = SuiteOptions {
+            seed: 7,
+            ..SuiteOptions::bench()
+        };
         let e = Experiment::new(
             ProxyKind::Hpccg,
             InputSize::Small,

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use mpisim::knob::{error, positive};
-use mpisim::{SchedBackend, BACKEND_ENV_VAR, WORKERS_ENV_VAR};
+use mpisim::{SchedBackend, Topology, BACKEND_ENV_VAR, WORKERS_ENV_VAR};
 use proxies::registry::ExecutionScale;
 use proxies::ProxyKind;
 
@@ -399,6 +399,42 @@ fn apps(value: &str) -> Result<Vec<ProxyKind>, String> {
         .collect())
 }
 
+/// Whether `racks` divides the paper-layout node count of every process count in
+/// `procs`: the one rack rule. `match-bench` exits 2 on a [`RACKS`] that breaks it;
+/// the library falls back through [`rack_count`].
+///
+/// # Errors
+///
+/// The first layout `racks` does not divide, named with the knob.
+pub fn racks_divide(racks: usize, procs: &[usize]) -> Result<(), String> {
+    for &nprocs in procs {
+        let (nnodes, _) = Topology::paper_shape(nprocs);
+        if !nnodes.is_multiple_of(racks) {
+            return Err(format!(
+                "{}='{racks}' (or --racks) does not divide the {nnodes} nodes of the \
+                 {nprocs}-rank layout; pick a divisor of every rung's node count",
+                RACKS.name
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The rack count of the paper layout of `nprocs` ranks when [`RACKS`] reads
+/// `racks`: that count when it divides the layout's node count, else — after the
+/// one-time warning every lenient knob read gives — the paper layout's own.
+pub fn rack_count(racks: Option<usize>, nprocs: usize) -> usize {
+    let paper = Topology::paper_shape(nprocs).1;
+    match racks.map(|racks| (racks, racks_divide(racks, &[nprocs]))) {
+        Some((racks, Ok(()))) => racks,
+        Some((_, Err(message))) => {
+            mpisim::knob::warn_once(RACKS.name, &message);
+            paper
+        }
+        None => paper,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,5 +809,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rack_counts_must_divide_every_rungs_node_count() {
+        // The paper layout puts 64 ranks on 32 nodes, and fewer than 32 ranks one
+        // per node.
+        assert_eq!(racks_divide(4, &[8, 64]), Ok(()));
+        assert_eq!(racks_divide(3, &[]), Ok(()));
+        let error = racks_divide(3, &[64]).unwrap_err();
+        assert!(error.contains("MATCH_RACKS='3'"), "{error}");
+        assert!(error.contains("does not divide the 32 nodes"), "{error}");
+        let error = racks_divide(8, &[64, 4]).unwrap_err();
+        assert!(error.contains("the 4-rank layout"), "{error}");
+        // The library falls back to the paper layout's rack count instead.
+        assert_eq!(rack_count(None, 64), 4);
+        assert_eq!(rack_count(Some(2), 64), 2);
+        assert_eq!(rack_count(Some(3), 64), 4, "3 does not divide 32 nodes");
+        assert_eq!(rack_count(Some(8), 4), 2, "8 does not divide 4 nodes");
     }
 }

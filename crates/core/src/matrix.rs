@@ -51,10 +51,7 @@ impl MatrixOptions {
             process_counts: vec![8, 16, 32, 64],
             default_procs: 8,
             apps: ProxyKind::ALL.to_vec(),
-            suite: SuiteOptions {
-                scale: proxies::registry::ExecutionScale::smoke(),
-                ..SuiteOptions::bench()
-            },
+            suite: SuiteOptions::default(),
         }
     }
 

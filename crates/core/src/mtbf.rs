@@ -14,11 +14,11 @@
 //!
 //! Note on correlated sweeps: scenarios with node crashes checkpoint at L2 (partner
 //! copies leave the rack), and scenarios with rack-correlated cascades at the
-//! erasure-coded L3 (groups span `group_size` distinct nodes with a periodic L4
-//! anchor), while the failure-free baseline keeps the paper's L1 configuration. The
-//! resulting efficiency curve therefore starts below 1.0 even at negligible failure
-//! rates — that constant offset *is* the price of provisioning for node or rack
-//! loss, which is exactly what the figure is meant to expose.
+//! erasure-coded L3 (groups span `fti::config::L3_GROUP_NODES` distinct nodes with
+//! a periodic L4 anchor), while the failure-free baseline keeps the paper's L1
+//! configuration. The resulting efficiency curve therefore starts below 1.0 even at
+//! negligible failure rates — that constant offset *is* the price of provisioning
+//! for node or rack loss, which is exactly what the figure is meant to expose.
 
 use proxies::{InputSize, ProxyKind};
 

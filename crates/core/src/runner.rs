@@ -22,13 +22,14 @@ use crate::experiment::{Experiment, FailureScenario};
 use crate::knobs;
 
 /// The `(nodes, racks)` layout an experiment of `nprocs` ranks runs on: the paper
-/// layout, its nodes regrouped into [`knobs::RACKS`] racks when that is set (it must
-/// divide the node count). The single source of the experiment → topology mapping:
-/// [`experiment_cluster`] lays its cluster out by it and
-/// [`crate::cache::ExperimentId`] keys on it, so the two can never silently diverge.
+/// layout, its nodes regrouped into [`knobs::RACKS`] racks when that is set and
+/// divides the node count (see [`knobs::rack_count`]). The single source of the
+/// experiment → topology mapping: [`experiment_cluster`] lays its cluster out by it
+/// and [`crate::cache::ExperimentId`] keys on it, so the two can never silently
+/// diverge.
 pub fn experiment_layout(nprocs: usize) -> (usize, usize) {
-    let (nnodes, nracks) = Topology::paper_shape(nprocs);
-    (nnodes, knobs::RACKS.read().unwrap_or(nracks))
+    let (nnodes, _) = Topology::paper_shape(nprocs);
+    (nnodes, knobs::rack_count(knobs::RACKS.read(), nprocs))
 }
 
 /// The cluster configuration an experiment of `nprocs` ranks runs on: laid out by
@@ -93,10 +94,11 @@ pub fn run_single(experiment: &Experiment, repetition: u32) -> Result<RunReport,
             // Crashes destroy node-local storage, so the checkpoint level is
             // provisioned for the failure domain the scenario actually exercises:
             // rack-correlated cascades (back-to-back node crashes inside one rack)
-            // run the erasure-coded L3 — groups span `group_size` distinct nodes and
-            // tolerate `m` node losses, with a periodic L4 flush as the anchor when
-            // a cascade erases more than `m` shards of a group — while uncorrelated
-            // node crashes keep the cheaper L2 (the partner copy leaves the rack).
+            // run the erasure-coded L3 — groups span `fti::config::L3_GROUP_NODES`
+            // (k + m = 4) distinct nodes and tolerate `m` = 2 node losses, with a
+            // periodic L4 flush as the anchor when a cascade erases more than `m`
+            // shards of a group — while uncorrelated node crashes keep the cheaper
+            // L2 (the partner copy leaves the rack).
             let fti = if node_crash_pct > 0 && rack_neighbor_pct > 0 {
                 // Clamp the anchor onto a checkpoint wave the run actually reaches:
                 // at smoke scale `interval * 4` exceeds the iteration count and the
@@ -259,9 +261,10 @@ fn trace_cluster(nprocs: usize) -> ClusterConfig {
 ///
 /// # Errors
 ///
-/// Reports invalid traces (victims outside the topology), driver give-ups (more
-/// restarts than the driver's bound) and unreconstructible checkpoints under strict
-/// (no-fallback) configurations as [`SuiteError::RankFailures`].
+/// Reports invalid traces (victims outside the topology) and driver give-ups (more
+/// restarts than the driver's bound) as [`SuiteError::RankFailures`]. A checkpoint
+/// that can no longer be reconstructed is no error: the restart agreement falls back
+/// to an older wave, or to a fresh start.
 pub fn run_trace(spec: &TraceRunSpec) -> Result<TraceRunOutcome, SuiteError> {
     let iterations = spec.iterations.max(1);
     let ft_config = FtConfig::new(spec.strategy, spec.fti.clone()).with_fault(spec.trace.clone());

@@ -114,11 +114,10 @@ impl Fti {
     ) -> Result<Self, MpiError> {
         let comm = ctx.world();
         ctx.barrier(&comm)?;
-        let min_shards = config.rs_data_shards();
-        let mine = store.best_recoverable_iteration(ctx.rank(), u64::MAX, min_shards);
+        let mine = store.best_recoverable_iteration(ctx.rank(), u64::MAX);
         let mut agreed = Self::allreduce_min_iteration(ctx, &comm, mine)?;
         while agreed > 0 {
-            let candidate = store.best_recoverable_iteration(ctx.rank(), agreed, min_shards);
+            let candidate = store.best_recoverable_iteration(ctx.rank(), agreed);
             let next = Self::allreduce_min_iteration(ctx, &comm, candidate)?;
             if next == agreed {
                 break;
@@ -368,7 +367,7 @@ impl Fti {
     fn read(&mut self, ctx: &mut RankCtx) -> Result<ReadOutcome, MpiError> {
         let prev = ctx.set_category(TimeCategory::CheckpointRead);
         let rank = ctx.rank();
-        let read = read_checkpoint(ctx, &self.config, &self.store, rank, self.restart_iteration);
+        let read = read_checkpoint(ctx, &self.store, rank, self.restart_iteration);
         ctx.set_category(prev);
         let read =
             read.ok_or_else(|| MpiError::InvalidArgument("no checkpoint to recover from".into()))?;
@@ -408,6 +407,7 @@ impl Fti {
 mod tests {
     use super::*;
     use crate::config::CheckpointLevel;
+    use crate::protect::bytes_of;
     use mpisim::{Cluster, ClusterConfig};
 
     fn store() -> Arc<CheckpointStore> {
@@ -429,7 +429,7 @@ mod tests {
             let objects: [(u32, &dyn Protectable); 3] = [(0, &field), (1, &index), (2, &step)];
             fti.checkpoint(ctx, 10, &objects)?;
             fti.finalize(ctx)?;
-            let parts: Vec<Vec<u8>> = objects.iter().map(|(_, o)| o.to_bytes()).collect();
+            let parts: Vec<Vec<u8>> = objects.iter().map(|(_, o)| bytes_of(*o)).collect();
             Ok(parts)
         });
         assert!(outcome.all_ok(), "{:?}", outcome.errors());
@@ -452,7 +452,7 @@ mod tests {
         let s = Arc::clone(&store);
         let cluster = Cluster::new(ClusterConfig::with_ranks(4).nodes(4));
         let outcome = cluster.run(move |ctx| {
-            let cfg = FtiConfig::level(level).group_size(4).parity_shards(2);
+            let cfg = FtiConfig::level(level);
             let mut fti = Fti::init(cfg, Arc::clone(&s), ctx)?;
             let mut field = vec![0.0f64; 512];
             fti.protect(0, "field", &field);
@@ -468,7 +468,7 @@ mod tests {
                     .unwrap()
                     .data
                     .clone();
-                assert_eq!(primary, field.to_bytes(), "iteration {iteration}");
+                assert_eq!(primary, bytes_of(&field), "iteration {iteration}");
                 primaries.push(primary.as_ptr());
                 spares.push((fti.spare.0.capacity() > 0).then_some(fti.spare.0.as_ptr()));
                 if hold && iteration == 1 {
@@ -476,7 +476,7 @@ mod tests {
                 }
             }
             if let Some(view) = held {
-                assert_eq!(view, vec![10.0f64; 512].to_bytes(), "the held view changed");
+                assert_eq!(view, bytes_of(&vec![10.0f64; 512]), "the held view changed");
             }
             Ok((
                 spares[1] == Some(primaries[0]),
@@ -704,9 +704,7 @@ mod tests {
         let store = store();
         let cluster = Cluster::new(ClusterConfig::with_ranks(4).nodes(2));
         let outcome = cluster.run(move |ctx| {
-            let cfg = FtiConfig::level(CheckpointLevel::L3)
-                .group_size(4)
-                .parity_shards(2);
+            let cfg = FtiConfig::level(CheckpointLevel::L3);
             let mut fti = Fti::init(cfg, Arc::clone(&store), ctx)?;
             let field: Vec<f64> = (0..500).map(|i| (i + ctx.rank()) as f64).collect();
             fti.protect(0, "field", &field);

@@ -64,6 +64,20 @@ impl std::fmt::Display for CheckpointLevel {
     }
 }
 
+/// Reed–Solomon data shards `k` of every L3 checkpoint.
+pub const L3_DATA_SHARDS: usize = 2;
+
+/// Reed–Solomon parity shards `m` of every L3 checkpoint: an encoding group survives
+/// the loss of any `m` of its nodes.
+pub const L3_PARITY_SHARDS: usize = 2;
+
+/// Nodes in one L3 encoding group, `k + m`: with at least this many nodes every shard
+/// of a checkpoint lands on a distinct node (see [`crate::placement`]).
+pub const L3_GROUP_NODES: usize = L3_DATA_SHARDS + L3_PARITY_SHARDS;
+
+/// Block size in bytes of L4 differential checkpointing.
+pub const DIFF_BLOCK_BYTES: usize = 4096;
+
 /// Configuration of an FTI instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FtiConfig {
@@ -72,17 +86,6 @@ pub struct FtiConfig {
     /// Checkpoint every `interval` iterations of the main loop (the paper checkpoints
     /// every ten iterations).
     pub interval: u64,
-    /// Size of the Reed–Solomon encoding group used by L3: the number of **nodes**
-    /// each group's shards are scattered over (see [`crate::placement`]). Groups map
-    /// onto disjoint node blocks; with at least `group_size` nodes every shard of a
-    /// checkpoint lands on a distinct node, so the group survives the loss of up to
-    /// [`FtiConfig::parity_shards`] nodes. Must be at least 2.
-    pub group_size: usize,
-    /// Number of parity shards per group for L3 (the group survives the loss of up to
-    /// this many members).
-    pub parity_shards: usize,
-    /// Block size in bytes for L4 differential checkpointing.
-    pub diff_block_size: usize,
     /// Whether L4 uses differential checkpointing.
     pub differential: bool,
     /// When set, every `l2_interval`-th iteration's checkpoint is promoted to at
@@ -99,9 +102,6 @@ impl Default for FtiConfig {
         FtiConfig {
             level: CheckpointLevel::L1,
             interval: 10,
-            group_size: 4,
-            parity_shards: 2,
-            diff_block_size: 4096,
             differential: true,
             l2_interval: None,
             l4_interval: None,
@@ -122,20 +122,6 @@ impl FtiConfig {
     pub fn interval(mut self, interval: u64) -> Self {
         assert!(interval > 0, "checkpoint interval must be positive");
         self.interval = interval;
-        self
-    }
-
-    /// Sets the L3 encoding group size.
-    pub fn group_size(mut self, group_size: usize) -> Self {
-        assert!(group_size >= 2, "encoding group needs at least two members");
-        self.group_size = group_size;
-        self
-    }
-
-    /// Sets the number of L3 parity shards.
-    pub fn parity_shards(mut self, parity: usize) -> Self {
-        assert!(parity >= 1, "need at least one parity shard");
-        self.parity_shards = parity;
         self
     }
 
@@ -176,19 +162,6 @@ impl FtiConfig {
         level
     }
 
-    /// The Reed–Solomon data-shard count `k` implied by this configuration (used by
-    /// the L3 encode/decode paths and the recoverability checks).
-    pub fn rs_data_shards(&self) -> usize {
-        let group = self.group_size.max(2);
-        group - self.parity_shards.min(group - 1)
-    }
-
-    /// The Reed–Solomon parity-shard count `m` implied by this configuration.
-    pub fn rs_parity_shards(&self) -> usize {
-        let group = self.group_size.max(2);
-        self.parity_shards.min(group - 1).max(1)
-    }
-
     /// Whether iteration `iteration` is a checkpointing iteration under this
     /// configuration (the paper checkpoints when `iteration % interval == 0`, skipping
     /// iteration 0 which has nothing worth saving yet).
@@ -225,13 +198,9 @@ mod tests {
     fn builder_methods() {
         let c = FtiConfig::level(CheckpointLevel::L3)
             .interval(5)
-            .group_size(8)
-            .parity_shards(3)
             .differential(false);
         assert_eq!(c.level, CheckpointLevel::L3);
         assert_eq!(c.interval, 5);
-        assert_eq!(c.group_size, 8);
-        assert_eq!(c.parity_shards, 3);
         assert!(!c.differential);
     }
 

@@ -20,7 +20,9 @@ use std::sync::Arc;
 use mpisim::machine::StorageTier;
 use mpisim::{Comm, MpiError, Payload, RankCtx, Topology};
 
-use crate::config::{CheckpointLevel, FtiConfig};
+use crate::config::{
+    CheckpointLevel, FtiConfig, DIFF_BLOCK_BYTES, L3_DATA_SHARDS, L3_PARITY_SHARDS,
+};
 use crate::meta::CheckpointMeta;
 use crate::rs_code;
 use crate::store::{CheckpointSet, CheckpointStore, Placement, StoredBlob};
@@ -152,8 +154,7 @@ pub fn write_checkpoint(
         CheckpointLevel::L3 => {
             ctx.charge_storage_write(StorageTier::RamDisk, payload_bytes);
             // Encode and scatter the shards across the encoding group.
-            let k = cfg.rs_data_shards();
-            let m = cfg.rs_parity_shards();
+            let (k, m) = (L3_DATA_SHARDS, L3_PARITY_SHARDS);
             let encoded = rs_code::encode_payload(&payload, k, m).map_err(|e| {
                 MpiError::InvalidArgument(format!("reed-solomon encoding failed: {e}"))
             })?;
@@ -162,10 +163,11 @@ pub fn write_checkpoint(
                     .compute_cost(rs_code::encode_work(payload_bytes, k, m)),
             );
             // Group-aware placement: the encoding group is a disjoint block of
-            // `group_size` nodes (see `crate::placement`), and the k+m shards are
-            // scattered round-robin over the block — one shard per node when the
-            // block is full-width, so the group survives the loss of any `m` nodes.
-            let group = crate::placement::l3_group_in(ctx.topology(), comm, rank, cfg.group_size);
+            // `L3_GROUP_NODES` = k + m nodes (see `crate::placement`), and the k + m
+            // shards are scattered round-robin over the block — one shard per node
+            // when the block is full-width, so the group survives the loss of any `m`
+            // nodes.
+            let group = crate::placement::l3_group(ctx.topology(), comm.members(), rank);
             set.shards = encoded
                 .shards
                 .iter()
@@ -196,7 +198,7 @@ pub fn write_checkpoint(
                 let base = newest
                     .and_then(|s| s.diff_base.as_ref().map(|b| b.data.clone()))
                     .unwrap_or_default();
-                crate::diff::compute_delta(&base, &payload, cfg.diff_block_size).bytes_to_write()
+                crate::diff::compute_delta(&base, &payload, DIFF_BLOCK_BYTES).bytes_to_write()
             } else {
                 payload_bytes
             };
@@ -244,7 +246,6 @@ pub fn write_checkpoint(
 /// reconstructed: the rank then restarts from scratch instead of failing the run.
 pub fn read_checkpoint(
     ctx: &mut RankCtx,
-    cfg: &FtiConfig,
     store: &CheckpointStore,
     owner: usize,
     iteration: Option<u64>,
@@ -252,7 +253,7 @@ pub fn read_checkpoint(
     store
         .sets(owner, iteration)
         .iter()
-        .find_map(|set| try_reconstruct(ctx, cfg, set))
+        .find_map(|set| try_reconstruct(ctx, set))
 }
 
 /// The storage tier a transfer between a rank on `local_node` and a blob placed at
@@ -274,7 +275,7 @@ fn storage_tier_for(topology: &Topology, local_node: usize, placement: Placement
 /// fetched across: primary copy, partner copy, Reed–Solomon decode of the group's
 /// surviving shards, then the parallel-file-system base. Returns `None` when the set
 /// has lost too much (for L3: fewer than `k` of the group's shards survive).
-fn try_reconstruct(ctx: &mut RankCtx, cfg: &FtiConfig, set: &CheckpointSet) -> Option<ReadOutcome> {
+fn try_reconstruct(ctx: &mut RankCtx, set: &CheckpointSet) -> Option<ReadOutcome> {
     // For the owner's own reads the primary is node-local (RAM disk, as always); an
     // adoption read of a dead rank's set fetches it across the domain separating the
     // reader from it.
@@ -282,7 +283,7 @@ fn try_reconstruct(ctx: &mut RankCtx, cfg: &FtiConfig, set: &CheckpointSet) -> O
         (RestoreSource::Primary, read_blob(ctx, primary))
     } else if let Some(partner) = &set.partner {
         (RestoreSource::Partner, read_blob(ctx, partner))
-    } else if let Some((shards, data)) = decode_shards(ctx, cfg, set) {
+    } else if let Some((shards, data)) = decode_shards(ctx, set) {
         (RestoreSource::Decode { shards }, data)
     } else {
         (RestoreSource::Pfs, read_blob(ctx, set.diff_base.as_ref()?))
@@ -306,13 +307,8 @@ fn read_blob(ctx: &mut RankCtx, blob: &StoredBlob) -> Payload {
 /// erasure, when at least `k` did; returns the surviving shard count and the payload.
 /// Only a successful decode charges: each surviving shard's read, in shard order, then
 /// the decode's compute.
-fn decode_shards(
-    ctx: &mut RankCtx,
-    cfg: &FtiConfig,
-    set: &CheckpointSet,
-) -> Option<(usize, Payload)> {
-    let k = cfg.rs_data_shards();
-    let m = cfg.rs_parity_shards();
+fn decode_shards(ctx: &mut RankCtx, set: &CheckpointSet) -> Option<(usize, Payload)> {
+    let (k, m) = (L3_DATA_SHARDS, L3_PARITY_SHARDS);
     let mut shards: Vec<Option<&Payload>> = vec![None; k + m];
     for (slot, blob) in shards.iter_mut().zip(&set.shards) {
         *slot = blob.as_ref().map(|b| &b.data);
@@ -362,9 +358,9 @@ mod tests {
     }
 
     /// Reads the calling rank's newest reconstructible checkpoint.
-    fn read(ctx: &mut RankCtx, cfg: &FtiConfig, store: &CheckpointStore) -> Option<ReadOutcome> {
+    fn read(ctx: &mut RankCtx, store: &CheckpointStore) -> Option<ReadOutcome> {
         let rank = ctx.rank();
-        read_checkpoint(ctx, cfg, store, rank, None)
+        read_checkpoint(ctx, store, rank, None)
     }
 
     fn run_level(level: CheckpointLevel, erase_home_node: bool) -> Vec<Option<Vec<Payload>>> {
@@ -388,7 +384,7 @@ mod tests {
                 store2.erase_node(0);
             }
             ctx.barrier(&world)?;
-            Ok(read(ctx, &cfg, &store2).map(|read| {
+            Ok(read(ctx, &store2).map(|read| {
                 assert_eq!(read.meta.iteration, 10);
                 read.objects
             }))
@@ -469,7 +465,7 @@ mod tests {
                 store2.erase_node(1);
             }
             ctx.barrier(&world)?;
-            let read = read(ctx, &cfg, &store2).expect("L4 set must survive");
+            let read = read(ctx, &store2).expect("L4 set must survive");
             assert_eq!(
                 read.meta.iteration, 10,
                 "fallback resumes from the older set"
@@ -487,7 +483,7 @@ mod tests {
         // Restoring must not copy the payload twice: the per-object payloads of a read
         // alias the stored blob — the primary, and once its node is gone the partner
         // copy — and an object restored from them is unchanged.
-        use crate::protect::Protectable;
+        use crate::protect::{bytes_of, Protectable};
         let store = CheckpointStore::shared();
         let cfg = FtiConfig::level(CheckpointLevel::L2);
         let store2 = Arc::clone(&store);
@@ -496,7 +492,7 @@ mod tests {
             let world = ctx.world();
             let field: Vec<f64> = (0..40).map(|i| (i * (ctx.rank() + 1)) as f64).collect();
             let step = 7u64;
-            let objects = vec![field.to_bytes(), step.to_bytes()];
+            let objects = vec![bytes_of(&field), bytes_of(&step)];
             let meta = meta_for(&objects, CheckpointLevel::L2, 6);
             write(ctx, &world, &cfg, &store2, meta, &objects)?;
             ctx.barrier(&world)?;
@@ -510,7 +506,7 @@ mod tests {
                     }
                     ctx.barrier(&world)?;
                 }
-                let read = read(ctx, &cfg, &store2).expect("L2 set must survive");
+                let read = read(ctx, &store2).expect("L2 set must survive");
                 let set = store2.sets(ctx.rank(), None).remove(0);
                 let served_by = if crashed && ctx.rank() == 0 {
                     assert_eq!(read.source, RestoreSource::Partner);
@@ -562,7 +558,7 @@ mod tests {
                 store2.erase_node(0);
             }
             ctx.barrier(&world)?;
-            Ok(read(ctx, &cfg, &store2).is_none())
+            Ok(read(ctx, &store2).is_none())
         });
         assert!(outcome.all_ok(), "{:?}", outcome.errors());
         for rank in 0..2 {
@@ -603,13 +599,11 @@ mod tests {
 
     #[test]
     fn l3_groups_survive_m_node_losses_then_cascade() {
-        // 4 ranks on 4 nodes in 2 racks, group (4, 2): each rank's four shards land
+        // 4 ranks on 4 nodes in 2 racks, k = m = 2: each rank's four shards land
         // on four distinct nodes. Losing one whole rack (= 2 nodes = m shards) still
         // RS-decodes; losing a third node leaves 1 < k shards and the set is dead.
         let store = CheckpointStore::shared();
-        let cfg = FtiConfig::level(CheckpointLevel::L3)
-            .group_size(4)
-            .parity_shards(2);
+        let cfg = FtiConfig::level(CheckpointLevel::L3);
         let store2 = Arc::clone(&store);
         let cluster = Cluster::new(ClusterConfig::with_ranks(4).nodes(4).racks(2));
         let outcome = cluster.run(move |ctx| {
@@ -637,13 +631,13 @@ mod tests {
                 store2.erase_node(3);
             }
             ctx.barrier(&world)?;
-            let first = read(ctx, &cfg, &store2);
+            let first = read(ctx, &store2);
             ctx.barrier(&world)?;
             if ctx.rank() == 0 {
                 store2.erase_node(1); // third node: > m erasures for ranks 2 and 3
             }
             ctx.barrier(&world)?;
-            let second = read(ctx, &cfg, &store2);
+            let second = read(ctx, &store2);
             let degraded = |r: &ReadOutcome| r.source != RestoreSource::Primary;
             Ok((
                 first.map(|r| (degraded(&r), r.objects)),
@@ -672,9 +666,7 @@ mod tests {
         // k = 2, m = 2 on four nodes in two racks. Rank 0 loses its primary and shards
         // 0 and 2, so the decode reads shards 1 (other rack) and 3 (its own node): a
         // surviving set that is not a prefix, whose two reads cost different amounts.
-        let cfg = FtiConfig::level(CheckpointLevel::L3)
-            .group_size(4)
-            .parity_shards(2);
+        let cfg = FtiConfig::level(CheckpointLevel::L3);
         let cluster = || Cluster::new(ClusterConfig::with_ranks(4).nodes(4).racks(2));
         let objects = vec![(0..3000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()];
         let store = CheckpointStore::shared();
@@ -691,7 +683,7 @@ mod tests {
         set.shards[2] = None;
         store.put(0, set);
         let run = || {
-            let (store, cfg, objects) = (Arc::clone(&store), cfg.clone(), objects.clone());
+            let (store, objects) = (Arc::clone(&store), objects.clone());
             let outcome = cluster().run(move |ctx| {
                 if ctx.rank() != 0 {
                     return Ok(0);
@@ -719,7 +711,7 @@ mod tests {
                 };
                 let expected = clock_after([0, 1]);
                 assert_ne!(expected, clock_after([1, 0]), "the order must show");
-                let read = read(ctx, &cfg, &store).expect("k shards survive");
+                let read = read(ctx, &store).expect("k shards survive");
                 assert_eq!(read.source, RestoreSource::Decode { shards: 2 });
                 assert_eq!(read.objects[0], objects[0]);
                 assert_eq!(ctx.now().as_secs().to_bits(), expected);
@@ -838,7 +830,7 @@ mod tests {
             // Clobber the application buffer after the write.
             objects[0].iter_mut().for_each(|b| *b = 0xFF);
             ctx.barrier(&world)?;
-            let read = read(ctx, &cfg, &store2).expect("checkpoint exists");
+            let read = read(ctx, &store2).expect("checkpoint exists");
             assert_eq!(read.objects[0], vec![1u8; 500]);
             Ok(())
         });
@@ -849,7 +841,7 @@ mod tests {
     fn differential_l4_writes_the_local_copy_plus_the_changed_blocks() {
         let store = CheckpointStore::shared();
         let cfg = FtiConfig::level(CheckpointLevel::L4);
-        let block = cfg.diff_block_size;
+        let block = DIFF_BLOCK_BYTES;
         let cluster = Cluster::new(ClusterConfig::with_ranks(1));
         let outcome = cluster.run(move |ctx| {
             let world = ctx.world();
@@ -896,9 +888,8 @@ mod tests {
     #[test]
     fn read_without_checkpoint_returns_none() {
         let store = CheckpointStore::shared();
-        let cfg = FtiConfig::default();
         let cluster = Cluster::new(ClusterConfig::with_ranks(1));
-        let outcome = cluster.run(move |ctx| Ok(read(ctx, &cfg, &store).is_none()));
+        let outcome = cluster.run(move |ctx| Ok(read(ctx, &store).is_none()));
         assert!(*outcome.value_of(0));
     }
 }

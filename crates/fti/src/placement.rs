@@ -4,21 +4,24 @@
 //! scatters them over its **encoding group**. The placement here makes the group a
 //! real failure-domain construct instead of a rank-arithmetic hack:
 //!
-//! * the cluster's nodes are partitioned into disjoint blocks of `group_size` nodes
-//!   (the last block is narrower when the node count does not divide evenly);
+//! * the nodes hosting the communicator's members are partitioned into disjoint
+//!   blocks of [`L3_GROUP_NODES`] = `k + m` nodes (the last block is narrower when
+//!   the node count does not divide evenly);
 //! * the encoding group of a rank is the set of ranks with its local index on the
 //!   nodes of its block, so **groups map onto disjoint node sets**;
 //! * a rank's `k + m` shards are placed round-robin over the block's nodes, starting
-//!   after its own node — when the block is full-width (`group_size` nodes), every
+//!   after its own node — when the block is full-width (`k + m` nodes), every
 //!   shard lands on a **distinct node** and the group tolerates the loss of any `m`
 //!   nodes (one shard erased per node).
 //!
-//! On clusters with fewer nodes than `group_size` the block degenerates: several
+//! On clusters with fewer than `k + m` nodes the block degenerates: several
 //! shards share a node and a node crash erases all of them at once. Recovery then
 //! counts the *surviving* shards of the group and decodes when at least `k` remain,
 //! cascading to the L4 parallel-file-system copy (or a fresh start) otherwise.
 
 use mpisim::{Comm, Topology};
+
+use crate::config::L3_GROUP_NODES;
 
 /// The L3 encoding group of one rank: its identifier and the node block its shards
 /// are scattered over.
@@ -39,22 +42,6 @@ impl L3Group {
     /// block and `shard < nodes.len()` every shard index maps to a distinct node.
     pub fn shard_node(&self, shard: usize) -> usize {
         self.nodes[(self.position + 1 + shard) % self.nodes.len()]
-    }
-}
-
-/// Computes the L3 encoding group of `rank` for the given group size (see the module
-/// documentation for the block construction).
-pub fn l3_group(topology: &Topology, rank: usize, group_size: usize) -> L3Group {
-    let node = topology.node_of(rank);
-    let local = rank % topology.ranks_per_node();
-    let width = group_size.max(2).min(topology.nnodes());
-    let block = node / width;
-    let start = block * width;
-    let end = (start + width).min(topology.nnodes());
-    L3Group {
-        group: block * topology.ranks_per_node() + local,
-        nodes: (start..end).collect(),
-        position: node - start,
     }
 }
 
@@ -79,36 +66,26 @@ pub fn partner_rank_in(topology: &Topology, comm: &Comm, rank: usize) -> usize {
     comm.members()[(idx + shift) % comm.size()]
 }
 
-/// The L3 encoding group of global rank `rank` on communicator `comm`.
-///
-/// On a full-world communicator this is exactly [`l3_group`] (bit-identical
-/// placement). On a shrunk survivor communicator the node blocks are rebuilt over
-/// the **nodes that still host members**: dead nodes drop out of every block, so no
-/// shard is ever placed on storage a retired rank's crash already erased.
-pub fn l3_group_in(topology: &Topology, comm: &Comm, rank: usize, group_size: usize) -> L3Group {
-    if comm.size() == topology.nranks() {
-        return l3_group(topology, rank, group_size);
-    }
-    let mut nodes: Vec<usize> = comm
-        .members()
-        .iter()
-        .map(|&m| topology.node_of(m))
-        .collect();
+/// The L3 encoding group of global rank `rank` among the communicator `members`
+/// (global ranks). The node blocks are built over the **nodes that host members**: on
+/// a full world that is every node, since the layout is block-wise and every node
+/// hosts ranks; on a shrunk survivor communicator dead nodes drop out of every block,
+/// so no shard is ever placed on storage a retired rank's crash already erased.
+pub fn l3_group(topology: &Topology, members: &[usize], rank: usize) -> L3Group {
+    let mut nodes: Vec<usize> = members.iter().map(|&m| topology.node_of(m)).collect();
     nodes.sort_unstable();
     nodes.dedup();
     let my_node = topology.node_of(rank);
     let pos = nodes
-        .iter()
-        .position(|&n| n == my_node)
+        .binary_search(&my_node)
         .expect("rank's node must host a member");
-    // Local index of `rank` among the surviving members sharing its node.
-    let local = comm
-        .members()
+    // Local index of `rank` among the members sharing its node.
+    let local = members
         .iter()
         .filter(|&&m| topology.node_of(m) == my_node)
         .position(|&m| m == rank)
         .expect("rank must be a member of the communicator");
-    let width = group_size.max(2).min(nodes.len());
+    let width = L3_GROUP_NODES.min(nodes.len());
     let block = pos / width;
     let start = block * width;
     let end = (start + width).min(nodes.len());
@@ -123,12 +100,18 @@ pub fn l3_group_in(topology: &Topology, comm: &Comm, rank: usize, group_size: us
 mod tests {
     use super::*;
 
+    /// The L3 group of `rank` on the full world of `t`.
+    fn world_group(t: &Topology, rank: usize) -> L3Group {
+        let world: Vec<usize> = (0..t.nranks()).collect();
+        l3_group(t, &world, rank)
+    }
+
     #[test]
     fn full_width_groups_place_every_shard_on_a_distinct_node() {
-        // 8 nodes, group size 4: two disjoint blocks [0..4) and [4..8).
+        // 8 nodes, groups of k + m = 4: two disjoint blocks [0..4) and [4..8).
         let t = Topology::new(16, 8);
         for rank in 0..16 {
-            let g = l3_group(&t, rank, 4);
+            let g = world_group(&t, rank);
             assert_eq!(g.nodes.len(), 4);
             let holders: std::collections::BTreeSet<usize> =
                 (0..4).map(|i| g.shard_node(i)).collect();
@@ -140,26 +123,36 @@ mod tests {
             assert!(g.nodes.contains(&t.node_of(rank)));
         }
         // The two blocks are disjoint.
-        assert_eq!(l3_group(&t, 0, 4).nodes, vec![0, 1, 2, 3]);
-        assert_eq!(l3_group(&t, 8, 4).nodes, vec![4, 5, 6, 7]);
+        assert_eq!(world_group(&t, 0).nodes, vec![0, 1, 2, 3]);
+        assert_eq!(world_group(&t, 8).nodes, vec![4, 5, 6, 7]);
     }
 
     #[test]
     fn group_ids_separate_blocks_and_local_indices() {
         let t = Topology::new(16, 8); // two ranks per node
-        assert_eq!(l3_group(&t, 0, 4).group, l3_group(&t, 2, 4).group);
-        assert_ne!(l3_group(&t, 0, 4).group, l3_group(&t, 1, 4).group);
-        assert_ne!(l3_group(&t, 0, 4).group, l3_group(&t, 8, 4).group);
+        assert_eq!(world_group(&t, 0).group, world_group(&t, 2).group);
+        assert_ne!(world_group(&t, 0).group, world_group(&t, 1).group);
+        assert_ne!(world_group(&t, 0).group, world_group(&t, 8).group);
     }
 
     #[test]
     fn narrow_clusters_degrade_to_shared_holders() {
-        // Two nodes, group size 4: the block spans both nodes and shards double up.
+        // Two nodes, groups of 4: the block spans both nodes and shards double up.
         let t = Topology::new(4, 2);
-        let g = l3_group(&t, 0, 4);
+        let g = world_group(&t, 0);
         assert_eq!(g.nodes, vec![0, 1]);
         let holders: Vec<usize> = (0..4).map(|i| g.shard_node(i)).collect();
         assert_eq!(holders, vec![1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn survivor_groups_skip_nodes_without_members() {
+        // Node 1's only rank is gone: the blocks close up over the surviving nodes.
+        let t = Topology::new(8, 8);
+        let survivors = [0, 2, 3, 4, 5, 6, 7];
+        assert_eq!(l3_group(&t, &survivors, 0).nodes, vec![0, 2, 3, 4]);
+        let last = l3_group(&t, &survivors, 7);
+        assert_eq!((last.nodes, last.position), (vec![5, 6, 7], 2));
     }
 
     mod proptests {
@@ -169,33 +162,31 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Satellite invariant: whenever the cluster has at least `group_size`
-            /// nodes (so full-width blocks exist), every encoding group spans
-            /// `k + m = group_size` distinct nodes, its node set is disjoint from
-            /// every other group's, and every shard of every member lands inside the
-            /// group's node set.
+            /// Whenever the cluster has at least `k + m` nodes (so full-width blocks
+            /// exist), every encoding group spans `k + m` distinct nodes, its node
+            /// set is disjoint from every other group's, and every shard of every
+            /// member lands inside the group's node set.
             #[test]
             fn groups_span_k_plus_m_distinct_nodes(
                 ranks_per_node in 1usize..3,
                 blocks in 1usize..4,
-                group_size in 2usize..5,
                 nracks_pick in 0usize..3,
             ) {
-                let nnodes = blocks * group_size;
+                let nnodes = blocks * L3_GROUP_NODES;
                 // Any rack split that divides the node count is valid for placement.
                 let nracks = [1, 2, nnodes].into_iter()
-                    .filter(|r| nnodes % r == 0)
+                    .filter(|r| nnodes.is_multiple_of(*r))
                     .nth(nracks_pick % 3)
                     .unwrap_or(1);
                 let t = Topology::with_racks(ranks_per_node * nnodes, nnodes, nracks);
                 let mut claimed: Vec<Option<usize>> = vec![None; nnodes];
                 for rank in 0..t.nranks() {
-                    let g = l3_group(&t, rank, group_size);
+                    let g = world_group(&t, rank);
                     let holders: std::collections::BTreeSet<usize> =
-                        (0..group_size).map(|i| g.shard_node(i)).collect();
+                        (0..L3_GROUP_NODES).map(|i| g.shard_node(i)).collect();
                     prop_assert_eq!(
                         holders.len(),
-                        group_size,
+                        L3_GROUP_NODES,
                         "rank {} shards must span k+m distinct nodes",
                         rank
                     );

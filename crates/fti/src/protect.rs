@@ -2,113 +2,64 @@
 //!
 //! FTI asks the application to tell it which data objects must be saved for the
 //! execution to be resumable — in C by passing a pointer and a size to `FTI_Protect`.
-//! The Rust equivalent is the [`Protectable`] trait: a protected object can serialize
-//! itself to bytes and restore itself from bytes. Implementations are provided for the
-//! buffer types the MATCH proxy applications use (`Vec<f64>`, `Vec<u64>`, `Vec<i64>`,
-//! `Vec<u8>`, and scalar `f64`/`u64`).
+//! The Rust equivalent is the [`Protectable`] trait: a protected object appends its
+//! bytes to the checkpoint buffer and restores itself from bytes. Implementations are
+//! provided for the buffer types the MATCH proxy applications use (`Vec<f64>`,
+//! `Vec<u64>`, `Vec<i64>`, and scalar `f64`/`u64`).
 
-use mpisim::datatype;
+use mpisim::datatype::{self, Word};
 
 /// A data object that can be checkpointed and restored.
 pub trait Protectable {
-    /// Serializes the object to bytes.
-    fn to_bytes(&self) -> Vec<u8>;
-    /// Restores the object from bytes previously produced by [`Protectable::to_bytes`].
-    fn restore_from(&mut self, bytes: &[u8]);
     /// Size of the serialized representation in bytes.
-    fn byte_len(&self) -> usize {
-        self.to_bytes().len()
-    }
-    /// Appends the serialized representation — exactly the bytes of
-    /// [`Protectable::to_bytes`] — to `out`. The buffer types override it to write
-    /// straight into `out`, without the intermediate vector.
-    fn append_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
-    }
+    fn byte_len(&self) -> usize;
+    /// Appends the serialized representation — [`Protectable::byte_len`] bytes — to
+    /// `out`.
+    fn append_bytes(&self, out: &mut Vec<u8>);
+    /// Restores the object from bytes previously appended by
+    /// [`Protectable::append_bytes`].
+    fn restore_from(&mut self, bytes: &[u8]);
 }
 
-impl Protectable for Vec<f64> {
-    fn to_bytes(&self) -> Vec<u8> {
-        datatype::pack_f64(self)
-    }
-    fn restore_from(&mut self, bytes: &[u8]) {
-        datatype::unpack_into(bytes, self);
-    }
+impl<T: Word> Protectable for Vec<T> {
     fn byte_len(&self) -> usize {
         self.len() * 8
     }
     fn append_bytes(&self, out: &mut Vec<u8>) {
         datatype::pack_into(self, out);
     }
-}
-
-impl Protectable for Vec<u64> {
-    fn to_bytes(&self) -> Vec<u8> {
-        datatype::pack_u64(self)
-    }
     fn restore_from(&mut self, bytes: &[u8]) {
         datatype::unpack_into(bytes, self);
     }
-    fn byte_len(&self) -> usize {
-        self.len() * 8
-    }
-    fn append_bytes(&self, out: &mut Vec<u8>) {
-        datatype::pack_into(self, out);
-    }
 }
 
-impl Protectable for Vec<i64> {
-    fn to_bytes(&self) -> Vec<u8> {
-        datatype::pack_i64(self)
-    }
-    fn restore_from(&mut self, bytes: &[u8]) {
-        datatype::unpack_into(bytes, self);
-    }
-    fn byte_len(&self) -> usize {
-        self.len() * 8
-    }
-    fn append_bytes(&self, out: &mut Vec<u8>) {
-        datatype::pack_into(self, out);
-    }
+/// Scalars are checkpointed as their 8 little-endian bytes, written straight into the
+/// buffer.
+macro_rules! scalar_protectable {
+    ($($t:ty),*) => {$(
+        impl Protectable for $t {
+            fn byte_len(&self) -> usize {
+                8
+            }
+            fn append_bytes(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&Word::to_le(*self));
+            }
+            fn restore_from(&mut self, bytes: &[u8]) {
+                let bytes = bytes.try_into().expect("scalar payload must be 8 bytes");
+                *self = <$t as Word>::from_le(bytes);
+            }
+        }
+    )*};
 }
 
-impl Protectable for Vec<u8> {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.clone()
-    }
-    fn restore_from(&mut self, bytes: &[u8]) {
-        *self = bytes.to_vec();
-    }
-    fn byte_len(&self) -> usize {
-        self.len()
-    }
-    fn append_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
-    }
-}
+scalar_protectable!(f64, u64);
 
-impl Protectable for f64 {
-    fn to_bytes(&self) -> Vec<u8> {
-        datatype::pack_f64_scalar(*self)
-    }
-    fn restore_from(&mut self, bytes: &[u8]) {
-        *self = datatype::unpack_f64_scalar(bytes);
-    }
-    fn byte_len(&self) -> usize {
-        8
-    }
-}
-
-impl Protectable for u64 {
-    fn to_bytes(&self) -> Vec<u8> {
-        datatype::pack_u64_scalar(*self)
-    }
-    fn restore_from(&mut self, bytes: &[u8]) {
-        *self = datatype::unpack_u64_scalar(bytes);
-    }
-    fn byte_len(&self) -> usize {
-        8
-    }
+/// The bytes `object` appends to an empty buffer.
+#[cfg(test)]
+pub(crate) fn bytes_of(object: &dyn Protectable) -> Vec<u8> {
+    let mut out = Vec::new();
+    object.append_bytes(&mut out);
+    out
 }
 
 /// How a protected object's bytes relate to the global problem, which decides what
@@ -188,7 +139,7 @@ mod tests {
     fn vec_f64_round_trip() {
         let original = vec![1.5, -2.25, 1e300];
         let mut restored = vec![0.0; 1];
-        restored.restore_from(&original.to_bytes());
+        restored.restore_from(&bytes_of(&original));
         assert_eq!(restored, original);
         assert_eq!(original.byte_len(), 24);
     }
@@ -197,39 +148,35 @@ mod tests {
     fn vec_u64_and_i64_round_trip() {
         let u = vec![1u64, u64::MAX];
         let mut u2: Vec<u64> = vec![];
-        u2.restore_from(&u.to_bytes());
+        u2.restore_from(&bytes_of(&u));
         assert_eq!(u2, u);
 
         let i = vec![-5i64, i64::MAX];
         let mut i2: Vec<i64> = vec![];
-        i2.restore_from(&i.to_bytes());
+        i2.restore_from(&bytes_of(&i));
         assert_eq!(i2, i);
     }
 
     #[test]
-    fn raw_bytes_round_trip() {
-        let b = vec![0u8, 255, 7];
-        let mut b2: Vec<u8> = vec![];
-        b2.restore_from(&b.to_bytes());
-        assert_eq!(b2, b);
-        assert_eq!(b.byte_len(), 3);
-    }
-
-    #[test]
-    fn append_bytes_writes_exactly_the_bytes_of_to_bytes() {
-        let objects: [&dyn Protectable; 6] = [
-            &vec![1.5f64, -0.0, f64::NAN],
-            &vec![7u64, u64::MAX],
-            &vec![-9i64, i64::MIN],
-            &vec![1u8, 2, 3],
-            &2.5f64,
-            &11u64,
+    fn append_bytes_appends_exactly_byte_len_little_endian_bytes() {
+        let objects: [(&dyn Protectable, Vec<u8>); 5] = [
+            (
+                &vec![1.5f64, -0.0],
+                [1.5f64.to_le_bytes(), (-0.0f64).to_le_bytes()].concat(),
+            ),
+            (
+                &vec![7u64, u64::MAX],
+                [7u64.to_le_bytes(), [0xFF; 8]].concat(),
+            ),
+            (&vec![-9i64], (-9i64).to_le_bytes().to_vec()),
+            (&2.5f64, 2.5f64.to_le_bytes().to_vec()),
+            (&11u64, 11u64.to_le_bytes().to_vec()),
         ];
-        for o in objects {
+        for (o, want) in objects {
             let mut out = vec![0xAA];
             o.append_bytes(&mut out);
             assert_eq!(out[0], 0xAA, "append must not touch what is already there");
-            assert_eq!(out[1..], o.to_bytes());
+            assert_eq!(out[1..], want);
             assert_eq!(out.len() - 1, o.byte_len());
         }
     }
@@ -238,12 +185,12 @@ mod tests {
     fn scalars_round_trip() {
         let x = 3.75f64;
         let mut y = 0.0f64;
-        y.restore_from(&x.to_bytes());
+        y.restore_from(&bytes_of(&x));
         assert_eq!(y, x);
 
         let a = 42u64;
         let mut b = 0u64;
-        b.restore_from(&a.to_bytes());
+        b.restore_from(&bytes_of(&a));
         assert_eq!(b, a);
         assert_eq!(a.byte_len(), 8);
     }
@@ -252,7 +199,7 @@ mod tests {
     fn restore_resizes_target() {
         let original = vec![1.0, 2.0, 3.0, 4.0];
         let mut target = vec![9.0; 100];
-        target.restore_from(&original.to_bytes());
+        target.restore_from(&bytes_of(&original));
         assert_eq!(target.len(), 4);
     }
 

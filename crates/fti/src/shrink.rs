@@ -90,11 +90,10 @@ pub fn redistribute_after_shrink(
 
     // Restart agreement over the survivors, each also answering for its adopted
     // ranks: converge on the newest iteration EVERY old rank can reconstruct.
-    let min_shards = cfg.rs_data_shards();
     let my_best = |store: &CheckpointStore, cap: u64| -> u64 {
         my_owners
             .iter()
-            .map(|&oi| store.best_recoverable_iteration(old_world[oi], cap, min_shards))
+            .map(|&oi| store.best_recoverable_iteration(old_world[oi], cap))
             .min()
             .unwrap_or(0)
     };
@@ -131,7 +130,7 @@ pub fn redistribute_after_shrink(
     let mut held: HashMap<usize, (CheckpointMeta, Vec<Payload>)> = HashMap::new();
     for &oi in &my_owners {
         let owner = old_world[oi];
-        let read = read_checkpoint(ctx, cfg, store, owner, Some(agreed)).ok_or_else(|| {
+        let read = read_checkpoint(ctx, store, owner, Some(agreed)).ok_or_else(|| {
             MpiError::InvalidArgument(format!(
                 "rank {owner}'s agreed checkpoint (iteration {agreed}) is unreadable"
             ))

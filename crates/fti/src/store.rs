@@ -23,6 +23,7 @@ use std::sync::Arc;
 use mpisim::Payload;
 use parking_lot::Mutex;
 
+use crate::config::L3_DATA_SHARDS;
 use crate::meta::CheckpointMeta;
 
 /// Where a stored blob physically lives, which decides what destroys it.
@@ -94,12 +95,12 @@ pub struct CheckpointSet {
 impl CheckpointSet {
     /// Whether the set can still be reconstructed from its surviving blobs: the
     /// primary copy, the partner copy, the parallel-file-system copy, or at least
-    /// `min_shards` Reed–Solomon shards.
-    fn is_recoverable(&self, min_shards: usize) -> bool {
+    /// `k` Reed–Solomon shards.
+    fn is_recoverable(&self) -> bool {
         self.primary.is_some()
             || self.partner.is_some()
             || self.diff_base.is_some()
-            || self.shards.iter().flatten().count() >= min_shards.max(1)
+            || self.shards.iter().flatten().count() >= L3_DATA_SHARDS
     }
 
     /// Destroys every blob placed on `node`.
@@ -174,10 +175,9 @@ impl CheckpointStore {
     }
 
     /// The newest iteration of `rank` whose set is still reconstructible from
-    /// surviving blobs (`min_shards` is the Reed–Solomon data-shard count), at or
-    /// below `at_most`. Returns 0 when nothing is recoverable — the restart agreement
-    /// treats 0 as "start from scratch".
-    pub fn best_recoverable_iteration(&self, rank: usize, at_most: u64, min_shards: usize) -> u64 {
+    /// surviving blobs, at or below `at_most`. Returns 0 when nothing is recoverable
+    /// — the restart agreement treats 0 as "start from scratch".
+    pub fn best_recoverable_iteration(&self, rank: usize, at_most: u64) -> u64 {
         // Metadata-only scan under the lock: the restart agreement calls this once
         // per convergence round per rank.
         let ranks = self.ranks.lock();
@@ -186,7 +186,7 @@ impl CheckpointStore {
             .into_iter()
             .flatten()
             .flatten()
-            .filter(|s| s.meta.iteration <= at_most && s.is_recoverable(min_shards))
+            .filter(|s| s.meta.iteration <= at_most && s.is_recoverable())
             .map(|s| s.meta.iteration)
             .max()
             .unwrap_or(0)

@@ -43,6 +43,16 @@ impl Word for i64 {
 
 /// Appends the little-endian bytes of `values` to `out`: the one packing routine
 /// behind every typed message and every serialised checkpoint buffer.
+///
+/// ```
+/// use mpisim::datatype::{pack_into, unpack_into};
+/// let xs = [1.0, -2.5, 3.75];
+/// let mut bytes = Vec::new();
+/// pack_into(&xs, &mut bytes);
+/// let mut out: Vec<f64> = Vec::new();
+/// unpack_into(&bytes, &mut out);
+/// assert_eq!(out, xs);
+/// ```
 pub fn pack_into<T: Word>(values: &[T], out: &mut Vec<u8>) {
     // One reservation, then one `extend` over the bytes: faster than an
     // `extend_from_slice` per element, and no slower for checkpoint-sized buffers.
@@ -70,68 +80,15 @@ pub fn unpack_into<T: Word>(bytes: &[u8], out: &mut Vec<T>) {
     );
 }
 
-fn pack<T: Word>(values: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
-    pack_into(values, &mut out);
-    out
-}
-
-/// Packs a slice of `f64` values into little-endian bytes.
-///
-/// ```
-/// use mpisim::datatype::{pack_f64, unpack_into};
-/// let xs = [1.0, -2.5, 3.75];
-/// let mut out: Vec<f64> = Vec::new();
-/// unpack_into(&pack_f64(&xs), &mut out);
-/// assert_eq!(out, xs);
-/// ```
-pub fn pack_f64(values: &[f64]) -> Vec<u8> {
-    pack(values)
-}
-
-/// Packs a slice of `u64` values into little-endian bytes.
-pub fn pack_u64(values: &[u64]) -> Vec<u8> {
-    pack(values)
-}
-
-/// Packs a slice of `i64` values into little-endian bytes.
-pub fn pack_i64(values: &[i64]) -> Vec<u8> {
-    pack(values)
-}
-
-/// Packs a single `f64` value.
-pub fn pack_f64_scalar(value: f64) -> Vec<u8> {
-    value.to_le_bytes().to_vec()
-}
-
-/// Unpacks a single `f64` value.
-///
-/// # Panics
-///
-/// Panics if the byte length is not exactly 8.
-pub fn unpack_f64_scalar(bytes: &[u8]) -> f64 {
-    assert_eq!(bytes.len(), 8, "scalar payload must be 8 bytes");
-    f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-}
-
-/// Packs a single `u64` value.
-pub fn pack_u64_scalar(value: u64) -> Vec<u8> {
-    value.to_le_bytes().to_vec()
-}
-
-/// Unpacks a single `u64` value.
-///
-/// # Panics
-///
-/// Panics if the byte length is not exactly 8.
-pub fn unpack_u64_scalar(bytes: &[u8]) -> u64 {
-    assert_eq!(bytes.len(), 8, "scalar payload must be 8 bytes");
-    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    pub(super) fn pack<T: Word>(values: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        pack_into(values, &mut out);
+        out
+    }
 
     pub(super) fn unpack<T: Word>(bytes: &[u8]) -> Vec<T> {
         let mut out = Vec::new();
@@ -142,30 +99,32 @@ mod tests {
     #[test]
     fn f64_round_trip() {
         let xs = vec![0.0, 1.5, -2.25, f64::MAX, f64::MIN_POSITIVE];
-        assert_eq!(unpack::<f64>(&pack_f64(&xs)), xs);
+        assert_eq!(unpack::<f64>(&pack(&xs)), xs);
     }
 
     #[test]
     fn u64_round_trip() {
         let xs = vec![0, 1, u64::MAX, 42];
-        assert_eq!(unpack::<u64>(&pack_u64(&xs)), xs);
+        assert_eq!(unpack::<u64>(&pack(&xs)), xs);
     }
 
     #[test]
     fn i64_round_trip() {
         let xs = vec![0, -1, i64::MIN, i64::MAX];
-        assert_eq!(unpack::<i64>(&pack_i64(&xs)), xs);
+        assert_eq!(unpack::<i64>(&pack(&xs)), xs);
     }
 
     #[test]
     fn scalar_round_trip() {
-        assert_eq!(unpack_f64_scalar(&pack_f64_scalar(3.25)), 3.25);
-        assert_eq!(unpack_u64_scalar(&pack_u64_scalar(99)), 99);
+        // A one-element slice is exactly the value's 8 little-endian bytes.
+        assert_eq!(pack(&[3.25f64]), 3.25f64.to_le_bytes());
+        assert_eq!(unpack::<f64>(&pack(&[3.25f64])), [3.25]);
+        assert_eq!(unpack::<u64>(&pack(&[99u64])), [99]);
     }
 
     #[test]
     fn empty_slices() {
-        assert!(pack_f64(&[]).is_empty());
+        assert!(pack::<f64>(&[]).is_empty());
         assert!(unpack::<f64>(&[]).is_empty());
         assert!(unpack::<u64>(&[]).is_empty());
     }
@@ -179,8 +138,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::unpack;
-    use super::*;
+    use super::tests::{pack, unpack};
     use proptest::prelude::*;
 
     proptest! {
@@ -194,10 +152,10 @@ mod proptests {
             signed in proptest::collection::vec(any::<i64>(), 0..100),
         ) {
             let wire: Vec<u8> = floats.iter().flat_map(|v| v.to_le_bytes()).collect();
-            prop_assert_eq!(pack_f64(&floats), wire);
-            prop_assert_eq!(unpack::<f64>(&pack_f64(&floats)), floats.clone());
-            prop_assert_eq!(unpack::<u64>(&pack_u64(&unsigned)), unsigned.clone());
-            prop_assert_eq!(unpack::<i64>(&pack_i64(&signed)), signed.clone());
+            prop_assert_eq!(pack(&floats), wire);
+            prop_assert_eq!(unpack::<f64>(&pack(&floats)), floats.clone());
+            prop_assert_eq!(unpack::<u64>(&pack(&unsigned)), unsigned.clone());
+            prop_assert_eq!(unpack::<i64>(&pack(&signed)), signed.clone());
         }
     }
 }

@@ -5,7 +5,8 @@
 //! validate them. Every other crate reads its knobs through the knob table of
 //! `match_core::knobs`, which builds on the same functions: [`positive`], the
 //! positive-count parser, [`var`] and [`error`], which fetch a value and word a
-//! malformed one, and [`read`], the library's lenient reader.
+//! malformed one, and [`read`], the library's lenient reader, which warns through
+//! [`warn_once`].
 
 use std::env::VarError;
 use std::str::FromStr;
@@ -50,16 +51,18 @@ pub fn var(name: &str) -> Option<Result<String, String>> {
 pub fn read<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
     let parsed =
         var(name)?.and_then(|value| parse(&value).map_err(|reason| error(name, &value, &reason)));
-    parsed
-        .map_err(|message| {
-            static WARNED: Mutex<Vec<String>> = Mutex::new(Vec::new());
-            let mut warned = WARNED.lock().unwrap_or_else(|poison| poison.into_inner());
-            if !warned.iter().any(|knob| knob == name) {
-                warned.push(name.to_string());
-                eprintln!("warning: {message}; using the default");
-            }
-        })
-        .ok()
+    parsed.map_err(|message| warn_once(name, &message)).ok()
+}
+
+/// Prints `message` about knob `name` on stderr, saying the default is used, once per
+/// knob and process.
+pub fn warn_once(name: &str, message: &str) {
+    static WARNED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let mut warned = WARNED.lock().unwrap_or_else(|poison| poison.into_inner());
+    if !warned.iter().any(|knob| knob == name) {
+        warned.push(name.to_string());
+        eprintln!("warning: {message}; using the default");
+    }
 }
 
 #[cfg(test)]

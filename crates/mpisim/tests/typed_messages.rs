@@ -2,7 +2,7 @@
 //! the receiving rank, and the buffers typed receives recycle are never ones another
 //! rank can still read.
 
-use mpisim::datatype::pack_f64;
+use mpisim::datatype::pack_into;
 use mpisim::{Cluster, ClusterConfig, MpiError, Payload, SchedBackend};
 
 /// Both backends, `par` with two workers so that ranks really run on two threads.
@@ -49,7 +49,9 @@ fn a_payload_two_ranks_received_is_not_recycled_under_the_second() {
             let world = ctx.world();
             match ctx.rank() {
                 0 => {
-                    let payload = Payload::from(pack_f64(&[1.5, 2.5]));
+                    let mut bytes = Vec::new();
+                    pack_into(&[1.5f64, 2.5], &mut bytes);
+                    let payload = Payload::from(bytes);
                     ctx.send_payload(&world, 1, 1, payload.clone())?;
                     ctx.send_payload(&world, 2, 1, payload)?;
                     Ok(vec![])

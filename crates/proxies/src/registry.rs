@@ -42,7 +42,7 @@ impl ExecutionScale {
         }
     }
 
-    /// The default scale used by the figure benches: quarter-size linear extents.
+    /// The bench scale: quarter-size linear extents.
     pub fn bench() -> Self {
         ExecutionScale {
             linear_fraction: 0.25,
@@ -68,12 +68,6 @@ impl ExecutionScale {
     /// Applies the scale to an iteration count.
     pub fn iterations(&self, nominal: u64) -> u64 {
         nominal.min(self.iteration_cap).max(1)
-    }
-}
-
-impl Default for ExecutionScale {
-    fn default() -> Self {
-        Self::bench()
     }
 }
 
@@ -317,7 +311,6 @@ mod tests {
         assert_eq!(s.iterations(100), 20);
         let p = ExecutionScale::paper();
         assert_eq!(p.extent(64), 64);
-        assert_eq!(ExecutionScale::default(), ExecutionScale::bench());
     }
 
     #[test]

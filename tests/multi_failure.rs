@@ -242,8 +242,6 @@ fn rack_crash_erasing_m_shards_recovers_through_rs_decode() {
     // restarting from iteration 4 proves the decode path ran, and the final answer
     // must still be bit-identical to the failure-free run.
     let fti = FtiConfig::level(CheckpointLevel::L3)
-        .group_size(4)
-        .parity_shards(2)
         .interval(4)
         .l4_every(8);
     let trace = FailureTrace::from(FailureSpec::crash_rack(1, 6));
@@ -269,8 +267,6 @@ fn rack_crash_erasing_more_than_m_shards_falls_back_to_l4() {
     // so recovery must cascade past it to the iteration-8 L4 wave on the parallel
     // file system — and still reproduce the failure-free answer bit-for-bit.
     let fti = FtiConfig::level(CheckpointLevel::L3)
-        .group_size(4)
-        .parity_shards(2)
         .interval(4)
         .l4_every(8);
     let trace = FailureTrace::schedule(vec![
@@ -299,8 +295,6 @@ fn rack_crash_erasing_more_than_m_shards_falls_back_to_l4() {
 #[test]
 fn rack_crash_runs_are_deterministic_in_virtual_time() {
     let fti = FtiConfig::level(CheckpointLevel::L3)
-        .group_size(4)
-        .parity_shards(2)
         .interval(4)
         .l4_every(8);
     let trace = FailureTrace::from(FailureSpec::crash_rack(0, 7));
